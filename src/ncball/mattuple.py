@@ -26,6 +26,8 @@ class MatrixTuple:
             raise ValueError(f"expected shape (d, n, n), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"d and n must be >= 1, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("point entries must be finite (found NaN or inf)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

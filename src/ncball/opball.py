@@ -33,6 +33,8 @@ class Pencil:
         d, p, q = arr.shape
         if min(d, p, q) < 1:
             raise ValueError(f"d, p, q must be >= 1, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("pencil coefficients must be finite (found NaN or inf)")
         flat = arr.reshape(d, p * q)
         sigma = np.linalg.svd(flat, compute_uv=False)
         if d > p * q or sigma[-1] <= INDEPENDENCE_RTOL * sigma[0]:
@@ -70,13 +72,18 @@ class Pencil:
 
 
 def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:
-    """sum_j kron(Q_j, x_j), a (p*n) x (q*n) matrix."""
+    """sum_j kron(Q_j, x_j), a (p*n) x (q*n) matrix.
+
+    Block (a, b) is sum_j Q_j[a, b] x_j, accumulated in j order as a
+    (p, n, q, n) array: the entries, bits included, of the sum of Krons.
+    """
     if pencil.d != x.d:
         raise ValueError(f"pencil with d={pencil.d} evaluated at a {x.d}-tuple")
-    out = np.zeros((pencil.p * x.n, pencil.q * x.n), dtype=complex)
+    n = x.n
+    out = np.zeros((pencil.p, n, pencil.q, n), dtype=complex)
     for j in range(pencil.d):
-        out += np.kron(pencil.coefficients[j], x.entries[j])
-    return out
+        out += pencil.coefficients[j][:, None, :, None] * x.entries[j][None, :, None, :]
+    return out.reshape(pencil.p * n, pencil.q * n)
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,18 @@ class BallMembership:
     def is_inside(self) -> bool:
         return self.kind == "inside"
 
+    @classmethod
+    def from_norm(cls, s: float, tol: float = MEMBERSHIP_TOL) -> "BallMembership":
+        """The verdict for a point whose pencil norm ||Q(X)|| is s."""
+        if s < 1.0 - tol:
+            return cls("inside", s, 1.0 - s)
+        if s > 1.0 + tol:
+            return cls("outside", s, s - 1.0)
+        return cls("boundary", s, abs(s - 1.0))
+
 
 def membership(ball: OperatorBall, x: MatrixTuple, tol: float = MEMBERSHIP_TOL) -> BallMembership:
-    s = ball.norm_at(x)
-    if s < 1.0 - tol:
-        return BallMembership("inside", s, 1.0 - s)
-    if s > 1.0 + tol:
-        return BallMembership("outside", s, s - 1.0)
-    return BallMembership("boundary", s, abs(s - 1.0))
+    return BallMembership.from_norm(ball.norm_at(x), tol)
 
 
 def state_compression(x: MatrixTuple, v: np.ndarray) -> tuple[complex, ...]:

@@ -16,7 +16,7 @@ import numpy as np
 from .freealg import BudgetExceededError, FreePolynomial, Word, left_divide, words_of_size
 from .mattuple import MatrixTuple, eval_poly, eval_word
 from .ncdiff import nc_eval
-from .opball import OperatorBall, Pencil, membership, pencil_eval
+from .opball import BallMembership, OperatorBall, Pencil, membership, pencil_eval
 from .realize import IllConditionedError, Realization
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
@@ -115,6 +115,9 @@ def estimate_sup(
     real or imaginary entry at a time with rescale-to-membership projection
     and step halving from 0.1 down to 1e-6.  Evaluation failures are counted
     and skipped.  The report is reproducible bit for bit from (seed, budget).
+    The pencil norm of a climb candidate is taken once and also gives its
+    membership verdict; only a candidate rescaled toward the boundary is
+    measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
 
     Passing ``margins`` replaces the multistart margin schedule.
     """
@@ -133,8 +136,7 @@ def estimate_sup(
         seed=seed,
     )
 
-    def consider(x: MatrixTuple, label: str) -> float | None:
-        verdict = membership(ball, x)
+    def consider(x: MatrixTuple, label: str, verdict: BallMembership) -> float | None:
         try:
             value = _target_norm(f, x)
         except (IllConditionedError, np.linalg.LinAlgError):
@@ -160,9 +162,9 @@ def estimate_sup(
         rng = np.random.default_rng(seed + i)
         pool.append((sample_in_ball(ball, n, margin, rng), f"m{margin:g}"))
     for x, label in pool[:n_samples]:
-        value = consider(x, label)
+        value = consider(x, label, membership(ball, x))
         if value is not None:
-            bin_key = _nearest_margin(membership(ball, x).distance)
+            bin_key = _nearest_margin(report.trajectory[-1].boundary_distance)
             report.margin_best[bin_key] = max(report.margin_best.get(bin_key, 0.0), value)
     multistart_best = report.best_value
 
@@ -186,10 +188,12 @@ def estimate_sup(
                                 candidate = MatrixTuple(entries)
                                 s = ball.norm_at(candidate)
                                 if s > BOUNDARY_THRESHOLD:
-                                    if s == 0.0:
-                                        continue
+                                    # |c| s is not bitwise ||Q(cX)||: measure the rescaled point afresh
                                     candidate = candidate.scale(BOUNDARY_THRESHOLD / s)
-                                value = consider(candidate, f"climb:{step:g}")
+                                    verdict = membership(ball, candidate)
+                                else:
+                                    verdict = BallMembership.from_norm(s)
+                                value = consider(candidate, f"climb:{step:g}", verdict)
                                 remaining -= 1
                                 if value is not None and value > current_value:
                                     current = candidate

@@ -7,6 +7,9 @@ multiplicity m.  Its value at a level-n point X is
 
 where L(X) = I_m x Q(X) and "x" is the Kronecker product.  With Q of size
 p x q the data shapes are B: 1 x (m p), C: (m q) x 1, D: (m q) x (m p).
+No identity Kronecker product is formed while evaluating: the letters I_m x Q_j
+are built once per realization, C x I_n and the identities once per level n,
+and the products by B x I_n, D x I_n and I_m x Q(X) are block operations.
 In isometry mode the system matrix V = [[A, B], [C, D]] satisfies V*V = 1 and
 f is then a complete contraction on the ball; in contraction mode only
 ||D|| <= 1 is required and f is merely analytic where the resolvent exists.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +40,54 @@ class IllConditionedError(RuntimeError):
         self.cond = cond
 
 
+class _LevelOperands(NamedTuple):
+    """The read-only operands of one realization at one level n."""
+
+    eye: np.ndarray  # I_n
+    c_col: np.ndarray  # C x I_n, of shape (m q n) x n
+    eye_res: np.ndarray  # I_{m q n}
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(a x I_n) b, equal bit for bit to seq_matmul(np.kron(a, I_n), b).
+
+    Row (i, r) of the product only meets rows (k, r) of b, so the rank-1 terms
+    are accumulated block by block in the index order k of a: the same
+    products, summed in the same order, as the fixed-order kernel, without the
+    zero terms of the identity.
+    """
+    rows, inner = a.shape
+    blocks = b.reshape(inner, n, b.shape[1])
+    out = np.zeros((rows, n, b.shape[1]), dtype=complex)
+    for k in range(inner):
+        # keep both factors 3-d: broadcasting arrays of unequal rank can send
+        # numpy's complex multiply down a loop without fused multiply-add
+        out += a[:, k, None, None] * blocks[k : k + 1]
+    return out.reshape(rows * n, b.shape[1])
+
+
 class Realization:
     """System data (A, B, C, D) over a pencil, evaluable at matrix tuples."""
 
-    __slots__ = ("pencil", "m", "A", "B", "C", "D", "mode")
+    __slots__ = ("pencil", "m", "A", "B", "C", "D", "mode", "_letters", "_levels")
 
     def __init__(self, pencil: Pencil, m: int, a, b, c, d, mode: str = "contraction"):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if mode not in ("contraction", "isometry"):
             raise ValueError(f"mode must be 'contraction' or 'isometry', got {mode!r}")
+        a = complex(a)
         b = np.asarray(b, dtype=complex).reshape(-1)
         c = np.asarray(c, dtype=complex).reshape(-1)
         d = np.asarray(d, dtype=complex)
+        for name, value in (("A", a), ("B", b), ("C", c), ("D", d)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"realization {name} must be finite (found NaN or inf)")
         mp, mq = m * pencil.p, m * pencil.q
         if b.shape[0] != mp:
             raise ValueError(f"B must have length m*p = {mp}, got {b.shape[0]}")
@@ -65,11 +104,15 @@ class Realization:
         d.setflags(write=False)
         object.__setattr__(self, "pencil", pencil)
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "A", complex(a))
+        object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "D", d)
         object.__setattr__(self, "mode", mode)
+        eye_m = np.eye(m)
+        letters = tuple(_read_only(np.kron(eye_m, q_j)) for q_j in pencil.coefficients)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_levels", {})
         if mode == "isometry":
             v = self.system_matrix()
             defect = float(np.linalg.norm(v.conj().T @ v - np.eye(1 + mp), 2))
@@ -94,29 +137,48 @@ class Realization:
         return v
 
     def letter_matrix(self, j: int) -> np.ndarray:
-        """L_j = I_m x Q_j, the pencil letter seen by the system data."""
-        return np.kron(np.eye(self.m), self.pencil.coefficients[j - 1])
+        """L_j = I_m x Q_j, the pencil letter seen by the system data (read-only)."""
+        return self._letters[j - 1]
+
+    def _level(self, n: int) -> _LevelOperands:
+        """The level-n operands, built on first use and kept."""
+        ops = self._levels.get(n)
+        if ops is None:
+            ops = _LevelOperands(
+                eye=_read_only(np.eye(n, dtype=complex)),
+                c_col=_read_only(np.kron(self.C.reshape(-1, 1), np.eye(n))),
+                eye_res=_read_only(np.eye(self.m * self.pencil.q * n, dtype=complex)),
+            )
+            self._levels[n] = ops
+        return ops
 
     def _lam(self, x: MatrixTuple) -> np.ndarray:
-        return np.kron(np.eye(self.m), pencil_eval(self.pencil, x))
+        """L(X) = I_m x Q(X), placed as m diagonal blocks."""
+        qx = pencil_eval(self.pencil, x)
+        if self.m == 1:
+            return qx
+        p, q = qx.shape
+        lam = np.zeros((self.m * p, self.m * q), dtype=complex)
+        for i in range(self.m):
+            lam[i * p : (i + 1) * p, i * q : (i + 1) * q] = qx
+        return lam
 
     def _resolvent(self, x: MatrixTuple, lam: np.ndarray) -> np.ndarray:
         """Solve [1 - (D x I_n) L(X)] R = C x I_n with a conditioning guard."""
-        n = x.n
-        t = np.eye(self.m * self.pencil.q * n, dtype=complex) - seq_matmul(np.kron(self.D, np.eye(n)), lam)
+        ops = self._level(x.n)
+        t = ops.eye_res - _kron_eye_matmul(self.D, lam, x.n)
         cond = float(np.linalg.cond(t))
         if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
             raise IllConditionedError(cond)
-        return seq_solve(t, np.kron(self.C.reshape(-1, 1), np.eye(n)))
+        return seq_solve(t, ops.c_col)
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         if x.d != self.d:
             raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
         lam = self._lam(x)
         res = self._resolvent(x, lam)
-        n = x.n
-        head = seq_matmul(np.kron(self.B.reshape(1, -1), np.eye(n)), lam)
-        return self.A * np.eye(n, dtype=complex) + seq_matmul(head, res)
+        head = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
+        return self.A * self._level(x.n).eye + seq_matmul(head, res)
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
@@ -129,9 +191,9 @@ class Realization:
 
     def _prefix_row(self, word: Word) -> np.ndarray:
         """B L_{w_1} D L_{w_2} D ... D L_{w_k}, a row of length m*q."""
-        row = self.B.reshape(1, -1) @ self.letter_matrix(word.letters[0])
+        row = self.B.reshape(1, -1) @ self._letters[word.letters[0] - 1]
         for letter in word.letters[1:]:
-            row = row @ self.D @ self.letter_matrix(letter)
+            row = row @ self.D @ self._letters[letter - 1]
         return row
 
     def power_series_coefficient(self, word: Word) -> complex:
@@ -152,23 +214,21 @@ class Realization:
     def remainder_values(self, x: MatrixTuple, words) -> dict[Word, np.ndarray]:
         """Evaluate many remainder factors at one point with a single solve."""
         res = self.resolvent_term(x)
-        eye = np.eye(x.n)
-        return {w: seq_matmul(np.kron(self._prefix_row(w), eye), res) for w in words}
+        return {w: _kron_eye_matmul(self._prefix_row(w), res, x.n) for w in words}
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
         """The degree-k term sum_{|w|=k} c_w x^w, without enumerating words."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        n = x.n
+        ops = self._level(x.n)
         if k == 0:
-            return self.A * np.eye(n, dtype=complex)
+            return self.A * ops.eye
         lam = self._lam(x)
-        eye = np.eye(n)
-        cur = seq_matmul(np.kron(self.B.reshape(1, -1), eye), lam)
-        hop = seq_matmul(np.kron(self.D, eye), lam)
+        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
+        hop = _kron_eye_matmul(self.D, lam, x.n)
         for _ in range(k - 1):
             cur = seq_matmul(cur, hop)
-        return seq_matmul(cur, np.kron(self.C.reshape(-1, 1), eye))
+        return seq_matmul(cur, ops.c_col)
 
     def cesaro_value(self, x: MatrixTuple, n_terms: int) -> np.ndarray:
         """sum_{k<N} (1 - k/N) f_k(x), evaluated termwise in O(N) products.
@@ -181,17 +241,15 @@ class Realization:
         """
         if n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-        n = x.n
-        out = self.A * np.eye(n, dtype=complex)
+        ops = self._level(x.n)
+        out = self.A * ops.eye
         if n_terms == 1:
             return out
         lam = self._lam(x)
-        eye = np.eye(n)
-        cur = seq_matmul(np.kron(self.B.reshape(1, -1), eye), lam)
-        hop = seq_matmul(np.kron(self.D, eye), lam)
-        c_col = np.kron(self.C.reshape(-1, 1), eye)
+        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
+        hop = _kron_eye_matmul(self.D, lam, x.n)
         for k in range(1, n_terms):
-            out = out + (1.0 - k / n_terms) * seq_matmul(cur, c_col)
+            out = out + (1.0 - k / n_terms) * seq_matmul(cur, ops.c_col)
             cur = seq_matmul(cur, hop)
         return out
 
@@ -212,7 +270,7 @@ class RemainderFactor:
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         res = self.base.resolvent_term(x)
-        return seq_matmul(np.kron(self.base._prefix_row(self.word), np.eye(x.n)), res)
+        return _kron_eye_matmul(self.base._prefix_row(self.word), res, x.n)
 
 
 def make_realization(pencil: Pencil, m: int, a, b, c, d, mode: str = "contraction") -> Realization:

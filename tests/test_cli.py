@@ -269,6 +269,30 @@ def test_usage_errors_exit_2(capsys):
         assert captured.err != ""
 
 
+def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
+    nan_point = to_point_dict(MatrixTuple.scalars((0.1, 0.2)))
+    nan_point["entries"][1][0][0] = [float("nan"), 0.0]
+    point_file = write_json(tmp_path / "nan_point.json", nan_point)
+    realization = realization_to_dict(bidisk_witness())
+    realization["B"][0] = [float("nan"), 0.0]
+    realization_file = write_json(tmp_path / "nan_b.json", realization)
+    pencil = realization_to_dict(bidisk_witness())["pencil"]
+    pencil["coefficients"][0][0][0] = [float("inf"), 0.0]
+    pencil_file = write_json(tmp_path / "inf_pencil.json", pencil)
+    cases = [
+        (["eval", "--realization", "ex52", "--point", point_file], "point entries"),
+        (["tt-check", "--realization", "ex52", "--point", point_file, "-N", "2"], "point entries"),
+        (["eval", "--realization", realization_file, "--point", "0.1,0.2"], "realization B"),
+        (["probe", "--realization", "ex52", "--ball", f"pencil:{pencil_file}", "--budget", "4"], "pencil coefficients"),
+    ]
+    for argv, field in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, f"{argv} gave {code}"
+        assert captured.err.startswith("error:") and field in captured.err
+        assert "must be finite" in captured.err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

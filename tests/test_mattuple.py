@@ -37,6 +37,16 @@ def test_tuple_shape_validation():
         MatrixTuple(np.zeros((0, 1, 1)))
 
 
+def test_tuple_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        entries = np.zeros((2, 2, 2), dtype=complex)
+        entries[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="point entries must be finite"):
+            MatrixTuple(entries)
+    with pytest.raises(ValueError, match="must be finite"):
+        MatrixTuple.scalars((0.1, float("nan")))
+
+
 def test_tuple_is_immutable():
     x = MatrixTuple.zeros(2, 2)
     with pytest.raises(AttributeError):

@@ -7,6 +7,7 @@ import pytest
 
 from ncball.mattuple import MatrixTuple, direct_sum, sup_norm
 from ncball.opball import (
+    BallMembership,
     OperatorBall,
     Pencil,
     ball_from_shorthand,
@@ -39,6 +40,14 @@ def test_pencil_validation():
     with pytest.raises(ValueError, match="linearly dependent"):
         # more coefficients than entries can carry
         Pencil(np.ones((2, 1, 1)))
+
+
+def test_pencil_rejects_non_finite_coefficients():
+    for bad in (np.nan, -np.inf):
+        coeffs = polydisk(2).pencil.coefficients.copy()
+        coeffs[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="pencil coefficients must be finite"):
+            Pencil(coeffs)
 
 
 def test_pencil_is_immutable():
@@ -107,6 +116,18 @@ def test_membership_respects_tol():
     x = MatrixTuple.scalars((1.0 - 1e-6,))
     assert membership(ball, x, tol=1e-9).kind == "inside"
     assert membership(ball, x, tol=1e-3).kind == "boundary"
+
+
+def test_membership_is_the_verdict_of_the_pencil_norm():
+    rng = np.random.default_rng(31)
+    ball = row_ball(2)
+    for scale in (0.3, 0.7, 1.0, 1.5):
+        x = random_tuple(rng, 2, 2, scale)
+        assert membership(ball, x) == BallMembership.from_norm(ball.norm_at(x))
+        assert membership(ball, x, tol=0.5) == BallMembership.from_norm(ball.norm_at(x), tol=0.5)
+    assert BallMembership.from_norm(1.0 - 1e-6, tol=1e-9).kind == "inside"
+    assert BallMembership.from_norm(1.0 - 1e-6, tol=1e-3).kind == "boundary"
+    assert BallMembership.from_norm(1.5) == BallMembership("outside", 1.5, 0.5)
 
 
 def test_membership_is_a_level_free_notion():

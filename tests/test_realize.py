@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, words_of_size
-from ncball.mattuple import MatrixTuple, direct_sum, eval_word, similarity
-from ncball.opball import OperatorBall, polydisk, row_ball
+from ncball.mattuple import MatrixTuple, direct_sum, eval_word, seq_matmul, seq_solve, similarity
+from ncball.opball import OperatorBall, pencil_eval, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
@@ -134,6 +136,15 @@ def test_isometry_mode_checks_the_system_matrix():
     assert f.mode == "isometry"
     v = f.system_matrix()
     assert np.linalg.norm(v.conj().T @ v - np.eye(3), 2) < 1e-10
+
+
+def test_non_finite_system_data_is_rejected():
+    pencil = polydisk(2).pencil
+    good = dict(a=0.0, b=[0.5, 0.5], c=[0.5, 0.5], d=0.5 * np.eye(2))
+    for field, bad in (("a", np.nan), ("b", [np.nan, 0.5]), ("c", [0.5, np.inf]), ("d", [[np.nan, 0], [0, 0]])):
+        data = dict(good, **{field: bad})
+        with pytest.raises(ValueError, match=f"realization {field.upper()} must be finite"):
+            Realization(pencil, 1, data["a"], data["b"], data["c"], data["d"])
 
 
 def test_realization_is_immutable():
@@ -361,7 +372,9 @@ def test_plain_partial_sum_converges_geometrically():
 
 def test_eval_respects_direct_sums_exactly():
     rng = np.random.default_rng(10)
-    for f in (bidisk_witness(), random_realization(rng), random_realization(rng, d=3, m=1, row=True)):
+    functions = [bidisk_witness(), random_realization(rng), random_realization(rng, d=3, m=1, row=True)]
+    functions.append(random_realization(np.random.default_rng(13), d=2, m=3))
+    for f in functions:
         ball = OperatorBall(f.pencil)
         for _ in range(10):
             x = sample_in_ball(ball, int(rng.integers(1, 4)), 0.3, rng)
@@ -415,3 +428,147 @@ def test_realization_dict_round_trip():
 def test_realization_from_dict_errors():
     with pytest.raises(ValueError, match="malformed realization"):
         realization_from_dict({"m": 1})
+
+
+# ---------------------------------------------------------------------------
+# block evaluation against a kron-based reference
+#
+# The reference forms every identity Kronecker product of the defining formula
+# explicitly and runs it through the fixed-order kernels.  The evaluation code
+# builds none of them per call, and must agree with it bit for bit.
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def ref_pencil_eval(pencil, x):
+    out = np.zeros((pencil.p * x.n, pencil.q * x.n), dtype=complex)
+    for j in range(pencil.d):
+        out += np.kron(pencil.coefficients[j], x.entries[j])
+    return out
+
+
+def ref_lam(f, x):
+    return np.kron(np.eye(f.m), ref_pencil_eval(f.pencil, x))
+
+
+def ref_resolvent(f, x):
+    n = x.n
+    t = np.eye(f.m * f.pencil.q * n, dtype=complex) - seq_matmul(np.kron(f.D, np.eye(n)), ref_lam(f, x))
+    return seq_solve(t, np.kron(f.C.reshape(-1, 1), np.eye(n)))
+
+
+def ref_eval(f, x):
+    head = seq_matmul(np.kron(f.B.reshape(1, -1), np.eye(x.n)), ref_lam(f, x))
+    return f.A * np.eye(x.n, dtype=complex) + seq_matmul(head, ref_resolvent(f, x))
+
+
+def ref_homogeneous_value(f, x, k):
+    eye = np.eye(x.n)
+    if k == 0:
+        return f.A * np.eye(x.n, dtype=complex)
+    lam = ref_lam(f, x)
+    cur = seq_matmul(np.kron(f.B.reshape(1, -1), eye), lam)
+    hop = seq_matmul(np.kron(f.D, eye), lam)
+    for _ in range(k - 1):
+        cur = seq_matmul(cur, hop)
+    return seq_matmul(cur, np.kron(f.C.reshape(-1, 1), eye))
+
+
+def ref_remainder_values(f, x, words):
+    def letter(j):
+        return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
+
+    res = ref_resolvent(f, x)
+    out = {}
+    for w in words:
+        row = f.B.reshape(1, -1) @ letter(w.letters[0])
+        for j in w.letters[1:]:
+            row = row @ f.D @ letter(j)
+        out[w] = seq_matmul(np.kron(row, np.eye(x.n)), res)
+    return out
+
+
+def with_zeros(rng, values):
+    """values with about 30% of its entries replaced by exact zeros."""
+    return np.where(rng.random(np.shape(values)) < 0.3, 0.0, values)
+
+
+def sparse_realization(rng, d, m, row):
+    """A random realization with exact zeros in B, C and D, and ||D|| <= 0.9."""
+    f = random_realization(rng, d=d, m=m, row=row)
+    dmat = with_zeros(rng, f.D)
+    dmat *= min(1.0, 0.9 / max(np.linalg.norm(dmat, 2), 1e-300))
+    return Realization(f.pencil, m, f.A, with_zeros(rng, f.B), with_zeros(rng, f.C), dmat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_evaluation_matches_the_kron_reference_bitwise(d, row, m, n, sparse, seed):
+    rng = np.random.default_rng(seed)
+    f = sparse_realization(rng, d, m, row) if sparse else random_realization(rng, d=d, m=m, row=row)
+    ball = OperatorBall(f.pencil)
+    x = sample_in_ball(ball, n, 0.3, rng)
+    if sparse:
+        x = MatrixTuple(with_zeros(rng, x.entries))
+        x = x.scale(min(1.0, 0.7 / max(ball.norm_at(x), 1e-300)))
+    assert bitwise_equal(pencil_eval(f.pencil, x), ref_pencil_eval(f.pencil, x))
+    assert bitwise_equal(f.eval(x), ref_eval(f, x))
+    for k in range(4):
+        assert bitwise_equal(f.homogeneous_value(x, k), ref_homogeneous_value(f, x, k))
+    words = [w for k in (1, 2) for w in words_of_size(d, k)]
+    got, want = f.remainder_values(x, words), ref_remainder_values(f, x, words)
+    for w in words:
+        assert bitwise_equal(got[w], want[w])
+    assert bitwise_equal(f.remainder_factor(words[-1]).eval(x), want[words[-1]])
+
+
+# ---------------------------------------------------------------------------
+# cached operands
+
+
+def test_cached_letters_are_read_only():
+    f = random_realization(np.random.default_rng(14), d=2, m=2)
+    for j in (1, 2):
+        letter = f.letter_matrix(j)
+        assert np.array_equal(letter, np.kron(np.eye(2), f.pencil.coefficients[j - 1]))
+        with pytest.raises(ValueError):
+            letter[0, 0] = 5.0
+    assert f.letter_matrix(1) is f.letter_matrix(1)
+
+
+def test_returned_values_do_not_alias_the_cache():
+    f = random_realization(np.random.default_rng(15), d=2, m=2)
+    x = MatrixTuple.scalars((0.2, -0.1j))
+    value, constant, one_term = f.eval(x), f.homogeneous_value(x, 0), f.cesaro_value(x, 1)
+    kept = value.copy()
+    for out in (value, constant, one_term):
+        out[0, 0] += 1.0
+    assert bitwise_equal(f.eval(x), kept)
+    assert f.homogeneous_value(x, 0)[0, 0] == f.A
+    assert f.cesaro_value(x, 1)[0, 0] == f.A
+
+
+def test_level_cache_is_transparent_across_levels():
+    rng = np.random.default_rng(16)
+    f = random_realization(rng, d=2, m=2)
+    ball = OperatorBall(f.pencil)
+    points = {n: sample_in_ball(ball, n, 0.3, rng) for n in (1, 4, 8)}
+    words = list(words_of_size(2, 2))
+    for n in (1, 4, 1, 8):
+        x = points[n]
+        fresh = Realization(f.pencil, f.m, f.A, f.B, f.C, f.D)
+        assert bitwise_equal(f.eval(x), fresh.eval(x))
+        assert bitwise_equal(f.homogeneous_value(x, 3), fresh.homogeneous_value(x, 3))
+        assert bitwise_equal(f.cesaro_value(x, 5), fresh.cesaro_value(x, 5))
+        got, want = f.remainder_values(x, words), fresh.remainder_values(x, words)
+        assert all(bitwise_equal(got[w], want[w]) for w in words)
