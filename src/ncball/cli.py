@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .freealg import BudgetExceededError, FreePolynomial, PolyParseError, Word, parse
-from .mattuple import MatrixTuple, point_from_dict, to_point_dict
+from .mattuple import MatrixTuple, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, nc_eval, tt_check
 from .opball import OperatorBall, ball_from_shorthand, membership
 from .probe import (
@@ -63,10 +63,6 @@ def _write_csv(out: str | None, columns, rows, seed) -> None:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _matrix_pairs(matrix: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(matrix)]
 
 
 def _load_json(path: str):
@@ -133,7 +129,7 @@ def _cmd_eval(args) -> int:
     x = _load_point(args.point)
     f, _ = _resolve_function(args, d=x.d)
     value = nc_eval(f, x)
-    payload = {"n": x.n, "value": _matrix_pairs(value)}
+    payload = {"n": x.n, "value": complex_to_json(np.atleast_2d(value))}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -84,6 +84,24 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
         yield Word(letters, d)
 
 
+def walk_words(d: int, max_size: int, root, step: Callable) -> Iterator[tuple[Word, object]]:
+    """(w, value(w)) for every word of size <= max_size, depth first.
+
+    value(empty) = root and value(w j) = step(value(w), j), so each prefix is
+    computed once and shared by all its extensions.  Children follow in letter
+    order 1..d, hence the words of one size come out in length-lex order.  A
+    negative max_size yields nothing.
+    """
+    if max_size < 0:
+        return
+    stack = [((), root)]
+    while stack:
+        letters, value = stack.pop()
+        yield Word(letters, d), value
+        if len(letters) < max_size:
+            stack.extend(((*letters, j), step(value, j)) for j in range(d, 0, -1))
+
+
 class FreePolynomial:
     """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables."""
 
@@ -217,38 +235,27 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
 def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
     """Weighted partial sum  sum_{k<n} (1 - k/n) * (degree-k part).
 
-    ``source`` supplies the coefficients: a FreePolynomial, an object with a
-    ``power_series_coefficient(word)`` method, or a callable word -> complex
+    ``source`` supplies the coefficients: a FreePolynomial, a Realization
+    (through its Taylor polynomial of size < n), or a callable word -> complex
     (the last needs ``d``).  For non-polynomial sources all d^k words with
     k < n are enumerated, so n is limited by the word budget.
     """
+    from .realize import Realization, taylor_polynomial  # realize builds on this module
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(source, FreePolynomial):
-        out = FreePolynomial.zero(source.d)
-        for k in range(min(n, source.degree + 1)):
-            out = out + (1.0 - k / n) * homogeneous_component(source, k)
-        return out
-    if hasattr(source, "power_series_coefficient"):
-        coeff_of = source.power_series_coefficient
-        d = source.d
-    elif callable(source):
+    if isinstance(source, Realization):
+        source = taylor_polynomial(source, n)
+    elif not isinstance(source, FreePolynomial):
+        if not callable(source):
+            raise TypeError(f"cannot read coefficients from {type(source).__name__}")
         if d is None:
             raise ValueError("a callable coefficient source needs an explicit d")
-        coeff_of = source
-    else:
-        raise TypeError(f"cannot read coefficients from {type(source).__name__}")
-    total = sum(d**k for k in range(n))
-    if total > WORD_BUDGET:
-        raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
-    terms: dict[Word, complex] = {}
-    for k in range(n):
-        weight = 1.0 - k / n
-        for word in words_of_size(d, k):
-            value = complex(coeff_of(word))
-            if value != 0:
-                terms[word] = weight * value
-    return FreePolynomial(d, terms)
+        total = sum(d**k for k in range(n))
+        if total > WORD_BUDGET:
+            raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
+        source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
+    return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
 
 def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:

@@ -8,9 +8,11 @@ that graded nc functions are required to respect.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, Word, WORD_BUDGET
+from .freealg import BudgetExceededError, FreePolynomial, Word, WORD_BUDGET, walk_words
 
 SIMILARITY_COND_LIMIT = 1e12
 
@@ -56,6 +58,10 @@ class MatrixTuple:
     def scale(self, factor: complex) -> "MatrixTuple":
         return MatrixTuple(self.entries * complex(factor))
 
+    def times_letter(self, prev: np.ndarray, j: int) -> np.ndarray:
+        """prev x_j by the fixed-order kernel: the step from x^w to x^(w j)."""
+        return seq_matmul(prev, self.entries[j - 1])
+
     def __eq__(self, other):
         if not isinstance(other, MatrixTuple):
             return NotImplemented
@@ -67,9 +73,14 @@ class MatrixTuple:
         return f"MatrixTuple(d={self.d}, n={self.n})"
 
 
+def _spectral_norm(a: np.ndarray) -> float:
+    """The largest singular value of a matrix, bit for bit np.linalg.norm(a, 2)."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 def sup_norm(x: MatrixTuple) -> float:
     """max_j of the largest singular value of the j-th entry."""
-    return max(float(np.linalg.norm(x.entries[j], 2)) for j in range(x.d))
+    return max(_spectral_norm(entry) for entry in x.entries)
 
 
 def seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,10 +139,7 @@ def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
     """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
     if word.d != x.d:
         raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
-    out = np.eye(x.n, dtype=complex)
-    for letter in word.letters:
-        out = seq_matmul(out, x.entries[letter - 1])
-    return out
+    return functools.reduce(x.times_letter, word.letters, np.eye(x.n, dtype=complex))
 
 
 def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
@@ -184,25 +192,43 @@ def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
         raise ValueError(f"k must be >= 1, got {k}")
     if x.d**k > WORD_BUDGET:
         raise BudgetExceededError(f"{x.d}^{k} words exceed the budget {WORD_BUDGET}")
-
-    def descend(prefix: np.ndarray, depth: int) -> bool:
-        if depth == k:
-            return float(np.linalg.norm(prefix, 2)) <= tol
-        return all(descend(prefix @ x.entries[j], depth + 1) for j in range(x.d))
-
-    return descend(np.eye(x.n, dtype=complex), 0)
+    words = walk_words(x.d, k, np.eye(x.n, dtype=complex), x.times_letter)
+    return all(_spectral_norm(value) <= tol for word, value in words if len(word) == k)
 
 
 # ---------------------------------------------------------------------------
-# JSON form: {"n": n, "d": d, "entries": d matrices of n x n [re, im] pairs}
+# JSON form: complex numbers are [re, im] pairs; a point is
+# {"n": n, "d": d, "entries": d matrices of n x n pairs}
+
+
+def complex_to_json(a) -> list:
+    """A complex scalar or array as nested lists of [re, im] float pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def complex_from_json(raw, shape: tuple[int, int, int], key: str) -> np.ndarray:
+    """The stack of matrices of the given shape written by complex_to_json.
+
+    ``key`` names the field in the errors for lists of the wrong length.
+    """
+    count, rows, cols = shape
+    if len(raw) != count:
+        raise ValueError(f"expected {count} {key}, got {len(raw)}")
+    out = np.zeros(shape, dtype=complex)
+    for j, matrix in enumerate(raw):
+        if len(matrix) != rows:
+            raise ValueError(f"{key}[{j}] must have {rows} rows")
+        for r, row in enumerate(matrix):
+            if len(row) != cols:
+                raise ValueError(f"{key}[{j}][{r}] must have {cols} values")
+            for c, (re, im) in enumerate(row):
+                out[j, r, c] = complex(float(re), float(im))
+    return out
 
 
 def to_point_dict(x: MatrixTuple) -> dict:
-    entries = [
-        [[[float(v.real), float(v.imag)] for v in row] for row in x.entries[j]]
-        for j in range(x.d)
-    ]
-    return {"n": x.n, "d": x.d, "entries": entries}
+    return {"n": x.n, "d": x.d, "entries": complex_to_json(x.entries)}
 
 
 def point_from_dict(obj: dict) -> MatrixTuple:
@@ -212,16 +238,4 @@ def point_from_dict(obj: dict) -> MatrixTuple:
         raw = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point object needs keys n, d, entries: {exc}") from exc
-    if len(raw) != d:
-        raise ValueError(f"expected {d} entries, got {len(raw)}")
-    out = np.zeros((d, n, n), dtype=complex)
-    for j, matrix in enumerate(raw):
-        if len(matrix) != n:
-            raise ValueError(f"entry {j} must have {n} rows")
-        for r, row in enumerate(matrix):
-            if len(row) != n:
-                raise ValueError(f"entry {j} row {r} must have {n} values")
-            for c, pair in enumerate(row):
-                re, im = pair
-                out[j, r, c] = complex(float(re), float(im))
-    return MatrixTuple(out)
+    return MatrixTuple(complex_from_json(raw, (d, n, n), "entries"))

@@ -12,6 +12,7 @@ difference noise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,11 @@ from .freealg import (
     FreePolynomial,
     homogeneous_component,
     left_divide,
-    words_of_size,
+    walk_words,
 )
-from .mattuple import MatrixTuple, eval_poly, eval_word
+from .mattuple import MatrixTuple, _spectral_norm, eval_poly
 from .realize import Realization
 
-COALESCE_TOL = 1e-12
 TT_WORD_BUDGET = 10**5
 
 
@@ -76,36 +76,25 @@ def pair_derivative(f, a, b, h) -> complex:
 
 
 def d1_difference_quotient(f, x: complex, y: complex) -> complex:
-    """(f(x) - f(y))/(x - y) for one-variable f, stable under coalescence.
+    """(f(x) - f(y))/(x - y) for one-variable f, exact at every separation.
 
-    Below a separation of 1e-12 the quotient is replaced by the (1,2) entry
-    of f([[x, 1], [0, y]]), which equals the quotient identically and tends
-    to the derivative as y -> x.
+    The quotient is the (1,2) entry of f([[x, 1], [0, y]]), which equals it
+    identically, with no cancellation as y -> x, and is the derivative at y = x.
     """
-    x, y = complex(x), complex(y)
-    if abs(x - y) > COALESCE_TOL:
-        return (scalar_eval(f, (x,)) - scalar_eval(f, (y,))) / (x - y)
     return pair_derivative(f, (x,), (y,), (1.0,))
 
 
 def gleason_split(f, x) -> tuple[complex, complex]:
     """Coefficients (g1, g2) with f(x) = f(0,0) + g1 x1 + g2 x2 on the bidisk.
 
-    g1 freezes the second coordinate at 0, g2 sweeps it:
-        g1 = (f(x1, 0) - f(0, 0)) / x1,   g2 = (f(x1, x2) - f(x1, 0)) / x2,
-    with the limit (a block derivative) substituted below modulus 1e-12.
+    g1 freezes the second coordinate at 0, g2 sweeps it, each a block
+    difference that is exact also where x1 or x2 vanishes:
+        g1 = Df((0, 0), (x1, 0))[e1] = (f(x1, 0) - f(0, 0)) / x1,
+        g2 = Df((x1, 0), (x1, x2))[e2] = (f(x1, x2) - f(x1, 0)) / x2.
     """
     x1, x2 = complex(x[0]), complex(x[1])
-    f00 = scalar_eval(f, (0.0, 0.0))
-    fx10 = scalar_eval(f, (x1, 0.0))
-    if abs(x1) > COALESCE_TOL:
-        g1 = (fx10 - f00) / x1
-    else:
-        g1 = pair_derivative(f, (0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
-    if abs(x2) > COALESCE_TOL:
-        g2 = (scalar_eval(f, (x1, x2)) - fx10) / x2
-    else:
-        g2 = pair_derivative(f, (x1, 0.0), (x1, 0.0), (0.0, 1.0))
+    g1 = pair_derivative(f, (0.0, 0.0), (x1, 0.0), (1.0, 0.0))
+    g2 = pair_derivative(f, (x1, 0.0), (x1, x2), (0.0, 1.0))
     return g1, g2
 
 
@@ -136,8 +125,8 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     if d**order > TT_WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{order} words exceed the budget {TT_WORD_BUDGET}")
     lhs = nc_eval(f, x)
-    n = x.n
-    rhs = np.zeros((n, n), dtype=complex)
+    eye = np.eye(x.n, dtype=complex)
+    rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
         if f.d != d:
             raise ValueError(f"polynomial in d={f.d} variables checked at a {d}-tuple")
@@ -145,18 +134,25 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
             rhs += eval_poly(homogeneous_component(f, k), x)
         high = FreePolynomial(d, {w: c for w, c in f.terms.items() if len(w) >= order})
         if high:
-            for word, quotient in left_divide(high, order).items():
-                if quotient:
-                    rhs += eval_word(x, word) @ eval_poly(quotient, x)
+            quotients = left_divide(high, order)
+            for word, xw in walk_words(d, order, eye, x.times_letter):
+                if len(word) == order and quotients[word]:
+                    rhs += xw @ eval_poly(quotients[word], x)
     elif isinstance(f, Realization):
         if f.d != d:
             raise ValueError(f"realization over d={f.d} checked at a {d}-tuple")
-        for k in range(order):
-            rhs += f.homogeneous_value(x, k)
-        remainders = f.remainder_values(x, list(words_of_size(d, order)))
-        for word, tail in remainders.items():
-            rhs += eval_word(x, word) @ tail
+        for term in itertools.islice(f._homogeneous_terms(x), order):
+            rhs += term
+        res = f.resolvent_term(x)
+
+        def step(pair, j):
+            xw, row = pair
+            return x.times_letter(xw, j), f.row_step(row, j)
+
+        for word, (xw, row) in walk_words(d, order, (eye, None), step):
+            if len(word) == order:
+                rhs += xw @ f.remainder_of_row(row, res)
     else:
         raise TypeError(f"tt_check supports polynomials and realizations, got {type(f).__name__}")
-    defect = float(np.linalg.norm(lhs - rhs, 2))
+    defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mattuple import MatrixTuple, sup_norm
+from .mattuple import MatrixTuple, _spectral_norm, complex_from_json, complex_to_json, sup_norm
 
 INDEPENDENCE_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -97,7 +97,7 @@ class OperatorBall:
         return self.pencil.d
 
     def norm_at(self, x: MatrixTuple) -> float:
-        return float(np.linalg.norm(pencil_eval(self.pencil, x), 2))
+        return _spectral_norm(pencil_eval(self.pencil, x))
 
 
 def row_ball(d: int) -> OperatorBall:
@@ -158,7 +158,7 @@ def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] != x.n:
         raise ValueError(f"V must be {x.n} x k, got {v.shape}")
-    defect = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]), 2))
+    defect = _spectral_norm(v.conj().T @ v - np.eye(v.shape[1]))
     if defect > ISOMETRY_TOL:
         raise ValueError(f"V*V differs from the identity by {defect:.3e}")
     return MatrixTuple(np.array([v.conj().T @ x.entries[j] @ v for j in range(x.d)]))
@@ -187,10 +187,7 @@ def factor_two_check(ball: OperatorBall, samples, r: float) -> bool:
 
 
 def pencil_to_dict(pencil: Pencil) -> dict:
-    coeffs = [
-        [[[float(v.real), float(v.imag)] for v in row] for row in pencil.coefficients[j]]
-        for j in range(pencil.d)
-    ]
+    coeffs = complex_to_json(pencil.coefficients)
     return {"d": pencil.d, "p": pencil.p, "q": pencil.q, "coefficients": coeffs}
 
 
@@ -200,19 +197,7 @@ def pencil_from_dict(obj: dict) -> Pencil:
         raw = obj["coefficients"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"pencil object needs keys d, p, q, coefficients: {exc}") from exc
-    if len(raw) != d:
-        raise ValueError(f"expected {d} coefficient matrices, got {len(raw)}")
-    out = np.zeros((d, p, q), dtype=complex)
-    for j, matrix in enumerate(raw):
-        if len(matrix) != p:
-            raise ValueError(f"coefficient {j} must have {p} rows")
-        for r, row in enumerate(matrix):
-            if len(row) != q:
-                raise ValueError(f"coefficient {j} row {r} must have {q} values")
-            for c, pair in enumerate(row):
-                re, im = pair
-                out[j, r, c] = complex(float(re), float(im))
-    return Pencil(out)
+    return Pencil(complex_from_json(raw, (d, p, q), "coefficients"))
 
 
 def ball_from_shorthand(text: str) -> OperatorBall:

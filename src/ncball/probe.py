@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, Word, left_divide, words_of_size
-from .mattuple import MatrixTuple, eval_poly, eval_word
+from .freealg import BudgetExceededError, FreePolynomial, left_divide, walk_words
+from .mattuple import MatrixTuple, _spectral_norm, eval_poly
 from .ncdiff import nc_eval
 from .opball import BallMembership, OperatorBall, Pencil, membership, pencil_eval
 from .realize import IllConditionedError, Realization
@@ -90,7 +90,7 @@ class ProbeReport:
 
 
 def _target_norm(f, x: MatrixTuple) -> float:
-    return float(np.linalg.norm(nc_eval(f, x), 2))
+    return _spectral_norm(nc_eval(f, x))
 
 
 def _nearest_margin(distance: float) -> float:
@@ -253,7 +253,7 @@ def blowup_scan(g, path, eps_list, ball: OperatorBall) -> BlowupReport:
         else:
             raise TypeError(f"cannot evaluate an object of type {type(g).__name__}")
         value = np.atleast_2d(np.asarray(value, dtype=complex))
-        norm = float(np.linalg.norm(value, 2))
+        norm = _spectral_norm(value)
         scalar = complex(value[0, 0]) if value.shape == (1, 1) else None
         rows.append(BlowupRow(float(eps), scalar, norm, verdict.distance))
     monotone = all(rows[i + 1].norm > rows[i].norm for i in range(len(rows) - 1))
@@ -295,7 +295,7 @@ def dichotomy_scan(
         margin = MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)]
         x = sample_in_ball(source_ball, level, margin, rng)
         image = MatrixTuple(np.array([nc_eval(component, x) for component in maps]))
-        norms.append(float(np.linalg.norm(pencil_eval(target_pencil, image), 2)))
+        norms.append(_spectral_norm(pencil_eval(target_pencil, image)))
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
         kind = "AllInterior"
@@ -324,42 +324,35 @@ def builtin_dichotomy_case(name: str):
     raise ValueError(f"unknown dichotomy case {name!r} (use half, identity, or boundary)")
 
 
+@dataclass(frozen=True)
 class MonomialRow:
     """The row [X^{w_1} ... X^{w_k}] over all words of one size, length-lex."""
 
-    __slots__ = ("d", "words")
-
-    def __init__(self, d: int, size: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "words", tuple(words_of_size(d, size)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialRow is immutable")
+    d: int
+    size: int
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        return np.hstack([eval_word(x, w) for w in self.words])
+        if x.d != self.d:
+            raise ValueError(f"row of words over 1..{self.d} evaluated at a {x.d}-tuple")
+        words = walk_words(self.d, self.size, np.eye(x.n, dtype=complex), x.times_letter)
+        return np.hstack([xw for w, xw in words if len(w) == self.size])
 
 
+@dataclass(frozen=True)
 class RemainderColumn:
     """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
 
-    __slots__ = ("base", "size", "words")
-
-    def __init__(self, base: Realization, size: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "words", tuple(words_of_size(base.d, size)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RemainderColumn is immutable")
+    base: Realization
+    size: int
 
     @property
     def d(self) -> int:
         return self.base.d
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        values = self.base.remainder_values(x, self.words)
-        return np.vstack([values[w] for w in self.words])
+        res = self.base.resolvent_term(x)
+        rows = walk_words(self.d, self.size, None, self.base.row_step)
+        return np.vstack([self.base.remainder_of_row(row, res) for w, row in rows if len(w) == self.size])
 
 
 class QuotientColumn:

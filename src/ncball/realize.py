@@ -17,14 +17,16 @@ f is then a complete contraction on the ball; in contraction mode only
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .freealg import FreePolynomial, Word
-from .mattuple import MatrixTuple, seq_matmul, seq_solve
+from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_words
+from .mattuple import MatrixTuple, _spectral_norm, complex_to_json, seq_matmul, seq_solve
 from .opball import OperatorBall, Pencil, pencil_eval, polydisk
 
 CONTRACTION_TOL = 1e-10
@@ -95,7 +97,7 @@ class Realization:
             raise ValueError(f"C must have length m*q = {mq}, got {c.shape[0]}")
         if d.shape != (mq, mp):
             raise ValueError(f"D must be (m*q) x (m*p) = {mq} x {mp}, got {d.shape}")
-        d_norm = float(np.linalg.norm(d, 2))
+        d_norm = _spectral_norm(d)
         if d_norm > 1.0 + CONTRACTION_TOL:
             raise ValueError(f"||D|| = {d_norm:.17g} exceeds 1; the series would not converge on the ball")
         b.setflags(write=False)
@@ -115,7 +117,7 @@ class Realization:
         object.__setattr__(self, "_levels", {})
         if mode == "isometry":
             v = self.system_matrix()
-            defect = float(np.linalg.norm(v.conj().T @ v - np.eye(1 + mp), 2))
+            defect = _spectral_norm(v.conj().T @ v - np.eye(1 + mp))
             if defect > ISOMETRY_TOL:
                 raise ValueError(f"V*V differs from the identity by {defect:.3e}; not an isometry")
 
@@ -189,20 +191,32 @@ class Realization:
             raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
         return self._resolvent(x, self._lam(x))
 
+    def row_step(self, row: np.ndarray | None, j: int) -> np.ndarray:
+        """The prefix row of w j from that of w: (B if w is empty else row D) L_j.
+
+        The empty word's row is None.  Prefix rows give the coefficients,
+        c_w = row_w C, and the remainder factors, g_w(X) = (row_w x I_n) R(X).
+        """
+        head = self.B.reshape(1, -1) if row is None else row @ self.D
+        return head @ self._letters[j - 1]
+
     def _prefix_row(self, word: Word) -> np.ndarray:
         """B L_{w_1} D L_{w_2} D ... D L_{w_k}, a row of length m*q."""
-        row = self.B.reshape(1, -1) @ self._letters[word.letters[0] - 1]
-        for letter in word.letters[1:]:
-            row = row @ self.D @ self._letters[letter - 1]
-        return row
+        return functools.reduce(self.row_step, word.letters, None)
+
+    def _coefficient(self, row: np.ndarray | None) -> complex:
+        """c_w = row_w C from the prefix row of w; c_empty = A."""
+        return self.A if row is None else complex((row @ self.C)[0])
+
+    def remainder_of_row(self, row: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """g_w(X) = (row_w x I_n) R from the prefix row and R = resolvent_term(X)."""
+        return _kron_eye_matmul(row, res, res.shape[1])
 
     def power_series_coefficient(self, word: Word) -> complex:
         """c_w with f = sum_w c_w Z^w; c_empty = A."""
         if word.d != self.d:
             raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
-        if len(word) == 0:
-            return self.A
-        return complex((self._prefix_row(word) @ self.C)[0])
+        return self._coefficient(self._prefix_row(word))
 
     def remainder_factor(self, word: Word) -> "RemainderFactor":
         if word.d != self.d:
@@ -214,21 +228,28 @@ class Realization:
     def remainder_values(self, x: MatrixTuple, words) -> dict[Word, np.ndarray]:
         """Evaluate many remainder factors at one point with a single solve."""
         res = self.resolvent_term(x)
-        return {w: _kron_eye_matmul(self._prefix_row(w), res, x.n) for w in words}
+        return {w: self.remainder_of_row(self._prefix_row(w), res) for w in words}
+
+    def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
+        """f_0(x), f_1(x), ...: one power iteration, one product per term.
+
+        f_k(x) = cur_k (C x I_n) with cur_1 = (B x I_n) L and
+        cur_(k+1) = cur_k (D x I_n) L; L is formed only if f_1 is asked for.
+        """
+        ops = self._level(x.n)
+        yield self.A * ops.eye
+        lam = self._lam(x)
+        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
+        hop = _kron_eye_matmul(self.D, lam, x.n)
+        while True:
+            yield seq_matmul(cur, ops.c_col)
+            cur = seq_matmul(cur, hop)
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
         """The degree-k term sum_{|w|=k} c_w x^w, without enumerating words."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        ops = self._level(x.n)
-        if k == 0:
-            return self.A * ops.eye
-        lam = self._lam(x)
-        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
-        hop = _kron_eye_matmul(self.D, lam, x.n)
-        for _ in range(k - 1):
-            cur = seq_matmul(cur, hop)
-        return seq_matmul(cur, ops.c_col)
+        return next(itertools.islice(self._homogeneous_terms(x), k, None))
 
     def cesaro_value(self, x: MatrixTuple, n_terms: int) -> np.ndarray:
         """sum_{k<N} (1 - k/N) f_k(x), evaluated termwise in O(N) products.
@@ -241,16 +262,10 @@ class Realization:
         """
         if n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-        ops = self._level(x.n)
-        out = self.A * ops.eye
-        if n_terms == 1:
-            return out
-        lam = self._lam(x)
-        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
-        hop = _kron_eye_matmul(self.D, lam, x.n)
-        for k in range(1, n_terms):
-            out = out + (1.0 - k / n_terms) * seq_matmul(cur, ops.c_col)
-            cur = seq_matmul(cur, hop)
+        terms = self._homogeneous_terms(x)
+        out = next(terms)
+        for k, term in zip(range(1, n_terms), terms):
+            out = out + (1.0 - k / n_terms) * term
         return out
 
     def __repr__(self):
@@ -269,13 +284,7 @@ class RemainderFactor:
         return self.base.d
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        res = self.base.resolvent_term(x)
-        return _kron_eye_matmul(self.base._prefix_row(self.word), res, x.n)
-
-
-def make_realization(pencil: Pencil, m: int, a, b, c, d, mode: str = "contraction") -> Realization:
-    """Validating constructor accepting plain lists for B, C, D."""
-    return Realization(pencil, m, a, b, c, d, mode)
+        return self.base.remainder_of_row(self.base._prefix_row(self.word), self.base.resolvent_term(x))
 
 
 def bidisk_witness() -> Realization:
@@ -304,17 +313,14 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     """sum_{|w|<n} c_w Z^w as an explicit polynomial (word-budgeted)."""
-    from .freealg import BudgetExceededError, WORD_BUDGET, words_of_size
-
     total = sum(f.d**k for k in range(n))
     if total > WORD_BUDGET:
         raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
     terms = {}
-    for k in range(n):
-        for word in words_of_size(f.d, k):
-            value = f.power_series_coefficient(word)
-            if value != 0:
-                terms[word] = value
+    for word, row in walk_words(f.d, n - 1, None, f.row_step):
+        value = f._coefficient(row)
+        if value != 0:
+            terms[word] = value
     return FreePolynomial(f.d, terms)
 
 
@@ -325,16 +331,13 @@ def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
 def realization_to_dict(f: Realization) -> dict:
     from .opball import pencil_to_dict
 
-    def pair(v: complex) -> list[float]:
-        return [float(v.real), float(v.imag)]
-
     return {
         "pencil": pencil_to_dict(f.pencil),
         "m": f.m,
-        "A": pair(f.A),
-        "B": [pair(v) for v in f.B],
-        "C": [pair(v) for v in f.C],
-        "D": [[pair(v) for v in row] for row in f.D],
+        "A": complex_to_json(f.A),
+        "B": complex_to_json(f.B),
+        "C": complex_to_json(f.C),
+        "D": complex_to_json(f.D),
         "mode": f.mode,
     }
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import FreePolynomial, parse
-from .mattuple import MatrixTuple, eval_poly
+from .mattuple import MatrixTuple, _spectral_norm, eval_poly
 from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
@@ -41,12 +41,12 @@ def variety_membership(variety: AlgebraicVariety, x: MatrixTuple, tol: float = V
         raise ValueError(f"point with d={x.d} tested against a variety with d={variety.d}")
     if not membership(variety.ambient, x).is_inside:
         return False
-    return all(float(np.linalg.norm(eval_poly(g, x), 2)) <= tol for g in variety.generators)
+    return all(_spectral_norm(eval_poly(g, x)) <= tol for g in variety.generators)
 
 
 def generator_defect(variety: AlgebraicVariety, x: MatrixTuple) -> float:
     """max over generators of ||g(x)||, the quantity membership thresholds."""
-    return max(float(np.linalg.norm(eval_poly(g, x), 2)) for g in variety.generators)
+    return max(_spectral_norm(eval_poly(g, x)) for g in variety.generators)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from ncball.probe import (
     estimate_sup,
     sample_in_ball,
 )
-from ncball.realize import bidisk_witness, bidisk_witness_closed_form, make_realization
+from ncball.realize import bidisk_witness, bidisk_witness_closed_form
 from ncball.varieties import (
     apply_poly_map,
     homogeneity_sample,

@@ -1,12 +1,16 @@
 """Block-evaluation calculus: first differences, quotients, truncation checks."""
 
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import BudgetExceededError, FreePolynomial, Word, parse
-from ncball.mattuple import MatrixTuple
+from ncball.freealg import BudgetExceededError, FreePolynomial, Word, homogeneous_component, left_divide, parse, words_of_size
+from ncball.mattuple import MatrixTuple, eval_poly, eval_word
 from ncball.ncdiff import (
     TTReport,
     d1_difference_quotient,
@@ -20,12 +24,12 @@ from ncball.ncdiff import (
 )
 from ncball.opball import polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
-from ncball.realize import bidisk_witness, bidisk_witness_closed_form, make_realization
+from ncball.realize import Realization, bidisk_witness, bidisk_witness_closed_form
 
 
 def mobius_one_variable():
     # f(x) = x / (1 - x/2) on the disk
-    return make_realization(row_ball(1).pencil, 1, 0.0, [1.0], [1.0], [[0.5]])
+    return Realization(row_ball(1).pencil, 1, 0.0, [1.0], [1.0], [[0.5]])
 
 
 words2 = st.builds(
@@ -151,10 +155,44 @@ def test_telescoping_identity_is_exact_for_integer_polynomials(p, a, b):
 def test_quotient_for_a_square():
     p = parse("z1^2", 1)
     assert abs(d1_difference_quotient(p, 0.7, 0.2) - 0.9) < 1e-14
-    # coalesced points switch to the block form, which is still x + y
+    # at coalesced points the block form is the derivative 2x
     assert d1_difference_quotient(p, 0.4, 0.4) == 0.8
     near = 0.4 + 1e-13
     assert abs(d1_difference_quotient(p, 0.4, near) - (0.4 + near)) < 1e-13
+
+
+def exact_quotient(coeffs, x, y) -> complex:
+    """sum_k c_k (x^k - y^k)/(x - y) for p = sum_k c_k z^k (k >= 1), in rationals."""
+
+    def frac(z):
+        return (Fraction(z.real), Fraction(z.imag))
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    xf, yf = frac(x), frac(y)
+    total = (Fraction(0), Fraction(0))
+    h = y_power = (Fraction(1), Fraction(0))  # h = sum_{i+j=k-1} x^i y^j
+    for c in coeffs:
+        term = mul(frac(c), h)
+        total = (total[0] + term[0], total[1] + term[1])
+        y_power = mul(y_power, yf)
+        xh = mul(xf, h)
+        h = (xh[0] + y_power[0], xh[1] + y_power[1])
+    return complex(float(total[0]), float(total[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=5),
+    st.complex_numbers(max_magnitude=0.9),
+    st.floats(-13.0, -6.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_quotient_is_exact_at_every_separation(coeffs, x, log_separation, angle):
+    y = x + 10.0**log_separation * cmath.exp(1j * angle)
+    p = FreePolynomial(1, {Word((1,) * k, 1): c for k, c in enumerate(coeffs, 1)})
+    assert abs(d1_difference_quotient(p, x, y) - exact_quotient(coeffs, x, y)) <= 1e-14
 
 
 def test_quotient_for_a_mobius_map():
@@ -241,6 +279,38 @@ def test_tt_check_realization_across_levels():
                 assert report.passed and report.tol == 1e-9
                 worst = max(worst, report.defect)
     assert worst < 1e-12
+
+
+def ref_tt_rhs(f, x, order):
+    """The right side of the truncation identity, word by word."""
+    rhs = np.zeros((x.n, x.n), dtype=complex)
+    if isinstance(f, FreePolynomial):
+        for k in range(order):
+            rhs += eval_poly(homogeneous_component(f, k), x)
+        high = FreePolynomial(f.d, {w: c for w, c in f.terms.items() if len(w) >= order})
+        for word, quotient in (left_divide(high, order) if high else {}).items():
+            if quotient:
+                rhs += eval_word(x, word) @ eval_poly(quotient, x)
+        return rhs
+    for k in range(order):
+        rhs += f.homogeneous_value(x, k)
+    for word, tail in f.remainder_values(x, list(words_of_size(x.d, order))).items():
+        rhs += eval_word(x, word) @ tail
+    return rhs
+
+
+def test_tt_check_matches_the_word_by_word_sum_bitwise():
+    rng = np.random.default_rng(26)
+    x = sample_in_ball(polydisk(2), 3, 0.3, rng)
+    witness = bidisk_witness()
+    terms = {Word(tuple(rng.integers(1, 3, k)), 2): complex(*rng.normal(size=2)) for k in range(7) for _ in range(5)}
+    poly = FreePolynomial(2, terms)
+    for f in (witness, poly):
+        for order in (1, 3, 5):
+            report = tt_check(f, x, order)
+            want = ref_tt_rhs(f, x, order)
+            assert report.rhs.tobytes() == want.tobytes()
+            assert report.defect == float(np.linalg.norm(nc_eval(f, x) - want, 2))
 
 
 def test_tt_check_report_fields():

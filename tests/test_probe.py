@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import BudgetExceededError, FreePolynomial, parse
-from ncball.mattuple import MatrixTuple
+from ncball.freealg import BudgetExceededError, FreePolynomial, parse, words_of_size
+from ncball.mattuple import MatrixTuple, eval_word
 from ncball.ncdiff import delta_first, nc_eval
 from ncball.opball import membership, polydisk, row_ball
 from ncball.probe import (
     BlowupReport,
     DichotomyResult,
+    MonomialRow,
     ProbeReport,
+    RemainderColumn,
     blowup_scan,
     builtin_dichotomy_case,
     corner_path,
@@ -248,6 +250,19 @@ def test_quotient_column_of_a_monomial():
 def test_zero_polynomial_has_zero_column():
     report = regularity_factors(FreePolynomial.zero(2), 1, BALL, 1, 100, 0)
     assert report.col_factor == 0.0
+
+
+def test_row_and_column_targets_stack_words_in_length_lex_order():
+    f = bidisk_witness()
+    rng = np.random.default_rng(9)
+    x = sample_in_ball(BALL, 2, 0.3, rng)
+    for size in (1, 3):
+        words = list(words_of_size(2, size))
+        row = np.hstack([eval_word(x, w) for w in words])
+        tails = f.remainder_values(x, words)
+        col = np.vstack([tails[w] for w in words])
+        assert MonomialRow(2, size).eval(x).tobytes() == row.tobytes()
+        assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
 
 
 def test_regularity_validation():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, words_of_size
+from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, to_triples, walk_words, words_of_size
 from ncball.mattuple import MatrixTuple, direct_sum, eval_word, seq_matmul, seq_solve, similarity
 from ncball.opball import OperatorBall, pencil_eval, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
@@ -23,7 +23,6 @@ from ncball.realize import (
     Realization,
     bidisk_witness,
     bidisk_witness_closed_form,
-    make_realization,
     realization_from_dict,
     realization_to_dict,
     taylor_polynomial,
@@ -39,7 +38,7 @@ def random_realization(rng, d=2, m=2, row=False):
     c = rng.normal(size=mq) + 1j * rng.normal(size=mq)
     dmat = rng.normal(size=(mq, mp)) + 1j * rng.normal(size=(mq, mp))
     dmat *= 0.9 / np.linalg.norm(dmat, 2)
-    return make_realization(pencil, m, complex(rng.normal(), rng.normal()), b, c, dmat)
+    return Realization(pencil, m, complex(rng.normal(), rng.normal()), b, c, dmat)
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +109,27 @@ def symbolic_series(f: Realization, max_len: int) -> FreePolynomial:
 def test_shape_validation():
     pencil = polydisk(2).pencil
     with pytest.raises(ValueError, match="m must be >= 1"):
-        make_realization(pencil, 0, 0.0, [1, 1], [1, 1], np.zeros((2, 2)))
+        Realization(pencil, 0, 0.0, [1, 1], [1, 1], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="B must have length"):
-        make_realization(pencil, 1, 0.0, [1], [1, 1], np.zeros((2, 2)))
+        Realization(pencil, 1, 0.0, [1], [1, 1], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="C must have length"):
-        make_realization(pencil, 1, 0.0, [1, 1], [1], np.zeros((2, 2)))
+        Realization(pencil, 1, 0.0, [1, 1], [1], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="D must be"):
-        make_realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((3, 2)))
+        Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="mode must be"):
-        make_realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((2, 2)), mode="unitary")
+        Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((2, 2)), mode="unitary")
 
 
 def test_expansive_d_is_rejected():
     pencil = polydisk(2).pencil
     with pytest.raises(ValueError, match="series would not converge"):
-        make_realization(pencil, 1, 0.0, [1, 1], [1, 1], 2.0 * np.eye(2))
+        Realization(pencil, 1, 0.0, [1, 1], [1, 1], 2.0 * np.eye(2))
 
 
 def test_isometry_mode_checks_the_system_matrix():
     pencil = polydisk(2).pencil
     with pytest.raises(ValueError, match="not an isometry"):
-        make_realization(pencil, 1, 0.0, [0.5, 0.5], [0.5, 0.5], 0.5 * np.eye(2), mode="isometry")
+        Realization(pencil, 1, 0.0, [0.5, 0.5], [0.5, 0.5], 0.5 * np.eye(2), mode="isometry")
     # the builtin witness is the canonical isometric example
     f = bidisk_witness()
     assert f.mode == "isometry"
@@ -298,6 +297,25 @@ def test_taylor_polynomial_collects_coefficients():
     for k in range(4):
         for word in words_of_size(2, k):
             assert abs(taylor.coefficient(word) - sym.coefficient(word)) < 1e-12
+
+
+def test_taylor_polynomials_of_size_zero_and_one():
+    f = random_realization(np.random.default_rng(30))
+    assert f.A != 0
+    assert taylor_polynomial(f, 0) == FreePolynomial.zero(2)
+    assert taylor_polynomial(f, 1) == FreePolynomial.constant(2, f.A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cesaro_sum_of_a_realization_is_that_of_its_taylor_polynomial(d, m, n, sparse, seed):
+    rng = np.random.default_rng(seed)
+    f = sparse_realization(rng, d, m, False) if sparse else random_realization(rng, d=d, m=m)
+    got = cesaro_sum(f, n)
+    assert got == cesaro_sum(taylor_polynomial(f, n), n)
+    # the per-word definition: weight (1 - k/n) times c_w for each word of size k < n
+    per_word = {w: (1.0 - k / n) * f.power_series_coefficient(w) for k in range(n) for w in words_of_size(d, k)}
+    assert to_triples(got) == to_triples(FreePolynomial(d, per_word))
 
 
 def test_cesaro_sum_reads_realization_coefficients():
@@ -572,3 +590,46 @@ def test_level_cache_is_transparent_across_levels():
         assert bitwise_equal(f.cesaro_value(x, 5), fresh.cesaro_value(x, 5))
         got, want = f.remainder_values(x, words), fresh.remainder_values(x, words)
         assert all(bitwise_equal(got[w], want[w]) for w in words)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-sharing word walk
+
+
+def ref_word_value(x, word):
+    out = np.eye(x.n, dtype=complex)
+    for letter in word.letters:
+        out = seq_matmul(out, x.entries[letter - 1])
+    return out
+
+
+def ref_prefix_row(f, word):
+    row = f.B.reshape(1, -1) @ f.letter_matrix(word.letters[0])
+    for letter in word.letters[1:]:
+        row = row @ f.D @ f.letter_matrix(letter)
+    return row
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_word_walk_matches_the_per_word_folds_bitwise(d, max_size, n, seed):
+    rng = np.random.default_rng(seed)
+    f = random_realization(rng, d=d, m=2)
+    x = sample_in_ball(OperatorBall(f.pencil), n, 0.3, rng)
+
+    def step(pair, j):
+        return x.times_letter(pair[0], j), f.row_step(pair[1], j)
+
+    walked = list(walk_words(d, max_size, (np.eye(n, dtype=complex), None), step))
+    assert len(walked) == sum(d**k for k in range(max_size + 1))
+    for k in range(max_size + 1):
+        assert [w for w, _ in walked if len(w) == k] == list(words_of_size(d, k))
+    for word, (xw, row) in walked:
+        assert bitwise_equal(xw, ref_word_value(x, word))
+        assert bitwise_equal(eval_word(x, word), xw)
+        if len(word) == 0:
+            assert row is None
+        else:
+            assert bitwise_equal(row, ref_prefix_row(f, word))
+            assert bitwise_equal(f._prefix_row(word), row)
+            assert f.power_series_coefficient(word) == complex((row @ f.C)[0])
