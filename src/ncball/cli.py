@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .freealg import BudgetExceededError, FreePolynomial, PolyParseError, Word, parse
 from .mattuple import MatrixTuple, complex_to_json, point_from_dict, to_point_dict
-from .ncdiff import delta_first, nc_eval, tt_check
+from .ncdiff import delta_first, tt_check
 from .opball import OperatorBall, ball_from_shorthand, membership
 from .probe import (
     MULTISTART_MARGINS,
@@ -105,18 +105,13 @@ def _resolve_realization(text: str) -> Realization:
     raise ValueError(f"unknown realization {text!r} (builtin names: {', '.join(sorted(BUILTIN_REALIZATIONS))})")
 
 
-def _resolve_function(args, d: int | None = None):
+def _resolve_function(args, d: int):
     """Pick the target from --poly/--realization; returns (function, label)."""
-    if getattr(args, "poly", None) and getattr(args, "realization", None):
+    if args.poly and args.realization:
         raise ValueError("give either --poly or --realization, not both")
-    if getattr(args, "poly", None):
-        if d is None:
-            ball = getattr(args, "ball", None)
-            if ball is None:
-                raise ValueError("--poly needs a dimension from --point or --ball")
-            d = ball_from_shorthand(ball).d
+    if args.poly:
         return parse(args.poly, d), f"poly:{args.poly}"
-    if getattr(args, "realization", None):
+    if args.realization:
         return _resolve_realization(args.realization), f"realization:{args.realization}"
     raise ValueError("one of --poly or --realization is required")
 
@@ -128,7 +123,7 @@ def _resolve_function(args, d: int | None = None):
 def _cmd_eval(args) -> int:
     x = _load_point(args.point)
     f, _ = _resolve_function(args, d=x.d)
-    value = nc_eval(f, x)
+    value = f.eval(x)
     payload = {"n": x.n, "value": complex_to_json(np.atleast_2d(value))}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -192,11 +187,14 @@ def _cmd_probe(args) -> int:
 
 
 def _resolve_blowup_target(args):
-    """Target spec: [delta1:|delta2:|resolvent:]NAME, or --poly via flags."""
+    """Target spec: [delta1:|delta2:|resolvent:]NAME, or --poly via flags.
+
+    Returns the callable that blowup_scan applies to each level-1 path point.
+    """
     text = args.target
     if text is None:
-        f, label = _resolve_function(args, d=ball_from_shorthand(args.ball).d)
-        return f, label
+        f, _ = _resolve_function(args, d=ball_from_shorthand(args.ball).d)
+        return f.eval
     head, _, rest = text.partition(":")
     if head.startswith("delta") and head[5:].isdigit() and rest:
         j = int(head[5:])
@@ -204,26 +202,17 @@ def _resolve_blowup_target(args):
         if not 1 <= j <= f.d:
             raise ValueError(f"direction index {j} outside 1..{f.d}")
         direction = tuple(1.0 if i == j - 1 else 0.0 for i in range(f.d))
-
-        def target(point):
-            return delta_first(f, point, direction)
-
-        return target, text
+        return lambda x: delta_first(f, x.entries[:, 0, 0], direction)
     if head == "resolvent" and rest:
-        f = _resolve_realization(rest)
-
-        def target(point):
-            return f.resolvent_term(MatrixTuple.scalars(point))
-
-        return target, text
-    return _resolve_realization(text), f"realization:{text}"
+        return _resolve_realization(rest).resolvent_term
+    return _resolve_realization(text).eval
 
 
 def _cmd_blowup(args) -> int:
     if args.path != "builtin":
         raise ValueError(f"unknown path {args.path!r}; only 'builtin' is available")
     ball = ball_from_shorthand(args.ball)
-    target, _ = _resolve_blowup_target(args)
+    target = _resolve_blowup_target(args)
     eps_list = [float(part) for part in args.eps.split(",") if part.strip()]
     if not eps_list:
         raise ValueError("--eps needs at least one value")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
+import numpy as np
+
 WORD_BUDGET = 10**6
 
 
@@ -142,6 +144,17 @@ class FreePolynomial:
 
     def sorted_terms(self) -> list[tuple[Word, complex]]:
         return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+
+    def eval(self, x) -> np.ndarray:
+        """sum_w c_w x^w at a MatrixTuple x, as an n x n matrix."""
+        from .mattuple import eval_word  # mattuple builds on this module
+
+        if self.d != x.d:
+            raise ValueError(f"polynomial in d={self.d} variables evaluated at a {x.d}-tuple")
+        out = np.zeros((x.n, x.n), dtype=complex)
+        for word, coeff in self.sorted_terms():
+            out = out + coeff * eval_word(x, word)
+        return out
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":
@@ -393,12 +406,19 @@ class _Parser:
         return poly
 
     def expr(self) -> FreePolynomial:
-        poly = self.term()
+        # one dict for the whole sum; a word whose sum becomes exactly zero is
+        # dropped and goes to the end if it comes back, as with repeated '+'
+        terms = dict(self.term()._terms)
         while self.peek()[0] in ("+", "-"):
             op = self.pop()[0]
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+            rhs = self.term() if op == "+" else -self.term()
+            for word, coeff in rhs._terms.items():
+                total = terms.get(word, 0j) + coeff
+                if total != 0:
+                    terms[word] = total
+                else:
+                    del terms[word]
+        return FreePolynomial(self.d, terms)
 
     def term(self) -> FreePolynomial:
         poly = self.factor()

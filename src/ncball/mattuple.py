@@ -2,7 +2,7 @@
 
 A level-n point of the d-variable matrix universe is a d-tuple of n x n
 complex matrices.  The sup norm, direct sums, similarities, ampliations and
-word/polynomial evaluation implemented here are the structural operations
+word evaluation implemented here are the structural operations
 that graded nc functions are required to respect.
 """
 
@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, Word, WORD_BUDGET, walk_words
+from .freealg import BudgetExceededError, Word, WORD_BUDGET, walk_words
 
 SIMILARITY_COND_LIMIT = 1e12
 
@@ -140,16 +140,6 @@ def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
     if word.d != x.d:
         raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
     return functools.reduce(x.times_letter, word.letters, np.eye(x.n, dtype=complex))
-
-
-def eval_poly(p: FreePolynomial, x: MatrixTuple) -> np.ndarray:
-    """sum_w c_w x^w as an n x n matrix."""
-    if p.d != x.d:
-        raise ValueError(f"polynomial in d={p.d} variables evaluated at a {x.d}-tuple")
-    out = np.zeros((x.n, x.n), dtype=complex)
-    for word, coeff in p.sorted_terms():
-        out = out + coeff * eval_word(x, word)
-    return out
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

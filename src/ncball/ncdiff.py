@@ -24,24 +24,15 @@ from .freealg import (
     left_divide,
     walk_words,
 )
-from .mattuple import MatrixTuple, _spectral_norm, eval_poly
+from .mattuple import MatrixTuple, _spectral_norm
 from .realize import Realization
 
 TT_WORD_BUDGET = 10**5
 
 
-def nc_eval(f, x: MatrixTuple) -> np.ndarray:
-    """Evaluate a polynomial, realization, or any object with .eval(x)."""
-    if isinstance(f, FreePolynomial):
-        return eval_poly(f, x)
-    if hasattr(f, "eval"):
-        return f.eval(x)
-    raise TypeError(f"cannot evaluate an object of type {type(f).__name__}")
-
-
 def scalar_eval(f, point) -> complex:
     """Evaluate at a scalar (level-1) point."""
-    return complex(nc_eval(f, MatrixTuple.scalars(point))[0, 0])
+    return complex(f.eval(MatrixTuple.scalars(point))[0, 0])
 
 
 def pair_point(a, b, h) -> MatrixTuple:
@@ -66,13 +57,13 @@ def delta_first(f, x, h) -> complex:
     resolvent is triangular with invertible diagonal.
     """
     x = list(x)
-    value = nc_eval(f, pair_point([0.0] * len(x), x, h))
+    value = f.eval(pair_point([0.0] * len(x), x, h))
     return complex(value[0, 1])
 
 
 def pair_derivative(f, a, b, h) -> complex:
     """Df(a, b)[h] for scalar base points a, b."""
-    return complex(nc_eval(f, pair_point(a, b, h))[0, 1])
+    return complex(f.eval(pair_point(a, b, h))[0, 1])
 
 
 def d1_difference_quotient(f, x: complex, y: complex) -> complex:
@@ -124,23 +115,19 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     d = x.d
     if d**order > TT_WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{order} words exceed the budget {TT_WORD_BUDGET}")
-    lhs = nc_eval(f, x)
+    lhs = f.eval(x)  # also rejects a point with the wrong d
     eye = np.eye(x.n, dtype=complex)
     rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
-        if f.d != d:
-            raise ValueError(f"polynomial in d={f.d} variables checked at a {d}-tuple")
         for k in range(order):
-            rhs += eval_poly(homogeneous_component(f, k), x)
+            rhs += homogeneous_component(f, k).eval(x)
         high = FreePolynomial(d, {w: c for w, c in f.terms.items() if len(w) >= order})
         if high:
             quotients = left_divide(high, order)
             for word, xw in walk_words(d, order, eye, x.times_letter):
                 if len(word) == order and quotients[word]:
-                    rhs += xw @ eval_poly(quotients[word], x)
+                    rhs += xw @ quotients[word].eval(x)
     elif isinstance(f, Realization):
-        if f.d != d:
-            raise ValueError(f"realization over d={f.d} checked at a {d}-tuple")
         for term in itertools.islice(f._homogeneous_terms(x), order):
             rhs += term
         res = f.resolvent_term(x)

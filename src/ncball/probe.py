@@ -9,13 +9,13 @@ stored argmax point; nothing here certifies a supremum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .freealg import BudgetExceededError, FreePolynomial, left_divide, walk_words
-from .mattuple import MatrixTuple, _spectral_norm, eval_poly
-from .ncdiff import nc_eval
+from .mattuple import MatrixTuple, _spectral_norm
 from .opball import BallMembership, OperatorBall, Pencil, membership, pencil_eval
 from .realize import IllConditionedError, Realization
 
@@ -89,10 +89,6 @@ class ProbeReport:
     margin_best: dict = field(default_factory=dict)
 
 
-def _target_norm(f, x: MatrixTuple) -> float:
-    return _spectral_norm(nc_eval(f, x))
-
-
 def _nearest_margin(distance: float) -> float:
     scale = np.log10(max(distance, 1e-12))
     return min(MULTISTART_MARGINS, key=lambda m: abs(np.log10(m) - scale))
@@ -138,7 +134,7 @@ def estimate_sup(
 
     def consider(x: MatrixTuple, label: str, verdict: BallMembership) -> float | None:
         try:
-            value = _target_norm(f, x)
+            value = _spectral_norm(f.eval(x))
         except (IllConditionedError, np.linalg.LinAlgError):
             report.failures += 1
             return None
@@ -176,29 +172,25 @@ def estimate_sup(
         step = INITIAL_STEP
         while remaining > 0 and step >= MIN_STEP:
             improved = False
-            for j in range(ball.d):
-                for r in range(n):
-                    for c in range(n):
-                        for part in (1.0, 1j):
-                            for direction in (1.0, -1.0):
-                                if remaining <= 0:
-                                    break
-                                entries = np.array(current.entries)
-                                entries[j, r, c] += direction * step * part
-                                candidate = MatrixTuple(entries)
-                                s = ball.norm_at(candidate)
-                                if s > BOUNDARY_THRESHOLD:
-                                    # |c| s is not bitwise ||Q(cX)||: measure the rescaled point afresh
-                                    candidate = candidate.scale(BOUNDARY_THRESHOLD / s)
-                                    verdict = membership(ball, candidate)
-                                else:
-                                    verdict = BallMembership.from_norm(s)
-                                value = consider(candidate, f"climb:{step:g}", verdict)
-                                remaining -= 1
-                                if value is not None and value > current_value:
-                                    current = candidate
-                                    current_value = value
-                                    improved = True
+            for j, r, c, part, direction in itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)):
+                if remaining <= 0:
+                    break
+                entries = np.array(current.entries)
+                entries[j, r, c] += direction * step * part
+                candidate = MatrixTuple(entries)
+                s = ball.norm_at(candidate)
+                if s > BOUNDARY_THRESHOLD:
+                    # |c| s is not bitwise ||Q(cX)||: measure the rescaled point afresh
+                    candidate = candidate.scale(BOUNDARY_THRESHOLD / s)
+                    verdict = membership(ball, candidate)
+                else:
+                    verdict = BallMembership.from_norm(s)
+                value = consider(candidate, f"climb:{step:g}", verdict)
+                remaining -= 1
+                if value is not None and value > current_value:
+                    current = candidate
+                    current_value = value
+                    improved = True
             if not improved:
                 step *= 0.5
 
@@ -236,23 +228,19 @@ class BlowupReport:
 def blowup_scan(g, path, eps_list, ball: OperatorBall) -> BlowupReport:
     """Evaluate g along a scalar path, verifying strict membership first.
 
-    ``g`` is an evaluable nc function or a callable taking the scalar tuple;
-    ``path`` maps eps to a scalar tuple (use corner_path for the builtin).
+    ``g`` is called with the level-1 MatrixTuple of each path point, so an nc
+    function is passed as ``f.eval``; ``path`` maps eps to a scalar tuple (use
+    corner_path for the builtin).
     """
+    if not callable(g):
+        raise TypeError(f"cannot evaluate an object of type {type(g).__name__}")
     rows = []
     for eps in eps_list:
-        point = tuple(path(eps))
-        x = MatrixTuple.scalars(point)
+        x = MatrixTuple.scalars(path(eps))
         verdict = membership(ball, x)
         if not verdict.is_inside:
             raise ValueError(f"path point at eps={eps:g} is not strictly inside the ball (norm {verdict.norm:.17g})")
-        if isinstance(g, FreePolynomial) or hasattr(g, "eval"):
-            value = nc_eval(g, x)
-        elif callable(g):
-            value = g(point)
-        else:
-            raise TypeError(f"cannot evaluate an object of type {type(g).__name__}")
-        value = np.atleast_2d(np.asarray(value, dtype=complex))
+        value = np.atleast_2d(np.asarray(g(x), dtype=complex))
         norm = _spectral_norm(value)
         scalar = complex(value[0, 0]) if value.shape == (1, 1) else None
         rows.append(BlowupRow(float(eps), scalar, norm, verdict.distance))
@@ -294,7 +282,7 @@ def dichotomy_scan(
         level = levels[i % len(levels)]
         margin = MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)]
         x = sample_in_ball(source_ball, level, margin, rng)
-        image = MatrixTuple(np.array([nc_eval(component, x) for component in maps]))
+        image = MatrixTuple(np.array([component.eval(x) for component in maps]))
         norms.append(_spectral_norm(pencil_eval(target_pencil, image)))
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
@@ -355,22 +343,24 @@ class RemainderColumn:
         return np.vstack([self.base.remainder_of_row(row, res) for w, row in rows if len(w) == self.size])
 
 
+@dataclass(frozen=True)
 class QuotientColumn:
     """col(f_w(X)) of left-division quotients of a polynomial with no low words."""
 
-    __slots__ = ("d", "quotients", "words")
+    p: FreePolynomial
+    size: int
+    # f_w over all words of the size, length-lex, divided out once
+    quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, p: FreePolynomial, size: int):
-        quotients = left_divide(p, size)
-        object.__setattr__(self, "d", p.d)
-        object.__setattr__(self, "words", tuple(quotients.keys()))
-        object.__setattr__(self, "quotients", quotients)
+    def __post_init__(self):
+        object.__setattr__(self, "quotients", tuple(left_divide(self.p, self.size).values()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientColumn is immutable")
+    @property
+    def d(self) -> int:
+        return self.p.d
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        return np.vstack([eval_poly(self.quotients[w], x) for w in self.words])
+        return np.vstack([q.eval(x) for q in self.quotients])
 
 
 @dataclass(frozen=True)

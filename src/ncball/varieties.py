@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import FreePolynomial, parse
-from .mattuple import MatrixTuple, _spectral_norm, eval_poly
+from .mattuple import MatrixTuple, _spectral_norm
 from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
@@ -41,12 +41,12 @@ def variety_membership(variety: AlgebraicVariety, x: MatrixTuple, tol: float = V
         raise ValueError(f"point with d={x.d} tested against a variety with d={variety.d}")
     if not membership(variety.ambient, x).is_inside:
         return False
-    return all(_spectral_norm(eval_poly(g, x)) <= tol for g in variety.generators)
+    return all(_spectral_norm(g.eval(x)) <= tol for g in variety.generators)
 
 
 def generator_defect(variety: AlgebraicVariety, x: MatrixTuple) -> float:
     """max over generators of ||g(x)||, the quantity membership thresholds."""
-    return max(_spectral_norm(eval_poly(g, x)) for g in variety.generators)
+    return max(_spectral_norm(g.eval(x)) for g in variety.generators)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def homogeneity_sample(
 
 def apply_poly_map(maps, x: MatrixTuple) -> MatrixTuple:
     """Evaluate a tuple of polynomials at x, producing a new matrix tuple."""
-    return MatrixTuple(np.array([eval_poly(p, x) for p in maps]))
+    return MatrixTuple(np.array([p.eval(x) for p in maps]))
 
 
 def parabola_cubic_pair():

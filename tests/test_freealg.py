@@ -1,5 +1,7 @@
 """Words, free polynomials, parsing, Cesaro weights, left division."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,34 @@ def test_parse_error_positions():
 def test_parse_rejects_juxtaposed_number_and_variable():
     with pytest.raises(PolyParseError, match="operator is required"):
         parse("2z1", 2)
+
+
+def coefficient_bits(p):
+    """The terms in dict order, with the exact bits of each coefficient."""
+    return [(w.letters, repr(c.real), repr(c.imag)) for w, c in p.terms.items()]
+
+
+def test_parse_sums_match_repeated_addition_bitwise():
+    # (first term, [(sign, term), ...]); the reference folds the parsed terms
+    # with FreePolynomial's + and -, one new polynomial per term
+    cases = [
+        ("z1", [("-", "z1"), ("+", "z1")]),
+        ("z1", [("+", "z2"), ("-", "z1"), ("+", "z1")]),
+        ("(1-0i)", [("-", "(1+0i)"), ("+", "0.5")]),
+        ("z1*z2", [("+", "z2"), ("-", "z1*z2"), ("-", "z2"), ("+", "z1*z2"), ("+", "-0.0")]),
+    ]
+    rng = random.Random(41)
+    coeffs = ("1", "-1", "0.5", "2i", "(1-0i)", "(1+0i)", "(0.25+0.5i)", "(-0.25-0.5i)", "0")
+    words = ("", "z1", "z2", "z1*z2", "z2*z1", "z1*z1")
+    for _ in range(50):
+        terms = [f"{rng.choice(coeffs)}{'*' if w else ''}{w}" for w in rng.choices(words, k=40)]
+        cases.append((terms[0], [(rng.choice("+-"), term) for term in terms[1:]]))
+    for first, rest in cases:
+        want = parse(first, 2)
+        for sign, term in rest:
+            want = want + parse(term, 2) if sign == "+" else want - parse(term, 2)
+        text = first + "".join(f" {sign} {term}" for sign, term in rest)
+        assert coefficient_bits(parse(text, 2)) == coefficient_bits(want)
 
 
 def test_format_examples():

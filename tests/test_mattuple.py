@@ -8,7 +8,6 @@ from ncball.mattuple import (
     MatrixTuple,
     ampliation,
     direct_sum,
-    eval_poly,
     eval_word,
     is_nilpotent,
     point_from_dict,
@@ -174,7 +173,7 @@ def test_eval_word_dimension_mismatch():
 
 def test_eval_poly_scalar_witness_point():
     p = parse("2*z1*z2 - z1 - z2", 2)
-    out = eval_poly(p, MatrixTuple.scalars((0.5, 0.5)))
+    out = p.eval(MatrixTuple.scalars((0.5, 0.5)))
     assert out.shape == (1, 1)
     assert abs(out[0, 0] - (-0.5)) < 1e-15
 
@@ -185,7 +184,7 @@ def test_eval_poly_matches_manual_matrix_arithmetic():
     x = random_tuple(rng, 2, 4)
     a, b = x.entries
     manual = a @ b - b @ a + 3 * np.eye(4)
-    np.testing.assert_allclose(eval_poly(p, x), manual, atol=1e-12)
+    np.testing.assert_allclose(p.eval(x), manual, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +208,10 @@ def test_polynomials_respect_direct_sums_exactly():
     for _ in range(20):
         x = random_tuple(rng, 2, int(rng.integers(1, 5)))
         y = random_tuple(rng, 2, int(rng.integers(1, 5)))
-        lhs = eval_poly(p, direct_sum(x, y))
+        lhs = p.eval(direct_sum(x, y))
         assembled = np.zeros((x.n + y.n, x.n + y.n), dtype=complex)
-        assembled[: x.n, : x.n] = eval_poly(p, x)
-        assembled[x.n :, x.n :] = eval_poly(p, y)
+        assembled[: x.n, : x.n] = p.eval(x)
+        assembled[x.n :, x.n :] = p.eval(y)
         assert np.array_equal(lhs, assembled)
 
 
@@ -242,8 +241,8 @@ def test_similarity_respects_polynomial_evaluation():
         x = random_tuple(rng, 2, 3)
         s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2 * np.eye(3)
         cond = np.linalg.cond(s)
-        lhs = eval_poly(p, similarity(s, x))
-        rhs = np.linalg.solve(s, eval_poly(p, x) @ s)
+        lhs = p.eval(similarity(s, x))
+        rhs = np.linalg.solve(s, p.eval(x) @ s)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * cond
 
 

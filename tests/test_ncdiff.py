@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncball.freealg import BudgetExceededError, FreePolynomial, Word, homogeneous_component, left_divide, parse, words_of_size
-from ncball.mattuple import MatrixTuple, eval_poly, eval_word
+from ncball.mattuple import MatrixTuple, eval_word
 from ncball.ncdiff import (
     TTReport,
     d1_difference_quotient,
     delta_first,
     gleason_split,
-    nc_eval,
     pair_derivative,
     pair_point,
     scalar_eval,
@@ -62,15 +61,10 @@ def test_block_evaluation_is_triangular():
     a, b, h = (0.3, -0.1), (0.2j, 0.4), (1.0, -2.0)
     x = pair_point(a, b, h)
     for g in (f, p):
-        out = nc_eval(g, x)
+        out = g.eval(x)
         assert abs(out[0, 0] - scalar_eval(g, a)) < 1e-14
         assert abs(out[1, 1] - scalar_eval(g, b)) < 1e-14
         assert abs(out[1, 0]) < 1e-14
-
-
-def test_nc_eval_rejects_unknown_objects():
-    with pytest.raises(TypeError, match="cannot evaluate"):
-        nc_eval("z1", MatrixTuple.zeros(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,10 @@ def exact_quotient(coeffs, x, y) -> complex:
 def test_quotient_is_exact_at_every_separation(coeffs, x, log_separation, angle):
     y = x + 10.0**log_separation * cmath.exp(1j * angle)
     p = FreePolynomial(1, {Word((1,) * k, 1): c for k, c in enumerate(coeffs, 1)})
-    assert abs(d1_difference_quotient(p, x, y) - exact_quotient(coeffs, x, y)) <= 1e-14
+    want = exact_quotient(coeffs, x, y)
+    assert abs(d1_difference_quotient(p, x, y) - want) <= 1e-14
+    # the quotient is symmetric in its two points
+    assert abs(d1_difference_quotient(p, y, x) - want) <= 1e-14
 
 
 def test_quotient_for_a_mobius_map():
@@ -286,11 +283,11 @@ def ref_tt_rhs(f, x, order):
     rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
         for k in range(order):
-            rhs += eval_poly(homogeneous_component(f, k), x)
+            rhs += homogeneous_component(f, k).eval(x)
         high = FreePolynomial(f.d, {w: c for w, c in f.terms.items() if len(w) >= order})
         for word, quotient in (left_divide(high, order) if high else {}).items():
             if quotient:
-                rhs += eval_word(x, word) @ eval_poly(quotient, x)
+                rhs += eval_word(x, word) @ quotient.eval(x)
         return rhs
     for k in range(order):
         rhs += f.homogeneous_value(x, k)
@@ -310,7 +307,7 @@ def test_tt_check_matches_the_word_by_word_sum_bitwise():
             report = tt_check(f, x, order)
             want = ref_tt_rhs(f, x, order)
             assert report.rhs.tobytes() == want.tobytes()
-            assert report.defect == float(np.linalg.norm(nc_eval(f, x) - want, 2))
+            assert report.defect == float(np.linalg.norm(f.eval(x) - want, 2))
 
 
 def test_tt_check_report_fields():

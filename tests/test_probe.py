@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncball.freealg import BudgetExceededError, FreePolynomial, parse, words_of_size
 from ncball.mattuple import MatrixTuple, eval_word
-from ncball.ncdiff import delta_first, nc_eval
+from ncball.ncdiff import delta_first
 from ncball.opball import membership, polydisk, row_ball
 from ncball.probe import (
     BlowupReport,
@@ -126,7 +126,7 @@ def test_argmax_is_a_sound_witness():
     f = bidisk_witness()
     report = estimate_sup(f, BALL, 2, 400, 11)
     assert membership(BALL, report.argmax).is_inside
-    value = float(np.linalg.norm(nc_eval(f, report.argmax), 2))
+    value = float(np.linalg.norm(f.eval(report.argmax), 2))
     assert abs(value - report.best_value) < 1e-12
 
 
@@ -151,8 +151,8 @@ def test_search_validation():
 def test_first_difference_blows_up_along_the_path():
     f = bidisk_witness()
 
-    def g(point):
-        return delta_first(f, point, (1.0, 0.0))
+    def g(x):
+        return delta_first(f, x.entries[:, 0, 0], (1.0, 0.0))
 
     report = blowup_scan(g, corner_path, [0.1, 0.01, 0.001], BALL)
     assert isinstance(report, BlowupReport)
@@ -166,7 +166,7 @@ def test_first_difference_blows_up_along_the_path():
 
 
 def test_the_witness_itself_stays_bounded_on_the_path():
-    report = blowup_scan(bidisk_witness(), corner_path, [0.1, 0.01, 0.001], BALL)
+    report = blowup_scan(bidisk_witness().eval, corner_path, [0.1, 0.01, 0.001], BALL)
     assert not report.monotone
     assert all(row.norm <= 1.0 for row in report.rows)
     assert abs(report.rows[0].norm - 0.01) < 1e-12
@@ -174,7 +174,7 @@ def test_the_witness_itself_stays_bounded_on_the_path():
 
 def test_blowup_rejects_points_outside_the_ball():
     with pytest.raises(ValueError, match="not strictly inside"):
-        blowup_scan(bidisk_witness(), corner_path, [0.0], BALL)
+        blowup_scan(bidisk_witness().eval, corner_path, [0.0], BALL)
 
 
 def test_blowup_rejects_unknown_targets():
