@@ -19,12 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freealg import BudgetExceededError, FreePolynomial, PolyParseError, Word, parse
+from .freealg import BudgetExceededError, PolyParseError, Word, parse
 from .mattuple import MatrixTuple, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
-from .opball import OperatorBall, ball_from_shorthand, membership
+from .opball import ball_from_shorthand, membership
 from .probe import (
-    MULTISTART_MARGINS,
     blowup_scan,
     builtin_dichotomy_case,
     corner_path,

@@ -104,17 +104,22 @@ def walk_words(d: int, max_size: int, root, step: Callable) -> Iterator[tuple[Wo
             stack.extend(((*letters, j), step(value, j)) for j in range(d, 0, -1))
 
 
+@dataclass(frozen=True, slots=True)
 class FreePolynomial:
-    """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables."""
+    """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables.
 
-    __slots__ = ("d", "_terms")
+    ``terms`` maps each word to its nonzero coefficient, as a read-only view.
+    """
 
-    def __init__(self, d: int, terms: Mapping | None = None):
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        object.__setattr__(self, "d", int(d))
+    d: int
+    terms: Mapping[Word, complex] | None = None
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        d = int(self.d)
         clean: dict[Word, complex] = {}
-        for key, value in (terms or {}).items():
+        for key, value in (self.terms or {}).items():
             word = key if isinstance(key, Word) else Word(tuple(key), d)
             if word.d != d:
                 raise ValueError(f"word over alphabet 1..{word.d} in a polynomial with d={d}")
@@ -123,27 +128,21 @@ class FreePolynomial:
                 clean[word] = clean.get(word, 0j) + coeff
                 if clean[word] == 0:
                     del clean[word]
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreePolynomial is immutable")
-
-    @property
-    def terms(self) -> Mapping[Word, complex]:
-        return MappingProxyType(self._terms)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @property
     def degree(self) -> int:
         """Largest word size present, -1 for the zero polynomial."""
-        return max((len(w) for w in self._terms), default=-1)
+        return max((len(w) for w in self.terms), default=-1)
 
     def coefficient(self, word) -> complex:
         if not isinstance(word, Word):
             word = Word(tuple(word), self.d)
-        return self._terms.get(word, 0j)
+        return self.terms.get(word, 0j)
 
     def sorted_terms(self) -> list[tuple[Word, complex]]:
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def eval(self, x) -> np.ndarray:
         """sum_w c_w x^w at a MatrixTuple x, as an n x n matrix."""
@@ -181,8 +180,8 @@ class FreePolynomial:
         if not isinstance(other, FreePolynomial):
             return NotImplemented
         self._require_same_d(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
+        out = dict(self.terms)
+        for word, coeff in other.terms.items():
             out[word] = out.get(word, 0j) + coeff
         return FreePolynomial(self.d, out)
 
@@ -192,19 +191,19 @@ class FreePolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return FreePolynomial(self.d, {w: -c for w, c in self._terms.items()})
+        return FreePolynomial(self.d, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FreePolynomial):
             self._require_same_d(other)
             out: dict[Word, complex] = {}
-            for u, a in self._terms.items():
-                for v, b in other._terms.items():
+            for u, a in self.terms.items():
+                for v, b in other.terms.items():
                     key = u * v
                     out[key] = out.get(key, 0j) + a * b
             return FreePolynomial(self.d, out)
         if isinstance(other, (int, float, complex)):
-            return FreePolynomial(self.d, {w: c * other for w, c in self._terms.items()})
+            return FreePolynomial(self.d, {w: c * other for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -223,13 +222,13 @@ class FreePolynomial:
     def __eq__(self, other):
         if not isinstance(other, FreePolynomial):
             return NotImplemented
-        return self.d == other.d and self._terms == other._terms
+        return self.d == other.d and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.d, frozenset(self._terms.items())))
+        return hash((self.d, frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.terms)
 
     def __str__(self):
         return format_poly(self)
@@ -242,7 +241,7 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     """The part of p supported on words of size exactly k."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FreePolynomial(p.d, {w: c for w, c in p._terms.items() if len(w) == k})
+    return FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
 
 def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
@@ -280,13 +279,13 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for word in p._terms:
+    for word in p.terms:
         if len(word) < n:
             raise ValueError(f"word {word.to_string()!r} of size {len(word)} < {n}: p is not left-divisible")
     if p.d**n > WORD_BUDGET:
         raise BudgetExceededError(f"{p.d}^{n} quotient words exceed the budget {WORD_BUDGET}")
     pieces: dict[Word, dict[Word, complex]] = {w: {} for w in words_of_size(p.d, n)}
-    for word, coeff in p._terms.items():
+    for word, coeff in p.terms.items():
         head = Word(word.letters[:n], p.d)
         tail = Word(word.letters[n:], p.d)
         pieces[head][tail] = coeff
@@ -303,7 +302,7 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
         raise ValueError(f"inner polynomials disagree on d: {sorted(dims)}")
     e = dims.pop()
     out = FreePolynomial.zero(e)
-    for word, coeff in p._terms.items():
+    for word, coeff in p.terms.items():
         prod = FreePolynomial.constant(e, 1.0)
         for letter in word.letters:
             prod = prod * inner[letter - 1]
@@ -408,11 +407,11 @@ class _Parser:
     def expr(self) -> FreePolynomial:
         # one dict for the whole sum; a word whose sum becomes exactly zero is
         # dropped and goes to the end if it comes back, as with repeated '+'
-        terms = dict(self.term()._terms)
+        terms = dict(self.term().terms)
         while self.peek()[0] in ("+", "-"):
             op = self.pop()[0]
             rhs = self.term() if op == "+" else -self.term()
-            for word, coeff in rhs._terms.items():
+            for word, coeff in rhs.terms.items():
                 total = terms.get(word, 0j) + coeff
                 if total != 0:
                     terms[word] = total

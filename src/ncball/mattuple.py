@@ -9,6 +9,7 @@ that graded nc functions are required to respect.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +18,32 @@ from .freealg import BudgetExceededError, Word, WORD_BUDGET, walk_words
 SIMILARITY_COND_LIMIT = 1e12
 
 
+def _owned_array(value, what: str) -> np.ndarray:
+    """A read-only complex copy of value; NaN or inf is rejected, naming ``what``.
+
+    Value types store only such copies, so no caller can change them later.
+    """
+    arr = np.array(value, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite (found NaN or inf)")
+    arr.setflags(write=False)
+    return arr
+
+
+# eq=False keeps the array-aware __eq__ below and leaves the class unhashable
+@dataclass(frozen=True, eq=False, slots=True)
 class MatrixTuple:
     """Immutable d-tuple of n x n complex matrices, stored as a (d, n, n) array."""
 
-    __slots__ = ("entries",)
+    entries: np.ndarray
 
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
+    def __post_init__(self):
+        arr = _owned_array(self.entries, "point entries")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected shape (d, n, n), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"d and n must be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("point entries must be finite (found NaN or inf)")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixTuple is immutable")
 
     @property
     def d(self) -> int:
@@ -65,7 +73,7 @@ class MatrixTuple:
     def __eq__(self, other):
         if not isinstance(other, MatrixTuple):
             return NotImplemented
-        return self.entries.shape == other.entries.shape and bool(np.array_equal(self.entries, other.entries))
+        return bool(np.array_equal(self.entries, other.entries))
 
     __hash__ = None
 
@@ -197,24 +205,34 @@ def complex_to_json(a) -> list:
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def complex_from_json(raw, shape: tuple[int, int, int], key: str) -> np.ndarray:
-    """The stack of matrices of the given shape written by complex_to_json.
+def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
+    """The complex array of the given shape written by complex_to_json.
 
-    ``key`` names the field in the errors for lists of the wrong length.
+    Every error names its place in the field ``key``: a list of the wrong
+    length, or an entry that is not an [re, im] pair of numbers.
     """
-    count, rows, cols = shape
-    if len(raw) != count:
-        raise ValueError(f"expected {count} {key}, got {len(raw)}")
-    out = np.zeros(shape, dtype=complex)
-    for j, matrix in enumerate(raw):
-        if len(matrix) != rows:
-            raise ValueError(f"{key}[{j}] must have {rows} rows")
-        for r, row in enumerate(matrix):
-            if len(row) != cols:
-                raise ValueError(f"{key}[{j}][{r}] must have {cols} values")
-            for c, (re, im) in enumerate(row):
-                out[j, r, c] = complex(float(re), float(im))
-    return out
+    values: list[complex] = []  # in C order, the order of the walk below
+
+    def fill(node, index: tuple[int, ...]) -> None:
+        place = key + "".join(f"[{i}]" for i in index)
+        if len(index) == len(shape):
+            try:
+                re, im = node
+                values.append(complex(float(re), float(im)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{place} must be an [re, im] pair of numbers, got {node!r}") from exc
+            return
+        size = shape[len(index)]
+        count = len(node) if isinstance(node, (list, tuple)) else f"{node!r}, not a list"
+        if count != size:
+            unit = "values" if len(index) == len(shape) - 1 else "rows"
+            wanted = f"{place} must have {size} {unit}" if index else f"expected {size} {key}"
+            raise ValueError(f"{wanted}, got {count}")
+        for i, child in enumerate(node):
+            fill(child, (*index, i))
+
+    fill(raw, ())
+    return np.array(values, dtype=complex).reshape(shape)
 
 
 def to_point_dict(x: MatrixTuple) -> dict:

@@ -57,8 +57,7 @@ def delta_first(f, x, h) -> complex:
     resolvent is triangular with invertible diagonal.
     """
     x = list(x)
-    value = f.eval(pair_point([0.0] * len(x), x, h))
-    return complex(value[0, 1])
+    return pair_derivative(f, [0.0] * len(x), x, h)
 
 
 def pair_derivative(f, a, b, h) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mattuple import MatrixTuple, _spectral_norm, complex_from_json, complex_to_json, sup_norm
+from .mattuple import MatrixTuple, _owned_array, _spectral_norm, complex_from_json, complex_to_json, sup_norm
 
 INDEPENDENCE_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -21,30 +21,25 @@ UNIT_VECTOR_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 
 
+# eq=False keeps the array-aware __eq__ below and leaves the class unhashable
+@dataclass(frozen=True, eq=False, slots=True)
 class Pencil:
     """d linearly independent p x q coefficient matrices."""
 
-    __slots__ = ("coefficients",)
+    coefficients: np.ndarray
 
-    def __init__(self, coefficients):
-        arr = np.asarray(coefficients, dtype=complex)
+    def __post_init__(self):
+        arr = _owned_array(self.coefficients, "pencil coefficients")
         if arr.ndim != 3:
             raise ValueError(f"expected shape (d, p, q), got {arr.shape}")
         d, p, q = arr.shape
         if min(d, p, q) < 1:
             raise ValueError(f"d, p, q must be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("pencil coefficients must be finite (found NaN or inf)")
         flat = arr.reshape(d, p * q)
         sigma = np.linalg.svd(flat, compute_uv=False)
         if d > p * q or sigma[-1] <= INDEPENDENCE_RTOL * sigma[0]:
             raise ValueError("pencil coefficients are linearly dependent")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pencil is immutable")
 
     @property
     def d(self) -> int:
@@ -61,9 +56,7 @@ class Pencil:
     def __eq__(self, other):
         if not isinstance(other, Pencil):
             return NotImplemented
-        return self.coefficients.shape == other.coefficients.shape and bool(
-            np.array_equal(self.coefficients, other.coefficients)
-        )
+        return bool(np.array_equal(self.coefficients, other.coefficients))
 
     __hash__ = None
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from .freealg import BudgetExceededError, FreePolynomial, left_divide, walk_words
 from .mattuple import MatrixTuple, _spectral_norm
-from .opball import BallMembership, OperatorBall, Pencil, membership, pencil_eval
+from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval, polydisk
 from .realize import IllConditionedError, Realization
+from .varieties import apply_poly_map
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 CLIMB_FLOOR = 1e-6
@@ -122,8 +123,6 @@ def estimate_sup(
     schedule = MULTISTART_MARGINS if margins is None else tuple(margins)
     if not schedule:
         raise ValueError("margin schedule must be nonempty")
-    from .opball import ball_shorthand
-
     report = ProbeReport(
         target=target_label if target_label is not None else _describe(f),
         ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.pencil.p},q={ball.pencil.q})",
@@ -282,7 +281,7 @@ def dichotomy_scan(
         level = levels[i % len(levels)]
         margin = MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)]
         x = sample_in_ball(source_ball, level, margin, rng)
-        image = MatrixTuple(np.array([component.eval(x) for component in maps]))
+        image = apply_poly_map(maps, x)
         norms.append(_spectral_norm(pencil_eval(target_pencil, image)))
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
@@ -296,8 +295,6 @@ def dichotomy_scan(
 
 def builtin_dichotomy_case(name: str):
     """The named builtin case: (maps, source ball, target pencil)."""
-    from .opball import polydisk
-
     ball = polydisk(2)
     z1 = FreePolynomial.generator(2, 1)
     z2 = FreePolynomial.generator(2, 2)

@@ -20,14 +20,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_words
-from .mattuple import MatrixTuple, _spectral_norm, complex_to_json, seq_matmul, seq_solve
-from .opball import OperatorBall, Pencil, pencil_eval, polydisk
+from .mattuple import MatrixTuple, _owned_array, _spectral_norm, complex_from_json, complex_to_json, seq_matmul, seq_solve
+from .opball import Pencil, pencil_eval, pencil_from_dict, pencil_to_dict, polydisk
 
 CONTRACTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
@@ -73,23 +73,31 @@ def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(rows * n, b.shape[1])
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Realization:
     """System data (A, B, C, D) over a pencil, evaluable at matrix tuples."""
 
-    __slots__ = ("pencil", "m", "A", "B", "C", "D", "mode", "_letters", "_levels")
+    pencil: Pencil
+    m: int
+    A: complex
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    mode: str = "contraction"
+    # L_j = I_m x Q_j, built once; the level-n operands, built on first use
+    _letters: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _levels: dict[int, _LevelOperands] = field(init=False, repr=False)
 
-    def __init__(self, pencil: Pencil, m: int, a, b, c, d, mode: str = "contraction"):
+    def __post_init__(self):
+        m, pencil = self.m, self.pencil
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if mode not in ("contraction", "isometry"):
-            raise ValueError(f"mode must be 'contraction' or 'isometry', got {mode!r}")
-        a = complex(a)
-        b = np.asarray(b, dtype=complex).reshape(-1)
-        c = np.asarray(c, dtype=complex).reshape(-1)
-        d = np.asarray(d, dtype=complex)
-        for name, value in (("A", a), ("B", b), ("C", c), ("D", d)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"realization {name} must be finite (found NaN or inf)")
+        if self.mode not in ("contraction", "isometry"):
+            raise ValueError(f"mode must be 'contraction' or 'isometry', got {self.mode!r}")
+        a = complex(_owned_array(self.A, "realization A"))
+        b = _owned_array(self.B, "realization B").reshape(-1)
+        c = _owned_array(self.C, "realization C").reshape(-1)
+        d = _owned_array(self.D, "realization D")
         mp, mq = m * pencil.p, m * pencil.q
         if b.shape[0] != mp:
             raise ValueError(f"B must have length m*p = {mp}, got {b.shape[0]}")
@@ -100,29 +108,16 @@ class Realization:
         d_norm = _spectral_norm(d)
         if d_norm > 1.0 + CONTRACTION_TOL:
             raise ValueError(f"||D|| = {d_norm:.17g} exceeds 1; the series would not converge on the ball")
-        b.setflags(write=False)
-        c.setflags(write=False)
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "pencil", pencil)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
-        object.__setattr__(self, "mode", mode)
         eye_m = np.eye(m)
         letters = tuple(_read_only(np.kron(eye_m, q_j)) for q_j in pencil.coefficients)
-        object.__setattr__(self, "_letters", letters)
-        object.__setattr__(self, "_levels", {})
-        if mode == "isometry":
+        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": letters, "_levels": {}}
+        for name, value in owned.items():
+            object.__setattr__(self, name, value)
+        if self.mode == "isometry":
             v = self.system_matrix()
             defect = _spectral_norm(v.conj().T @ v - np.eye(1 + mp))
             if defect > ISOMETRY_TOL:
                 raise ValueError(f"V*V differs from the identity by {defect:.3e}; not an isometry")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Realization is immutable")
 
     @property
     def d(self) -> int:
@@ -329,8 +324,6 @@ def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
 
 
 def realization_to_dict(f: Realization) -> dict:
-    from .opball import pencil_to_dict
-
     return {
         "pencil": pencil_to_dict(f.pencil),
         "m": f.m,
@@ -343,17 +336,16 @@ def realization_to_dict(f: Realization) -> dict:
 
 
 def realization_from_dict(obj: dict) -> Realization:
-    from .opball import pencil_from_dict
-
     try:
         pencil = pencil_from_dict(obj["pencil"])
         m = int(obj["m"])
-        a = complex(obj["A"][0], obj["A"][1])
-        b = [complex(re, im) for re, im in obj["B"]]
-        c = [complex(re, im) for re, im in obj["C"]]
-        d = [[complex(re, im) for re, im in row] for row in obj["D"]]
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        mp, mq = m * pencil.p, m * pencil.q
+        shapes = {"A": (), "B": (mp,), "C": (mq,), "D": (mq, mp)}
+        a, b, c, d = (complex_from_json(obj[key], shapes[key], key) for key in "ABCD")
         mode = str(obj.get("mode", "contraction"))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed realization object: {exc}") from exc
     return Realization(pencil, m, a, b, c, d, mode)
 

@@ -293,6 +293,15 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
         assert "must be finite" in captured.err
 
 
+def test_malformed_realization_exits_2_naming_the_field(capsys, tmp_path):
+    realization = realization_to_dict(bidisk_witness())
+    realization["A"] = [0.0, 0.0, 99.0]
+    path = write_json(tmp_path / "bad_a.json", realization)
+    code, out, err = run(capsys, "eval", "--realization", path, "--point", "0.1,0.2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: A must be an [re, im] pair")
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

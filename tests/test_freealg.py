@@ -156,6 +156,13 @@ def test_polynomial_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.d = 3
     assert hash(p) == hash(FreePolynomial.generator(2, 1))
+    # the terms are a read-only copy of the caller's mapping
+    given = {Word((1,), 2): 1.0}
+    q = FreePolynomial(2, given)
+    given[Word((2,), 2)] = 1.0
+    assert q == p
+    with pytest.raises(TypeError):
+        q.terms[Word((2,), 2)] = 1.0
 
 
 @given(int_polys(d=2), int_polys(d=2), int_polys(d=2))

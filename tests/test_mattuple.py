@@ -52,6 +52,22 @@ def test_tuple_is_immutable():
         x.entries = None
     with pytest.raises(ValueError):
         x.entries[0, 0, 0] = 1.0
+    # a tuple owns a read-only copy: mutating the caller's arrays changes nothing
+    p = parse("z1^2*z2 - 0.5*z2*z1 + (1+2i)*z1", 2)
+    rng = np.random.default_rng(22)
+    for n in (1, 2):
+        raw = [rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n)) for _ in range(2)]
+        kept = [a.copy() for a in raw]
+        x, y = (MatrixTuple(a) for a in raw)
+        fx, fy = p.eval(x), p.eval(y)
+        for a in raw:
+            a += 1.0
+        for point, a, k in zip((x, y), raw, kept):
+            assert not np.shares_memory(point.entries, a) and not point.entries.flags.writeable
+            assert point.entries.tobytes() == k.tobytes()
+        both = p.eval(direct_sum(x, y))
+        assert both[:n, :n].tobytes() == fx.tobytes() and both[n:, n:].tobytes() == fy.tobytes()
+        assert not both[:n, n:].any() and not both[n:, :n].any()
 
 
 def test_scalars_and_scale():

@@ -22,6 +22,8 @@ from ncball.opball import (
     state_compression,
     ucp_compression,
 )
+from ncball.probe import sample_in_ball
+from ncball.realize import Realization, bidisk_witness
 
 
 def random_tuple(rng, d, n, scale=1.0):
@@ -54,6 +56,22 @@ def test_pencil_is_immutable():
     pencil = row_ball(2).pencil
     with pytest.raises(AttributeError):
         pencil.coefficients = None
+    # a pencil owns a read-only copy: mutating the caller's array changes nothing
+    raw = polydisk(2).pencil.coefficients.copy()
+    pencil = Pencil(raw)
+    w = bidisk_witness()
+    f = Realization(pencil, w.m, w.A, w.B, w.C, w.D)
+    rng = np.random.default_rng(23)
+    points = [(sample_in_ball(polydisk(2), n, 0.3, rng), sample_in_ball(polydisk(2), n, 0.3, rng)) for n in (1, 2)]
+    values = [(f.eval(x), f.eval(y)) for x, y in points]
+    raw[0] = 0.5 * raw[1]
+    assert not np.shares_memory(pencil.coefficients, raw) and not pencil.coefficients.flags.writeable
+    assert pencil.coefficients.tobytes() == polydisk(2).pencil.coefficients.tobytes()
+    for (x, y), (fx, fy) in zip(points, values):
+        n = x.n
+        both = f.eval(direct_sum(x, y))
+        assert both[:n, :n].tobytes() == fx.tobytes() and both[n:, n:].tobytes() == fy.tobytes()
+        assert not both[:n, n:].any() and not both[n:, :n].any()
 
 
 def test_row_pencil_eval_stacks_horizontally():

@@ -150,6 +150,27 @@ def test_realization_is_immutable():
     f = bidisk_witness()
     with pytest.raises(AttributeError):
         f.A = 1.0
+    # built from the caller's complex arrays, a realization keeps read-only
+    # copies: mutating those arrays after evaluations changes no value, and
+    # the levels first met afterwards (the direct sums) agree with the cache
+    b, c, dmat = (np.array(a) for a in (f.B, f.C, f.D))
+    g = Realization(f.pencil, f.m, f.A, b, c, dmat, f.mode)
+    rng = np.random.default_rng(24)
+    ball = OperatorBall(f.pencil)
+    points = [(sample_in_ball(ball, n, 0.3, rng), sample_in_ball(ball, n, 0.3, rng)) for n in (1, 2)]
+    values = [(g.eval(x), g.eval(y)) for x, y in points]
+    for a in (b, c, dmat):
+        a *= 0.5
+    for stored, given, want in ((g.B, b, f.B), (g.C, c, f.C), (g.D, dmat, f.D)):
+        assert not np.shares_memory(stored, given)
+        assert stored.tobytes() == want.tobytes()
+    for (x, y), (fx, fy) in zip(points, values):
+        n = x.n
+        both = g.eval(direct_sum(x, y))
+        assert both[:n, :n].tobytes() == fx.tobytes() and both[n:, n:].tobytes() == fy.tobytes()
+        assert not both[:n, n:].any() and not both[n:, :n].any()
+    cached = [a for ops in g._levels.values() for a in ops]
+    assert all(not a.flags.writeable for a in (g.B, g.C, g.D, *g._letters, *cached))
 
 
 def test_builtin_registry():
@@ -446,6 +467,20 @@ def test_realization_dict_round_trip():
 def test_realization_from_dict_errors():
     with pytest.raises(ValueError, match="malformed realization"):
         realization_from_dict({"m": 1})
+
+
+def test_realization_from_dict_names_the_bad_field():
+    good = realization_to_dict(bidisk_witness())
+    cases = [
+        ("A", [0.0, 0.0, 99.0], r"^A must be an \[re, im\] pair"),
+        ("B", [[0.5, 0.0, 1.0], [0.5, 0.0]], r"^B\[0\] must be an \[re, im\] pair"),
+        ("C", [[0.5, 0.0]], "^expected 2 C, got 1"),
+        ("D", [[[0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]], r"^D\[0\] must have 2 values"),
+        ("m", 0, "^m must be >= 1"),
+    ]
+    for key, bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            realization_from_dict(dict(good, **{key: bad}))
 
 
 # ---------------------------------------------------------------------------
