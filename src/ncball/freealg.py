@@ -9,6 +9,7 @@ dropped, nothing is epsilon-pruned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -146,14 +147,27 @@ class FreePolynomial:
 
     def eval(self, x) -> np.ndarray:
         """sum_w c_w x^w at a MatrixTuple x, as an n x n matrix."""
-        from .mattuple import eval_word  # mattuple builds on this module
-
         if self.d != x.d:
             raise ValueError(f"polynomial in d={self.d} variables evaluated at a {x.d}-tuple")
-        out = np.zeros((x.n, x.n), dtype=complex)
+        return self.eval_batch(x.entries[None])[0][0]
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """sum_w c_w x^w at each point of a (B, d, n, n) stack: (values, failed).
+
+        Terms are added in sorted_terms() order, each monomial folded letter by
+        letter from I_n with the fixed-order kernel, so values[i] is bit for bit
+        eval at point i.  A polynomial never fails: the mask is all False.
+        """
+        from .mattuple import _seq_matmul, point_stack  # mattuple builds on this module
+
+        xs = point_stack(xs, self.d)
+        count, n = xs.shape[0], xs.shape[-1]
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+        out = np.zeros((count, n, n), dtype=complex)
         for word, coeff in self.sorted_terms():
-            out = out + coeff * eval_word(x, word)
-        return out
+            xw = functools.reduce(lambda prev, j: _seq_matmul(prev, xs[:, j - 1]), word.letters, eye)
+            out = out + coeff * xw
+        return out, np.zeros(count, dtype=bool)
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":

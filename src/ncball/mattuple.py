@@ -81,14 +81,48 @@ class MatrixTuple:
         return f"MatrixTuple(d={self.d}, n={self.n})"
 
 
+def _spectral_norms(a: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack (..., r, c).
+
+    LAPACK factors every matrix of a stack on its own, so slice i is bit for
+    bit the norm of a[i] taken alone, and of np.linalg.norm(a[i], 2).
+    """
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def _spectral_norm(a: np.ndarray) -> float:
     """The largest singular value of a matrix, bit for bit np.linalg.norm(a, 2)."""
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_spectral_norms(a))
 
 
 def sup_norm(x: MatrixTuple) -> float:
     """max_j of the largest singular value of the j-th entry."""
     return max(_spectral_norm(entry) for entry in x.entries)
+
+
+def point_stack(xs, d: int) -> np.ndarray:
+    """xs as a (B, d, n, n) complex stack of level-n points, validated.
+
+    The batched evaluators take such stacks; slice i is the entries of the
+    i-th point.  NaN or inf is rejected as for a single point.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    if xs.ndim != 4 or xs.shape[2] != xs.shape[3] or xs.shape[2] < 1:
+        raise ValueError(f"expected a stack of shape (B, d, n, n), got {xs.shape}")
+    if xs.shape[1] != d:
+        raise ValueError(f"stack of {xs.shape[1]}-tuples for a function of d={d} variables")
+    if not np.isfinite(xs).all():
+        raise ValueError("point entries must be finite (found NaN or inf)")
+    return xs
+
+
+def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the one kernel of seq_matmul and seq_matmul_batch, for complex arrays
+    # a (..., m, k) and b (..., k, n) of one rank, already checked
+    out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=complex)
+    for k in range(a.shape[-1]):
+        out += a[..., k : k + 1] * b[..., k : k + 1, :]
+    return out
 
 
 def seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,10 +138,57 @@ def seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
+    return _seq_matmul(a, b)
+
+
+def seq_matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """seq_matmul over a leading batch axis: slice i is seq_matmul(a[i], b[i]).
+
+    Both run one kernel.  The two factors of every rank-1 term have the same
+    rank, so numpy runs the same complex multiply loop whatever the batch
+    size, and each slice keeps the bits it has alone.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
+    return _seq_matmul(a, b)
+
+
+def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """seq_solve over a leading batch axis: (x, singular) for stacks a, b.
+
+    Slice i of x is seq_solve(a[i], b[i]) bit for bit, with the same pivot
+    choice, row swaps, rank-1 updates and column sweep per sample.  A sample
+    that meets a zero pivot is marked in the boolean mask ``singular`` and its
+    slice of x is meaningless; the other samples are untouched by it.
+    """
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+        raise ValueError(f"cannot solve stacks of shapes {a.shape} and {b.shape}")
+    count, n = a.shape[:2]
+    singular = np.zeros(count, dtype=bool)
+    for k in range(n):
+        piv = k + np.abs(a[:, k:, k]).argmax(axis=1)
+        moved = (piv != k).nonzero()[0]
+        if len(moved):
+            for m in (a, b):
+                row = m[moved, piv[moved]]
+                m[moved, piv[moved]] = m[moved, k]
+                m[moved, k] = row
+        zero = a[:, k, k] == 0
+        if np.count_nonzero(zero):
+            # a unit pivot keeps the arithmetic of a singular sample finite
+            singular |= zero
+            a[zero, k, k] = 1.0
+        mult = a[:, k + 1 :, k : k + 1] / a[:, k : k + 1, k : k + 1]
+        a[:, k + 1 :, k + 1 :] -= mult * a[:, k : k + 1, k + 1 :]
+        b[:, k + 1 :, :] -= mult * b[:, k : k + 1, :]
+    for i in range(n - 1, -1, -1):
+        b[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
+        b[:, :i, :] -= a[:, :i, i : i + 1] * b[:, i : i + 1, :]
+    return b, singular
 
 
 def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,30 +198,21 @@ def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size, so a solve at a direct sum need not reproduce the assembled block
     solves to the last bit.  Unblocked rank-1 elimination and a column sweep
     substitution keep the cross-block zeros inert.  Meant for the small
-    systems this library produces, not as a general solver.
+    systems this library produces, not as a general solver.  This is the
+    batch of one of seq_solve_batch.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     squeeze = b.ndim == 1
     if squeeze:
         b = b.reshape(-1, 1)
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"cannot solve shapes {a.shape} and {b.shape}")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            raise np.linalg.LinAlgError("matrix is singular")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        mult = a[k + 1 :, k : k + 1] / a[k, k]
-        a[k + 1 :, k + 1 :] -= mult * a[k : k + 1, k + 1 :]
-        b[k + 1 :, :] -= mult * b[k : k + 1, :]
-    for i in range(n - 1, -1, -1):
-        b[i, :] /= a[i, i]
-        b[:i, :] -= a[:i, i : i + 1] * b[i : i + 1, :]
-    return b[:, 0] if squeeze else b
+    x, singular = seq_solve_batch(a[None], b[None])
+    if singular[0]:
+        raise np.linalg.LinAlgError("matrix is singular")
+    return x[0, :, 0] if squeeze else x[0]
 
 
 def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
@@ -235,14 +307,25 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(shape)
 
 
+def json_size(obj: dict, key: str) -> int:
+    """The size obj[key] of a JSON header, which must be an integer.
+
+    A bool, a float such as 2.9 or a string is rejected with an error naming
+    the key, instead of being truncated or failing in int().
+    """
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def to_point_dict(x: MatrixTuple) -> dict:
     return {"n": x.n, "d": x.d, "entries": complex_to_json(x.entries)}
 
 
 def point_from_dict(obj: dict) -> MatrixTuple:
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n, d = json_size(obj, "n"), json_size(obj, "d")
         raw = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point object needs keys n, d, entries: {exc}") from exc

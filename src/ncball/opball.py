@@ -13,7 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mattuple import MatrixTuple, _owned_array, _spectral_norm, complex_from_json, complex_to_json, sup_norm
+from .mattuple import (
+    MatrixTuple,
+    _owned_array,
+    _spectral_norm,
+    _spectral_norms,
+    complex_from_json,
+    complex_to_json,
+    json_size,
+    point_stack,
+    sup_norm,
+)
 
 INDEPENDENCE_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -64,19 +74,27 @@ class Pencil:
         return f"Pencil(d={self.d}, p={self.p}, q={self.q})"
 
 
-def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:
-    """sum_j kron(Q_j, x_j), a (p*n) x (q*n) matrix.
+def pencil_eval_batch(pencil: Pencil, xs: np.ndarray) -> np.ndarray:
+    """Q(X) for each point of a (B, d, n, n) stack: a (B, p*n, q*n) stack.
 
-    Block (a, b) is sum_j Q_j[a, b] x_j, accumulated in j order as a
-    (p, n, q, n) array: the entries, bits included, of the sum of Krons.
+    Block (a, b) of slice i is sum_j Q_j[a, b] x_j, accumulated in j order as
+    a (B, p, n, q, n) array: the entries, bits included, of the sum of Krons.
+    Both factors of each term are 5-d, so every slice keeps the bits it has in
+    a batch of one.
     """
+    xs = point_stack(xs, pencil.d)
+    count, _, n, _ = xs.shape
+    out = np.zeros((count, pencil.p, n, pencil.q, n), dtype=complex)
+    for j in range(pencil.d):
+        out += pencil.coefficients[j][None, :, None, :, None] * xs[:, j, None, :, None, :]
+    return out.reshape(count, pencil.p * n, pencil.q * n)
+
+
+def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:
+    """sum_j kron(Q_j, x_j), a (p*n) x (q*n) matrix: the batch of one of pencil_eval_batch."""
     if pencil.d != x.d:
         raise ValueError(f"pencil with d={pencil.d} evaluated at a {x.d}-tuple")
-    n = x.n
-    out = np.zeros((pencil.p, n, pencil.q, n), dtype=complex)
-    for j in range(pencil.d):
-        out += pencil.coefficients[j][:, None, :, None] * x.entries[j][None, :, None, :]
-    return out.reshape(pencil.p * n, pencil.q * n)
+    return pencil_eval_batch(pencil, x.entries[None])[0]
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,10 @@ class OperatorBall:
 
     def norm_at(self, x: MatrixTuple) -> float:
         return _spectral_norm(pencil_eval(self.pencil, x))
+
+    def norms_at(self, xs: np.ndarray) -> np.ndarray:
+        """||Q(X)|| for each point of a (B, d, n, n) stack, each bit for bit norm_at."""
+        return _spectral_norms(pencil_eval_batch(self.pencil, xs))
 
 
 def row_ball(d: int) -> OperatorBall:
@@ -186,7 +208,7 @@ def pencil_to_dict(pencil: Pencil) -> dict:
 
 def pencil_from_dict(obj: dict) -> Pencil:
     try:
-        d, p, q = int(obj["d"]), int(obj["p"]), int(obj["q"])
+        d, p, q = (json_size(obj, key) for key in "dpq")
         raw = obj["coefficients"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"pencil object needs keys d, p, q, coefficients: {exc}") from exc

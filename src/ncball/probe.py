@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .freealg import BudgetExceededError, FreePolynomial, left_divide, walk_words
-from .mattuple import MatrixTuple, _spectral_norm
-from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval, polydisk
-from .realize import IllConditionedError, Realization
-from .varieties import apply_poly_map
+from .mattuple import MatrixTuple, _seq_matmul, _spectral_norm, _spectral_norms, point_stack
+from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
+from .realize import Realization
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 CLIMB_FLOOR = 1e-6
@@ -29,6 +29,14 @@ BOUNDARY_THRESHOLD = 1.0 - 1e-6
 # corner-approach ladder injected into bidisk level-1 multistarts; the deeper
 # rungs are left to hill climbing so divergence shows up as climb growth
 INJECTION_EPS = (0.1, 0.045, 0.014)
+# points are sampled and evaluated in stacks whose (p n) x (q n) pencil values
+# take at most this many bytes together: the whole level-1 pool of a 2 x 2
+# pencil in one stack, 16 points at level 8
+BATCH_BYTES = 64 * 1024
+# the climb evaluates this many candidates ahead, doubling up to the cap
+# after a stack with no improvement and starting over after one
+CLIMB_CHUNK = 8
+CLIMB_CHUNK_MAX = 64
 
 
 def corner_path(eps: float) -> tuple[complex, complex]:
@@ -42,20 +50,58 @@ def corner_path(eps: float) -> tuple[complex, complex]:
     return (x1, x1.conjugate())
 
 
-def sample_in_ball(ball: OperatorBall, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
-    """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin."""
-    if not 0.0 < margin < 1.0:
-        raise ValueError(f"margin must be in (0, 1), got {margin}")
+def _chunk_size(pencil: Pencil, n: int) -> int:
+    """How many level-n points one stack holds under BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (16 * pencil.p * n * pencil.q * n))
+
+
+def _sample_stack(ball: OperatorBall, n: int, margins, rngs) -> np.ndarray:
+    """One Gaussian draw per generator, rescaled so that ||Q(X)|| = 1 - its margin.
+
+    Returns a (B, d, n, n) stack; point i comes from rngs[i] alone, drawn as
+    sample_in_ball draws it, so it keeps its bits in any stack.
+    """
+    for margin in margins:
+        if not 0.0 < margin < 1.0:
+            raise ValueError(f"margin must be in (0, 1), got {margin}")
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     d = ball.d
-    for _ in range(100):
-        raw = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        x = MatrixTuple(raw)
-        s = ball.norm_at(x)
-        if s > 0.0:
-            return x.scale((1.0 - margin) / s)
-    raise RuntimeError("100 degenerate all-zero draws in a row; rng is broken")
+
+    def draw(rng):
+        return rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+
+    raw = np.stack([draw(rng) for rng in rngs])
+    s = ball.norms_at(raw)
+    for i in np.flatnonzero(s <= 0.0):
+        # an all-zero draw is redrawn from the same generator
+        for _ in range(99):
+            raw[i] = draw(rngs[i])
+            s[i] = ball.norms_at(raw[i : i + 1])[0]
+            if s[i] > 0.0:
+                break
+        else:
+            raise RuntimeError("100 degenerate all-zero draws in a row; rng is broken")
+    factors = (1.0 - np.asarray(margins, dtype=float)) / s
+    return raw * factors.astype(complex)[:, None, None, None]
+
+
+def _sample_chunks(ball: OperatorBall, n: int, draws) -> Iterator[np.ndarray]:
+    """Stacks of the level-n points of draws, a list of (seed, margin), chunk by chunk.
+
+    The point of (seed, margin) is sample_in_ball(ball, n, margin,
+    default_rng(seed)), bit for bit.
+    """
+    step = _chunk_size(ball.pencil, n)
+    for start in range(0, len(draws), step):
+        chunk = draws[start : start + step]
+        rngs = [np.random.default_rng(seed) for seed, _ in chunk]
+        yield _sample_stack(ball, n, [margin for _, margin in chunk], rngs)
+
+
+def sample_in_ball(ball: OperatorBall, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
+    """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin: the sampler's batch of one."""
+    return MatrixTuple(_sample_stack(ball, n, [margin], [rng])[0])
 
 
 @dataclass(frozen=True)
@@ -116,6 +162,11 @@ def estimate_sup(
     membership verdict; only a candidate rescaled toward the boundary is
     measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
 
+    ``f`` is evaluated through ``f.eval_batch`` on stacks of points; since
+    every sample keeps its bits in any stack, and the climb records only the
+    candidates it would have tried one at a time, the report is the same
+    as that of a search evaluating one point at a time.
+
     Passing ``margins`` replaces the multistart margin schedule.
     """
     if budget < 1:
@@ -131,67 +182,83 @@ def estimate_sup(
         seed=seed,
     )
 
-    def consider(x: MatrixTuple, label: str, verdict: BallMembership) -> float | None:
-        try:
-            value = _spectral_norm(f.eval(x))
-        except (IllConditionedError, np.linalg.LinAlgError):
+    def evaluate(xs: np.ndarray) -> list[float | None]:
+        """||f(X)|| at each point of a stack; None where the evaluation failed."""
+        values, failed = f.eval_batch(xs)
+        norms = np.zeros(len(xs))
+        if not failed.all():
+            norms[~failed] = _spectral_norms(values[~failed])
+        return [None if bad else float(norm) for bad, norm in zip(failed, norms)]
+
+    def record(x: np.ndarray, label: str, distance: float, value: float | None) -> None:
+        if value is None:
             report.failures += 1
-            return None
-        report.trajectory.append(TrajectoryRow(report.evaluations, label, value, verdict.distance))
+            return
+        report.trajectory.append(TrajectoryRow(report.evaluations, label, value, distance))
         report.evaluations += 1
         if value > report.best_value or report.argmax is None:
             report.best_value = value
-            report.argmax = x
-        return value
+            report.argmax = MatrixTuple(x)
 
-    # multistart phase
+    def distances(xs: np.ndarray) -> list[float]:
+        return [BallMembership.from_norm(float(s)).distance for s in ball.norms_at(xs)]
+
+    # multistart phase: the corner-path pool, then sample i drawn from seed + i
     n_samples = max(budget // 2, 1)
-    pool: list[tuple[MatrixTuple, str]] = []
+    injected: list[tuple[np.ndarray, str]] = []
     if ball.d == 2 and n == 1:
         for eps in INJECTION_EPS:
             point = MatrixTuple.scalars(corner_path(eps))
             if membership(ball, point).is_inside:
-                pool.append((point, f"path:{eps:g}"))
-    for i in range(max(n_samples - len(pool), 0)):
-        margin = schedule[i % len(schedule)]
-        rng = np.random.default_rng(seed + i)
-        pool.append((sample_in_ball(ball, n, margin, rng), f"m{margin:g}"))
-    for x, label in pool[:n_samples]:
-        value = consider(x, label, membership(ball, x))
-        if value is not None:
-            bin_key = _nearest_margin(report.trajectory[-1].boundary_distance)
-            report.margin_best[bin_key] = max(report.margin_best.get(bin_key, 0.0), value)
+                injected.append((point.entries, f"path:{eps:g}"))
+    injected = injected[:n_samples]
+    draws = [(seed + i, schedule[i % len(schedule)]) for i in range(n_samples - len(injected))]
+    labels = iter([label for _, label in injected] + [f"m{margin:g}" for _, margin in draws])
+    head = [np.stack([x for x, _ in injected])] if injected else []
+    for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
+        for x, label, distance, value in zip(xs, itertools.islice(labels, len(xs)), distances(xs), evaluate(xs)):
+            record(x, label, distance, value)
+            if value is not None:
+                bin_key = _nearest_margin(distance)
+                report.margin_best[bin_key] = max(report.margin_best.get(bin_key, 0.0), value)
     multistart_best = report.best_value
 
-    # hill-climbing phase from the multistart argmax
+    # hill-climbing phase from the multistart argmax: candidates are evaluated
+    # a stack ahead, as if none improved, and recorded in order up to the
+    # first improvement; the rest of the stack is dropped unrecorded
     remaining = budget - report.evaluations
     if report.argmax is not None and remaining > 0:
-        current = report.argmax
+        current = report.argmax.entries
         current_value = report.best_value
-        step = INITIAL_STEP
-        while remaining > 0 and step >= MIN_STEP:
-            improved = False
-            for j, r, c, part, direction in itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)):
-                if remaining <= 0:
-                    break
-                entries = np.array(current.entries)
-                entries[j, r, c] += direction * step * part
-                candidate = MatrixTuple(entries)
-                s = ball.norm_at(candidate)
-                if s > BOUNDARY_THRESHOLD:
-                    # |c| s is not bitwise ||Q(cX)||: measure the rescaled point afresh
-                    candidate = candidate.scale(BOUNDARY_THRESHOLD / s)
-                    verdict = membership(ball, candidate)
-                else:
-                    verdict = BallMembership.from_norm(s)
-                value = consider(candidate, f"climb:{step:g}", verdict)
+        moves = list(itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)))
+        schedule_ahead = _climb_schedule(len(moves), INITIAL_STEP, 0, False)
+        ahead = CLIMB_CHUNK
+        cap = _chunk_size(ball.pencil, n)
+        while remaining > 0:
+            plan = list(itertools.islice(schedule_ahead, min(ahead, remaining, cap)))
+            if not plan:
+                break
+            xs = np.repeat(current[None], len(plan), axis=0)
+            for i, (step, move) in enumerate(plan):
+                j, r, c, part, direction = moves[move]
+                xs[i, j, r, c] += direction * step * part
+            s = ball.norms_at(xs)
+            out = np.flatnonzero(s > BOUNDARY_THRESHOLD)
+            if len(out):
+                # |c| s is not bitwise ||Q(cX)||: measure rescaled points afresh
+                xs[out] *= (BOUNDARY_THRESHOLD / s[out]).astype(complex)[:, None, None, None]
+                s[out] = ball.norms_at(xs[out])
+            for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs))):
+                record(xs[i], f"climb:{step:g}", BallMembership.from_norm(float(s[i])).distance, value)
                 remaining -= 1
                 if value is not None and value > current_value:
-                    current = candidate
+                    current = xs[i]
                     current_value = value
-                    improved = True
-            if not improved:
-                step *= 0.5
+                    schedule_ahead = _climb_schedule(len(moves), step, move + 1, True)
+                    ahead = CLIMB_CHUNK
+                    break
+            else:
+                ahead = min(2 * ahead, CLIMB_CHUNK_MAX)
 
     # settled heuristic: margin ladder ratio and climb growth
     near = report.margin_best.get(0.001, 0.0)
@@ -200,6 +267,23 @@ def estimate_sup(
     climb_divergent = multistart_best > 0.0 and report.best_value > 1.25 * multistart_best
     report.settled = not (ladder_divergent or climb_divergent)
     return report
+
+
+def _climb_schedule(n_moves: int, step: float, move: int, improved: bool) -> Iterator[tuple[float, int]]:
+    """The climb's (step, move index) from this state on, if no candidate improves.
+
+    A sweep tries the n_moves moves in order; a sweep without improvement
+    halves the step, and the climb ends once the step falls below MIN_STEP.
+    """
+    while True:
+        if move == n_moves:
+            if not improved:
+                step *= 0.5
+            move, improved = 0, False
+            if step < MIN_STEP:
+                return
+        yield step, move
+        move += 1
 
 
 def _describe(f) -> str:
@@ -276,13 +360,16 @@ def dichotomy_scan(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     norms = []
-    for i in range(samples):
-        rng = np.random.default_rng(seed + i)
-        level = levels[i % len(levels)]
-        margin = MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)]
-        x = sample_in_ball(source_ball, level, margin, rng)
-        image = apply_poly_map(maps, x)
-        norms.append(_spectral_norm(pencil_eval(target_pencil, image)))
+    # sample i is drawn at level levels[i % L] from seed + i; the norms are
+    # taken level by level, which leaves their max and min as they are
+    for first, level in enumerate(levels[:samples]):
+        draws = [
+            (seed + i, MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)])
+            for i in range(first, samples, len(levels))
+        ]
+        for xs in _sample_chunks(source_ball, level, draws):
+            image = np.stack([p.eval_batch(xs)[0] for p in maps], axis=1)
+            norms.extend(_spectral_norms(pencil_eval_batch(target_pencil, image)).tolist())
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
         kind = "AllInterior"
@@ -319,8 +406,14 @@ class MonomialRow:
     def eval(self, x: MatrixTuple) -> np.ndarray:
         if x.d != self.d:
             raise ValueError(f"row of words over 1..{self.d} evaluated at a {x.d}-tuple")
-        words = walk_words(self.d, self.size, np.eye(x.n, dtype=complex), x.times_letter)
-        return np.hstack([xw for w, xw in words if len(w) == self.size])
+        return self.eval_batch(x.entries[None])[0][0]
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        xs = point_stack(xs, self.d)
+        count, n = xs.shape[0], xs.shape[-1]
+        root = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+        words = walk_words(self.d, self.size, root, lambda prev, j: _seq_matmul(prev, xs[:, j - 1]))
+        return np.concatenate([xw for w, xw in words if len(w) == self.size], axis=2), np.zeros(count, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -334,10 +427,16 @@ class RemainderColumn:
     def d(self) -> int:
         return self.base.d
 
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        res = self.base.resolvent_term(x)
+    def _column(self, res: np.ndarray) -> np.ndarray:
         rows = walk_words(self.d, self.size, None, self.base.row_step)
-        return np.vstack([self.base.remainder_of_row(row, res) for w, row in rows if len(w) == self.size])
+        return np.concatenate([self.base.remainder_of_row(row, res) for w, row in rows if len(w) == self.size], axis=-2)
+
+    def eval(self, x: MatrixTuple) -> np.ndarray:
+        return self._column(self.base.resolvent_term(x))
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        res, failed = self.base.resolvent_batch(xs)
+        return self._column(res), failed
 
 
 @dataclass(frozen=True)
@@ -357,7 +456,11 @@ class QuotientColumn:
         return self.p.d
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
-        return np.vstack([q.eval(x) for q in self.quotients])
+        return self.eval_batch(x.entries[None])[0][0]
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        values = [q.eval_batch(xs)[0] for q in self.quotients]
+        return np.concatenate(values, axis=1), np.zeros(len(values[0]), dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,19 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_words
-from .mattuple import MatrixTuple, _owned_array, _spectral_norm, complex_from_json, complex_to_json, seq_matmul, seq_solve
-from .opball import Pencil, pencil_eval, pencil_from_dict, pencil_to_dict, polydisk
+from .mattuple import (
+    MatrixTuple,
+    _owned_array,
+    _spectral_norm,
+    complex_from_json,
+    complex_to_json,
+    json_size,
+    point_stack,
+    seq_matmul,
+    seq_matmul_batch,
+    seq_solve_batch,
+)
+from .opball import Pencil, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
 
 CONTRACTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
@@ -56,21 +67,38 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(a x I_n) b, equal bit for bit to seq_matmul(np.kron(a, I_n), b).
+    """(a x I_n) b for each matrix b of a stack, bit for bit seq_matmul(np.kron(a, I_n), b).
 
+    b has shape (..., inner * n, cols), with any number of leading batch axes.
     Row (i, r) of the product only meets rows (k, r) of b, so the rank-1 terms
     are accumulated block by block in the index order k of a: the same
     products, summed in the same order, as the fixed-order kernel, without the
     zero terms of the identity.
     """
     rows, inner = a.shape
-    blocks = b.reshape(inner, n, b.shape[1])
-    out = np.zeros((rows, n, b.shape[1]), dtype=complex)
+    lead = b.shape[:-2]
+    blocks = b.reshape(*lead, inner, n, b.shape[-1])
+    # coeffs[k] is column k of a with the rank of a block of b: broadcasting
+    # arrays of unequal rank can send numpy's complex multiply down a loop
+    # without fused multiply-add, and the bits would then depend on the batch
+    coeffs = a.T[(slice(None), *(None,) * len(lead), slice(None), None, None)]
+    out = np.zeros((*lead, rows, n, b.shape[-1]), dtype=complex)
     for k in range(inner):
-        # keep both factors 3-d: broadcasting arrays of unequal rank can send
-        # numpy's complex multiply down a loop without fused multiply-add
-        out += a[:, k, None, None] * blocks[k : k + 1]
-    return out.reshape(rows * n, b.shape[1])
+        out += coeffs[k] * blocks[..., k : k + 1, :, :]
+    return out.reshape(*lead, rows * n, b.shape[-1])
+
+
+def _failure_mask(count: int, errors: dict[int, Exception]) -> np.ndarray:
+    failed = np.zeros(count, dtype=bool)
+    failed[list(errors)] = True
+    return failed
+
+
+def _only(values: np.ndarray, errors: dict[int, Exception]) -> np.ndarray:
+    """The value of a batch of one, or the error that sample met on its own."""
+    if errors:
+        raise errors[0]
+    return values[0]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -149,33 +177,69 @@ class Realization:
             self._levels[n] = ops
         return ops
 
-    def _lam(self, x: MatrixTuple) -> np.ndarray:
-        """L(X) = I_m x Q(X), placed as m diagonal blocks."""
-        qx = pencil_eval(self.pencil, x)
+    def _lam(self, xs: np.ndarray) -> np.ndarray:
+        """L(X) = I_m x Q(X) for each point of a stack, placed as m diagonal blocks."""
+        qx = pencil_eval_batch(self.pencil, xs)
         if self.m == 1:
             return qx
-        p, q = qx.shape
-        lam = np.zeros((self.m * p, self.m * q), dtype=complex)
+        count, p, q = qx.shape
+        lam = np.zeros((count, self.m * p, self.m * q), dtype=complex)
         for i in range(self.m):
-            lam[i * p : (i + 1) * p, i * q : (i + 1) * q] = qx
+            lam[:, i * p : (i + 1) * p, i * q : (i + 1) * q] = qx
         return lam
 
-    def _resolvent(self, x: MatrixTuple, lam: np.ndarray) -> np.ndarray:
-        """Solve [1 - (D x I_n) L(X)] R = C x I_n with a conditioning guard."""
-        ops = self._level(x.n)
-        t = ops.eye_res - _kron_eye_matmul(self.D, lam, x.n)
-        cond = float(np.linalg.cond(t))
-        if not np.isfinite(cond) or cond > RESOLVENT_COND_LIMIT:
-            raise IllConditionedError(cond)
-        return seq_solve(t, ops.c_col)
+    def _resolvent(self, xs: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Solve [1 - (D x I_n) L(X)] R = C x I_n per sample, with a conditioning guard.
+
+        Returns the stack of R and, by sample index, the error each failed
+        sample would raise alone: IllConditionedError where the exact
+        condition number trips the guard (that sample is not solved), or
+        LinAlgError at a zero pivot.  A failed sample's R is NaN.
+        """
+        n = xs.shape[-1]
+        ops = self._level(n)
+        t = ops.eye_res - _kron_eye_matmul(self.D, lam, n)
+        cond = np.linalg.cond(t)
+        guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
+        errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
+        res = np.full((len(t), *ops.c_col.shape), np.nan, dtype=complex)
+        solved = np.flatnonzero(guarded)
+        if len(solved):
+            sol, singular = seq_solve_batch(t[solved], np.repeat(ops.c_col[None], len(solved), axis=0))
+            res[solved] = sol
+            for i in solved[singular]:
+                errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
+                res[i] = np.nan
+        return res, errors
+
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """f at each point of a stack, with the errors of the failed samples (NaN values)."""
+        lam = self._lam(xs)
+        res, errors = self._resolvent(xs, lam)
+        n = xs.shape[-1]
+        head = _kron_eye_matmul(self.B.reshape(1, -1), lam, n)
+        return self.A * self._level(n).eye + seq_matmul_batch(head, res), errors
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """f at each point of a (B, d, n, n) stack: (values, failed).
+
+        values[i] is bit for bit eval at point i.  failed is a boolean mask of
+        the samples whose eval would raise (a tripped resolvent guard or a zero
+        pivot); their values are NaN and the other samples are unaffected.
+        """
+        values, errors = self._values(point_stack(xs, self.d))
+        return values, _failure_mask(len(values), errors)
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         if x.d != self.d:
             raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
-        lam = self._lam(x)
-        res = self._resolvent(x, lam)
-        head = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
-        return self.A * self._level(x.n).eye + seq_matmul(head, res)
+        return _only(*self._values(x.entries[None]))
+
+    def resolvent_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """resolvent_term at each point of a (B, d, n, n) stack: (values, failed), as eval_batch."""
+        xs = point_stack(xs, self.d)
+        res, errors = self._resolvent(xs, self._lam(xs))
+        return res, _failure_mask(len(res), errors)
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
@@ -184,7 +248,8 @@ class Realization:
         """
         if x.d != self.d:
             raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
-        return self._resolvent(x, self._lam(x))
+        xs = x.entries[None]
+        return _only(*self._resolvent(xs, self._lam(xs)))
 
     def row_step(self, row: np.ndarray | None, j: int) -> np.ndarray:
         """The prefix row of w j from that of w: (B if w is empty else row D) L_j.
@@ -204,8 +269,11 @@ class Realization:
         return self.A if row is None else complex((row @ self.C)[0])
 
     def remainder_of_row(self, row: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """g_w(X) = (row_w x I_n) R from the prefix row and R = resolvent_term(X)."""
-        return _kron_eye_matmul(row, res, res.shape[1])
+        """g_w(X) = (row_w x I_n) R from the prefix row and R = resolvent_term(X).
+
+        R may be a stack (B, m q n, n) from resolvent_batch; so is the result.
+        """
+        return _kron_eye_matmul(row, res, res.shape[-1])
 
     def power_series_coefficient(self, word: Word) -> complex:
         """c_w with f = sum_w c_w Z^w; c_empty = A."""
@@ -233,7 +301,7 @@ class Realization:
         """
         ops = self._level(x.n)
         yield self.A * ops.eye
-        lam = self._lam(x)
+        lam = self._lam(x.entries[None])[0]
         cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
         hop = _kron_eye_matmul(self.D, lam, x.n)
         while True:
@@ -280,6 +348,10 @@ class RemainderFactor:
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         return self.base.remainder_of_row(self.base._prefix_row(self.word), self.base.resolvent_term(x))
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        res, failed = self.base.resolvent_batch(xs)
+        return self.base.remainder_of_row(self.base._prefix_row(self.word), res), failed
 
 
 def bidisk_witness() -> Realization:
@@ -338,7 +410,7 @@ def realization_to_dict(f: Realization) -> dict:
 def realization_from_dict(obj: dict) -> Realization:
     try:
         pencil = pencil_from_dict(obj["pencil"])
-        m = int(obj["m"])
+        m = json_size(obj, "m")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         mp, mq = m * pencil.p, m * pencil.q

@@ -1,0 +1,219 @@
+"""Batched evaluation: stacks of points keep every bit of the one-point path.
+
+Each batched kernel takes a leading batch axis and the one-point function is
+its batch of one, so these properties check that a sample's bits do not
+depend on the stack it sits in, nor on its neighbours' failures.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ncball.freealg import parse
+from ncball.mattuple import MatrixTuple, direct_sum, seq_matmul, seq_matmul_batch, seq_solve, seq_solve_batch
+from ncball.opball import Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
+from ncball.probe import _sample_chunks, sample_in_ball
+from ncball.realize import IllConditionedError, Realization, _kron_eye_matmul, bidisk_witness
+
+
+def gaussian(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_contraction(rng, m=2):
+    """A contraction-mode realization over the row ball row:2 (p = 1, q = 2)."""
+    pencil = row_ball(2).pencil
+    mp, mq = m * pencil.p, m * pencil.q
+    dmat = gaussian(rng, (mq, mp))
+    dmat *= 0.9 / np.linalg.norm(dmat, 2)
+    return Realization(pencil, m, complex(rng.normal(), rng.normal()), gaussian(rng, mp), gaussian(rng, mq), dmat)
+
+
+def points_inside(rng, ball, count, n, radius=0.9):
+    """count level-n points of the ball at pencil norm ``radius``, as a stack."""
+    xs = gaussian(rng, (count, ball.d, n, n))
+    return xs * (radius / ball.norms_at(xs)).astype(complex)[:, None, None, None]
+
+
+def target(name, rng):
+    if name == "ex52":
+        return bidisk_witness(), polydisk(2)
+    if name == "contraction":
+        return random_contraction(rng), row_ball(2)
+    return parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2)
+
+
+# ---------------------------------------------------------------------------
+# kernels: each slice of a batched call is the one-point call
+
+
+def reference_seq_matmul(a, b):
+    # the one-point kernel as it was written before batching
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1))
+@example(count=3, m=1, k=1, n=1, seed=0)
+def test_seq_matmul_batch_is_bitwise_per_slice(count, m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = gaussian(rng, (count, m, k)), gaussian(rng, (count, k, n))
+    out = seq_matmul_batch(a, b)
+    for i in range(count):
+        assert out[i].tobytes() == seq_matmul(a[i], b[i]).tobytes()
+        assert out[i].tobytes() == reference_seq_matmul(a[i], b[i]).tobytes()
+
+
+def reference_seq_solve(a, b):
+    # the one-point elimination as it was written before batching
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    n = a.shape[0]
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[[k, piv]] = b[[piv, k]]
+        mult = a[k + 1 :, k : k + 1] / a[k, k]
+        a[k + 1 :, k + 1 :] -= mult * a[k : k + 1, k + 1 :]
+        b[k + 1 :, :] -= mult * b[k : k + 1, :]
+    for i in range(n - 1, -1, -1):
+        b[i, :] /= a[i, i]
+        b[:i, :] -= a[:i, i : i + 1] * b[i : i + 1, :]
+    return b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(count=2, n=1, cols=1, seed=0)
+def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, seed):
+    rng = np.random.default_rng(seed)
+    a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
+    x, singular = seq_solve_batch(a, b)
+    assert not singular.any()
+    for i in range(count):
+        assert x[i].tobytes() == seq_solve(a[i], b[i]).tobytes()
+        assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
+
+
+def test_a_zero_pivot_masks_only_its_own_sample():
+    rng = np.random.default_rng(4)
+    a, b = gaussian(rng, (3, 3, 3)), gaussian(rng, (3, 3, 1))
+    a[1, :, 0] = 0.0
+    x, singular = seq_solve_batch(a, b)
+    assert singular.tolist() == [False, True, False]
+    for i in (0, 2):
+        assert x[i].tobytes() == seq_solve(a[i], b[i]).tobytes()
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        seq_solve(a[1], b[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(count=2, rows=1, inner=1, n=1, cols=1, seed=0)
+def test_kron_eye_matmul_is_bitwise_per_slice(count, rows, inner, n, cols, seed):
+    rng = np.random.default_rng(seed)
+    a, b = gaussian(rng, (rows, inner)), gaussian(rng, (count, inner * n, cols))
+    out = _kron_eye_matmul(a, b, n)
+    for i in range(count):
+        assert out[i].tobytes() == _kron_eye_matmul(a, b[i], n).tobytes()
+        assert out[i].tobytes() == reference_seq_matmul(np.kron(a, np.eye(n)), b[i]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(count=2, p=1, q=1, n=1, seed=0)
+def test_pencil_eval_batch_is_bitwise_per_slice(count, p, q, n, seed):
+    rng = np.random.default_rng(seed)
+    d = min(2, p * q)
+    pencil = Pencil(gaussian(rng, (d, p, q)))
+    xs = gaussian(rng, (count, d, n, n))
+    out = pencil_eval_batch(pencil, xs)
+    for i in range(count):
+        assert out[i].tobytes() == pencil_eval(pencil, MatrixTuple(xs[i])).tobytes()
+        # the sum of Kronecker products, accumulated in j order, bits included
+        want = np.zeros((p * n, q * n), dtype=complex)
+        for j in range(d):
+            want += np.kron(pencil.coefficients[j], xs[i, j])
+        assert out[i].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# eval_batch is the per-sample eval
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ex52", "contraction", "poly"]), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(name="ex52", count=3, n=1, seed=0)
+@example(name="contraction", count=3, n=1, seed=0)
+@example(name="poly", count=3, n=1, seed=0)
+def test_eval_batch_is_bitwise_per_sample_eval(name, count, n, seed):
+    rng = np.random.default_rng(seed)
+    f, ball = target(name, rng)
+    xs = points_inside(rng, ball, count, n)
+    values, failed = f.eval_batch(xs)
+    assert values.shape == (count, n, n) and not failed.any()
+    for i in range(count):
+        assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ex52", "contraction", "poly"]), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(name="ex52", count=2, nx=1, ny=1, seed=0)
+def test_eval_batch_respects_direct_sums_exactly(name, count, nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    f, ball = target(name, rng)
+    xs, ys = points_inside(rng, ball, count, nx), points_inside(rng, ball, count, ny)
+    sums = np.stack([direct_sum(MatrixTuple(x), MatrixTuple(y)).entries for x, y in zip(xs, ys)])
+    both, _ = f.eval_batch(sums)
+    fx, _ = f.eval_batch(xs)
+    fy, _ = f.eval_batch(ys)
+    assembled = np.zeros_like(both)
+    assembled[:, :nx, :nx] = fx
+    assembled[:, nx:, nx:] = fy
+    assert both.tobytes() == assembled.tobytes()
+
+
+def test_a_tripped_guard_masks_only_its_own_sample():
+    # f(x) = x / (1 - x): the resolvent operand 1 - x is singular at x = 1
+    f = Realization(Pencil(np.ones((1, 1, 1))), 1, 0, [1], [1], [[1]])
+    xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
+    values, failed = f.eval_batch(xs)
+    assert failed.tolist() == [False, True, False]
+    assert np.isnan(values[1]).all()
+    for i in (0, 2):
+        assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
+    with pytest.raises(IllConditionedError) as info:
+        f.eval(MatrixTuple(xs[1]))
+    assert info.value.cond == np.inf
+
+
+def test_eval_batch_rejects_bad_stacks():
+    f = bidisk_witness()
+    with pytest.raises(ValueError, match="stack of shape"):
+        f.eval_batch(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="3-tuples"):
+        f.eval_batch(np.zeros((1, 3, 1, 1)))
+    with pytest.raises(ValueError, match="must be finite"):
+        parse("z1", 2).eval_batch(np.full((1, 2, 1, 1), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# one sampler
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**31), st.booleans())
+@example(n=1, count=3, seed=0, row=False)
+def test_chunked_sampler_is_sample_in_ball_per_draw(n, count, seed, row):
+    ball = row_ball(2) if row else polydisk(2)
+    margins = (0.5, 0.1, 0.01, 0.001)
+    draws = [(seed + i, margins[i % 4]) for i in range(count)]
+    stack = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    assert stack.shape == (count, 2, n, n)
+    for x, (draw_seed, margin) in zip(stack, draws):
+        want = sample_in_ball(ball, n, margin, np.random.default_rng(draw_seed))
+        assert x.tobytes() == want.entries.tobytes()

@@ -302,6 +302,33 @@ def test_malformed_realization_exits_2_naming_the_field(capsys, tmp_path):
     assert err.startswith("error: A must be an [re, im] pair")
 
 
+def test_json_header_sizes_must_be_integers(capsys, tmp_path):
+    # a string used to fail inside int() without naming the field, and a float
+    # or a bool used to be truncated to a size silently
+    point = to_point_dict(MatrixTuple.zeros(2, 2))
+    realization = realization_to_dict(bidisk_witness())
+    cases = [
+        ("point", "n", "two"),
+        ("point", "n", 2.9),
+        ("point", "d", True),
+        ("realization", "m", 1.7),
+        ("pencil", "q", 2.0),
+    ]
+    for kind, key, value in cases:
+        if kind == "point":
+            spec = write_json(tmp_path / "point.json", {**point, key: value})
+            argv = ["eval", "--realization", "ex52", "--point", spec]
+        elif kind == "realization":
+            spec = write_json(tmp_path / "realization.json", {**realization, key: value})
+            argv = ["eval", "--realization", spec, "--point", "0.1,0.2"]
+        else:
+            spec = write_json(tmp_path / "pencil.json", {**realization["pencil"], key: value})
+            argv = ["probe", "--realization", "ex52", "--ball", f"pencil:{spec}", "--budget", "4"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", f"{key}={value!r} gave {code}"
+        assert err.startswith(f"error: {key} must be an integer, got {value!r}"), err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

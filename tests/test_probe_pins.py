@@ -1,0 +1,56 @@
+"""Pinned probe reports: the exact bits of seeded sup-norm searches.
+
+Each case hashes everything a report says about its search: every trajectory
+row (iteration, label and the hex of its value and boundary distance), the
+failure count, the hex of the best value, the settled verdict and the bytes
+of the argmax.  The digests were recorded from the one-point-at-a-time probe,
+so any change to how candidates are drawn, evaluated or charged to the budget
+that moves a single bit fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from ncball.freealg import parse
+from ncball.opball import polydisk, row_ball
+from ncball.probe import MonomialRow, RemainderColumn, estimate_sup
+from ncball.realize import bidisk_witness
+
+BUDGET = 300
+
+
+def report_digest(report) -> str:
+    h = hashlib.sha256()
+    for row in report.trajectory:
+        h.update(f"{row.iteration},{row.label},{row.value.hex()},{row.boundary_distance.hex()}\n".encode())
+    h.update(f"{report.failures},{report.best_value.hex()},{report.settled}\n".encode())
+    h.update(report.argmax.entries.tobytes())
+    return h.hexdigest()
+
+
+CASES = {
+    "ex52-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 0),
+    "ex52-l2": lambda: estimate_sup(bidisk_witness(), polydisk(2), 2, BUDGET, 0),
+    "ex52-l8": lambda: estimate_sup(bidisk_witness(), polydisk(2), 8, BUDGET, 0),
+    # the row ball's pencil is 1 x 2, so p != q
+    "poly-row-l2": lambda: estimate_sup(parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1", 2), row_ball(2), 2, BUDGET, 3),
+    "monomial-row-l2": lambda: estimate_sup(MonomialRow(2, 2), polydisk(2), 2, BUDGET, 5),
+    "remainder-column-l2": lambda: estimate_sup(RemainderColumn(bidisk_witness(), 2), polydisk(2), 2, BUDGET, 5),
+    "margin-override-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 9, margins=(0.5,)),
+}
+
+PINNED = {
+    "ex52-l1": "119eb1ae95ad944627a20365edc070aa8c14fdf3a6bad7db6c8df4a95b6dbb71",
+    "ex52-l2": "275a69535a7a6a8aff600ba6bc2b8cc7e1ead5a26f7f967646de49af5677a146",
+    "ex52-l8": "3619041d85f151a110020fd17d0bc9a48ccf0a2f6e72580090eee1722cedee69",
+    "margin-override-l1": "6788ba2da901635e0895febecb0972fb7a7c6779141e9ccc64f7651c93973e65",
+    "monomial-row-l2": "768c3657003155f07a1612cffd41e378d18d0ad0d4a16dbb337f8d7534327a1e",
+    "poly-row-l2": "7a1cbd3ab138cad54d60e5cf1c352b54375ccd3f198c3a52ebcaa7f4a93e4236",
+    "remainder-column-l2": "da296f6e5b1ebc2ceb907932909778f6a1b7a5425962393741366ca49b91e988",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_probe_report_keeps_its_bits(name):
+    assert report_digest(CASES[name]()) == PINNED[name]
