@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or input error, 1 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freealg import BudgetExceededError, PolyParseError, Word, parse
+from .freealg import PolyParseError, Word, parse
 from .mattuple import MatrixTuple, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import ball_from_shorthand, membership
@@ -32,7 +33,6 @@ from .probe import (
 )
 from .realize import (
     BUILTIN_REALIZATIONS,
-    IllConditionedError,
     Realization,
     bidisk_witness_closed_form,
     realization_from_dict,
@@ -62,6 +62,14 @@ def _write_csv(out: str | None, columns, rows, seed) -> None:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load_json(path: str):
@@ -235,15 +243,7 @@ def _cmd_dichotomy(args) -> int:
         maps = tuple(parse(part, ball.d) for part in args.map.split(";"))
         target = ball_from_shorthand(args.target_ball) if args.target_ball else ball
         target_pencil = target.pencil
-    result = dichotomy_scan(maps, ball, target_pencil, args.samples, args.seed)
-    _print_json(
-        {
-            "kind": result.kind,
-            "max_norm": result.max_norm,
-            "min_norm": result.min_norm,
-            "samples": result.samples,
-        }
-    )
+    _print_json(dataclasses.asdict(dichotomy_scan(maps, ball, target_pencil, args.samples, args.seed)))
     return 0
 
 
@@ -267,6 +267,8 @@ def _cmd_variety(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.name != "ex52":
         raise ValueError(f"unknown example {args.name!r}; only 'ex52' is available")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = BUILTIN_REALIZATIONS["ex52"]()
     rng = np.random.default_rng(args.seed)
     print(f"# ncball {__version__} seed={args.seed}")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_function_flags(p_tt)
     p_tt.add_argument("--point", required=True)
     p_tt.add_argument("-N", "--order", type=int, required=True)
-    p_tt.add_argument("--tol", type=float, default=1e-9)
+    p_tt.add_argument("--tol", type=_tolerance, default=1e-9)
     p_tt.set_defaults(func=_cmd_tt_check)
 
     p_probe = sub.add_parser("probe", help="estimate a sup norm over a ball level")
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var = sub.add_parser("variety", help="variety membership of a point")
     p_var.add_argument("--variety", required=True, help="variety JSON file")
     p_var.add_argument("--point", required=True)
-    p_var.add_argument("--tol", type=float, default=1e-10)
+    p_var.add_argument("--tol", type=_tolerance, default=1e-10)
     p_var.set_defaults(func=_cmd_variety)
 
     p_rep = sub.add_parser("reproduce", help="print a closed-form agreement table for a builtin")
@@ -374,10 +376,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (IllConditionedError, BudgetExceededError, np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (RuntimeError, np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
+        # IllConditionedError and BudgetExceededError are RuntimeErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (PolyParseError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

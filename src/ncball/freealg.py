@@ -13,11 +13,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 WORD_BUDGET = 10**6
+# stacks stepped or evaluated together take at most this many bytes: larger
+# levels of the word walk, and the probe's point pools, come out in chunks
+BATCH_BYTES = 64 * 1024
 
 
 class BudgetExceededError(RuntimeError):
@@ -87,22 +90,24 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
         yield Word(letters, d)
 
 
-def walk_words(d: int, max_size: int, root, step: Callable) -> Iterator[tuple[Word, object]]:
-    """(w, value(w)) for every word of size <= max_size, depth first.
+def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
+    """(k, stacks) for the words of each size k <= size, one stack per column (root, step).
 
-    value(empty) = root and value(w j) = step(value(w), j), so each prefix is
-    computed once and shared by all its extensions.  Children follow in letter
-    order 1..d, hence the words of one size come out in length-lex order.  A
-    negative max_size yields nothing.
+    value(empty) = root, and step(stack, j) stacks the words w j of a stack of
+    words w, so the children come in (parent, letter) order: length-lex.  A
+    level whose stacks pass BATCH_BYTES comes out as consecutive chunks, each
+    walked on before the next, so memory stays bounded.
     """
-    if max_size < 0:
-        return
-    stack = [((), root)]
-    while stack:
-        letters, value = stack.pop()
-        yield Word(letters, d), value
-        if len(letters) < max_size:
-            stack.extend(((*letters, j), step(value, j)) for j in range(d, 0, -1))
+    todo = [(0, tuple(root for root, _ in columns))] if size >= 0 else []
+    while todo:
+        k, stacks = todo.pop()
+        yield k, stacks
+        if k < size:
+            kids = [np.stack([step(s, j) for j in range(1, d + 1)], axis=1) for s, (_, step) in zip(stacks, columns)]
+            kids = [kid.reshape(-1, *kid.shape[2:]) for kid in kids]
+            count = len(kids[0])
+            chunk = max(1, BATCH_BYTES * count // sum(kid.nbytes for kid in kids))
+            todo.extend((k + 1, tuple(kid[i : i + chunk] for kid in kids)) for i in reversed(range(0, count, chunk)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,19 +160,17 @@ class FreePolynomial:
         """sum_w c_w x^w at each point of a (B, d, n, n) stack: (values, failed).
 
         Terms are added in sorted_terms() order, each monomial folded letter by
-        letter from I_n with the fixed-order kernel, so values[i] is bit for bit
-        eval at point i.  A polynomial never fails: the mask is all False.
+        letter from I_n with the step of the word walk, so values[i] is bit for
+        bit eval at point i.  A polynomial never fails: the mask is all False.
         """
-        from .mattuple import _seq_matmul, point_stack  # mattuple builds on this module
+        from .mattuple import _monomials, point_stack  # mattuple builds on this module
 
         xs = point_stack(xs, self.d)
-        count, n = xs.shape[0], xs.shape[-1]
-        eye = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
-        out = np.zeros((count, n, n), dtype=complex)
+        root, step = _monomials(xs)
+        out = np.zeros(root.shape[1:], dtype=complex)
         for word, coeff in self.sorted_terms():
-            xw = functools.reduce(lambda prev, j: _seq_matmul(prev, xs[:, j - 1]), word.letters, eye)
-            out = out + coeff * xw
-        return out, np.zeros(count, dtype=bool)
+            out = out + coeff * functools.reduce(step, word.letters, root)[0]
+        return out, np.zeros(len(xs), dtype=bool)
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import BudgetExceededError, Word, WORD_BUDGET, walk_words
+from .freealg import BudgetExceededError, Word, WORD_BUDGET, walk_levels
 
 SIMILARITY_COND_LIMIT = 1e12
 
@@ -65,10 +65,6 @@ class MatrixTuple:
 
     def scale(self, factor: complex) -> "MatrixTuple":
         return MatrixTuple(self.entries * complex(factor))
-
-    def times_letter(self, prev: np.ndarray, j: int) -> np.ndarray:
-        """prev x_j by the fixed-order kernel: the step from x^w to x^(w j)."""
-        return seq_matmul(prev, self.entries[j - 1])
 
     def __eq__(self, other):
         if not isinstance(other, MatrixTuple):
@@ -215,11 +211,22 @@ def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[0, :, 0] if squeeze else x[0]
 
 
+def _monomials(xs: np.ndarray) -> tuple:
+    """The walk_levels column of X^w at a point (d, n, n) or a stack (B, d, n, n).
+
+    Each step is the fixed-order kernel with factors of one rank, so X^w has
+    the same bits in any stack of words or points.
+    """
+    root = np.broadcast_to(np.eye(xs.shape[-1], dtype=complex), (1, *xs.shape[:-3], *xs.shape[-2:])).copy()
+    return root, lambda stack, j: _seq_matmul(stack, xs[None, ..., j - 1, :, :])
+
+
 def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
     """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
     if word.d != x.d:
         raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
-    return functools.reduce(x.times_letter, word.letters, np.eye(x.n, dtype=complex))
+    root, step = _monomials(x.entries)
+    return functools.reduce(step, word.letters, root)[0]
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
@@ -262,8 +269,8 @@ def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
         raise ValueError(f"k must be >= 1, got {k}")
     if x.d**k > WORD_BUDGET:
         raise BudgetExceededError(f"{x.d}^{k} words exceed the budget {WORD_BUDGET}")
-    words = walk_words(x.d, k, np.eye(x.n, dtype=complex), x.times_letter)
-    return all(_spectral_norm(value) <= tol for word, value in words if len(word) == k)
+    levels = walk_levels(x.d, k, _monomials(x.entries))
+    return all((_spectral_norms(xw) <= tol).all() for size, (xw,) in levels if size == k)
 
 
 # ---------------------------------------------------------------------------

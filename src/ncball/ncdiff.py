@@ -22,9 +22,9 @@ from .freealg import (
     FreePolynomial,
     homogeneous_component,
     left_divide,
-    walk_words,
+    walk_levels,
 )
-from .mattuple import MatrixTuple, _spectral_norm
+from .mattuple import MatrixTuple, _monomials, _spectral_norm
 from .realize import Realization
 
 TT_WORD_BUDGET = 10**5
@@ -106,7 +106,8 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """Verify f(X) = sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at X.
 
     Works for realizations (g_w are remainder factors) and for polynomials
-    (g_w come from exact left division of the high part).  Enumerates d^N
+    (g_w come from exact left division of the high part).  The tail is added
+    in length-lex order, a chunk of words of size N at a time.  Enumerates d^N
     words, budgeted at 1e5.
     """
     if order < 1:
@@ -115,30 +116,30 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     if d**order > TT_WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{order} words exceed the budget {TT_WORD_BUDGET}")
     lhs = f.eval(x)  # also rejects a point with the wrong d
-    eye = np.eye(x.n, dtype=complex)
-    rhs = np.zeros((x.n, x.n), dtype=complex)
+    columns = [_monomials(x.entries)]
     if isinstance(f, FreePolynomial):
-        for k in range(order):
-            rhs += homogeneous_component(f, k).eval(x)
+        low = (homogeneous_component(f, k).eval(x) for k in range(order))
         high = FreePolynomial(d, {w: c for w, c in f.terms.items() if len(w) >= order})
-        if high:
-            quotients = left_divide(high, order)
-            for word, xw in walk_words(d, order, eye, x.times_letter):
-                if len(word) == order and quotients[word]:
-                    rhs += xw @ quotients[word].eval(x)
+        quotients = iter(left_divide(high, order).values())
     elif isinstance(f, Realization):
-        for term in itertools.islice(f._homogeneous_terms(x), order):
-            rhs += term
+        low = itertools.islice(f._homogeneous_terms(x), order)
         res = f.resolvent_term(x)
-
-        def step(pair, j):
-            xw, row = pair
-            return x.times_letter(xw, j), f.row_step(row, j)
-
-        for word, (xw, row) in walk_words(d, order, (eye, None), step):
-            if len(word) == order:
-                rhs += xw @ f.remainder_of_row(row, res)
+        columns.append((None, f.row_step))
     else:
         raise TypeError(f"tt_check supports polynomials and realizations, got {type(f).__name__}")
+    rhs = np.zeros((x.n, x.n), dtype=complex)
+    for term in low:
+        rhs += term
+    for k, (xws, *rows) in walk_levels(d, order, *columns):
+        if k < order:
+            continue
+        if rows:  # g_w = (row_w x I_n) R for every word of the chunk
+            keep, tails = slice(None), f.remainder_of_row(rows[0][:, 0], res).reshape(xws.shape)
+        else:  # the nonzero quotients f_w among the chunk's words
+            chunk = list(itertools.islice(quotients, len(xws)))
+            keep = [i for i, q in enumerate(chunk) if q]
+            tails = np.array([chunk[i].eval(x) for i in keep]).reshape(-1, x.n, x.n)
+        for product in xws[keep] @ tails:
+            rhs += product
     defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

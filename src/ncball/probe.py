@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, left_divide, walk_words
-from .mattuple import MatrixTuple, _seq_matmul, _spectral_norm, _spectral_norms, point_stack
+from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, left_divide, walk_levels
+from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, point_stack
 from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
 from .realize import Realization
 
@@ -29,10 +29,6 @@ BOUNDARY_THRESHOLD = 1.0 - 1e-6
 # corner-approach ladder injected into bidisk level-1 multistarts; the deeper
 # rungs are left to hill climbing so divergence shows up as climb growth
 INJECTION_EPS = (0.1, 0.045, 0.014)
-# points are sampled and evaluated in stacks whose (p n) x (q n) pencil values
-# take at most this many bytes together: the whole level-1 pool of a 2 x 2
-# pencil in one stack, 16 points at level 8
-BATCH_BYTES = 64 * 1024
 # the climb evaluates this many candidates ahead, doubling up to the cap
 # after a stack with no improvement and starting over after one
 CLIMB_CHUNK = 8
@@ -51,7 +47,7 @@ def corner_path(eps: float) -> tuple[complex, complex]:
 
 
 def _chunk_size(pencil: Pencil, n: int) -> int:
-    """How many level-n points one stack holds under BATCH_BYTES."""
+    """How many level-n points one stack holds under BATCH_BYTES of (p n) x (q n) pencil values."""
     return max(1, BATCH_BYTES // (16 * pencil.p * n * pencil.q * n))
 
 
@@ -411,9 +407,8 @@ class MonomialRow:
     def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         xs = point_stack(xs, self.d)
         count, n = xs.shape[0], xs.shape[-1]
-        root = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
-        words = walk_words(self.d, self.size, root, lambda prev, j: _seq_matmul(prev, xs[:, j - 1]))
-        return np.concatenate([xw for w, xw in words if len(w) == self.size], axis=2), np.zeros(count, dtype=bool)
+        top = np.concatenate([xws for k, (xws,) in walk_levels(self.d, self.size, _monomials(xs)) if k == self.size])
+        return top.transpose(1, 2, 0, 3).reshape(count, n, -1), np.zeros(count, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -428,8 +423,9 @@ class RemainderColumn:
         return self.base.d
 
     def _column(self, res: np.ndarray) -> np.ndarray:
-        rows = walk_words(self.d, self.size, None, self.base.row_step)
-        return np.concatenate([self.base.remainder_of_row(row, res) for w, row in rows if len(w) == self.size], axis=-2)
+        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
+        rows = np.concatenate([rows for k, (rows,) in levels if k == self.size])
+        return self.base.remainder_of_row(rows[:, 0], res)
 
     def eval(self, x: MatrixTuple) -> np.ndarray:
         return self._column(self.base.resolvent_term(x))

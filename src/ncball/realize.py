@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_words
+from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_levels, words_of_size
 from .mattuple import (
     MatrixTuple,
     _owned_array,
@@ -251,35 +251,33 @@ class Realization:
         xs = x.entries[None]
         return _only(*self._resolvent(xs, self._lam(xs)))
 
-    def row_step(self, row: np.ndarray | None, j: int) -> np.ndarray:
-        """The prefix row of w j from that of w: (B if w is empty else row D) L_j.
+    def row_step(self, rows: np.ndarray | None, j: int) -> np.ndarray:
+        """The prefix rows of the words w j from those of a stack of words w.
 
-        The empty word's row is None.  Prefix rows give the coefficients,
-        c_w = row_w C, and the remainder factors, g_w(X) = (row_w x I_n) R(X).
+        Each row is (B if w is empty else row_w D) L_j, the rows have shape
+        (P, 1, m q) and the empty word's rows are None.  Prefix rows give the
+        coefficients, c_w = row_w C, and the remainder factors, g_w(X) =
+        (row_w x I_n) R(X).
         """
-        head = self.B.reshape(1, -1) if row is None else row @ self.D
+        head = self.B.reshape(1, 1, -1) if rows is None else rows @ self.D
         return head @ self._letters[j - 1]
 
     def _prefix_row(self, word: Word) -> np.ndarray:
-        """B L_{w_1} D L_{w_2} D ... D L_{w_k}, a row of length m*q."""
-        return functools.reduce(self.row_step, word.letters, None)
+        """B L_{w_1} D L_{w_2} D ... D L_{w_k} for a nonempty word, a 1 x (m q) row."""
+        return functools.reduce(self.row_step, word.letters, None)[0]
 
-    def _coefficient(self, row: np.ndarray | None) -> complex:
-        """c_w = row_w C from the prefix row of w; c_empty = A."""
-        return self.A if row is None else complex((row @ self.C)[0])
-
-    def remainder_of_row(self, row: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """g_w(X) = (row_w x I_n) R from the prefix row and R = resolvent_term(X).
+    def remainder_of_row(self, rows: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """The column of g_w(X) = (row_w x I_n) R from prefix rows (K, m q) and R = resolvent_term(X).
 
         R may be a stack (B, m q n, n) from resolvent_batch; so is the result.
         """
-        return _kron_eye_matmul(row, res, res.shape[-1])
+        return _kron_eye_matmul(rows, res, res.shape[-1])
 
     def power_series_coefficient(self, word: Word) -> complex:
         """c_w with f = sum_w c_w Z^w; c_empty = A."""
         if word.d != self.d:
             raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
-        return self._coefficient(self._prefix_row(word))
+        return complex((self._prefix_row(word) @ self.C)[0]) if len(word) else self.A
 
     def remainder_factor(self, word: Word) -> "RemainderFactor":
         if word.d != self.d:
@@ -287,11 +285,6 @@ class Realization:
         if len(word) == 0:
             raise ValueError("remainder factors are indexed by nonempty words")
         return RemainderFactor(self, word)
-
-    def remainder_values(self, x: MatrixTuple, words) -> dict[Word, np.ndarray]:
-        """Evaluate many remainder factors at one point with a single solve."""
-        res = self.resolvent_term(x)
-        return {w: self.remainder_of_row(self._prefix_row(w), res) for w in words}
 
     def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
         """f_0(x), f_1(x), ...: one power iteration, one product per term.
@@ -379,16 +372,15 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
-    """sum_{|w|<n} c_w Z^w as an explicit polynomial (word-budgeted)."""
+    """sum_{|w|<n} c_w Z^w as an explicit polynomial (word-budgeted), in length-lex order."""
     total = sum(f.d**k for k in range(n))
     if total > WORD_BUDGET:
         raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
-    terms = {}
-    for word, row in walk_words(f.d, n - 1, None, f.row_step):
-        value = f._coefficient(row)
-        if value != 0:
-            terms[word] = value
-    return FreePolynomial(f.d, terms)
+    levels: list[list[complex]] = [[] for _ in range(n)]
+    for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
+        levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()
+    words = (word for k in range(n) for word in words_of_size(f.d, k))
+    return FreePolynomial(f.d, {w: c for w, c in zip(words, itertools.chain(*levels)) if c != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,30 @@ def test_reproduce_runs_are_identical(capsys):
     assert first == second
 
 
+def test_reproduce_rejects_fewer_than_one_sample(capsys):
+    for samples in ("0", "-2"):
+        code, out, err = run(capsys, "reproduce", "ex52", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"error: --samples must be >= 1, got {samples}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("subcommand", ["tt-check", "variety"])
+def test_bad_tolerances_exit_2_naming_the_flag(capsys, tmp_path, subcommand, tol):
+    if subcommand == "tt-check":
+        argv = ["tt-check", "--realization", "ex52", "--point", "0.5,0.5", "-N", "2"]
+    else:
+        spec = write_json(tmp_path / "parabola.json", variety_to_dict(parabola_cubic_pair()[0]))
+        argv = ["variety", "--variety", spec, "--point", "0.5,0.25"]
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "argument --tol: must be a finite number >= 0" in err
+    code, out, _ = run(capsys, *argv, "--tol=0")
+    assert code == 0 and json.loads(out)["tol"] == 0.0
 
 
 def test_usage_errors_exit_2(capsys):

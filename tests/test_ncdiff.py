@@ -23,7 +23,7 @@ from ncball.ncdiff import (
 )
 from ncball.opball import polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
-from ncball.realize import Realization, bidisk_witness, bidisk_witness_closed_form
+from ncball.realize import Realization, RemainderFactor, bidisk_witness, bidisk_witness_closed_form
 
 
 def mobius_one_variable():
@@ -291,8 +291,8 @@ def ref_tt_rhs(f, x, order):
         return rhs
     for k in range(order):
         rhs += f.homogeneous_value(x, k)
-    for word, tail in f.remainder_values(x, list(words_of_size(x.d, order))).items():
-        rhs += eval_word(x, word) @ tail
+    for word in words_of_size(x.d, order):
+        rhs += eval_word(x, word) @ RemainderFactor(f, word).eval(x)
     return rhs
 
 

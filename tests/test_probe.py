@@ -25,7 +25,7 @@ from ncball.probe import (
     regularity_factors,
     sample_in_ball,
 )
-from ncball.realize import bidisk_witness
+from ncball.realize import RemainderFactor, bidisk_witness
 
 BALL = polydisk(2)
 
@@ -259,8 +259,7 @@ def test_row_and_column_targets_stack_words_in_length_lex_order():
     for size in (1, 3):
         words = list(words_of_size(2, size))
         row = np.hstack([eval_word(x, w) for w in words])
-        tails = f.remainder_values(x, words)
-        col = np.vstack([tails[w] for w in words])
+        col = np.vstack([RemainderFactor(f, w).eval(x) for w in words])
         assert MonomialRow(2, size).eval(x).tobytes() == row.tobytes()
         assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
 

@@ -7,26 +7,31 @@ oracle expands the geometric series over polynomial-valued matrices
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, to_triples, walk_words, words_of_size
-from ncball.mattuple import MatrixTuple, direct_sum, eval_word, seq_matmul, seq_solve, similarity
+from ncball import freealg
+from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, to_triples, walk_levels, words_of_size
+from ncball.mattuple import MatrixTuple, _monomials, direct_sum, eval_word, seq_matmul, seq_solve, similarity
+from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, pencil_eval, polydisk, row_ball
-from ncball.probe import corner_path, sample_in_ball
+from ncball.probe import MonomialRow, RemainderColumn, corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
     IllConditionedError,
     Realization,
+    RemainderFactor,
     bidisk_witness,
     bidisk_witness_closed_form,
     realization_from_dict,
     realization_to_dict,
     taylor_polynomial,
 )
+from test_ncdiff import ref_tt_rhs
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -260,7 +265,7 @@ def test_witness_remainder_factors_scalar_formulas():
     for _ in range(25):
         x1, x2 = (complex(*pair) for pair in rng.uniform(-0.7, 0.7, (2, 2)))
         x = MatrixTuple.scalars((x1, x2))
-        values = f.remainder_values(x, [w1, w2])
+        values = {w: RemainderFactor(f, w).eval(x) for w in (w1, w2)}
         denom = x1 + x2 - 2.0
         assert abs(values[w1][0, 0] - (x2 - 1.0) / denom) < 1e-12
         assert abs(values[w2][0, 0] - (x1 - 1.0) / denom) < 1e-12
@@ -275,7 +280,9 @@ def test_remainder_factor_objects_agree_with_batch_values():
     g = f.remainder_factor(w)
     rng = np.random.default_rng(3)
     x = sample_in_ball(polydisk(2), 2, 0.4, rng)
-    np.testing.assert_allclose(g.eval(x), f.remainder_values(x, [w])[w], atol=1e-14)
+    assert bitwise_equal(g.eval(x), RemainderFactor(f, w).eval(x))
+    values, failed = g.eval_batch(x.entries[None])
+    assert bitwise_equal(values[0], g.eval(x)) and not failed.any()
     with pytest.raises(ValueError, match="nonempty"):
         f.remainder_factor(Word((), 2))
 
@@ -579,9 +586,9 @@ def test_block_evaluation_matches_the_kron_reference_bitwise(d, row, m, n, spars
     for k in range(4):
         assert bitwise_equal(f.homogeneous_value(x, k), ref_homogeneous_value(f, x, k))
     words = [w for k in (1, 2) for w in words_of_size(d, k)]
-    got, want = f.remainder_values(x, words), ref_remainder_values(f, x, words)
+    want = ref_remainder_values(f, x, words)
     for w in words:
-        assert bitwise_equal(got[w], want[w])
+        assert bitwise_equal(RemainderFactor(f, w).eval(x), want[w])
     assert bitwise_equal(f.remainder_factor(words[-1]).eval(x), want[words[-1]])
 
 
@@ -623,12 +630,11 @@ def test_level_cache_is_transparent_across_levels():
         assert bitwise_equal(f.eval(x), fresh.eval(x))
         assert bitwise_equal(f.homogeneous_value(x, 3), fresh.homogeneous_value(x, 3))
         assert bitwise_equal(f.cesaro_value(x, 5), fresh.cesaro_value(x, 5))
-        got, want = f.remainder_values(x, words), fresh.remainder_values(x, words)
-        assert all(bitwise_equal(got[w], want[w]) for w in words)
+        assert all(bitwise_equal(RemainderFactor(f, w).eval(x), RemainderFactor(fresh, w).eval(x)) for w in words)
 
 
 # ---------------------------------------------------------------------------
-# the prefix-sharing word walk
+# the level-synchronous word walk
 
 
 def ref_word_value(x, word):
@@ -645,26 +651,54 @@ def ref_prefix_row(f, word):
     return row
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_word_walk_matches_the_per_word_folds_bitwise(d, max_size, n, seed):
+def check_level_walk(d, size, n, seed):
+    """The walk's stacks of X^w and prefix rows, and every consumer, against the per-word folds."""
     rng = np.random.default_rng(seed)
     f = random_realization(rng, d=d, m=2)
     x = sample_in_ball(OperatorBall(f.pencil), n, 0.3, rng)
+    levels = list(walk_levels(d, size, _monomials(x.entries), (None, f.row_step)))
+    for k in range(size + 1):
+        chunks = [stacks for size_k, stacks in levels if size_k == k]
+        words = list(words_of_size(d, k))
+        xws = np.concatenate([xw for xw, _ in chunks])
+        assert len(xws) == len(words)
+        assert all(bitwise_equal(xw, eval_word(x, w)) for w, xw in zip(words, xws))
+        assert all(bitwise_equal(xw, ref_word_value(x, w)) for w, xw in zip(words, xws))
+        if k == 0:
+            assert [rows for _, rows in chunks] == [None]
+            continue
+        rows = np.concatenate([rows for _, rows in chunks])
+        assert all(bitwise_equal(row, f._prefix_row(w)) for w, row in zip(words, rows))
+        assert all(bitwise_equal(row, ref_prefix_row(f, w)) for w, row in zip(words, rows))
+    top = [stacks for size_k, stacks in levels if size_k == size]
+    taylor = taylor_polynomial(f, size + 1)
+    coefficients = {w: f.power_series_coefficient(w) for k in range(size + 1) for w in words_of_size(d, k)}
+    assert list(taylor.terms.items()) == [(w, c) for w, c in coefficients.items() if c != 0]
+    if size >= 1:
+        words = list(words_of_size(d, size))
+        assert MonomialRow(d, size).eval(x).tobytes() == np.hstack([eval_word(x, w) for w in words]).tobytes()
+        col = np.vstack([RemainderFactor(f, w).eval(x) for w in words])
+        assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
+        terms = {Word(tuple(rng.integers(1, d + 1, k)), d): complex(*rng.normal(size=2)) for k in range(size + 3) for _ in range(3)}
+        for g in (f, FreePolynomial(d, terms)):
+            assert tt_check(g, x, size).rhs.tobytes() == ref_tt_rhs(g, x, size).tobytes()
+    return len(top)
 
-    def step(pair, j):
-        return x.times_letter(pair[0], j), f.row_step(pair[1], j)
 
-    walked = list(walk_words(d, max_size, (np.eye(n, dtype=complex), None), step))
-    assert len(walked) == sum(d**k for k in range(max_size + 1))
-    for k in range(max_size + 1):
-        assert [w for w, _ in walked if len(w) == k] == list(words_of_size(d, k))
-    for word, (xw, row) in walked:
-        assert bitwise_equal(xw, ref_word_value(x, word))
-        assert bitwise_equal(eval_word(x, word), xw)
-        if len(word) == 0:
-            assert row is None
-        else:
-            assert bitwise_equal(row, ref_prefix_row(f, word))
-            assert bitwise_equal(f._prefix_row(word), row)
-            assert f.power_series_coefficient(word) == complex((row @ f.C)[0])
+walk_cases = (st.integers(1, 3), st.integers(0, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*walk_cases)
+def test_word_walk_matches_the_per_word_folds_bitwise(d, size, n, seed):
+    assert check_level_walk(d, size, n, seed) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(*walk_cases, st.floats(0.0, 1.0))
+def test_word_walk_chunks_keep_every_bit(d, size, n, seed, fraction):
+    # a byte bound below the top level: that level and maybe others come in chunks
+    level_bytes = d**size * 16 * (n * n + 2 * d)
+    with mock.patch.object(freealg, "BATCH_BYTES", 1 + int(fraction * (level_bytes - 2))):
+        chunks = check_level_walk(d, size, n, seed)
+    assert chunks > 1 or d**size == 1
