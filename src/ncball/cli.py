@@ -72,6 +72,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer >= 0, as np.random.default_rng needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_function_flags(p_probe, ball_default="polydisk:2")
     p_probe.add_argument("--level", type=int, default=1)
     p_probe.add_argument("--budget", type=int, default=2000)
-    p_probe.add_argument("--seed", type=int, default=0)
+    p_probe.add_argument("--seed", type=_seed, default=0)
     p_probe.add_argument("--margin", type=float, help="override the multistart margin schedule with one margin")
     p_probe.add_argument("--out", help="write the trajectory CSV here")
     p_probe.set_defaults(func=_cmd_probe)
@@ -351,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dich.add_argument("--ball", help="source ball shorthand")
     p_dich.add_argument("--target-ball", help="target ball shorthand (defaults to the source)")
     p_dich.add_argument("--samples", type=int, default=60)
-    p_dich.add_argument("--seed", type=int, default=0)
+    p_dich.add_argument("--seed", type=_seed, default=0)
     p_dich.set_defaults(func=_cmd_dichotomy)
 
     p_var = sub.add_parser("variety", help="variety membership of a point")
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="print a closed-form agreement table for a builtin")
     p_rep.add_argument("name", help="builtin name (ex52)")
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_seed, default=0)
     p_rep.add_argument("--samples", type=int, default=10)
     p_rep.set_defaults(func=_cmd_reproduce)
 

@@ -1,4 +1,4 @@
-"""Free words and sparse free noncommutative polynomials.
+"""Free words, sparse free noncommutative polynomials, and NCFunction, the evaluation protocol of every nc function.
 
 The variables z1, ..., zd do not commute: z1*z2 and z2*z1 are distinct
 monomials.  Words over the alphabet {1, ..., d} index the monomials and are
@@ -110,8 +110,49 @@ def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
             todo.extend((k + 1, tuple(kid[i : i + chunk] for kid in kids)) for i in reversed(range(0, count, chunk)))
 
 
+class NCFunction:
+    """An nc function of d variables, evaluated at level-n points (d-tuples of n x n matrices).
+
+    A subclass defines ``d`` and ``_values(xs) -> (values, errors)`` on a
+    validated (B, d, n, n) stack of points: values[i] is the value at point i
+    and ``errors`` maps the index of each failed sample to the error it met.
+    ``eval`` and ``eval_batch`` are written here once, and two rules hold:
+
+    - *Bitwise per sample.*  values[i] is bit for bit ``eval`` at point i, at
+      any batch size and next to any other points.
+    - *Per-sample failures.*  A sample whose evaluation fails (a tripped
+      resolvent guard, a zero pivot) is masked and its values are NaN; the
+      other samples keep their bits, and ``eval`` at that point alone raises
+      the error that sample met.
+    """
+
+    __slots__ = ()
+
+    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The values at each point of a (B, d, n, n) stack and the boolean mask of failed samples."""
+        from .mattuple import point_stack  # mattuple builds on this module
+
+        values, errors = self._values(point_stack(xs, self.d))
+        failed = np.zeros(len(values), dtype=bool)
+        failed[list(errors)] = True
+        return values, failed
+
+    def eval(self, x) -> np.ndarray:
+        """The value at a MatrixTuple x, as a matrix; raises the error met there."""
+        return self._at(x, self._values)
+
+    def _at(self, x, values) -> np.ndarray:
+        """values(stack) at the point x alone, after the d check: a batch of one."""
+        if x.d != self.d:
+            raise ValueError(f"{type(self).__name__} in d={self.d} variables evaluated at a {x.d}-tuple")
+        out, errors = values(x.entries[None])
+        if errors:
+            raise errors[0]
+        return out[0]
+
+
 @dataclass(frozen=True, slots=True)
-class FreePolynomial:
+class FreePolynomial(NCFunction):
     """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables.
 
     ``terms`` maps each word to its nonzero coefficient, as a read-only view.
@@ -150,27 +191,19 @@ class FreePolynomial:
     def sorted_terms(self) -> list[tuple[Word, complex]]:
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
-    def eval(self, x) -> np.ndarray:
-        """sum_w c_w x^w at a MatrixTuple x, as an n x n matrix."""
-        if self.d != x.d:
-            raise ValueError(f"polynomial in d={self.d} variables evaluated at a {x.d}-tuple")
-        return self.eval_batch(x.entries[None])[0][0]
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """sum_w c_w x^w at each point of a (B, d, n, n) stack: (values, failed).
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        """sum_w c_w x^w at each point of a stack; a polynomial never fails.
 
         Terms are added in sorted_terms() order, each monomial folded letter by
-        letter from I_n with the step of the word walk, so values[i] is bit for
-        bit eval at point i.  A polynomial never fails: the mask is all False.
+        letter from I_n with the step of the word walk.
         """
-        from .mattuple import _monomials, point_stack  # mattuple builds on this module
+        from .mattuple import _monomials  # mattuple builds on this module
 
-        xs = point_stack(xs, self.d)
         root, step = _monomials(xs)
         out = np.zeros(root.shape[1:], dtype=complex)
         for word, coeff in self.sorted_terms():
             out = out + coeff * functools.reduce(step, word.letters, root)[0]
-        return out, np.zeros(len(xs), dtype=bool)
+        return out, {}
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":

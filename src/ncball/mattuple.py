@@ -113,8 +113,9 @@ def point_stack(xs, d: int) -> np.ndarray:
 
 
 def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the one kernel of seq_matmul and seq_matmul_batch, for complex arrays
-    # a (..., m, k) and b (..., k, n) of one rank, already checked
+    # the one kernel of seq_matmul and of the stacked products: complex arrays
+    # a (..., m, k) and b (..., k, n), already checked, of one rank, so that
+    # numpy runs the same complex multiply loop whatever the batch size
     out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=complex)
     for k in range(a.shape[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]
@@ -134,20 +135,6 @@ def seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return _seq_matmul(a, b)
-
-
-def seq_matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """seq_matmul over a leading batch axis: slice i is seq_matmul(a[i], b[i]).
-
-    Both run one kernel.  The two factors of every rank-1 term have the same
-    rank, so numpy runs the same complex multiply loop whatever the batch
-    size, and each slice keeps the bits it has alone.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
     return _seq_matmul(a, b)
 
 

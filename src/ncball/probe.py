@@ -15,13 +15,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, left_divide, walk_levels
-from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, point_stack
+from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, left_divide, walk_levels
+from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms
 from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
 from .realize import Realization
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
-CLIMB_FLOOR = 1e-6
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-6
 REGULARITY_WORD_BUDGET = 10**4
@@ -393,50 +392,42 @@ def builtin_dichotomy_case(name: str):
 
 
 @dataclass(frozen=True)
-class MonomialRow:
+class MonomialRow(NCFunction):
     """The row [X^{w_1} ... X^{w_k}] over all words of one size, length-lex."""
 
     d: int
     size: int
 
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        if x.d != self.d:
-            raise ValueError(f"row of words over 1..{self.d} evaluated at a {x.d}-tuple")
-        return self.eval_batch(x.entries[None])[0][0]
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        xs = point_stack(xs, self.d)
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         count, n = xs.shape[0], xs.shape[-1]
         top = np.concatenate([xws for k, (xws,) in walk_levels(self.d, self.size, _monomials(xs)) if k == self.size])
-        return top.transpose(1, 2, 0, 3).reshape(count, n, -1), np.zeros(count, dtype=bool)
+        return top.transpose(1, 2, 0, 3).reshape(count, n, -1), {}
 
 
 @dataclass(frozen=True)
-class RemainderColumn:
+class RemainderColumn(NCFunction):
     """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
 
     base: Realization
     size: int
+    # the prefix rows of all words of the size, length-lex, walked once
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
+        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
 
     @property
     def d(self) -> int:
         return self.base.d
 
-    def _column(self, res: np.ndarray) -> np.ndarray:
-        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
-        rows = np.concatenate([rows for k, (rows,) in levels if k == self.size])
-        return self.base.remainder_of_row(rows[:, 0], res)
-
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        return self._column(self.base.resolvent_term(x))
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        res, failed = self.base.resolvent_batch(xs)
-        return self._column(res), failed
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        res, errors = self.base._resolvent(xs, self.base._lam(xs))
+        return self.base.remainder_of_row(self.rows, res), errors
 
 
 @dataclass(frozen=True)
-class QuotientColumn:
+class QuotientColumn(NCFunction):
     """col(f_w(X)) of left-division quotients of a polynomial with no low words."""
 
     p: FreePolynomial
@@ -451,12 +442,8 @@ class QuotientColumn:
     def d(self) -> int:
         return self.p.d
 
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        return self.eval_batch(x.entries[None])[0][0]
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        values = [q.eval_batch(xs)[0] for q in self.quotients]
-        return np.concatenate(values, axis=1), np.zeros(len(values[0]), dtype=bool)
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        return np.concatenate([q._values(xs)[0] for q in self.quotients], axis=1), {}
 
 
 @dataclass(frozen=True)

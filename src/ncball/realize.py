@@ -25,17 +25,16 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, WORD_BUDGET, Word, walk_levels, words_of_size
+from .freealg import BudgetExceededError, FreePolynomial, NCFunction, WORD_BUDGET, Word, walk_levels, words_of_size
 from .mattuple import (
     MatrixTuple,
     _owned_array,
+    _seq_matmul,
     _spectral_norm,
     complex_from_json,
     complex_to_json,
     json_size,
-    point_stack,
     seq_matmul,
-    seq_matmul_batch,
     seq_solve_batch,
 )
 from .opball import Pencil, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
@@ -88,21 +87,8 @@ def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(*lead, rows * n, b.shape[-1])
 
 
-def _failure_mask(count: int, errors: dict[int, Exception]) -> np.ndarray:
-    failed = np.zeros(count, dtype=bool)
-    failed[list(errors)] = True
-    return failed
-
-
-def _only(values: np.ndarray, errors: dict[int, Exception]) -> np.ndarray:
-    """The value of a batch of one, or the error that sample met on its own."""
-    if errors:
-        raise errors[0]
-    return values[0]
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class Realization:
+class Realization(NCFunction):
     """System data (A, B, C, D) over a pencil, evaluable at matrix tuples."""
 
     pencil: Pencil
@@ -218,38 +204,14 @@ class Realization:
         res, errors = self._resolvent(xs, lam)
         n = xs.shape[-1]
         head = _kron_eye_matmul(self.B.reshape(1, -1), lam, n)
-        return self.A * self._level(n).eye + seq_matmul_batch(head, res), errors
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """f at each point of a (B, d, n, n) stack: (values, failed).
-
-        values[i] is bit for bit eval at point i.  failed is a boolean mask of
-        the samples whose eval would raise (a tripped resolvent guard or a zero
-        pivot); their values are NaN and the other samples are unaffected.
-        """
-        values, errors = self._values(point_stack(xs, self.d))
-        return values, _failure_mask(len(values), errors)
-
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        if x.d != self.d:
-            raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
-        return _only(*self._values(x.entries[None]))
-
-    def resolvent_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """resolvent_term at each point of a (B, d, n, n) stack: (values, failed), as eval_batch."""
-        xs = point_stack(xs, self.d)
-        res, errors = self._resolvent(xs, self._lam(xs))
-        return res, _failure_mask(len(res), errors)
+        return self.A * self._level(n).eye + _seq_matmul(head, res), errors
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
 
         This right factor need not be bounded on the ball even when f is.
         """
-        if x.d != self.d:
-            raise ValueError(f"realization over d={self.d} evaluated at a {x.d}-tuple")
-        xs = x.entries[None]
-        return _only(*self._resolvent(xs, self._lam(xs)))
+        return self._at(x, lambda xs: self._resolvent(xs, self._lam(xs)))
 
     def row_step(self, rows: np.ndarray | None, j: int) -> np.ndarray:
         """The prefix rows of the words w j from those of a stack of words w.
@@ -269,7 +231,7 @@ class Realization:
     def remainder_of_row(self, rows: np.ndarray, res: np.ndarray) -> np.ndarray:
         """The column of g_w(X) = (row_w x I_n) R from prefix rows (K, m q) and R = resolvent_term(X).
 
-        R may be a stack (B, m q n, n) from resolvent_batch; so is the result.
+        R may be a stack (B, m q n, n) of resolvents; so is the result.
         """
         return _kron_eye_matmul(rows, res, res.shape[-1])
 
@@ -329,7 +291,7 @@ class Realization:
 
 
 @dataclass(frozen=True)
-class RemainderFactor:
+class RemainderFactor(NCFunction):
     """The right factor g_w in  f = sum_{|v|<N} c_v Z^v + sum_{|w|=N} Z^w g_w."""
 
     base: Realization
@@ -339,12 +301,9 @@ class RemainderFactor:
     def d(self) -> int:
         return self.base.d
 
-    def eval(self, x: MatrixTuple) -> np.ndarray:
-        return self.base.remainder_of_row(self.base._prefix_row(self.word), self.base.resolvent_term(x))
-
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        res, failed = self.base.resolvent_batch(xs)
-        return self.base.remainder_of_row(self.base._prefix_row(self.word), res), failed
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        res, errors = self.base._resolvent(xs, self.base._lam(xs))
+        return self.base.remainder_of_row(self.base._prefix_row(self.word), res), errors
 
 
 def bidisk_witness() -> Realization:

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import parse
-from ncball.mattuple import MatrixTuple, direct_sum, seq_matmul, seq_matmul_batch, seq_solve, seq_solve_batch
+from ncball.freealg import Word, parse
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_matmul, seq_solve, seq_solve_batch
 from ncball.opball import Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
-from ncball.probe import _sample_chunks, sample_in_ball
-from ncball.realize import IllConditionedError, Realization, _kron_eye_matmul, bidisk_witness
+from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, _sample_chunks, sample_in_ball
+from ncball.realize import IllConditionedError, Realization, RemainderFactor, _kron_eye_matmul, bidisk_witness
 
 
 def gaussian(rng, shape):
@@ -36,12 +36,24 @@ def points_inside(rng, ball, count, n, radius=0.9):
     return xs * (radius / ball.norms_at(xs)).astype(complex)[:, None, None, None]
 
 
+TARGETS = ["ex52", "contraction", "poly", "factor", "row", "column", "quotients"]
+
+
 def target(name, rng):
+    """(f, ball, (r, c)): an nc function whose value at a level-n point is (r n) x (c n)."""
     if name == "ex52":
-        return bidisk_witness(), polydisk(2)
+        return bidisk_witness(), polydisk(2), (1, 1)
     if name == "contraction":
-        return random_contraction(rng), row_ball(2)
-    return parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2)
+        return random_contraction(rng), row_ball(2), (1, 1)
+    if name == "poly":
+        return parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2), (1, 1)
+    if name == "factor":
+        return RemainderFactor(random_contraction(rng), Word((2, 1), 2)), row_ball(2), (1, 1)
+    if name == "row":
+        return MonomialRow(2, 2), polydisk(2), (1, 4)
+    if name == "column":
+        return RemainderColumn(random_contraction(rng), 2), row_ball(2), (4, 1)
+    return QuotientColumn(parse("z1*z2*z1 - 0.5*z2*z2 + (0.3+0.2i)*z2*z1*z2*z2", 2), 2), polydisk(2), (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +71,10 @@ def reference_seq_matmul(a, b):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1))
 @example(count=3, m=1, k=1, n=1, seed=0)
-def test_seq_matmul_batch_is_bitwise_per_slice(count, m, k, n, seed):
+def test_seq_matmul_kernel_is_bitwise_per_slice(count, m, k, n, seed):
     rng = np.random.default_rng(seed)
     a, b = gaussian(rng, (count, m, k)), gaussian(rng, (count, k, n))
-    out = seq_matmul_batch(a, b)
+    out = _seq_matmul(a, b)
     for i in range(count):
         assert out[i].tobytes() == seq_matmul(a[i], b[i]).tobytes()
         assert out[i].tobytes() == reference_seq_matmul(a[i], b[i]).tobytes()
@@ -146,16 +158,20 @@ def test_pencil_eval_batch_is_bitwise_per_slice(count, p, q, n, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["ex52", "contraction", "poly"]), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(TARGETS), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
 @example(name="ex52", count=3, n=1, seed=0)
 @example(name="contraction", count=3, n=1, seed=0)
 @example(name="poly", count=3, n=1, seed=0)
+@example(name="factor", count=3, n=1, seed=0)
+@example(name="row", count=3, n=1, seed=0)
+@example(name="column", count=3, n=1, seed=0)
+@example(name="quotients", count=3, n=1, seed=0)
 def test_eval_batch_is_bitwise_per_sample_eval(name, count, n, seed):
     rng = np.random.default_rng(seed)
-    f, ball = target(name, rng)
+    f, ball, (r, c) = target(name, rng)
     xs = points_inside(rng, ball, count, n)
     values, failed = f.eval_batch(xs)
-    assert values.shape == (count, n, n) and not failed.any()
+    assert values.shape == (count, r * n, c * n) and not failed.any()
     for i in range(count):
         assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
 
@@ -165,7 +181,7 @@ def test_eval_batch_is_bitwise_per_sample_eval(name, count, n, seed):
 @example(name="ex52", count=2, nx=1, ny=1, seed=0)
 def test_eval_batch_respects_direct_sums_exactly(name, count, nx, ny, seed):
     rng = np.random.default_rng(seed)
-    f, ball = target(name, rng)
+    f, ball, _ = target(name, rng)
     xs, ys = points_inside(rng, ball, count, nx), points_inside(rng, ball, count, ny)
     sums = np.stack([direct_sum(MatrixTuple(x), MatrixTuple(y)).entries for x, y in zip(xs, ys)])
     both, _ = f.eval_batch(sums)
@@ -178,17 +194,28 @@ def test_eval_batch_respects_direct_sums_exactly(name, count, nx, ny, seed):
 
 
 def test_a_tripped_guard_masks_only_its_own_sample():
-    # f(x) = x / (1 - x): the resolvent operand 1 - x is singular at x = 1
+    # f(x) = x / (1 - x): the resolvent operand 1 - x is singular at x = 1,
+    # for f and for the remainder factors that share its resolvent
     f = Realization(Pencil(np.ones((1, 1, 1))), 1, 0, [1], [1], [[1]])
     xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
-    values, failed = f.eval_batch(xs)
-    assert failed.tolist() == [False, True, False]
-    assert np.isnan(values[1]).all()
-    for i in (0, 2):
-        assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
-    with pytest.raises(IllConditionedError) as info:
-        f.eval(MatrixTuple(xs[1]))
-    assert info.value.cond == np.inf
+    for g in (f, RemainderFactor(f, Word((1,), 1)), RemainderColumn(f, 2)):
+        values, failed = g.eval_batch(xs)
+        assert failed.tolist() == [False, True, False]
+        assert np.isnan(values[1]).all()
+        for i in (0, 2):
+            assert values[i].tobytes() == g.eval(MatrixTuple(xs[i])).tobytes()
+        with pytest.raises(IllConditionedError) as info:
+            g.eval(MatrixTuple(xs[1]))
+        assert info.value.cond == np.inf
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_eval_at_a_point_of_the_wrong_d_raises_one_error(name):
+    f, _, _ = target(name, np.random.default_rng(0))
+    message = f"{type(f).__name__} in d=2 variables evaluated at a 3-tuple"
+    with pytest.raises(ValueError) as info:
+        f.eval(MatrixTuple.zeros(3, 2))
+    assert str(info.value) == message
 
 
 def test_eval_batch_rejects_bad_stacks():

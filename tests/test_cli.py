@@ -268,6 +268,19 @@ def test_bad_tolerances_exit_2_naming_the_flag(capsys, tmp_path, subcommand, tol
     assert code == 0 and json.loads(out)["tol"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["probe", "--realization", "ex52", "--budget", "10"], ["dichotomy", "--case", "half"], ["reproduce", "ex52"]],
+    ids=["probe", "dichotomy", "reproduce"],
+)
+def test_negative_seeds_exit_2_naming_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: must be an integer >= 0, got '-1'" in err
+    code, out, _ = run(capsys, *argv, "--seed", "0")
+    assert code == 0 and out != ""
+
+
 def test_usage_errors_exit_2(capsys):
     bad = [
         ["eval", "--poly", "z1 z2", "--point", "0.1,0.2"],  # juxtaposition

@@ -1,6 +1,9 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+private module-level function or class and every UPPER_CASE constant is read
+by some module of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncball"
@@ -31,3 +34,43 @@ def test_no_unused_module_imports():
     assert modules, f"no modules found under {PACKAGE}"
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert not {name: names for name, names in found.items() if names}
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """'module: name' for each module-level _private function or class, or
+    UPPER_CASE constant, of the given sources that none of them reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_].*", node.name):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names if name not in read]
+    return found
+
+
+def test_scan_finds_an_unread_definition():
+    sources = {
+        "a.py": "LIMIT = 1\nUNUSED = 2\ndef _helper():\n    return LIMIT\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _helper\nprint(_helper())\n",
+    }
+    assert unread_definitions(sources) == ["a.py: UNUSED", "a.py: _Gone"]
+
+
+def test_no_unread_private_definitions_or_constants():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_definitions(sources) == []
