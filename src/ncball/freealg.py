@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -18,8 +19,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 WORD_BUDGET = 10**6
-# stacks stepped or evaluated together take at most this many bytes: larger
-# levels of the word walk, and the probe's point pools, come out in chunks
+# stacks stepped or evaluated together take at most this many bytes: larger walk
+# levels, the probe's point pools and its target's values come out in chunks
 BATCH_BYTES = 64 * 1024
 
 
@@ -76,12 +77,11 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, d: int) -> "Word":
+        """The word of a to_string form: ASCII digits, dash-separated numbers, or empty for the unit."""
         text = text.strip()
-        if not text:
-            return cls((), d)
-        if "-" in text:
-            return cls(tuple(int(part) for part in text.split("-")), d)
-        return cls(tuple(int(ch) for ch in text), d)
+        if not re.fullmatch(r"([0-9]+(-[0-9]+)*)?", text):
+            raise ValueError(f"word {text!r} is not a string of digits 0-9 or of dash-separated numbers")
+        return cls(tuple(int(part) for part in (text.split("-") if "-" in text else text)), d)
 
 
 def words_of_size(d: int, k: int) -> Iterator[Word]:
@@ -151,6 +151,36 @@ class NCFunction:
         return out[0]
 
 
+def _add_term(terms: dict, word, coeff: complex) -> dict:
+    """terms[word] += coeff, as FreePolynomial keeps its terms; returns terms.
+
+    A new word gets 0j + coeff, which turns -0.0 into +0.0; a word whose sum
+    is exactly zero is dropped, and goes to the end if it comes back."""
+    total = terms.get(word, 0j) + coeff
+    if total != 0:
+        terms[word] = total
+    else:
+        terms.pop(word, None)
+    return terms
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The product of two term maps keyed by letter tuples.
+
+    Each word sums its products from 0j in (left, right) order and keeps the
+    place of its first product; the exact zeros are dropped at the end."""
+    out: dict[tuple[int, ...], complex] = {}
+    for u, a in left.items():
+        for v, b in right.items():
+            out[u + v] = out.get(u + v, 0j) + a * b
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _negated(terms: dict) -> dict:
+    """-terms as 0j + -c: 0j - c would keep the sign bit of a NaN coefficient."""
+    return {w: 0j + -c for w, c in terms.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class FreePolynomial(NCFunction):
     """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables.
@@ -170,11 +200,7 @@ class FreePolynomial(NCFunction):
             word = key if isinstance(key, Word) else Word(tuple(key), d)
             if word.d != d:
                 raise ValueError(f"word over alphabet 1..{word.d} in a polynomial with d={d}")
-            coeff = complex(value)
-            if coeff != 0:
-                clean[word] = clean.get(word, 0j) + coeff
-                if clean[word] == 0:
-                    del clean[word]
+            _add_term(clean, word, complex(value))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
@@ -241,17 +267,13 @@ class FreePolynomial(NCFunction):
         return self + (-other)
 
     def __neg__(self):
-        return FreePolynomial(self.d, {w: -c for w, c in self.terms.items()})
+        return FreePolynomial(self.d, _negated(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, FreePolynomial):
             self._require_same_d(other)
-            out: dict[Word, complex] = {}
-            for u, a in self.terms.items():
-                for v, b in other.terms.items():
-                    key = u * v
-                    out[key] = out.get(key, 0j) + a * b
-            return FreePolynomial(self.d, out)
+            left, right = ({w.letters: c for w, c in p.terms.items()} for p in (self, other))
+            return FreePolynomial(self.d, _product(left, right))
         if isinstance(other, (int, float, complex)):
             return FreePolynomial(self.d, {w: c * other for w, c in self.terms.items()})
         return NotImplemented
@@ -364,67 +386,36 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
 # parsing and formatting
 
 
+_TOKEN = re.compile(
+    r"(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?)|(?P<var>z[0-9]*)|(?P<op>[-+*^()i])|(?P<bad>\S)"
+)
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
+    """(kind, value, position, lexeme) tokens, whitespace skipped, then ("end", None, len(text), "").
+
+    Digits are ASCII only.  A number has at most one decimal point, an
+    optional exponent as repr() of a float writes it, and an optional 'i'
+    suffix that makes it an "imag" token.
+    """
     tokens = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i, ch))
-            i += 1
-            continue
-        if ch == "i":
-            tokens.append(("imag", 1.0, i, "i"))
-            i += 1
-            continue
-        if ch == "z":
-            start = i
-            i += 1
-            digits = ""
-            while i < size and text[i].isdigit():
-                digits += text[i]
-                i += 1
-            if not digits:
-                raise PolyParseError("variable name must be z followed by an index", start)
-            tokens.append(("var", int(digits), start, text[start:i]))
-            continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            seen_dot = False
-            while i < size and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    seen_dot = True
-                i += 1
-            lexeme = text[start:i]
-            if lexeme == ".":
-                raise PolyParseError("malformed number", start)
-            # optional exponent part, as produced by repr() of a float
-            if i < size and text[i] in "eE":
-                j = i + 1
-                if j < size and text[j] in "+-":
-                    j += 1
-                if j < size and text[j].isdigit():
-                    while j < size and text[j].isdigit():
-                        j += 1
-                    lexeme = text[start:j]
-                    i = j
-            if i < size and text[i] == "i":
-                i += 1
-                tokens.append(("imag", float(lexeme), start, lexeme + "i"))
-            else:
-                tokens.append(("number", float(lexeme), start, lexeme))
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, size, ""))
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, at = match.lastgroup, match.group(), match.start()
+        if kind == "number":
+            tokens.append(("imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i")), at, lexeme))
+        elif kind == "var" and lexeme != "z":
+            tokens.append(("var", int(lexeme[1:]), at, lexeme))
+        elif kind == "op":
+            tokens.append(("imag", 1.0, at, lexeme) if lexeme == "i" else (lexeme, lexeme, at, lexeme))
+        else:  # a bare 'z', a lone '.', or any other character
+            errors = {"z": "variable name must be z followed by an index", ".": "malformed number"}
+            raise PolyParseError(errors.get(lexeme, f"unexpected character {lexeme!r}"), at)
+    tokens.append(("end", None, len(text), ""))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the token stream.
+    """Recursive descent over the token stream, on {letters: coefficient} term maps.
 
     Grammar (the product sign is mandatory, juxtaposition is an error):
 
@@ -432,81 +423,69 @@ class _Parser:
         term    := factor ('*' factor)*
         factor  := ('+' | '-')* primary ('^' exponent)*
         primary := number | number 'i' | 'i' | variable | '(' expr ')'
+
+    Sums go through _add_term, products through _product (base^k is k of them
+    from 1), signs through _negated: a parse has the bits and term order of the
+    same expression folded with FreePolynomial's +, -, * and **.
     """
 
     def __init__(self, tokens, d: int):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = tokens[::-1]  # the next token is last, so pop() takes it
         self.d = d
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def pop(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def peek(self) -> str:
+        return self.tokens[-1][0]
 
     def parse(self) -> FreePolynomial:
-        poly = self.expr()
-        kind, _, position, lexeme = self.peek()
+        terms = self.expr()
+        kind, _, position, lexeme = self.tokens.pop()
         if kind != "end":
             raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        return poly
-
-    def expr(self) -> FreePolynomial:
-        # one dict for the whole sum; a word whose sum becomes exactly zero is
-        # dropped and goes to the end if it comes back, as with repeated '+'
-        terms = dict(self.term().terms)
-        while self.peek()[0] in ("+", "-"):
-            op = self.pop()[0]
-            rhs = self.term() if op == "+" else -self.term()
-            for word, coeff in rhs.terms.items():
-                total = terms.get(word, 0j) + coeff
-                if total != 0:
-                    terms[word] = total
-                else:
-                    del terms[word]
         return FreePolynomial(self.d, terms)
 
-    def term(self) -> FreePolynomial:
-        poly = self.factor()
-        while self.peek()[0] == "*":
-            self.pop()
-            poly = poly * self.factor()
-        return poly
+    def expr(self) -> dict:
+        terms = self.term()
+        while self.peek() in ("+", "-"):
+            rhs = self.term() if self.tokens.pop()[0] == "+" else _negated(self.term())
+            for word, coeff in rhs.items():
+                _add_term(terms, word, coeff)
+        return terms
 
-    def factor(self) -> FreePolynomial:
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.pop()[0] == "-":
-                sign = -sign
-        poly = self.primary()
-        while self.peek()[0] == "^":
-            self.pop()
-            poly = poly ** self.exponent()
-        return poly if sign > 0 else -poly
+    def term(self) -> dict:
+        terms = self.factor()
+        while self.peek() == "*":
+            self.tokens.pop()
+            terms = _product(terms, self.factor())
+        return terms
 
-    def primary(self) -> FreePolynomial:
-        kind, value, position, lexeme = self.pop()
-        if kind == "number":
-            return FreePolynomial.constant(self.d, value)
-        if kind == "imag":
-            return FreePolynomial.constant(self.d, value * 1j)
+    def factor(self) -> dict:
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.tokens.pop()[0] == "-"
+        terms = self.primary()
+        while self.peek() == "^":
+            self.tokens.pop()
+            terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
+        return _negated(terms) if negate else terms
+
+    def primary(self) -> dict:
+        kind, value, position, lexeme = self.tokens.pop()
+        if kind in ("number", "imag"):
+            return _add_term({}, (), complex(value if kind == "number" else value * 1j))
         if kind == "var":
             if not 1 <= value <= self.d:
                 raise PolyParseError(f"variable z{value} outside z1..z{self.d}", position)
-            return FreePolynomial.generator(self.d, value)
+            return {(value,): 1 + 0j}
         if kind == "(":
-            poly = self.expr()
-            closer = self.pop()
+            terms = self.expr()
+            closer = self.tokens.pop()
             if closer[0] != ")":
                 raise PolyParseError("expected ')'", closer[2])
-            return poly
+            return terms
         raise PolyParseError(f"expected a number, variable, or '(' but found {lexeme or 'end of input'!r}", position)
 
     def exponent(self) -> int:
-        kind, value, position, lexeme = self.pop()
+        kind, value, position, lexeme = self.tokens.pop()
         if kind == "-":
             raise PolyParseError("negative exponent", position)
         if kind != "number" or not lexeme.isdigit():

@@ -157,10 +157,11 @@ def estimate_sup(
     membership verdict; only a candidate rescaled toward the boundary is
     measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
 
-    ``f`` is evaluated through ``f.eval_batch`` on stacks of points; since
-    every sample keeps its bits in any stack, and the climb records only the
-    candidates it would have tried one at a time, the report is the same
-    as that of a search evaluating one point at a time.
+    ``f`` is evaluated through ``f.eval_batch`` on stacks of points, in parts
+    whose values fit BATCH_BYTES; since every sample keeps its bits in any
+    stack, and the climb records only the candidates it would have tried one
+    at a time, the report is the same as that of a search evaluating one
+    point at a time.
 
     Passing ``margins`` replaces the multistart margin schedule.
     """
@@ -177,13 +178,20 @@ def estimate_sup(
         seed=seed,
     )
 
+    part_size = 1  # points whose values fit BATCH_BYTES, learned from the first evaluation
+
     def evaluate(xs: np.ndarray) -> list[float | None]:
-        """||f(X)|| at each point of a stack; None where the evaluation failed."""
-        values, failed = f.eval_batch(xs)
-        norms = np.zeros(len(xs))
-        if not failed.all():
-            norms[~failed] = _spectral_norms(values[~failed])
-        return [None if bad else float(norm) for bad, norm in zip(failed, norms)]
+        """||f(X)|| at each point of a stack, evaluated part by part; None where it failed."""
+        nonlocal part_size
+        out = []
+        while len(out) < len(xs):
+            values, failed = f.eval_batch(xs[len(out) : len(out) + part_size])
+            norms = np.zeros(len(values))
+            if not failed.all():
+                norms[~failed] = _spectral_norms(values[~failed])
+            out += [None if bad else float(norm) for bad, norm in zip(failed, norms)]
+            part_size = max(1, BATCH_BYTES // values[0].nbytes)
+        return out
 
     def record(x: np.ndarray, label: str, distance: float, value: float | None) -> None:
         if value is None:

@@ -80,6 +80,12 @@ def test_coeff_empty_word_is_the_constant_term(capsys):
     assert json.loads(out)["re"] == 0.0
 
 
+def test_coeff_rejects_a_word_that_is_not_digits(capsys):
+    code, out, err = run(capsys, "coeff", "--realization", "ex52", "--word", "1x")
+    assert code == 2 and out == ""
+    assert "'1x'" in err and "invalid literal" not in err
+
+
 def test_delta_along_the_corner_path(capsys):
     code, out, _ = run(capsys, "delta", "--realization", "ex52",
                        "--point", "0.99+0.1i,0.99-0.1i", "--direction", "e1")

@@ -1,6 +1,9 @@
 """Words, free polynomials, parsing, Cesaro weights, left division."""
 
+import functools
+import operator
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from ncball.freealg import (
     FreePolynomial,
     PolyParseError,
     Word,
+    _tokenize,
     cesaro_sum,
     compose,
     format_poly,
@@ -85,6 +89,13 @@ def test_word_string_round_trip():
     wide = Word((1, 11, 3), 11)
     assert wide.to_string() == "1-11-3"
     assert Word.from_string("1-11-3", 11) == wide
+
+
+def test_word_strings_take_ascii_digits_and_dashes_only():
+    with pytest.raises(ValueError, match="'1x'"):
+        Word.from_string("1x", 2)
+    with pytest.raises(ValueError, match="'١٢'"):  # Arabic-Indic digits, once read as 12
+        Word.from_string("١٢", 2)
 
 
 def test_words_of_size_is_length_lex():
@@ -242,14 +253,93 @@ def test_parse_error_positions():
     assert err is not None and err.position == 3
 
 
+def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
+    with pytest.raises(PolyParseError, match=r"unexpected character '²' \(at position 2\)"):
+        parse("z1²", 2)
+    with pytest.raises(PolyParseError, match=r"z followed by an index \(at position 0\)"):
+        parse("z١", 2)  # an Arabic-Indic digit, once read as z1
+
+
+def test_tokenize_table():
+    # text -> its tokens before ("end", None, len(text), ""), or (error, position)
+    table = {
+        "1e-3i": [("imag", 1e-3, 0, "1e-3i")],
+        "2.5E+2": [("number", 250.0, 0, "2.5E+2")],
+        "3.": [("number", 3.0, 0, "3.")],
+        ".25": [("number", 0.25, 0, ".25")],
+        "1.2.3": [("number", 1.2, 0, "1.2"), ("number", 0.3, 3, ".3")],
+        " z12^2 -\ti": [("var", 12, 1, "z12"), ("^", "^", 4, "^"), ("number", 2.0, 5, "2"), ("-", "-", 7, "-"),
+                        ("imag", 1.0, 9, "i")],
+        "(2i)*z1": [("(", "(", 0, "("), ("imag", 2.0, 1, "2i"), (")", ")", 3, ")"), ("*", "*", 4, "*"),
+                    ("var", 1, 5, "z1")],
+        "": [],
+        ".": ("malformed number", 0),
+        "1e": ("unexpected character 'e'", 1),
+        "z": ("variable name must be z followed by an index", 0),
+        "#": ("unexpected character '#'", 0),
+        "z1 + .e5": ("malformed number", 5),
+    }
+    for text, want in table.items():
+        if isinstance(want, list):
+            assert _tokenize(text) == [*want, ("end", None, len(text), "")], text
+            continue
+        with pytest.raises(PolyParseError) as info:
+            _tokenize(text)
+        assert (str(info.value), info.value.position) == (f"{want[0]} (at position {want[1]})", want[1]), text
+
+
 def test_parse_rejects_juxtaposed_number_and_variable():
     with pytest.raises(PolyParseError, match="operator is required"):
         parse("2z1", 2)
 
 
+def bits(c):
+    """The exact bits of a complex number, NaN signs included."""
+    return struct.pack("<dd", c.real, c.imag).hex()
+
+
 def coefficient_bits(p):
     """The terms in dict order, with the exact bits of each coefficient."""
-    return [(w.letters, repr(c.real), repr(c.imag)) for w, c in p.terms.items()]
+    return [(w.letters, bits(c)) for w, c in p.terms.items()]
+
+
+def constant(c):
+    return FreePolynomial.constant(2, c)
+
+
+# atoms of the folded reference below, each built without the parser
+FOLD_ATOMS = {
+    "z1": z(1),
+    "z2": z(2),
+    "1": constant(1.0),
+    "-1": -constant(1.0),
+    "0.5": constant(0.5),
+    "2i": constant(2.0 * 1j),
+    "0": constant(0.0),
+    "0.0": constant(0.0),
+    "1e400": constant(float("inf")),
+    "(1-0i)": constant(1.0) - constant(0.0 * 1j),
+    "(1+0i)": constant(1.0) + constant(0.0 * 1j),
+    "(0.25+0.5i)": constant(0.25) + constant(0.5 * 1j),
+    "(-0.25-0.5i)": -constant(0.25) - constant(0.5 * 1j),
+}
+
+
+def folded(factors):
+    """(text, reference) of a product of factors (negated, summands, exponent or None).
+
+    A factor is '-'? then an atom or a parenthesised sum of atoms, then ^k;
+    the reference folds the atoms with FreePolynomial's +, **, - and *.
+    """
+    texts, refs = [], []
+    for negated, summands, exponent in factors:
+        base = summands[0] if len(summands) == 1 else f"({' + '.join(summands)})"
+        ref = functools.reduce(operator.add, (FOLD_ATOMS[a] for a in summands))
+        if exponent is not None:
+            base, ref = f"{base}^{exponent}", ref**exponent
+        texts.append(f"-{base}" if negated else base)
+        refs.append(-ref if negated else ref)
+    return "*".join(texts), functools.reduce(operator.mul, refs)
 
 
 def test_parse_sums_match_repeated_addition_bitwise():
@@ -273,6 +363,41 @@ def test_parse_sums_match_repeated_addition_bitwise():
             want = want + parse(term, 2) if sign == "+" else want - parse(term, 2)
         text = first + "".join(f" {sign} {term}" for sign, term in rest)
         assert coefficient_bits(parse(text, 2)) == coefficient_bits(want)
+
+    # products, powers and signs: every term folded from atoms, never parsed
+    terms = [
+        [(False, ("(1-0i)",), None), (False, ("z1",), 2)],
+        [(True, ("0.0",), None), (False, ("z2",), None)],  # -0.0*z2
+        [(False, ("0",), None), (True, ("z1",), None)],
+        [(False, ("z1", "(1-0i)", "z2"), 2)],
+        [(True, ("z2", "(0.25+0.5i)"), 0), (False, ("z1",), None)],
+        [(True, ("1e400", "z1"), 2), (False, ("(-0.25-0.5i)",), None)],  # inf and NaN coefficients
+        # z1*z1 sums 1, then -1 (zero), then -0.5: it keeps the place of its first product
+        [(False, ("z1", "0.5"), None), (False, ("z1", "-1"), None), (False, ("1", "z1"), 2)],
+    ]
+    for _ in range(60):
+        terms.append([
+            (rng.random() < 0.3, tuple(rng.choices(list(FOLD_ATOMS), k=rng.choice((1, 1, 2, 3)))),
+             rng.choice((None, None, 0, 1, 2, 3)))
+            for _ in range(rng.randint(1, 3))
+        ])
+    for start in range(0, len(terms), 3):
+        signs = [rng.choice("+-") for _ in terms[start : start + 3]]
+        parts = [folded(term) for term in terms[start : start + 3]]
+        text, want = parts[0]
+        for sign, (term_text, term) in zip(signs[1:], parts[1:]):
+            text, want = f"{text} {sign} {term_text}", want + term if sign == "+" else want - term
+        assert coefficient_bits(parse(text, 2)) == coefficient_bits(want), text
+        assert coefficient_bits(parse(f"-({parts[0][0]})", 2)) == coefficient_bits(-parts[0][1])
+
+    # the parser shares its product and negation with FreePolynomial, so pin
+    # their rules on their own: a word keeps the place of its first product
+    # through a zero partial sum, and -c is 0j + -c (not 0j - c, which keeps
+    # the sign bit of a NaN)
+    p = parse("(z1 + 0.5)*(z1 + -1)*(1 + z1)^2", 2)
+    assert [w.letters for w in p.terms] == [(1, 1), (1, 1, 1), (1, 1, 1, 1), (1,), ()]
+    square = parse("(1e400 + z1)^2", 2).terms  # NaN coefficients
+    assert coefficient_bits(parse("-(1e400 + z1)^2", 2)) == [(w.letters, bits(0j + -c)) for w, c in square.items()]
 
 
 def test_format_examples():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import BudgetExceededError, FreePolynomial, parse, words_of_size
+from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, parse, words_of_size
 from ncball.mattuple import MatrixTuple, eval_word
 from ncball.ncdiff import delta_first
 from ncball.opball import membership, polydisk, row_ball
@@ -262,6 +262,22 @@ def test_row_and_column_targets_stack_words_in_length_lex_order():
         col = np.vstack([RemainderFactor(f, w).eval(x) for w in words])
         assert MonomialRow(2, size).eval(x).tobytes() == row.tobytes()
         assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
+
+
+def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
+    nbytes = []
+
+    class SpyRow(MonomialRow):
+        def eval_batch(self, xs):
+            values, failed = super().eval_batch(xs)
+            nbytes.append(values.nbytes)
+            return values, failed
+
+    # a level-1 value of the size-9 row holds 2^9 entries (8 KiB), so the
+    # 50-point multistart stack (400 KiB) must be evaluated in parts
+    report = estimate_sup(SpyRow(2, 9), BALL, 1, 100, 0)
+    assert report.evaluations + report.failures == 100
+    assert max(nbytes) <= BATCH_BYTES
 
 
 def test_regularity_validation():
