@@ -116,6 +116,8 @@ class NCFunction:
     A subclass defines ``d`` and ``_values(xs) -> (values, errors)`` on a
     validated (B, d, n, n) stack of points: values[i] is the value at point i
     and ``errors`` maps the index of each failed sample to the error it met.
+    A subclass with a pencil also defines ``pencil`` and takes the validated
+    norms of ``eval_batch`` as ``_values(xs, pencil_norms)``.
     ``eval`` and ``eval_batch`` are written here once, and two rules hold:
 
     - *Bitwise per sample.*  values[i] is bit for bit ``eval`` at point i, at
@@ -128,11 +130,28 @@ class NCFunction:
 
     __slots__ = ()
 
-    def eval_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """The values at each point of a (B, d, n, n) stack and the boolean mask of failed samples."""
+    def eval_batch(self, xs, *, pencil_norms=None) -> tuple[np.ndarray, np.ndarray]:
+        """The values at each point of a (B, d, n, n) stack and the boolean mask of failed samples.
+
+        ``pencil_norms``, for a function with a pencil Q, is the exact ||Q(X)||
+        of each point for the function's own pencil, as the ball of Q measures
+        it (``OperatorBall.norms_at``).  A resolvent guard may take it as a
+        certificate in place of a condition number; no value or failure changes.
+        """
         from .mattuple import point_stack  # mattuple builds on this module
 
-        values, errors = self._values(point_stack(xs, self.d))
+        stack = point_stack(xs, self.d)
+        if pencil_norms is None:
+            values, errors = self._values(stack)
+        else:
+            if getattr(self, "pencil", None) is None:
+                raise TypeError(f"{type(self).__name__} has no pencil for pencil_norms to measure")
+            norms = np.asarray(pencil_norms, dtype=float)
+            if norms.shape != (len(stack),):
+                raise ValueError(f"pencil_norms of shape {norms.shape} for a stack of {len(stack)} points")
+            if not (np.isfinite(norms) & (norms >= 0.0)).all():
+                raise ValueError("pencil_norms must be finite and >= 0")
+            values, errors = self._values(stack, norms)
         failed = np.zeros(len(values), dtype=bool)
         failed[list(errors)] = True
         return values, failed

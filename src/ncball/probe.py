@@ -153,9 +153,12 @@ def estimate_sup(
     real or imaginary entry at a time with rescale-to-membership projection
     and step halving from 0.1 down to 1e-6.  Evaluation failures are counted
     and skipped.  The report is reproducible bit for bit from (seed, budget).
-    The pencil norm of a climb candidate is taken once and also gives its
-    membership verdict; only a candidate rescaled toward the boundary is
+    The pencil norm of each point is taken once per stack and gives its
+    boundary distance; only a climb candidate rescaled toward the boundary is
     measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
+    Where f has the ball's pencil, the same norms go to ``f.eval_batch`` as
+    ``pencil_norms``, so its resolvent guard needs no condition number where
+    the norm certifies it.
 
     ``f`` is evaluated through ``f.eval_batch`` on stacks of points, in parts
     whose values fit BATCH_BYTES; since every sample keeps its bits in any
@@ -179,13 +182,16 @@ def estimate_sup(
     )
 
     part_size = 1  # points whose values fit BATCH_BYTES, learned from the first evaluation
+    # the ball's norms are the target's own pencil norms: its resolvent guard may use them
+    certify = getattr(f, "pencil", None) == ball.pencil
 
-    def evaluate(xs: np.ndarray) -> list[float | None]:
-        """||f(X)|| at each point of a stack, evaluated part by part; None where it failed."""
+    def evaluate(xs: np.ndarray, s: np.ndarray) -> list[float | None]:
+        """||f(X)|| at each point of a stack of pencil norms s, part by part; None where it failed."""
         nonlocal part_size
         out = []
         while len(out) < len(xs):
-            values, failed = f.eval_batch(xs[len(out) : len(out) + part_size])
+            part = slice(len(out), len(out) + part_size)
+            values, failed = f.eval_batch(xs[part], pencil_norms=s[part]) if certify else f.eval_batch(xs[part])
             norms = np.zeros(len(values))
             if not failed.all():
                 norms[~failed] = _spectral_norms(values[~failed])
@@ -203,9 +209,6 @@ def estimate_sup(
             report.best_value = value
             report.argmax = MatrixTuple(x)
 
-    def distances(xs: np.ndarray) -> list[float]:
-        return [BallMembership.from_norm(float(s)).distance for s in ball.norms_at(xs)]
-
     # multistart phase: the corner-path pool, then sample i drawn from seed + i
     n_samples = max(budget // 2, 1)
     injected: list[tuple[np.ndarray, str]] = []
@@ -219,7 +222,9 @@ def estimate_sup(
     labels = iter([label for _, label in injected] + [f"m{margin:g}" for _, margin in draws])
     head = [np.stack([x for x, _ in injected])] if injected else []
     for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
-        for x, label, distance, value in zip(xs, itertools.islice(labels, len(xs)), distances(xs), evaluate(xs)):
+        s = ball.norms_at(xs)
+        for x, label, norm, value in zip(xs, itertools.islice(labels, len(xs)), s, evaluate(xs, s)):
+            distance = BallMembership.from_norm(float(norm)).distance
             record(x, label, distance, value)
             if value is not None:
                 bin_key = _nearest_margin(distance)
@@ -251,7 +256,7 @@ def estimate_sup(
                 # |c| s is not bitwise ||Q(cX)||: measure rescaled points afresh
                 xs[out] *= (BOUNDARY_THRESHOLD / s[out]).astype(complex)[:, None, None, None]
                 s[out] = ball.norms_at(xs[out])
-            for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs))):
+            for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs, s))):
                 record(xs[i], f"climb:{step:g}", BallMembership.from_norm(float(s[i])).distance, value)
                 remaining -= 1
                 if value is not None and value > current_value:
@@ -429,8 +434,12 @@ class RemainderColumn(NCFunction):
     def d(self) -> int:
         return self.base.d
 
-    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        res, errors = self.base._resolvent(xs, self.base._lam(xs))
+    @property
+    def pencil(self) -> Pencil:
+        return self.base.pencil
+
+    def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
+        res, errors = self.base._resolvent(xs, self.base._lam(xs), pencil_norms)
         return self.base.remainder_of_row(self.rows, res), errors
 
 

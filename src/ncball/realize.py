@@ -42,13 +42,18 @@ from .opball import Pencil, pencil_eval_batch, pencil_from_dict, pencil_to_dict,
 CONTRACTION_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
 RESOLVENT_COND_LIMIT = 1e12
+# the bound cond(T) <= (1 + delta)/(1 - delta), delta = ||D|| ||Q(X)||, is at
+# most 1e9 exactly when delta <= this: three orders of magnitude below the limit
+_CERTIFIED_DELTA = (1e9 - 1.0) / (1e9 + 1.0)
 
 
 class IllConditionedError(RuntimeError):
-    """The resolvent operand is numerically singular; carries ``cond``."""
+    """The resolvent operand is numerically singular; carries its condition number ``cond``."""
 
     def __init__(self, cond: float):
-        super().__init__(f"resolvent condition estimate {cond:.3e} exceeds {RESOLVENT_COND_LIMIT:.0e}")
+        super().__init__(
+            f"resolvent operand 1 - (D x I_n) L(X) has 2-norm condition number {cond:.3e}, above {RESOLVENT_COND_LIMIT:.0e}"
+        )
         self.cond = cond
 
 
@@ -101,6 +106,7 @@ class Realization(NCFunction):
     # L_j = I_m x Q_j, built once; the level-n operands, built on first use
     _letters: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _levels: dict[int, _LevelOperands] = field(init=False, repr=False)
+    _d_norm: float = field(init=False, repr=False)  # ||D||, for the resolvent certificate
 
     def __post_init__(self):
         m, pencil = self.m, self.pencil
@@ -124,7 +130,7 @@ class Realization(NCFunction):
             raise ValueError(f"||D|| = {d_norm:.17g} exceeds 1; the series would not converge on the ball")
         eye_m = np.eye(m)
         letters = tuple(_read_only(np.kron(eye_m, q_j)) for q_j in pencil.coefficients)
-        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": letters, "_levels": {}}
+        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": letters, "_levels": {}, "_d_norm": d_norm}
         for name, value in owned.items():
             object.__setattr__(self, name, value)
         if self.mode == "isometry":
@@ -174,18 +180,31 @@ class Realization(NCFunction):
             lam[:, i * p : (i + 1) * p, i * q : (i + 1) * q] = qx
         return lam
 
-    def _resolvent(self, xs: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Solve [1 - (D x I_n) L(X)] R = C x I_n per sample, with a conditioning guard.
+    def _resolvent(self, xs: np.ndarray, lam: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Solve T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
 
         Returns the stack of R and, by sample index, the error each failed
-        sample would raise alone: IllConditionedError where the exact
-        condition number trips the guard (that sample is not solved), or
+        sample would raise alone: IllConditionedError where the exact 2-norm
+        condition number of T trips the guard (that sample is not solved), or
         LinAlgError at a zero pivot.  A failed sample's R is NaN.
+
+        Since ||L(X)|| = ||Q(X)||, T is the identity less an operator of norm
+        at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
+        where delta < 1.  Given the exact pencil_norms, a sample with this
+        bound at most 1e9 cannot trip the guard and is not measured; every
+        other sample, and every sample when no norms are given, is.
         """
         n = xs.shape[-1]
         ops = self._level(n)
         t = ops.eye_res - _kron_eye_matmul(self.D, lam, n)
-        cond = np.linalg.cond(t)
+        if pencil_norms is None:
+            cond = np.linalg.cond(t)
+        else:
+            # a certified sample cannot trip the guard: 1 stands in for its condition number
+            cond = np.ones(len(t))
+            uncertified = ~(self._d_norm * pencil_norms <= _CERTIFIED_DELTA)
+            if uncertified.any():
+                cond[uncertified] = np.linalg.cond(t[uncertified])
         guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
         errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
         res = np.full((len(t), *ops.c_col.shape), np.nan, dtype=complex)
@@ -198,10 +217,10 @@ class Realization(NCFunction):
                 res[i] = np.nan
         return res, errors
 
-    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         """f at each point of a stack, with the errors of the failed samples (NaN values)."""
         lam = self._lam(xs)
-        res, errors = self._resolvent(xs, lam)
+        res, errors = self._resolvent(xs, lam, pencil_norms)
         n = xs.shape[-1]
         head = _kron_eye_matmul(self.B.reshape(1, -1), lam, n)
         return self.A * self._level(n).eye + _seq_matmul(head, res), errors
@@ -301,8 +320,12 @@ class RemainderFactor(NCFunction):
     def d(self) -> int:
         return self.base.d
 
-    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        res, errors = self.base._resolvent(xs, self.base._lam(xs))
+    @property
+    def pencil(self) -> Pencil:
+        return self.base.pencil
+
+    def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
+        res, errors = self.base._resolvent(xs, self.base._lam(xs), pencil_norms)
         return self.base.remainder_of_row(self.base._prefix_row(self.word), res), errors
 
 

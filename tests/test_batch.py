@@ -5,14 +5,17 @@ its batch of one, so these properties check that a sample's bits do not
 depend on the stack it sits in, nor on its neighbours' failures.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncball import realize
 from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_matmul, seq_solve, seq_solve_batch
-from ncball.opball import Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
+from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, _sample_chunks, sample_in_ball
 from ncball.realize import IllConditionedError, Realization, RemainderFactor, _kron_eye_matmul, bidisk_witness
 
@@ -207,6 +210,105 @@ def test_a_tripped_guard_masks_only_its_own_sample():
         with pytest.raises(IllConditionedError) as info:
             g.eval(MatrixTuple(xs[1]))
         assert info.value.cond == np.inf
+
+
+# ---------------------------------------------------------------------------
+# the resolvent certificate: pencil norms skip only condition numbers that cannot trip
+
+
+def x_over_one_minus_x():
+    """f(x) = x / (1 - x) on the unit disk, ||D|| = 1: the resolvent is singular at x = 1."""
+    return Realization(Pencil(np.ones((1, 1, 1))), 1, 0, [1], [1], [[1]])
+
+
+def stack_at_margins(rng, ball, n, margins):
+    """One level-n point of the ball at pencil norm 1 - margin for each margin."""
+    return np.concatenate([points_inside(rng, ball, 1, n, radius=1.0 - margin) for margin in margins])
+
+
+@pytest.fixture
+def cond_calls():
+    """The stacks np.linalg.cond receives, recorded while the test runs."""
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(t):
+        calls.append(t.copy())
+        return cond(t)
+
+    with mock.patch.object(realize.np.linalg, "cond", spy):
+        yield calls
+
+
+def resolvent_case(base, kind):
+    """(g, its realization, ball, stack): a type with a resolvent at margins down to 1e-12."""
+    rng = np.random.default_rng(21)
+    margins = [0.5, 1e-3, 1e-6, 1e-9, 1e-12]
+    if base == "ex52":
+        f, ball, xs = bidisk_witness(), polydisk(2), stack_at_margins(rng, polydisk(2), 2, margins)
+    elif base == "contraction":
+        f, ball = random_contraction(rng), row_ball(2)
+        xs = stack_at_margins(rng, ball, 3, margins)
+    else:
+        f = x_over_one_minus_x()
+        ball, xs = OperatorBall(f.pencil), np.array([0.5, 1.0, 0.25, 1.0 - 1e-10], dtype=complex).reshape(4, 1, 1, 1)
+    g = {"f": f, "factor": RemainderFactor(f, Word((1,) * f.d, f.d)), "column": RemainderColumn(f, 2)}[kind]
+    return g, f, ball, xs
+
+
+@pytest.mark.parametrize("kind", ["f", "factor", "column"])
+@pytest.mark.parametrize("base", ["ex52", "contraction", "x/(1-x)"])
+def test_pencil_norms_keep_every_value_and_failure(base, kind, cond_calls):
+    g, f, ball, xs = resolvent_case(base, kind)
+    norms = ball.norms_at(xs)
+    exact_values, exact_failed = g.eval_batch(xs)
+    # without norms the whole stack is measured, as it always was
+    assert [len(t) for t in cond_calls] == [len(xs)]
+    cond_calls.clear()
+    values, failed = g.eval_batch(xs, pencil_norms=norms)
+    assert values.tobytes() == exact_values.tobytes()
+    assert failed.tolist() == exact_failed.tolist()
+    assert failed.tolist() == [base == "x/(1-x)" and i == 1 for i in range(len(xs))]
+    # the guard measures the operands of the samples the bound leaves above 1e9, and no other
+    uncertified = np.flatnonzero(f._d_norm * norms > realize._CERTIFIED_DELTA)
+    n = xs.shape[-1]
+    operands = np.eye(f.m * f.pencil.q * n) - _kron_eye_matmul(f.D, f._lam(xs[uncertified]), n)
+    assert sum(len(t) for t in cond_calls) == len(uncertified)
+    assert b"".join(t.tobytes() for t in cond_calls) == operands.tobytes()
+    assert len(uncertified) == {"ex52": 2, "contraction": 0, "x/(1-x)": 2}[base]
+
+
+def test_a_singular_operand_takes_the_exact_guard_with_norms():
+    # at x = 1, delta = ||D|| ||Q(X)|| = 1 leaves no certificate: the exact
+    # guard runs and trips with cond = inf, as without norms
+    f = x_over_one_minus_x()
+    xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
+    _, errors = f._resolvent(xs, f._lam(xs), OperatorBall(f.pencil).norms_at(xs))
+    assert list(errors) == [1]
+    assert isinstance(errors[1], IllConditionedError) and errors[1].cond == np.inf
+    assert str(errors[1]) == "resolvent operand 1 - (D x I_n) L(X) has 2-norm condition number inf, above 1e+12"
+
+
+def test_ex52_needs_no_condition_number_at_margins_down_to_1e_6(cond_calls):
+    f, ball = bidisk_witness(), polydisk(2)
+    xs = stack_at_margins(np.random.default_rng(22), ball, 4, [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    values, failed = f.eval_batch(xs, pencil_norms=ball.norms_at(xs))
+    assert cond_calls == [] and not failed.any()
+    assert values.tobytes() == f.eval_batch(xs)[0].tobytes()
+
+
+def test_eval_batch_rejects_malformed_pencil_norms():
+    f = bidisk_witness()
+    xs = points_inside(np.random.default_rng(23), polydisk(2), 3, 2)
+    with pytest.raises(ValueError, match="shape"):
+        f.eval_batch(xs, pencil_norms=np.full(2, 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        f.eval_batch(xs, pencil_norms=np.full((3, 1), 0.5))
+    for bad in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="finite"):
+            f.eval_batch(xs, pencil_norms=[0.5, bad, 0.5])
+    with pytest.raises(TypeError, match="no pencil"):
+        parse("z1", 2).eval_batch(xs, pencil_norms=np.full(3, 0.5))
 
 
 @pytest.mark.parametrize("name", TARGETS)

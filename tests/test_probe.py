@@ -280,6 +280,18 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
     assert max(nbytes) <= BATCH_BYTES
 
 
+def test_estimate_sup_certifies_the_guard_only_on_the_targets_own_pencil(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda t: calls.append(len(t)) or cond(t))
+    f = bidisk_witness()
+    # on its own ball every ex52 sample is certified; on the row ball, none is
+    own = estimate_sup(f, BALL, 2, 200, 0)
+    assert calls == [] and own.failures == 0
+    other = estimate_sup(f, row_ball(2), 2, 200, 0)
+    assert sum(calls) >= other.evaluations + other.failures == 200
+
+
 def test_regularity_validation():
     f = bidisk_witness()
     with pytest.raises(ValueError, match="order must be >= 1"):

@@ -5,7 +5,8 @@ row (iteration, label and the hex of its value and boundary distance), the
 failure count, the hex of the best value, the settled verdict and the bytes
 of the argmax.  The digests were recorded from the one-point-at-a-time probe,
 so any change to how candidates are drawn, evaluated or charged to the budget
-that moves a single bit fails here.
+that moves a single bit fails here.  ``ex52-row-l2`` was recorded later, from
+the batched probe with the exact resolvent guard on every sample.
 """
 
 import hashlib
@@ -33,6 +34,8 @@ CASES = {
     "ex52-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 0),
     "ex52-l2": lambda: estimate_sup(bidisk_witness(), polydisk(2), 2, BUDGET, 0),
     "ex52-l8": lambda: estimate_sup(bidisk_witness(), polydisk(2), 8, BUDGET, 0),
+    # the ball's pencil is not the target's, so every sample takes the exact resolvent guard
+    "ex52-row-l2": lambda: estimate_sup(bidisk_witness(), row_ball(2), 2, BUDGET, 0),
     # the row ball's pencil is 1 x 2, so p != q
     "poly-row-l2": lambda: estimate_sup(parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1", 2), row_ball(2), 2, BUDGET, 3),
     "monomial-row-l2": lambda: estimate_sup(MonomialRow(2, 2), polydisk(2), 2, BUDGET, 5),
@@ -44,6 +47,7 @@ PINNED = {
     "ex52-l1": "119eb1ae95ad944627a20365edc070aa8c14fdf3a6bad7db6c8df4a95b6dbb71",
     "ex52-l2": "275a69535a7a6a8aff600ba6bc2b8cc7e1ead5a26f7f967646de49af5677a146",
     "ex52-l8": "3619041d85f151a110020fd17d0bc9a48ccf0a2f6e72580090eee1722cedee69",
+    "ex52-row-l2": "e7fa538e5a9d124b2e68eafce47131a4e86a4ddc29949a3615b1c7aff343c507",
     "margin-override-l1": "6788ba2da901635e0895febecb0972fb7a7c6779141e9ccc64f7651c93973e65",
     "monomial-row-l2": "768c3657003155f07a1612cffd41e378d18d0ad0d4a16dbb337f8d7534327a1e",
     "poly-row-l2": "7a1cbd3ab138cad54d60e5cf1c352b54375ccd3f198c3a52ebcaa7f4a93e4236",

@@ -11,14 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncball import freealg
 from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, to_triples, walk_levels, words_of_size
 from ncball.mattuple import MatrixTuple, _monomials, direct_sum, eval_word, seq_matmul, seq_solve, similarity
 from ncball.ncdiff import tt_check
-from ncball.opball import OperatorBall, pencil_eval, polydisk, row_ball
+from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, RemainderColumn, corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
@@ -292,6 +292,43 @@ def test_ill_conditioned_resolvent_raises():
     with pytest.raises(IllConditionedError) as info:
         f.eval(MatrixTuple.scalars((1.0, 1.0)))
     assert info.value.cond > 1e12 or not np.isfinite(info.value.cond)
+    assert "2-norm condition number" in str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.sampled_from(["unit", "norm-one", "half"]),
+    st.sampled_from([0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_resolvent_condition_number_obeys_the_neumann_bound(d, p, q, m, n, d_kind, margin, seed):
+    # T = 1 - (D x I_n) L(X) with ||(D x I_n) L(X)|| <= delta = ||D|| ||Q(X)||,
+    # so sigma_min(T) >= 1 - delta and ||T|| <= 1 + delta: the certificate of
+    # the resolvent guard; 1e-6 allows for the rounding of delta near 1
+    assume(d <= p * q)
+    rng = np.random.default_rng(seed)
+    pencil = Pencil(rng.normal(size=(d, p, q)) + 1j * rng.normal(size=(d, p, q)))
+    mp, mq = m * p, m * q
+    if d_kind == "unit":
+        # a signed partial permutation: ||D|| = 1 exactly
+        k = min(mp, mq)
+        dmat = np.zeros((mq, mp))
+        dmat[rng.permutation(mq)[:k], rng.permutation(mp)[:k]] = rng.choice([-1.0, 1.0], k)
+    else:
+        dmat = rng.normal(size=(mq, mp)) + 1j * rng.normal(size=(mq, mp))
+        dmat *= (1.0 if d_kind == "norm-one" else 0.5) / np.linalg.norm(dmat, 2)
+    f = Realization(pencil, m, 0.0, rng.normal(size=mp), rng.normal(size=mq), dmat)
+    x = sample_in_ball(OperatorBall(pencil), n, margin, rng)
+    assert d_kind != "unit" or f._d_norm == 1.0
+    delta = f._d_norm * OperatorBall(pencil).norm_at(x)
+    assume(delta < 1.0)
+    t = np.eye(mq * n) - np.kron(dmat, np.eye(n)) @ np.kron(np.eye(m), pencil_eval(pencil, x))
+    assert np.linalg.cond(t) <= (1.0 + delta) / (1.0 - delta) * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
