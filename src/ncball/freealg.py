@@ -77,11 +77,11 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, d: int) -> "Word":
-        """The word of a to_string form: ASCII digits, dash-separated numbers, or empty for the unit."""
+        """The word of a to_string form, ASCII digits or dash-separated numbers; past d = 9 no dash means one letter."""
         text = text.strip()
         if not re.fullmatch(r"([0-9]+(-[0-9]+)*)?", text):
             raise ValueError(f"word {text!r} is not a string of digits 0-9 or of dash-separated numbers")
-        return cls(tuple(int(part) for part in (text.split("-") if "-" in text else text)), d)
+        return cls(tuple(int(part) for part in (text.split("-") if "-" in text or (d > 9 and text) else text)), d)
 
 
 def words_of_size(d: int, k: int) -> Iterator[Word]:
@@ -90,24 +90,41 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
         yield Word(letters, d)
 
 
-def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
+def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[object, tuple]]:
     """(k, stacks) for the words of each size k <= size, one stack per column (root, step).
 
     value(empty) = root, and step(stack, j) stacks the words w j of a stack of
     words w, so the children come in (parent, letter) order: length-lex.  A
     level whose stacks pass BATCH_BYTES comes out as consecutive chunks, each
-    walked on before the next, so memory stays bounded.
+    walked on before the next, so memory stays bounded.  Given ``words``
+    (letter tuples), a level keeps only their prefixes, stepped one stack per
+    letter, and the walk yields (prefixes, stacks): the rows' letter tuples for k.
     """
-    todo = [(0, tuple(root for root, _ in columns))] if size >= 0 else []
+    keep = None if words is None else {w[:i] for w in words for i in range(len(w) + 1)}
+    todo = [(0, None if keep is None else [()], tuple(root for root, _ in columns))] if size >= 0 else []
     while todo:
-        k, stacks = todo.pop()
-        yield k, stacks
-        if k < size:
+        k, prefixes, stacks = todo.pop()
+        yield (k if prefixes is None else prefixes), stacks
+        if k == size:
+            continue
+        if keep is None:
             kids = [np.stack([step(s, j) for j in range(1, d + 1)], axis=1) for s, (_, step) in zip(stacks, columns)]
             kids = [kid.reshape(-1, *kid.shape[2:]) for kid in kids]
-            count = len(kids[0])
-            chunk = max(1, BATCH_BYTES * count // sum(kid.nbytes for kid in kids))
-            todo.extend((k + 1, tuple(kid[i : i + chunk] for kid in kids)) for i in reversed(range(0, count, chunk)))
+        else:
+            parents = [[i for i, p in enumerate(prefixes) if p + (j,) in keep] for j in range(1, d + 1)]
+            born = [prefixes[i] + (j,) for j, sel in enumerate(parents, 1) for i in sel]
+            if not born:
+                continue
+            order = sorted(range(len(born)), key=born.__getitem__)  # stepped letter by letter, kept by (parent, letter)
+            kids = []
+            for s, (_, step) in zip(stacks, columns):
+                parts = [step(s if len(sel) == len(prefixes) else s[sel], j) for j, sel in enumerate(parents, 1) if sel]
+                kids.append(np.concatenate(parts)[order])
+            prefixes = [born[i] for i in order]
+        count = len(kids[0])
+        chunk = max(1, BATCH_BYTES * count // sum(kid.nbytes for kid in kids))
+        for rows in reversed([slice(i, i + chunk) for i in range(0, count, chunk)]):
+            todo.append((k + 1, None if prefixes is None else prefixes[rows], tuple(kid[rows] for kid in kids)))
 
 
 class NCFunction:
@@ -237,18 +254,17 @@ class FreePolynomial(NCFunction):
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        """sum_w c_w x^w at each point of a stack; a polynomial never fails.
+        """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
+        from .mattuple import _word_values  # mattuple builds on this module
 
-        Terms are added in sorted_terms() order, each monomial folded letter by
-        letter from I_n with the step of the word walk.
-        """
-        from .mattuple import _monomials  # mattuple builds on this module
+        return self._term_sum(_word_values(xs, [w.letters for w in self.terms]), (len(xs), *xs.shape[-2:])), {}
 
-        root, step = _monomials(xs)
-        out = np.zeros(root.shape[1:], dtype=complex)
+    def _term_sum(self, values: Mapping[tuple[int, ...], np.ndarray], shape) -> np.ndarray:
+        """sum_w c_w values[w.letters], added to zeros of the shape in sorted_terms() order."""
+        out = np.zeros(shape, dtype=complex)
         for word, coeff in self.sorted_terms():
-            out = out + coeff * functools.reduce(step, word.letters, root)[0]
-        return out, {}
+            out = out + coeff * values[word.letters]
+        return out
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":

@@ -8,7 +8,6 @@ that graded nc functions are required to respect.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,12 +207,18 @@ def _monomials(xs: np.ndarray) -> tuple:
     return root, lambda stack, j: _seq_matmul(stack, xs[None, ..., j - 1, :, :])
 
 
+def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
+    """{w: X^w} for letter tuples w at a point or a stack, from one walk over their prefixes."""
+    wanted = set(words)
+    levels = walk_levels(xs.shape[-3], max(map(len, wanted), default=-1), _monomials(xs), words=wanted)
+    return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
+
+
 def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
     """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
     if word.d != x.d:
         raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
-    root, step = _monomials(x.entries)
-    return functools.reduce(step, word.letters, root)[0]
+    return _word_values(x.entries, [word.letters])[word.letters]
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

@@ -24,7 +24,7 @@ from .freealg import (
     left_divide,
     walk_levels,
 )
-from .mattuple import MatrixTuple, _monomials, _spectral_norm
+from .mattuple import MatrixTuple, _monomials, _spectral_norm, _word_values
 from .realize import Realization
 
 TT_WORD_BUDGET = 10**5
@@ -107,8 +107,8 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
 
     Works for realizations (g_w are remainder factors) and for polynomials
     (g_w come from exact left division of the high part).  The tail is added
-    in length-lex order, a chunk of words of size N at a time.  Enumerates d^N
-    words, budgeted at 1e5.
+    in length-lex order.  A polynomial walks only the prefixes of its words, a
+    realization all d^N words of size N; d^N is budgeted at 1e5.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -116,30 +116,25 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     if d**order > TT_WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{order} words exceed the budget {TT_WORD_BUDGET}")
     lhs = f.eval(x)  # also rejects a point with the wrong d
-    columns = [_monomials(x.entries)]
+    rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
-        low = (homogeneous_component(f, k).eval(x) for k in range(order))
         high = FreePolynomial(d, {w: c for w, c in f.terms.items() if len(w) >= order})
-        quotients = iter(left_divide(high, order).values())
+        quotients = {w.letters: q for w, q in left_divide(high, order).items() if q}
+        words = [w.letters for w in f.terms if len(w) < order] + [*quotients]
+        values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
+        for k in range(order):
+            rhs += homogeneous_component(f, k)._term_sum(values, (x.n, x.n))
+        for w, q in quotients.items():
+            rhs += values[w] @ q._term_sum(values, (x.n, x.n))
     elif isinstance(f, Realization):
-        low = itertools.islice(f._homogeneous_terms(x), order)
+        for term in itertools.islice(f._homogeneous_terms(x), order):
+            rhs += term
         res = f.resolvent_term(x)
-        columns.append((None, f.row_step))
+        for k, (xws, rows) in walk_levels(d, order, _monomials(x.entries), (None, f.row_step)):
+            if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
+                for product in xws @ f.remainder_of_row(rows[:, 0], res).reshape(xws.shape):
+                    rhs += product
     else:
         raise TypeError(f"tt_check supports polynomials and realizations, got {type(f).__name__}")
-    rhs = np.zeros((x.n, x.n), dtype=complex)
-    for term in low:
-        rhs += term
-    for k, (xws, *rows) in walk_levels(d, order, *columns):
-        if k < order:
-            continue
-        if rows:  # g_w = (row_w x I_n) R for every word of the chunk
-            keep, tails = slice(None), f.remainder_of_row(rows[0][:, 0], res).reshape(xws.shape)
-        else:  # the nonzero quotients f_w among the chunk's words
-            chunk = list(itertools.islice(quotients, len(xws)))
-            keep = [i for i, q in enumerate(chunk) if q]
-            tails = np.array([chunk[i].eval(x) for i in keep]).reshape(-1, x.n, x.n)
-        for product in xws[keep] @ tails:
-            rhs += product
     defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, left_divide, walk_levels
-from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms
+from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, _word_values
 from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
 from .realize import Realization
 
@@ -170,6 +170,8 @@ def estimate_sup(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
     schedule = MULTISTART_MARGINS if margins is None else tuple(margins)
     if not schedule:
         raise ValueError("margin schedule must be nonempty")
@@ -460,7 +462,8 @@ class QuotientColumn(NCFunction):
         return self.p.d
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        return np.concatenate([q._values(xs)[0] for q in self.quotients], axis=1), {}
+        values = _word_values(xs, [v.letters for q in self.quotients for v in q.terms])
+        return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
 
 
 @dataclass(frozen=True)

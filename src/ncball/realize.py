@@ -17,7 +17,6 @@ f is then a complete contraction on the ball; in contraction mode only
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -244,8 +243,9 @@ class Realization(NCFunction):
         return head @ self._letters[j - 1]
 
     def _prefix_row(self, word: Word) -> np.ndarray:
-        """B L_{w_1} D L_{w_2} D ... D L_{w_k} for a nonempty word, a 1 x (m q) row."""
-        return functools.reduce(self.row_step, word.letters, None)[0]
+        """B L_{w_1} D L_{w_2} D ... D L_{w_k} for a nonempty word, a 1 x (m q) row: the last level of its walk."""
+        *_, (_, (rows,)) = walk_levels(self.d, len(word), (None, self.row_step), words=[word.letters])
+        return rows[0]
 
     def remainder_of_row(self, rows: np.ndarray, res: np.ndarray) -> np.ndarray:
         """The column of g_w(X) = (row_w x I_n) R from prefix rows (K, m q) and R = resolvent_term(X).

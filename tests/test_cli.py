@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ncball.cli import main
+from ncball.freealg import Word
 from ncball.mattuple import MatrixTuple, to_point_dict
-from ncball.realize import bidisk_witness, realization_to_dict
+from ncball.opball import row_ball
+from ncball.realize import Realization, bidisk_witness, realization_to_dict
 from ncball.varieties import parabola_cubic_pair, variety_to_dict
 
 
@@ -78,6 +80,20 @@ def test_coeff_empty_word_is_the_constant_term(capsys):
     code, out, _ = run(capsys, "coeff", "--realization", "ex52", "--word", "")
     assert code == 0
     assert json.loads(out)["re"] == 0.0
+
+
+def test_coeff_reads_a_dash_free_word_as_one_letter_beyond_nine_variables(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    pencil = row_ball(12).pencil
+    b, c = rng.normal(size=pencil.p), rng.normal(size=pencil.q)
+    d = rng.normal(size=(pencil.q, pencil.p))
+    f = Realization(pencil, 1, 0.0, b, c, 0.5 * d / np.linalg.norm(d, 2))
+    spec = write_json(tmp_path / "wide.json", realization_to_dict(f))
+    for text, letters in (("12", (12,)), ("1-2", (1, 2))):
+        code, out, _ = run(capsys, "coeff", "--realization", spec, "--word", text)
+        payload = json.loads(out)
+        assert code == 0 and payload["word"] == text
+        assert complex(payload["re"], payload["im"]) == f.power_series_coefficient(Word(letters, 12))
 
 
 def test_coeff_rejects_a_word_that_is_not_digits(capsys):
@@ -377,6 +393,12 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_probe_at_level_zero_is_bad_input(capsys):
+    code, out, err = run(capsys, "probe", "--realization", "ex52", "--level", "0", "--budget", "10")
+    assert code == 2 and out == ""
+    assert err == "error: level must be >= 1, got 0\n"
 
 
 def test_numerical_failures_exit_1(capsys):

@@ -89,6 +89,21 @@ def test_word_string_round_trip():
     wide = Word((1, 11, 3), 11)
     assert wide.to_string() == "1-11-3"
     assert Word.from_string("1-11-3", 11) == wide
+    # beyond nine letters a dash-free string is one letter, as to_string writes it
+    assert Word((12,), 12).to_string() == "12"
+    assert Word.from_string("12", 12) == Word((12,), 12)
+    assert Word.from_string("1-2", 12) == Word((1, 2), 12)
+    assert Word.from_string("", 12) == Word((), 12)
+    z12 = FreePolynomial.generator(12, 12)
+    assert from_triples(to_triples(z12), 12) == z12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.integers(1, d), max_size=6))))
+def test_word_strings_round_trip_for_every_alphabet(case):
+    d, letters = case
+    word = Word(tuple(letters), d)
+    assert Word.from_string(word.to_string(), d) == word
 
 
 def test_word_strings_take_ascii_digits_and_dashes_only():

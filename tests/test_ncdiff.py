@@ -1,6 +1,7 @@
 """Block-evaluation calculus: first differences, quotients, truncation checks."""
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncball.freealg import BudgetExceededError, FreePolynomial, Word, homogeneous_component, left_divide, parse, words_of_size
-from ncball.mattuple import MatrixTuple, eval_word
+from ncball.mattuple import MatrixTuple, _monomials
 from ncball.ncdiff import (
     TTReport,
     d1_difference_quotient,
@@ -278,21 +279,35 @@ def test_tt_check_realization_across_levels():
     assert worst < 1e-12
 
 
+def ref_word_fold(xs, letters):
+    """X^w at a point or a stack, folded letter by letter from I_n with the step of the word walk."""
+    root, step = _monomials(xs)
+    return functools.reduce(step, letters, root)[0]
+
+
+def ref_poly_value(p, xs):
+    """sum_w c_w X^w at a stack, each term folded on its own and added to zeros in sorted_terms() order."""
+    out = np.zeros((len(xs), *xs.shape[-2:]), dtype=complex)
+    for word, coeff in p.sorted_terms():
+        out = out + coeff * ref_word_fold(xs, word.letters)
+    return out
+
+
 def ref_tt_rhs(f, x, order):
     """The right side of the truncation identity, word by word."""
     rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
         for k in range(order):
-            rhs += homogeneous_component(f, k).eval(x)
+            rhs += ref_poly_value(homogeneous_component(f, k), x.entries[None])[0]
         high = FreePolynomial(f.d, {w: c for w, c in f.terms.items() if len(w) >= order})
         for word, quotient in (left_divide(high, order) if high else {}).items():
             if quotient:
-                rhs += eval_word(x, word) @ quotient.eval(x)
+                rhs += ref_word_fold(x.entries, word.letters) @ ref_poly_value(quotient, x.entries[None])[0]
         return rhs
     for k in range(order):
         rhs += f.homogeneous_value(x, k)
     for word in words_of_size(x.d, order):
-        rhs += eval_word(x, word) @ RemainderFactor(f, word).eval(x)
+        rhs += ref_word_fold(x.entries, word.letters) @ RemainderFactor(f, word).eval(x)
     return rhs
 
 

@@ -6,16 +6,19 @@ failure count, the hex of the best value, the settled verdict and the bytes
 of the argmax.  The digests were recorded from the one-point-at-a-time probe,
 so any change to how candidates are drawn, evaluated or charged to the budget
 that moves a single bit fails here.  ``ex52-row-l2`` was recorded later, from
-the batched probe with the exact resolvent guard on every sample.
+the batched probe with the exact resolvent guard on every sample, and
+``quotient-column-l2`` and ``shared-prefix-poly-l2`` from the polynomial
+evaluation that folded each term on its own, before the prefix walk.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from ncball.freealg import parse
+from ncball.freealg import FreePolynomial, parse
 from ncball.opball import polydisk, row_ball
-from ncball.probe import MonomialRow, RemainderColumn, estimate_sup
+from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, estimate_sup
 from ncball.realize import bidisk_witness
 
 BUDGET = 300
@@ -30,6 +33,16 @@ def report_digest(report) -> str:
     return h.hexdigest()
 
 
+def shared_prefix_poly() -> FreePolynomial:
+    """40 distinct seeded terms of degree <= 6 in 2 variables: short words are prefixes of long ones."""
+    rng = np.random.default_rng(11)
+    words = [tuple(rng.integers(1, 3, rng.integers(0, 7)).tolist()) for _ in range(72)]
+    return FreePolynomial(2, {w: complex(*rng.normal(size=2)) / 8 for w in words})
+
+
+# every word has size >= 2; the head z2 z2 has a zero quotient and z1 z2 a constant part in its quotient
+QUOTIENT_POLY = "z1*z2*z1 - 0.5*z1*z2 + (0.3+0.2i)*z1*z1*z2*z2 + 0.25*z2*z1*z2"
+
 CASES = {
     "ex52-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 0),
     "ex52-l2": lambda: estimate_sup(bidisk_witness(), polydisk(2), 2, BUDGET, 0),
@@ -41,6 +54,8 @@ CASES = {
     "monomial-row-l2": lambda: estimate_sup(MonomialRow(2, 2), polydisk(2), 2, BUDGET, 5),
     "remainder-column-l2": lambda: estimate_sup(RemainderColumn(bidisk_witness(), 2), polydisk(2), 2, BUDGET, 5),
     "margin-override-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 9, margins=(0.5,)),
+    "quotient-column-l2": lambda: estimate_sup(QuotientColumn(parse(QUOTIENT_POLY, 2), 2), polydisk(2), 2, BUDGET, 7),
+    "shared-prefix-poly-l2": lambda: estimate_sup(shared_prefix_poly(), polydisk(2), 2, BUDGET, 4),
 }
 
 PINNED = {
@@ -51,7 +66,9 @@ PINNED = {
     "margin-override-l1": "6788ba2da901635e0895febecb0972fb7a7c6779141e9ccc64f7651c93973e65",
     "monomial-row-l2": "768c3657003155f07a1612cffd41e378d18d0ad0d4a16dbb337f8d7534327a1e",
     "poly-row-l2": "7a1cbd3ab138cad54d60e5cf1c352b54375ccd3f198c3a52ebcaa7f4a93e4236",
+    "quotient-column-l2": "053cc7f97f5a1fd2bad67d14eea67714d477d353a2e706f39c48ee48f5924945",
     "remainder-column-l2": "da296f6e5b1ebc2ceb907932909778f6a1b7a5425962393741366ca49b91e988",
+    "shared-prefix-poly-l2": "14d3090c75767e58971843e1e447e5c3d132f9d460ce50181cce74b45f93c129",
 }
 
 

@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncball import freealg
-from ncball.freealg import FreePolynomial, Word, cesaro_sum, parse, to_triples, walk_levels, words_of_size
+from ncball.freealg import FreePolynomial, Word, cesaro_sum, left_divide, parse, to_triples, walk_levels, words_of_size
 from ncball.mattuple import MatrixTuple, _monomials, direct_sum, eval_word, seq_matmul, seq_solve, similarity
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
-from ncball.probe import MonomialRow, RemainderColumn, corner_path, sample_in_ball
+from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
     IllConditionedError,
@@ -31,7 +31,7 @@ from ncball.realize import (
     realization_to_dict,
     taylor_polynomial,
 )
-from test_ncdiff import ref_tt_rhs
+from test_ncdiff import ref_poly_value, ref_tt_rhs
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -739,3 +739,93 @@ def test_word_walk_chunks_keep_every_bit(d, size, n, seed, fraction):
     with mock.patch.object(freealg, "BATCH_BYTES", 1 + int(fraction * (level_bytes - 2))):
         chunks = check_level_walk(d, size, n, seed)
     assert chunks > 1 or d**size == 1
+
+
+def sparse_words(d, size, seed):
+    """Up to 8 random words of size <= size: few of the words of a level, and some shared prefixes."""
+    rng = np.random.default_rng([seed, 1])
+    return {tuple(rng.integers(1, d + 1, rng.integers(0, size + 1)).tolist()) for _ in range(rng.integers(1, 9))}
+
+
+def check_sparse_walk(d, size, n, seed):
+    """A walk over the prefixes of random words, and the polynomial evaluations on it, against the folds.
+
+    Returns the most chunks that one level came out in.
+    """
+    rng = np.random.default_rng(seed)
+    f = random_realization(rng, d=d, m=2)
+    ball = OperatorBall(f.pencil)
+    x, y = sample_in_ball(ball, n, 0.3, rng), sample_in_ball(ball, 1 + n % 3, 0.3, rng)
+    words = sparse_words(d, size, seed)
+    levels: dict[int, list] = {}
+    for walked, (xws, rows) in walk_levels(d, size, _monomials(x.entries), (None, f.row_step), words=words):
+        levels.setdefault(len(walked[0]), []).append(walked)
+        assert len(walked) == len(xws) and {len(w) for w in walked} == {len(walked[0])}
+        assert all(bitwise_equal(xw, ref_word_value(x, Word(w, d))) for w, xw in zip(walked, xws))
+        if walked == [()]:
+            assert rows is None
+        else:
+            assert all(bitwise_equal(row, ref_prefix_row(f, Word(w, d))) for w, row in zip(walked, rows))
+    # every prefix once, each level's chunks in length-lex order
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
+    want = {k: sorted(p for p in prefixes if len(p) == k) for k in range(max(map(len, words)) + 1)}
+    assert {k: [w for chunk in chunks for w in chunk] for k, chunks in levels.items()} == want
+    for w in words:
+        assert bitwise_equal(eval_word(x, Word(w, d)), ref_word_value(x, Word(w, d)))
+        if w:
+            assert bitwise_equal(f._prefix_row(Word(w, d)), ref_prefix_row(f, Word(w, d)))
+    p = FreePolynomial(d, {Word(w, d): complex(*rng.normal(size=2)) for w in sorted(words)})
+    stack = np.stack([x.entries, sample_in_ball(ball, n, 0.5, rng).entries])
+    assert bitwise_equal(p.eval_batch(stack)[0], ref_poly_value(p, stack))
+    assert bitwise_equal(p.eval(x), ref_poly_value(p, x.entries[None])[0])
+    assembled = np.zeros((x.n + y.n, x.n + y.n), dtype=complex)
+    assembled[: x.n, : x.n], assembled[x.n :, x.n :] = p.eval(x), p.eval(y)
+    assert bitwise_equal(p.eval(direct_sum(x, y)), assembled)
+    high = FreePolynomial(d, {w: c for w, c in p.terms.items() if len(w) >= 1})
+    col = [ref_poly_value(q, x.entries[None])[0] for q in left_divide(high, 1).values()]
+    assert bitwise_equal(QuotientColumn(high, 1).eval(x), np.vstack(col))
+    for order in range(1, size + 2):
+        assert bitwise_equal(tt_check(p, x, order).rhs, ref_tt_rhs(p, x, order))
+    return max(len(chunks) for chunks in levels.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(*walk_cases)
+def test_sparse_word_walk_matches_the_per_word_folds_bitwise(d, size, n, seed):
+    assert check_sparse_walk(d, size, n, seed) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(*walk_cases, st.floats(0.0, 1.0))
+def test_sparse_word_walk_chunks_keep_every_bit(d, size, n, seed, fraction):
+    # a byte bound below the widest level: that level and maybe others come in chunks
+    words = sparse_words(d, size, seed)
+    widest = max(len({w[:k] for w in words if len(w) >= k}) for k in range(size + 1))
+    level_bytes = widest * 16 * (n * n + 2 * d)
+    with mock.patch.object(freealg, "BATCH_BYTES", 1 + int(fraction * (level_bytes - 2))):
+        chunks = check_sparse_walk(d, size, n, seed)
+    assert chunks > 1 or widest == 1
+
+
+poly_terms = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.dictionaries(
+            st.lists(st.integers(1, d), max_size=7).map(tuple),
+            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+            max_size=25,
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_terms, st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_polynomial_eval_is_the_per_term_fold_bitwise(case, n, count, seed):
+    d, terms = case
+    p = FreePolynomial(d, terms)
+    rng = np.random.default_rng(seed)
+    xs = with_zeros(rng, rng.normal(size=(count, d, n, n)) + 1j * rng.normal(size=(count, d, n, n)))
+    values, failed = p.eval_batch(xs)
+    assert not failed.any() and bitwise_equal(values, ref_poly_value(p, xs))
+    assert bitwise_equal(p.eval(MatrixTuple(xs[0])), ref_poly_value(p, xs[:1])[0])
