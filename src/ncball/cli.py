@@ -51,7 +51,7 @@ def _write_csv(out: str | None, columns, rows, seed) -> None:
     lines = [f"# ncball {__version__} seed={seed}"]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)

@@ -1,15 +1,18 @@
 """Seeded numerical probes: sup-norm estimation, blowup scans, dichotomy
 classification, and regularity factors.
 
-Every probe is deterministic: sample i of a run with seed s is drawn from its
-own generator seeded by s+i, so serial and parallel schedules agree and rerun
-reports match bit for bit.  Estimates are always lower bounds witnessed by a
-stored argmax point; nothing here certifies a supremum.
+Every probe is deterministic: sample i of a run with seed s is drawn from the
+stream of its own generator default_rng(s + i), so serial and parallel
+schedules agree and rerun reports match bit for bit.  Estimates are always
+lower bounds witnessed by a stored argmax point; nothing here certifies a
+supremum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -50,28 +53,112 @@ def _chunk_size(pencil: Pencil, n: int) -> int:
     return max(1, BATCH_BYTES // (16 * pencil.p * n * pencil.q * n))
 
 
-def _sample_stack(ball: OperatorBall, n: int, margins, rngs) -> np.ndarray:
-    """One Gaussian draw per generator, rescaled so that ||Q(X)|| = 1 - its margin.
+# numpy's SeedSequence hash constants (a pool of four uint32 words) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    Returns a (B, d, n, n) stack; point i comes from rngs[i] alone, drawn as
-    sample_in_ball draws it, so it keeps its bits in any stack.
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of uint32 arrays: xor the constant, step it by mult, multiply, fold."""
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of np.random.default_rng(seed), for each seed >= 0.
+
+    SeedSequence hashes the seed's little-endian 32-bit words into a pool of
+    four, with extra mixing rounds for words past the fourth (seeds >= 2^128),
+    and generate_state(4, uint64) draws (initstate, initseq) from the pool;
+    PCG64 then seeds as pcg64_set_seed does.  The hash runs as uint32 numpy
+    over all seeds with the same count of words at once.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    groups: dict[int, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"expected non-negative integer seed, got {seed}")
+        groups.setdefault(max(1, -(-seed.bit_length() // 32)), []).append(i)
+    out: list[tuple[int, int]] = [(0, 0)] * len(seeds)
+    for size, where in groups.items():
+        words = np.array([[seeds[i] >> (32 * k) & _MASK32 for i in where] for k in range(size)], dtype=np.uint32)
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(words[k] if k < size else np.zeros(len(where), np.uint32)) for k in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, size):
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(words[src]))
+        generate = _hasher(_INIT_B, _MULT_B)
+        state = [generate(pool[k % 4]).astype(np.uint64) for k in range(8)]
+        hi0, lo0, hi1, lo1 = ((state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+        for i, a, b, c, e in zip(where, hi0, lo0, hi1, lo1):
+            inc = ((c << 64 | e) << 1 | 1) & _MASK128
+            # from state 0: step, add initstate, step
+            out[i] = (((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc)
+    return out
+
+
+@functools.cache
+def _check_seeder() -> None:
+    """Raise unless _pcg64_states reproduces np.random.default_rng, once per process."""
+    seed = 2**128 + 2**64 + 12345  # five 32-bit words: the extra mixing rounds run too
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    if _pcg64_states([seed])[0] != (state["state"], state["inc"]):
+        raise RuntimeError(f"the multistart seeder does not reproduce default_rng under numpy {np.__version__}")
+
+
+def _sample_stack(
+    ball: OperatorBall, n: int, margins, rng: np.random.Generator, states: list[tuple[int, int]] | None = None
+) -> np.ndarray:
+    """One Gaussian draw per margin, rescaled so that ||Q(X)|| = 1 - its margin.
+
+    Returns a (B, d, n, n) stack.  Point i is drawn by rng, whose PCG64 is
+    first set to states[i] when states are given; one standard_normal fills
+    its real and then its imaginary parts, as two draws of (d, n, n) would, so
+    it keeps its bits in any stack.
     """
     for margin in margins:
         if not 0.0 < margin < 1.0:
             raise ValueError(f"margin must be in (0, 1), got {margin}")
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    d = ball.d
+    bit_generator = rng.bit_generator
+    buf = np.empty((len(margins), 2, ball.d, n, n))
 
-    def draw(rng):
-        return rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    def draw(i: int, state: tuple[int, int] | None) -> None:
+        if state is not None:
+            pcg = {"state": state[0], "inc": state[1]}
+            bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=buf[i])
 
-    raw = np.stack([draw(rng) for rng in rngs])
+    for i in range(len(margins)):
+        draw(i, None if states is None else states[i])
+    raw = buf[:, 0] + 1j * buf[:, 1]
     s = ball.norms_at(raw)
     for i in np.flatnonzero(s <= 0.0):
-        # an all-zero draw is redrawn from the same generator
+        if states is not None:
+            # an all-zero draw is redrawn from the same stream: replay the first draw
+            draw(i, states[i])
         for _ in range(99):
-            raw[i] = draw(rngs[i])
+            draw(i, None)
+            raw[i] = buf[i, 0] + 1j * buf[i, 1]
             s[i] = ball.norms_at(raw[i : i + 1])[0]
             if s[i] > 0.0:
                 break
@@ -85,18 +172,21 @@ def _sample_chunks(ball: OperatorBall, n: int, draws) -> Iterator[np.ndarray]:
     """Stacks of the level-n points of draws, a list of (seed, margin), chunk by chunk.
 
     The point of (seed, margin) is sample_in_ball(ball, n, margin,
-    default_rng(seed)), bit for bit.
+    default_rng(seed)), bit for bit: one reused generator is set to the
+    PCG64 state that default_rng(seed) starts from.
     """
+    _check_seeder()
+    rng = np.random.Generator(np.random.PCG64())
     step = _chunk_size(ball.pencil, n)
     for start in range(0, len(draws), step):
         chunk = draws[start : start + step]
-        rngs = [np.random.default_rng(seed) for seed, _ in chunk]
-        yield _sample_stack(ball, n, [margin for _, margin in chunk], rngs)
+        states = _pcg64_states([seed for seed, _ in chunk])
+        yield _sample_stack(ball, n, [margin for _, margin in chunk], rng, states)
 
 
 def sample_in_ball(ball: OperatorBall, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
     """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin: the sampler's batch of one."""
-    return MatrixTuple(_sample_stack(ball, n, [margin], [rng])[0])
+    return MatrixTuple(_sample_stack(ball, n, [margin], rng)[0])
 
 
 @dataclass(frozen=True)

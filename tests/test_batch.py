@@ -16,7 +16,17 @@ from ncball import realize
 from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_matmul, seq_solve, seq_solve_batch
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
-from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, _sample_chunks, sample_in_ball
+from ncball import probe
+from ncball.probe import (
+    MonomialRow,
+    QuotientColumn,
+    RemainderColumn,
+    _check_seeder,
+    _pcg64_states,
+    _sample_chunks,
+    estimate_sup,
+    sample_in_ball,
+)
 from ncball.realize import IllConditionedError, Realization, RemainderFactor, _kron_eye_matmul, bidisk_witness
 
 
@@ -334,8 +344,123 @@ def test_eval_batch_rejects_bad_stacks():
 # one sampler
 
 
+# seeds of one to five 32-bit entropy words
+SEEDS = st.integers(0, 2**160 - 1)
+MARGINS = (0.5, 0.1, 0.01, 0.001)
+
+
+def rescaled(ball, raw, margin):
+    """A raw (d, n, n) draw rescaled to ||Q(X)|| = 1 - margin, as a stack of one, as the sampler rescales."""
+    factors = (1.0 - np.asarray([margin])) / ball.norms_at(raw[None])
+    return (raw[None] * factors.astype(complex)[:, None, None, None])[0]
+
+
+def two_draws(rng, d, n):
+    """The sampler's raw point as it was first written: real and imaginary parts drawn one after the other."""
+    return rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.integers(1, 8), st.integers(1, 6), SEEDS)
+@example(d=2, n=1, count=3, seed=2**32 - 2)
+@example(d=1, n=3, count=1, seed=2**32 - 1)
+@example(d=3, n=2, count=2, seed=2**32)
+@example(d=2, n=8, count=2, seed=2**64)
+@example(d=1, n=1, count=3, seed=2**128 - 1)
+@example(d=3, n=1, count=1, seed=2**128)
+def test_seeder_draws_the_bits_of_default_rng(d, n, count, seed):
+    ball = polydisk(d)
+    draws = [(seed + i, MARGINS[i % 4]) for i in range(count)]
+    states = _pcg64_states([draw_seed for draw_seed, _ in draws])
+    stack = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    seeded = np.random.Generator(np.random.PCG64())
+    for x, (draw_seed, margin), (state, inc) in zip(stack, draws, states):
+        want = np.random.default_rng(draw_seed)
+        assert {"state": state, "inc": inc} == want.bit_generator.state["state"]
+        seeded.bit_generator.state = want.bit_generator.state
+        re, im = want.standard_normal((d, n, n)), want.standard_normal((d, n, n))
+        assert seeded.standard_normal((2, d, n, n)).tobytes() == np.stack([re, im]).tobytes()
+        assert x.tobytes() == rescaled(ball, re + 1j * im, margin).tobytes()
+        # the caller's generator: one draw of (2, d, n, n) ends where two draws of (d, n, n) end
+        rng = np.random.default_rng(draw_seed)
+        assert sample_in_ball(ball, n, margin, rng).entries.tobytes() == x.tobytes()
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_seeder_takes_numpy_integers_and_rejects_negative_seeds():
+    ball = polydisk(2)
+    want = np.concatenate(list(_sample_chunks(ball, 2, [(5, 0.5), (2**63 + 5, 0.1)])))
+    got = np.concatenate(list(_sample_chunks(ball, 2, [(np.int64(5), 0.5), (np.uint64(2**63 + 5), 0.1)])))
+    assert got.tobytes() == want.tobytes()
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(_sample_chunks(ball, 2, [(7, 0.5), (seed, 0.1)]))
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_sup(bidisk_witness(), ball, 2, 10, -2)
+    with pytest.raises(TypeError):
+        list(_sample_chunks(ball, 2, [(1.5, 0.5)]))
+
+
+def test_seeder_self_check_names_numpy(monkeypatch):
+    monkeypatch.setattr(probe, "_pcg64_states", lambda seeds: [(0, 1)] * len(seeds))
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        _check_seeder.__wrapped__()
+    monkeypatch.undo()
+    _check_seeder.__wrapped__()
+
+
+def zero_norms(monkeypatch, first_only: int | None):
+    """Make the ball report norm 0: at point first_only of the first stack it measures, or everywhere if None.
+
+    Returns the list of stack sizes measured.
+    """
+    norms_at = OperatorBall.norms_at
+    calls = []
+
+    def patched(self, xs):
+        s = norms_at(self, xs)
+        if first_only is None:
+            s[:] = 0.0
+        elif not calls:
+            s[first_only] = 0.0
+        calls.append(len(xs))
+        return s
+
+    monkeypatch.setattr(OperatorBall, "norms_at", patched)
+    return calls
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (3, 2**32 - 2)])
+def test_sampler_redraws_a_degenerate_point_from_its_own_stream(monkeypatch, n, seed):
+    ball = polydisk(2)
+    draws = [(seed + i, MARGINS[i % 4]) for i in range(5)]
+    clean = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    rng = np.random.default_rng(seed + 2)
+    two_draws(rng, 2, n)
+    want = rescaled(ball, two_draws(rng, 2, n), MARGINS[2])
+    zero_norms(monkeypatch, 2)
+    stack = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    assert stack[2].tobytes() == want.tobytes() != clean[2].tobytes()
+    assert np.delete(stack, 2, axis=0).tobytes() == np.delete(clean, 2, axis=0).tobytes()
+    monkeypatch.undo()
+    zero_norms(monkeypatch, 0)
+    assert sample_in_ball(ball, n, MARGINS[2], np.random.default_rng(seed + 2)).entries.tobytes() == want.tobytes()
+
+
+def test_sampler_gives_up_after_100_zero_draws(monkeypatch):
+    ball = polydisk(2)
+    calls = zero_norms(monkeypatch, None)
+    with pytest.raises(RuntimeError, match="rng is broken"):
+        list(_sample_chunks(ball, 2, [(7, 0.5), (8, 0.1)]))
+    assert calls == [2] + [1] * 99
+    calls.clear()
+    with pytest.raises(RuntimeError, match="rng is broken"):
+        sample_in_ball(ball, 2, 0.5, np.random.default_rng(7))
+    assert calls == [1] * 100
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**31), st.booleans())
+@given(st.integers(1, 8), st.integers(1, 40), SEEDS, st.booleans())
 @example(n=1, count=3, seed=0, row=False)
 def test_chunked_sampler_is_sample_in_ball_per_draw(n, count, seed, row):
     ball = row_ball(2) if row else polydisk(2)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(argv): outputs, exit codes, CSV identity."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -229,6 +230,31 @@ def test_dichotomy_custom_map(capsys):
                        "--ball", "polydisk:2", "--samples", "60")
     assert code == 0
     assert json.loads(out)["kind"] == "Mixed"
+
+
+# sha256 of stdout, recorded from the sampler that built one default_rng(seed + i) per draw
+DICHOTOMY_PINS = {
+    "half": (["--case", "half"], "b6c247c71aeee95b0f033a1b068afd60dac564eb8ca2a128aa18e30ea0f3a393"),
+    "identity": (["--case", "identity"], "b7a7afbe25e76b552a7f16ce579d4dd8fcb2259ca4e8118ee48745434faafa19"),
+    "boundary": (["--case", "boundary"], "9d87ed3da0abe3391a9b1f03ded79a1984c52eb4c75164121822f0d34e5569c8"),
+    "map": (
+        ["--map", "1.2*z1;z2", "--ball", "polydisk:2", "--samples", "60"],
+        "d3529c052ea69161e61f678abf240872650c4d56fdbc98ba31164a41ca5b16b0",
+    ),
+    # the norms of z1 z2 depend on every bit of the samples, whose seeds cross 2^32
+    "map-across-2^32": (
+        ["--map", "0.9*z1*z2;z2", "--ball", "row:2", "--samples", "200", "--seed", "4294967200"],
+        "7c89bf4824faeefbd8a85a4dd69f83d65509f6941649a04af07387034b07e5ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DICHOTOMY_PINS))
+def test_dichotomy_stdout_keeps_its_bytes(capsys, name):
+    argv, digest = DICHOTOMY_PINS[name]
+    code, out, _ = run(capsys, "dichotomy", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_variety_membership_verdicts(capsys, tmp_path):

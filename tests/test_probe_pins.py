@@ -9,6 +9,10 @@ that moves a single bit fails here.  ``ex52-row-l2`` was recorded later, from
 the batched probe with the exact resolvent guard on every sample, and
 ``quotient-column-l2`` and ``shared-prefix-poly-l2`` from the polynomial
 evaluation that folded each term on its own, before the prefix walk.
+``ex52-l2-across-2^32`` and ``poly-row-l1-across-2^128`` were recorded from
+the sampler that built one ``default_rng(seed + i)`` per draw; their
+multistart seeds cross 2^32 and 2^128, where a seed's count of 32-bit
+entropy words changes.
 """
 
 import hashlib
@@ -56,15 +60,23 @@ CASES = {
     "margin-override-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 9, margins=(0.5,)),
     "quotient-column-l2": lambda: estimate_sup(QuotientColumn(parse(QUOTIENT_POLY, 2), 2), polydisk(2), 2, BUDGET, 7),
     "shared-prefix-poly-l2": lambda: estimate_sup(shared_prefix_poly(), polydisk(2), 2, BUDGET, 4),
+    # the 150 multistart seeds run from 2^32 - 75 (one entropy word) to 2^32 + 74 (two)
+    "ex52-l2-across-2^32": lambda: estimate_sup(bidisk_witness(), polydisk(2), 2, BUDGET, 2**32 - 75),
+    # four entropy words below 2^128, five (numpy's extra mixing rounds) from it on
+    "poly-row-l1-across-2^128": lambda: estimate_sup(
+        parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1", 2), row_ball(2), 1, BUDGET, 2**128 - 75
+    ),
 }
 
 PINNED = {
     "ex52-l1": "119eb1ae95ad944627a20365edc070aa8c14fdf3a6bad7db6c8df4a95b6dbb71",
+    "ex52-l2-across-2^32": "157ea618b1eba1aee1db6a124cdd9b617dff0186cb9164f7363aaaf8190b8fb6",
     "ex52-l2": "275a69535a7a6a8aff600ba6bc2b8cc7e1ead5a26f7f967646de49af5677a146",
     "ex52-l8": "3619041d85f151a110020fd17d0bc9a48ccf0a2f6e72580090eee1722cedee69",
     "ex52-row-l2": "e7fa538e5a9d124b2e68eafce47131a4e86a4ddc29949a3615b1c7aff343c507",
     "margin-override-l1": "6788ba2da901635e0895febecb0972fb7a7c6779141e9ccc64f7651c93973e65",
     "monomial-row-l2": "768c3657003155f07a1612cffd41e378d18d0ad0d4a16dbb337f8d7534327a1e",
+    "poly-row-l1-across-2^128": "0a69c701f487729e68bd51cf2ff9ebd45792470ce5198533590c56b77e5e3a80",
     "poly-row-l2": "7a1cbd3ab138cad54d60e5cf1c352b54375ccd3f198c3a52ebcaa7f4a93e4236",
     "quotient-column-l2": "053cc7f97f5a1fd2bad67d14eea67714d477d353a2e706f39c48ee48f5924945",
     "remainder-column-l2": "da296f6e5b1ebc2ceb907932909778f6a1b7a5425962393741366ca49b91e988",
