@@ -112,9 +112,12 @@ def point_stack(xs, d: int) -> np.ndarray:
 
 
 def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the one kernel of seq_matmul and of the stacked products: complex arrays
-    # a (..., m, k) and b (..., k, n), already checked, of one rank, so that
-    # numpy runs the same complex multiply loop whatever the batch size
+    # the one fixed-order product: complex arrays a (..., m, k) and b (..., k, n),
+    # already checked.  An a of lower rank is first broadcast to b's batch axes:
+    # arrays of unequal rank can send numpy's complex multiply down a loop
+    # without fused multiply-add, and the bits would then depend on the batch
+    if a.ndim < b.ndim:
+        a = np.broadcast_to(a, (*b.shape[:-2], *a.shape[-2:]))
     out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=complex)
     for k in range(a.shape[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]

@@ -16,6 +16,7 @@ import numpy as np
 from .mattuple import (
     MatrixTuple,
     _owned_array,
+    _seq_matmul,
     _spectral_norm,
     _spectral_norms,
     complex_from_json,
@@ -77,17 +78,15 @@ class Pencil:
 def pencil_eval_batch(pencil: Pencil, xs: np.ndarray) -> np.ndarray:
     """Q(X) for each point of a (B, d, n, n) stack: a (B, p*n, q*n) stack.
 
-    Block (a, b) of slice i is sum_j Q_j[a, b] x_j, accumulated in j order as
-    a (B, p, n, q, n) array: the entries, bits included, of the sum of Krons.
-    Both factors of each term are 5-d, so every slice keeps the bits it has in
-    a batch of one.
+    Block (a, b) of slice i is sum_j Q_j[a, b] x_j: the fixed-order product of
+    the (p q, d) coefficients and the (d, n^2) entries of each point, then one
+    transpose.  These are the entries, bits included, of the sum of Krons.
     """
     xs = point_stack(xs, pencil.d)
-    count, _, n, _ = xs.shape
-    out = np.zeros((count, pencil.p, n, pencil.q, n), dtype=complex)
-    for j in range(pencil.d):
-        out += pencil.coefficients[j][None, :, None, :, None] * xs[:, j, None, :, None, :]
-    return out.reshape(count, pencil.p * n, pencil.q * n)
+    count, d, n, _ = xs.shape
+    p, q = pencil.p, pencil.q
+    out = _seq_matmul(pencil.coefficients.reshape(d, p * q).T, xs.reshape(count, d, n * n))
+    return out.reshape(count, p, q, n, n).transpose(0, 1, 3, 2, 4).reshape(count, p * n, q * n)
 
 
 def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:

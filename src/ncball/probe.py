@@ -20,8 +20,8 @@ import numpy as np
 
 from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, left_divide, walk_levels
 from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, _word_values
-from .opball import BallMembership, OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
-from .realize import Realization
+from .opball import OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
+from .realize import Realization, _RemainderRows
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 INITIAL_STEP = 0.1
@@ -221,9 +221,14 @@ class ProbeReport:
     margin_best: dict = field(default_factory=dict)
 
 
-def _nearest_margin(distance: float) -> float:
-    scale = np.log10(max(distance, 1e-12))
-    return min(MULTISTART_MARGINS, key=lambda m: abs(np.log10(m) - scale))
+_MARGIN_LOGS = np.log10(MULTISTART_MARGINS)
+
+
+def _margin_bins(distances: np.ndarray) -> list[float]:
+    """The margin of MULTISTART_MARGINS nearest in log10 to each distance (floored at 1e-12); ties go to the first."""
+    scales = np.log10(np.maximum(distances, 1e-12))
+    nearest = np.abs(_MARGIN_LOGS - scales[:, None]).argmin(axis=1)
+    return [MULTISTART_MARGINS[i] for i in nearest]
 
 
 def estimate_sup(
@@ -248,7 +253,7 @@ def estimate_sup(
     measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
     Where f has the ball's pencil, the same norms go to ``f.eval_batch`` as
     ``pencil_norms``, so its resolvent guard needs no condition number where
-    the norm certifies it.
+    the norm certifies it; any other f gets ``pencil_norms=None``.
 
     ``f`` is evaluated through ``f.eval_batch`` on stacks of points, in parts
     whose values fit BATCH_BYTES; since every sample keeps its bits in any
@@ -283,7 +288,7 @@ def estimate_sup(
         out = []
         while len(out) < len(xs):
             part = slice(len(out), len(out) + part_size)
-            values, failed = f.eval_batch(xs[part], pencil_norms=s[part]) if certify else f.eval_batch(xs[part])
+            values, failed = f.eval_batch(xs[part], pencil_norms=s[part] if certify else None)
             norms = np.zeros(len(values))
             if not failed.all():
                 norms[~failed] = _spectral_norms(values[~failed])
@@ -315,11 +320,14 @@ def estimate_sup(
     head = [np.stack([x for x, _ in injected])] if injected else []
     for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
         s = ball.norms_at(xs)
-        for x, label, norm, value in zip(xs, itertools.islice(labels, len(xs)), s, evaluate(xs, s)):
-            distance = BallMembership.from_norm(float(norm)).distance
+        # |s - 1| is the membership distance: fl(s - 1) = -fl(1 - s)
+        distances = np.abs(s - 1.0)
+        bins = _margin_bins(distances)
+        for x, label, distance, bin_key, value in zip(
+            xs, itertools.islice(labels, len(xs)), distances.tolist(), bins, evaluate(xs, s)
+        ):
             record(x, label, distance, value)
             if value is not None:
-                bin_key = _nearest_margin(distance)
                 report.margin_best[bin_key] = max(report.margin_best.get(bin_key, 0.0), value)
     multistart_best = report.best_value
 
@@ -348,8 +356,9 @@ def estimate_sup(
                 # |c| s is not bitwise ||Q(cX)||: measure rescaled points afresh
                 xs[out] *= (BOUNDARY_THRESHOLD / s[out]).astype(complex)[:, None, None, None]
                 s[out] = ball.norms_at(xs[out])
+            distances = np.abs(s - 1.0).tolist()
             for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs, s))):
-                record(xs[i], f"climb:{step:g}", BallMembership.from_norm(float(s[i])).distance, value)
+                record(xs[i], f"climb:{step:g}", distances[i], value)
                 remaining -= 1
                 if value is not None and value > current_value:
                     current = xs[i]
@@ -510,29 +519,15 @@ class MonomialRow(NCFunction):
 
 
 @dataclass(frozen=True)
-class RemainderColumn(NCFunction):
+class RemainderColumn(_RemainderRows):
     """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
 
-    base: Realization
     size: int
-    # the prefix rows of all words of the size, length-lex, walked once
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the prefix rows of all words of the size, length-lex, walked once
         levels = walk_levels(self.d, self.size, (None, self.base.row_step))
         object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def pencil(self) -> Pencil:
-        return self.base.pencil
-
-    def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
-        res, errors = self.base._resolvent(xs, self.base._lam(xs), pencil_norms)
-        return self.base.remainder_of_row(self.rows, res), errors
 
 
 @dataclass(frozen=True)

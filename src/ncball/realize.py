@@ -9,7 +9,8 @@ where L(X) = I_m x Q(X) and "x" is the Kronecker product.  With Q of size
 p x q the data shapes are B: 1 x (m p), C: (m q) x 1, D: (m q) x (m p).
 No identity Kronecker product is formed while evaluating: the letters I_m x Q_j
 are built once per realization, C x I_n and the identities once per level n,
-and the products by B x I_n, D x I_n and I_m x Q(X) are block operations.
+L(X) = sum_j L_j x X_j is the pencil value of the letters, and the products
+by B x I_n and D x I_n are block operations.
 In isometry mode the system matrix V = [[A, B], [C, D]] satisfies V*V = 1 and
 f is then a complete contraction on the ball; in contraction mode only
 ||D|| <= 1 is required and f is merely analytic where the resolvent exists.
@@ -73,22 +74,13 @@ def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """(a x I_n) b for each matrix b of a stack, bit for bit seq_matmul(np.kron(a, I_n), b).
 
     b has shape (..., inner * n, cols), with any number of leading batch axes.
-    Row (i, r) of the product only meets rows (k, r) of b, so the rank-1 terms
-    are accumulated block by block in the index order k of a: the same
-    products, summed in the same order, as the fixed-order kernel, without the
-    zero terms of the identity.
+    Row (i, r) of the product only meets rows (k, r) of b, so it is the
+    fixed-order product of a and b seen as (..., inner, n * cols): the same
+    products, summed in the same order, without the zero terms of the identity.
     """
-    rows, inner = a.shape
-    lead = b.shape[:-2]
-    blocks = b.reshape(*lead, inner, n, b.shape[-1])
-    # coeffs[k] is column k of a with the rank of a block of b: broadcasting
-    # arrays of unequal rank can send numpy's complex multiply down a loop
-    # without fused multiply-add, and the bits would then depend on the batch
-    coeffs = a.T[(slice(None), *(None,) * len(lead), slice(None), None, None)]
-    out = np.zeros((*lead, rows, n, b.shape[-1]), dtype=complex)
-    for k in range(inner):
-        out += coeffs[k] * blocks[..., k : k + 1, :, :]
-    return out.reshape(*lead, rows * n, b.shape[-1])
+    lead, cols = b.shape[:-2], b.shape[-1]
+    out = _seq_matmul(a, b.reshape(*lead, a.shape[1], n * cols))
+    return out.reshape(*lead, a.shape[0] * n, cols)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -102,7 +94,8 @@ class Realization(NCFunction):
     C: np.ndarray
     D: np.ndarray
     mode: str = "contraction"
-    # L_j = I_m x Q_j, built once; the level-n operands, built on first use
+    # the pencil of the letters L_j = I_m x Q_j, built once; the level-n operands, built on first use
+    _letter_pencil: Pencil = field(init=False, repr=False)
     _letters: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _levels: dict[int, _LevelOperands] = field(init=False, repr=False)
     _d_norm: float = field(init=False, repr=False)  # ||D||, for the resolvent certificate
@@ -127,9 +120,9 @@ class Realization(NCFunction):
         d_norm = _spectral_norm(d)
         if d_norm > 1.0 + CONTRACTION_TOL:
             raise ValueError(f"||D|| = {d_norm:.17g} exceeds 1; the series would not converge on the ball")
-        eye_m = np.eye(m)
-        letters = tuple(_read_only(np.kron(eye_m, q_j)) for q_j in pencil.coefficients)
-        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": letters, "_levels": {}, "_d_norm": d_norm}
+        letters = Pencil(np.array([np.kron(np.eye(m), q_j) for q_j in pencil.coefficients]))
+        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": tuple(letters.coefficients), "_levels": {}}
+        owned |= {"_letter_pencil": letters, "_d_norm": d_norm}
         for name, value in owned.items():
             object.__setattr__(self, name, value)
         if self.mode == "isometry":
@@ -169,15 +162,8 @@ class Realization(NCFunction):
         return ops
 
     def _lam(self, xs: np.ndarray) -> np.ndarray:
-        """L(X) = I_m x Q(X) for each point of a stack, placed as m diagonal blocks."""
-        qx = pencil_eval_batch(self.pencil, xs)
-        if self.m == 1:
-            return qx
-        count, p, q = qx.shape
-        lam = np.zeros((count, self.m * p, self.m * q), dtype=complex)
-        for i in range(self.m):
-            lam[:, i * p : (i + 1) * p, i * q : (i + 1) * q] = qx
-        return lam
+        """L(X) = I_m x Q(X) = sum_j L_j x X_j for each point of a stack: the value of the letters' pencil."""
+        return pencil_eval_batch(self._letter_pencil, xs)
 
     def _resolvent(self, xs: np.ndarray, lam: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         """Solve T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
@@ -191,19 +177,18 @@ class Realization(NCFunction):
         at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
         where delta < 1.  Given the exact pencil_norms, a sample with this
         bound at most 1e9 cannot trip the guard and is not measured; every
-        other sample, and every sample when no norms are given, is.
+        other sample is.  Without norms no sample is certified.
         """
         n = xs.shape[-1]
         ops = self._level(n)
         t = ops.eye_res - _kron_eye_matmul(self.D, lam, n)
-        if pencil_norms is None:
-            cond = np.linalg.cond(t)
-        else:
-            # a certified sample cannot trip the guard: 1 stands in for its condition number
-            cond = np.ones(len(t))
-            uncertified = ~(self._d_norm * pencil_norms <= _CERTIFIED_DELTA)
-            if uncertified.any():
-                cond[uncertified] = np.linalg.cond(t[uncertified])
+        certified = np.zeros(len(t), dtype=bool)
+        if pencil_norms is not None:
+            certified = self._d_norm * pencil_norms <= _CERTIFIED_DELTA
+        # a certified sample cannot trip the guard: 1 stands in for its condition number
+        cond = np.ones(len(t))
+        if not certified.all():
+            cond[~certified] = np.linalg.cond(t[~certified])
         guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
         errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
         res = np.full((len(t), *ops.c_col.shape), np.nan, dtype=complex)
@@ -261,10 +246,6 @@ class Realization(NCFunction):
         return complex((self._prefix_row(word) @ self.C)[0]) if len(word) else self.A
 
     def remainder_factor(self, word: Word) -> "RemainderFactor":
-        if word.d != self.d:
-            raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
-        if len(word) == 0:
-            raise ValueError("remainder factors are indexed by nonempty words")
         return RemainderFactor(self, word)
 
     def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
@@ -310,11 +291,11 @@ class Realization(NCFunction):
 
 
 @dataclass(frozen=True)
-class RemainderFactor(NCFunction):
-    """The right factor g_w in  f = sum_{|v|<N} c_v Z^v + sum_{|w|=N} Z^w g_w."""
+class _RemainderRows(NCFunction):
+    """The column of g_w(X) = (row_w x I_n) R(X) over prefix rows ``rows`` (K, m q), fixed when built."""
 
     base: Realization
-    word: Word
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -326,7 +307,21 @@ class RemainderFactor(NCFunction):
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         res, errors = self.base._resolvent(xs, self.base._lam(xs), pencil_norms)
-        return self.base.remainder_of_row(self.base._prefix_row(self.word), res), errors
+        return self.base.remainder_of_row(self.rows, res), errors
+
+
+@dataclass(frozen=True)
+class RemainderFactor(_RemainderRows):
+    """The right factor g_w in  f = sum_{|v|<N} c_v Z^v + sum_{|w|=N} Z^w g_w."""
+
+    word: Word
+
+    def __post_init__(self):
+        if self.word.d != self.d:
+            raise ValueError(f"word over alphabet 1..{self.word.d} for a realization with d={self.d}")
+        if len(self.word) == 0:
+            raise ValueError("remainder factors are indexed by nonempty words")
+        object.__setattr__(self, "rows", self.base._prefix_row(self.word))
 
 
 def bidisk_witness() -> Realization:

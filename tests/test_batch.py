@@ -299,6 +299,21 @@ def test_a_singular_operand_takes_the_exact_guard_with_norms():
     assert str(errors[1]) == "resolvent operand 1 - (D x I_n) L(X) has 2-norm condition number inf, above 1e+12"
 
 
+def test_a_singular_operand_past_the_guard_fails_at_its_zero_pivot(monkeypatch):
+    # a guard that passes every operand leaves the exactly singular T of ex52
+    # at (1, 1), 1 - D, to the solve: its zero pivot fails that sample alone
+    monkeypatch.setattr(realize.np.linalg, "cond", lambda t: np.ones(len(t)))
+    f = bidisk_witness()
+    xs = np.array([[0.5, 0.5], [1.0, 1.0], [0.3, -0.2j]], dtype=complex).reshape(3, 2, 1, 1)
+    values, failed = f.eval_batch(xs)
+    assert failed.tolist() == [False, True, False]
+    assert np.isnan(values[1]).all()
+    for i in (0, 2):
+        assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        f.eval(MatrixTuple(xs[1]))
+
+
 def test_ex52_needs_no_condition_number_at_margins_down_to_1e_6(cond_calls):
     f, ball = bidisk_witness(), polydisk(2)
     xs = stack_at_margins(np.random.default_rng(22), ball, 4, [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

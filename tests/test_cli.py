@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from ncball.cli import main
-from ncball.freealg import Word
+from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, to_point_dict
-from ncball.opball import row_ball
+from ncball.ncdiff import delta_first
+from ncball.opball import OperatorBall, Pencil, row_ball
 from ncball.realize import Realization, bidisk_witness, realization_to_dict
-from ncball.varieties import parabola_cubic_pair, variety_to_dict
+from ncball.varieties import AlgebraicVariety, parabola_cubic_pair, variety_to_dict
 
 
 def run(capsys, *argv):
@@ -113,6 +114,26 @@ def test_delta_along_the_corner_path(capsys):
     assert abs(payload["modulus"] - abs(0.5 + 5.0j)) < 1e-9
 
 
+def test_delta_takes_an_inline_complex_direction(capsys):
+    base = ("delta", "--realization", "ex52", "--point", "0.3+0.1i,0.2")
+    assert run(capsys, *base, "--direction", "1,0") == run(capsys, *base, "--direction", "e1")
+    assert run(capsys, *base, "--direction", "0,1") == run(capsys, *base, "--direction", "e2")
+    code, out, _ = run(capsys, *base, "--direction", "0.5-2i,1+i")
+    assert code == 0
+    payload = json.loads(out)
+    want = delta_first(bidisk_witness(), (0.3 + 0.1j, 0.2), (0.5 - 2j, 1 + 1j))
+    assert (payload["re"], payload["im"]) == (want.real, want.imag)
+    code, out, err = run(capsys, *base, "--direction", "1,0,0")
+    assert code == 2 and out == "" and "direction needs 2 components, got 3" in err
+
+
+def test_delta_rejects_a_matrix_base_point(capsys, tmp_path):
+    point = write_json(tmp_path / "point.json", to_point_dict(MatrixTuple.zeros(2, 2)))
+    code, out, err = run(capsys, "delta", "--realization", "ex52", "--point", point, "--direction", "e1")
+    assert code == 2 and out == ""
+    assert "delta takes a scalar (level-1) base point" in err
+
+
 def test_tt_check_passes_for_the_witness(capsys):
     code, out, _ = run(capsys, "tt-check", "--realization", "ex52",
                        "--point", "0.5,0.5", "-N", "2")
@@ -202,6 +223,18 @@ def test_blowup_of_the_bounded_witness_itself(capsys):
     assert float(rows[0][3]) < 1.0 and float(rows[1][3]) < float(rows[0][3])
 
 
+def test_blowup_target_names_the_realization_itself(capsys):
+    by_target = run(capsys, "blowup", "--target", "ex52", "--eps", "0.1,0.01")
+    assert by_target[0] == 0
+    assert by_target == run(capsys, "blowup", "--realization", "ex52", "--eps", "0.1,0.01")
+
+
+def test_blowup_needs_an_eps_value(capsys):
+    code, out, err = run(capsys, "blowup", "--target", "ex52", "--eps", ",")
+    assert code == 2 and out == ""
+    assert "--eps needs at least one value" in err
+
+
 def test_blowup_csv_reruns_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -272,6 +305,21 @@ def test_variety_membership_verdicts(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["member"] is False
     assert abs(payload["generator_defect"] - 0.1) < 1e-12
+
+
+def test_variety_file_with_a_pencil_ball(capsys, tmp_path):
+    # a ball with no shorthand is written as {"pencil": ...}; here
+    # ||Q(x)|| = ||[x1, x1/2 + x2]||, so (0.9, 0.81) lies outside
+    ball = OperatorBall(Pencil(np.array([[[1.0, 0.5]], [[0.0, 1.0]]])))
+    obj = variety_to_dict(AlgebraicVariety(ball, (parse("z2 - z1*z1", 2),)))
+    assert set(obj["ball"]) == {"pencil"}
+    spec = write_json(tmp_path / "parabola.json", obj)
+    verdicts = {"0.5,0.25": (True, "inside"), "0.5,0.35": (False, "inside"), "0.9,0.81": (False, "outside")}
+    for point, (member, kind) in verdicts.items():
+        code, out, _ = run(capsys, "variety", "--variety", spec, "--point", point)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["member"], payload["ambient_kind"]) == (member, kind)
 
 
 def test_reproduce_prints_the_agreement_table(capsys):

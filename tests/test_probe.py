@@ -1,17 +1,21 @@
 """Seeded probes: sup-norm search, blowup scans, dichotomy, regularity."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, parse, words_of_size
-from ncball.mattuple import MatrixTuple, eval_word
+from ncball import probe
+from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, parse, words_of_size
+from ncball.mattuple import MatrixTuple, _spectral_norms, eval_word
 from ncball.ncdiff import delta_first
-from ncball.opball import membership, polydisk, row_ball
+from ncball.opball import BallMembership, membership, polydisk, row_ball
 from ncball.probe import (
+    INJECTION_EPS,
+    MULTISTART_MARGINS,
     BlowupReport,
     DichotomyResult,
     MonomialRow,
@@ -268,8 +272,8 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
     nbytes = []
 
     class SpyRow(MonomialRow):
-        def eval_batch(self, xs):
-            values, failed = super().eval_batch(xs)
+        def eval_batch(self, xs, *, pencil_norms=None):
+            values, failed = super().eval_batch(xs, pencil_norms=pencil_norms)
             nbytes.append(values.nbytes)
             return values, failed
 
@@ -290,6 +294,70 @@ def test_estimate_sup_certifies_the_guard_only_on_the_targets_own_pencil(monkeyp
     assert calls == [] and own.failures == 0
     other = estimate_sup(f, row_ball(2), 2, 200, 0)
     assert sum(calls) >= other.evaluations + other.failures == 200
+
+
+def nearest_margin(distance):
+    """The reference bin: the margin nearest in log10 to the distance floored at 1e-12, ties to the first."""
+    scale = np.log10(max(distance, 1e-12))
+    return min(MULTISTART_MARGINS, key=lambda m: abs(np.log10(m) - scale))
+
+
+# the boundary distances of the injected corner-path points, and the geometric
+# midpoints of neighbouring margins, where the bins nearly tie
+CORNER_DISTANCES = [abs(BALL.norm_at(MatrixTuple.scalars(corner_path(eps))) - 1.0) for eps in INJECTION_EPS]
+MIDPOINTS = [math.sqrt(a * b) for a, b in zip(MULTISTART_MARGINS, MULTISTART_MARGINS[1:])]
+SPECIAL_DISTANCES = [*MULTISTART_MARGINS, *CORNER_DISTANCES, *MIDPOINTS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SPECIAL_DISTANCES) | st.floats(1e-14, 1.0), min_size=1))
+@example([*SPECIAL_DISTANCES, 1e-14, 1e-12, 1.0])
+def test_margin_bins_follow_the_scalar_rule(distances):
+    bins = probe._margin_bins(np.array(distances))
+    assert bins == [nearest_margin(distance) for distance in distances]
+    assert all(type(b) is float for b in bins)
+
+
+@given(st.floats(0.0, 2.0))
+@example(1.0 - 1e-9)
+@example(1.0 + 1e-9)
+def test_the_stack_distance_is_the_membership_distance(s):
+    distance = np.abs(np.array([s]) - 1.0).tolist()[0]
+    assert np.float64(distance).tobytes() == np.float64(BallMembership.from_norm(s).distance).tobytes()
+
+
+@dataclass(frozen=True)
+class FailsAtChosenPoints(NCFunction):
+    """X -> X_1, failing at exactly the points whose entries are among ``chosen`` (as bytes)."""
+
+    chosen: frozenset
+    d: int = 2
+
+    def _values(self, xs):
+        errors = {i: np.linalg.LinAlgError("chosen") for i, x in enumerate(xs) if x.tobytes() in self.chosen}
+        values = xs[:, 0].copy()
+        values[list(errors)] = np.nan
+        return values, errors
+
+
+def test_estimate_sup_counts_and_skips_failed_samples():
+    # level 2 has no corner-path pool: multistart sample i is drawn from seed + i
+    budget, seed = 100, 4
+    draws = [(seed + i, MULTISTART_MARGINS[i % len(MULTISTART_MARGINS)]) for i in range(budget // 2)]
+    points = np.concatenate(list(probe._sample_chunks(BALL, 2, draws)))
+    failing = [0, 3, 17, 18, 49]
+    target = FailsAtChosenPoints(frozenset(points[i].tobytes() for i in failing))
+    report = estimate_sup(target, BALL, 2, budget, seed)
+    # climb candidates move off the drawn points, so only the chosen samples fail
+    assert report.failures == len(failing)
+    assert report.evaluations == len(report.trajectory)
+    assert [row.iteration for row in report.trajectory] == list(range(report.evaluations))
+    kept = [i for i in range(len(points)) if i not in failing]
+    multistart = report.trajectory[: len(kept)]
+    assert [row.label for row in multistart] == [f"m{draws[i][1]:g}" for i in kept]
+    assert [row.value for row in multistart] == _spectral_norms(points[kept, 0]).tolist()
+    assert [row.boundary_distance for row in multistart] == np.abs(BALL.norms_at(points[kept]) - 1.0).tolist()
+    assert not report.trajectory[len(kept)].label.startswith("m")
 
 
 def test_regularity_validation():
