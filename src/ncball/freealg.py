@@ -56,6 +56,15 @@ class Word:
             if not 1 <= letter <= self.d:
                 raise ValueError(f"letter {letter} outside alphabet 1..{self.d}")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...], d: int) -> "Word":
+        """The Word of a tuple of ints already known to lie in 1..d, built without re-validation."""
+        word = object.__new__(cls)
+        fields = word.__dict__
+        fields["letters"] = letters
+        fields["d"] = d
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -86,8 +95,12 @@ class Word:
 
 def words_of_size(d: int, k: int) -> Iterator[Word]:
     """All words of size exactly k, in length-lex order."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if k < 0:
+        raise ValueError(f"word size k must be >= 0, got {k}")
     for letters in itertools.product(range(1, d + 1), repeat=k):
-        yield Word(letters, d)
+        yield Word._trusted(letters, d)
 
 
 def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[object, tuple]]:
@@ -179,12 +192,16 @@ class NCFunction:
 
     def _at(self, x, values) -> np.ndarray:
         """values(stack) at the point x alone, after the d check: a batch of one."""
-        if x.d != self.d:
-            raise ValueError(f"{type(self).__name__} in d={self.d} variables evaluated at a {x.d}-tuple")
+        self._check_d(x)
         out, errors = values(x.entries[None])
         if errors:
             raise errors[0]
         return out[0]
+
+    def _check_d(self, x) -> None:
+        """Reject a MatrixTuple x whose number of variables is not this function's d."""
+        if x.d != self.d:
+            raise ValueError(f"{type(self).__name__} in d={self.d} variables evaluated at a {x.d}-tuple")
 
 
 def _add_term(terms: dict, word, coeff: complex) -> dict:
@@ -381,8 +398,8 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
     """Quotients f_w of the exact division  p = sum_{|w|=n} z^w f_w.
 
     Requires every word of p to have size >= n; the returned map covers all
-    d^n words of size n (zero quotients included) in insertion order equal
-    to length-lex order.
+    d^n words of size n in insertion order equal to length-lex order, and
+    the absent heads share one zero quotient.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -391,12 +408,20 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
             raise ValueError(f"word {word.to_string()!r} of size {len(word)} < {n}: p is not left-divisible")
     if p.d**n > WORD_BUDGET:
         raise BudgetExceededError(f"{p.d}^{n} quotient words exceed the budget {WORD_BUDGET}")
-    pieces: dict[Word, dict[Word, complex]] = {w: {} for w in words_of_size(p.d, n)}
+    quotients, zero = _left_quotients(p, n), FreePolynomial.zero(p.d)
+    heads = itertools.product(range(1, p.d + 1), repeat=n)
+    return {Word._trusted(head, p.d): quotients.get(head, zero) for head in heads}
+
+
+def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:
+    """The nonzero quotients f_w of the part of p of size >= n, keyed by the letters of w in length-lex order.
+
+    Each quotient keeps its terms in the order of p's terms."""
+    pieces: dict[tuple[int, ...], dict[Word, complex]] = {}
     for word, coeff in p.terms.items():
-        head = Word(word.letters[:n], p.d)
-        tail = Word(word.letters[n:], p.d)
-        pieces[head][tail] = coeff
-    return {w: FreePolynomial(p.d, body) for w, body in pieces.items()}
+        if len(word) >= n:
+            pieces.setdefault(word.letters[:n], {})[Word._trusted(word.letters[n:], p.d)] = coeff
+    return {head: FreePolynomial(p.d, pieces[head]) for head in sorted(pieces)}
 
 
 def compose(p: FreePolynomial, inner) -> FreePolynomial:
@@ -476,7 +501,8 @@ class _Parser:
         kind, _, position, lexeme = self.tokens.pop()
         if kind != "end":
             raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        return FreePolynomial(self.d, terms)
+        d = int(self.d)  # primary() has range-checked every letter
+        return FreePolynomial(d, {Word._trusted(w, d): c for w, c in terms.items()})
 
     def expr(self) -> dict:
         terms = self.term()

@@ -20,8 +20,8 @@ import numpy as np
 from .freealg import (
     BudgetExceededError,
     FreePolynomial,
+    _left_quotients,
     homogeneous_component,
-    left_divide,
     walk_levels,
 )
 from .mattuple import MatrixTuple, _monomials, _spectral_norm, _word_values
@@ -102,13 +102,19 @@ class TTReport:
         return self.defect <= self.tol
 
 
+def _added(rhs: np.ndarray, products) -> np.ndarray:
+    """rhs + products[0] + products[1] + ..., one add at a time in order: one accumulate, the bits of rhs += product."""
+    return np.add.accumulate([rhs, *products])[-1]
+
+
 def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """Verify f(X) = sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at X.
 
     Works for realizations (g_w are remainder factors) and for polynomials
-    (g_w come from exact left division of the high part).  The tail is added
-    in length-lex order.  A polynomial walks only the prefixes of its words, a
-    realization all d^N words of size N; d^N is budgeted at 1e5.
+    (g_w come from exact left division of the high part, for the heads that
+    occur).  The tail is added in length-lex order, one product at a time.
+    A polynomial walks only the prefixes of its words, a realization all d^N
+    words of size N; d^N is budgeted at 1e5.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -118,22 +124,19 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     lhs = f.eval(x)  # also rejects a point with the wrong d
     rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
-        high = FreePolynomial(d, {w: c for w, c in f.terms.items() if len(w) >= order})
-        quotients = {w.letters: q for w, q in left_divide(high, order).items() if q}
+        quotients = _left_quotients(f, order)
         words = [w.letters for w in f.terms if len(w) < order] + [*quotients]
         values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
         for k in range(order):
             rhs += homogeneous_component(f, k)._term_sum(values, (x.n, x.n))
-        for w, q in quotients.items():
-            rhs += values[w] @ q._term_sum(values, (x.n, x.n))
+        rhs = _added(rhs, [values[w] @ q._term_sum(values, (x.n, x.n)) for w, q in quotients.items()])
     elif isinstance(f, Realization):
         for term in itertools.islice(f._homogeneous_terms(x), order):
             rhs += term
         res = f.resolvent_term(x)
         for k, (xws, rows) in walk_levels(d, order, _monomials(x.entries), (None, f.row_step)):
             if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
-                for product in xws @ f.remainder_of_row(rows[:, 0], res).reshape(xws.shape):
-                    rhs += product
+                rhs = _added(rhs, xws @ f.remainder_of_row(rows[:, 0], res).reshape(xws.shape))
     else:
         raise TypeError(f"tt_check supports polynomials and realizations, got {type(f).__name__}")
     defect = _spectral_norm(lhs - rhs)

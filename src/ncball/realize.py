@@ -253,7 +253,9 @@ class Realization(NCFunction):
 
         f_k(x) = cur_k (C x I_n) with cur_1 = (B x I_n) L and
         cur_(k+1) = cur_k (D x I_n) L; L is formed only if f_1 is asked for.
+        A point with the wrong d is rejected before f_0.
         """
+        self._check_d(x)
         ops = self._level(x.n)
         yield self.A * ops.eye
         lam = self._lam(x.entries[None])[0]

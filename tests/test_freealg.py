@@ -5,6 +5,7 @@ import operator
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from ncball.freealg import (
     to_triples,
     words_of_size,
 )
+from ncball.opball import polydisk
+from ncball.realize import Realization, taylor_polynomial
 
 MAX_D = 3
 
@@ -75,8 +78,12 @@ def test_word_concatenation_and_length():
 
 
 def test_word_rejects_letters_outside_alphabet():
-    with pytest.raises(ValueError, match="outside alphabet"):
+    with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
         Word((3,), 2)
+    with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
+        Word.from_string("3", 2)
+    with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
+        FreePolynomial(2, {(3,): 1})
     with pytest.raises(ValueError, match="d must be >= 1"):
         Word((), 0)
 
@@ -117,6 +124,47 @@ def test_words_of_size_is_length_lex():
     got = [w.letters for w in words_of_size(2, 2)]
     assert got == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert len(list(words_of_size(3, 3))) == 27
+
+
+def test_words_of_size_rejects_bad_arguments_by_name():
+    for k in (0, 1, 3):
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            list(words_of_size(0, k))
+    with pytest.raises(ValueError, match="d must be >= 1, got -2"):
+        list(words_of_size(-2, 0))
+    with pytest.raises(ValueError, match="word size k must be >= 0, got -1"):
+        list(words_of_size(2, -1))
+    assert [w.letters for w in words_of_size(2, 0)] == [()]
+
+
+def assert_trusted(word: Word):
+    """A word built without validation is the validated Word of its letters in every respect."""
+    checked = Word(word.letters, word.d)
+    assert all(type(letter) is int for letter in word.letters) and type(word.letters) is tuple
+    assert word == checked and checked == word
+    assert hash(word) == hash(checked)
+    assert word.to_string() == checked.to_string()
+    assert word.sort_key() == checked.sort_key()
+    assert vars(word) == vars(checked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_polys(), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_trusted_words_match_validated_words(p, k, n, seed):
+    for word in words_of_size(p.d, k):
+        assert_trusted(word)
+    high = FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) >= n})
+    for head, quotient in left_divide(high, n).items():
+        assert_trusted(head)
+        for tail in quotient.terms:
+            assert_trusted(tail)
+    for word in parse(format_poly(p), p.d).terms:
+        assert_trusted(word)
+    rng = np.random.default_rng(seed)
+    b, c, dmat = rng.normal(size=p.d), rng.normal(size=p.d), rng.normal(size=(p.d, p.d))
+    f = Realization(polydisk(p.d).pencil, 1, 0.5, b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
+    for word in taylor_polynomial(f, k + 1).terms:
+        assert_trusted(word)
 
 
 @given(st.integers(1, 3), st.data())
@@ -527,6 +575,21 @@ def test_left_divide_reconstructs_exactly(p, n):
     for word, quotient in quotients.items():
         rebuilt = rebuilt + FreePolynomial.monomial(word) * quotient
     assert rebuilt == high
+
+
+@given(complex_polys(), st.integers(1, 3))
+@settings(max_examples=150)
+def test_left_divide_keeps_its_contract(p, n):
+    high = FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) >= n})
+    quotients = left_divide(high, n)
+    assert [w.letters for w in quotients] == [w.letters for w in words_of_size(p.d, n)]
+    for head, quotient in quotients.items():
+        # the reference: the terms of this head, in the order of p's terms, keyed by validated words
+        want = {Word(w.letters[n:], p.d): c for w, c in high.terms.items() if w.letters[:n] == head.letters}
+        if want:
+            assert list(quotient.terms.items()) == list(FreePolynomial(p.d, want).terms.items())
+        else:
+            assert quotient == FreePolynomial.zero(p.d) and quotient.d == p.d
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ncball.ncdiff import (
     scalar_eval,
     tt_check,
 )
-from ncball.opball import polydisk, row_ball
+from ncball.opball import OperatorBall, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
 from ncball.realize import Realization, RemainderFactor, bidisk_witness, bidisk_witness_closed_form
 
@@ -323,6 +324,80 @@ def test_tt_check_matches_the_word_by_word_sum_bitwise():
             want = ref_tt_rhs(f, x, order)
             assert report.rhs.tobytes() == want.tobytes()
             assert report.defect == float(np.linalg.norm(f.eval(x) - want, 2))
+
+
+def random_contraction(rng, d):
+    """A contraction-mode realization over the polydisk or the row ball in d variables, m = 2."""
+    pencil = (polydisk(d) if rng.integers(2) else row_ball(d)).pencil
+    mp, mq = 2 * pencil.p, 2 * pencil.q
+    b, c, dmat = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in (mp, mq, (mq, mp)))
+    return Realization(pencil, 2, complex(*rng.normal(size=2)), b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
+
+
+def random_poly(rng, d, order):
+    """Up to 12 random complex terms of size <= order + 2, some below the order and some at or above it."""
+    sizes = rng.integers(0, order + 3, rng.integers(1, 13))
+    return FreePolynomial(d, {Word(tuple(rng.integers(1, d + 1, k)), d): complex(*rng.normal(size=2)) for k in sizes})
+
+
+# d^N per-word remainder factors at most: 3^8 of them would take seconds per example
+TAIL_CASES = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, 3), st.integers(1, 8 if d < 3 else 5), st.integers(0, 2**32 - 1))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(TAIL_CASES)
+def test_tt_check_tail_of_a_contraction_is_the_word_by_word_sum_bitwise(case):
+    d, level, order, seed = case
+    rng = np.random.default_rng(seed)
+    f = random_contraction(rng, d)
+    x = sample_in_ball(OperatorBall(f.pencil), level, 0.5, rng)
+    assert tt_check(f, x, order).rhs.tobytes() == ref_tt_rhs(f, x, order).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(TAIL_CASES)
+def test_tt_check_tail_of_a_polynomial_is_the_word_by_word_sum_bitwise(case):
+    d, level, order, seed = case
+    rng = np.random.default_rng(seed)
+    p = random_poly(rng, d, order)
+    x = sample_in_ball(polydisk(d), level, 0.5, rng)
+    assert tt_check(p, x, order).rhs.tobytes() == ref_tt_rhs(p, x, order).tobytes()
+
+
+def count_constructions(fn):
+    """fn() and the number of FreePolynomial and Word objects it built."""
+    counts = {"polys": 0, "words": 0}
+    poly_init, word_init, trusted = FreePolynomial.__post_init__, Word.__post_init__, Word._trusted.__func__
+
+    def counted(key, original):
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    with mock.patch.object(FreePolynomial, "__post_init__", counted("polys", poly_init)), mock.patch.object(
+        Word, "__post_init__", counted("words", word_init)
+    ), mock.patch.object(Word, "_trusted", classmethod(counted("words", trusted))):
+        result = fn()
+    return result, counts
+
+
+def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
+    x = MatrixTuple.scalars((0.5, 0.4))
+    found = "z1^16 + 0.5*z2*z1^15 + z1*z2"  # two terms of size 16 under 2^16 heads
+    built = []
+    for text in (found, found + " + 0.25*z2^16", found + " + 0.25*z2^16 - z1*z2*z1^14"):
+        p = parse(text, 2)
+        report, counts = count_constructions(lambda: tt_check(p, x, 16))
+        assert report.rhs.tobytes() == ref_tt_rhs(p, x, 16).tobytes()
+        built.append(counts)
+    # each high term adds one quotient and one tail word; the rest is one component per size below 16
+    assert [c["polys"] - built[0]["polys"] for c in built] == [0, 1, 2]
+    assert [c["words"] - built[0]["words"] for c in built] == [0, 1, 2]
+    assert built[0]["polys"] == 16 + 2 and built[0]["words"] == 2
 
 
 def test_tt_check_report_fields():

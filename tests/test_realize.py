@@ -488,6 +488,11 @@ def test_eval_respects_similarities():
 def test_eval_dimension_mismatch():
     with pytest.raises(ValueError, match="evaluated at"):
         bidisk_witness().eval(MatrixTuple.zeros(3, 1))
+    # the series values check d before their first term, f_0 = A I_n
+    f, x = bidisk_witness(), MatrixTuple.scalars((0.1, 0.2, 0.3))
+    for call in (lambda: f.homogeneous_value(x, 0), lambda: f.cesaro_value(x, 1), lambda: f.homogeneous_value(x, 1)):
+        with pytest.raises(ValueError, match="Realization in d=2 variables evaluated at a 3-tuple"):
+            call()
 
 
 # ---------------------------------------------------------------------------
