@@ -3,8 +3,9 @@
 Subcommands: eval, coeff, delta, tt-check, probe, blowup, dichotomy, variety,
 reproduce.  Every run is fully determined by argv plus input files; the only
 randomness is seeded.  CSV output carries a comment line with seed and
-version, complex values are written as (re, im) pairs with 17 significant
-digits, and reruns with equal arguments are byte-identical.
+version, complex values are written as (re, im) pairs, each float as the
+shortest digit string that round-trips, and reruns with equal arguments are
+byte-identical.
 
 Exit codes: 0 success, 2 usage or input error, 1 numerical failure.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .freealg import PolyParseError, Word, parse
-from .mattuple import MatrixTuple, complex_to_json, point_from_dict, to_point_dict
+from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import ball_from_shorthand, membership
 from .probe import (
@@ -40,18 +41,12 @@ from .realize import (
 from .varieties import generator_defect, variety_from_dict, variety_membership
 
 
-def _fmt(value) -> str:
-    # repr of a float is the shortest digit string that round-trips exactly
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(out: str | None, columns, rows, seed) -> None:
     lines = [f"# ncball {__version__} seed={seed}"]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+        # str of a float (numpy's too) is its repr: the shortest digit string that round-trips
+        lines.append(",".join(map(str, row)))
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -283,9 +278,7 @@ def _cmd_reproduce(args) -> int:
     print(f"{'x1':>24} {'x2':>24} {'realization':>24} {'closed form':>24} {'|diff|':>12}")
     worst = 0.0
     for _ in range(args.samples):
-        radii = np.sqrt(rng.uniform(0.0, 1.0, 2))
-        phases = rng.uniform(0.0, 2.0 * np.pi, 2)
-        x1, x2 = (complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, phases))
+        x1, x2 = _unit_disk_points(rng, 2)
         via_eval = complex(f.eval(MatrixTuple.scalars((x1, x2)))[0, 0])
         closed = bidisk_witness_closed_form(x1, x2)
         diff = abs(via_eval - closed)

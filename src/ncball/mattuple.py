@@ -95,6 +95,13 @@ def sup_norm(x: MatrixTuple) -> float:
     return max(_spectral_norm(entry) for entry in x.entries)
 
 
+def _unit_disk_points(rng: np.random.Generator, count: int) -> list[complex]:
+    """count points of the open unit disk, uniform by area: all radii sqrt(u), then all phases."""
+    radii = np.sqrt(rng.uniform(0.0, 1.0, count))
+    phases = rng.uniform(0.0, 2.0 * np.pi, count)
+    return [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, phases)]
+
+
 def point_stack(xs, d: int) -> np.ndarray:
     """xs as a (B, d, n, n) complex stack of level-n points, validated.
 
@@ -147,33 +154,35 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     choice, row swaps, rank-1 updates and column sweep per sample.  A sample
     that meets a zero pivot is marked in the boolean mask ``singular`` and its
     slice of x is meaningless; the other samples are untouched by it.
+    It eliminates on one augmented stack [a | b], its only copy: one row swap
+    and one rank-1 update per pivot, then substitution on views of the stack.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.ndim != 3 or b.shape[:2] != a.shape[:2]:
         raise ValueError(f"cannot solve stacks of shapes {a.shape} and {b.shape}")
     count, n = a.shape[:2]
+    ab = np.concatenate((a, b), axis=2)
     singular = np.zeros(count, dtype=bool)
     for k in range(n):
-        piv = k + np.abs(a[:, k:, k]).argmax(axis=1)
+        piv = k + np.abs(ab[:, k:, k]).argmax(axis=1)
         moved = (piv != k).nonzero()[0]
         if len(moved):
-            for m in (a, b):
-                row = m[moved, piv[moved]]
-                m[moved, piv[moved]] = m[moved, k]
-                m[moved, k] = row
-        zero = a[:, k, k] == 0
+            row = ab[moved, piv[moved]]
+            ab[moved, piv[moved]] = ab[moved, k]
+            ab[moved, k] = row
+        zero = ab[:, k, k] == 0
         if np.count_nonzero(zero):
             # a unit pivot keeps the arithmetic of a singular sample finite
             singular |= zero
-            a[zero, k, k] = 1.0
-        mult = a[:, k + 1 :, k : k + 1] / a[:, k : k + 1, k : k + 1]
-        a[:, k + 1 :, k + 1 :] -= mult * a[:, k : k + 1, k + 1 :]
-        b[:, k + 1 :, :] -= mult * b[:, k : k + 1, :]
+            ab[zero, k, k] = 1.0
+        mult = ab[:, k + 1 :, k : k + 1] / ab[:, k : k + 1, k : k + 1]
+        ab[:, k + 1 :, k + 1 :] -= mult * ab[:, k : k + 1, k + 1 :]
+    a, x = ab[..., :n], ab[..., n:]
     for i in range(n - 1, -1, -1):
-        b[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
-        b[:, :i, :] -= a[:, :i, i : i + 1] * b[:, i : i + 1, :]
-    return b, singular
+        x[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
+        x[:, :i, :] -= a[:, :i, i : i + 1] * x[:, i : i + 1, :]
+    return x, singular
 
 
 def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -167,12 +167,17 @@ def state_compression(x: MatrixTuple, v: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(np.vdot(v, x.entries[j] @ v)) for j in range(x.d))
 
 
+def _isometry_defect(v: np.ndarray) -> float:
+    """||V*V - I||, the distance of the columns of V from an orthonormal set."""
+    return _spectral_norm(v.conj().T @ v - np.eye(v.shape[1]))
+
+
 def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
     """The compressed tuple (V* x_j V) for an isometry V, an n x k matrix."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] != x.n:
         raise ValueError(f"V must be {x.n} x k, got {v.shape}")
-    defect = _spectral_norm(v.conj().T @ v - np.eye(v.shape[1]))
+    defect = _isometry_defect(v)
     if defect > ISOMETRY_TOL:
         raise ValueError(f"V*V differs from the identity by {defect:.3e}")
     return MatrixTuple(np.array([v.conj().T @ x.entries[j] @ v for j in range(x.d)]))

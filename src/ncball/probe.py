@@ -468,6 +468,8 @@ def dichotomy_scan(
         raise ValueError(f"map has {len(maps)} components but the target pencil has d={target_pencil.d}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not levels:
+        raise ValueError("levels must name at least one level")
     norms = []
     # sample i is drawn at level levels[i % L] from seed + i; the norms are
     # taken level by level, which leaves their max and min as they are

@@ -8,9 +8,9 @@ multiplicity m.  Its value at a level-n point X is
 where L(X) = I_m x Q(X) and "x" is the Kronecker product.  With Q of size
 p x q the data shapes are B: 1 x (m p), C: (m q) x 1, D: (m q) x (m p).
 No identity Kronecker product is formed while evaluating: the letters I_m x Q_j
-are built once per realization, C x I_n and the identities once per level n,
-L(X) = sum_j L_j x X_j is the pencil value of the letters, and the products
-by B x I_n and D x I_n are block operations.
+and the block column [B; D] are built once per realization,
+L(X) = sum_j L_j x X_j is the pencil value of the letters, and one block
+product by [B; D] x I_n gives both (B x I_n) L(X) and (D x I_n) L(X).
 In isometry mode the system matrix V = [[A, B], [C, D]] satisfies V*V = 1 and
 f is then a complete contraction on the ball; in contraction mode only
 ||D|| <= 1 is required and f is merely analytic where the resolvent exists.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -37,10 +37,9 @@ from .mattuple import (
     seq_matmul,
     seq_solve_batch,
 )
-from .opball import Pencil, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
+from .opball import ISOMETRY_TOL, Pencil, _isometry_defect, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
 
 CONTRACTION_TOL = 1e-10
-ISOMETRY_TOL = 1e-10
 RESOLVENT_COND_LIMIT = 1e12
 # the bound cond(T) <= (1 + delta)/(1 - delta), delta = ||D|| ||Q(X)||, is at
 # most 1e9 exactly when delta <= this: three orders of magnitude below the limit
@@ -57,19 +56,6 @@ class IllConditionedError(RuntimeError):
         self.cond = cond
 
 
-class _LevelOperands(NamedTuple):
-    """The read-only operands of one realization at one level n."""
-
-    eye: np.ndarray  # I_n
-    c_col: np.ndarray  # C x I_n, of shape (m q n) x n
-    eye_res: np.ndarray  # I_{m q n}
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """(a x I_n) b for each matrix b of a stack, bit for bit seq_matmul(np.kron(a, I_n), b).
 
@@ -83,6 +69,11 @@ def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(*lead, a.shape[0] * n, cols)
 
 
+def _kron_eye_col(c: np.ndarray, n: int) -> np.ndarray:
+    """c x I_n for a vector c, of shape (len(c) n) x n: the products c[i] I_n[r, s] that np.kron forms."""
+    return (c[:, None, None] * np.eye(n)).reshape(-1, n)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Realization(NCFunction):
     """System data (A, B, C, D) over a pencil, evaluable at matrix tuples."""
@@ -94,10 +85,10 @@ class Realization(NCFunction):
     C: np.ndarray
     D: np.ndarray
     mode: str = "contraction"
-    # the pencil of the letters L_j = I_m x Q_j, built once; the level-n operands, built on first use
+    # the pencil of the letters L_j = I_m x Q_j and V's right block column [B; D], built once
     _letter_pencil: Pencil = field(init=False, repr=False)
     _letters: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _levels: dict[int, _LevelOperands] = field(init=False, repr=False)
+    _bd: np.ndarray = field(init=False, repr=False)
     _d_norm: float = field(init=False, repr=False)  # ||D||, for the resolvent certificate
 
     def __post_init__(self):
@@ -121,13 +112,14 @@ class Realization(NCFunction):
         if d_norm > 1.0 + CONTRACTION_TOL:
             raise ValueError(f"||D|| = {d_norm:.17g} exceeds 1; the series would not converge on the ball")
         letters = Pencil(np.array([np.kron(np.eye(m), q_j) for q_j in pencil.coefficients]))
-        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": tuple(letters.coefficients), "_levels": {}}
+        bd = np.concatenate((b[None], d))
+        bd.setflags(write=False)
+        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": tuple(letters.coefficients), "_bd": bd}
         owned |= {"_letter_pencil": letters, "_d_norm": d_norm}
         for name, value in owned.items():
             object.__setattr__(self, name, value)
         if self.mode == "isometry":
-            v = self.system_matrix()
-            defect = _spectral_norm(v.conj().T @ v - np.eye(1 + mp))
+            defect = _isometry_defect(self.system_matrix())
             if defect > ISOMETRY_TOL:
                 raise ValueError(f"V*V differs from the identity by {defect:.3e}; not an isometry")
 
@@ -149,29 +141,15 @@ class Realization(NCFunction):
         """L_j = I_m x Q_j, the pencil letter seen by the system data (read-only)."""
         return self._letters[j - 1]
 
-    def _level(self, n: int) -> _LevelOperands:
-        """The level-n operands, built on first use and kept."""
-        ops = self._levels.get(n)
-        if ops is None:
-            ops = _LevelOperands(
-                eye=_read_only(np.eye(n, dtype=complex)),
-                c_col=_read_only(np.kron(self.C.reshape(-1, 1), np.eye(n))),
-                eye_res=_read_only(np.eye(self.m * self.pencil.q * n, dtype=complex)),
-            )
-            self._levels[n] = ops
-        return ops
+    def _resolvent(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+        """(B x I_n) L(X), and R solving T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
 
-    def _lam(self, xs: np.ndarray) -> np.ndarray:
-        """L(X) = I_m x Q(X) = sum_j L_j x X_j for each point of a stack: the value of the letters' pencil."""
-        return pencil_eval_batch(self._letter_pencil, xs)
-
-    def _resolvent(self, xs: np.ndarray, lam: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Solve T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
-
-        Returns the stack of R and, by sample index, the error each failed
-        sample would raise alone: IllConditionedError where the exact 2-norm
-        condition number of T trips the guard (that sample is not solved), or
-        LinAlgError at a zero pivot.  A failed sample's R is NaN.
+        One product by [B; D] x I_n gives both: its rows are, bit for bit, those
+        of the two products apart.  Returns the head, the stack of R and, by
+        sample index, the error each failed sample would raise alone:
+        IllConditionedError where the exact 2-norm condition number of T trips
+        the guard (that sample is not solved), or LinAlgError at a zero pivot.
+        A failed sample's R is NaN.
 
         Since ||L(X)|| = ||Q(X)||, T is the identity less an operator of norm
         at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
@@ -180,8 +158,8 @@ class Realization(NCFunction):
         other sample is.  Without norms no sample is certified.
         """
         n = xs.shape[-1]
-        ops = self._level(n)
-        t = ops.eye_res - _kron_eye_matmul(self.D, lam, n)
+        bd_lam = _kron_eye_matmul(self._bd, pencil_eval_batch(self._letter_pencil, xs), n)
+        t = np.eye(bd_lam.shape[-1], dtype=complex) - bd_lam[:, n:]
         certified = np.zeros(len(t), dtype=bool)
         if pencil_norms is not None:
             certified = self._d_norm * pencil_norms <= _CERTIFIED_DELTA
@@ -191,30 +169,28 @@ class Realization(NCFunction):
             cond[~certified] = np.linalg.cond(t[~certified])
         guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
         errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
-        res = np.full((len(t), *ops.c_col.shape), np.nan, dtype=complex)
+        c_col = _kron_eye_col(self.C, n)
+        res = np.full((len(t), *c_col.shape), np.nan, dtype=complex)
         solved = np.flatnonzero(guarded)
         if len(solved):
-            sol, singular = seq_solve_batch(t[solved], np.repeat(ops.c_col[None], len(solved), axis=0))
+            sol, singular = seq_solve_batch(t[solved], np.broadcast_to(c_col, (len(solved), *c_col.shape)))
             res[solved] = sol
             for i in solved[singular]:
                 errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
                 res[i] = np.nan
-        return res, errors
+        return bd_lam[:, :n], res, errors
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         """f at each point of a stack, with the errors of the failed samples (NaN values)."""
-        lam = self._lam(xs)
-        res, errors = self._resolvent(xs, lam, pencil_norms)
-        n = xs.shape[-1]
-        head = _kron_eye_matmul(self.B.reshape(1, -1), lam, n)
-        return self.A * self._level(n).eye + _seq_matmul(head, res), errors
+        head, res, errors = self._resolvent(xs, pencil_norms)
+        return self.A * np.eye(xs.shape[-1], dtype=complex) + _seq_matmul(head, res), errors
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
 
         This right factor need not be bounded on the ball even when f is.
         """
-        return self._at(x, lambda xs: self._resolvent(xs, self._lam(xs)))
+        return self._at(x, lambda xs: self._resolvent(xs)[1:])
 
     def row_step(self, rows: np.ndarray | None, j: int) -> np.ndarray:
         """The prefix rows of the words w j from those of a stack of words w.
@@ -252,17 +228,17 @@ class Realization(NCFunction):
         """f_0(x), f_1(x), ...: one power iteration, one product per term.
 
         f_k(x) = cur_k (C x I_n) with cur_1 = (B x I_n) L and
-        cur_(k+1) = cur_k (D x I_n) L; L is formed only if f_1 is asked for.
-        A point with the wrong d is rejected before f_0.
+        cur_(k+1) = cur_k (D x I_n) L, both from one product by [B; D] x I_n;
+        L is formed only if f_1 is asked for.  A point with the wrong d is
+        rejected before f_0.
         """
         self._check_d(x)
-        ops = self._level(x.n)
-        yield self.A * ops.eye
-        lam = self._lam(x.entries[None])[0]
-        cur = _kron_eye_matmul(self.B.reshape(1, -1), lam, x.n)
-        hop = _kron_eye_matmul(self.D, lam, x.n)
+        n = x.n
+        yield self.A * np.eye(n, dtype=complex)
+        bd_lam = _kron_eye_matmul(self._bd, pencil_eval_batch(self._letter_pencil, x.entries[None])[0], n)
+        cur, hop, c_col = bd_lam[:n], bd_lam[n:], _kron_eye_col(self.C, n)
         while True:
-            yield seq_matmul(cur, ops.c_col)
+            yield seq_matmul(cur, c_col)
             cur = seq_matmul(cur, hop)
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
@@ -308,7 +284,7 @@ class _RemainderRows(NCFunction):
         return self.base.pencil
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
-        res, errors = self.base._resolvent(xs, self.base._lam(xs), pencil_norms)
+        _, res, errors = self.base._resolvent(xs, pencil_norms)
         return self.base.remainder_of_row(self.rows, res), errors
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import FreePolynomial, parse
-from .mattuple import MatrixTuple, _spectral_norm
+from .mattuple import MatrixTuple, _spectral_norm, _unit_disk_points
 from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
@@ -45,8 +45,8 @@ def variety_membership(variety: AlgebraicVariety, x: MatrixTuple, tol: float = V
 
 
 def generator_defect(variety: AlgebraicVariety, x: MatrixTuple) -> float:
-    """max over generators of ||g(x)||, the quantity membership thresholds."""
-    return max(_spectral_norm(g.eval(x)) for g in variety.generators)
+    """max over generators of ||g(x)||, the quantity membership thresholds; 0.0 with no generators."""
+    return max((_spectral_norm(g.eval(x)) for g in variety.generators), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,19 @@ def homogeneity_sample(
     ``samples`` are caller-produced in-variety points (supply a parameterization
     such as T -> (T, T^2)); an out-of-variety sample is an error, not a witness.
     ``lambdas`` defaults to ``num_lambdas`` seeded draws from the open unit disk.
+    A verdict needs at least one sample and one scale: none is an error.
     """
     samples = list(samples)
+    if not samples:
+        raise ValueError("samples must hold at least one point")
     if lambdas is None:
-        rng = np.random.default_rng(seed)
-        radii = np.sqrt(rng.uniform(0.0, 1.0, num_lambdas))
-        phases = rng.uniform(0.0, 2.0 * np.pi, num_lambdas)
-        lambdas = [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, phases)]
+        if num_lambdas < 1:
+            raise ValueError(f"num_lambdas must be >= 1, got {num_lambdas}")
+        lambdas = _unit_disk_points(np.random.default_rng(seed), num_lambdas)
     else:
         lambdas = [complex(v) for v in lambdas]
+        if not lambdas:
+            raise ValueError("lambdas must hold at least one scale")
         for scale in lambdas:
             if abs(scale) >= 1.0:
                 raise ValueError(f"lambda must lie in the open unit disk, got |{scale}| = {abs(scale):.17g}")

@@ -136,6 +136,96 @@ def test_a_zero_pivot_masks_only_its_own_sample():
         seq_solve(a[1], b[1])
 
 
+def two_array_seq_solve_batch(a, b):
+    # the batched elimination as it was written before the augmented stack:
+    # each pivot swaps and updates a and b with separate numpy calls
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    count, n = a.shape[:2]
+    singular = np.zeros(count, dtype=bool)
+    for k in range(n):
+        piv = k + np.abs(a[:, k:, k]).argmax(axis=1)
+        moved = (piv != k).nonzero()[0]
+        if len(moved):
+            for m in (a, b):
+                row = m[moved, piv[moved]]
+                m[moved, piv[moved]] = m[moved, k]
+                m[moved, k] = row
+        zero = a[:, k, k] == 0
+        if np.count_nonzero(zero):
+            singular |= zero
+            a[zero, k, k] = 1.0
+        mult = a[:, k + 1 :, k : k + 1] / a[:, k : k + 1, k : k + 1]
+        a[:, k + 1 :, k + 1 :] -= mult * a[:, k : k + 1, k + 1 :]
+        b[:, k + 1 :, :] -= mult * b[:, k : k + 1, :]
+    for i in range(n - 1, -1, -1):
+        b[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
+        b[:, :i, :] -= a[:, :i, i : i + 1] * b[:, i : i + 1, :]
+    return b, singular
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 19), st.integers(1, 19), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+@example(count=1, n=1, cols=1, zero_pivots=True, seed=0)
+@example(count=16, n=16, cols=8, zero_pivots=False, seed=0)
+def test_augmented_elimination_is_bitwise_the_two_array_one(count, n, cols, zero_pivots, seed):
+    rng = np.random.default_rng(seed)
+    a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
+    if zero_pivots:
+        # a zero column k leaves a zero pivot at step k, whatever the swaps before it
+        hit = rng.random(count) < 0.5
+        a[hit, :, rng.integers(0, n)] = 0.0
+    given_a, given_b = a.copy(), b.copy()
+    x, singular = seq_solve_batch(a, b)
+    want, want_singular = two_array_seq_solve_batch(a, b)
+    assert singular.tolist() == want_singular.tolist()
+    assert not zero_pivots or singular.tolist() == hit.tolist()
+    for i in np.flatnonzero(~singular):
+        assert x[i].tobytes() == want[i].tobytes()
+    # the inputs are read, never written
+    assert a.tobytes() == given_a.tobytes() and b.tobytes() == given_b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3e-310, -1e300]), min_size=2, max_size=24), st.integers(1, 8))
+@example(parts=[-0.0, 0.0, -1.0, -0.0], n=1)
+def test_broadcast_c_kron_eye_is_bitwise_np_kron(parts, n):
+    k = len(parts) // 2
+    # set as parts, so that a signed zero keeps its sign
+    c = np.empty(k, dtype=complex)
+    c.real, c.imag = parts[:k], parts[k : 2 * k]
+    assert realize._kron_eye_col(c, n).tobytes() == np.kron(c.reshape(-1, 1), np.eye(n)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(count=2, p=1, q=1, m=1, n=1, zeros=False, seed=0)
+def test_the_block_column_product_is_bitwise_the_two_products(count, p, q, m, n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    d = min(2, p * q)
+    mp, mq = m * p, m * q
+    b, dmat = gaussian(rng, mp), gaussian(rng, (mq, mp))
+    if zeros:
+        b, dmat = (np.where(rng.random(v.shape) < 0.3, 0.0, v) for v in (b, dmat))
+    dmat *= 0.9 / max(np.linalg.norm(dmat, 2), 1e-300)
+    f = Realization(Pencil(gaussian(rng, (d, p, q))), m, 0.5, b, gaussian(rng, mq), dmat)
+    assert not f._bd.flags.writeable
+    lam = pencil_eval_batch(f._letter_pencil, gaussian(rng, (count, d, n, n)))
+    for stack in (lam, lam[0]):
+        both = _kron_eye_matmul(f._bd, stack, n)
+        head = _kron_eye_matmul(f.B.reshape(1, -1), stack, n)
+        hop = _kron_eye_matmul(f.D, stack, n)
+        assert both[..., :n, :].tobytes() == head.tobytes()
+        assert both[..., n:, :].tobytes() == hop.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
 @example(count=2, rows=1, inner=1, n=1, cols=1, seed=0)
@@ -282,7 +372,7 @@ def test_pencil_norms_keep_every_value_and_failure(base, kind, cond_calls):
     # the guard measures the operands of the samples the bound leaves above 1e9, and no other
     uncertified = np.flatnonzero(f._d_norm * norms > realize._CERTIFIED_DELTA)
     n = xs.shape[-1]
-    operands = np.eye(f.m * f.pencil.q * n) - _kron_eye_matmul(f.D, f._lam(xs[uncertified]), n)
+    operands = np.eye(f.m * f.pencil.q * n) - _kron_eye_matmul(f.D, pencil_eval_batch(f._letter_pencil, xs[uncertified]), n)
     assert sum(len(t) for t in cond_calls) == len(uncertified)
     assert b"".join(t.tobytes() for t in cond_calls) == operands.tobytes()
     assert len(uncertified) == {"ex52": 2, "contraction": 0, "x/(1-x)": 2}[base]
@@ -293,7 +383,7 @@ def test_a_singular_operand_takes_the_exact_guard_with_norms():
     # guard runs and trips with cond = inf, as without norms
     f = x_over_one_minus_x()
     xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
-    _, errors = f._resolvent(xs, f._lam(xs), OperatorBall(f.pencil).norms_at(xs))
+    _, _, errors = f._resolvent(xs, OperatorBall(f.pencil).norms_at(xs))
     assert list(errors) == [1]
     assert isinstance(errors[1], IllConditionedError) and errors[1].cond == np.inf
     assert str(errors[1]) == "resolvent operand 1 - (D x I_n) L(X) has 2-norm condition number inf, above 1e+12"

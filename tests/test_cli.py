@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ncball.cli import main
+from ncball.cli import _write_csv, main
 from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
@@ -305,6 +305,23 @@ def test_variety_membership_verdicts(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["member"] is False
     assert abs(payload["generator_defect"] - 0.1) < 1e-12
+
+
+def test_a_variety_with_no_generators(capsys, tmp_path):
+    spec = write_json(tmp_path / "ball.json", {"ball": "polydisk:2", "generators": []})
+    code, out, err = run(capsys, "variety", "--variety", spec, "--point", "0.1,0.2")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["member"] is True and payload["generator_defect"] == 0.0
+
+
+def test_csv_fields_are_the_shortest_round_trip_digits(capsys):
+    row = (-0.0, 5e-324, 1e16, float("inf"), 7, "eps=1e-3", np.float64(0.5), np.float64(-1e-300))
+    _write_csv(None, [f"c{i}" for i in range(len(row))], [row], seed=3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" seed=3")
+    assert lines[2] == "-0.0,5e-324,1e+16,inf,7,eps=1e-3,0.5,-1e-300"
+    assert [float(v) for v in lines[2].split(",")[:4]] == list(row[:4])
 
 
 def test_variety_file_with_a_pencil_ball(capsys, tmp_path):

@@ -221,6 +221,8 @@ def test_dichotomy_validation():
         dichotomy_scan((z1,), BALL, BALL.pencil, 10, 0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 0, 0)
+    with pytest.raises(ValueError, match="levels must name at least one level"):
+        dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 10, 0, levels=())
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_realization_is_immutable():
         f.A = 1.0
     # built from the caller's complex arrays, a realization keeps read-only
     # copies: mutating those arrays after evaluations changes no value, and
-    # the levels first met afterwards (the direct sums) agree with the cache
+    # the direct sums evaluated afterwards keep the blocks of the earlier values
     b, c, dmat = (np.array(a) for a in (f.B, f.C, f.D))
     g = Realization(f.pencil, f.m, f.A, b, c, dmat, f.mode)
     rng = np.random.default_rng(24)
@@ -174,8 +174,7 @@ def test_realization_is_immutable():
         both = g.eval(direct_sum(x, y))
         assert both[:n, :n].tobytes() == fx.tobytes() and both[n:, n:].tobytes() == fy.tobytes()
         assert not both[:n, n:].any() and not both[n:, :n].any()
-    cached = [a for ops in g._levels.values() for a in ops]
-    assert all(not a.flags.writeable for a in (g.B, g.C, g.D, *g._letters, *cached))
+    assert all(not a.flags.writeable for a in (g.B, g.C, g.D, *g._letters, g._bd))
 
 
 def test_builtin_registry():

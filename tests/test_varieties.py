@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncball.freealg import FreePolynomial, parse
-from ncball.mattuple import MatrixTuple, direct_sum, similarity
+from ncball.mattuple import MatrixTuple, _unit_disk_points, direct_sum, similarity
 from ncball.opball import polydisk
 from ncball.varieties import (
     AlgebraicVariety,
@@ -136,6 +136,42 @@ def test_homogeneity_validation():
         homogeneity_sample(v, [x], lambdas=[1.0])
     with pytest.raises(ValueError, match="out-of-variety"):
         homogeneity_sample(v, [MatrixTuple.scalars((0.5, 0.3))])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lambdas": []}, "lambdas must hold at least one scale"),
+        ({"num_lambdas": 0}, "num_lambdas must be >= 1, got 0"),
+        ({"num_lambdas": -1}, "num_lambdas must be >= 1, got -1"),
+        ({"samples": []}, "samples must hold at least one point"),
+    ],
+)
+def test_homogeneity_gives_no_verdict_from_no_samples(kwargs, message):
+    # the parabola is not homogeneous, so a holds=True from nothing would be wrong
+    kwargs = {"samples": [MatrixTuple.scalars((0.5, 0.25))], **kwargs}
+    with pytest.raises(ValueError, match=message):
+        homogeneity_sample(parabola(), **kwargs)
+
+
+def test_default_scales_keep_their_draw():
+    # all radii sqrt(u) first, then all phases, as the seeded scales were always drawn
+    rng = np.random.default_rng(5)
+    radii = np.sqrt(rng.uniform(0.0, 1.0, 20))
+    phases = rng.uniform(0.0, 2.0 * np.pi, 20)
+    want = [complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, phases)]
+    got = _unit_disk_points(np.random.default_rng(5), 20)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    report = homogeneity_sample(parabola(), [MatrixTuple.scalars((0.5, 0.25))], seed=5)
+    assert report.witness_scale == want[0]
+
+
+def test_a_variety_with_no_generators_is_its_ball():
+    v = AlgebraicVariety(BALL, ())
+    x = MatrixTuple.scalars((0.1, 0.2))
+    assert variety_membership(v, x)
+    assert generator_defect(v, x) == 0.0
+    assert not variety_membership(v, MatrixTuple.scalars((1.5, 0.2)))
 
 
 # ---------------------------------------------------------------------------
