@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freealg import PolyParseError, Word, parse
+from .freealg import PolyParseError, Word, _parse_finite, parse
 from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import ball_from_shorthand, membership
@@ -41,13 +41,8 @@ from .realize import (
 from .varieties import generator_defect, variety_from_dict, variety_membership
 
 
-def _write_csv(out: str | None, columns, rows, seed) -> None:
-    lines = [f"# ncball {__version__} seed={seed}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        # str of a float (numpy's too) is its repr: the shortest digit string that round-trips
-        lines.append(",".join(map(str, row)))
-    text = "\n".join(lines) + "\n"
+def _write_text(out: str | None, text: str) -> None:
+    """text to the file at out, or to stdout for '-' or no path."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -55,8 +50,17 @@ def _write_csv(out: str | None, columns, rows, seed) -> None:
             handle.write(text)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _write_csv(out: str | None, columns, rows, seed) -> None:
+    lines = [f"# ncball {__version__} seed={seed}"]
+    lines.append(",".join(columns))
+    for row in rows:
+        # str of a float (numpy's too) is its repr: the shortest digit string that round-trips
+        lines.append(",".join(map(str, row)))
+    _write_text(out, "\n".join(lines) + "\n")
+
+
+def _print_json(obj, out: str | None = None) -> None:
+    _write_text(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _tolerance(text: str) -> float:
@@ -120,7 +124,7 @@ def _resolve_function(args, d: int):
     if args.poly and args.realization:
         raise ValueError("give either --poly or --realization, not both")
     if args.poly:
-        return parse(args.poly, d), f"poly:{args.poly}"
+        return _parse_finite(args.poly, d, "--poly"), f"poly:{args.poly}"
     if args.realization:
         return _resolve_realization(args.realization), f"realization:{args.realization}"
     raise ValueError("one of --poly or --realization is required")
@@ -134,13 +138,7 @@ def _cmd_eval(args) -> int:
     x = _load_point(args.point)
     f, _ = _resolve_function(args, d=x.d)
     value = f.eval(x)
-    payload = {"n": x.n, "value": complex_to_json(np.atleast_2d(value))}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    else:
-        _print_json(payload)
+    _print_json({"n": x.n, "value": complex_to_json(np.atleast_2d(value))}, args.out)
     return 0
 
 
@@ -243,7 +241,7 @@ def _cmd_dichotomy(args) -> int:
         if not args.map or not args.ball:
             raise ValueError("give --case, or --map with --ball (and optionally --target-ball)")
         ball = ball_from_shorthand(args.ball)
-        maps = tuple(parse(part, ball.d) for part in args.map.split(";"))
+        maps = tuple(_parse_finite(part, ball.d, "--map") for part in args.map.split(";"))
         target = ball_from_shorthand(args.target_ball) if args.target_ball else ball
         target_pencil = target.pencil
     _print_json(dataclasses.asdict(dichotomy_scan(maps, ball, target_pencil, args.samples, args.seed)))
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate at a point file")
     add_function_flags(p_eval)
     p_eval.add_argument("--point", required=True, help="point JSON file or inline scalars")
-    p_eval.add_argument("--out", help="write the value JSON here instead of stdout")
+    p_eval.add_argument("--out", help="write the value JSON here (default or '-': stdout)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_coeff = sub.add_parser("coeff", help="power series coefficient of a realization")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--budget", type=int, default=2000)
     p_probe.add_argument("--seed", type=_seed, default=0)
     p_probe.add_argument("--margin", type=float, help="override the multistart margin schedule with one margin")
-    p_probe.add_argument("--out", help="write the trajectory CSV here")
+    p_probe.add_argument("--out", help="write the trajectory CSV here ('-': stdout)")
     p_probe.set_defaults(func=_cmd_probe)
 
     p_blowup = sub.add_parser("blowup", help="scan a target along the builtin corner path")
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_function_flags(p_blowup, ball_default="polydisk:2")
     p_blowup.add_argument("--path", default="builtin")
     p_blowup.add_argument("--eps", required=True, help="comma-separated eps values")
-    p_blowup.add_argument("--out", help="write the CSV here (default stdout)")
+    p_blowup.add_argument("--out", help="write the CSV here (default or '-': stdout)")
     p_blowup.set_defaults(func=_cmd_blowup)
 
     p_dich = sub.add_parser("dichotomy", help="classify the image of a ball under a polynomial map")
@@ -377,8 +375,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (RuntimeError, np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
-        # IllConditionedError and BudgetExceededError are RuntimeErrors
+    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        # IllConditionedError and BudgetExceededError are RuntimeErrors; ArithmeticError takes in OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (PolyParseError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -221,7 +221,10 @@ def _product(left: dict, right: dict) -> dict:
     """The product of two term maps keyed by letter tuples.
 
     Each word sums its products from 0j in (left, right) order and keeps the
-    place of its first product; the exact zeros are dropped at the end."""
+    place of its first product; the exact zeros are dropped at the end.  More
+    than WORD_BUDGET pairs of terms raise BudgetExceededError before any."""
+    if len(left) * len(right) > WORD_BUDGET:
+        raise BudgetExceededError(f"{len(left)} x {len(right)} term products exceed the budget {WORD_BUDGET}")
     out: dict[tuple[int, ...], complex] = {}
     for u, a in left.items():
         for v, b in right.items():
@@ -256,6 +259,19 @@ class FreePolynomial(NCFunction):
             _add_term(clean, word, complex(value))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    @classmethod
+    def _trusted(cls, d: int, terms: Mapping[tuple[int, ...], complex]) -> "FreePolynomial":
+        """FreePolynomial(d, terms) for distinct letter tuples known to lie in 1..d, unchecked: one Word per term."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "d", d)
+        clean = {Word._trusted(w, d): 0j + c for w, c in terms.items() if c != 0}
+        object.__setattr__(poly, "terms", MappingProxyType(clean))
+        return poly
+
+    def _letters(self) -> dict[tuple[int, ...], complex]:
+        """The terms keyed by letter tuples, the form the term-map helpers take."""
+        return {w.letters: c for w, c in self.terms.items()}
 
     @property
     def degree(self) -> int:
@@ -308,10 +324,10 @@ class FreePolynomial(NCFunction):
         if not isinstance(other, FreePolynomial):
             return NotImplemented
         self._require_same_d(other)
-        out = dict(self.terms)
+        out = self._letters()
         for word, coeff in other.terms.items():
-            out[word] = out.get(word, 0j) + coeff
-        return FreePolynomial(self.d, out)
+            _add_term(out, word.letters, coeff)
+        return FreePolynomial._trusted(self.d, out)
 
     def __sub__(self, other):
         if not isinstance(other, FreePolynomial):
@@ -319,15 +335,15 @@ class FreePolynomial(NCFunction):
         return self + (-other)
 
     def __neg__(self):
-        return FreePolynomial(self.d, _negated(self.terms))
+        return FreePolynomial._trusted(self.d, _negated(self._letters()))
 
     def __mul__(self, other):
         if isinstance(other, FreePolynomial):
             self._require_same_d(other)
-            left, right = ({w.letters: c for w, c in p.terms.items()} for p in (self, other))
-            return FreePolynomial(self.d, _product(left, right))
+            return FreePolynomial._trusted(self.d, _product(self._letters(), other._letters()))
         if isinstance(other, (int, float, complex)):
-            return FreePolynomial(self.d, {w: c * other for w, c in self.terms.items()})
+            # complex() keeps a numpy scalar's product a Python complex, as the constructor stores it
+            return FreePolynomial._trusted(self.d, {w.letters: complex(c * other) for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -338,10 +354,8 @@ class FreePolynomial(NCFunction):
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        out = FreePolynomial.constant(self.d, 1.0)
-        for _ in range(k):
-            out = out * self
-        return out
+        terms = functools.reduce(_product, itertools.repeat(self._letters(), k), {(): 1 + 0j})  # the parser's fold
+        return FreePolynomial._trusted(self.d, terms)
 
     def __eq__(self, other):
         if not isinstance(other, FreePolynomial):
@@ -417,11 +431,11 @@ def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePoly
     """The nonzero quotients f_w of the part of p of size >= n, keyed by the letters of w in length-lex order.
 
     Each quotient keeps its terms in the order of p's terms."""
-    pieces: dict[tuple[int, ...], dict[Word, complex]] = {}
+    pieces: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for word, coeff in p.terms.items():
         if len(word) >= n:
-            pieces.setdefault(word.letters[:n], {})[Word._trusted(word.letters[n:], p.d)] = coeff
-    return {head: FreePolynomial(p.d, pieces[head]) for head in sorted(pieces)}
+            pieces.setdefault(word.letters[:n], {})[word.letters[n:]] = coeff
+    return {head: FreePolynomial._trusted(p.d, pieces[head]) for head in sorted(pieces)}
 
 
 def compose(p: FreePolynomial, inner) -> FreePolynomial:
@@ -432,14 +446,12 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
     dims = {q.d for q in inner}
     if len(dims) != 1:
         raise ValueError(f"inner polynomials disagree on d: {sorted(dims)}")
-    e = dims.pop()
-    out = FreePolynomial.zero(e)
+    letters, out = [q._letters() for q in inner], {}
     for word, coeff in p.terms.items():
-        prod = FreePolynomial.constant(e, 1.0)
-        for letter in word.letters:
-            prod = prod * inner[letter - 1]
-        out = out + coeff * prod
-    return out
+        # no partial sum has a -0.0 part, so adding c * coeff adds what coeff * prod stored, 0j + c * coeff
+        for w, c in functools.reduce(_product, (letters[j - 1] for j in word.letters), {(): 1 + 0j}).items():
+            _add_term(out, w, c * coeff)
+    return FreePolynomial._trusted(dims.pop(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +496,9 @@ class _Parser:
         factor  := ('+' | '-')* primary ('^' exponent)*
         primary := number | number 'i' | 'i' | variable | '(' expr ')'
 
-    Sums go through _add_term, products through _product (base^k is k of them
-    from 1), signs through _negated: a parse has the bits and term order of the
-    same expression folded with FreePolynomial's +, -, * and **.
+    Sums go through _add_term, products and powers through _product, signs
+    through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
+    and ** do: a parse has their bits and term order by construction.
     """
 
     def __init__(self, tokens, d: int):
@@ -501,8 +513,7 @@ class _Parser:
         kind, _, position, lexeme = self.tokens.pop()
         if kind != "end":
             raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        d = int(self.d)  # primary() has range-checked every letter
-        return FreePolynomial(d, {Word._trusted(w, d): c for w, c in terms.items()})
+        return FreePolynomial._trusted(int(self.d), terms)  # primary() has range-checked every letter
 
     def expr(self) -> dict:
         terms = self.term()
@@ -564,6 +575,16 @@ def parse(text: str, d: int) -> FreePolynomial:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     return _Parser(_tokenize(text), d).parse()
+
+
+def _parse_finite(text: str, d: int, source: str) -> FreePolynomial:
+    """parse(text, d) of a polynomial from outside; a NaN or inf coefficient is rejected, naming source and word."""
+    p = parse(text, d)
+    for word, coeff in p.terms.items():
+        if not np.isfinite(coeff):
+            monomial = "*".join(f"z{letter}" for letter in word.letters) or "1"
+            raise ValueError(f"{source} coefficient of {monomial} must be finite, got {coeff}")
+    return p
 
 
 def _format_real(x: float) -> str:

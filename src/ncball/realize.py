@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, NCFunction, WORD_BUDGET, Word, walk_levels, words_of_size
+from .freealg import BudgetExceededError, FreePolynomial, NCFunction, WORD_BUDGET, Word, walk_levels
 from .mattuple import (
     MatrixTuple,
     _owned_array,
@@ -334,8 +334,8 @@ def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     levels: list[list[complex]] = [[] for _ in range(n)]
     for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
         levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()
-    words = (word for k in range(n) for word in words_of_size(f.d, k))
-    return FreePolynomial(f.d, {w: c for w, c in zip(words, itertools.chain(*levels)) if c != 0})
+    words = (w for k in range(n) for w in itertools.product(range(1, f.d + 1), repeat=k))
+    return FreePolynomial._trusted(f.d, dict(zip(words, itertools.chain(*levels))))
 
 
 # ---------------------------------------------------------------------------

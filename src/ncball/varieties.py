@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import FreePolynomial, parse
+from .freealg import FreePolynomial, _parse_finite
 from .mattuple import MatrixTuple, _spectral_norm, _unit_disk_points
 from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
@@ -149,5 +149,5 @@ def variety_from_dict(obj: dict) -> AlgebraicVariety:
         ball = ball_from_shorthand(raw_ball)
     else:
         ball = OperatorBall(pencil_from_dict(raw_ball["pencil"]))
-    generators = tuple(parse(text, ball.d) for text in raw_generators)
+    generators = tuple(_parse_finite(text, ball.d, "variety generator") for text in raw_generators)
     return AlgebraicVariety(ball, generators)

@@ -49,12 +49,17 @@ def test_eval_realization_inline_point(capsys):
     assert abs(payload["value"][0][0][1]) < 1e-15
 
 
-def test_eval_writes_a_file(capsys, tmp_path):
+def test_eval_writes_a_file(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "value.json"
     code, out, _ = run(capsys, "eval", "--realization", "ex52", "--point", "0,0", "--out", str(out_path))
     assert code == 0 and out == ""
     payload = json.loads(out_path.read_text())
     assert payload["value"] == [[[0.0, 0.0]]]
+    # '-' is stdout, as for the CSVs of probe and blowup, and the bytes are the file's
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "eval", "--realization", "ex52", "--point", "0,0", "--out", "-")
+    assert code == 0 and out == out_path.read_text()
+    assert not (tmp_path / "-").exists()
 
 
 def test_eval_accepts_realization_files(capsys, tmp_path):
@@ -427,11 +432,20 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
     pencil = realization_to_dict(bidisk_witness())["pencil"]
     pencil["coefficients"][0][0][0] = [float("inf"), 0.0]
     pencil_file = write_json(tmp_path / "inf_pencil.json", pencil)
+    variety_file = write_json(tmp_path / "inf_variety.json", {"ball": "polydisk:2", "generators": ["1e999*z1 - z2"]})
     cases = [
         (["eval", "--realization", "ex52", "--point", point_file], "point entries"),
         (["tt-check", "--realization", "ex52", "--point", point_file, "-N", "2"], "point entries"),
         (["eval", "--realization", realization_file, "--point", "0.1,0.2"], "realization B"),
         (["probe", "--realization", "ex52", "--ball", f"pencil:{pencil_file}", "--budget", "4"], "pencil coefficients"),
+        # a parsed coefficient that overflows, written or computed, is caught where the polynomial enters
+        (["eval", "--poly", "1e999*z1 + z2", "--point", "0.5,0.25"], "--poly coefficient of z1"),
+        (["eval", "--poly", "1e300*1e300 + z2", "--point", "0.5,0.25"], "--poly coefficient of 1"),
+        (["tt-check", "--poly", "1e999*z1*z2", "--point", "0.5,0.5", "-N", "1"], "--poly coefficient of z1*z2"),
+        (["probe", "--poly", "1e999*z1", "--budget", "4"], "--poly coefficient of z1"),
+        (["delta", "--poly", "1e999*z1*z2", "--point", "0.5,0.5", "--direction", "e1"], "--poly coefficient of z1*z2"),
+        (["dichotomy", "--map", "z2;1e999*z1", "--ball", "polydisk:2"], "--map coefficient of z1"),
+        (["variety", "--variety", variety_file, "--point", "0.1,0.1"], "variety generator coefficient of z1"),
     ]
     for argv, field in cases:
         code = main(argv)
@@ -502,6 +516,18 @@ def test_numerical_failures_exit_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "exceed the budget" in captured.err
+
+    # a polynomial expansion is budgeted before it starts
+    code = main(["eval", "--poly", "(z1+z2)^10*(z1+z2)^10", "--point", "0.1,0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "numerical failure: 1024 x 1024 term products exceed the budget 1000000\n"
+
+    # finite coefficients whose modulus overflows: OverflowError is a numerical failure, not a traceback
+    code = main(["delta", "--poly", "(1.7e308+1.7e308i)*z1*z2", "--point", "0.99,0.99", "--direction", "e1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("numerical failure:")
 
 
 def test_help_exits_0(capsys):

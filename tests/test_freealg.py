@@ -1,6 +1,7 @@
 """Words, free polynomials, parsing, Cesaro weights, left division."""
 
 import functools
+import itertools
 import operator
 import random
 import struct
@@ -15,6 +16,9 @@ from ncball.freealg import (
     FreePolynomial,
     PolyParseError,
     Word,
+    _left_quotients,
+    _negated,
+    _product,
     _tokenize,
     cesaro_sum,
     compose,
@@ -24,10 +28,11 @@ from ncball.freealg import (
     left_divide,
     parse,
     to_triples,
+    walk_levels,
     words_of_size,
 )
 from ncball.opball import polydisk
-from ncball.realize import Realization, taylor_polynomial
+from ncball.realize import Realization, bidisk_witness, taylor_polynomial
 
 MAX_D = 3
 
@@ -620,3 +625,166 @@ def test_compose_validates_inner():
 def test_compose_with_generators_is_identity(p):
     gens = tuple(FreePolynomial.generator(2, j) for j in (1, 2))
     assert compose(p, gens) == p
+
+
+# ---------------------------------------------------------------------------
+# the term-map algebra against the implementation it replaced, kept here as
+# the reference: each operator built Word-keyed maps and re-validated them
+# through the public constructor
+
+# signed zeros, subnormals, +-1 (so sums cancel) and an infinity (so products make NaNs)
+EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310, 1.0, -1.0, 0.5, -0.5, 1e300, float("inf"))
+edge_coeffs = st.builds(
+    complex, *[st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1e6, 1e6, allow_nan=False))] * 2
+)
+# every operator test scales by each of these as well as by a drawn coefficient
+EDGE_SCALARS = (-1.0, -1e-310, complex(0, -0.0), -0.0, 0, 2, True, np.float64(0.5), np.complex128(-0.5 + 1j))
+
+
+@st.composite
+def edge_polys(draw, d, max_size=5):
+    return FreePolynomial(d, draw(st.dictionaries(words(d), edge_coeffs, max_size=max_size)))
+
+
+def ref_add(p, q):
+    out = dict(p.terms)
+    for word, coeff in q.terms.items():
+        out[word] = out.get(word, 0j) + coeff
+    return FreePolynomial(p.d, out)
+
+
+def ref_neg(p):
+    return FreePolynomial(p.d, _negated(p.terms))
+
+
+def ref_mul(p, q):
+    left, right = ({w.letters: c for w, c in r.terms.items()} for r in (p, q))
+    return FreePolynomial(p.d, _product(left, right))
+
+
+def ref_scale(p, s):
+    return FreePolynomial(p.d, {w: c * s for w, c in p.terms.items()})
+
+
+def ref_pow(p, k):
+    out = FreePolynomial.constant(p.d, 1.0)
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_compose(p, inner):
+    e = inner[0].d
+    out = FreePolynomial.zero(e)
+    for word, coeff in p.terms.items():
+        prod = FreePolynomial.constant(e, 1.0)
+        for letter in word.letters:
+            prod = ref_mul(prod, inner[letter - 1])
+        out = ref_add(out, ref_scale(prod, coeff))
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal d, dict order, Word keys and coefficient bits, each coefficient a Python complex."""
+    assert got.d == want.d and coefficient_bits(got) == coefficient_bits(want)
+    assert all(type(c) is complex for c in got.terms.values())
+    for word in got.terms:
+        assert_trusted(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(edge_polys(d), edge_polys(d))), edge_coeffs, st.integers(0, 3))
+def test_operators_match_the_word_keyed_algebra_bitwise(pair, s, k):
+    p, q = pair
+    assert_same_bits(p + q, ref_add(p, q))
+    assert_same_bits(p - q, ref_add(p, ref_neg(q)))
+    assert_same_bits(p - p, ref_add(p, ref_neg(p)))
+    assert_same_bits(-p, ref_neg(p))
+    assert_same_bits(p * q, ref_mul(p, q))
+    for scalar in (s, *EDGE_SCALARS):
+        assert_same_bits(p * scalar, ref_scale(p, scalar))
+        assert_same_bits(scalar * p, ref_scale(p, scalar))
+    assert_same_bits(p**k, ref_pow(p, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            edge_polys(d),
+            st.integers(1, 3).flatmap(lambda e: st.lists(edge_polys(e, max_size=3), min_size=d, max_size=d)),
+        )
+    )
+)
+def test_compose_matches_the_object_fold_bitwise(case):
+    p, inner = case
+    assert_same_bits(compose(p, inner), ref_compose(p, inner))
+
+
+def test_compose_readds_a_cancelled_word_at_the_end_bitwise():
+    z1 = FreePolynomial.generator(1, 1)
+    p = parse("z1 - z2 + 0.5*z1*z2 + z3", 3)  # z1 cancels, then comes back after z1*z1
+    got = compose(p, (z1, z1, z1))
+    assert [w.letters for w in got.terms] == [(1, 1), (1,)]
+    assert_same_bits(got, ref_compose(p, (z1, z1, z1)))
+
+
+zero_parts = st.sampled_from((0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)))
+nan_coeffs = st.builds(complex, st.sampled_from((float("nan"), -float("nan"), 1.0)), st.sampled_from((0.0, -0.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.dictionaries(
+                st.lists(st.integers(1, d), max_size=4).map(tuple), st.one_of(edge_coeffs, zero_parts, nan_coeffs), max_size=8
+            ),
+        )
+    )
+)
+def test_trusted_polynomials_match_the_constructor_bitwise(case):
+    d, terms = case
+    assert_same_bits(FreePolynomial._trusted(d, terms), FreePolynomial(d, terms))
+
+
+def ref_taylor_polynomial(f, n):
+    levels = [[] for _ in range(n)]
+    for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
+        levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()
+    words = (word for k in range(n) for word in words_of_size(f.d, k))
+    return FreePolynomial(f.d, {w: c for w, c in zip(words, itertools.chain(*levels)) if c != 0})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_taylor_polynomial_matches_the_public_constructor_bitwise(d, n, seed):
+    rng = np.random.default_rng(seed)
+    # zeroed entries of B and C and a zero A give zero coefficients, which are dropped
+    b, c = (rng.normal(size=d) * (rng.random(d) < 0.7) for _ in range(2))
+    dmat = rng.normal(size=(d, d))
+    f = Realization(polydisk(d).pencil, 1, rng.choice([0.0, 0.5]), b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
+    assert_same_bits(taylor_polynomial(f, n), ref_taylor_polynomial(f, n))
+    if seed % 8 == 0:
+        assert_same_bits(taylor_polynomial(bidisk_witness(), 9), ref_taylor_polynomial(bidisk_witness(), 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(edge_polys), st.integers(1, 3))
+def test_left_quotients_match_the_public_constructor_bitwise(p, n):
+    got = _left_quotients(p, n)
+    heads = sorted({w.letters[:n] for w in p.terms if len(w) >= n})
+    assert list(got) == heads
+    for head in heads:
+        tails = {Word(w.letters[n:], p.d): c for w, c in p.terms.items() if w.letters[:n] == head}
+        assert_same_bits(got[head], FreePolynomial(p.d, tails))
+
+
+def test_expansions_past_the_word_budget_raise_before_they_start():
+    with pytest.raises(BudgetExceededError, match="1024 x 1024 term products exceed the budget 1000000"):
+        parse("(z1+z2)^10*(z1+z2)^10", 2)
+    big = parse("(z1+z2)^10", 2)
+    for expand in (lambda: big * big, lambda: big**2, lambda: compose(parse("z1*z2", 2), (big, big))):
+        with pytest.raises(BudgetExceededError, match="1024 x 1024 term products"):
+            expand()
