@@ -108,6 +108,8 @@ def _load_direction(text: str, d: int) -> tuple[complex, ...]:
     values = tuple(_parse_complex(part) for part in text.split(","))
     if len(values) != d:
         raise ValueError(f"direction needs {d} components, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"--direction entries must be finite, got {text!r}")
     return values
 
 
@@ -171,6 +173,8 @@ def _cmd_tt_check(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.out == "-":
+        raise ValueError("probe --out needs a file: the JSON report goes to stdout")
     ball = ball_from_shorthand(args.ball)
     f, label = _resolve_function(args, d=ball.d)
     margins = (args.margin,) if args.margin is not None else None
@@ -224,6 +228,8 @@ def _cmd_blowup(args) -> int:
     eps_list = [float(part) for part in args.eps.split(",") if part.strip()]
     if not eps_list:
         raise ValueError("--eps needs at least one value")
+    if not np.isfinite(eps_list).all():
+        raise ValueError(f"--eps values must be finite, got {args.eps!r}")
     report = blowup_scan(target, corner_path, eps_list, ball)
     rows = []
     for row in report.rows:
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--budget", type=int, default=2000)
     p_probe.add_argument("--seed", type=_seed, default=0)
     p_probe.add_argument("--margin", type=float, help="override the multistart margin schedule with one margin")
-    p_probe.add_argument("--out", help="write the trajectory CSV here ('-': stdout)")
+    p_probe.add_argument("--out", help="write the trajectory CSV to this file (the JSON report goes to stdout)")
     p_probe.set_defaults(func=_cmd_probe)
 
     p_blowup = sub.add_parser("blowup", help="scan a target along the builtin corner path")

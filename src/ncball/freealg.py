@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-WORD_BUDGET = 10**6
+WORD_BUDGET = 10**6  # the words a dense walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
 # levels, the probe's point pools and its target's values come out in chunks
 BATCH_BYTES = 64 * 1024
@@ -94,13 +94,14 @@ class Word:
 
 
 def words_of_size(d: int, k: int) -> Iterator[Word]:
-    """All words of size exactly k, in length-lex order."""
+    """All words of size exactly k, in length-lex order; d, k and d^k <= WORD_BUDGET are checked at the call."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 0:
         raise ValueError(f"word size k must be >= 0, got {k}")
-    for letters in itertools.product(range(1, d + 1), repeat=k):
-        yield Word._trusted(letters, d)
+    if d**k > WORD_BUDGET:
+        raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
+    return (Word._trusted(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
 
 
 def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[object, tuple]]:
@@ -112,8 +113,15 @@ def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[objec
     walked on before the next, so memory stays bounded.  Given ``words``
     (letter tuples), a level keeps only their prefixes, stepped one stack per
     letter, and the walk yields (prefixes, stacks): the rows' letter tuples for k.
+    Without ``words`` it visits d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
     """
-    keep = None if words is None else {w[:i] for w in words for i in range(len(w) + 1)}
+    if words is None and (size + 1 if d == 1 else (d ** (size + 1) - 1) // (d - 1)) > WORD_BUDGET:
+        raise BudgetExceededError(f"{d}^0 + ... + {d}^{size} words exceed the budget {WORD_BUDGET}")
+    return _walk(d, size, columns, None if words is None else {w[:i] for w in words for i in range(len(w) + 1)})
+
+
+def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
+    """walk_levels over the prefixes in keep, or over all words if keep is None."""
     todo = [(0, None if keep is None else [()], tuple(root for root, _ in columns))] if size >= 0 else []
     while todo:
         k, prefixes, stacks = todo.pop()
@@ -342,8 +350,9 @@ class FreePolynomial(NCFunction):
             self._require_same_d(other)
             return FreePolynomial._trusted(self.d, _product(self._letters(), other._letters()))
         if isinstance(other, (int, float, complex)):
-            # complex() keeps a numpy scalar's product a Python complex, as the constructor stores it
-            return FreePolynomial._trusted(self.d, {w.letters: complex(c * other) for w, c in self.terms.items()})
+            # complex() makes a numpy scalar's product a Python complex; an inf * s = NaN stays silent, as in Python
+            with np.errstate(invalid="ignore", over="ignore"):
+                return FreePolynomial._trusted(self.d, {w.letters: complex(c * other) for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -401,9 +410,8 @@ def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
             raise TypeError(f"cannot read coefficients from {type(source).__name__}")
         if d is None:
             raise ValueError("a callable coefficient source needs an explicit d")
-        total = sum(d**k for k in range(n))
-        if total > WORD_BUDGET:
-            raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
+        if (n if d == 1 else (d**n - 1) // (d - 1)) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
+            raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
         source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
@@ -420,11 +428,8 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
     for word in p.terms:
         if len(word) < n:
             raise ValueError(f"word {word.to_string()!r} of size {len(word)} < {n}: p is not left-divisible")
-    if p.d**n > WORD_BUDGET:
-        raise BudgetExceededError(f"{p.d}^{n} quotient words exceed the budget {WORD_BUDGET}")
-    quotients, zero = _left_quotients(p, n), FreePolynomial.zero(p.d)
-    heads = itertools.product(range(1, p.d + 1), repeat=n)
-    return {Word._trusted(head, p.d): quotients.get(head, zero) for head in heads}
+    heads, quotients, zero = words_of_size(p.d, n), _left_quotients(p, n), FreePolynomial.zero(p.d)
+    return {head: quotients.get(head.letters, zero) for head in heads}
 
 
 def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:

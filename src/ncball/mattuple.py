@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import BudgetExceededError, Word, WORD_BUDGET, walk_levels
+from .freealg import Word, walk_levels
 
 SIMILARITY_COND_LIMIT = 1e12
 
@@ -265,14 +265,9 @@ def similarity(s: np.ndarray, x: MatrixTuple) -> MatrixTuple:
 
 
 def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
-    """Whether every word of size exactly k evaluates below tol in norm.
-
-    Enumerates all d^k words, so d^k is capped at the word budget.
-    """
+    """Whether every word of size exactly k evaluates below tol in norm; the word budget caps k (k <= 18 at d = 2)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if x.d**k > WORD_BUDGET:
-        raise BudgetExceededError(f"{x.d}^{k} words exceed the budget {WORD_BUDGET}")
     levels = walk_levels(x.d, k, _monomials(x.entries))
     return all((_spectral_norms(xw) <= tol).all() for size, (xw,) in levels if size == k)
 

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import (
-    BudgetExceededError,
-    FreePolynomial,
-    _left_quotients,
-    homogeneous_component,
-    walk_levels,
-)
+from .freealg import FreePolynomial, _left_quotients, homogeneous_component, walk_levels
 from .mattuple import MatrixTuple, _monomials, _spectral_norm, _word_values
 from .realize import Realization
-
-TT_WORD_BUDGET = 10**5
 
 
 def scalar_eval(f, point) -> complex:
@@ -113,28 +105,26 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     Works for realizations (g_w are remainder factors) and for polynomials
     (g_w come from exact left division of the high part, for the heads that
     occur).  The tail is added in length-lex order, one product at a time.
-    A polynomial walks only the prefixes of its words, a realization all d^N
-    words of size N; d^N is budgeted at 1e5.
+    A polynomial walks only the prefixes of its words; a realization walks
+    all words of size <= N, which the word budget caps (N <= 18 at d = 2).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    d = x.d
-    if d**order > TT_WORD_BUDGET:
-        raise BudgetExceededError(f"{d}^{order} words exceed the budget {TT_WORD_BUDGET}")
     lhs = f.eval(x)  # also rejects a point with the wrong d
     rhs = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(f, FreePolynomial):
         quotients = _left_quotients(f, order)
         words = [w.letters for w in f.terms if len(w) < order] + [*quotients]
         values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
-        for k in range(order):
+        for k in range(min(order, f.degree + 1)):  # a size above the degree would add +0.0: no bit changes
             rhs += homogeneous_component(f, k)._term_sum(values, (x.n, x.n))
         rhs = _added(rhs, [values[w] @ q._term_sum(values, (x.n, x.n)) for w, q in quotients.items()])
     elif isinstance(f, Realization):
+        levels = walk_levels(x.d, order, _monomials(x.entries), (None, f.row_step))  # budgeted before any term
         for term in itertools.islice(f._homogeneous_terms(x), order):
             rhs += term
         res = f.resolvent_term(x)
-        for k, (xws, rows) in walk_levels(d, order, _monomials(x.entries), (None, f.row_step)):
+        for k, (xws, rows) in levels:
             if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
                 rhs = _added(rhs, xws @ f.remainder_of_row(rows[:, 0], res).reshape(xws.shape))
     else:

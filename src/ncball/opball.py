@@ -222,10 +222,10 @@ def pencil_from_dict(obj: dict) -> Pencil:
 def ball_from_shorthand(text: str) -> OperatorBall:
     """Resolve "row:d", "polydisk:d", or "pencil:FILE" to a ball."""
     kind, _, rest = text.partition(":")
-    if kind == "row" and rest:
-        return row_ball(int(rest))
-    if kind == "polydisk" and rest:
-        return polydisk(int(rest))
+    if kind in ("row", "polydisk") and rest.isascii() and rest.isdigit() and int(rest) >= 1:
+        return (row_ball if kind == "row" else polydisk)(int(rest))
+    if kind in ("row", "polydisk"):
+        raise ValueError(f"ball shorthand {text!r} needs an integer d >= 1 after '{kind}:'")
     if kind == "pencil" and rest:
         if not os.path.exists(rest):
             raise ValueError(f"pencil file not found: {rest}")

@@ -26,7 +26,7 @@ from .realize import Realization, _RemainderRows
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 INITIAL_STEP = 0.1
 MIN_STEP = 1e-6
-REGULARITY_WORD_BUDGET = 10**4
+REGULARITY_WORD_BUDGET = 10**4  # d^N: a per-evaluation size bound, as each target value holds d^N blocks per point
 BOUNDARY_THRESHOLD = 1.0 - 1e-6
 # corner-approach ladder injected into bidisk level-1 multistarts; the deeper
 # rungs are left to hill climbing so divergence shows up as climb growth
@@ -527,6 +527,8 @@ class RemainderColumn(_RemainderRows):
     size: int
 
     def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
         # the prefix rows of all words of the size, length-lex, walked once
         levels = walk_levels(self.d, self.size, (None, self.base.row_step))
         object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BudgetExceededError, FreePolynomial, NCFunction, WORD_BUDGET, Word, walk_levels
+from .freealg import FreePolynomial, NCFunction, Word, walk_levels
 from .mattuple import (
     MatrixTuple,
     _owned_array,
@@ -327,10 +327,7 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
-    """sum_{|w|<n} c_w Z^w as an explicit polynomial (word-budgeted), in length-lex order."""
-    total = sum(f.d**k for k in range(n))
-    if total > WORD_BUDGET:
-        raise BudgetExceededError(f"{total} words with size < {n} exceed the budget {WORD_BUDGET}")
+    """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its dense walk is word-budgeted."""
     levels: list[list[complex]] = [[] for _ in range(n)]
     for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
         levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()

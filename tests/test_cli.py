@@ -420,6 +420,16 @@ def test_usage_errors_exit_2(capsys):
         captured = capsys.readouterr()
         assert code == 2, f"{argv} gave {code}"
         assert captured.err != ""
+    named = [
+        (["eval", "--realization", "ex52", "--point", "z1,0.5"], "'z1' is not a constant"),
+        (["probe", "--realization", "ex52", "--ball", "row:-1"], "ball shorthand 'row:-1' needs an integer d >= 1 after 'row:'"),
+        (["probe", "--realization", "ex52", "--ball", "polydisk:x"], "ball shorthand 'polydisk:x' needs an integer d >= 1"),
+        # the JSON report goes to stdout, so the trajectory CSV needs a file
+        (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
+    ]
+    for argv, message in named:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
 
 
 def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
@@ -446,6 +456,10 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
         (["delta", "--poly", "1e999*z1*z2", "--point", "0.5,0.5", "--direction", "e1"], "--poly coefficient of z1*z2"),
         (["dichotomy", "--map", "z2;1e999*z1", "--ball", "polydisk:2"], "--map coefficient of z1"),
         (["variety", "--variety", variety_file, "--point", "0.1,0.1"], "variety generator coefficient of z1"),
+        # a direction or a path parameter is named where it enters, not as a point
+        (["delta", "--realization", "ex52", "--point", "0.5,0.5", "--direction", "1e999,0"], "--direction entries"),
+        (["blowup", "--target", "delta1:ex52", "--eps", "nan"], "--eps values"),
+        (["blowup", "--target", "delta1:ex52", "--eps", "0.1,1e999"], "--eps values"),
     ]
     for argv, field in cases:
         code = main(argv)

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncball.freealg import (
@@ -91,6 +91,10 @@ def test_word_rejects_letters_outside_alphabet():
         FreePolynomial(2, {(3,): 1})
     with pytest.raises(ValueError, match="d must be >= 1"):
         Word((), 0)
+    with pytest.raises(ValueError, match="word over alphabet 1..3 in a polynomial with d=2"):
+        FreePolynomial(2, {Word((1,), 3): 1})
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        FreePolynomial(0)
 
 
 def test_word_string_round_trip():
@@ -140,6 +144,32 @@ def test_words_of_size_rejects_bad_arguments_by_name():
     with pytest.raises(ValueError, match="word size k must be >= 0, got -1"):
         list(words_of_size(2, -1))
     assert [w.letters for w in words_of_size(2, 0)] == [()]
+    # more than WORD_BUDGET words of one size raise at the call, before the first word
+    for d, k in ((2, 20), (10, 7), (1001, 2)):
+        with pytest.raises(BudgetExceededError, match=rf"^{d}\^{k} words exceed the budget 1000000$"):
+            words_of_size(d, k)
+    with pytest.raises(BudgetExceededError):
+        list(words_of_size(2, 20))
+    # exactly WORD_BUDGET words are allowed
+    assert next(words_of_size(10, 6)).letters == (1,) * 6
+    assert next(words_of_size(1000, 2)).letters == (1, 1)
+
+
+def test_a_dense_walk_charges_the_budget_before_its_first_step():
+    steps = []
+    column = (np.zeros((1, 1)), lambda stack, j: steps.append(j) or stack)
+    # 2^0 + ... + 2^19 = 2^20 - 1 words pass 10^6, and 1^0 + ... + 1^size is size + 1
+    for d, size in ((2, 19), (2, 40), (1, 10**6), (1000, 2)):
+        with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{size} words exceed the budget"):
+            walk_levels(d, size, column)
+    assert steps == []
+    # 2^19 - 1 and 10^6 words are within the budget; a call walks nothing yet
+    walk_levels(2, 18, column), walk_levels(1, 10**6 - 1, column)
+    assert steps == []
+    # a sparse walk visits only the prefixes of its words and is not charged
+    levels = list(walk_levels(2, 40, column, words=[(1,) * 40]))
+    assert len(levels) == 41 and steps == [1] * 40
+    assert list(walk_levels(2, -1, column)) == []
 
 
 def assert_trusted(word: Word):
@@ -267,6 +297,8 @@ def test_homogeneous_components_partition(p):
         assert all(len(w) == k for w in part.terms)
         total = total + part
     assert total == p
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        homogeneous_component(p, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +345,8 @@ def test_parse_error_positions():
         parse("z", 2)
     with pytest.raises(PolyParseError, match="unexpected character"):
         parse("z1 # z2", 2)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        parse("z1", 0)
     err = None
     try:
         parse("z1*z9", 3)
@@ -534,11 +568,17 @@ def test_cesaro_from_callable_source():
 def test_cesaro_budget_guard():
     with pytest.raises(BudgetExceededError):
         cesaro_sum(lambda w: 1.0, 14, d=3)
+    # the count is closed-form and never printed, so a huge n fails at once and by name
+    for d, n in ((2, 10**5), (1, 10**6 + 1)):
+        with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{n - 1} words exceed the budget"):
+            cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=d)
 
 
 def test_cesaro_rejects_bad_source():
     with pytest.raises(TypeError):
         cesaro_sum(object(), 2, d=2)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        cesaro_sum(parse("z1", 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +603,14 @@ def test_left_divide_covers_all_words_including_zero_quotients():
 def test_left_divide_rejects_low_order_terms():
     with pytest.raises(ValueError, match="not left-divisible"):
         left_divide(parse("z1 + z1*z2", 2), 2)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        left_divide(parse("z1", 2), 0)
 
 
 def test_left_divide_budget_guard():
+    # the heads come from words_of_size, which charges the 3^13 words
     p = FreePolynomial.monomial(Word((1,) * 13, 3))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"3\^13 words exceed the budget"):
         left_divide(p, 13)
 
 
@@ -663,7 +706,8 @@ def ref_mul(p, q):
 
 
 def ref_scale(p, s):
-    return FreePolynomial(p.d, {w: c * s for w, c in p.terms.items()})
+    with np.errstate(invalid="ignore", over="ignore"):  # a numpy scalar warns where the product is NaN
+        return FreePolynomial(p.d, {w: c * s for w, c in p.terms.items()})
 
 
 def ref_pow(p, k):
@@ -694,6 +738,8 @@ def assert_same_bits(got, want):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(edge_polys(d), edge_polys(d))), edge_coeffs, st.integers(0, 3))
+# an infinite coefficient times a numpy scalar: numpy's product warns where it is NaN
+@example((FreePolynomial(1, {(): complex("inf+infj")}), FreePolynomial(1)), 1.0, 0)
 def test_operators_match_the_word_keyed_algebra_bitwise(pair, s, k):
     p, q = pair
     assert_same_bits(p + q, ref_add(p, q))

@@ -1,5 +1,7 @@
 """Matrix tuples, the fixed-order kernels, and the structural operations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ncball.mattuple import (
     point_from_dict,
     seq_matmul,
     seq_solve,
+    seq_solve_batch,
     similarity,
     sup_norm,
     to_point_dict,
@@ -136,6 +139,9 @@ def test_seq_solve_accepts_vectors_and_rejects_singular():
         seq_solve(np.zeros((2, 2)), np.ones(2))
     with pytest.raises(ValueError, match="cannot solve"):
         seq_solve(np.zeros((2, 3)), np.ones(2))
+    for a, b in ((np.eye(2), np.ones((2, 1))), (np.ones((1, 2, 3)), np.ones((1, 2, 1))), (np.eye(2)[None], np.ones((1, 3)))):
+        with pytest.raises(ValueError, match=re.escape(f"cannot solve stacks of shapes {a.shape} and {b.shape}")):
+            seq_solve_batch(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +295,10 @@ def test_is_nilpotent_validation_and_budget():
         is_nilpotent(x, 0)
     with pytest.raises(BudgetExceededError):
         is_nilpotent(x, 40)
+    # the dense walk visits every word of size <= k: 2^20 - 1 > 10^6 at k = 19, 2^19 - 1 at k = 18
+    with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^19 words exceed the budget 1000000"):
+        is_nilpotent(MatrixTuple.zeros(2, 1), 19)
+    assert is_nilpotent(MatrixTuple.zeros(2, 1), 18)
 
 
 # ---------------------------------------------------------------------------

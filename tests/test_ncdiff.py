@@ -403,6 +403,23 @@ def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
     assert built[0]["polys"] == 16 + 2 and built[0]["words"] == 2
 
 
+def test_tt_check_charges_the_budget_where_its_words_are_walked():
+    x = MatrixTuple.scalars((0.5, 0.4))
+    # a polynomial walks only the prefixes of its terms: 17 steps of one word, past any d^N rule
+    p = parse("z1^17", 2)
+    report = tt_check(p, x, 17)
+    assert report.passed and report.rhs.tobytes() == ref_tt_rhs(p, x, 17).tobytes()
+    assert tt_check(p, x, 10**6).passed  # no size above the degree is summed
+    # a realization walks all 2^0 + ... + 2^N words: N = 18 fits the budget, N = 19 does not
+    f = bidisk_witness()
+    assert tt_check(f, x, 18).passed
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")), mock.patch.object(
+        Realization, "_homogeneous_terms", side_effect=AssertionError("summed")
+    ):
+        with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^19 words exceed the budget 1000000"):
+            tt_check(f, x, 19)
+
+
 def test_tt_check_report_fields():
     f = bidisk_witness()
     x = MatrixTuple.scalars((0.5, 0.5))

@@ -1,6 +1,7 @@
 """Pencils, operator balls, membership, compressions."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ def test_pencil_validation():
     with pytest.raises(ValueError, match="linearly dependent"):
         # more coefficients than entries can carry
         Pencil(np.ones((2, 1, 1)))
+    for shape in ((0, 1, 1), (2, 0, 1), (2, 1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"d, p, q must be >= 1, got shape {shape}")):
+            Pencil(np.zeros(shape))
 
 
 def test_pencil_rejects_non_finite_coefficients():
@@ -276,3 +280,7 @@ def test_ball_shorthand_errors():
         ball_from_shorthand("cube:2")
     with pytest.raises(ValueError, match="file not found"):
         ball_from_shorthand("pencil:/no/such/file.json")
+    for text in ("row:-1", "row:0", "polydisk:x", "polydisk:2.5", "row:²"):
+        kind = text.partition(":")[0]
+        with pytest.raises(ValueError, match=f"ball shorthand '{text}' needs an integer d >= 1 after '{kind}:'"):
+            ball_from_shorthand(text)

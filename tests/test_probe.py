@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ncball.probe import (
     regularity_factors,
     sample_in_ball,
 )
-from ncball.realize import RemainderFactor, bidisk_witness
+from ncball.realize import Realization, RemainderFactor, bidisk_witness
 
 BALL = polydisk(2)
 
@@ -370,3 +371,13 @@ def test_regularity_validation():
         regularity_factors(f, 14, BALL, 1, 100, 0)
     with pytest.raises(TypeError, match="polynomials and realizations"):
         regularity_factors("f", 1, BALL, 1, 100, 0)
+    for size in (0, -2):
+        with pytest.raises(ValueError, match=f"remainder columns are indexed by a word size >= 1, got {size}"):
+            RemainderColumn(f, size)
+    # the targets' dense walks charge 2^0 + ... + 2^20 words before their first step
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):
+            RemainderColumn(f, 20)
+    with mock.patch("ncball.mattuple._seq_matmul", side_effect=AssertionError("walked")):
+        with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):
+            MonomialRow(2, 20).eval(MatrixTuple.scalars((0.5, 0.4)))

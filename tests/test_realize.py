@@ -123,6 +123,14 @@ def test_shape_validation():
         Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="mode must be"):
         Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((2, 2)), mode="unitary")
+    f, x, word = bidisk_witness(), MatrixTuple.scalars((0.1, 0.2)), Word((1,), 3)
+    for call in (lambda: f.power_series_coefficient(word), lambda: RemainderFactor(f, word)):
+        with pytest.raises(ValueError, match=r"word over alphabet 1\.\.3 for a realization with d=2"):
+            call()
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        f.homogeneous_value(x, -1)
+    with pytest.raises(ValueError, match="n_terms must be >= 1, got 0"):
+        f.cesaro_value(x, 0)
 
 
 def test_expansive_d_is_rejected():
