@@ -9,6 +9,7 @@ dropped, nothing is epsilon-pruned.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import re
@@ -93,13 +94,23 @@ class Word:
         return cls(tuple(int(part) for part in (text.split("-") if "-" in text or (d > 9 and text) else text)), d)
 
 
+def _capped_power(d: int, k: int, budget: int) -> int:
+    """d^k if that is at most budget, else a power of d past budget: the exponent is capped, so it costs O(1) in k."""
+    return d ** min(k, budget.bit_length() + 1)
+
+
+def _dense_count(d: int, size: int) -> int:
+    """d^0 + ... + d^size, the words a dense walk visits: exact up to WORD_BUDGET, past it whenever the sum is."""
+    return size + 1 if d == 1 else (_capped_power(d, size + 1, WORD_BUDGET) - 1) // (d - 1)
+
+
 def words_of_size(d: int, k: int) -> Iterator[Word]:
     """All words of size exactly k, in length-lex order; d, k and d^k <= WORD_BUDGET are checked at the call."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 0:
         raise ValueError(f"word size k must be >= 0, got {k}")
-    if d**k > WORD_BUDGET:
+    if _capped_power(d, k, WORD_BUDGET) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
     return (Word._trusted(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
 
@@ -115,7 +126,7 @@ def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[objec
     letter, and the walk yields (prefixes, stacks): the rows' letter tuples for k.
     Without ``words`` it visits d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
     """
-    if words is None and (size + 1 if d == 1 else (d ** (size + 1) - 1) // (d - 1)) > WORD_BUDGET:
+    if words is None and _dense_count(d, size) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^0 + ... + {d}^{size} words exceed the budget {WORD_BUDGET}")
     return _walk(d, size, columns, None if words is None else {w[:i] for w in words for i in range(len(w) + 1)})
 
@@ -238,6 +249,23 @@ def _product(left: dict, right: dict) -> dict:
         for v, b in right.items():
             out[u + v] = out.get(u + v, 0j) + a * b
     return {w: c for w, c in out.items() if c != 0}
+
+
+def _times_letters(terms: dict, letters: tuple[int, ...]) -> dict:
+    """terms * zj1 * ... * zjk for letters (j1, ..., jk), k >= 1, as k calls of _product by {(j,): 1 + 0j} take it.
+
+    Such a product keeps the order of the terms and gives each the one
+    product 0j + c * (1 + 0j); a term is dropped once its coefficient is
+    exactly zero, and zero stays zero.  So each term goes through the k
+    products on its own, and its word gains the k letters at once.  Each
+    product forms len(terms) pairs, so the caller keeps that within the budget."""
+    out: dict[tuple[int, ...], complex] = {}
+    for word, coeff in terms.items():
+        for _ in letters:
+            coeff = 0j + coeff * (1 + 0j)
+        if coeff != 0:
+            out[word + letters] = coeff
+    return out
 
 
 def _negated(terms: dict) -> dict:
@@ -410,7 +438,7 @@ def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
             raise TypeError(f"cannot read coefficients from {type(source).__name__}")
         if d is None:
             raise ValueError("a callable coefficient source needs an explicit d")
-        if (n if d == 1 else (d**n - 1) // (d - 1)) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
+        if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
             raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
         source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
@@ -463,9 +491,21 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
 # parsing and formatting
 
 
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_LETTERS = r"z[0-9]+(?:\s*\*\s*z[0-9]+)*(?![0-9]|\s*\^)"  # whole letters, the last under no power
 _TOKEN = re.compile(
-    r"(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?)|(?P<var>z[0-9]*)|(?P<op>[-+*^()i])|(?P<bad>\S)"
+    # a monomial run: a literal (real, imaginary or '(re+im i)') or a first letter, then '*'-joined letters; no part
+    # of it is raised to a power, and a literal alone is a whole number, so the run spans what finer tokens would
+    rf"(?P<run>(?:\(\s*(?P<re_sign>[+-]?)\s*(?P<re>{_NUMBER})\s*(?P<im_sign>[+-])\s*(?P<im>{_NUMBER})i\s*\)"
+    rf"|(?P<literal>{_NUMBER}i?))(?:\s*\*\s*(?P<letters>{_LETTERS})|(?![0-9.eEi]|\s*\^))|(?P<bare>{_LETTERS}))"
+    rf"|(?P<number>{_NUMBER}i?)|(?P<var>z[0-9]*)|(?P<power>\^(?:\s*(?P<exponent>{_NUMBER}i?))?)"
+    r"|(?P<op>[-+*()i])|(?P<bad>\S)"
 )
+
+
+def _number(lexeme: str) -> tuple[str, float]:
+    """The kind, "number" or "imag", and the value of a number's lexeme."""
+    return "imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i"))
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
@@ -473,17 +513,36 @@ def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
 
     Digits are ASCII only.  A number has at most one decimal point, an
     optional exponent as repr() of a float writes it, and an optional 'i'
-    suffix that makes it an "imag" token.
+    suffix that makes it an "imag" token.  A monomial run is one "run" token
+    whose value is (literal, letters): the literal's signed parts (sign,
+    kind, value), real, imaginary or the real and imaginary part of a
+    '(re+im i)' pair, and the letters' indices.  A number is a token of its
+    own only where it is raised to a power or is an exponent.
     """
     tokens = []
     for match in _TOKEN.finditer(text):
         kind, lexeme, at = match.lastgroup, match.group(), match.start()
-        if kind == "number":
-            tokens.append(("imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i")), at, lexeme))
-        elif kind == "var" and lexeme != "z":
-            tokens.append(("var", int(lexeme[1:]), at, lexeme))
+        if kind == "run":
+            re_sign, re_part, im_sign, im_part, literal, letters, bare = match.group(
+                "re_sign", "re", "im_sign", "im", "literal", "letters", "bare"
+            )
+            if re_part is not None:
+                parts = ((re_sign, "number", float(re_part)), (im_sign, "imag", float(im_part)))
+            else:
+                parts = () if literal is None else (("", *_number(literal)),)
+            letters = (letters or bare or "").replace("*", " ").replace("z", " ").split()  # the indices' digits
+            tokens.append(("run", (parts, tuple(map(int, letters))), at, lexeme))
         elif kind == "op":
             tokens.append(("imag", 1.0, at, lexeme) if lexeme == "i" else (lexeme, lexeme, at, lexeme))
+        elif kind == "number":
+            tokens.append((*_number(lexeme), at, lexeme))
+        elif kind == "var" and lexeme != "z":
+            tokens.append(("var", int(lexeme[1:]), at, lexeme))
+        elif kind == "power":
+            tokens.append(("^", "^", at, "^"))
+            exponent = match.group("exponent")
+            if exponent is not None:
+                tokens.append((*_number(exponent), match.start("exponent"), exponent))
         else:  # a bare 'z', a lone '.', or any other character
             errors = {"z": "variable name must be z followed by an index", ".": "malformed number"}
             raise PolyParseError(errors.get(lexeme, f"unexpected character {lexeme!r}"), at)
@@ -503,7 +562,10 @@ class _Parser:
 
     Sums go through _add_term, products and powers through _product, signs
     through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
-    and ** do: a parse has their bits and term order by construction.
+    and ** do: a parse has their bits and term order by construction.  A run
+    token is the factors 'literal * z_j * ...' (or 'z_j * ...'), read with the
+    same helpers in the same order: its first primary is the factor that takes
+    the sign, and the term then multiplies in each further letter.
     """
 
     def __init__(self, tokens, d: int):
@@ -517,8 +579,10 @@ class _Parser:
         terms = self.expr()
         kind, _, position, lexeme = self.tokens.pop()
         if kind != "end":
+            if kind == "run":  # quote the run's first token: '(' or the literal or the first letter
+                lexeme = "(" if lexeme[0] == "(" else re.split(r"[\s*]", lexeme, maxsplit=1)[0]
             raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        return FreePolynomial._trusted(int(self.d), terms)  # primary() has range-checked every letter
+        return FreePolynomial._trusted(int(self.d), terms)  # letter() has range-checked every letter
 
     def expr(self) -> dict:
         terms = self.term()
@@ -529,37 +593,83 @@ class _Parser:
         return terms
 
     def term(self) -> dict:
-        terms = self.factor()
+        terms = self.times_letters(*self.factor())
         while self.peek() == "*":
             self.tokens.pop()
-            terms = _product(terms, self.factor())
+            factor, run = self.factor()
+            terms = self.times_letters(_product(terms, factor), run)
         return terms
 
-    def factor(self) -> dict:
+    def times_letters(self, terms: dict, run) -> dict:
+        """terms times each letter of a run token after its first primary, as the term's '*' takes them one by one.
+
+        terms is the run's first primary, or the term's product by it, which
+        the budget has let through: a product by a letter keeps at most that
+        many terms, so none exceeds the budget, and the letters are checked
+        together before their products.  Without a run, terms as it is."""
+        if run is None:
+            return terms
+        _, (literal, letters), position, lexeme = run
+        first = 0 if literal else 1  # without a literal, the first letter is the primary
+        tail = letters[first:]
+        if not tail:
+            return terms
+        if not 1 <= min(tail) <= max(tail) <= self.d:
+            for k in range(first, len(letters)):
+                self.letter(letters[k], position, lexeme, k)  # raises at the first letter out of range
+        return _times_letters(terms, tail)
+
+    def factor(self) -> tuple[dict, tuple | None]:
+        """The factor's term map, and its run token if it is one: the term multiplies in the run's other letters."""
         negate = False
         while self.peek() in ("+", "-"):
             negate ^= self.tokens.pop()[0] == "-"
-        terms = self.primary()
-        while self.peek() == "^":
+        terms, run = self.primary()
+        while self.peek() == "^":  # never after a run: the lexer leaves out a letter or literal under a power
             self.tokens.pop()
             terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
-        return _negated(terms) if negate else terms
+        return (_negated(terms) if negate else terms), run
 
-    def primary(self) -> dict:
-        kind, value, position, lexeme = self.tokens.pop()
+    def primary(self) -> tuple[dict, tuple | None]:
+        token = self.tokens.pop()
+        kind, value, position, lexeme = token
+        if kind == "run":
+            literal, letters = value
+            return (self.literal(literal) if literal else self.letter(letters[0], position, lexeme, 0)), token
         if kind in ("number", "imag"):
-            return _add_term({}, (), complex(value if kind == "number" else value * 1j))
+            return _add_term({}, (), complex(value if kind == "number" else value * 1j)), None
         if kind == "var":
-            if not 1 <= value <= self.d:
-                raise PolyParseError(f"variable z{value} outside z1..z{self.d}", position)
-            return {(value,): 1 + 0j}
+            return self.letter(value, position, lexeme, 0), None
         if kind == "(":
             terms = self.expr()
             closer = self.tokens.pop()
             if closer[0] != ")":
                 raise PolyParseError("expected ')'", closer[2])
-            return terms
+            return terms, None
         raise PolyParseError(f"expected a number, variable, or '(' but found {lexeme or 'end of input'!r}", position)
+
+    @staticmethod
+    def literal(parts) -> dict:
+        """A run's literal: each (sign, kind, value) part read as primary() reads a number and signed as factor()
+        signs it, and a second part added to the first as expr() adds a term."""
+        terms = None
+        for sign, kind, value in parts:
+            part = _add_term({}, (), complex(value if kind == "number" else value * 1j))
+            if sign == "-":
+                part = _negated(part)
+            if terms is None:
+                terms = part
+                continue
+            for word, coeff in part.items():
+                _add_term(terms, word, coeff)
+        return terms
+
+    def letter(self, j: int, position: int, lexeme: str, k: int) -> dict:
+        """The term map of zj, the k-th letter of a token at position; j is checked against 1..d."""
+        if not 1 <= j <= self.d:
+            at = [i for i, char in enumerate(lexeme) if char == "z"][k]
+            raise PolyParseError(f"variable z{j} outside z1..z{self.d}", position + at)
+        return {(j,): 1 + 0j}
 
     def exponent(self) -> int:
         kind, value, position, lexeme = self.tokens.pop()
@@ -586,7 +696,7 @@ def _parse_finite(text: str, d: int, source: str) -> FreePolynomial:
     """parse(text, d) of a polynomial from outside; a NaN or inf coefficient is rejected, naming source and word."""
     p = parse(text, d)
     for word, coeff in p.terms.items():
-        if not np.isfinite(coeff):
+        if not cmath.isfinite(coeff):
             monomial = "*".join(f"z{letter}" for letter in word.letters) or "1"
             raise ValueError(f"{source} coefficient of {monomial} must be finite, got {coeff}")
     return p

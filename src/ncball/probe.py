@@ -18,7 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, left_divide, walk_levels
+from .freealg import (
+    BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, _capped_power, left_divide, walk_levels
+)
 from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, _word_values
 from .opball import OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
 from .realize import Realization, _RemainderRows
@@ -578,7 +580,7 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if ball.d**order > REGULARITY_WORD_BUDGET:
+    if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:
         raise BudgetExceededError(f"{ball.d}^{order} words exceed the budget {REGULARITY_WORD_BUDGET}")
     row_target = MonomialRow(ball.d, order)
     if isinstance(f, Realization):

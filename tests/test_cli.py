@@ -530,6 +530,11 @@ def test_numerical_failures_exit_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "exceed the budget" in captured.err
+    # the word count's exponent is capped past the budget: an absurd order fails at once, not after seconds
+    code = main(["tt-check", "--realization", "ex52", "--point", "0.1,0.1", "-N", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "numerical failure: 2^0 + ... + 2^1000000000 words exceed the budget 1000000\n"
 
     # a polynomial expansion is budgeted before it starts
     code = main(["eval", "--poly", "(z1+z2)^10*(z1+z2)^10", "--point", "0.1,0.1"])

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 import struct
 
 import numpy as np
@@ -16,9 +17,11 @@ from ncball.freealg import (
     FreePolynomial,
     PolyParseError,
     Word,
+    _add_term,
     _left_quotients,
     _negated,
     _product,
+    _times_letters,
     _tokenize,
     cesaro_sum,
     compose,
@@ -144,8 +147,9 @@ def test_words_of_size_rejects_bad_arguments_by_name():
     with pytest.raises(ValueError, match="word size k must be >= 0, got -1"):
         list(words_of_size(2, -1))
     assert [w.letters for w in words_of_size(2, 0)] == [()]
-    # more than WORD_BUDGET words of one size raise at the call, before the first word
-    for d, k in ((2, 20), (10, 7), (1001, 2)):
+    # more than WORD_BUDGET words of one size raise at the call, before the first word; the exponent is
+    # capped past the budget, so a size of 10^9 fails at once
+    for d, k in ((2, 20), (10, 7), (1001, 2), (2, 10**9), (7, 10**9)):
         with pytest.raises(BudgetExceededError, match=rf"^{d}\^{k} words exceed the budget 1000000$"):
             words_of_size(d, k)
     with pytest.raises(BudgetExceededError):
@@ -159,7 +163,7 @@ def test_a_dense_walk_charges_the_budget_before_its_first_step():
     steps = []
     column = (np.zeros((1, 1)), lambda stack, j: steps.append(j) or stack)
     # 2^0 + ... + 2^19 = 2^20 - 1 words pass 10^6, and 1^0 + ... + 1^size is size + 1
-    for d, size in ((2, 19), (2, 40), (1, 10**6), (1000, 2)):
+    for d, size in ((2, 19), (2, 40), (1, 10**6), (1000, 2), (2, 10**9), (3, 10**9), (1, 10**9)):
         with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{size} words exceed the budget"):
             walk_levels(d, size, column)
     assert steps == []
@@ -322,6 +326,26 @@ def test_parse_precedence_and_signs():
     assert parse("(z1+z2)*(z1-z2)", 2) == (z(1) + z(2)) * (z(1) - z(2))
     # ^ binds tighter than *: z1*z2^2 is z1*(z2*z2)
     assert parse("z1*z2^2", 2) == z(1) * z(2) * z(2)
+    # an exponent never starts a monomial run
+    assert parse("z1^2*z2", 2) == z(1) * z(1) * z(2)
+    # a run's sign applies to its first primary, before the products by its letters; inf * (1+0j) makes a NaN
+    # whose sign bit tells the two orders apart
+    two, inf = FreePolynomial.constant(2, 2.0), FreePolynomial.constant(2, float("inf"))
+    for text, want in (
+        ("-2*z1", -two * z(1)),
+        ("2*-z1*z2", two * -z(1) * z(2)),
+        ("-1e400*z1*z2", -inf * z(1) * z(2)),
+        ("2*-1e400*z1", two * -inf * z(1)),
+        ("(z1*z2)^2*z1", (z(1) * z(2)) ** 2 * z(1)),
+        ("0*z1 + (0-0i)*z2", FreePolynomial.constant(2, 0.0) * z(1)
+         + (FreePolynomial.constant(2, 0.0) - FreePolynomial.constant(2, 0.0 * 1j)) * z(2)),
+        ("(1e400-1e400i)*z2*z1 - z1*(1e400+2i)*z2", (inf - inf * FreePolynomial.constant(2, 1j)) * z(2) * z(1)
+         - z(1) * (inf + FreePolynomial.constant(2, 2j)) * z(2)),
+    ):
+        assert coefficient_bits(parse(text, 2)) == coefficient_bits(want), text
+    assert [bits(c) for c in parse("-1e400*z1*z2", 2).terms.values()] != [
+        bits(c) for c in (-(inf * z(1) * z(2))).terms.values()
+    ]
 
 
 def test_parse_powers_do_not_commute_inside():
@@ -353,6 +377,23 @@ def test_parse_error_positions():
     except PolyParseError as exc:
         err = exc
     assert err is not None and err.position == 3
+    # a monomial run is read as its tokens: each error names and points at the token that makes it
+    for text, d, message, position in (
+        ("2*z1*z9", 3, "variable z9 outside z1..z3", 5),
+        ("(1+2i)*z1*z3", 2, "variable z3 outside z1..z2", 10),
+        ("z0 * z1", 2, "variable z0 outside z1..z2", 0),
+        ("z1 *\tz01* z4", 3, "variable z4 outside z1..z3", 10),
+        ("2*z1 z2*z1", 2, "unexpected 'z2'; an operator is required between factors", 5),
+        ("z1 (1+2i)*z2", 2, "unexpected '('; an operator is required between factors", 3),
+        ("z1 2.5e-3i*z2", 2, "unexpected '2.5e-3i'; an operator is required between factors", 3),
+        ("z1^2*z2", 1, "variable z2 outside z1..z1", 5),
+        ("z1^(1+2i)*z1", 2, "exponent must be a nonnegative integer", 3),
+        ("z1^z2*z1", 2, "exponent must be a nonnegative integer", 3),
+        ("(1+2i)*z1*z", 2, "variable name must be z followed by an index", 10),
+    ):
+        with pytest.raises(PolyParseError) as info:
+            parse(text, d)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), text
 
 
 def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
@@ -363,23 +404,41 @@ def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
 
 
 def test_tokenize_table():
-    # text -> its tokens before ("end", None, len(text), ""), or (error, position)
+    # text -> its tokens before ("end", None, len(text), ""), or (error, position); a monomial run is one
+    # ("run", (literal, letters), position, lexeme) token, its literal the signed parts (sign, kind, value)
     table = {
-        "1e-3i": [("imag", 1e-3, 0, "1e-3i")],
-        "2.5E+2": [("number", 250.0, 0, "2.5E+2")],
-        "3.": [("number", 3.0, 0, "3.")],
-        ".25": [("number", 0.25, 0, ".25")],
-        "1.2.3": [("number", 1.2, 0, "1.2"), ("number", 0.3, 3, ".3")],
+        "1e-3i": [("run", ((("", "imag", 1e-3),), ()), 0, "1e-3i")],
+        "2.5E+2": [("run", ((("", "number", 250.0),), ()), 0, "2.5E+2")],
+        "3.": [("run", ((("", "number", 3.0),), ()), 0, "3.")],
+        ".25": [("run", ((("", "number", 0.25),), ()), 0, ".25")],
+        "1.2.3": [("number", 1.2, 0, "1.2"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
         " z12^2 -\ti": [("var", 12, 1, "z12"), ("^", "^", 4, "^"), ("number", 2.0, 5, "2"), ("-", "-", 7, "-"),
                         ("imag", 1.0, 9, "i")],
-        "(2i)*z1": [("(", "(", 0, "("), ("imag", 2.0, 1, "2i"), (")", ")", 3, ")"), ("*", "*", 4, "*"),
-                    ("var", 1, 5, "z1")],
+        "(2i)*z1": [("(", "(", 0, "("), ("run", ((("", "imag", 2.0),), ()), 1, "2i"), (")", ")", 3, ")"),
+                    ("*", "*", 4, "*"), ("run", ((), (1,)), 5, "z1")],
         "": [],
+        # a '(re+im i)' pair, real then imaginary, with the signs format_poly writes and any whitespace
+        "( -0.25 +0.5i) * z2*z10": [
+            ("run", ((("-", "number", 0.25), ("+", "imag", 0.5)), (2, 10)), 0, "( -0.25 +0.5i) * z2*z10")],
+        "2*z1 z2*z1": [("run", ((("", "number", 2.0),), (1,)), 0, "2*z1"), ("run", ((), (2, 1)), 5, "z2*z1")],
+        # nothing under a power joins a run, and an exponent is never the start of one
+        "2^3*z1*z2^2": [("number", 2.0, 0, "2"), ("^", "^", 1, "^"), ("number", 3.0, 2, "3"), ("*", "*", 3, "*"),
+                        ("run", ((), (1,)), 4, "z1"), ("*", "*", 6, "*"), ("var", 2, 7, "z2"), ("^", "^", 9, "^"),
+                        ("number", 2.0, 10, "2")],
+        "(1-2i) ^ 2": [("(", "(", 0, "("), ("run", ((("", "number", 1.0),), ()), 1, "1"), ("-", "-", 2, "-"),
+                       ("run", ((("", "imag", 2.0),), ()), 3, "2i"), (")", ")", 5, ")"), ("^", "^", 7, "^"),
+                       ("number", 2.0, 9, "2")],
+        "z1*z2 ^2": [("run", ((), (1,)), 0, "z1"), ("*", "*", 2, "*"), ("var", 2, 3, "z2"), ("^", "^", 6, "^"),
+                     ("number", 2.0, 7, "2")],
+        "2*-z1": [("run", ((("", "number", 2.0),), ()), 0, "2"), ("*", "*", 1, "*"), ("-", "-", 2, "-"),
+                  ("run", ((), (1,)), 3, "z1")],
         ".": ("malformed number", 0),
         "1e": ("unexpected character 'e'", 1),
         "z": ("variable name must be z followed by an index", 0),
         "#": ("unexpected character '#'", 0),
         "z1 + .e5": ("malformed number", 5),
+        "2*z1*z": ("variable name must be z followed by an index", 5),
+        "(1+2i)*z1 #": ("unexpected character '#'", 10),
     }
     for text, want in table.items():
         if isinstance(want, list):
@@ -502,6 +561,223 @@ def test_parse_sums_match_repeated_addition_bitwise():
     assert coefficient_bits(parse("-(1e400 + z1)^2", 2)) == [(w.letters, bits(0j + -c)) for w, c in square.items()]
 
 
+# ---------------------------------------------------------------------------
+# the parser against the character-level one it replaced: one token per
+# number, variable and operator, kept here verbatim as the reference
+
+
+REF_TOKEN = re.compile(
+    r"(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?)|(?P<var>z[0-9]*)|(?P<op>[-+*^()i])|(?P<bad>\S)"
+)
+
+
+def ref_tokenize(text: str) -> list[tuple[str, object, int, str]]:
+    """(kind, value, position, lexeme) tokens, whitespace skipped, then ("end", None, len(text), "").
+
+    Digits are ASCII only.  A number has at most one decimal point, an
+    optional exponent as repr() of a float writes it, and an optional 'i'
+    suffix that makes it an "imag" token.
+    """
+    tokens = []
+    for match in REF_TOKEN.finditer(text):
+        kind, lexeme, at = match.lastgroup, match.group(), match.start()
+        if kind == "number":
+            tokens.append(("imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i")), at, lexeme))
+        elif kind == "var" and lexeme != "z":
+            tokens.append(("var", int(lexeme[1:]), at, lexeme))
+        elif kind == "op":
+            tokens.append(("imag", 1.0, at, lexeme) if lexeme == "i" else (lexeme, lexeme, at, lexeme))
+        else:  # a bare 'z', a lone '.', or any other character
+            errors = {"z": "variable name must be z followed by an index", ".": "malformed number"}
+            raise PolyParseError(errors.get(lexeme, f"unexpected character {lexeme!r}"), at)
+    tokens.append(("end", None, len(text), ""))
+    return tokens
+
+
+class RefParser:
+    """Recursive descent over the token stream, on {letters: coefficient} term maps.
+
+    Grammar (the product sign is mandatory, juxtaposition is an error):
+
+        expr    := term (('+' | '-') term)*
+        term    := factor ('*' factor)*
+        factor  := ('+' | '-')* primary ('^' exponent)*
+        primary := number | number 'i' | 'i' | variable | '(' expr ')'
+
+    Sums go through _add_term, products and powers through _product, signs
+    through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
+    and ** do: a parse has their bits and term order by construction.
+    """
+
+    def __init__(self, tokens, d: int):
+        self.tokens = tokens[::-1]  # the next token is last, so pop() takes it
+        self.d = d
+
+    def peek(self) -> str:
+        return self.tokens[-1][0]
+
+    def parse(self) -> FreePolynomial:
+        terms = self.expr()
+        kind, _, position, lexeme = self.tokens.pop()
+        if kind != "end":
+            raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
+        return FreePolynomial._trusted(int(self.d), terms)  # primary() has range-checked every letter
+
+    def expr(self) -> dict:
+        terms = self.term()
+        while self.peek() in ("+", "-"):
+            rhs = self.term() if self.tokens.pop()[0] == "+" else _negated(self.term())
+            for word, coeff in rhs.items():
+                _add_term(terms, word, coeff)
+        return terms
+
+    def term(self) -> dict:
+        terms = self.factor()
+        while self.peek() == "*":
+            self.tokens.pop()
+            terms = _product(terms, self.factor())
+        return terms
+
+    def factor(self) -> dict:
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.tokens.pop()[0] == "-"
+        terms = self.primary()
+        while self.peek() == "^":
+            self.tokens.pop()
+            terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
+        return _negated(terms) if negate else terms
+
+    def primary(self) -> dict:
+        kind, value, position, lexeme = self.tokens.pop()
+        if kind in ("number", "imag"):
+            return _add_term({}, (), complex(value if kind == "number" else value * 1j))
+        if kind == "var":
+            if not 1 <= value <= self.d:
+                raise PolyParseError(f"variable z{value} outside z1..z{self.d}", position)
+            return {(value,): 1 + 0j}
+        if kind == "(":
+            terms = self.expr()
+            closer = self.tokens.pop()
+            if closer[0] != ")":
+                raise PolyParseError("expected ')'", closer[2])
+            return terms
+        raise PolyParseError(f"expected a number, variable, or '(' but found {lexeme or 'end of input'!r}", position)
+
+    def exponent(self) -> int:
+        kind, value, position, lexeme = self.tokens.pop()
+        if kind == "-":
+            raise PolyParseError("negative exponent", position)
+        if kind != "number" or not lexeme.isdigit():
+            raise PolyParseError("exponent must be a nonnegative integer", position)
+        return int(lexeme)
+
+
+
+def ref_parse(text: str, d: int) -> FreePolynomial:
+    return RefParser(ref_tokenize(text), d).parse()
+
+
+SPACES = st.sampled_from(["", "", " ", "  ", "\t", "\x1c", "\u3000"])
+REALS = st.sampled_from(["0", "0.0", "1", "2", "12", "007", "3.", ".25", "0.5", "1.5", "1e400", "2.5E+2", "1e-3",
+                         "4e0", "0.123", "9.75e-1"])
+FOREIGN = st.sampled_from(["#", "²", ".", "z", "e", "E", "i", "^", "*", "(", ")", "-", "+", "--", "z1", "z١", "2",
+                           "z0", "1e", ".e5", " ", "^-1", "^1.5", "^z1", "2z1", "(1+2i)", "*z2"])
+
+
+@st.composite
+def literal_texts(draw):
+    sp = lambda: draw(SPACES)  # noqa: E731
+    kind = draw(st.sampled_from(["real", "imag", "i", "pair", "pair"]))
+    if kind == "real":
+        return draw(REALS)
+    if kind == "imag":
+        return draw(REALS) + "i"
+    if kind == "i":
+        return "i"
+    re_sign, im_sign = draw(st.sampled_from(["", "-", "+"])), draw(st.sampled_from(["-", "+"]))
+    return f"({sp()}{re_sign}{sp()}{draw(REALS)}{sp()}{im_sign}{sp()}{draw(REALS)}i{sp()})"
+
+
+@st.composite
+def expr_texts(draw, depth):
+    """Text from the whole grammar: sums of products of signed literals, letters and parenthesised sums, with powers.
+
+    A term has at most one parenthesised factor, so a text expands to a few thousand terms at most."""
+    sp = lambda: draw(SPACES)  # noqa: E731
+
+    def factor(paren):
+        signs = draw(st.sampled_from(["", "", "", "", "", "-", "+", "--", "-+"]))
+        choice = draw(st.sampled_from(["literal", "letter", "letter", "letter"] + ["paren"] * paren))
+        if choice == "literal":
+            base = draw(literal_texts())
+        elif choice == "letter":
+            base = f"z{draw(st.sampled_from(['1', '2'] * 10 + ['01', '3', '0', '4']))}"
+        else:
+            base = f"({sp()}{draw(expr_texts(depth - 1))}{sp()})"
+        for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+            base += f"{sp()}^{sp()}{draw(st.sampled_from(['0', '1', '2', '2', '3'] if depth else ['1', '2']))}"
+        return signs + base, choice == "paren"
+
+    def term():
+        factors, paren = [], depth > 0
+        for _ in range(draw(st.integers(1, 4))):
+            text, used = factor(paren)
+            factors.append(text)
+            paren = paren and not used
+        return f"{sp()}*{sp()}".join(factors)
+
+    text = term()
+    for _ in range(draw(st.integers(0, 3 if depth == 2 else 1))):
+        text += f"{sp()}{draw(st.sampled_from(['+', '-']))}{sp()}{term()}"
+    return text
+
+
+@st.composite
+def grammar_texts(draw):
+    """Valid text, or valid text cut short, or with a foreign piece put in or a character taken out."""
+    text = draw(expr_texts(2))
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 2)) == 0 else 0):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["cut", "insert", "insert", "delete"]))
+        if edit == "cut":
+            text = text[:at]
+        elif edit == "insert":
+            text = text[:at] + draw(FOREIGN) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def parse_outcome(parser, text, d):
+    """The terms' letters and bits in dict order, or the error's type, message and position."""
+    try:
+        p = parser(text, d)
+    except (PolyParseError, BudgetExceededError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return p.d, coefficient_bits(p)
+
+
+@given(grammar_texts(), st.sampled_from([2, 2, 3, 1]))
+@settings(max_examples=400, deadline=None)
+@example("(0.130-0.830i)*z1*z1*z2 + (-0.008+0.954i)*z2 + (-0.737+0.391i)", 2)
+@example("-1e400*z1*z2 - (1e400+1e400i)*z2*z1 + 2i*-z1^2*z2", 2)
+@example("2*z1*z9", 3)
+@example("2*z1 z2*z1", 2)
+@example("z1^2*z2 + (z1*z2)^2*z1 - 0*z1 + (0-0i)*z2", 2)
+@example("(1+2i)^2*z1 + 2^3*z2*z1^2", 2)
+@example("z1 *\x1cz2", 2)
+@example("z1*z2 ^2 - 2*z1\t^ 3 + (1+2i)*z2 \u3000^2*z1", 2)
+def test_parse_matches_the_character_token_parser_bitwise(text, d):
+    assert parse_outcome(parse, text, d) == parse_outcome(ref_parse, text, d), text
+
+
+def test_the_reference_parser_keeps_its_grammar():
+    # ref_parse reads the tokens one character class at a time; pin that it sees the grammar as parse does
+    assert ref_tokenize("(1+2i)*z1")[:3] == [("(", "(", 0, "("), ("number", 1.0, 1, "1"), ("+", "+", 2, "+")]
+    assert ref_parse("(z1+z2)^2*z1 - 2i", 2) == (z(1) + z(2)) ** 2 * z(1) - FreePolynomial.constant(2, 2j)
+
+
 def test_format_examples():
     assert format_poly(parse("z1*z2 - z2*z1", 2)) == "z1*z2 - z2*z1"
     assert format_poly(FreePolynomial.constant(2, -2.5)) == "-2.5"
@@ -569,7 +845,7 @@ def test_cesaro_budget_guard():
     with pytest.raises(BudgetExceededError):
         cesaro_sum(lambda w: 1.0, 14, d=3)
     # the count is closed-form and never printed, so a huge n fails at once and by name
-    for d, n in ((2, 10**5), (1, 10**6 + 1)):
+    for d, n in ((2, 10**5), (1, 10**6 + 1), (2, 10**9 + 1)):
         with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{n - 1} words exceed the budget"):
             cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=d)
 
@@ -793,6 +1069,19 @@ nan_coeffs = st.builds(complex, st.sampled_from((float("nan"), -float("nan"), 1.
 def test_trusted_polynomials_match_the_constructor_bitwise(case):
     d, terms = case
     assert_same_bits(FreePolynomial._trusted(d, terms), FreePolynomial(d, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.lists(st.integers(1, 3), max_size=3).map(tuple), st.one_of(edge_coeffs, nan_coeffs), max_size=6),
+    st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple),
+)
+@example({(): complex(float("inf"), 0.0), (1,): complex(-0.0, 1.0), (2,): complex(float("nan"), -0.0)}, (1, 2, 1))
+def test_times_letters_matches_one_product_per_letter_bitwise(terms, letters):
+    terms = {w: c for w, c in terms.items() if c != 0}  # term maps keep no exact zero
+    want = functools.reduce(_product, ({(j,): 1 + 0j} for j in letters), terms)
+    got = _times_letters(terms, letters)
+    assert [(w, bits(c)) for w, c in got.items()] == [(w, bits(c)) for w, c in want.items()]
 
 
 def ref_taylor_polynomial(f, n):

@@ -418,6 +418,8 @@ def test_tt_check_charges_the_budget_where_its_words_are_walked():
     ):
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^19 words exceed the budget 1000000"):
             tt_check(f, x, 19)
+        with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^1000000000 words exceed the budget"):
+            tt_check(f, x, 10**9)
 
 
 def test_tt_check_report_fields():

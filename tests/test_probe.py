@@ -369,6 +369,9 @@ def test_regularity_validation():
         regularity_factors(f, 0, BALL, 1, 100, 0)
     with pytest.raises(BudgetExceededError, match="exceed the budget"):
         regularity_factors(f, 14, BALL, 1, 100, 0)
+    # the exponent is capped past the budget, so an absurd order fails at once, naming the order asked for
+    with pytest.raises(BudgetExceededError, match=r"^2\^1000000000 words exceed the budget 10000$"):
+        regularity_factors(f, 10**9, BALL, 1, 100, 0)
     with pytest.raises(TypeError, match="polynomials and realizations"):
         regularity_factors("f", 1, BALL, 1, 100, 0)
     for size in (0, -2):
