@@ -530,8 +530,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
                 parts = ((re_sign, "number", float(re_part)), (im_sign, "imag", float(im_part)))
             else:
                 parts = () if literal is None else (("", *_number(literal)),)
-            letters = (letters or bare or "").replace("*", " ").replace("z", " ").split()  # the indices' digits
-            tokens.append(("run", (parts, tuple(map(int, letters))), at, lexeme))
+            digits = (letters or bare or "").replace("*", " ").replace("z", " ").split()
+            tokens.append(("run", (parts, tuple(map(int, digits))), at, lexeme))
         elif kind == "op":
             tokens.append(("imag", 1.0, at, lexeme) if lexeme == "i" else (lexeme, lexeme, at, lexeme))
         elif kind == "number":
