@@ -772,12 +772,6 @@ def test_parse_matches_the_character_token_parser_bitwise(text, d):
     assert parse_outcome(parse, text, d) == parse_outcome(ref_parse, text, d), text
 
 
-def test_the_reference_parser_keeps_its_grammar():
-    # ref_parse reads the tokens one character class at a time; pin that it sees the grammar as parse does
-    assert ref_tokenize("(1+2i)*z1")[:3] == [("(", "(", 0, "("), ("number", 1.0, 1, "1"), ("+", "+", 2, "+")]
-    assert ref_parse("(z1+z2)^2*z1 - 2i", 2) == (z(1) + z(2)) ** 2 * z(1) - FreePolynomial.constant(2, 2j)
-
-
 def test_format_examples():
     assert format_poly(parse("z1*z2 - z2*z1", 2)) == "z1*z2 - z2*z1"
     assert format_poly(FreePolynomial.constant(2, -2.5)) == "-2.5"
