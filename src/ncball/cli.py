@@ -207,6 +207,8 @@ def _resolve_blowup_target(args):
     if text is None:
         f, _ = _resolve_function(args, d=ball_from_shorthand(args.ball).d)
         return f.eval
+    if args.poly or args.realization:
+        raise ValueError("give either --target or --poly/--realization, not both")
     head, _, rest = text.partition(":")
     if head.startswith("delta") and head[5:].isdigit() and rest:
         j = int(head[5:])

@@ -105,13 +105,17 @@ def _dense_count(d: int, size: int) -> int:
 
 
 def words_of_size(d: int, k: int) -> Iterator[Word]:
-    """All words of size exactly k, in length-lex order; d, k and d^k <= WORD_BUDGET are checked at the call."""
+    """All words of size exactly k, in length-lex order; d, k and d^k <= WORD_BUDGET are checked at the call.
+
+    At d = 1 the one word is charged its k letters: k <= WORD_BUDGET."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 0:
         raise ValueError(f"word size k must be >= 0, got {k}")
     if _capped_power(d, k, WORD_BUDGET) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
+    if d == 1 and k > WORD_BUDGET:  # one word, of k letters
+        raise BudgetExceededError(f"a word of {k} letters exceeds the budget {WORD_BUDGET}")
     return (Word._trusted(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
 
 
@@ -425,7 +429,8 @@ def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
     ``source`` supplies the coefficients: a FreePolynomial, a Realization
     (through its Taylor polynomial of size < n), or a callable word -> complex
     (the last needs ``d``).  For non-polynomial sources all d^k words with
-    k < n are enumerated, so n is limited by the word budget.
+    k < n are enumerated, so n is limited by the word budget (at d = 1, by
+    their letters).
     """
     from .realize import Realization, taylor_polynomial  # realize builds on this module
 
@@ -440,6 +445,8 @@ def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
             raise ValueError("a callable coefficient source needs an explicit d")
         if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
             raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
+        if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
+            raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
         source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
@@ -494,18 +501,17 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _LETTERS = r"z[0-9]+(?:\s*\*\s*z[0-9]+)*(?![0-9]|\s*\^)"  # whole letters, the last under no power
 _TOKEN = re.compile(
-    # a monomial run: a literal (real, imaginary or '(re+im i)') or a first letter, then '*'-joined letters; no part
-    # of it is raised to a power, and a literal alone is a whole number, so the run spans what finer tokens would
+    # a run: a literal (real, imaginary, 'i' or '(re+im i)') or a first letter, then any '*'-joined letters; a letter
+    # under a power is a run of its own, so only a run of one literal or one letter comes before '^'
     rf"(?P<run>(?:\(\s*(?P<re_sign>[+-]?)\s*(?P<re>{_NUMBER})\s*(?P<im_sign>[+-])\s*(?P<im>{_NUMBER})i\s*\)"
-    rf"|(?P<literal>{_NUMBER}i?))(?:\s*\*\s*(?P<letters>{_LETTERS})|(?![0-9.eEi]|\s*\^))|(?P<bare>{_LETTERS}))"
-    rf"|(?P<number>{_NUMBER}i?)|(?P<var>z[0-9]*)|(?P<power>\^(?:\s*(?P<exponent>{_NUMBER}i?))?)"
-    r"|(?P<op>[-+*()i])|(?P<bad>\S)"
+    rf"|(?P<literal>{_NUMBER}i?|i))(?:\s*\*\s*(?P<letters>{_LETTERS}))?|(?P<bare>{_LETTERS}|z[0-9]+))"
+    rf"|(?P<power>\^(?:\s*(?P<exponent>{_NUMBER}i?))?)|(?P<op>[-+*()])|(?P<bad>\S)"
 )
 
 
 def _number(lexeme: str) -> tuple[str, float]:
-    """The kind, "number" or "imag", and the value of a number's lexeme."""
-    return "imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i"))
+    """The kind, "number" or "imag", and the value of a number's lexeme; a lone 'i' is ("imag", 1.0)."""
+    return "imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i") or "1")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
@@ -513,11 +519,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
 
     Digits are ASCII only.  A number has at most one decimal point, an
     optional exponent as repr() of a float writes it, and an optional 'i'
-    suffix that makes it an "imag" token.  A monomial run is one "run" token
-    whose value is (literal, letters): the literal's signed parts (sign,
-    kind, value), real, imaginary or the real and imaginary part of a
-    '(re+im i)' pair, and the letters' indices.  A number is a token of its
-    own only where it is raised to a power or is an exponent.
+    suffix that makes it imaginary.  Every literal and letter is in a "run"
+    token whose value is (literal, letters): the literal's signed parts
+    (sign, kind, value), real, imaginary or the real and imaginary part of a
+    '(re+im i)' pair, and the letters' indices.  Besides runs there are only
+    signs, '*', parentheses, and '^' with its exponent, a (kind, value) token.
     """
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -533,11 +539,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
             digits = (letters or bare or "").replace("*", " ").replace("z", " ").split()
             tokens.append(("run", (parts, tuple(map(int, digits))), at, lexeme))
         elif kind == "op":
-            tokens.append(("imag", 1.0, at, lexeme) if lexeme == "i" else (lexeme, lexeme, at, lexeme))
-        elif kind == "number":
-            tokens.append((*_number(lexeme), at, lexeme))
-        elif kind == "var" and lexeme != "z":
-            tokens.append(("var", int(lexeme[1:]), at, lexeme))
+            tokens.append((lexeme, lexeme, at, lexeme))
         elif kind == "power":
             tokens.append(("^", "^", at, "^"))
             exponent = match.group("exponent")
@@ -563,9 +565,9 @@ class _Parser:
     Sums go through _add_term, products and powers through _product, signs
     through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
     and ** do: a parse has their bits and term order by construction.  A run
-    token is the factors 'literal * z_j * ...' (or 'z_j * ...'), read with the
-    same helpers in the same order: its first primary is the factor that takes
-    the sign, and the term then multiplies in each further letter.
+    token, the factors 'literal * z_j * ...' or 'z_j * ...', is read with the
+    same helpers in the same order: its first primary takes the sign and any
+    power, and the term then multiplies in each further letter.
     """
 
     def __init__(self, tokens, d: int):
@@ -625,7 +627,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             negate ^= self.tokens.pop()[0] == "-"
         terms, run = self.primary()
-        while self.peek() == "^":  # never after a run: the lexer leaves out a letter or literal under a power
+        while self.peek() == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
             self.tokens.pop()
             terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
         return (_negated(terms) if negate else terms), run
@@ -636,10 +638,6 @@ class _Parser:
         if kind == "run":
             literal, letters = value
             return (self.literal(literal) if literal else self.letter(letters[0], position, lexeme, 0)), token
-        if kind in ("number", "imag"):
-            return _add_term({}, (), complex(value if kind == "number" else value * 1j)), None
-        if kind == "var":
-            return self.letter(value, position, lexeme, 0), None
         if kind == "(":
             terms = self.expr()
             closer = self.tokens.pop()
@@ -650,8 +648,8 @@ class _Parser:
 
     @staticmethod
     def literal(parts) -> dict:
-        """A run's literal: each (sign, kind, value) part read as primary() reads a number and signed as factor()
-        signs it, and a second part added to the first as expr() adds a term."""
+        """A run's literal: each (sign, kind, value) part a constant term, complex(value) or complex(value * 1j),
+        signed as factor() signs it, and a second part added to the first as expr() adds a term."""
         terms = None
         for sign, kind, value in parts:
             part = _add_term({}, (), complex(value if kind == "number" else value * 1j))

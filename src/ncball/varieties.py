@@ -147,7 +147,11 @@ def variety_from_dict(obj: dict) -> AlgebraicVariety:
         raise ValueError(f"variety object needs keys ball, generators: {exc}") from exc
     if isinstance(raw_ball, str):
         ball = ball_from_shorthand(raw_ball)
-    else:
+    elif isinstance(raw_ball, dict) and "pencil" in raw_ball:
         ball = OperatorBall(pencil_from_dict(raw_ball["pencil"]))
+    else:
+        raise ValueError(f"variety ball must be a shorthand string or an object with key pencil, got {raw_ball!r}")
+    if not isinstance(raw_generators, list) or not all(isinstance(text, str) for text in raw_generators):
+        raise ValueError(f"variety generators must be a list of strings, got {raw_generators!r}")
     generators = tuple(_parse_finite(text, ball.d, "variety generator") for text in raw_generators)
     return AlgebraicVariety(ball, generators)

@@ -399,7 +399,7 @@ def test_negative_seeds_exit_2_naming_the_flag(capsys, argv):
     assert code == 0 and out != ""
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     bad = [
         ["eval", "--poly", "z1 z2", "--point", "0.1,0.2"],  # juxtaposition
         ["eval", "--poly", "z3", "--point", "0.1,0.2"],  # index out of range
@@ -411,6 +411,8 @@ def test_usage_errors_exit_2(capsys):
         ["blowup", "--target", "delta1:ex52", "--eps", "0"],  # path point on the boundary
         ["blowup", "--target", "delta3:ex52", "--eps", "0.1"],
         ["blowup", "--target", "delta1:ex52", "--eps", "0.1", "--path", "other"],
+        ["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"],  # a target given twice
+        ["blowup", "--target", "ex52", "--realization", "ex52", "--eps", "0.1"],
         ["dichotomy", "--map", "z1;z2"],  # no ball
         ["variety", "--variety", "missing.json", "--point", "0,0"],
         ["reproduce", "ex51"],
@@ -426,6 +428,10 @@ def test_usage_errors_exit_2(capsys):
         (["probe", "--realization", "ex52", "--ball", "polydisk:x"], "ball shorthand 'polydisk:x' needs an integer d >= 1"),
         # the JSON report goes to stdout, so the trajectory CSV needs a file
         (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
+        (["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"], "give either --target or --poly/--realization"),
+        # a string of generators is rejected, not read character by character
+        (["variety", "--variety", write_json(tmp_path / "string.json", {"ball": "polydisk:2", "generators": "12"}),
+          "--point", "0,0"], "variety generators must be a list of strings, got '12'"),
     ]
     for argv, message in named:
         code, out, err = run(capsys, *argv)

@@ -157,6 +157,13 @@ def test_words_of_size_rejects_bad_arguments_by_name():
     # exactly WORD_BUDGET words are allowed
     assert next(words_of_size(10, 6)).letters == (1,) * 6
     assert next(words_of_size(1000, 2)).letters == (1, 1)
+    # at d = 1 the one word of size k is charged its k letters, at the call
+    for k in (10**6 + 1, 3 * 10**6, 10**9):
+        with pytest.raises(BudgetExceededError, match=rf"^a word of {k} letters exceeds the budget 1000000$"):
+            words_of_size(1, k)
+    with pytest.raises(BudgetExceededError, match=r"^a word of 1000000000 letters exceeds the budget 1000000$"):
+        left_divide(FreePolynomial.zero(1), 10**9)
+    assert len(next(words_of_size(1, 10**6))) == 10**6
 
 
 def test_a_dense_walk_charges_the_budget_before_its_first_step():
@@ -404,16 +411,19 @@ def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
 
 
 def test_tokenize_table():
-    # text -> its tokens before ("end", None, len(text), ""), or (error, position); a monomial run is one
+    # text -> its tokens before ("end", None, len(text), ""), or (error, position); every literal and letter is in a
     # ("run", (literal, letters), position, lexeme) token, its literal the signed parts (sign, kind, value)
     table = {
         "1e-3i": [("run", ((("", "imag", 1e-3),), ()), 0, "1e-3i")],
         "2.5E+2": [("run", ((("", "number", 250.0),), ()), 0, "2.5E+2")],
         "3.": [("run", ((("", "number", 3.0),), ()), 0, "3.")],
         ".25": [("run", ((("", "number", 0.25),), ()), 0, ".25")],
-        "1.2.3": [("number", 1.2, 0, "1.2"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
-        " z12^2 -\ti": [("var", 12, 1, "z12"), ("^", "^", 4, "^"), ("number", 2.0, 5, "2"), ("-", "-", 7, "-"),
-                        ("imag", 1.0, 9, "i")],
+        "1.2.3": [("run", ((("", "number", 1.2),), ()), 0, "1.2"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
+        "2.5.3": [("run", ((("", "number", 2.5),), ()), 0, "2.5"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
+        " z12^2 -\ti": [("run", ((), (12,)), 1, "z12"), ("^", "^", 4, "^"), ("number", 2.0, 5, "2"),
+                        ("-", "-", 7, "-"), ("run", ((("", "imag", 1.0),), ()), 9, "i")],
+        "i": [("run", ((("", "imag", 1.0),), ()), 0, "i")],
+        "i2": [("run", ((("", "imag", 1.0),), ()), 0, "i"), ("run", ((("", "number", 2.0),), ()), 1, "2")],
         "(2i)*z1": [("(", "(", 0, "("), ("run", ((("", "imag", 2.0),), ()), 1, "2i"), (")", ")", 3, ")"),
                     ("*", "*", 4, "*"), ("run", ((), (1,)), 5, "z1")],
         "": [],
@@ -421,15 +431,17 @@ def test_tokenize_table():
         "( -0.25 +0.5i) * z2*z10": [
             ("run", ((("-", "number", 0.25), ("+", "imag", 0.5)), (2, 10)), 0, "( -0.25 +0.5i) * z2*z10")],
         "2*z1 z2*z1": [("run", ((("", "number", 2.0),), (1,)), 0, "2*z1"), ("run", ((), (2, 1)), 5, "z2*z1")],
-        # nothing under a power joins a run, and an exponent is never the start of one
-        "2^3*z1*z2^2": [("number", 2.0, 0, "2"), ("^", "^", 1, "^"), ("number", 3.0, 2, "3"), ("*", "*", 3, "*"),
-                        ("run", ((), (1,)), 4, "z1"), ("*", "*", 6, "*"), ("var", 2, 7, "z2"), ("^", "^", 9, "^"),
-                        ("number", 2.0, 10, "2")],
-        "(1-2i) ^ 2": [("(", "(", 0, "("), ("run", ((("", "number", 1.0),), ()), 1, "1"), ("-", "-", 2, "-"),
-                       ("run", ((("", "imag", 2.0),), ()), 3, "2i"), (")", ")", 5, ")"), ("^", "^", 7, "^"),
+        # a run before '^' is one literal or one letter, and an exponent is never the start of one
+        "12^2": [("run", ((("", "number", 12.0),), ()), 0, "12"), ("^", "^", 2, "^"), ("number", 2.0, 3, "2")],
+        "2^3*z1*z2^2": [("run", ((("", "number", 2.0),), ()), 0, "2"), ("^", "^", 1, "^"), ("number", 3.0, 2, "3"),
+                        ("*", "*", 3, "*"), ("run", ((), (1,)), 4, "z1"), ("*", "*", 6, "*"),
+                        ("run", ((), (2,)), 7, "z2"), ("^", "^", 9, "^"), ("number", 2.0, 10, "2")],
+        "(1-2i) ^ 2": [("run", ((("", "number", 1.0), ("-", "imag", 2.0)), ()), 0, "(1-2i)"), ("^", "^", 7, "^"),
                        ("number", 2.0, 9, "2")],
-        "z1*z2 ^2": [("run", ((), (1,)), 0, "z1"), ("*", "*", 2, "*"), ("var", 2, 3, "z2"), ("^", "^", 6, "^"),
-                     ("number", 2.0, 7, "2")],
+        "(1+2i)^2*z1": [("run", ((("", "number", 1.0), ("+", "imag", 2.0)), ()), 0, "(1+2i)"), ("^", "^", 6, "^"),
+                        ("number", 2.0, 7, "2"), ("*", "*", 8, "*"), ("run", ((), (1,)), 9, "z1")],
+        "z1*z2 ^2": [("run", ((), (1,)), 0, "z1"), ("*", "*", 2, "*"), ("run", ((), (2,)), 3, "z2"),
+                     ("^", "^", 6, "^"), ("number", 2.0, 7, "2")],
         "2*-z1": [("run", ((("", "number", 2.0),), ()), 0, "2"), ("*", "*", 1, "*"), ("-", "-", 2, "-"),
                   ("run", ((), (1,)), 3, "z1")],
         ".": ("malformed number", 0),
@@ -768,6 +780,13 @@ def parse_outcome(parser, text, d):
 @example("(1+2i)^2*z1 + 2^3*z2*z1^2", 2)
 @example("z1 *\x1cz2", 2)
 @example("z1*z2 ^2 - 2*z1\t^ 3 + (1+2i)*z2 \u3000^2*z1", 2)
+@example("i2", 2)
+@example("1.2.3", 2)
+@example("12^2", 2)
+@example("z12^2*z1", 2)
+@example("(1-2i) ^ 2*z1", 2)
+@example("i^i", 2)
+@example("2*z1*z2^2*z1", 2)
 def test_parse_matches_the_character_token_parser_bitwise(text, d):
     assert parse_outcome(parse, text, d) == parse_outcome(ref_parse, text, d), text
 
@@ -842,6 +861,12 @@ def test_cesaro_budget_guard():
     for d, n in ((2, 10**5), (1, 10**6 + 1), (2, 10**9 + 1)):
         with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{n - 1} words exceed the budget"):
             cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=d)
+    # at d = 1 the n words are charged their 0 + 1 + ... + (n - 1) letters: 1415 * 1414 / 2 pass 10^6
+    for n in (1415, 3000, 10**6):
+        message = rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"
+        with pytest.raises(BudgetExceededError, match=message):
+            cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=1)
+    assert cesaro_sum(lambda w: 1.0, 1414, d=1).degree == 1413
 
 
 def test_cesaro_rejects_bad_source():

@@ -242,3 +242,10 @@ def test_variety_from_dict_errors():
         variety_from_dict({"ball": "polydisk:2"})
     with pytest.raises(ValueError, match="unrecognized ball shorthand"):
         variety_from_dict({"ball": "cube:2", "generators": []})
+    # a string of generators is not read character by character, and every generator is a string
+    for generators in ("12", [1], ["z1", None], None, {"z1": 1}):
+        with pytest.raises(ValueError, match="variety generators must be a list of strings"):
+            variety_from_dict({"ball": "polydisk:2", "generators": generators})
+    for ball in (5, {}, {"pencils": {}}, ["polydisk:2"], None):
+        with pytest.raises(ValueError, match="variety ball must be a shorthand string or an object with key pencil"):
+            variety_from_dict({"ball": ball, "generators": []})
