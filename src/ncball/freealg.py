@@ -13,7 +13,7 @@ import cmath
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -226,6 +226,27 @@ class NCFunction:
         if x.d != self.d:
             raise ValueError(f"{type(self).__name__} in d={self.d} variables evaluated at a {x.d}-tuple")
 
+    def _label(self) -> str:
+        """The target name of a probe report."""
+        return type(self).__name__
+
+    def _truncation(self, x, order: int) -> np.ndarray:
+        """sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at a MatrixTuple x, N = order >= 1: the rhs of tt_check."""
+        raise _no_split(self)
+
+    def _remainder_column(self, order: int) -> "NCFunction":
+        """col(g_w) over the words w of size N = order >= 1: the column target of regularity_factors."""
+        raise _no_split(self)
+
+
+def _no_split(f) -> TypeError:
+    return TypeError(f"truncation splits polynomials and realizations, got {type(f).__name__}")
+
+
+def _added(rhs: np.ndarray, products) -> np.ndarray:
+    """rhs + products[0] + products[1] + ..., one add at a time in order: one accumulate, the bits of rhs += product."""
+    return np.add.accumulate([rhs, *products])[-1]
+
 
 def _add_term(terms: dict, word, coeff: complex) -> dict:
     """terms[word] += coeff, as FreePolynomial keeps its terms; returns terms.
@@ -338,6 +359,23 @@ class FreePolynomial(NCFunction):
         for word, coeff in self.sorted_terms():
             out = out + coeff * values[word.letters]
         return out
+
+    def _label(self) -> str:
+        return f"poly:{self}"
+
+    def _truncation(self, x, order: int) -> np.ndarray:
+        from .mattuple import _word_values  # mattuple builds on this module
+
+        quotients = _left_quotients(self, order)
+        words = [w.letters for w in self.terms if len(w) < order] + [*quotients]
+        values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
+        rhs = np.zeros((x.n, x.n), dtype=complex)
+        for k in range(min(order, self.degree + 1)):  # a size above the degree would add +0.0: no bit changes
+            rhs += homogeneous_component(self, k)._term_sum(values, (x.n, x.n))
+        return _added(rhs, [values[w] @ q._term_sum(values, (x.n, x.n)) for w, q in quotients.items()])
+
+    def _remainder_column(self, order: int) -> "QuotientColumn":
+        return QuotientColumn(self, order)
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":
@@ -465,6 +503,29 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
             raise ValueError(f"word {word.to_string()!r} of size {len(word)} < {n}: p is not left-divisible")
     heads, quotients, zero = words_of_size(p.d, n), _left_quotients(p, n), FreePolynomial.zero(p.d)
     return {head: quotients.get(head.letters, zero) for head in heads}
+
+
+@dataclass(frozen=True)
+class QuotientColumn(NCFunction):
+    """col(f_w(X)) of left-division quotients of a polynomial with no low words."""
+
+    p: FreePolynomial
+    size: int
+    # f_w over all words of the size, length-lex, divided out once
+    quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "quotients", tuple(left_divide(self.p, self.size).values()))
+
+    @property
+    def d(self) -> int:
+        return self.p.d
+
+    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        from .mattuple import _word_values  # mattuple builds on this module
+
+        values = _word_values(xs, [v.letters for q in self.quotients for v in q.terms])
+        return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
 
 
 def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:

@@ -12,14 +12,11 @@ difference noise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .freealg import FreePolynomial, _left_quotients, homogeneous_component, walk_levels
-from .mattuple import MatrixTuple, _monomials, _spectral_norm, _word_values
-from .realize import Realization
+from .mattuple import MatrixTuple, _spectral_norm
 
 
 def scalar_eval(f, point) -> complex:
@@ -94,40 +91,19 @@ class TTReport:
         return self.defect <= self.tol
 
 
-def _added(rhs: np.ndarray, products) -> np.ndarray:
-    """rhs + products[0] + products[1] + ..., one add at a time in order: one accumulate, the bits of rhs += product."""
-    return np.add.accumulate([rhs, *products])[-1]
-
-
 def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """Verify f(X) = sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at X.
 
     Works for realizations (g_w are remainder factors) and for polynomials
     (g_w come from exact left division of the high part, for the heads that
-    occur).  The tail is added in length-lex order, one product at a time.
+    occur), each through its ``_truncation``; any other f raises TypeError.
+    The tail is added in length-lex order, one product at a time.
     A polynomial walks only the prefixes of its words; a realization walks
     all words of size <= N, which the word budget caps (N <= 18 at d = 2).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     lhs = f.eval(x)  # also rejects a point with the wrong d
-    rhs = np.zeros((x.n, x.n), dtype=complex)
-    if isinstance(f, FreePolynomial):
-        quotients = _left_quotients(f, order)
-        words = [w.letters for w in f.terms if len(w) < order] + [*quotients]
-        values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
-        for k in range(min(order, f.degree + 1)):  # a size above the degree would add +0.0: no bit changes
-            rhs += homogeneous_component(f, k)._term_sum(values, (x.n, x.n))
-        rhs = _added(rhs, [values[w] @ q._term_sum(values, (x.n, x.n)) for w, q in quotients.items()])
-    elif isinstance(f, Realization):
-        levels = walk_levels(x.d, order, _monomials(x.entries), (None, f.row_step))  # budgeted before any term
-        for term in itertools.islice(f._homogeneous_terms(x), order):
-            rhs += term
-        res = f.resolvent_term(x)
-        for k, (xws, rows) in levels:
-            if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
-                rhs = _added(rhs, xws @ f.remainder_of_row(rows[:, 0], res).reshape(xws.shape))
-    else:
-        raise TypeError(f"tt_check supports polynomials and realizations, got {type(f).__name__}")
+    rhs = f._truncation(x, order)
     defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

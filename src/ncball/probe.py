@@ -18,12 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import (
-    BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, _capped_power, left_divide, walk_levels
-)
-from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms, _word_values
+from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, _capped_power, walk_levels
+from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms
 from .opball import OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
-from .realize import Realization, _RemainderRows
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 INITIAL_STEP = 0.1
@@ -273,7 +270,7 @@ def estimate_sup(
     if not schedule:
         raise ValueError("margin schedule must be nonempty")
     report = ProbeReport(
-        target=target_label if target_label is not None else _describe(f),
+        target=target_label if target_label is not None else f._label(),
         ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.pencil.p},q={ball.pencil.q})",
         level=n,
         budget=budget,
@@ -397,14 +394,6 @@ def _climb_schedule(n_moves: int, step: float, move: int, improved: bool) -> Ite
         move += 1
 
 
-def _describe(f) -> str:
-    if isinstance(f, FreePolynomial):
-        return f"poly:{f}"
-    if isinstance(f, Realization):
-        return f"realization(d={f.d},m={f.m},{f.mode})"
-    return type(f).__name__
-
-
 @dataclass(frozen=True)
 class BlowupRow:
     eps: float
@@ -523,41 +512,6 @@ class MonomialRow(NCFunction):
 
 
 @dataclass(frozen=True)
-class RemainderColumn(_RemainderRows):
-    """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
-        # the prefix rows of all words of the size, length-lex, walked once
-        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
-        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
-
-
-@dataclass(frozen=True)
-class QuotientColumn(NCFunction):
-    """col(f_w(X)) of left-division quotients of a polynomial with no low words."""
-
-    p: FreePolynomial
-    size: int
-    # f_w over all words of the size, length-lex, divided out once
-    quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "quotients", tuple(left_divide(self.p, self.size).values()))
-
-    @property
-    def d(self) -> int:
-        return self.p.d
-
-    def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        values = _word_values(xs, [v.letters for q in self.quotients for v in q.terms])
-        return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
-
-
-@dataclass(frozen=True)
 class RegularityReport:
     row: ProbeReport
     col: ProbeReport
@@ -583,12 +537,8 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
     if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:
         raise BudgetExceededError(f"{ball.d}^{order} words exceed the budget {REGULARITY_WORD_BUDGET}")
     row_target = MonomialRow(ball.d, order)
-    if isinstance(f, Realization):
-        col_target = RemainderColumn(f, order)
-    elif isinstance(f, FreePolynomial):
-        col_target = QuotientColumn(f, order)
-    else:
-        raise TypeError(f"regularity_factors supports polynomials and realizations, got {type(f).__name__}")
+    # an object that is no nc function gets the TypeError of one without a split
+    col_target = getattr(type(f), "_remainder_column", NCFunction._remainder_column)(f, order)
     row_report = estimate_sup(row_target, ball, n, budget, seed, target_label=f"row(X^w,|w|={order})")
     col_report = estimate_sup(col_target, ball, n, budget, seed, target_label=f"col(g_w,|w|={order})")
     return RegularityReport(row=row_report, col=col_report)

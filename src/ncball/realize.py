@@ -25,9 +25,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import FreePolynomial, NCFunction, Word, walk_levels
+from .freealg import FreePolynomial, NCFunction, Word, _added, walk_levels
 from .mattuple import (
     MatrixTuple,
+    _monomials,
     _owned_array,
     _seq_matmul,
     _spectral_norm,
@@ -264,6 +265,23 @@ class Realization(NCFunction):
             out = out + (1.0 - k / n_terms) * term
         return out
 
+    def _label(self) -> str:
+        return f"realization(d={self.d},m={self.m},{self.mode})"
+
+    def _truncation(self, x: MatrixTuple, order: int) -> np.ndarray:
+        levels = walk_levels(x.d, order, _monomials(x.entries), (None, self.row_step))  # budgeted before any term
+        rhs = np.zeros((x.n, x.n), dtype=complex)
+        for term in itertools.islice(self._homogeneous_terms(x), order):
+            rhs += term
+        res = self.resolvent_term(x)
+        for k, (xws, rows) in levels:
+            if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
+                rhs = _added(rhs, xws @ self.remainder_of_row(rows[:, 0], res).reshape(xws.shape))
+        return rhs
+
+    def _remainder_column(self, order: int) -> "RemainderColumn":
+        return RemainderColumn(self, order)
+
     def __repr__(self):
         return f"Realization(d={self.d}, p={self.pencil.p}, q={self.pencil.q}, m={self.m}, mode={self.mode!r})"
 
@@ -300,6 +318,20 @@ class RemainderFactor(_RemainderRows):
         if len(self.word) == 0:
             raise ValueError("remainder factors are indexed by nonempty words")
         object.__setattr__(self, "rows", self.base._prefix_row(self.word))
+
+
+@dataclass(frozen=True)
+class RemainderColumn(_RemainderRows):
+    """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
+
+    size: int
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
+        # the prefix rows of all words of the size, length-lex, walked once
+        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
+        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
 
 
 def bidisk_witness() -> Realization:

@@ -13,21 +13,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncball import realize
-from ncball.freealg import Word, parse
+from ncball.freealg import QuotientColumn, Word, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_matmul, seq_solve, seq_solve_batch
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
 from ncball.probe import (
     MonomialRow,
-    QuotientColumn,
-    RemainderColumn,
     _check_seeder,
     _pcg64_states,
     _sample_chunks,
     estimate_sup,
     sample_in_ball,
 )
-from ncball.realize import IllConditionedError, Realization, RemainderFactor, _kron_eye_matmul, bidisk_witness
+from ncball.realize import (
+    IllConditionedError,
+    Realization,
+    RemainderColumn,
+    RemainderFactor,
+    _kron_eye_matmul,
+    bidisk_witness,
+)
 
 
 def gaussian(rng, shape):

@@ -21,7 +21,6 @@ from ncball.probe import (
     DichotomyResult,
     MonomialRow,
     ProbeReport,
-    RemainderColumn,
     blowup_scan,
     builtin_dichotomy_case,
     corner_path,
@@ -30,7 +29,7 @@ from ncball.probe import (
     regularity_factors,
     sample_in_ball,
 )
-from ncball.realize import Realization, RemainderFactor, bidisk_witness
+from ncball.realize import Realization, RemainderColumn, RemainderFactor, bidisk_witness
 
 BALL = polydisk(2)
 

@@ -20,10 +20,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from ncball.freealg import FreePolynomial, parse
+from ncball.freealg import FreePolynomial, QuotientColumn, parse
 from ncball.opball import polydisk, row_ball
-from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, estimate_sup
-from ncball.realize import bidisk_witness
+from ncball.probe import MonomialRow, estimate_sup
+from ncball.realize import RemainderColumn, bidisk_witness
 
 BUDGET = 300
 

@@ -15,15 +15,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncball import freealg
-from ncball.freealg import FreePolynomial, Word, cesaro_sum, left_divide, parse, to_triples, walk_levels, words_of_size
+from ncball.freealg import (
+    FreePolynomial,
+    QuotientColumn,
+    Word,
+    cesaro_sum,
+    left_divide,
+    parse,
+    to_triples,
+    walk_levels,
+    words_of_size,
+)
 from ncball.mattuple import MatrixTuple, _monomials, direct_sum, eval_word, seq_matmul, seq_solve, similarity
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
-from ncball.probe import MonomialRow, QuotientColumn, RemainderColumn, corner_path, sample_in_ball
+from ncball.probe import MonomialRow, corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
     IllConditionedError,
     Realization,
+    RemainderColumn,
     RemainderFactor,
     bidisk_witness,
     bidisk_witness_closed_form,
