@@ -269,6 +269,7 @@ def estimate_sup(
     schedule = MULTISTART_MARGINS if margins is None else tuple(margins)
     if not schedule:
         raise ValueError("margin schedule must be nonempty")
+    _check_ball_d(f, ball)
     report = ProbeReport(
         target=target_label if target_label is not None else f._label(),
         ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.pencil.p},q={ball.pencil.q})",
@@ -377,6 +378,12 @@ def estimate_sup(
     return report
 
 
+def _check_ball_d(f, ball: OperatorBall) -> None:
+    """Reject a target whose number of variables is not the ball's, before any point is drawn."""
+    if f.d != ball.d:
+        raise ValueError(f"target in d={f.d} variables probed on a ball in d={ball.d} variables")
+
+
 def _climb_schedule(n_moves: int, step: float, move: int, improved: bool) -> Iterator[tuple[float, int]]:
     """The climb's (step, move index) from this state on, if no candidate improves.
 
@@ -420,6 +427,8 @@ def blowup_scan(g, path, eps_list, ball: OperatorBall) -> BlowupReport:
     rows = []
     for eps in eps_list:
         x = MatrixTuple.scalars(path(eps))
+        if x.d != ball.d:
+            raise ValueError(f"path point at eps={eps:g} has d={x.d}, but the ball has d={ball.d}")
         verdict = membership(ball, x)
         if not verdict.is_inside:
             raise ValueError(f"path point at eps={eps:g} is not strictly inside the ball (norm {verdict.norm:.17g})")
@@ -539,6 +548,7 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
     row_target = MonomialRow(ball.d, order)
     # an object that is no nc function gets the TypeError of one without a split
     col_target = getattr(type(f), "_remainder_column", NCFunction._remainder_column)(f, order)
+    _check_ball_d(f, ball)
     row_report = estimate_sup(row_target, ball, n, budget, seed, target_label=f"row(X^w,|w|={order})")
     col_report = estimate_sup(col_target, ball, n, budget, seed, target_label=f"col(g_w,|w|={order})")
     return RegularityReport(row=row_report, col=col_report)

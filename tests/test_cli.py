@@ -526,6 +526,15 @@ def test_probe_at_level_zero_is_bad_input(capsys):
     assert err == "error: level must be >= 1, got 0\n"
 
 
+def test_a_ball_whose_d_is_not_the_targets_is_bad_input(capsys):
+    code, out, err = run(capsys, "probe", "--realization", "ex52", "--ball", "polydisk:3", "--budget", "5")
+    assert code == 2 and out == ""
+    assert err == "error: target in d=2 variables probed on a ball in d=3 variables\n"
+    code, out, err = run(capsys, "blowup", "--realization", "ex52", "--ball", "polydisk:3", "--eps", "0.1")
+    assert code == 2 and out == ""
+    assert err == "error: path point at eps=0.1 has d=2, but the ball has d=3\n"
+
+
 def test_numerical_failures_exit_1(capsys):
     code = main(["eval", "--realization", "ex52", "--point", "1,1"])
     captured = capsys.readouterr()

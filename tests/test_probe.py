@@ -148,6 +148,19 @@ def test_search_validation():
         estimate_sup(parse("z1", 2), BALL, 1, 10, 0, margins=())
 
 
+def test_a_target_whose_d_is_not_the_balls_fails_before_any_draw():
+    with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match=r"^target in d=3 variables probed on a ball in d=2 variables$"):
+            estimate_sup(parse("z1", 3), BALL, 1, 10, 0)
+        with pytest.raises(ValueError, match=r"^target in d=2 variables probed on a ball in d=3 variables$"):
+            estimate_sup(bidisk_witness(), polydisk(3), 1, 10, 0)
+    # the column's d is checked before the row probe spends its budget
+    with mock.patch.object(probe, "estimate_sup", side_effect=AssertionError("probed")):
+        for f in (bidisk_witness(), parse("z1*z2", 2)):
+            with pytest.raises(ValueError, match=r"^target in d=2 variables probed on a ball in d=3 variables$"):
+                regularity_factors(f, 2, polydisk(3), 1, 2000, 0)
+
+
 # ---------------------------------------------------------------------------
 # blowup scans
 
@@ -179,6 +192,12 @@ def test_the_witness_itself_stays_bounded_on_the_path():
 def test_blowup_rejects_points_outside_the_ball():
     with pytest.raises(ValueError, match="not strictly inside"):
         blowup_scan(bidisk_witness().eval, corner_path, [0.0], BALL)
+
+
+def test_blowup_rejects_a_path_whose_d_is_not_the_balls():
+    g = mock.Mock(side_effect=AssertionError("evaluated"))
+    with pytest.raises(ValueError, match=r"^path point at eps=0.1 has d=2, but the ball has d=3$"):
+        blowup_scan(g, corner_path, [0.1], polydisk(3))
 
 
 def test_blowup_rejects_unknown_targets():
