@@ -461,6 +461,14 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     return FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
 
+def _charge_words_below(d: int, n: int) -> None:
+    """Raise BudgetExceededError unless the words of size < n fit WORD_BUDGET: their count, and at d = 1 their letters."""
+    if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
+        raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
+    if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
+        raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
+
+
 def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
     """Weighted partial sum  sum_{k<n} (1 - k/n) * (degree-k part).
 
@@ -481,10 +489,7 @@ def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
             raise TypeError(f"cannot read coefficients from {type(source).__name__}")
         if d is None:
             raise ValueError("a callable coefficient source needs an explicit d")
-        if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
-            raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
-        if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
-            raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
+        _charge_words_below(d, n)
         source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import FreePolynomial, NCFunction, Word, _added, walk_levels
+from .freealg import FreePolynomial, NCFunction, Word, _added, _charge_words_below, walk_levels
 from .mattuple import (
     MatrixTuple,
     _monomials,
@@ -359,7 +359,11 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
-    """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its dense walk is word-budgeted."""
+    """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order.
+
+    Its words are budgeted before the walk, as cesaro_sum budgets a callable's:
+    their count, and at d = 1 their letters."""
+    _charge_words_below(f.d, n)
     levels: list[list[complex]] = [[] for _ in range(n)]
     for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
         levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()

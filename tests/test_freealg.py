@@ -6,6 +6,7 @@ import operator
 import random
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -867,6 +868,15 @@ def test_cesaro_budget_guard():
         with pytest.raises(BudgetExceededError, match=message):
             cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=1)
     assert cesaro_sum(lambda w: 1.0, 1414, d=1).degree == 1413
+    # a d = 1 realization's Taylor polynomial is charged the same letters, before its walk
+    f = Realization(polydisk(1).pencil, 1, 0.0, [0.5], [0.5], [[1.0]])
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        for n in (1415, 3000, 10**6):
+            message = rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"
+            for build in (taylor_polynomial, cesaro_sum):
+                with pytest.raises(BudgetExceededError, match=message):
+                    build(f, n)
+    assert taylor_polynomial(f, 1414).degree == 1413
 
 
 def test_cesaro_rejects_bad_source():

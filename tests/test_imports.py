@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, and every
 private module-level function or class and every UPPER_CASE constant is read
-by some module of the package."""
+by some module of the package.  Only the modules of the two function kinds,
+freealg and realize, test an object against FreePolynomial or Realization."""
 
 import ast
 import re
@@ -74,3 +75,35 @@ def test_scan_finds_an_unread_definition():
 def test_no_unread_private_definitions_or_constants():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+KINDS = {"FreePolynomial", "Realization"}
+
+
+def kind_dispatches(source: str) -> list[str]:
+    """'line: kind' for each isinstance call whose class argument names a function kind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            for part in ast.walk(node.args[1]):
+                name = getattr(part, "id", None) or getattr(part, "attr", None)  # a Name or an Attribute
+                if name in KINDS:
+                    found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_scan_finds_a_kind_dispatch():
+    source = (
+        "if isinstance(f, FreePolynomial | realize.Realization):\n"
+        "    pass\n"
+        "ok = isinstance(f, (NCFunction, int))\n"
+        "also = isinstance(f, (int, Realization))\n"
+    )
+    assert kind_dispatches(source) == ["1: FreePolynomial", "1: Realization", "4: Realization"]
+
+
+def test_only_the_kinds_own_modules_dispatch_on_them():
+    # every other module asks an nc function for its split, label or column through NCFunction's hooks
+    owners = {"freealg.py", "realize.py"}
+    found = {path.name: kind_dispatches(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert not {name: hits for name, hits in found.items() if hits and name not in owners}
