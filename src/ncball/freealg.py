@@ -462,7 +462,7 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
 
 
 def _charge_words_below(d: int, n: int) -> None:
-    """Raise BudgetExceededError unless the words of size < n fit WORD_BUDGET: their count, and at d = 1 their letters."""
+    """Charge the words of size < n to WORD_BUDGET: their count, and at d = 1 their letters."""
     if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
         raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
     if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
