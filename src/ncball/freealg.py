@@ -4,7 +4,8 @@ The variables z1, ..., zd do not commute: z1*z2 and z2*z1 are distinct
 monomials.  Words over the alphabet {1, ..., d} index the monomials and are
 ordered length-lexicographically (shorter first, then lexicographic with
 1 < 2 < ... < d).  Coefficients are complex doubles; only exact zeros are
-dropped, nothing is epsilon-pruned.
+dropped, nothing is epsilon-pruned.  The values X^w of words at matrix points
+come from the one word walk, walk_levels.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
+
+from .mattuple import MatrixTuple, _seq_matmul, _spectral_norms, point_stack
 
 WORD_BUDGET = 10**6  # the words a dense walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
@@ -163,6 +166,38 @@ def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
             todo.append((k + 1, None if prefixes is None else prefixes[rows], tuple(kid[rows] for kid in kids)))
 
 
+def _monomials(xs: np.ndarray) -> tuple:
+    """The walk_levels column of X^w at a point (d, n, n) or a stack (B, d, n, n).
+
+    Each step is the fixed-order kernel with factors of one rank, so X^w has
+    the same bits in any stack of words or points.
+    """
+    root = np.broadcast_to(np.eye(xs.shape[-1], dtype=complex), (1, *xs.shape[:-3], *xs.shape[-2:])).copy()
+    return root, lambda stack, j: _seq_matmul(stack, xs[None, ..., j - 1, :, :])
+
+
+def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
+    """{w: X^w} for letter tuples w at a point or a stack, from one walk over their prefixes."""
+    wanted = set(words)
+    levels = walk_levels(xs.shape[-3], max(map(len, wanted), default=-1), _monomials(xs), words=wanted)
+    return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
+
+
+def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
+    """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
+    if word.d != x.d:
+        raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
+    return _word_values(x.entries, [word.letters])[word.letters]
+
+
+def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
+    """Whether every word of size exactly k evaluates below tol in norm; the word budget caps k (k <= 18 at d = 2)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    levels = walk_levels(x.d, k, _monomials(x.entries))
+    return all((_spectral_norms(xw) <= tol).all() for size, (xw,) in levels if size == k)
+
+
 class NCFunction:
     """An nc function of d variables, evaluated at level-n points (d-tuples of n x n matrices).
 
@@ -191,8 +226,6 @@ class NCFunction:
         it (``OperatorBall.norms_at``).  A resolvent guard may take it as a
         certificate in place of a condition number; no value or failure changes.
         """
-        from .mattuple import point_stack  # mattuple builds on this module
-
         stack = point_stack(xs, self.d)
         if pencil_norms is None:
             values, errors = self._values(stack)
@@ -237,6 +270,10 @@ class NCFunction:
     def _remainder_column(self, order: int) -> "NCFunction":
         """col(g_w) over the words w of size N = order >= 1: the column target of regularity_factors."""
         raise _no_split(self)
+
+    def _taylor_polynomial(self, n: int) -> "FreePolynomial":
+        """A polynomial whose words of size < n carry the Taylor coefficients c_w: the source of cesaro_sum."""
+        raise TypeError(f"cannot read coefficients from {type(self).__name__}")
 
 
 def _no_split(f) -> TypeError:
@@ -349,8 +386,6 @@ class FreePolynomial(NCFunction):
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
-        from .mattuple import _word_values  # mattuple builds on this module
-
         return self._term_sum(_word_values(xs, [w.letters for w in self.terms]), (len(xs), *xs.shape[-2:])), {}
 
     def _term_sum(self, values: Mapping[tuple[int, ...], np.ndarray], shape) -> np.ndarray:
@@ -364,8 +399,6 @@ class FreePolynomial(NCFunction):
         return f"poly:{self}"
 
     def _truncation(self, x, order: int) -> np.ndarray:
-        from .mattuple import _word_values  # mattuple builds on this module
-
         quotients = _left_quotients(self, order)
         words = [w.letters for w in self.terms if len(w) < order] + [*quotients]
         values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
@@ -376,6 +409,9 @@ class FreePolynomial(NCFunction):
 
     def _remainder_column(self, order: int) -> "QuotientColumn":
         return QuotientColumn(self, order)
+
+    def _taylor_polynomial(self, n: int) -> "FreePolynomial":
+        return self  # cesaro_sum keeps only the words of size < n
 
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":
@@ -472,25 +508,23 @@ def _charge_words_below(d: int, n: int) -> None:
 def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
     """Weighted partial sum  sum_{k<n} (1 - k/n) * (degree-k part).
 
-    ``source`` supplies the coefficients: a FreePolynomial, a Realization
-    (through its Taylor polynomial of size < n), or a callable word -> complex
-    (the last needs ``d``).  For non-polynomial sources all d^k words with
-    k < n are enumerated, so n is limited by the word budget (at d = 1, by
-    their letters).
+    ``source`` supplies the coefficients: an nc function through its
+    ``_taylor_polynomial`` (a FreePolynomial as it is, a Realization through
+    its Taylor polynomial of size < n), or a callable word -> complex (the
+    last needs ``d``).  For non-polynomial sources all d^k words with k < n
+    are enumerated, so n is limited by the word budget (at d = 1, by their
+    letters).
     """
-    from .realize import Realization, taylor_polynomial  # realize builds on this module
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(source, Realization):
-        source = taylor_polynomial(source, n)
-    elif not isinstance(source, FreePolynomial):
+    if not isinstance(source, NCFunction):
         if not callable(source):
             raise TypeError(f"cannot read coefficients from {type(source).__name__}")
         if d is None:
             raise ValueError("a callable coefficient source needs an explicit d")
         _charge_words_below(d, n)
         source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
+    source = source._taylor_polynomial(n)
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
 
@@ -527,8 +561,6 @@ class QuotientColumn(NCFunction):
         return self.p.d
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        from .mattuple import _word_values  # mattuple builds on this module
-
         values = _word_values(xs, [v.letters for q in self.quotients for v in q.terms])
         return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
 

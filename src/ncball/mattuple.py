@@ -1,9 +1,9 @@
 """Tuples of square complex matrices, the points nc functions are evaluated at.
 
 A level-n point of the d-variable matrix universe is a d-tuple of n x n
-complex matrices.  The sup norm, direct sums, similarities, ampliations and
-word evaluation implemented here are the structural operations
-that graded nc functions are required to respect.
+complex matrices.  The sup norm, direct sums, similarities and ampliations
+implemented here are the structural operations that graded nc functions are
+required to respect.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .freealg import Word, walk_levels
 
 SIMILARITY_COND_LIMIT = 1e12
 
@@ -209,30 +207,6 @@ def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[0, :, 0] if squeeze else x[0]
 
 
-def _monomials(xs: np.ndarray) -> tuple:
-    """The walk_levels column of X^w at a point (d, n, n) or a stack (B, d, n, n).
-
-    Each step is the fixed-order kernel with factors of one rank, so X^w has
-    the same bits in any stack of words or points.
-    """
-    root = np.broadcast_to(np.eye(xs.shape[-1], dtype=complex), (1, *xs.shape[:-3], *xs.shape[-2:])).copy()
-    return root, lambda stack, j: _seq_matmul(stack, xs[None, ..., j - 1, :, :])
-
-
-def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
-    """{w: X^w} for letter tuples w at a point or a stack, from one walk over their prefixes."""
-    wanted = set(words)
-    levels = walk_levels(xs.shape[-3], max(map(len, wanted), default=-1), _monomials(xs), words=wanted)
-    return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
-
-
-def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
-    """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
-    if word.d != x.d:
-        raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
-    return _word_values(x.entries, [word.letters])[word.letters]
-
-
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
     if x.d != y.d:
         raise ValueError(f"dimension mismatch: d={x.d} vs d={y.d}")
@@ -262,14 +236,6 @@ def similarity(s: np.ndarray, x: MatrixTuple) -> MatrixTuple:
     if not np.isfinite(cond) or cond > SIMILARITY_COND_LIMIT:
         raise np.linalg.LinAlgError(f"similarity matrix numerically singular (cond ~ {cond:.3e})")
     return MatrixTuple(np.array([np.linalg.solve(s, x.entries[j] @ s) for j in range(x.d)]))
-
-
-def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
-    """Whether every word of size exactly k evaluates below tol in norm; the word budget caps k (k <= 18 at d = 2)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    levels = walk_levels(x.d, k, _monomials(x.entries))
-    return all((_spectral_norms(xw) <= tol).all() for size, (xw,) in levels if size == k)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .freealg import NCFunction, _no_split
 from .mattuple import MatrixTuple, _spectral_norm
 
 
@@ -101,6 +102,8 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     A polynomial walks only the prefixes of its words; a realization walks
     all words of size <= N, which the word budget caps (N <= 18 at d = 2).
     """
+    if not isinstance(f, NCFunction):
+        raise _no_split(f)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     lhs = f.eval(x)  # also rejects a point with the wrong d

@@ -18,8 +18,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, _capped_power, walk_levels
-from .mattuple import MatrixTuple, _monomials, _spectral_norm, _spectral_norms
+from .freealg import (
+    BATCH_BYTES,
+    BudgetExceededError,
+    FreePolynomial,
+    NCFunction,
+    _capped_power,
+    _monomials,
+    _no_split,
+    walk_levels,
+)
+from .mattuple import MatrixTuple, _spectral_norm, _spectral_norms
 from .opball import OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
@@ -262,6 +271,8 @@ def estimate_sup(
 
     Passing ``margins`` replaces the multistart margin schedule.
     """
+    if not isinstance(f, NCFunction):
+        raise TypeError(f"cannot probe an object of type {type(f).__name__}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if n < 1:
@@ -470,6 +481,11 @@ def dichotomy_scan(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not levels:
         raise ValueError("levels must name at least one level")
+    for i, p in enumerate(maps, 1):
+        if not isinstance(p, NCFunction):
+            raise TypeError(f"map component {i} is an object of type {type(p).__name__}, not an nc function")
+        if p.d != source_ball.d:
+            raise ValueError(f"map component {i} in d={p.d} variables on a source ball in d={source_ball.d} variables")
     norms = []
     # sample i is drawn at level levels[i % L] from seed + i; the norms are
     # taken level by level, which leaves their max and min as they are
@@ -541,13 +557,14 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
     factors for a realization, or left-division quotients for a polynomial
     whose words all have size >= N.
     """
+    if not isinstance(f, NCFunction):
+        raise _no_split(f)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:
         raise BudgetExceededError(f"{ball.d}^{order} words exceed the budget {REGULARITY_WORD_BUDGET}")
     row_target = MonomialRow(ball.d, order)
-    # an object that is no nc function gets the TypeError of one without a split
-    col_target = getattr(type(f), "_remainder_column", NCFunction._remainder_column)(f, order)
+    col_target = f._remainder_column(order)
     _check_ball_d(f, ball)
     row_report = estimate_sup(row_target, ball, n, budget, seed, target_label=f"row(X^w,|w|={order})")
     col_report = estimate_sup(col_target, ball, n, budget, seed, target_label=f"col(g_w,|w|={order})")

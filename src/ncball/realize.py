@@ -25,10 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import FreePolynomial, NCFunction, Word, _added, _charge_words_below, walk_levels
+from .freealg import FreePolynomial, NCFunction, Word, _added, _charge_words_below, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
-    _monomials,
     _owned_array,
     _seq_matmul,
     _spectral_norm,
@@ -281,6 +280,9 @@ class Realization(NCFunction):
 
     def _remainder_column(self, order: int) -> "RemainderColumn":
         return RemainderColumn(self, order)
+
+    def _taylor_polynomial(self, n: int) -> FreePolynomial:
+        return taylor_polynomial(self, n)
 
     def __repr__(self):
         return f"Realization(d={self.d}, p={self.pencil.p}, q={self.pencil.q}, m={self.m}, mode={self.mode!r})"

@@ -17,6 +17,7 @@ from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
     PolyParseError,
+    QuotientColumn,
     Word,
     _add_term,
     _left_quotients,
@@ -880,8 +881,11 @@ def test_cesaro_budget_guard():
 
 
 def test_cesaro_rejects_bad_source():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^cannot read coefficients from object$"):
         cesaro_sum(object(), 2, d=2)
+    # an nc function without Taylor coefficients of its own is no source either
+    with pytest.raises(TypeError, match="^cannot read coefficients from QuotientColumn$"):
+        cesaro_sum(QuotientColumn(parse("z1*z2", 2), 1), 2)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         cesaro_sum(parse("z1", 2), 0)
 

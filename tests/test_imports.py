@@ -1,10 +1,14 @@
 """Every module-level import in the package is used by its module, and every
 private module-level function or class and every UPPER_CASE constant is read
 by some module of the package.  Only the modules of the two function kinds,
-freealg and realize, test an object against FreePolynomial or Realization."""
+freealg and realize, test an object against FreePolynomial or Realization.
+The modules import one another in one acyclic order, only at module level,
+and import nothing beyond the standard library and numpy."""
 
 import ast
+import graphlib
 import re
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncball"
@@ -107,3 +111,80 @@ def test_only_the_kinds_own_modules_dispatch_on_them():
     owners = {"freealg.py", "realize.py"}
     found = {path.name: kind_dispatches(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert not {name: hits for name, hits in found.items() if hits and name not in owners}
+
+
+def function_imports(source: str) -> list[int]:
+    """The lines of the import statements inside a function or method."""
+    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    imports = [inner for node in functions for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted({node.lineno for node in imports})
+
+
+def test_scan_finds_a_function_import():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .a import b\n"
+        "    def g():\n"
+        "        import json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        import re\n"
+    )
+    assert function_imports(source) == [3, 5, 8]
+
+
+def test_no_module_imports_inside_a_function():
+    found = {path.name: function_imports(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package a module imports; ``from . import name`` imports __init__."""
+    nodes = ast.walk(ast.parse(source))
+    return {node.module or "__init__" for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle [a, ..., a] of a graph of module -> imported modules, or [] if there is none."""
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_scan_finds_an_import_cycle():
+    graph = {name: package_imports(source) for name, source in {"a": "from .b import x\n", "b": "from . import c\n"}.items()}
+    assert graph == {"a": {"b"}, "b": {"__init__"}}
+    assert import_cycle(graph) == []
+    graph["__init__"] = {"a"}
+    assert sorted(import_cycle(graph)[1:]) == ["__init__", "a", "b"]
+
+
+def test_the_package_imports_form_one_acyclic_order():
+    graph = {path.stem: package_imports(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert graph["mattuple"] == set()  # the points layer sits below every other module
+    assert import_cycle(graph) == []
+
+
+def outside_imports(source: str) -> list[str]:
+    """The modules an absolute import names that are neither the standard library, numpy nor the package."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    allowed = sys.stdlib_module_names | {"numpy", "ncball"}
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_scan_finds_an_outside_import():
+    source = "import os.path\nimport numpy as np\nfrom scipy import linalg\nimport hypothesis\nfrom .freealg import Word\n"
+    assert outside_imports(source) == ["scipy", "hypothesis"]
+
+
+def test_the_package_needs_only_numpy_beyond_the_standard_library():
+    found = {path.name: outside_imports(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert not {name: names for name, names in found.items() if names}

@@ -5,13 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from ncball.freealg import BudgetExceededError, Word, parse
+from ncball.freealg import BudgetExceededError, Word, eval_word, is_nilpotent, parse
 from ncball.mattuple import (
     MatrixTuple,
     ampliation,
     direct_sum,
-    eval_word,
-    is_nilpotent,
     point_from_dict,
     seq_matmul,
     seq_solve,

@@ -11,8 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball.freealg import BudgetExceededError, FreePolynomial, Word, homogeneous_component, left_divide, parse, words_of_size
-from ncball.mattuple import MatrixTuple, _monomials
+from ncball.freealg import (
+    BudgetExceededError,
+    FreePolynomial,
+    Word,
+    _monomials,
+    homogeneous_component,
+    left_divide,
+    parse,
+    words_of_size,
+)
+from ncball.mattuple import MatrixTuple
 from ncball.ncdiff import (
     TTReport,
     d1_difference_quotient,
@@ -440,6 +449,10 @@ def test_tt_check_validation():
         tt_check(f, x, 40)
     with pytest.raises(TypeError, match="polynomials and realizations"):
         tt_check(f.remainder_factor(Word((1,), 2)), x, 1)
+    # an object that is no nc function gets the same TypeError, before the order is read
+    for bad in ("f", None):
+        with pytest.raises(TypeError, match=f"polynomials and realizations, got {type(bad).__name__}$"):
+            tt_check(bad, x, 0)
     with pytest.raises(ValueError, match="d=3 variables evaluated at"):
         tt_check(parse("z1", 3), x, 1)
 

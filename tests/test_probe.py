@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncball import probe
-from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, parse, words_of_size
-from ncball.mattuple import MatrixTuple, _spectral_norms, eval_word
+from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, eval_word, parse, words_of_size
+from ncball.mattuple import MatrixTuple, _spectral_norms
 from ncball.ncdiff import delta_first
 from ncball.opball import BallMembership, membership, polydisk, row_ball
 from ncball.probe import (
@@ -144,6 +144,10 @@ def test_margin_override_pins_the_schedule():
 def test_search_validation():
     with pytest.raises(ValueError, match="budget must be >= 1"):
         estimate_sup(parse("z1", 2), BALL, 1, 0, 0)
+    # an object that is no nc function is rejected by type, before the budget is read
+    for bad in ("f", parse("z1", 2).eval):
+        with pytest.raises(TypeError, match=f"^cannot probe an object of type {type(bad).__name__}$"):
+            estimate_sup(bad, polydisk(2), 1, 0, 0)
     with pytest.raises(ValueError, match="margin schedule"):
         estimate_sup(parse("z1", 2), BALL, 1, 10, 0, margins=())
 
@@ -242,6 +246,15 @@ def test_dichotomy_validation():
         dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 0, 0)
     with pytest.raises(ValueError, match="levels must name at least one level"):
         dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 10, 0, levels=())
+    # each map is checked before the first draw
+    cube = polydisk(3)
+    with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
+        with pytest.raises(TypeError, match="^map component 2 is an object of type str, not an nc function$"):
+            dichotomy_scan((z1, "z2"), BALL, BALL.pencil, 10, 0)
+        with pytest.raises(ValueError, match="^map component 1 in d=2 variables on a source ball in d=3 variables$"):
+            dichotomy_scan((z1, z1, z1), cube, cube.pencil, 10, 0)
+        with pytest.raises(ValueError, match="^map component 2 in d=3 variables on a source ball in d=2 variables$"):
+            dichotomy_scan((z1, parse("z3", 3)), BALL, BALL.pencil, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +405,8 @@ def test_regularity_validation():
         regularity_factors(f, 10**9, BALL, 1, 100, 0)
     with pytest.raises(TypeError, match="polynomials and realizations"):
         regularity_factors("f", 1, BALL, 1, 100, 0)
+    with pytest.raises(TypeError, match="polynomials and realizations, got str$"):
+        regularity_factors("f", 0, BALL, 1, 100, 0)  # the type is checked before the order
     for size in (0, -2):
         with pytest.raises(ValueError, match=f"remainder columns are indexed by a word size >= 1, got {size}"):
             RemainderColumn(f, size)
@@ -399,6 +414,6 @@ def test_regularity_validation():
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):
             RemainderColumn(f, 20)
-    with mock.patch("ncball.mattuple._seq_matmul", side_effect=AssertionError("walked")):
+    with mock.patch("ncball.freealg._seq_matmul", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):
             MonomialRow(2, 20).eval(MatrixTuple.scalars((0.5, 0.4)))

@@ -19,14 +19,16 @@ from ncball.freealg import (
     FreePolynomial,
     QuotientColumn,
     Word,
+    _monomials,
     cesaro_sum,
+    eval_word,
     left_divide,
     parse,
     to_triples,
     walk_levels,
     words_of_size,
 )
-from ncball.mattuple import MatrixTuple, _monomials, direct_sum, eval_word, seq_matmul, seq_solve, similarity
+from ncball.mattuple import MatrixTuple, direct_sum, seq_matmul, seq_solve, similarity
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, corner_path, sample_in_ball
