@@ -123,11 +123,11 @@ def _resolve_realization(text: str) -> Realization:
 
 def _resolve_function(args, d: int):
     """Pick the target from --poly/--realization; returns (function, label)."""
-    if args.poly and args.realization:
+    if args.poly is not None and args.realization is not None:
         raise ValueError("give either --poly or --realization, not both")
-    if args.poly:
+    if args.poly is not None:
         return _parse_finite(args.poly, d, "--poly"), f"poly:{args.poly}"
-    if args.realization:
+    if args.realization is not None:
         return _resolve_realization(args.realization), f"realization:{args.realization}"
     raise ValueError("one of --poly or --realization is required")
 
@@ -173,13 +173,13 @@ def _cmd_tt_check(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.out == "-":
+    if args.out in ("", "-"):
         raise ValueError("probe --out needs a file: the JSON report goes to stdout")
     ball = ball_from_shorthand(args.ball)
     f, label = _resolve_function(args, d=ball.d)
     margins = (args.margin,) if args.margin is not None else None
     report = estimate_sup(f, ball, args.level, args.budget, args.seed, target_label=label, margins=margins)
-    if args.out:
+    if args.out is not None:
         rows = [(r.iteration, r.label, r.value, r.boundary_distance, args.seed) for r in report.trajectory]
         _write_csv(args.out, ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"], rows, args.seed)
     payload = {
@@ -207,7 +207,7 @@ def _resolve_blowup_target(args):
     if text is None:
         f, _ = _resolve_function(args, d=ball_from_shorthand(args.ball).d)
         return f.eval
-    if args.poly or args.realization:
+    if args.poly is not None or args.realization is not None:
         raise ValueError("give either --target or --poly/--realization, not both")
     head, _, rest = text.partition(":")
     if head.startswith("delta") and head[5:].isdigit() and rest:
@@ -243,14 +243,16 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
-    if args.case:
+    if args.case is not None:
+        if (args.map, args.ball, args.target_ball) != (None, None, None):
+            raise ValueError("give either --case or --map/--ball/--target-ball, not both")
         maps, ball, target_pencil = builtin_dichotomy_case(args.case)
     else:
-        if not args.map or not args.ball:
+        if args.map is None or args.ball is None:
             raise ValueError("give --case, or --map with --ball (and optionally --target-ball)")
         ball = ball_from_shorthand(args.ball)
         maps = tuple(_parse_finite(part, ball.d, "--map") for part in args.map.split(";"))
-        target = ball_from_shorthand(args.target_ball) if args.target_ball else ball
+        target = ball_from_shorthand(args.target_ball) if args.target_ball is not None else ball
         target_pencil = target.pencil
     _print_json(dataclasses.asdict(dichotomy_scan(maps, ball, target_pencil, args.samples, args.seed)))
     return 0

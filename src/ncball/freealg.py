@@ -314,13 +314,14 @@ def _product(left: dict, right: dict) -> dict:
 
 
 def _times_letters(terms: dict, letters: tuple[int, ...]) -> dict:
-    """terms * zj1 * ... * zjk for letters (j1, ..., jk), k >= 1, as k calls of _product by {(j,): 1 + 0j} take it.
+    """terms * zj1 * ... * zjk for letters (j1, ..., jk), k >= 0, as k calls of _product by {(j,): 1 + 0j} take it.
 
     Such a product keeps the order of the terms and gives each the one
     product 0j + c * (1 + 0j); a term is dropped once its coefficient is
     exactly zero, and zero stays zero.  So each term goes through the k
-    products on its own, and its word gains the k letters at once.  Each
-    product forms len(terms) pairs, so the caller keeps that within the budget."""
+    products on its own, and its word gains the k letters at once (k = 0 copies
+    a term map, which keeps no exact zero).  Each product forms len(terms)
+    pairs, so the caller keeps that within the budget."""
     out: dict[tuple[int, ...], complex] = {}
     for word, coeff in terms.items():
         for _ in letters:
@@ -663,9 +664,9 @@ class _Parser:
     Sums go through _add_term, products and powers through _product, signs
     through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
     and ** do: a parse has their bits and term order by construction.  A run
-    token, the factors 'literal * z_j * ...' or 'z_j * ...', is read with the
-    same helpers in the same order: its first primary takes the sign and any
-    power, and the term then multiplies in each further letter.
+    token, the factors 'literal * z_j * ...' or 'z_j * ...', has its letters
+    checked, in order, where it is read; its first primary takes the sign and
+    any power, and the term then multiplies in each further letter.
     """
 
     def __init__(self, tokens, d: int):
@@ -682,7 +683,7 @@ class _Parser:
             if kind == "run":  # quote the run's first token: '(' or the literal or the first letter
                 lexeme = "(" if lexeme[0] == "(" else re.split(r"[\s*]", lexeme, maxsplit=1)[0]
             raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        return FreePolynomial._trusted(int(self.d), terms)  # letter() has range-checked every letter
+        return FreePolynomial._trusted(int(self.d), terms)  # primary() has range-checked every letter
 
     def expr(self) -> dict:
         terms = self.term()
@@ -693,79 +694,57 @@ class _Parser:
         return terms
 
     def term(self) -> dict:
-        terms = self.times_letters(*self.factor())
+        """Each factor, then each letter its run token has after the first primary, as '*' takes them one by one."""
+        terms = _times_letters(*self.factor())
         while self.peek() == "*":
             self.tokens.pop()
-            factor, run = self.factor()
-            terms = self.times_letters(_product(terms, factor), run)
+            factor, letters = self.factor()
+            terms = _times_letters(_product(terms, factor), letters)
         return terms
 
-    def times_letters(self, terms: dict, run) -> dict:
-        """terms times each letter of a run token after its first primary, as the term's '*' takes them one by one.
-
-        terms is the run's first primary, or the term's product by it, which
-        the budget has let through: a product by a letter keeps at most that
-        many terms, so none exceeds the budget, and the letters are checked
-        together before their products.  Without a run, terms as it is."""
-        if run is None:
-            return terms
-        _, (literal, letters), position, lexeme = run
-        first = 0 if literal else 1  # without a literal, the first letter is the primary
-        tail = letters[first:]
-        if not tail:
-            return terms
-        if not 1 <= min(tail) <= max(tail) <= self.d:
-            for k in range(first, len(letters)):
-                self.letter(letters[k], position, lexeme, k)  # raises at the first letter out of range
-        return _times_letters(terms, tail)
-
-    def factor(self) -> tuple[dict, tuple | None]:
-        """The factor's term map, and its run token if it is one: the term multiplies in the run's other letters."""
+    def factor(self) -> tuple[dict, tuple[int, ...]]:
         negate = False
         while self.peek() in ("+", "-"):
             negate ^= self.tokens.pop()[0] == "-"
-        terms, run = self.primary()
+        terms, letters = self.primary()
         while self.peek() == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
             self.tokens.pop()
             terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
-        return (_negated(terms) if negate else terms), run
+        return (_negated(terms) if negate else terms), letters
 
-    def primary(self) -> tuple[dict, tuple | None]:
-        token = self.tokens.pop()
-        kind, value, position, lexeme = token
+    def primary(self) -> tuple[dict, tuple[int, ...]]:
+        """The first primary's term map, and the letters of its run token after it, all checked against 1..d."""
+        kind, value, position, lexeme = self.tokens.pop()
         if kind == "run":
             literal, letters = value
-            return (self.literal(literal) if literal else self.letter(letters[0], position, lexeme, 0)), token
+            if letters and not 1 <= min(letters) <= max(letters) <= self.d:
+                for k, j in enumerate(letters):
+                    self.letter(j, position, lexeme, k)  # raises at the first letter out of range
+            return (self.literal(literal), letters) if literal else ({letters[:1]: 1 + 0j}, letters[1:])
         if kind == "(":
             terms = self.expr()
             closer = self.tokens.pop()
             if closer[0] != ")":
                 raise PolyParseError("expected ')'", closer[2])
-            return terms, None
+            return terms, ()
         raise PolyParseError(f"expected a number, variable, or '(' but found {lexeme or 'end of input'!r}", position)
 
     @staticmethod
     def literal(parts) -> dict:
         """A run's literal: each (sign, kind, value) part a constant term, complex(value) or complex(value * 1j),
-        signed as factor() signs it, and a second part added to the first as expr() adds a term."""
-        terms = None
+        signed as factor() signs it and added to the parts before it as expr() adds a term."""
+        terms = {}
         for sign, kind, value in parts:
             part = _add_term({}, (), complex(value if kind == "number" else value * 1j))
-            if sign == "-":
-                part = _negated(part)
-            if terms is None:
-                terms = part
-                continue
-            for word, coeff in part.items():
+            for word, coeff in (_negated(part) if sign == "-" else part).items():
                 _add_term(terms, word, coeff)
         return terms
 
-    def letter(self, j: int, position: int, lexeme: str, k: int) -> dict:
-        """The term map of zj, the k-th letter of a token at position; j is checked against 1..d."""
+    def letter(self, j: int, position: int, lexeme: str, k: int) -> None:
+        """Check zj, the k-th letter of a token at position, against 1..d."""
         if not 1 <= j <= self.d:
             at = [i for i, char in enumerate(lexeme) if char == "z"][k]
             raise PolyParseError(f"variable z{j} outside z1..z{self.d}", position + at)
-        return {(j,): 1 + 0j}
 
     def exponent(self) -> int:
         kind, value, position, lexeme = self.tokens.pop()
@@ -823,7 +802,7 @@ def _term_text(word: Word, coeff: complex) -> tuple[int, str]:
 
 
 def format_poly(p: FreePolynomial) -> str:
-    """Canonical text form, length-lex term order; parse(format_poly(p)) == p."""
+    """Canonical text form, length-lex term order; parse(format_poly(p)) == p for finite coefficients."""
     items = p.sorted_terms()
     if not items:
         return "0"

@@ -251,8 +251,9 @@ def estimate_sup(
     """Estimate sup ||f(X)|| over level-n points of the ball.
 
     Spends half the budget on a random multistart over the margin schedule
-    (0.5, 0.1, 0.01, 0.001), plus a deterministic corner-path pool on the
-    level-1 bidisk, then hill climbs from the best point by perturbing one
+    (0.5, 0.1, 0.01, 0.001) and, at level 1 with d = 2, on the corner-path
+    points strictly inside the ball (the bidisk, a pencil: ball containing
+    them, never row:2), then hill climbs from the best point by perturbing one
     real or imaginary entry at a time with rescale-to-membership projection
     and step halving from 0.1 down to 1e-6.  Evaluation failures are counted
     and skipped.  The report is reproducible bit for bit from (seed, budget).

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         # the JSON report goes to stdout, so the trajectory CSV needs a file
         (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
         (["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"], "give either --target or --poly/--realization"),
+        # a flag given an empty value is given
+        (["eval", "--poly", "", "--realization", "ex52", "--point", "0.5,0.5"], "give either --poly or --realization"),
+        (["eval", "--poly", "", "--point", "0.5,0.5"], "expected a number, variable, or '(' but found 'end of input'"),
+        (["blowup", "--target", "ex52", "--poly", "", "--eps", "0.1"], "give either --target or --poly/--realization"),
+        (["probe", "--poly", "z1", "--budget", "10", "--out", ""], "probe --out needs a file"),
+        (["dichotomy", "--map", "z1;z2", "--ball", "polydisk:2", "--target-ball", ""], "unrecognized ball shorthand ''"),
+        # a builtin case takes no map and no ball
+        *((["dichotomy", "--case", "half", *flags, "--samples", "2"], "give either --case or --map/--ball/--target-ball")
+          for flags in (["--map", "z1;z2"], ["--ball", "row:2"], ["--target-ball", "row:2"], ["--map", "z1;z2", "--ball", "row:2"])),
         # a string of generators is rejected, not read character by character
         (["variety", "--variety", write_json(tmp_path / "string.json", {"ball": "polydisk:2", "generators": "12"}),
           "--point", "0,0"], "variety generators must be a list of strings, got '12'"),
@@ -568,3 +581,12 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "eval" in out and "probe" in out
+
+
+def test_the_module_runs_as_a_script(capsys):
+    argv = ["eval", "--poly", "z1*z2", "--point", "0.5,0.5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "ncball.cli", *argv], capture_output=True, text=True, env=env)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert code == 0

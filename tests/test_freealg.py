@@ -405,6 +405,14 @@ def test_parse_error_positions():
         assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), text
 
 
+def test_a_run_checks_its_letters_before_the_terms_product_by_it():
+    # the run '2*z9' is read, and z9 rejected, before the term '(z1+z2)' is multiplied by the run's literal
+    with mock.patch("ncball.freealg._product", wraps=_product) as counted, pytest.raises(PolyParseError) as info:
+        parse("(z1+z2)*2*z9", 2)
+    assert (str(info.value), info.value.position) == ("variable z9 outside z1..z2 (at position 10)", 10)
+    assert counted.call_count == 0
+
+
 def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
     with pytest.raises(PolyParseError, match=r"unexpected character '²' \(at position 2\)"):
         parse("z1²", 2)
