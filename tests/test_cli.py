@@ -590,3 +590,122 @@ def test_the_module_runs_as_a_script(capsys):
     code, out, _ = run(capsys, *argv)
     assert (done.returncode, done.stdout) == (code, out)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the bytes of every subcommand's output
+
+# a level-2 point of the bidisk; the pinned runs read it, a pencil file and a variety file from their {names}
+LEVEL_2_POINT = MatrixTuple([[[0.3, 0.1 - 0.2j], [0.0, -0.25]], [[0.2j, 0.15], [0.05, 0.1 + 0.1j]]])
+
+# name: (argv, sha256 of stdout, sha256 of the --out file or None), recorded before the CLI read each input once
+CLI_PINS = {
+    "eval-inline-poly": (
+        ["eval", "--poly", "z1*z2 - 0.5*z2^2 + (1+2i)", "--point", "0.3,0.4-0.1i"],
+        "e277b75487ace6ee70931d0f1c46e2b17c59a81bb477b3fe7ce6d737c3a1fe27",
+        None,
+    ),
+    "eval-level-2-file": (
+        ["eval", "--realization", "ex52", "--point", "{point}"],
+        "f30bfd3d0b1fda4a97b690944c8e12c83d0a1218d65af3a59e272d23d2fffb0d",
+        None,
+    ),
+    "eval-out-file": (
+        ["eval", "--realization", "ex52", "--point", "0.5,0.25", "--out", "{out}"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aced6db32f978332452db80572ba49a29e3122f95964819777caccda2ed173b8",
+    ),
+    "coeff-121": (
+        ["coeff", "--realization", "ex52", "--word", "121"],
+        "26cb703761e191b873d999bbff2a7125722e8486a41d3dcc881e1951969cb96a",
+        None,
+    ),
+    "delta-e2": (
+        ["delta", "--realization", "ex52", "--point", "0.3+0.1i,0.2", "--direction", "e2"],
+        "d735554aa2025a2090c821c7164580dec4e237bf65150252f81923116664f936",
+        None,
+    ),
+    "tt-check-poly": (
+        ["tt-check", "--poly", "z1*z2 - z2*z1 + z1^3", "--point", "{point}", "-N", "2"],
+        "2d54c4d14b4c80633acde744c4e9f076d9e9c25924e1c632e0739cd286a18cef",
+        None,
+    ),
+    "tt-check-ex52": (
+        ["tt-check", "--realization", "ex52", "--point", "{point}", "-N", "3"],
+        "b201f0357b13a686223f7faf9df640c106f1e8efcaacf0929f2a1ea4f444cb5e",
+        None,
+    ),
+    "probe-poly-row": (
+        ["probe", "--poly", "z1*z2", "--ball", "row:2", "--level", "2", "--budget", "200", "--seed", "3", "--out", "{out}"],
+        "ef4e92eba61f1ff51606d4d040adde79ff21ae90ebfc948d88bfe7bff07a8e8c",
+        "e17c90563e267a99551871f773d13400a1793135bf443eafd62cf6ea92745075",
+    ),
+    # the corner pool is injected on this pencil: ball, which holds the bidisk's pencil
+    "probe-pencil-file": (
+        ["probe", "--realization", "ex52", "--ball", "pencil:{pencil}", "--level", "1", "--budget", "200", "--out", "{out}"],
+        "e79055ef04e58e80fd87a68c66c2bc4e10639355b5b4769a62fe8bada8c951ba",
+        "2883d7d9662161623d152b97eb647d1eb5c58667cfd22187ae1f62852d8e957a",
+    ),
+    "blowup-pencil-file": (
+        ["blowup", "--realization", "ex52", "--ball", "pencil:{pencil}", "--eps", "0.1,0.01"],
+        "d8ae6187b33ac2462c5cf40a4f5edd4434505600318c537bca1ed29977bcfcfb",
+        None,
+    ),
+    "blowup-resolvent": (
+        ["blowup", "--target", "resolvent:ex52", "--eps", "0.1,0.01"],
+        "5c44b6de1320db828819f115eda64a37b610ad6294d51b840f196b7bf6a9e0b8",
+        None,
+    ),
+    "blowup-delta2": (
+        ["blowup", "--target", "delta2:ex52", "--eps", "0.1,0.01"],
+        "cb037ce1ede8a4a855ac4907470b9574832c546b92bd499b670632112285ad9b",
+        None,
+    ),
+    "blowup-poly-out": (
+        ["blowup", "--poly", "z1*z2 + 0.5*z2", "--eps", "0.1,0.01", "--out", "{out}"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "95d309149163bce12e3aeb2354424779bb5bd1fcc77cabaf524c962ba97b8a91",
+    ),
+    "dichotomy-half": (
+        ["dichotomy", "--case", "half"],
+        "b6c247c71aeee95b0f033a1b068afd60dac564eb8ca2a128aa18e30ea0f3a393",
+        None,
+    ),
+    "dichotomy-row-to-polydisk": (
+        ["dichotomy", "--map", "z1*z2;0.5*z2", "--ball", "row:2", "--target-ball", "polydisk:2", "--samples", "40"],
+        "64ee9becd73c9707a20f85624f5f08c13a42ff51c53563115744e0056d0759f7",
+        None,
+    ),
+    "variety": (
+        ["variety", "--variety", "{variety}", "--point", "0.5,0.25"],
+        "e955a75442b8dda3ecf94829930d91e69c5a9fbe419ea605567aed2697dacad8",
+        None,
+    ),
+    "reproduce": (
+        ["reproduce", "ex52", "--seed", "3", "--samples", "4"],
+        "8cfd5b480249ee3c52f4c37d79559d1f3d68dbda458466abefe057bff2acf6b6",
+        None,
+    ),
+}
+
+
+def pinned_run(capsys, tmp_path, argv):
+    """(exit code, stdout, bytes of the --out file or None) of one CLI_PINS run."""
+    files = {
+        "point": write_json(tmp_path / "point.json", to_point_dict(LEVEL_2_POINT)),
+        "pencil": write_json(tmp_path / "pencil.json", realization_to_dict(bidisk_witness())["pencil"]),
+        "variety": write_json(tmp_path / "variety.json", variety_to_dict(parabola_cubic_pair()[0])),
+        "out": str(tmp_path / "out.txt"),
+    }
+    code, out, _ = run(capsys, *(part.format(**files) for part in argv))
+    written = Path(files["out"])
+    return code, out, written.read_bytes() if written.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_output_keeps_its_bytes(capsys, tmp_path, name):
+    argv, stdout_digest, file_digest = CLI_PINS[name]
+    code, out, written = pinned_run(capsys, tmp_path, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert (written and hashlib.sha256(written).hexdigest()) == file_digest
