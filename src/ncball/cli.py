@@ -24,7 +24,7 @@ from . import __version__
 from .freealg import PolyParseError, Word, _parse_finite, parse
 from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
-from .opball import ball_from_shorthand, membership
+from .opball import BALL_FORMS, ball_from_shorthand, membership
 from .probe import (
     blowup_scan,
     builtin_dichotomy_case,
@@ -173,7 +173,7 @@ def _cmd_tt_check(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.out in ("", "-"):
+    if args.out == "-":
         raise ValueError("probe --out needs a file: the JSON report goes to stdout")
     ball = ball_from_shorthand(args.ball)
     f, label = _resolve_function(args, d=ball.d)
@@ -198,24 +198,21 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _resolve_blowup_target(args):
-    """Target spec: [delta1:|delta2:|resolvent:]NAME, or --poly via flags.
+def _resolve_blowup_target(args, d: int):
+    """Target spec: [delta1:|delta2:|resolvent:]NAME, or --poly/--realization in the ball's d variables.
 
     Returns the callable that blowup_scan applies to each level-1 path point.
     """
     text = args.target
     if text is None:
-        f, _ = _resolve_function(args, d=ball_from_shorthand(args.ball).d)
+        f, _ = _resolve_function(args, d=d)
         return f.eval
     if args.poly is not None or args.realization is not None:
         raise ValueError("give either --target or --poly/--realization, not both")
     head, _, rest = text.partition(":")
     if head.startswith("delta") and head[5:].isdigit() and rest:
-        j = int(head[5:])
         f = _resolve_realization(rest)
-        if not 1 <= j <= f.d:
-            raise ValueError(f"direction index {j} outside 1..{f.d}")
-        direction = tuple(1.0 if i == j - 1 else 0.0 for i in range(f.d))
+        direction = _load_direction(f"e{head[5:]}", f.d)
         return lambda x: delta_first(f, x.entries[:, 0, 0], direction)
     if head == "resolvent" and rest:
         return _resolve_realization(rest).resolvent_term
@@ -223,10 +220,8 @@ def _resolve_blowup_target(args):
 
 
 def _cmd_blowup(args) -> int:
-    if args.path != "builtin":
-        raise ValueError(f"unknown path {args.path!r}; only 'builtin' is available")
     ball = ball_from_shorthand(args.ball)
-    target = _resolve_blowup_target(args)
+    target = _resolve_blowup_target(args, ball.d)
     eps_list = [float(part) for part in args.eps.split(",") if part.strip()]
     if not eps_list:
         raise ValueError("--eps needs at least one value")
@@ -276,8 +271,6 @@ def _cmd_variety(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.name != "ex52":
-        raise ValueError(f"unknown example {args.name!r}; only 'ex52' is available")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = BUILTIN_REALIZATIONS["ex52"]()
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poly", help="free polynomial expression in z1..zd")
         p.add_argument("--realization", help="builtin name (ex52) or a realization JSON file")
         if ball_default is not None:
-            p.add_argument("--ball", default=ball_default, help="row:d, polydisk:d, or pencil:FILE")
+            p.add_argument("--ball", default=ball_default, help=BALL_FORMS)
 
     p_eval = sub.add_parser("eval", help="evaluate at a point file")
     add_function_flags(p_eval)
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_blowup = sub.add_parser("blowup", help="scan a target along the builtin corner path")
     p_blowup.add_argument("--target", help="[delta1:|delta2:|resolvent:]REALIZATION")
     add_function_flags(p_blowup, ball_default="polydisk:2")
-    p_blowup.add_argument("--path", default="builtin")
+    p_blowup.add_argument("--path", choices=("builtin",), default="builtin")
     p_blowup.add_argument("--eps", required=True, help="comma-separated eps values")
     p_blowup.add_argument("--out", help="write the CSV here (default or '-': stdout)")
     p_blowup.set_defaults(func=_cmd_blowup)
@@ -370,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.set_defaults(func=_cmd_variety)
 
     p_rep = sub.add_parser("reproduce", help="print a closed-form agreement table for a builtin")
-    p_rep.add_argument("name", help="builtin name (ex52)")
+    p_rep.add_argument("name", choices=("ex52",), help="builtin name")
     p_rep.add_argument("--seed", type=_seed, default=0)
     p_rep.add_argument("--samples", type=int, default=10)
     p_rep.set_defaults(func=_cmd_reproduce)
@@ -384,6 +377,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if getattr(args, "out", None) == "":
+            raise ValueError(f"{args.subcommand} --out needs a file, got an empty name")
         return args.func(args)
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         # IllConditionedError and BudgetExceededError are RuntimeErrors; ArithmeticError takes in OverflowError

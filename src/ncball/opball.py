@@ -219,26 +219,26 @@ def pencil_from_dict(obj: dict) -> Pencil:
     return Pencil(complex_from_json(raw, (d, p, q), "coefficients"))
 
 
+# the balls with a "KIND:d" shorthand; row comes first, so the one pencil of row:1 and polydisk:1 is named row:1
+BALL_KINDS = {"row": row_ball, "polydisk": polydisk}
+BALL_FORMS = ", ".join(f"{kind}:d" for kind in BALL_KINDS) + ", or pencil:FILE"
+
+
 def ball_from_shorthand(text: str) -> OperatorBall:
-    """Resolve "row:d", "polydisk:d", or "pencil:FILE" to a ball."""
+    """Resolve "KIND:d" for a kind of BALL_KINDS, or "pencil:FILE", to a ball."""
     kind, _, rest = text.partition(":")
-    if kind in ("row", "polydisk") and rest.isascii() and rest.isdigit() and int(rest) >= 1:
-        return (row_ball if kind == "row" else polydisk)(int(rest))
-    if kind in ("row", "polydisk"):
-        raise ValueError(f"ball shorthand {text!r} needs an integer d >= 1 after '{kind}:'")
+    if kind in BALL_KINDS:
+        if not (rest.isascii() and rest.isdigit() and int(rest) >= 1):
+            raise ValueError(f"ball shorthand {text!r} needs an integer d >= 1 after '{kind}:'")
+        return BALL_KINDS[kind](int(rest))
     if kind == "pencil" and rest:
         if not os.path.exists(rest):
             raise ValueError(f"pencil file not found: {rest}")
         with open(rest, "r", encoding="utf-8") as handle:
             return OperatorBall(pencil_from_dict(json.load(handle)))
-    raise ValueError(f"unrecognized ball shorthand {text!r} (use row:d, polydisk:d, or pencil:FILE)")
+    raise ValueError(f"unrecognized ball shorthand {text!r} (use {BALL_FORMS})")
 
 
 def ball_shorthand(ball: OperatorBall) -> str | None:
-    """The canonical shorthand if the ball is a row ball or polydisk."""
-    d = ball.d
-    if ball.pencil == row_ball(d).pencil:
-        return f"row:{d}"
-    if ball.pencil == polydisk(d).pencil:
-        return f"polydisk:{d}"
-    return None
+    """The shorthand "KIND:d" of the first kind of BALL_KINDS whose ball has this pencil, or None."""
+    return next((f"{kind}:{ball.d}" for kind, make in BALL_KINDS.items() if make(ball.d).pencil == ball.pencil), None)

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncball import cli, opball
 from ncball.cli import _write_csv, main
 from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
-from ncball.opball import OperatorBall, Pencil, row_ball
+from ncball.opball import OperatorBall, Pencil, pencil_to_dict, polydisk, row_ball
 from ncball.realize import Realization, bidisk_witness, realization_to_dict
 from ncball.varieties import AlgebraicVariety, parabola_cubic_pair, variety_to_dict
 
@@ -433,6 +434,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         # the JSON report goes to stdout, so the trajectory CSV needs a file
         (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
         (["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"], "give either --target or --poly/--realization"),
+        (["blowup", "--target", "delta3:ex52", "--eps", "0.1"], "direction e3 outside e1..e2"),
         # a flag given an empty value is given
         (["eval", "--poly", "", "--realization", "ex52", "--point", "0.5,0.5"], "give either --poly or --realization"),
         (["eval", "--poly", "", "--point", "0.5,0.5"], "expected a number, variable, or '(' but found 'end of input'"),
@@ -449,6 +451,33 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv, message in named:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
+
+
+@pytest.mark.parametrize(
+    ("argv", "work"),
+    [
+        (["eval", "--realization", "ex52", "--point", "0.5,0.5", "--out", ""], "_load_point"),
+        (["blowup", "--target", "ex52", "--eps", "0.1", "--out", ""], "blowup_scan"),
+    ],
+    ids=["eval", "blowup"],
+)
+def test_an_empty_out_is_refused_before_any_work(capsys, monkeypatch, argv, work):
+    def started(*args):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, started)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} --out needs a file, got an empty name\n"
+
+
+def test_blowup_reads_a_pencil_ball_once(capsys, tmp_path, monkeypatch):
+    read, calls = opball.pencil_from_dict, []
+    monkeypatch.setattr(opball, "pencil_from_dict", lambda obj: calls.append(obj) or read(obj))
+    pencil = write_json(tmp_path / "pencil.json", pencil_to_dict(polydisk(2).pencil))
+    code, out, _ = run(capsys, "blowup", "--realization", "ex52", "--ball", f"pencil:{pencil}", "--eps", "0.1")
+    assert code == 0 and out != ""
+    assert len(calls) == 1
 
 
 def test_non_finite_inputs_exit_2_naming_the_field(capsys, tmp_path):
@@ -598,7 +627,8 @@ def test_the_module_runs_as_a_script(capsys):
 # a level-2 point of the bidisk; the pinned runs read it, a pencil file and a variety file from their {names}
 LEVEL_2_POINT = MatrixTuple([[[0.3, 0.1 - 0.2j], [0.0, -0.25]], [[0.2j, 0.15], [0.05, 0.1 + 0.1j]]])
 
-# name: (argv, sha256 of stdout, sha256 of the --out file or None), recorded before the CLI read each input once
+# name: (argv, sha256 of stdout, sha256 of the --out file or None), recorded before the CLI read each input once;
+# DICHOTOMY_PINS holds the builtin dichotomy cases
 CLI_PINS = {
     "eval-inline-poly": (
         ["eval", "--poly", "z1*z2 - 0.5*z2^2 + (1+2i)", "--point", "0.3,0.4-0.1i"],
@@ -665,11 +695,6 @@ CLI_PINS = {
         ["blowup", "--poly", "z1*z2 + 0.5*z2", "--eps", "0.1,0.01", "--out", "{out}"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "95d309149163bce12e3aeb2354424779bb5bd1fcc77cabaf524c962ba97b8a91",
-    ),
-    "dichotomy-half": (
-        ["dichotomy", "--case", "half"],
-        "b6c247c71aeee95b0f033a1b068afd60dac564eb8ca2a128aa18e30ea0f3a393",
-        None,
     ),
     "dichotomy-row-to-polydisk": (
         ["dichotomy", "--map", "z1*z2;0.5*z2", "--ball", "row:2", "--target-ball", "polydisk:2", "--samples", "40"],

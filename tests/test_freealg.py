@@ -268,6 +268,27 @@ def test_scalar_multiplication_and_power():
         z(1) ** -1
 
 
+def test_foreign_operands_are_handed_back_to_python():
+    # each operator returns NotImplemented for a foreign operand, so Python raises its own TypeError (== gives False)
+    p = z(1)
+    cases = [
+        (lambda: Word((1,), 2) * 2.5, "*: 'Word' and 'float'"),
+        (lambda: p + None, "+: 'FreePolynomial' and 'NoneType'"),
+        (lambda: p - None, "-: 'FreePolynomial' and 'NoneType'"),
+        (lambda: p * None, "*: 'FreePolynomial' and 'NoneType'"),
+        (lambda: None * p, "*: 'NoneType' and 'FreePolynomial'"),
+    ]
+    for apply, operands in cases:
+        with pytest.raises(TypeError) as caught:
+            apply()
+        assert str(caught.value) == f"unsupported operand type(s) for {operands}"
+    assert p != "z1" and not (p == 1)
+
+
+def test_polynomial_repr_is_its_text():
+    assert repr(parse("z1*z2 - (1+2i)*z2^2 + 0.5", 2)) == "FreePolynomial(d=2, '0.5 + z1*z2 + (-1.0-2.0i)*z2*z2')"
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="dimension mismatch"):
         z(1, d=2) + z(1, d=3)

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, and every
 private module-level function or class and every UPPER_CASE constant is read
 by some module of the package.  Only the modules of the two function kinds,
-freealg and realize, test an object against FreePolynomial or Realization.
+freealg and realize, test an object against FreePolynomial or Realization,
+and only opball names a ball kind of the shorthand.
 The modules import one another in one acyclic order, only at module level,
 and import nothing beyond the standard library and numpy."""
 
@@ -10,6 +11,8 @@ import graphlib
 import re
 import sys
 from pathlib import Path
+
+from ncball.opball import BALL_KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncball"
 
@@ -111,6 +114,30 @@ def test_only_the_kinds_own_modules_dispatch_on_them():
     owners = {"freealg.py", "realize.py"}
     found = {path.name: kind_dispatches(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert not {name: hits for name, hits in found.items() if hits and name not in owners}
+
+
+def kind_names(source: str, kinds) -> list[str]:
+    """'line: kind' for each string constant that is one of kinds, outside the module's __all__."""
+    tree = ast.parse(source)
+    exports = [node.value for node in tree.body if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    skipped = {id(part) for value in exports for part in ast.walk(value)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in kinds and id(node) not in skipped:
+            found.append(f"{node.lineno}: {node.value}")
+    return found
+
+
+def test_scan_finds_a_ball_kind_name():
+    source = '__all__ = ["row", "polydisk"]\nif kind == "row":\n    ball = f"polydisk:{d}"\nnames = ("polydisk", "rows")\n'
+    assert kind_names(source, {"row", "polydisk"}) == ["2: row", "4: polydisk"]
+
+
+def test_only_opball_names_a_ball_kind():
+    # a new kind of the shorthand is one BALL_KINDS entry: no other module spells out a kind
+    found = {path.name: kind_names(path.read_text(encoding="utf-8"), set(BALL_KINDS)) for path in PACKAGE.glob("*.py")}
+    assert not {name: hits for name, hits in found.items() if hits and name != "opball.py"}
+    assert found["opball.py"]
 
 
 def function_imports(source: str) -> list[int]:

@@ -87,6 +87,16 @@ def test_equality_is_exact():
     assert x != MatrixTuple.scalars((0.5 + 1e-16,))
 
 
+def test_a_foreign_operand_is_never_equal():
+    # __eq__ hands a foreign operand back to Python, which falls back to identity
+    x = MatrixTuple.scalars((0.5,))
+    assert x != (0.5,) and not (x == 0.5)
+
+
+def test_repr_names_the_sizes():
+    assert repr(MatrixTuple.zeros(2, 3)) == "MatrixTuple(d=2, n=3)"
+
+
 # ---------------------------------------------------------------------------
 # fixed-order kernels
 

@@ -8,6 +8,8 @@ import pytest
 
 from ncball.mattuple import MatrixTuple, direct_sum, sup_norm
 from ncball.opball import (
+    BALL_FORMS,
+    BALL_KINDS,
     BallMembership,
     OperatorBall,
     Pencil,
@@ -244,6 +246,11 @@ def test_factor_two_validates_inputs():
 # JSON and shorthand
 
 
+def test_pencil_repr_names_the_sizes():
+    assert repr(polydisk(2).pencil) == "Pencil(d=2, p=2, q=2)"
+    assert repr(row_ball(3).pencil) == "Pencil(d=3, p=1, q=3)"
+
+
 def test_pencil_dict_round_trip():
     rng = np.random.default_rng(7)
     pencil = Pencil(rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3)))
@@ -284,3 +291,28 @@ def test_ball_shorthand_errors():
         kind = text.partition(":")[0]
         with pytest.raises(ValueError, match=f"ball shorthand '{text}' needs an integer d >= 1 after '{kind}:'"):
             ball_from_shorthand(text)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(BALL_KINDS))
+def test_each_ball_kind_names_its_ball_back(kind, d):
+    ball = ball_from_shorthand(f"{kind}:{d}")
+    assert ball.pencil == BALL_KINDS[kind](d).pencil
+    # polydisk:1 has row:1's pencil, and row comes first in the table
+    assert ball_shorthand(ball) == ("row:1" if d == 1 else f"{kind}:{d}")
+
+
+def test_ball_shorthand_messages_keep_their_text():
+    assert BALL_FORMS == "row:d, polydisk:d, or pencil:FILE"
+    messages = {
+        "row:0": "ball shorthand 'row:0' needs an integer d >= 1 after 'row:'",
+        "polydisk:x": "ball shorthand 'polydisk:x' needs an integer d >= 1 after 'polydisk:'",
+        "row:": "ball shorthand 'row:' needs an integer d >= 1 after 'row:'",
+        "row:\u0661": "ball shorthand 'row:\u0661' needs an integer d >= 1 after 'row:'",  # an Arabic-Indic one
+        "pencil:": "unrecognized ball shorthand 'pencil:' (use row:d, polydisk:d, or pencil:FILE)",
+        "cube:2": "unrecognized ball shorthand 'cube:2' (use row:d, polydisk:d, or pencil:FILE)",
+    }
+    for text, message in messages.items():
+        with pytest.raises(ValueError) as caught:
+            ball_from_shorthand(text)
+        assert str(caught.value) == message

@@ -394,6 +394,13 @@ def test_estimate_sup_counts_and_skips_failed_samples():
     assert not report.trajectory[len(kept)].label.startswith("m")
 
 
+def test_regularity_refuses_a_function_of_neither_kind_before_any_probe():
+    # an nc function that is neither a polynomial nor a realization has no remainder column: NCFunction's own hook says so
+    with mock.patch.object(probe, "estimate_sup", side_effect=AssertionError("probed")):
+        with pytest.raises(TypeError, match="^truncation splits polynomials and realizations, got MonomialRow$"):
+            regularity_factors(MonomialRow(2, 1), 1, polydisk(2), 1, 10, 0)
+
+
 def test_regularity_validation():
     f = bidisk_witness()
     with pytest.raises(ValueError, match="order must be >= 1"):

@@ -519,6 +519,10 @@ def test_eval_dimension_mismatch():
 # JSON form
 
 
+def test_repr_names_the_sizes_and_mode():
+    assert repr(bidisk_witness()) == "Realization(d=2, p=2, q=2, m=1, mode='isometry')"
+
+
 def test_realization_dict_round_trip():
     rng = np.random.default_rng(12)
     for f in (bidisk_witness(), random_realization(rng)):
