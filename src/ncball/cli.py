@@ -21,11 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freealg import PolyParseError, Word, _parse_finite, parse
+from .freealg import Word, _parse_finite, parse
 from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import BALL_FORMS, ball_from_shorthand, membership
 from .probe import (
+    DICHOTOMY_CASES,
     blowup_scan,
     builtin_dichotomy_case,
     corner_path,
@@ -100,7 +101,7 @@ def _load_point(text: str) -> MatrixTuple:
 
 def _load_direction(text: str, d: int) -> tuple[complex, ...]:
     text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
+    if text.startswith("e") and text[1:].isascii() and text[1:].isdigit():
         j = int(text[1:])
         if not 1 <= j <= d:
             raise ValueError(f"direction {text} outside e1..e{d}")
@@ -182,18 +183,9 @@ def _cmd_probe(args) -> int:
     if args.out is not None:
         rows = [(r.iteration, r.label, r.value, r.boundary_distance, args.seed) for r in report.trajectory]
         _write_csv(args.out, ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"], rows, args.seed)
-    payload = {
-        "target": report.target,
-        "ball": report.ball,
-        "level": report.level,
-        "budget": report.budget,
-        "seed": report.seed,
-        "best_value": report.best_value,
-        "evaluations": report.evaluations,
-        "failures": report.failures,
-        "settled": report.settled,
-        "argmax": to_point_dict(report.argmax) if report.argmax is not None else None,
-    }
+    keys = ("target", "ball", "level", "budget", "seed", "best_value", "evaluations", "failures", "settled")
+    payload = {key: getattr(report, key) for key in keys}
+    payload["argmax"] = to_point_dict(report.argmax) if report.argmax is not None else None
     _print_json(payload)
     return 0
 
@@ -210,7 +202,7 @@ def _resolve_blowup_target(args, d: int):
     if args.poly is not None or args.realization is not None:
         raise ValueError("give either --target or --poly/--realization, not both")
     head, _, rest = text.partition(":")
-    if head.startswith("delta") and head[5:].isdigit() and rest:
+    if head.startswith("delta") and head[5:].isascii() and head[5:].isdigit() and rest:
         f = _resolve_realization(rest)
         direction = _load_direction(f"e{head[5:]}", f.d)
         return lambda x: delta_first(f, x.entries[:, 0, 0], direction)
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_blowup.set_defaults(func=_cmd_blowup)
 
     p_dich = sub.add_parser("dichotomy", help="classify the image of a ball under a polynomial map")
-    p_dich.add_argument("--case", choices=("half", "identity", "boundary"), help="builtin case")
+    p_dich.add_argument("--case", choices=DICHOTOMY_CASES, help="builtin case")
     p_dich.add_argument("--map", help="semicolon-separated component polynomials")
     p_dich.add_argument("--ball", help="source ball shorthand")
     p_dich.add_argument("--target-ball", help="target ball shorthand (defaults to the source)")
@@ -377,14 +369,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if getattr(args, "out", None) == "":
+        out = getattr(args, "out", None)
+        if out == "":
             raise ValueError(f"{args.subcommand} --out needs a file, got an empty name")
+        # a file is written only after the work: refuse one that cannot be opened first
+        if out not in (None, "-") and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ValueError(f"{args.subcommand} --out needs a file in an existing directory, got {out!r}")
         return args.func(args)
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         # IllConditionedError and BudgetExceededError are RuntimeErrors; ArithmeticError takes in OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (PolyParseError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from .freealg import (
     walk_levels,
 )
 from .mattuple import MatrixTuple, _spectral_norm, _spectral_norms
-from .opball import OperatorBall, Pencil, ball_shorthand, membership, pencil_eval_batch, polydisk
+from .opball import OperatorBall, Pencil, ball_shorthand, membership, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 INITIAL_STEP = 0.1
@@ -223,10 +223,14 @@ class ProbeReport:
     best_value: float = 0.0
     argmax: MatrixTuple | None = None
     trajectory: list[TrajectoryRow] = field(default_factory=list)
-    evaluations: int = 0
     failures: int = 0
     settled: bool = True
     margin_best: dict = field(default_factory=dict)
+
+    @property
+    def evaluations(self) -> int:
+        """The successful evaluations: one trajectory row each."""
+        return len(self.trajectory)
 
 
 _MARGIN_LOGS = np.log10(MULTISTART_MARGINS)
@@ -308,15 +312,16 @@ def estimate_sup(
             part_size = max(1, BATCH_BYTES // values[0].nbytes)
         return out
 
-    def record(x: np.ndarray, label: str, distance: float, value: float | None) -> None:
+    def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
+        """Charge one evaluation to the report; True when x became the argmax."""
         if value is None:
             report.failures += 1
-            return
+            return False
         report.trajectory.append(TrajectoryRow(report.evaluations, label, value, distance))
-        report.evaluations += 1
         if value > report.best_value or report.argmax is None:
-            report.best_value = value
-            report.argmax = MatrixTuple(x)
+            report.best_value, report.argmax = value, MatrixTuple(x)
+            return True
+        return False
 
     # multistart phase: the corner-path pool, then sample i drawn from seed + i
     n_samples = max(budget // 2, 1)
@@ -348,8 +353,6 @@ def estimate_sup(
     # first improvement; the rest of the stack is dropped unrecorded
     remaining = budget - report.evaluations
     if report.argmax is not None and remaining > 0:
-        current = report.argmax.entries
-        current_value = report.best_value
         moves = list(itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)))
         schedule_ahead = _climb_schedule(len(moves), INITIAL_STEP, 0, False)
         ahead = CLIMB_CHUNK
@@ -358,7 +361,7 @@ def estimate_sup(
             plan = list(itertools.islice(schedule_ahead, min(ahead, remaining, cap)))
             if not plan:
                 break
-            xs = np.repeat(current[None], len(plan), axis=0)
+            xs = np.repeat(report.argmax.entries[None], len(plan), axis=0)
             for i, (step, move) in enumerate(plan):
                 j, r, c, part, direction = moves[move]
                 xs[i, j, r, c] += direction * step * part
@@ -370,11 +373,8 @@ def estimate_sup(
                 s[out] = ball.norms_at(xs[out])
             distances = np.abs(s - 1.0).tolist()
             for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs, s))):
-                record(xs[i], f"climb:{step:g}", distances[i], value)
                 remaining -= 1
-                if value is not None and value > current_value:
-                    current = xs[i]
-                    current_value = value
+                if record(xs[i], f"climb:{step:g}", distances[i], value):
                     schedule_ahead = _climb_schedule(len(moves), step, move + 1, True)
                     ahead = CLIMB_CHUNK
                     break
@@ -497,7 +497,7 @@ def dichotomy_scan(
         ]
         for xs in _sample_chunks(source_ball, level, draws):
             image = np.stack([p.eval_batch(xs)[0] for p in maps], axis=1)
-            norms.extend(_spectral_norms(pencil_eval_batch(target_pencil, image)).tolist())
+            norms.extend(OperatorBall(target_pencil).norms_at(image).tolist())
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
         kind = "AllInterior"
@@ -508,20 +508,22 @@ def dichotomy_scan(
     return DichotomyResult(kind, max_norm, min_norm, samples)
 
 
+_Z1, _Z2 = FreePolynomial.generator(2, 1), FreePolynomial.generator(2, 2)
+# the builtin dichotomy cases: polynomial maps of the bidisk into itself
+DICHOTOMY_CASES = {
+    "half": (0.5 * _Z1, 0.5 * _Z2),
+    "identity": (_Z1, _Z2),
+    "boundary": (FreePolynomial.constant(2, 1.0), FreePolynomial.zero(2)),
+}
+
+
 def builtin_dichotomy_case(name: str):
-    """The named builtin case: (maps, source ball, target pencil)."""
+    """The case of DICHOTOMY_CASES with this name: (maps, source ball, target pencil)."""
+    if name not in DICHOTOMY_CASES:
+        *head, last = DICHOTOMY_CASES
+        raise ValueError(f"unknown dichotomy case {name!r} (use {', '.join(head)}, or {last})")
     ball = polydisk(2)
-    z1 = FreePolynomial.generator(2, 1)
-    z2 = FreePolynomial.generator(2, 2)
-    if name == "half":
-        return (0.5 * z1, 0.5 * z2), ball, ball.pencil
-    if name == "identity":
-        return (z1, z2), ball, ball.pencil
-    if name == "boundary":
-        one = FreePolynomial.constant(2, 1.0)
-        zero = FreePolynomial.zero(2)
-        return (one, zero), ball, ball.pencil
-    raise ValueError(f"unknown dichotomy case {name!r} (use half, identity, or boundary)")
+    return DICHOTOMY_CASES[name], ball, ball.pencil
 
 
 @dataclass(frozen=True)
@@ -562,11 +564,11 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
         raise _no_split(f)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    _check_ball_d(f, ball)
     if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:
         raise BudgetExceededError(f"{ball.d}^{order} words exceed the budget {REGULARITY_WORD_BUDGET}")
     row_target = MonomialRow(ball.d, order)
     col_target = f._remainder_column(order)
-    _check_ball_d(f, ball)
     row_report = estimate_sup(row_target, ball, n, budget, seed, target_label=f"row(X^w,|w|={order})")
     col_report = estimate_sup(col_target, ball, n, budget, seed, target_label=f"col(g_w,|w|={order})")
     return RegularityReport(row=row_report, col=col_report)

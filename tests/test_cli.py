@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from ncball import cli, opball
-from ncball.cli import _write_csv, main
+from ncball.cli import _write_csv, build_parser, main
 from ncball.freealg import Word, parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
 from ncball.opball import OperatorBall, Pencil, pencil_to_dict, polydisk, row_ball
+from ncball.probe import DICHOTOMY_CASES
 from ncball.realize import Realization, bidisk_witness, realization_to_dict
 from ncball.varieties import AlgebraicVariety, parabola_cubic_pair, variety_to_dict
 
@@ -435,6 +436,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
         (["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"], "give either --target or --poly/--realization"),
         (["blowup", "--target", "delta3:ex52", "--eps", "0.1"], "direction e3 outside e1..e2"),
+        # a direction index is ASCII digits: an Arabic-Indic one is no e1
+        (["delta", "--realization", "ex52", "--point", "0.1,0.2", "--direction", "e\u0661"], "unexpected character 'e'"),
+        (["blowup", "--target", "delta\u0661:ex52", "--eps", "0.1"], "unknown realization 'delta\u0661:ex52'"),
         # a flag given an empty value is given
         (["eval", "--poly", "", "--realization", "ex52", "--point", "0.5,0.5"], "give either --poly or --realization"),
         (["eval", "--poly", "", "--point", "0.5,0.5"], "expected a number, variable, or '(' but found 'end of input'"),
@@ -453,22 +457,41 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
 
 
+MISSING_DIR_OUT = "/no/such/dir/x"
+EMPTY, NOT_A_FILE = "needs a file, got an empty name", "needs a file in an existing directory, got {!r}"
+
+
 @pytest.mark.parametrize(
-    ("argv", "work"),
+    ("argv", "work", "problem"),
     [
-        (["eval", "--realization", "ex52", "--point", "0.5,0.5", "--out", ""], "_load_point"),
-        (["blowup", "--target", "ex52", "--eps", "0.1", "--out", ""], "blowup_scan"),
+        (["eval", "--realization", "ex52", "--point", "0.5,0.5", "--out", ""], "_load_point", EMPTY),
+        (["blowup", "--target", "ex52", "--eps", "0.1", "--out", ""], "blowup_scan", EMPTY),
+        # a file that cannot be opened would fail only after the work
+        (["eval", "--realization", "ex52", "--point", "0.5,0.5", "--out", MISSING_DIR_OUT], "_load_point",
+         NOT_A_FILE.format(MISSING_DIR_OUT)),
+        (["blowup", "--target", "ex52", "--eps", "0.1", "--out", MISSING_DIR_OUT], "blowup_scan",
+         NOT_A_FILE.format(MISSING_DIR_OUT)),
+        (["probe", "--realization", "ex52", "--budget", "10", "--out", MISSING_DIR_OUT], "estimate_sup",
+         NOT_A_FILE.format(MISSING_DIR_OUT)),
+        (["eval", "--realization", "ex52", "--point", "0.5,0.5", "--out", "."], "_load_point", NOT_A_FILE.format(".")),
+        (["probe", "--realization", "ex52", "--budget", "10", "--out", "."], "estimate_sup", NOT_A_FILE.format(".")),
     ],
-    ids=["eval", "blowup"],
+    ids=["eval", "blowup", "eval-missing-dir", "blowup-missing-dir", "probe-missing-dir", "eval-dir", "probe-dir"],
 )
-def test_an_empty_out_is_refused_before_any_work(capsys, monkeypatch, argv, work):
+def test_an_empty_out_is_refused_before_any_work(capsys, monkeypatch, argv, work, problem):
     def started(*args):
         raise AssertionError(f"{work} ran")
 
     monkeypatch.setattr(cli, work, started)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {argv[0]} --out needs a file, got an empty name\n"
+    assert err == f"error: {argv[0]} --out {problem}\n"
+
+
+def test_dichotomy_case_choices_are_the_table_keys():
+    commands = next(action for action in build_parser()._actions if action.dest == "subcommand")
+    case = next(action for action in commands.choices["dichotomy"]._actions if action.dest == "case")
+    assert list(case.choices) == list(DICHOTOMY_CASES)
 
 
 def test_blowup_reads_a_pencil_ball_once(capsys, tmp_path, monkeypatch):

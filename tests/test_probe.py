@@ -15,6 +15,8 @@ from ncball.mattuple import MatrixTuple, _spectral_norms
 from ncball.ncdiff import delta_first
 from ncball.opball import BallMembership, membership, polydisk, row_ball
 from ncball.probe import (
+    BOUNDARY_THRESHOLD,
+    DICHOTOMY_CASES,
     INJECTION_EPS,
     MULTISTART_MARGINS,
     BlowupReport,
@@ -141,6 +143,14 @@ def test_margin_override_pins_the_schedule():
     assert all(row.value <= 0.5 + 1e-9 or row.label.startswith("climb") for row in report.trajectory)
 
 
+def test_a_multistart_draw_inside_the_boundary_band_is_not_rescaled():
+    # only climb candidates past BOUNDARY_THRESHOLD are pulled back: the 20 draws at margin 1e-7 stay where they fell
+    report = estimate_sup(bidisk_witness(), BALL, 2, 40, 3, margins=(1e-7,))
+    multistart = [row for row in report.trajectory if row.label.startswith("m")]
+    assert [row.label for row in multistart] == ["m1e-07"] * 20
+    assert all(row.boundary_distance < 1.0 - BOUNDARY_THRESHOLD for row in multistart)
+
+
 def test_search_validation():
     with pytest.raises(ValueError, match="budget must be >= 1"):
         estimate_sup(parse("z1", 2), BALL, 1, 0, 0)
@@ -221,6 +231,14 @@ def test_builtin_dichotomy_cases():
         assert result.kind == kind
         assert result.samples == 60
     with pytest.raises(ValueError, match="unknown dichotomy case"):
+        builtin_dichotomy_case("nope")
+
+
+def test_the_builtin_dichotomy_cases_are_one_table():
+    assert list(DICHOTOMY_CASES) == ["half", "identity", "boundary"]
+    for name, maps in DICHOTOMY_CASES.items():
+        assert builtin_dichotomy_case(name) == (maps, BALL, BALL.pencil)
+    with pytest.raises(ValueError, match=r"^unknown dichotomy case 'nope' \(use half, identity, or boundary\)$"):
         builtin_dichotomy_case("nope")
 
 
@@ -399,6 +417,13 @@ def test_regularity_refuses_a_function_of_neither_kind_before_any_probe():
     with mock.patch.object(probe, "estimate_sup", side_effect=AssertionError("probed")):
         with pytest.raises(TypeError, match="^truncation splits polynomials and realizations, got MonomialRow$"):
             regularity_factors(MonomialRow(2, 1), 1, polydisk(2), 1, 10, 0)
+
+
+def test_regularity_checks_d_before_building_a_target():
+    # the d mismatch is found before the remainder column of order 8, which steps the realization's rows, is built
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        with pytest.raises(ValueError, match=r"^target in d=2 variables probed on a ball in d=3 variables$"):
+            regularity_factors(bidisk_witness(), 8, polydisk(3), 1, 10, 0)
 
 
 def test_regularity_validation():

@@ -86,4 +86,9 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_probe_report_keeps_its_bits(name):
-    assert report_digest(CASES[name]()) == PINNED[name]
+    report = CASES[name]()
+    assert report_digest(report) == PINNED[name]
+    # the count of evaluations is read off the trajectory, never kept beside it
+    assert report.evaluations == len(report.trajectory)
+    with pytest.raises(AttributeError):
+        report.evaluations = 0
