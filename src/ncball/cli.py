@@ -29,7 +29,6 @@ from .probe import (
     DICHOTOMY_CASES,
     blowup_scan,
     builtin_dichotomy_case,
-    corner_path,
     dichotomy_scan,
     estimate_sup,
 )
@@ -178,8 +177,7 @@ def _cmd_probe(args) -> int:
         raise ValueError("probe --out needs a file: the JSON report goes to stdout")
     ball = ball_from_shorthand(args.ball)
     f, label = _resolve_function(args, d=ball.d)
-    margins = (args.margin,) if args.margin is not None else None
-    report = estimate_sup(f, ball, args.level, args.budget, args.seed, target_label=label, margins=margins)
+    report = estimate_sup(f, ball, args.level, args.budget, args.seed, target_label=label, margin=args.margin)
     if args.out is not None:
         rows = [(r.iteration, r.label, r.value, r.boundary_distance, args.seed) for r in report.trajectory]
         _write_csv(args.out, ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"], rows, args.seed)
@@ -219,7 +217,7 @@ def _cmd_blowup(args) -> int:
         raise ValueError("--eps needs at least one value")
     if not np.isfinite(eps_list).all():
         raise ValueError(f"--eps values must be finite, got {args.eps!r}")
-    report = blowup_scan(target, corner_path, eps_list, ball)
+    report = blowup_scan(target, eps_list, ball)
     rows = []
     for row in report.rows:
         re = row.value.real if row.value is not None else ""
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blowup = sub.add_parser("blowup", help="scan a target along the builtin corner path")
     p_blowup.add_argument("--target", help="[delta1:|delta2:|resolvent:]REALIZATION")
     add_function_flags(p_blowup, ball_default="polydisk:2")
-    p_blowup.add_argument("--path", choices=("builtin",), default="builtin")
     p_blowup.add_argument("--eps", required=True, help="comma-separated eps values")
     p_blowup.add_argument("--out", help="write the CSV here (default or '-': stdout)")
     p_blowup.set_defaults(func=_cmd_blowup)
@@ -376,7 +373,7 @@ def main(argv=None) -> int:
         if out not in (None, "-") and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise ValueError(f"{args.subcommand} --out needs a file in an existing directory, got {out!r}")
         return args.func(args)
-    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         # IllConditionedError and BudgetExceededError are RuntimeErrors; ArithmeticError takes in OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

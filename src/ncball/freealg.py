@@ -313,6 +313,15 @@ def _product(left: dict, right: dict) -> dict:
     return {w: c for w, c in out.items() if c != 0}
 
 
+def _power(terms: dict, k: int) -> dict:
+    """terms^k, k _products from {(): 1 + 0j}.  The k powers of its longest word, of L letters, are charged
+    max(L, 1) (1 + ... + k) letters first: more than WORD_BUDGET raise BudgetExceededError before any product."""
+    letters = max([1, *map(len, terms)])
+    if letters * k * (k + 1) // 2 > WORD_BUDGET:
+        raise BudgetExceededError(f"{letters} x (1 + ... + {k}) letters exceed the budget {WORD_BUDGET}")
+    return functools.reduce(_product, itertools.repeat(terms, k), {(): 1 + 0j})
+
+
 def _times_letters(terms: dict, letters: tuple[int, ...]) -> dict:
     """terms * zj1 * ... * zjk for letters (j1, ..., jk), k >= 0, as k calls of _product by {(j,): 1 + 0j} take it.
 
@@ -470,8 +479,7 @@ class FreePolynomial(NCFunction):
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        terms = functools.reduce(_product, itertools.repeat(self._letters(), k), {(): 1 + 0j})  # the parser's fold
-        return FreePolynomial._trusted(self.d, terms)
+        return FreePolynomial._trusted(self.d, _power(self._letters(), k))
 
     def __eq__(self, other):
         if not isinstance(other, FreePolynomial):
@@ -661,12 +669,12 @@ class _Parser:
         factor  := ('+' | '-')* primary ('^' exponent)*
         primary := number | number 'i' | 'i' | variable | '(' expr ')'
 
-    Sums go through _add_term, products and powers through _product, signs
-    through _negated, and the parse ends in FreePolynomial._trusted, as +, -, *
-    and ** do: a parse has their bits and term order by construction.  A run
-    token, the factors 'literal * z_j * ...' or 'z_j * ...', has its letters
-    checked, in order, where it is read; its first primary takes the sign and
-    any power, and the term then multiplies in each further letter.
+    Sums, products, powers and signs go through _add_term, _product, _power and
+    _negated, and the parse ends in FreePolynomial._trusted, as +, -, * and **
+    do: a parse has their bits and term order by construction.  A run token,
+    the factors 'literal * z_j * ...' or 'z_j * ...', has its letters checked,
+    in order, where it is read; its first primary takes the sign and any power,
+    and the term then multiplies in each further letter.
     """
 
     def __init__(self, tokens, d: int):
@@ -709,7 +717,7 @@ class _Parser:
         terms, letters = self.primary()
         while self.peek() == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
             self.tokens.pop()
-            terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
+            terms = _power(terms, self.exponent())
         return (_negated(terms) if negate else terms), letters
 
     def primary(self) -> tuple[dict, tuple[int, ...]]:

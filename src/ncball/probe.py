@@ -43,6 +43,7 @@ INJECTION_EPS = (0.1, 0.045, 0.014)
 # after a stack with no improvement and starting over after one
 CLIMB_CHUNK = 8
 CLIMB_CHUNK_MAX = 64
+DICHOTOMY_LEVELS = (1, 2, 3)  # the levels that a dichotomy scan's samples cycle through
 
 
 def corner_path(eps: float) -> tuple[complex, complex]:
@@ -250,7 +251,7 @@ def estimate_sup(
     budget: int,
     seed: int,
     target_label: str | None = None,
-    margins: tuple[float, ...] | None = None,
+    margin: float | None = None,
 ) -> ProbeReport:
     """Estimate sup ||f(X)|| over level-n points of the ball.
 
@@ -274,7 +275,7 @@ def estimate_sup(
     at a time, the report is the same as that of a search evaluating one
     point at a time.
 
-    Passing ``margins`` replaces the multistart margin schedule.
+    Passing ``margin`` draws every multistart sample at that one margin.
     """
     if not isinstance(f, NCFunction):
         raise TypeError(f"cannot probe an object of type {type(f).__name__}")
@@ -282,9 +283,10 @@ def estimate_sup(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    schedule = MULTISTART_MARGINS if margins is None else tuple(margins)
-    if not schedule:
-        raise ValueError("margin schedule must be nonempty")
+    if margin is not None and not 0.0 < margin < 1.0:  # the sampler's check, before the corner-path pool
+        raise ValueError(f"margin must be in (0, 1), got {margin}")
+    if operator.index(seed) < 0:  # the seeder's check, as the pool can fill the multistart and leave nothing drawn
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
     _check_ball_d(f, ball)
     report = ProbeReport(
         target=target_label if target_label is not None else f._label(),
@@ -332,8 +334,9 @@ def estimate_sup(
             if membership(ball, point).is_inside:
                 injected.append((point.entries, f"path:{eps:g}"))
     injected = injected[:n_samples]
+    schedule = MULTISTART_MARGINS if margin is None else (margin,)
     draws = [(seed + i, schedule[i % len(schedule)]) for i in range(n_samples - len(injected))]
-    labels = iter([label for _, label in injected] + [f"m{margin:g}" for _, margin in draws])
+    labels = iter([label for _, label in injected] + [f"m{m:g}" for _, m in draws])
     head = [np.stack([x for x, _ in injected])] if injected else []
     for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
         s = ball.norms_at(xs)
@@ -427,18 +430,17 @@ class BlowupReport:
     monotone: bool  # norms strictly increasing in the listed eps order
 
 
-def blowup_scan(g, path, eps_list, ball: OperatorBall) -> BlowupReport:
-    """Evaluate g along a scalar path, verifying strict membership first.
+def blowup_scan(g, eps_list, ball: OperatorBall) -> BlowupReport:
+    """Evaluate g at corner_path(eps) for each eps, verifying strict membership first.
 
     ``g`` is called with the level-1 MatrixTuple of each path point, so an nc
-    function is passed as ``f.eval``; ``path`` maps eps to a scalar tuple (use
-    corner_path for the builtin).
+    function is passed as ``f.eval``.
     """
     if not callable(g):
         raise TypeError(f"cannot evaluate an object of type {type(g).__name__}")
     rows = []
     for eps in eps_list:
-        x = MatrixTuple.scalars(path(eps))
+        x = MatrixTuple.scalars(corner_path(eps))
         if x.d != ball.d:
             raise ValueError(f"path point at eps={eps:g} has d={x.d}, but the ball has d={ball.d}")
         verdict = membership(ball, x)
@@ -472,7 +474,6 @@ def dichotomy_scan(
     target_pencil: Pencil,
     samples: int,
     seed: int,
-    levels=(1, 2, 3),
 ) -> DichotomyResult:
     """Classify ||P(F(X))|| over sampled X as all-interior, all-boundary, or mixed."""
     maps = list(maps)
@@ -480,20 +481,18 @@ def dichotomy_scan(
         raise ValueError(f"map has {len(maps)} components but the target pencil has d={target_pencil.d}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not levels:
-        raise ValueError("levels must name at least one level")
     for i, p in enumerate(maps, 1):
         if not isinstance(p, NCFunction):
             raise TypeError(f"map component {i} is an object of type {type(p).__name__}, not an nc function")
         if p.d != source_ball.d:
             raise ValueError(f"map component {i} in d={p.d} variables on a source ball in d={source_ball.d} variables")
     norms = []
-    # sample i is drawn at level levels[i % L] from seed + i; the norms are
-    # taken level by level, which leaves their max and min as they are
-    for first, level in enumerate(levels[:samples]):
+    # sample i is drawn at level DICHOTOMY_LEVELS[i % 3] from seed + i; the
+    # norms are taken level by level, which leaves their max and min as they are
+    for first, level in enumerate(DICHOTOMY_LEVELS[:samples]):
         draws = [
-            (seed + i, MULTISTART_MARGINS[(i // len(levels)) % len(MULTISTART_MARGINS)])
-            for i in range(first, samples, len(levels))
+            (seed + i, MULTISTART_MARGINS[(i // len(DICHOTOMY_LEVELS)) % len(MULTISTART_MARGINS)])
+            for i in range(first, samples, len(DICHOTOMY_LEVELS))
         ]
         for xs in _sample_chunks(source_ball, level, draws):
             image = np.stack([p.eval_batch(xs)[0] for p in maps], axis=1)

@@ -17,6 +17,7 @@ from .mattuple import MatrixTuple, _spectral_norm, _unit_disk_points
 from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
+NUM_LAMBDAS = 20  # the seeded scales homogeneity_sample draws when no lambdas are given
 
 
 @dataclass(frozen=True)
@@ -65,23 +66,20 @@ def homogeneity_sample(
     samples,
     lambdas=None,
     seed: int = 0,
-    num_lambdas: int = 20,
     tol: float = VARIETY_TOL,
 ) -> HomogeneityReport:
     """Check that scaled copies of the supplied variety points stay in the variety.
 
     ``samples`` are caller-produced in-variety points (supply a parameterization
     such as T -> (T, T^2)); an out-of-variety sample is an error, not a witness.
-    ``lambdas`` defaults to ``num_lambdas`` seeded draws from the open unit disk.
+    ``lambdas`` defaults to NUM_LAMBDAS seeded draws from the open unit disk.
     A verdict needs at least one sample and one scale: none is an error.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("samples must hold at least one point")
     if lambdas is None:
-        if num_lambdas < 1:
-            raise ValueError(f"num_lambdas must be >= 1, got {num_lambdas}")
-        lambdas = _unit_disk_points(np.random.default_rng(seed), num_lambdas)
+        lambdas = _unit_disk_points(np.random.default_rng(seed), NUM_LAMBDAS)
     else:
         lambdas = [complex(v) for v in lambdas]
         if not lambdas:

@@ -434,6 +434,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["probe", "--realization", "ex52", "--ball", "polydisk:x"], "ball shorthand 'polydisk:x' needs an integer d >= 1"),
         # the JSON report goes to stdout, so the trajectory CSV needs a file
         (["probe", "--realization", "ex52", "--out", "-"], "probe --out needs a file: the JSON report goes to stdout"),
+        # a margin is checked before the corner-path pool fills the multistart of a budget of 7
+        *((["probe", "--realization", "ex52", "--budget", "7", "--margin", margin], f"margin must be in (0, 1), got {margin}")
+          for margin in ("nan", "1.5", "-2")),
         (["blowup", "--target", "ex52", "--poly", "z1*z2", "--eps", "0.1"], "give either --target or --poly/--realization"),
         (["blowup", "--target", "delta3:ex52", "--eps", "0.1"], "direction e3 outside e1..e2"),
         # a direction index is ASCII digits: an Arabic-Indic one is no e1
@@ -627,6 +630,18 @@ def test_numerical_failures_exit_1(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("numerical failure:")
+
+
+def test_an_allocation_failure_exits_1_with_one_line(capsys):
+    # the sampler's buffer at level 10^7 needs 2.84 PiB, past any 47-bit address space
+    code, out, err = run(capsys, "probe", "--realization", "ex52", "--budget", "5", "--level", "10000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("numerical failure: Unable to allocate") and err.count("\n") == 1
+
+
+def test_blowup_has_no_path_flag(capsys):
+    assert main(["blowup", "--help"]) == 0
+    assert "--path" not in capsys.readouterr().out
 
 
 def test_help_exits_0(capsys):

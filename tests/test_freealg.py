@@ -22,6 +22,7 @@ from ncball.freealg import (
     _add_term,
     _left_quotients,
     _negated,
+    _power,
     _product,
     _times_letters,
     _tokenize,
@@ -688,7 +689,7 @@ class RefParser:
         terms = self.primary()
         while self.peek() == "^":
             self.tokens.pop()
-            terms = functools.reduce(_product, itertools.repeat(terms, self.exponent()), {(): 1 + 0j})
+            terms = _power(terms, self.exponent())
         return _negated(terms) if negate else terms
 
     def primary(self) -> dict:
@@ -1185,3 +1186,19 @@ def test_expansions_past_the_word_budget_raise_before_they_start():
     for expand in (lambda: big * big, lambda: big**2, lambda: compose(parse("z1*z2", 2), (big, big))):
         with pytest.raises(BudgetExceededError, match="1024 x 1024 term products"):
             expand()
+
+
+def test_a_power_is_charged_before_its_first_product():
+    # each _product of a monomial power forms one pair, so only the letters of the k powers bound its time
+    with mock.patch("ncball.freealg._product", side_effect=AssertionError("multiplied")):
+        for power in (lambda: parse("z1^2000", 1), lambda: parse("2^2000", 1), lambda: FreePolynomial.generator(1, 1) ** 2000):
+            with pytest.raises(BudgetExceededError, match=r"^1 x \(1 \+ \.\.\. \+ 2000\) letters exceed the budget 1000000$"):
+                power()
+        # the longest word of the base counts each letter: 2 (1 + ... + 1000) > 10^6
+        with pytest.raises(BudgetExceededError, match=r"^2 x \(1 \+ \.\.\. \+ 1000\) letters exceed the budget 1000000$"):
+            parse("(z1*z2 + z1)^1000", 2)
+    # 1 + ... + 1413 <= 10^6 < 1 + ... + 1414, and 2 (1 + ... + 999) <= 10^6
+    assert parse("z1^1413", 1) == FreePolynomial.monomial(Word((1,) * 1413, 1))
+    assert parse("(z1*z2)^999", 2) == FreePolynomial.monomial(Word((1, 2) * 999, 2))
+    with pytest.raises(BudgetExceededError):
+        parse("z1^1414", 1)

@@ -137,7 +137,7 @@ def test_argmax_is_a_sound_witness():
 
 
 def test_margin_override_pins_the_schedule():
-    report = estimate_sup(parse("z1", 2), BALL, 2, 40, 5, margins=(0.5,))
+    report = estimate_sup(parse("z1", 2), BALL, 2, 40, 5, margin=0.5)
     labels = {row.label for row in report.trajectory if row.label.startswith("m")}
     assert labels == {"m0.5"}
     assert all(row.value <= 0.5 + 1e-9 or row.label.startswith("climb") for row in report.trajectory)
@@ -145,7 +145,7 @@ def test_margin_override_pins_the_schedule():
 
 def test_a_multistart_draw_inside_the_boundary_band_is_not_rescaled():
     # only climb candidates past BOUNDARY_THRESHOLD are pulled back: the 20 draws at margin 1e-7 stay where they fell
-    report = estimate_sup(bidisk_witness(), BALL, 2, 40, 3, margins=(1e-7,))
+    report = estimate_sup(bidisk_witness(), BALL, 2, 40, 3, margin=1e-7)
     multistart = [row for row in report.trajectory if row.label.startswith("m")]
     assert [row.label for row in multistart] == ["m1e-07"] * 20
     assert all(row.boundary_distance < 1.0 - BOUNDARY_THRESHOLD for row in multistart)
@@ -158,8 +158,20 @@ def test_search_validation():
     for bad in ("f", parse("z1", 2).eval):
         with pytest.raises(TypeError, match=f"^cannot probe an object of type {type(bad).__name__}$"):
             estimate_sup(bad, polydisk(2), 1, 0, 0)
-    with pytest.raises(ValueError, match="margin schedule"):
-        estimate_sup(parse("z1", 2), BALL, 1, 10, 0, margins=())
+    with pytest.raises(ValueError, match=r"^margin must be in \(0, 1\), got 1.5$"):
+        estimate_sup(parse("z1", 2), BALL, 1, 10, 0, margin=1.5)
+
+
+def test_a_margin_or_seed_is_checked_before_the_corner_path_pool():
+    # at level 1 on the bidisk the three corner points fill a budget of 4's multistart, so nothing is drawn
+    with mock.patch.object(NCFunction, "eval_batch", side_effect=AssertionError("evaluated")):
+        for margin in (1.5, 0.0, 1.0, -2.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^margin must be in \(0, 1\), got {margin}$"):
+                estimate_sup(bidisk_witness(), polydisk(2), 1, 4, 0, margin=margin)
+        with pytest.raises(ValueError, match=r"^expected non-negative integer seed, got -5$"):
+            estimate_sup(bidisk_witness(), polydisk(2), 1, 4, -5)
+        with pytest.raises(ValueError, match=r"^expected non-negative integer seed, got -5$"):
+            regularity_factors(bidisk_witness(), 1, polydisk(2), 1, 4, -5)
 
 
 def test_a_target_whose_d_is_not_the_balls_fails_before_any_draw():
@@ -185,7 +197,7 @@ def test_first_difference_blows_up_along_the_path():
     def g(x):
         return delta_first(f, x.entries[:, 0, 0], (1.0, 0.0))
 
-    report = blowup_scan(g, corner_path, [0.1, 0.01, 0.001], BALL)
+    report = blowup_scan(g, [0.1, 0.01, 0.001], BALL)
     assert isinstance(report, BlowupReport)
     assert report.monotone
     for row, eps in zip(report.rows, (0.1, 0.01, 0.001)):
@@ -197,7 +209,7 @@ def test_first_difference_blows_up_along_the_path():
 
 
 def test_the_witness_itself_stays_bounded_on_the_path():
-    report = blowup_scan(bidisk_witness().eval, corner_path, [0.1, 0.01, 0.001], BALL)
+    report = blowup_scan(bidisk_witness().eval, [0.1, 0.01, 0.001], BALL)
     assert not report.monotone
     assert all(row.norm <= 1.0 for row in report.rows)
     assert abs(report.rows[0].norm - 0.01) < 1e-12
@@ -205,18 +217,18 @@ def test_the_witness_itself_stays_bounded_on_the_path():
 
 def test_blowup_rejects_points_outside_the_ball():
     with pytest.raises(ValueError, match="not strictly inside"):
-        blowup_scan(bidisk_witness().eval, corner_path, [0.0], BALL)
+        blowup_scan(bidisk_witness().eval, [0.0], BALL)
 
 
 def test_blowup_rejects_a_path_whose_d_is_not_the_balls():
     g = mock.Mock(side_effect=AssertionError("evaluated"))
     with pytest.raises(ValueError, match=r"^path point at eps=0.1 has d=2, but the ball has d=3$"):
-        blowup_scan(g, corner_path, [0.1], polydisk(3))
+        blowup_scan(g, [0.1], polydisk(3))
 
 
 def test_blowup_rejects_unknown_targets():
     with pytest.raises(TypeError, match="cannot evaluate"):
-        blowup_scan("f", corner_path, [0.1], BALL)
+        blowup_scan("f", [0.1], BALL)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +274,6 @@ def test_dichotomy_validation():
         dichotomy_scan((z1,), BALL, BALL.pencil, 10, 0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 0, 0)
-    with pytest.raises(ValueError, match="levels must name at least one level"):
-        dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 10, 0, levels=())
     # each map is checked before the first draw
     cube = polydisk(3)
     with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):

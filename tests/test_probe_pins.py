@@ -57,7 +57,7 @@ CASES = {
     "poly-row-l2": lambda: estimate_sup(parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1", 2), row_ball(2), 2, BUDGET, 3),
     "monomial-row-l2": lambda: estimate_sup(MonomialRow(2, 2), polydisk(2), 2, BUDGET, 5),
     "remainder-column-l2": lambda: estimate_sup(RemainderColumn(bidisk_witness(), 2), polydisk(2), 2, BUDGET, 5),
-    "margin-override-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 9, margins=(0.5,)),
+    "margin-override-l1": lambda: estimate_sup(bidisk_witness(), polydisk(2), 1, BUDGET, 9, margin=0.5),
     "quotient-column-l2": lambda: estimate_sup(QuotientColumn(parse(QUOTIENT_POLY, 2), 2), polydisk(2), 2, BUDGET, 7),
     "shared-prefix-poly-l2": lambda: estimate_sup(shared_prefix_poly(), polydisk(2), 2, BUDGET, 4),
     # the 150 multistart seeds run from 2^32 - 75 (one entropy word) to 2^32 + 74 (two)

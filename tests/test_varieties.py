@@ -142,8 +142,6 @@ def test_homogeneity_validation():
     "kwargs, message",
     [
         ({"lambdas": []}, "lambdas must hold at least one scale"),
-        ({"num_lambdas": 0}, "num_lambdas must be >= 1, got 0"),
-        ({"num_lambdas": -1}, "num_lambdas must be >= 1, got -1"),
         ({"samples": []}, "samples must hold at least one point"),
     ],
 )
