@@ -514,26 +514,19 @@ def _charge_words_below(d: int, n: int) -> None:
         raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
 
 
-def cesaro_sum(source, n: int, d: int | None = None) -> FreePolynomial:
+def cesaro_sum(f: NCFunction, n: int) -> FreePolynomial:
     """Weighted partial sum  sum_{k<n} (1 - k/n) * (degree-k part).
 
-    ``source`` supplies the coefficients: an nc function through its
-    ``_taylor_polynomial`` (a FreePolynomial as it is, a Realization through
-    its Taylor polynomial of size < n), or a callable word -> complex (the
-    last needs ``d``).  For non-polynomial sources all d^k words with k < n
-    are enumerated, so n is limited by the word budget (at d = 1, by their
-    letters).
+    The coefficients come from the nc function f through its
+    ``_taylor_polynomial``: a FreePolynomial as it is, a Realization through
+    its Taylor polynomial of size < n, whose words taylor_polynomial charges
+    to the word budget.  Any other f raises TypeError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(source, NCFunction):
-        if not callable(source):
-            raise TypeError(f"cannot read coefficients from {type(source).__name__}")
-        if d is None:
-            raise ValueError("a callable coefficient source needs an explicit d")
-        _charge_words_below(d, n)
-        source = FreePolynomial(d, {w: source(w) for k in range(n) for w in words_of_size(d, k)})
-    source = source._taylor_polynomial(n)
+    if not isinstance(f, NCFunction):
+        raise TypeError(f"cannot read coefficients from {type(f).__name__}")
+    source = f._taylor_polynomial(n)
     return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
 
@@ -760,7 +753,10 @@ class _Parser:
             raise PolyParseError("negative exponent", position)
         if kind != "number" or not lexeme.isdigit():
             raise PolyParseError("exponent must be a nonnegative integer", position)
-        return int(lexeme)
+        digits = lexeme.lstrip("0")  # more digits than WORD_BUDGET has fail _power's charge: fail before int()
+        if len(digits) > len(str(WORD_BUDGET)):
+            raise BudgetExceededError(f"an exponent of {len(digits)} digits exceeds the budget {WORD_BUDGET}")
+        return int(digits or "0")
 
 
 def parse(text: str, d: int) -> FreePolynomial:

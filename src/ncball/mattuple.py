@@ -118,7 +118,10 @@ def point_stack(xs, d: int) -> np.ndarray:
 
 def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the one fixed-order product: complex arrays a (..., m, k) and b (..., k, n),
-    # already checked.  An a of lower rank is first broadcast to b's batch axes:
+    # already checked, accumulated rank-1 term by term in index order.  BLAS
+    # regroups its inner sums by operand size, so a product at a direct sum could
+    # differ from the blocks' products by an ulp; the fixed order keeps the zero
+    # cross-blocks inert.  An a of lower rank is first broadcast to b's batch axes:
     # arrays of unequal rank can send numpy's complex multiply down a loop
     # without fused multiply-add, and the bits would then depend on the batch
     if a.ndim < b.ndim:
@@ -129,31 +132,19 @@ def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product accumulated rank-1 term by term in index order.
-
-    BLAS regroups the inner sums by operand size, so evaluating at a direct
-    sum can differ from the assembled blocks by an ulp.  Fixed-order
-    accumulation keeps the zero cross-blocks inert and makes evaluation
-    respect direct sums exactly, which the structural identities (and their
-    tests) rely on.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return _seq_matmul(a, b)
-
-
 def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """seq_solve over a leading batch axis: (x, singular) for stacks a, b.
+    """Solve a x = b per sample of stacks a, b by partial pivoting in fixed index order: (x, singular).
 
-    Slice i of x is seq_solve(a[i], b[i]) bit for bit, with the same pivot
-    choice, row swaps, rank-1 updates and column sweep per sample.  A sample
+    LAPACK regroups its updates by problem size, so a solve at a direct sum
+    need not reproduce the block solves to the last bit; unblocked rank-1
+    elimination and a column-sweep substitution keep the cross-block zeros
+    inert.  Each sample has its own pivot choice, row swaps, rank-1 updates and
+    column sweep, so slice i of x is bit for bit the solve of a[i] alone.  A sample
     that meets a zero pivot is marked in the boolean mask ``singular`` and its
     slice of x is meaningless; the other samples are untouched by it.
     It eliminates on one augmented stack [a | b], its only copy: one row swap
     and one rank-1 update per pivot, then substitution on views of the stack.
+    Meant for the small systems this library produces, not as a general solver.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -181,30 +172,6 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         x[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
         x[:, :i, :] -= a[:, :i, i : i + 1] * x[:, i : i + 1, :]
     return x, singular
-
-
-def seq_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by partial-pivoting elimination in fixed index order.
-
-    Same constraint as seq_matmul: LAPACK regroups its updates by problem
-    size, so a solve at a direct sum need not reproduce the assembled block
-    solves to the last bit.  Unblocked rank-1 elimination and a column sweep
-    substitution keep the cross-block zeros inert.  Meant for the small
-    systems this library produces, not as a general solver.  This is the
-    batch of one of seq_solve_batch.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b.reshape(-1, 1)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"cannot solve shapes {a.shape} and {b.shape}")
-    x, singular = seq_solve_batch(a[None], b[None])
-    if singular[0]:
-        raise np.linalg.LinAlgError("matrix is singular")
-    return x[0, :, 0] if squeeze else x[0]
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

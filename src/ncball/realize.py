@@ -34,7 +34,6 @@ from .mattuple import (
     complex_from_json,
     complex_to_json,
     json_size,
-    seq_matmul,
     seq_solve_batch,
 )
 from .opball import ISOMETRY_TOL, Pencil, _isometry_defect, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
@@ -57,7 +56,7 @@ class IllConditionedError(RuntimeError):
 
 
 def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(a x I_n) b for each matrix b of a stack, bit for bit seq_matmul(np.kron(a, I_n), b).
+    """(a x I_n) b for each matrix b of a stack, bit for bit _seq_matmul(np.kron(a, I_n), b).
 
     b has shape (..., inner * n, cols), with any number of leading batch axes.
     Row (i, r) of the product only meets rows (k, r) of b, so it is the
@@ -87,7 +86,6 @@ class Realization(NCFunction):
     mode: str = "contraction"
     # the pencil of the letters L_j = I_m x Q_j and V's right block column [B; D], built once
     _letter_pencil: Pencil = field(init=False, repr=False)
-    _letters: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _bd: np.ndarray = field(init=False, repr=False)
     _d_norm: float = field(init=False, repr=False)  # ||D||, for the resolvent certificate
 
@@ -114,7 +112,7 @@ class Realization(NCFunction):
         letters = Pencil(np.array([np.kron(np.eye(m), q_j) for q_j in pencil.coefficients]))
         bd = np.concatenate((b[None], d))
         bd.setflags(write=False)
-        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_letters": tuple(letters.coefficients), "_bd": bd}
+        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_bd": bd}
         owned |= {"_letter_pencil": letters, "_d_norm": d_norm}
         for name, value in owned.items():
             object.__setattr__(self, name, value)
@@ -136,10 +134,6 @@ class Realization(NCFunction):
         v[1:, 0] = self.C
         v[1:, 1:] = self.D
         return v
-
-    def letter_matrix(self, j: int) -> np.ndarray:
-        """L_j = I_m x Q_j, the pencil letter seen by the system data (read-only)."""
-        return self._letters[j - 1]
 
     def _resolvent(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
         """(B x I_n) L(X), and R solving T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
@@ -201,7 +195,7 @@ class Realization(NCFunction):
         (row_w x I_n) R(X).
         """
         head = self.B.reshape(1, 1, -1) if rows is None else rows @ self.D
-        return head @ self._letters[j - 1]
+        return head @ self._letter_pencil.coefficients[j - 1]
 
     def _prefix_row(self, word: Word) -> np.ndarray:
         """B L_{w_1} D L_{w_2} D ... D L_{w_k} for a nonempty word, a 1 x (m q) row: the last level of its walk."""
@@ -238,8 +232,8 @@ class Realization(NCFunction):
         bd_lam = _kron_eye_matmul(self._bd, pencil_eval_batch(self._letter_pencil, x.entries[None])[0], n)
         cur, hop, c_col = bd_lam[:n], bd_lam[n:], _kron_eye_col(self.C, n)
         while True:
-            yield seq_matmul(cur, c_col)
-            cur = seq_matmul(cur, hop)
+            yield _seq_matmul(cur, c_col)
+            cur = _seq_matmul(cur, hop)
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
         """The degree-k term sum_{|w|=k} c_w x^w, without enumerating words."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ncball import realize
 from ncball.freealg import QuotientColumn, Word, parse
-from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_matmul, seq_solve, seq_solve_batch
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
 from ncball.probe import (
@@ -75,7 +75,7 @@ def target(name, rng):
 
 
 # ---------------------------------------------------------------------------
-# kernels: each slice of a batched call is the one-point call
+# kernels: each slice of a batched call is the pre-batching reference, bit for bit
 
 
 def reference_seq_matmul(a, b):
@@ -94,7 +94,6 @@ def test_seq_matmul_kernel_is_bitwise_per_slice(count, m, k, n, seed):
     a, b = gaussian(rng, (count, m, k)), gaussian(rng, (count, k, n))
     out = _seq_matmul(a, b)
     for i in range(count):
-        assert out[i].tobytes() == seq_matmul(a[i], b[i]).tobytes()
         assert out[i].tobytes() == reference_seq_matmul(a[i], b[i]).tobytes()
 
 
@@ -125,7 +124,6 @@ def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, seed):
     x, singular = seq_solve_batch(a, b)
     assert not singular.any()
     for i in range(count):
-        assert x[i].tobytes() == seq_solve(a[i], b[i]).tobytes()
         assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
 
 
@@ -136,9 +134,7 @@ def test_a_zero_pivot_masks_only_its_own_sample():
     x, singular = seq_solve_batch(a, b)
     assert singular.tolist() == [False, True, False]
     for i in (0, 2):
-        assert x[i].tobytes() == seq_solve(a[i], b[i]).tobytes()
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        seq_solve(a[1], b[1])
+        assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
 
 
 def two_array_seq_solve_batch(a, b):

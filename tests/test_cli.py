@@ -631,6 +631,14 @@ def test_numerical_failures_exit_1(capsys):
     assert code == 1
     assert captured.err.startswith("numerical failure:")
 
+    # past Python's 4300-digit limit for int(): an exponent's digit count fails the budget first, with no traceback
+    for exponent, digits in (("9" * 5000, 5000), ("9" * 4000, 4000), ("0" * 5000 + "12345678", 8)):
+        code, out, err = run(capsys, "eval", "--poly", "z1^" + exponent, "--point", "0.5")
+        assert (code, out) == (1, "")
+        assert err == f"numerical failure: an exponent of {digits} digits exceeds the budget 1000000\n"
+    code, out, err = run(capsys, "eval", "--poly", "z1^" + "0" * 5000 + "2", "--point", "0.5")
+    assert (code, err) == (0, "") and json.loads(out)["value"] == [[[0.25, 0.0]]]
+
 
 def test_an_allocation_failure_exits_1_with_one_line(capsys):
     # the sampler's buffer at level 10^7 needs 2.84 PiB, past any 47-bit address space

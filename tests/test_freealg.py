@@ -878,41 +878,33 @@ def test_cesaro_scales_each_word_by_its_weight(p, n):
         assert out.coefficient(word) == want
 
 
-def test_cesaro_from_callable_source():
-    # coefficient source: 1 on every word
-    got = cesaro_sum(lambda w: 1.0, 2, d=2)
-    assert got == parse("1 + 0.5*z1 + 0.5*z2", 2)
-    with pytest.raises(ValueError, match="explicit d"):
-        cesaro_sum(lambda w: 1.0, 2)
-
-
 def test_cesaro_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        cesaro_sum(lambda w: 1.0, 14, d=3)
-    # the count is closed-form and never printed, so a huge n fails at once and by name
-    for d, n in ((2, 10**5), (1, 10**6 + 1), (2, 10**9 + 1)):
-        with pytest.raises(BudgetExceededError, match=rf"^{d}\^0 \+ \.\.\. \+ {d}\^{n - 1} words exceed the budget"):
-            cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=d)
-    # at d = 1 the n words are charged their 0 + 1 + ... + (n - 1) letters: 1415 * 1414 / 2 pass 10^6
-    for n in (1415, 3000, 10**6):
-        message = rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"
-        with pytest.raises(BudgetExceededError, match=message):
-            cesaro_sum(lambda w: pytest.fail("read a coefficient"), n, d=1)
-    assert cesaro_sum(lambda w: 1.0, 1414, d=1).degree == 1413
-    # a d = 1 realization's Taylor polynomial is charged the same letters, before its walk
+    # a realization's Taylor polynomial is charged its words before its walk; the count is closed-form
+    # and never printed, so a huge n fails at once and by name
     f = Realization(polydisk(1).pencil, 1, 0.0, [0.5], [0.5], [[1.0]])
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        with pytest.raises(BudgetExceededError):
+            cesaro_sum(bidisk_witness(), 20)
+        for g, n in ((bidisk_witness(), 10**5), (f, 10**6 + 1), (bidisk_witness(), 10**9 + 1)):
+            with pytest.raises(BudgetExceededError, match=rf"^{g.d}\^0 \+ \.\.\. \+ {g.d}\^{n - 1} words exceed the budget"):
+                cesaro_sum(g, n)
+        # at d = 1 the n words are charged their 0 + 1 + ... + (n - 1) letters: 1415 * 1414 / 2 pass 10^6
         for n in (1415, 3000, 10**6):
             message = rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"
             for build in (taylor_polynomial, cesaro_sum):
                 with pytest.raises(BudgetExceededError, match=message):
                     build(f, n)
     assert taylor_polynomial(f, 1414).degree == 1413
+    assert cesaro_sum(f, 1414).degree == 1413
 
 
 def test_cesaro_rejects_bad_source():
-    with pytest.raises(TypeError, match="^cannot read coefficients from object$"):
-        cesaro_sum(object(), 2, d=2)
+    # coefficients come only from an nc function: a callable is no source, with or without d
+    for source in (object(), lambda w: 1.0):
+        with pytest.raises(TypeError, match=f"^cannot read coefficients from {type(source).__name__}$"):
+            cesaro_sum(source, 2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'd'"):
+        cesaro_sum(lambda w: 1.0, 2, d=2)
     # an nc function without Taylor coefficients of its own is no source either
     with pytest.raises(TypeError, match="^cannot read coefficients from QuotientColumn$"):
         cesaro_sum(QuotientColumn(parse("z1*z2", 2), 1), 2)
@@ -1200,5 +1192,16 @@ def test_a_power_is_charged_before_its_first_product():
     # 1 + ... + 1413 <= 10^6 < 1 + ... + 1414, and 2 (1 + ... + 999) <= 10^6
     assert parse("z1^1413", 1) == FreePolynomial.monomial(Word((1,) * 1413, 1))
     assert parse("(z1*z2)^999", 2) == FreePolynomial.monomial(Word((1, 2) * 999, 2))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^1 x \(1 \+ \.\.\. \+ 1414\) letters exceed the budget 1000000$"):
         parse("z1^1414", 1)
+    # more digits than WORD_BUDGET has fail _power's charge for any base; they fail first, by count, so an
+    # exponent past Python's 4300-digit int() limit is a budget error and its digits are never printed
+    with mock.patch("ncball.freealg._product", side_effect=AssertionError("multiplied")):
+        for exponent, digits in (("9" * 5000, 5000), ("9" * 4000, 4000), ("1" + "0" * 7, 8)):
+            with pytest.raises(BudgetExceededError, match=rf"^an exponent of {digits} digits exceeds the budget 1000000$"):
+                parse("z1^" + exponent, 1)
+        with pytest.raises(BudgetExceededError, match=r"^1 x \(1 \+ \.\.\. \+ 9999999\) letters exceed"):
+            parse("z1^" + "0" * 5000 + "9999999", 1)
+    # leading zeros are not digits of the exponent
+    assert parse("z1^" + "0" * 5000 + "2", 1) == parse("z1^2", 1)
+    assert parse("z1^" + "0" * 5000, 1) == parse("1", 1)

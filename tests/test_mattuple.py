@@ -10,9 +10,8 @@ from ncball.mattuple import (
     MatrixTuple,
     ampliation,
     direct_sum,
+    _seq_matmul,
     point_from_dict,
-    seq_matmul,
-    seq_solve,
     seq_solve_batch,
     similarity,
     sup_norm,
@@ -107,15 +106,16 @@ def test_seq_matmul_matches_numpy():
         m, k, n = rng.integers(1, 7, size=3)
         a = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
         b = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-        np.testing.assert_allclose(seq_matmul(a, b), a @ b, atol=1e-13)
+        np.testing.assert_allclose(_seq_matmul(a, b), a @ b, atol=1e-13)
 
 
-def test_seq_matmul_shape_error():
-    with pytest.raises(ValueError, match="cannot multiply"):
-        seq_matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+def solve_one(a, b):
+    x, singular = seq_solve_batch(a[None], b[None])
+    assert not singular[0]
+    return x[0]
 
 
-def test_seq_matmul_block_diagonal_is_exact():
+def test_kernels_respect_direct_sums_exactly():
     rng = np.random.default_rng(4)
     a1, a2 = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
     b1, b2 = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
@@ -123,10 +123,11 @@ def test_seq_matmul_block_diagonal_is_exact():
     big_b = np.zeros((6, 6), dtype=complex)
     big_a[:3, :3], big_a[3:, 3:] = a1, a2
     big_b[:3, :3], big_b[3:, 3:] = b1, b2
-    got = seq_matmul(big_a, big_b)
-    assert np.array_equal(got[:3, :3], seq_matmul(a1, b1))
-    assert np.array_equal(got[3:, 3:], seq_matmul(a2, b2))
-    assert not got[:3, 3:].any() and not got[3:, :3].any()
+    for kernel in (_seq_matmul, solve_one):
+        got = kernel(big_a, big_b)
+        assert np.array_equal(got[:3, :3], kernel(a1, b1))
+        assert np.array_equal(got[3:, 3:], kernel(a2, b2))
+        assert not got[:3, 3:].any() and not got[3:, :3].any()
 
 
 def test_seq_solve_matches_numpy():
@@ -135,18 +136,10 @@ def test_seq_solve_matches_numpy():
         n = int(rng.integers(1, 9))
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        np.testing.assert_allclose(seq_solve(a, b), np.linalg.solve(a, b), atol=1e-11)
+        np.testing.assert_allclose(solve_one(a, b), np.linalg.solve(a, b), atol=1e-11)
 
 
-def test_seq_solve_accepts_vectors_and_rejects_singular():
-    a = np.array([[2.0, 0.0], [0.0, 4.0]])
-    x = seq_solve(a, np.array([2.0, 8.0]))
-    assert x.shape == (2,)
-    np.testing.assert_allclose(x, [1.0, 2.0])
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        seq_solve(np.zeros((2, 2)), np.ones(2))
-    with pytest.raises(ValueError, match="cannot solve"):
-        seq_solve(np.zeros((2, 3)), np.ones(2))
+def test_seq_solve_batch_rejects_bad_shapes():
     for a, b in ((np.eye(2), np.ones((2, 1))), (np.ones((1, 2, 3)), np.ones((1, 2, 1))), (np.eye(2)[None], np.ones((1, 3)))):
         with pytest.raises(ValueError, match=re.escape(f"cannot solve stacks of shapes {a.shape} and {b.shape}")):
             seq_solve_batch(a, b)

@@ -28,7 +28,7 @@ from ncball.freealg import (
     walk_levels,
     words_of_size,
 )
-from ncball.mattuple import MatrixTuple, direct_sum, seq_matmul, seq_solve, similarity
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch, similarity
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, corner_path, sample_in_ball
@@ -103,7 +103,7 @@ def symbolic_series(f: Realization, max_len: int) -> FreePolynomial:
     for idx in np.ndindex(*lam.shape):
         lam[idx] = FreePolynomial.zero(d)
     for j in range(1, d + 1):
-        letter = f.letter_matrix(j)
+        letter = f._letter_pencil.coefficients[j - 1]
         gen = FreePolynomial.generator(d, j)
         for idx in np.ndindex(*lam.shape):
             lam[idx] = lam[idx] + letter[idx] * gen
@@ -195,7 +195,7 @@ def test_realization_is_immutable():
         both = g.eval(direct_sum(x, y))
         assert both[:n, :n].tobytes() == fx.tobytes() and both[n:, n:].tobytes() == fy.tobytes()
         assert not both[:n, n:].any() and not both[n:, :n].any()
-    assert all(not a.flags.writeable for a in (g.B, g.C, g.D, *g._letters, g._bd))
+    assert all(not a.flags.writeable for a in (g.B, g.C, g.D, g._letter_pencil.coefficients, g._bd))
 
 
 def test_builtin_registry():
@@ -582,13 +582,13 @@ def ref_lam(f, x):
 
 def ref_resolvent(f, x):
     n = x.n
-    t = np.eye(f.m * f.pencil.q * n, dtype=complex) - seq_matmul(np.kron(f.D, np.eye(n)), ref_lam(f, x))
-    return seq_solve(t, np.kron(f.C.reshape(-1, 1), np.eye(n)))
+    t = np.eye(f.m * f.pencil.q * n, dtype=complex) - _seq_matmul(np.kron(f.D, np.eye(n)), ref_lam(f, x))
+    return seq_solve_batch(t[None], np.kron(f.C.reshape(-1, 1), np.eye(n))[None])[0][0]
 
 
 def ref_eval(f, x):
-    head = seq_matmul(np.kron(f.B.reshape(1, -1), np.eye(x.n)), ref_lam(f, x))
-    return f.A * np.eye(x.n, dtype=complex) + seq_matmul(head, ref_resolvent(f, x))
+    head = _seq_matmul(np.kron(f.B.reshape(1, -1), np.eye(x.n)), ref_lam(f, x))
+    return f.A * np.eye(x.n, dtype=complex) + _seq_matmul(head, ref_resolvent(f, x))
 
 
 def ref_homogeneous_value(f, x, k):
@@ -596,11 +596,11 @@ def ref_homogeneous_value(f, x, k):
     if k == 0:
         return f.A * np.eye(x.n, dtype=complex)
     lam = ref_lam(f, x)
-    cur = seq_matmul(np.kron(f.B.reshape(1, -1), eye), lam)
-    hop = seq_matmul(np.kron(f.D, eye), lam)
+    cur = _seq_matmul(np.kron(f.B.reshape(1, -1), eye), lam)
+    hop = _seq_matmul(np.kron(f.D, eye), lam)
     for _ in range(k - 1):
-        cur = seq_matmul(cur, hop)
-    return seq_matmul(cur, np.kron(f.C.reshape(-1, 1), eye))
+        cur = _seq_matmul(cur, hop)
+    return _seq_matmul(cur, np.kron(f.C.reshape(-1, 1), eye))
 
 
 def ref_remainder_values(f, x, words):
@@ -613,7 +613,7 @@ def ref_remainder_values(f, x, words):
         row = f.B.reshape(1, -1) @ letter(w.letters[0])
         for j in w.letters[1:]:
             row = row @ f.D @ letter(j)
-        out[w] = seq_matmul(np.kron(row, np.eye(x.n)), res)
+        out[w] = _seq_matmul(np.kron(row, np.eye(x.n)), res)
     return out
 
 
@@ -665,11 +665,10 @@ def test_block_evaluation_matches_the_kron_reference_bitwise(d, row, m, n, spars
 def test_cached_letters_are_read_only():
     f = random_realization(np.random.default_rng(14), d=2, m=2)
     for j in (1, 2):
-        letter = f.letter_matrix(j)
+        letter = f._letter_pencil.coefficients[j - 1]
         assert np.array_equal(letter, np.kron(np.eye(2), f.pencil.coefficients[j - 1]))
         with pytest.raises(ValueError):
             letter[0, 0] = 5.0
-    assert f.letter_matrix(1) is f.letter_matrix(1)
 
 
 def test_returned_values_do_not_alias_the_cache():
@@ -706,14 +705,17 @@ def test_level_cache_is_transparent_across_levels():
 def ref_word_value(x, word):
     out = np.eye(x.n, dtype=complex)
     for letter in word.letters:
-        out = seq_matmul(out, x.entries[letter - 1])
+        out = _seq_matmul(out, x.entries[letter - 1])
     return out
 
 
 def ref_prefix_row(f, word):
-    row = f.B.reshape(1, -1) @ f.letter_matrix(word.letters[0])
-    for letter in word.letters[1:]:
-        row = row @ f.D @ f.letter_matrix(letter)
+    def letter(j):
+        return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
+
+    row = f.B.reshape(1, -1) @ letter(word.letters[0])
+    for j in word.letters[1:]:
+        row = row @ f.D @ letter(j)
     return row
 
 
