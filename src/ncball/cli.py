@@ -7,7 +7,9 @@ version, complex values are written as (re, im) pairs, each float as the
 shortest digit string that round-trips, and reruns with equal arguments are
 byte-identical.
 
-Exit codes: 0 success, 2 usage or input error, 1 numerical failure.
+Exit codes: 0 success, 2 usage or input error, 1 numerical failure.  eval,
+coeff and delta compute their value with floating-point overflow raising, so
+a value that overflows is a numerical failure, never Infinity in the JSON.
 """
 
 from __future__ import annotations
@@ -95,7 +97,10 @@ def _load_point(text: str) -> MatrixTuple:
     """A point file, or an inline comma list of complex scalars."""
     if os.path.exists(text):
         return point_from_dict(_load_json(text))
-    return MatrixTuple.scalars([_parse_complex(part) for part in text.split(",")])
+    try:
+        return MatrixTuple.scalars([_parse_complex(part) for part in text.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"{exc}: --point {text!r} is neither an existing file nor inline scalars") from exc
 
 
 def _load_direction(text: str, d: int) -> tuple[complex, ...]:
@@ -139,7 +144,8 @@ def _resolve_function(args, d: int):
 def _cmd_eval(args) -> int:
     x = _load_point(args.point)
     f, _ = _resolve_function(args, d=x.d)
-    value = f.eval(x)
+    with np.errstate(over="raise", invalid="raise"):
+        value = f.eval(x)
     _print_json({"n": x.n, "value": complex_to_json(np.atleast_2d(value))}, args.out)
     return 0
 
@@ -147,7 +153,8 @@ def _cmd_eval(args) -> int:
 def _cmd_coeff(args) -> int:
     f = _resolve_realization(args.realization)
     word = Word.from_string(args.word, f.d)
-    value = f.power_series_coefficient(word)
+    with np.errstate(over="raise", invalid="raise"):
+        value = f.power_series_coefficient(word)
     _print_json({"word": word.to_string(), "re": value.real, "im": value.imag})
     return 0
 
@@ -159,7 +166,8 @@ def _cmd_delta(args) -> int:
     f, _ = _resolve_function(args, d=x.d)
     point = tuple(complex(v) for v in x.entries[:, 0, 0])
     h = _load_direction(args.direction, x.d)
-    value = delta_first(f, point, h)
+    with np.errstate(over="raise", invalid="raise"):
+        value = delta_first(f, point, h)
     _print_json({"re": value.real, "im": value.imag, "modulus": abs(value)})
     return 0
 

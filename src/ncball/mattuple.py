@@ -1,7 +1,7 @@
 """Tuples of square complex matrices, the points nc functions are evaluated at.
 
 A level-n point of the d-variable matrix universe is a d-tuple of n x n
-complex matrices.  The sup norm, direct sums, similarities and ampliations
+complex matrices.  The sup norm, direct sums and similarities
 implemented here are the structural operations that graded nc functions are
 required to respect.
 """
@@ -182,16 +182,6 @@ def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
     out[:, : x.n, : x.n] = x.entries
     out[:, x.n :, x.n :] = y.entries
     return MatrixTuple(out)
-
-
-def ampliation(x: MatrixTuple, m: int) -> MatrixTuple:
-    """m-fold direct sum of x with itself."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    out = x
-    for _ in range(m - 1):
-        out = direct_sum(out, x)
-    return out
 
 
 def similarity(s: np.ndarray, x: MatrixTuple) -> MatrixTuple:

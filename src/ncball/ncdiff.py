@@ -55,15 +55,6 @@ def pair_derivative(f, a, b, h) -> complex:
     return complex(f.eval(pair_point(a, b, h))[0, 1])
 
 
-def d1_difference_quotient(f, x: complex, y: complex) -> complex:
-    """(f(x) - f(y))/(x - y) for one-variable f, exact at every separation.
-
-    The quotient is the (1,2) entry of f([[x, 1], [0, y]]), which equals it
-    identically, with no cancellation as y -> x, and is the derivative at y = x.
-    """
-    return pair_derivative(f, (x,), (y,), (1.0,))
-
-
 def gleason_split(f, x) -> tuple[complex, complex]:
     """Coefficients (g1, g2) with f(x) = f(0,0) + g1 x1 + g2 x2 on the bidisk.
 

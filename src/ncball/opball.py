@@ -28,7 +28,6 @@ from .mattuple import (
 
 INDEPENDENCE_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
-UNIT_VECTOR_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 
 
@@ -154,17 +153,6 @@ class BallMembership:
 
 def membership(ball: OperatorBall, x: MatrixTuple, tol: float = MEMBERSHIP_TOL) -> BallMembership:
     return BallMembership.from_norm(ball.norm_at(x), tol)
-
-
-def state_compression(x: MatrixTuple, v: np.ndarray) -> tuple[complex, ...]:
-    """The scalar point (<x_j v, v>)_j for a unit vector v."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != x.n:
-        raise ValueError(f"vector must have length {x.n}, got {v.shape[0]}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_VECTOR_TOL:
-        raise ValueError(f"v must be a unit vector (||v|| = {norm:.17g})")
-    return tuple(complex(np.vdot(v, x.entries[j] @ v)) for j in range(x.d))
 
 
 def _isometry_defect(v: np.ndarray) -> float:

@@ -215,9 +215,6 @@ class Realization(NCFunction):
             raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
         return complex((self._prefix_row(word) @ self.C)[0]) if len(word) else self.A
 
-    def remainder_factor(self, word: Word) -> "RemainderFactor":
-        return RemainderFactor(self, word)
-
     def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
         """f_0(x), f_1(x), ...: one power iteration, one product per term.
 
@@ -283,11 +280,19 @@ class Realization(NCFunction):
 
 
 @dataclass(frozen=True)
-class _RemainderRows(NCFunction):
-    """The column of g_w(X) = (row_w x I_n) R(X) over prefix rows ``rows`` (K, m q), fixed when built."""
+class RemainderColumn(NCFunction):
+    """col(g_w(X)) over all words of one size, g_w(X) = (row_w x I_n) R(X), sharing a single resolvent solve."""
 
     base: Realization
+    size: int
+    # the prefix rows (K, m q) of all words of the size, length-lex, walked once when built
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
+        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
+        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
 
     @property
     def d(self) -> int:
@@ -300,34 +305,6 @@ class _RemainderRows(NCFunction):
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         _, res, errors = self.base._resolvent(xs, pencil_norms)
         return self.base.remainder_of_row(self.rows, res), errors
-
-
-@dataclass(frozen=True)
-class RemainderFactor(_RemainderRows):
-    """The right factor g_w in  f = sum_{|v|<N} c_v Z^v + sum_{|w|=N} Z^w g_w."""
-
-    word: Word
-
-    def __post_init__(self):
-        if self.word.d != self.d:
-            raise ValueError(f"word over alphabet 1..{self.word.d} for a realization with d={self.d}")
-        if len(self.word) == 0:
-            raise ValueError("remainder factors are indexed by nonempty words")
-        object.__setattr__(self, "rows", self.base._prefix_row(self.word))
-
-
-@dataclass(frozen=True)
-class RemainderColumn(_RemainderRows):
-    """col(g_w(X)) over all words of one size, sharing a single resolvent solve."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
-        # the prefix rows of all words of the size, length-lex, walked once
-        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
-        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
 
 
 def bidisk_witness() -> Realization:

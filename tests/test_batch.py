@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncball import realize
-from ncball.freealg import QuotientColumn, Word, parse
+from ncball.freealg import QuotientColumn, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
@@ -29,7 +29,6 @@ from ncball.realize import (
     IllConditionedError,
     Realization,
     RemainderColumn,
-    RemainderFactor,
     _kron_eye_matmul,
     bidisk_witness,
 )
@@ -54,7 +53,7 @@ def points_inside(rng, ball, count, n, radius=0.9):
     return xs * (radius / ball.norms_at(xs)).astype(complex)[:, None, None, None]
 
 
-TARGETS = ["ex52", "contraction", "poly", "factor", "row", "column", "quotients"]
+TARGETS = ["ex52", "contraction", "poly", "row", "column", "quotients"]
 
 
 def target(name, rng):
@@ -65,8 +64,6 @@ def target(name, rng):
         return random_contraction(rng), row_ball(2), (1, 1)
     if name == "poly":
         return parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2), (1, 1)
-    if name == "factor":
-        return RemainderFactor(random_contraction(rng), Word((2, 1), 2)), row_ball(2), (1, 1)
     if name == "row":
         return MonomialRow(2, 2), polydisk(2), (1, 4)
     if name == "column":
@@ -266,7 +263,6 @@ def test_pencil_eval_batch_is_bitwise_per_slice(count, p, q, n, seed):
 @example(name="ex52", count=3, n=1, seed=0)
 @example(name="contraction", count=3, n=1, seed=0)
 @example(name="poly", count=3, n=1, seed=0)
-@example(name="factor", count=3, n=1, seed=0)
 @example(name="row", count=3, n=1, seed=0)
 @example(name="column", count=3, n=1, seed=0)
 @example(name="quotients", count=3, n=1, seed=0)
@@ -302,7 +298,7 @@ def test_a_tripped_guard_masks_only_its_own_sample():
     # for f and for the remainder factors that share its resolvent
     f = Realization(Pencil(np.ones((1, 1, 1))), 1, 0, [1], [1], [[1]])
     xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
-    for g in (f, RemainderFactor(f, Word((1,), 1)), RemainderColumn(f, 2)):
+    for g in (f, RemainderColumn(f, 1), RemainderColumn(f, 2)):
         values, failed = g.eval_batch(xs)
         assert failed.tolist() == [False, True, False]
         assert np.isnan(values[1]).all()
@@ -353,11 +349,11 @@ def resolvent_case(base, kind):
     else:
         f = x_over_one_minus_x()
         ball, xs = OperatorBall(f.pencil), np.array([0.5, 1.0, 0.25, 1.0 - 1e-10], dtype=complex).reshape(4, 1, 1, 1)
-    g = {"f": f, "factor": RemainderFactor(f, Word((1,) * f.d, f.d)), "column": RemainderColumn(f, 2)}[kind]
+    g = {"f": f, "column": RemainderColumn(f, 2)}[kind]
     return g, f, ball, xs
 
 
-@pytest.mark.parametrize("kind", ["f", "factor", "column"])
+@pytest.mark.parametrize("kind", ["f", "column"])
 @pytest.mark.parametrize("base", ["ex52", "contraction", "x/(1-x)"])
 def test_pencil_norms_keep_every_value_and_failure(base, kind, cond_calls):
     g, f, ball, xs = resolvent_case(base, kind)

@@ -603,11 +603,22 @@ def test_a_ball_whose_d_is_not_the_targets_is_bad_input(capsys):
     assert err == "error: path point at eps=0.1 has d=2, but the ball has d=3\n"
 
 
-def test_numerical_failures_exit_1(capsys):
+def test_numerical_failures_exit_1(capsys, tmp_path):
     code = main(["eval", "--realization", "ex52", "--point", "1,1"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("numerical failure:")
+
+    # a value that overflows is a numerical failure, not Infinity in the JSON; in this realization every c_w overflows
+    f = bidisk_witness()
+    big = Realization(f.pencil, f.m, f.A, [1e200, 1e200], [1e200, 1e200], f.D, mode="contraction")
+    for argv in (
+        ["eval", "--poly", "1e300*z1*z1", "--point", "1e10"],
+        ["delta", "--poly", "1e300*z1*z1", "--point", "1e10", "--direction", "e1"],
+        ["coeff", "--realization", write_json(tmp_path / "big.json", realization_to_dict(big)), "--word", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("numerical failure:") and err.count("\n") == 1, argv
 
     code = main(["tt-check", "--realization", "ex52", "--point", "0.1,0.1", "-N", "40"])
     captured = capsys.readouterr()
@@ -638,6 +649,14 @@ def test_numerical_failures_exit_1(capsys):
         assert err == f"numerical failure: an exponent of {digits} digits exceeds the budget 1000000\n"
     code, out, err = run(capsys, "eval", "--poly", "z1^" + "0" * 5000 + "2", "--point", "0.5")
     assert (code, err) == (0, "") and json.loads(out)["value"] == [[[0.25, 0.0]]]
+
+
+def test_a_point_naming_a_missing_file_exits_2_naming_it(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "eval", "--realization", "ex52", "--point", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--point {missing!r} is neither an existing file nor inline scalars" in err
 
 
 def test_an_allocation_failure_exits_1_with_one_line(capsys):

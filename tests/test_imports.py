@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used by its module, and every
+"""Every module-level import in the package is used by its module, every
 private module-level function or class and every UPPER_CASE constant is read
-by some module of the package.  Only the modules of the two function kinds,
+by some module of the package, and ncball.__all__ lists exactly the names that
+the package's __init__ imports.  Only the modules of the two function kinds,
 freealg and realize, test an object against FreePolynomial or Realization,
 and only opball names a ball kind of the shorthand.
 The modules import one another in one acyclic order, only at module level,
@@ -12,6 +13,7 @@ import re
 import sys
 from pathlib import Path
 
+import ncball
 from ncball.opball import BALL_KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncball"
@@ -215,3 +217,10 @@ def test_scan_finds_an_outside_import():
 def test_the_package_needs_only_numpy_beyond_the_standard_library():
     found = {path.name: outside_imports(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert not {name: names for name, names in found.items() if names}
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(ncball.__all__) == sorted(imported) == sorted(set(imported))
+    assert [name for name in ncball.__all__ if not hasattr(ncball, name)] == []

@@ -8,7 +8,6 @@ import pytest
 from ncball.freealg import BudgetExceededError, Word, eval_word, is_nilpotent, parse
 from ncball.mattuple import (
     MatrixTuple,
-    ampliation,
     direct_sum,
     _seq_matmul,
     point_from_dict,
@@ -238,14 +237,12 @@ def test_polynomials_respect_direct_sums_exactly():
         assert np.array_equal(lhs, assembled)
 
 
-def test_ampliation_preserves_sup_norm():
+def test_direct_sum_of_copies_preserves_sup_norm():
     rng = np.random.default_rng(14)
     x = random_tuple(rng, 3, 3)
-    amp = ampliation(x, 4)
-    assert amp.n == 12
-    assert abs(sup_norm(amp) - sup_norm(x)) < 1e-12
-    with pytest.raises(ValueError, match="m must be >= 1"):
-        ampliation(x, 0)
+    copies = direct_sum(direct_sum(x, x), direct_sum(x, x))
+    assert copies.n == 12
+    assert abs(sup_norm(copies) - sup_norm(x)) < 1e-12
 
 
 def test_similarity_conjugates():

@@ -21,10 +21,9 @@ from ncball.freealg import (
     parse,
     words_of_size,
 )
-from ncball.mattuple import MatrixTuple
+from ncball.mattuple import MatrixTuple, _seq_matmul, seq_solve_batch
 from ncball.ncdiff import (
     TTReport,
-    d1_difference_quotient,
     delta_first,
     gleason_split,
     pair_derivative,
@@ -34,7 +33,7 @@ from ncball.ncdiff import (
 )
 from ncball.opball import OperatorBall, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
-from ncball.realize import Realization, RemainderFactor, bidisk_witness, bidisk_witness_closed_form
+from ncball.realize import Realization, RemainderColumn, bidisk_witness, bidisk_witness_closed_form
 
 
 def mobius_one_variable():
@@ -157,15 +156,6 @@ def test_telescoping_identity_is_exact_for_integer_polynomials(p, a, b):
 # one-variable difference quotients
 
 
-def test_quotient_for_a_square():
-    p = parse("z1^2", 1)
-    assert abs(d1_difference_quotient(p, 0.7, 0.2) - 0.9) < 1e-14
-    # at coalesced points the block form is the derivative 2x
-    assert d1_difference_quotient(p, 0.4, 0.4) == 0.8
-    near = 0.4 + 1e-13
-    assert abs(d1_difference_quotient(p, 0.4, near) - (0.4 + near)) < 1e-13
-
-
 def exact_quotient(coeffs, x, y) -> complex:
     """sum_k c_k (x^k - y^k)/(x - y) for p = sum_k c_k z^k (k >= 1), in rationals."""
 
@@ -187,6 +177,25 @@ def exact_quotient(coeffs, x, y) -> complex:
     return complex(float(total[0]), float(total[1]))
 
 
+def one_variable(coeffs) -> FreePolynomial:
+    """p = sum_k c_k z^k, k = 1, 2, ..."""
+    return FreePolynomial(1, {Word((1,) * k, 1): c for k, c in enumerate(coeffs, 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=5),
+    st.complex_numbers(max_magnitude=0.99),
+    st.complex_numbers(max_magnitude=0.99),
+    st.booleans(),
+)
+def test_quotient_matches_the_symmetric_sum(coeffs, x, y, coalesced):
+    # Dp(x, y)[1] = sum_k c_k sum_{i+j=k-1} x^i y^j, the derivative p'(x) where y = x;
+    # each value is at most sum_k k |c_k| <= 15 in size: 1e-13 allows some 30 roundings at that size
+    y = x if coalesced else y
+    assert abs(pair_derivative(one_variable(coeffs), (x,), (y,), (1.0,)) - exact_quotient(coeffs, x, y)) <= 1e-13
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=5),
@@ -196,11 +205,11 @@ def exact_quotient(coeffs, x, y) -> complex:
 )
 def test_quotient_is_exact_at_every_separation(coeffs, x, log_separation, angle):
     y = x + 10.0**log_separation * cmath.exp(1j * angle)
-    p = FreePolynomial(1, {Word((1,) * k, 1): c for k, c in enumerate(coeffs, 1)})
+    p = one_variable(coeffs)
     want = exact_quotient(coeffs, x, y)
-    assert abs(d1_difference_quotient(p, x, y) - want) <= 1e-14
+    assert abs(pair_derivative(p, (x,), (y,), (1.0,)) - want) <= 1e-14
     # the quotient is symmetric in its two points
-    assert abs(d1_difference_quotient(p, y, x) - want) <= 1e-14
+    assert abs(pair_derivative(p, (y,), (x,), (1.0,)) - want) <= 1e-14
 
 
 def test_quotient_for_a_mobius_map():
@@ -208,9 +217,9 @@ def test_quotient_for_a_mobius_map():
     x, y = 0.5, -0.3
     fx = x / (1 - x / 2)
     fy = y / (1 - y / 2)
-    assert abs(d1_difference_quotient(f, x, y) - (fx - fy) / (x - y)) < 1e-12
+    assert abs(pair_derivative(f, (x,), (y,), (1.0,)) - (fx - fy) / (x - y)) < 1e-12
     # derivative 1/(1 - x/2)^2 at the coalescence
-    assert abs(d1_difference_quotient(f, x, x) - 1.0 / (1 - x / 2) ** 2) < 1e-12
+    assert abs(pair_derivative(f, (x,), (x,), (1.0,)) - 1.0 / (1 - x / 2) ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +312,43 @@ def ref_poly_value(p, xs):
     return out
 
 
+# kron-based references for a realization: every identity Kronecker product is
+# formed explicitly (test_realize checks the library against them bit for bit)
+
+
+def ref_pencil_eval(pencil, x):
+    out = np.zeros((pencil.p * x.n, pencil.q * x.n), dtype=complex)
+    for j in range(pencil.d):
+        out += np.kron(pencil.coefficients[j], x.entries[j])
+    return out
+
+
+def ref_lam(f, x):
+    return np.kron(np.eye(f.m), ref_pencil_eval(f.pencil, x))
+
+
+def ref_resolvent(f, x):
+    n = x.n
+    t = np.eye(f.m * f.pencil.q * n, dtype=complex) - _seq_matmul(np.kron(f.D, np.eye(n)), ref_lam(f, x))
+    return seq_solve_batch(t[None], np.kron(f.C.reshape(-1, 1), np.eye(n))[None])[0][0]
+
+
+def ref_prefix_row(f, word):
+    def letter(j):
+        return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
+
+    row = f.B.reshape(1, -1) @ letter(word.letters[0])
+    for j in word.letters[1:]:
+        row = row @ f.D @ letter(j)
+    return row
+
+
+def ref_remainder_values(f, x, words):
+    """g_w(X) = (row_w x I_n) R(X) for each word, with every identity Kronecker product formed."""
+    res = ref_resolvent(f, x)
+    return {w: _seq_matmul(np.kron(ref_prefix_row(f, w), np.eye(x.n)), res) for w in words}
+
+
 def ref_tt_rhs(f, x, order):
     """The right side of the truncation identity, word by word."""
     rhs = np.zeros((x.n, x.n), dtype=complex)
@@ -316,8 +362,8 @@ def ref_tt_rhs(f, x, order):
         return rhs
     for k in range(order):
         rhs += f.homogeneous_value(x, k)
-    for word in words_of_size(x.d, order):
-        rhs += ref_word_fold(x.entries, word.letters) @ RemainderFactor(f, word).eval(x)
+    for word, g_w in ref_remainder_values(f, x, words_of_size(x.d, order)).items():
+        rhs += ref_word_fold(x.entries, word.letters) @ g_w
     return rhs
 
 
@@ -448,7 +494,7 @@ def test_tt_check_validation():
     with pytest.raises(BudgetExceededError, match="exceed the budget"):
         tt_check(f, x, 40)
     with pytest.raises(TypeError, match="polynomials and realizations"):
-        tt_check(f.remainder_factor(Word((1,), 2)), x, 1)
+        tt_check(RemainderColumn(f, 1), x, 1)
     # an object that is no nc function gets the same TypeError, before the order is read
     for bad in ("f", None):
         with pytest.raises(TypeError, match=f"polynomials and realizations, got {type(bad).__name__}$"):

@@ -22,7 +22,6 @@ from ncball.opball import (
     pencil_to_dict,
     polydisk,
     row_ball,
-    state_compression,
     ucp_compression,
 )
 from ncball.probe import sample_in_ball
@@ -166,25 +165,6 @@ def test_membership_is_a_level_free_notion():
 # compressions
 
 
-def test_state_compression_matches_manual_form():
-    rng = np.random.default_rng(3)
-    x = random_tuple(rng, 2, 4)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    got = state_compression(x, v)
-    for j in range(2):
-        want = np.conj(v) @ (x.entries[j] @ v)
-        assert abs(got[j] - want) < 1e-12
-
-
-def test_state_compression_requires_unit_vector():
-    x = MatrixTuple.zeros(2, 3)
-    with pytest.raises(ValueError, match="unit vector"):
-        state_compression(x, np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError, match="length 3"):
-        state_compression(x, np.array([1.0, 0.0]))
-
-
 def test_ucp_compression_shrinks_the_pencil_norm():
     rng = np.random.default_rng(4)
     ball = row_ball(2)
@@ -206,15 +186,16 @@ def test_ucp_compression_rejects_non_isometry():
         ucp_compression(x, np.eye(2))
 
 
-def test_state_compression_is_the_rank_one_ucp_case():
+def test_rank_one_ucp_compression_is_the_vector_state():
+    # with an n x 1 isometry v the compression is the scalar point (<x_j v, v>)_j
     rng = np.random.default_rng(5)
     x = random_tuple(rng, 3, 4)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    scalars = state_compression(x, v)
     column = ucp_compression(x, v.reshape(-1, 1))
+    assert column.n == 1
     for j in range(3):
-        assert abs(scalars[j] - column.entries[j][0, 0]) < 1e-12
+        assert abs(column.entries[j][0, 0] - np.vdot(v, x.entries[j] @ v)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

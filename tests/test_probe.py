@@ -31,7 +31,8 @@ from ncball.probe import (
     regularity_factors,
     sample_in_ball,
 )
-from ncball.realize import Realization, RemainderColumn, RemainderFactor, bidisk_witness
+from ncball.realize import Realization, RemainderColumn, bidisk_witness
+from test_ncdiff import ref_remainder_values
 
 BALL = polydisk(2)
 
@@ -325,7 +326,7 @@ def test_row_and_column_targets_stack_words_in_length_lex_order():
     for size in (1, 3):
         words = list(words_of_size(2, size))
         row = np.hstack([eval_word(x, w) for w in words])
-        col = np.vstack([RemainderFactor(f, w).eval(x) for w in words])
+        col = np.vstack(list(ref_remainder_values(f, x, words).values()))
         assert MonomialRow(2, size).eval(x).tobytes() == row.tobytes()
         assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
 

@@ -28,7 +28,7 @@ from ncball.freealg import (
     walk_levels,
     words_of_size,
 )
-from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch, similarity
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, similarity
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, corner_path, sample_in_ball
@@ -37,14 +37,21 @@ from ncball.realize import (
     IllConditionedError,
     Realization,
     RemainderColumn,
-    RemainderFactor,
     bidisk_witness,
     bidisk_witness_closed_form,
     realization_from_dict,
     realization_to_dict,
     taylor_polynomial,
 )
-from test_ncdiff import ref_poly_value, ref_tt_rhs
+from test_ncdiff import (
+    ref_lam,
+    ref_pencil_eval,
+    ref_poly_value,
+    ref_prefix_row,
+    ref_remainder_values,
+    ref_resolvent,
+    ref_tt_rhs,
+)
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -136,10 +143,9 @@ def test_shape_validation():
         Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="mode must be"):
         Realization(pencil, 1, 0.0, [1, 1], [1, 1], np.zeros((2, 2)), mode="unitary")
-    f, x, word = bidisk_witness(), MatrixTuple.scalars((0.1, 0.2)), Word((1,), 3)
-    for call in (lambda: f.power_series_coefficient(word), lambda: RemainderFactor(f, word)):
-        with pytest.raises(ValueError, match=r"word over alphabet 1\.\.3 for a realization with d=2"):
-            call()
+    f, x = bidisk_witness(), MatrixTuple.scalars((0.1, 0.2))
+    with pytest.raises(ValueError, match=r"word over alphabet 1\.\.3 for a realization with d=2"):
+        f.power_series_coefficient(Word((1,), 3))
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         f.homogeneous_value(x, -1)
     with pytest.raises(ValueError, match="n_terms must be >= 1, got 0"):
@@ -285,7 +291,8 @@ def test_witness_remainder_factors_scalar_formulas():
     for _ in range(25):
         x1, x2 = (complex(*pair) for pair in rng.uniform(-0.7, 0.7, (2, 2)))
         x = MatrixTuple.scalars((x1, x2))
-        values = {w: RemainderFactor(f, w).eval(x) for w in (w1, w2)}
+        values = ref_remainder_values(f, x, (w1, w2))
+        assert bitwise_equal(RemainderColumn(f, 1).eval(x), np.vstack([values[w1], values[w2]]))
         denom = x1 + x2 - 2.0
         assert abs(values[w1][0, 0] - (x2 - 1.0) / denom) < 1e-12
         assert abs(values[w2][0, 0] - (x1 - 1.0) / denom) < 1e-12
@@ -294,17 +301,14 @@ def test_witness_remainder_factors_scalar_formulas():
         assert abs(total - f.eval(x)[0, 0]) < 1e-12
 
 
-def test_remainder_factor_objects_agree_with_batch_values():
+def test_remainder_column_batch_values_agree_with_eval():
     f = bidisk_witness()
-    w = Word((1, 2), 2)
-    g = f.remainder_factor(w)
+    g = RemainderColumn(f, 2)
     rng = np.random.default_rng(3)
     x = sample_in_ball(polydisk(2), 2, 0.4, rng)
-    assert bitwise_equal(g.eval(x), RemainderFactor(f, w).eval(x))
+    assert bitwise_equal(g.eval(x), np.vstack(list(ref_remainder_values(f, x, words_of_size(2, 2)).values())))
     values, failed = g.eval_batch(x.entries[None])
     assert bitwise_equal(values[0], g.eval(x)) and not failed.any()
-    with pytest.raises(ValueError, match="nonempty"):
-        f.remainder_factor(Word((), 2))
 
 
 def test_ill_conditioned_resolvent_raises():
@@ -569,23 +573,6 @@ def bitwise_equal(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def ref_pencil_eval(pencil, x):
-    out = np.zeros((pencil.p * x.n, pencil.q * x.n), dtype=complex)
-    for j in range(pencil.d):
-        out += np.kron(pencil.coefficients[j], x.entries[j])
-    return out
-
-
-def ref_lam(f, x):
-    return np.kron(np.eye(f.m), ref_pencil_eval(f.pencil, x))
-
-
-def ref_resolvent(f, x):
-    n = x.n
-    t = np.eye(f.m * f.pencil.q * n, dtype=complex) - _seq_matmul(np.kron(f.D, np.eye(n)), ref_lam(f, x))
-    return seq_solve_batch(t[None], np.kron(f.C.reshape(-1, 1), np.eye(n))[None])[0][0]
-
-
 def ref_eval(f, x):
     head = _seq_matmul(np.kron(f.B.reshape(1, -1), np.eye(x.n)), ref_lam(f, x))
     return f.A * np.eye(x.n, dtype=complex) + _seq_matmul(head, ref_resolvent(f, x))
@@ -601,20 +588,6 @@ def ref_homogeneous_value(f, x, k):
     for _ in range(k - 1):
         cur = _seq_matmul(cur, hop)
     return _seq_matmul(cur, np.kron(f.C.reshape(-1, 1), eye))
-
-
-def ref_remainder_values(f, x, words):
-    def letter(j):
-        return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
-
-    res = ref_resolvent(f, x)
-    out = {}
-    for w in words:
-        row = f.B.reshape(1, -1) @ letter(w.letters[0])
-        for j in w.letters[1:]:
-            row = row @ f.D @ letter(j)
-        out[w] = _seq_matmul(np.kron(row, np.eye(x.n)), res)
-    return out
 
 
 def with_zeros(rng, values):
@@ -651,11 +624,9 @@ def test_block_evaluation_matches_the_kron_reference_bitwise(d, row, m, n, spars
     assert bitwise_equal(f.eval(x), ref_eval(f, x))
     for k in range(4):
         assert bitwise_equal(f.homogeneous_value(x, k), ref_homogeneous_value(f, x, k))
-    words = [w for k in (1, 2) for w in words_of_size(d, k)]
-    want = ref_remainder_values(f, x, words)
-    for w in words:
-        assert bitwise_equal(RemainderFactor(f, w).eval(x), want[w])
-    assert bitwise_equal(f.remainder_factor(words[-1]).eval(x), want[words[-1]])
+    for size in (1, 2):
+        want = ref_remainder_values(f, x, words_of_size(d, size))
+        assert bitwise_equal(RemainderColumn(f, size).eval(x), np.vstack(list(want.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +666,7 @@ def test_level_cache_is_transparent_across_levels():
         assert bitwise_equal(f.eval(x), fresh.eval(x))
         assert bitwise_equal(f.homogeneous_value(x, 3), fresh.homogeneous_value(x, 3))
         assert bitwise_equal(f.cesaro_value(x, 5), fresh.cesaro_value(x, 5))
-        assert all(bitwise_equal(RemainderFactor(f, w).eval(x), RemainderFactor(fresh, w).eval(x)) for w in words)
+        assert bitwise_equal(RemainderColumn(f, 2).eval(x), np.vstack(list(ref_remainder_values(fresh, x, words).values())))
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +678,6 @@ def ref_word_value(x, word):
     for letter in word.letters:
         out = _seq_matmul(out, x.entries[letter - 1])
     return out
-
-
-def ref_prefix_row(f, word):
-    def letter(j):
-        return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
-
-    row = f.B.reshape(1, -1) @ letter(word.letters[0])
-    for j in word.letters[1:]:
-        row = row @ f.D @ letter(j)
-    return row
 
 
 def check_level_walk(d, size, n, seed):
@@ -745,7 +706,7 @@ def check_level_walk(d, size, n, seed):
     if size >= 1:
         words = list(words_of_size(d, size))
         assert MonomialRow(d, size).eval(x).tobytes() == np.hstack([eval_word(x, w) for w in words]).tobytes()
-        col = np.vstack([RemainderFactor(f, w).eval(x) for w in words])
+        col = np.vstack(list(ref_remainder_values(f, x, words).values()))
         assert RemainderColumn(f, size).eval(x).tobytes() == col.tobytes()
         terms = {Word(tuple(rng.integers(1, d + 1, k)), d): complex(*rng.normal(size=2)) for k in range(size + 3) for _ in range(3)}
         for g in (f, FreePolynomial(d, terms)):
