@@ -186,7 +186,19 @@ def test_ucp_compression_rejects_non_isometry():
         ucp_compression(x, np.eye(2))
 
 
-def test_rank_one_ucp_compression_is_the_vector_state():
+def test_state_compression_matches_manual_form():
+    # compressing by a unit vector v gives the vector state: the scalars <x_j v, v>
+    rng = np.random.default_rng(3)
+    x = random_tuple(rng, 2, 4)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    got = ucp_compression(x, v.reshape(-1, 1))
+    for j in range(2):
+        want = np.conj(v) @ (x.entries[j] @ v)
+        assert abs(got.entries[j][0, 0] - want) < 1e-12
+
+
+def test_state_compression_is_the_rank_one_ucp_case():
     # with an n x 1 isometry v the compression is the scalar point (<x_j v, v>)_j
     rng = np.random.default_rng(5)
     x = random_tuple(rng, 3, 4)
