@@ -8,8 +8,9 @@ shortest digit string that round-trips, and reruns with equal arguments are
 byte-identical.
 
 Exit codes: 0 success, 2 usage or input error, 1 numerical failure.  eval,
-coeff and delta compute their value with floating-point overflow raising, so
-a value that overflows is a numerical failure, never Infinity in the JSON.
+coeff, delta and variety compute their values with floating-point overflow
+raising, so a value that overflows is a numerical failure, never Infinity or
+NaN in the JSON.
 """
 
 from __future__ import annotations
@@ -254,14 +255,16 @@ def _cmd_dichotomy(args) -> int:
 def _cmd_variety(args) -> int:
     variety = variety_from_dict(_load_json(args.variety))
     x = _load_point(args.point)
-    member = variety_membership(variety, x, args.tol)
-    verdict = membership(variety.ambient, x)
+    with np.errstate(over="raise", invalid="raise"):
+        member = variety_membership(variety, x, args.tol)
+        verdict = membership(variety.ambient, x)
+        defect = generator_defect(variety, x)
     _print_json(
         {
             "member": member,
             "ambient_kind": verdict.kind,
             "ambient_norm": verdict.norm,
-            "generator_defect": generator_defect(variety, x),
+            "generator_defect": defect,
             "tol": args.tol,
         }
     )

@@ -121,12 +121,15 @@ def _seq_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # already checked, accumulated rank-1 term by term in index order.  BLAS
     # regroups its inner sums by operand size, so a product at a direct sum could
     # differ from the blocks' products by an ulp; the fixed order keeps the zero
-    # cross-blocks inert.  An a of lower rank is first broadcast to b's batch axes:
-    # arrays of unequal rank can send numpy's complex multiply down a loop
-    # without fused multiply-add, and the bits would then depend on the batch
+    # cross-blocks inert.  An a of lower rank first gets leading size-1 axes, and
+    # out takes b's batch axes: arrays of unequal rank can send numpy's complex
+    # multiply down a loop without fused multiply-add, and the bits would then
+    # depend on the batch
+    lead = a.shape[:-2]
     if a.ndim < b.ndim:
-        a = np.broadcast_to(a, (*b.shape[:-2], *a.shape[-2:]))
-    out = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=complex)
+        a = a.reshape((1,) * (b.ndim - a.ndim) + a.shape)
+        lead = b.shape[:-2]
+    out = np.zeros((*lead, a.shape[-2], b.shape[-1]), dtype=complex)
     for k in range(a.shape[-1]):
         out += a[..., k : k + 1] * b[..., k : k + 1, :]
     return out
@@ -142,36 +145,42 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     column sweep, so slice i of x is bit for bit the solve of a[i] alone.  A sample
     that meets a zero pivot is marked in the boolean mask ``singular`` and its
     slice of x is meaningless; the other samples are untouched by it.
-    It eliminates on one augmented stack [a | b], its only copy: one row swap
-    and one rank-1 update per pivot, then substitution on views of the stack.
-    Meant for the small systems this library produces, not as a general solver.
+    It eliminates batch-last on one augmented array [a | b] of shape
+    (n, n + r, B), samples on the contiguous axis, so each numpy call of a
+    pivot step runs over every sample at once: one row swap and one rank-1
+    update per pivot, then substitution on views of the array.  Every
+    elementwise operand keeps the rank of the other.  x is returned as a
+    (B, n, r) view.  Meant for the small systems this library produces, not
+    as a general solver.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.ndim != 3 or b.shape[:2] != a.shape[:2]:
         raise ValueError(f"cannot solve stacks of shapes {a.shape} and {b.shape}")
     count, n = a.shape[:2]
-    ab = np.concatenate((a, b), axis=2)
+    ab = np.empty((n, n + b.shape[2], count), dtype=complex)
+    ab[:, :n] = a.transpose(1, 2, 0)
+    ab[:, n:] = b.transpose(1, 2, 0)
     singular = np.zeros(count, dtype=bool)
     for k in range(n):
-        piv = k + np.abs(ab[:, k:, k]).argmax(axis=1)
+        piv = k + np.abs(ab[k:, k]).argmax(axis=0)
         moved = (piv != k).nonzero()[0]
         if len(moved):
-            row = ab[moved, piv[moved]]
-            ab[moved, piv[moved]] = ab[moved, k]
-            ab[moved, k] = row
-        zero = ab[:, k, k] == 0
+            row = ab[piv[moved], :, moved]
+            ab[piv[moved], :, moved] = ab[k, :, moved]
+            ab[k, :, moved] = row
+        zero = ab[k, k] == 0
         if np.count_nonzero(zero):
             # a unit pivot keeps the arithmetic of a singular sample finite
             singular |= zero
-            ab[zero, k, k] = 1.0
-        mult = ab[:, k + 1 :, k : k + 1] / ab[:, k : k + 1, k : k + 1]
-        ab[:, k + 1 :, k + 1 :] -= mult * ab[:, k : k + 1, k + 1 :]
-    a, x = ab[..., :n], ab[..., n:]
+            ab[k, k, zero] = 1.0
+        mult = ab[k + 1 :, k] / ab[k, None, k]
+        ab[k + 1 :, k + 1 :] -= mult[:, None] * ab[k, None, k + 1 :]
+    a, x = ab[:, :n], ab[:, n:]
     for i in range(n - 1, -1, -1):
-        x[:, i : i + 1, :] /= a[:, i : i + 1, i : i + 1]
-        x[:, :i, :] -= a[:, :i, i : i + 1] * x[:, i : i + 1, :]
-    return x, singular
+        x[i] /= a[i, None, i]
+        x[:i] -= a[:i, i, None] * x[i, None]
+    return x.transpose(2, 0, 1), singular
 
 
 def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:

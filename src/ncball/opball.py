@@ -81,7 +81,11 @@ def pencil_eval_batch(pencil: Pencil, xs: np.ndarray) -> np.ndarray:
     the (p q, d) coefficients and the (d, n^2) entries of each point, then one
     transpose.  These are the entries, bits included, of the sum of Krons.
     """
-    xs = point_stack(xs, pencil.d)
+    return _pencil_values(pencil, point_stack(xs, pencil.d))
+
+
+def _pencil_values(pencil: Pencil, xs: np.ndarray) -> np.ndarray:
+    """pencil_eval_batch on a stack that point_stack has already checked."""
     count, d, n, _ = xs.shape
     p, q = pencil.p, pencil.q
     out = _seq_matmul(pencil.coefficients.reshape(d, p * q).T, xs.reshape(count, d, n * n))
@@ -92,7 +96,7 @@ def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:
     """sum_j kron(Q_j, x_j), a (p*n) x (q*n) matrix: the batch of one of pencil_eval_batch."""
     if pencil.d != x.d:
         raise ValueError(f"pencil with d={pencil.d} evaluated at a {x.d}-tuple")
-    return pencil_eval_batch(pencil, x.entries[None])[0]
+    return _pencil_values(pencil, x.entries[None])[0]
 
 
 @dataclass(frozen=True)

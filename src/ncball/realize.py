@@ -36,7 +36,7 @@ from .mattuple import (
     json_size,
     seq_solve_batch,
 )
-from .opball import ISOMETRY_TOL, Pencil, _isometry_defect, pencil_eval_batch, pencil_from_dict, pencil_to_dict, polydisk
+from .opball import ISOMETRY_TOL, Pencil, _isometry_defect, _pencil_values, pencil_from_dict, pencil_to_dict, polydisk
 
 CONTRACTION_TOL = 1e-10
 RESOLVENT_COND_LIMIT = 1e12
@@ -152,7 +152,7 @@ class Realization(NCFunction):
         other sample is.  Without norms no sample is certified.
         """
         n = xs.shape[-1]
-        bd_lam = _kron_eye_matmul(self._bd, pencil_eval_batch(self._letter_pencil, xs), n)
+        bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, xs), n)
         t = np.eye(bd_lam.shape[-1], dtype=complex) - bd_lam[:, n:]
         certified = np.zeros(len(t), dtype=bool)
         if pencil_norms is not None:
@@ -226,7 +226,7 @@ class Realization(NCFunction):
         self._check_d(x)
         n = x.n
         yield self.A * np.eye(n, dtype=complex)
-        bd_lam = _kron_eye_matmul(self._bd, pencil_eval_batch(self._letter_pencil, x.entries[None])[0], n)
+        bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, x.entries[None])[0], n)
         cur, hop, c_col = bd_lam[:n], bd_lam[n:], _kron_eye_col(self.C, n)
         while True:
             yield _seq_matmul(cur, c_col)

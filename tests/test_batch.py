@@ -113,11 +113,19 @@ def reference_seq_solve(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
-@example(count=2, n=1, cols=1, seed=0)
-def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, seed):
+@given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+@example(count=2, n=1, cols=1, strided=False, seed=0)
+# the stacks of a level-8 probe: 64 points of 16 x 16 with 8 columns
+@example(count=64, n=16, cols=8, strided=False, seed=0)
+@example(count=64, n=16, cols=8, strided=True, seed=1)
+def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, strided, seed):
     rng = np.random.default_rng(seed)
     a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
+    if strided:
+        # a strided view of a, and one right-hand side broadcast over the stack, as the resolvent passes it
+        wide = np.zeros((count, n, 2 * n), dtype=complex)
+        wide[..., ::2] = a
+        a, b = wide[..., ::2], np.broadcast_to(b[0], b.shape)
     x, singular = seq_solve_batch(a, b)
     assert not singular.any()
     for i in range(count):
@@ -165,6 +173,7 @@ def two_array_seq_solve_batch(a, b):
 @given(st.integers(1, 19), st.integers(1, 19), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
 @example(count=1, n=1, cols=1, zero_pivots=True, seed=0)
 @example(count=16, n=16, cols=8, zero_pivots=False, seed=0)
+@example(count=64, n=16, cols=8, zero_pivots=True, seed=0)
 def test_augmented_elimination_is_bitwise_the_two_array_one(count, n, cols, zero_pivots, seed):
     rng = np.random.default_rng(seed)
     a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
@@ -559,6 +568,16 @@ def test_sampler_gives_up_after_100_zero_draws(monkeypatch):
     with pytest.raises(RuntimeError, match="rng is broken"):
         sample_in_ball(ball, 2, 0.5, np.random.default_rng(7))
     assert calls == [1] * 100
+
+
+def test_the_sampler_seeds_a_multistart_once(monkeypatch):
+    _check_seeder()  # the once-per-process check seeds on its own
+    seeded = []
+    pcg64_states = probe._pcg64_states
+    monkeypatch.setattr(probe, "_pcg64_states", lambda seeds: seeded.append(len(seeds)) or pcg64_states(seeds))
+    stacks = list(_sample_chunks(polydisk(2), 8, [(seed, MARGINS[seed % 4]) for seed in range(100)]))
+    assert seeded == [100]
+    assert [len(stack) for stack in stacks] == [64, 36]
 
 
 @settings(max_examples=30, deadline=None)

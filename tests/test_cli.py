@@ -612,10 +612,13 @@ def test_numerical_failures_exit_1(capsys, tmp_path):
     # a value that overflows is a numerical failure, not Infinity in the JSON; in this realization every c_w overflows
     f = bidisk_witness()
     big = Realization(f.pencil, f.m, f.A, [1e200, 1e200], [1e200, 1e200], f.D, mode="contraction")
+    parabola = write_json(tmp_path / "parabola.json", {"ball": "polydisk:2", "generators": ["z2 - z1*z1"]})
     for argv in (
         ["eval", "--poly", "1e300*z1*z1", "--point", "1e10"],
         ["delta", "--poly", "1e300*z1*z1", "--point", "1e10", "--direction", "e1"],
         ["coeff", "--realization", write_json(tmp_path / "big.json", realization_to_dict(big)), "--word", "1"],
+        # the generator values overflow: no NaN defect in the JSON
+        ["variety", "--variety", parabola, "--point", "1e200,1e200"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("numerical failure:") and err.count("\n") == 1, argv

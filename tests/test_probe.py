@@ -347,6 +347,32 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
     assert max(nbytes) <= BATCH_BYTES
 
 
+STACK_SIZE_TARGETS = {
+    # the target's own pencil: the certificate settles the resolvent guard
+    "ex52-polydisk": (bidisk_witness, polydisk(2)),
+    # another pencil: every sample takes the exact guard
+    "ex52-row": (bidisk_witness, row_ball(2)),
+    "poly-polydisk": (lambda: parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2)),
+}
+
+
+@pytest.mark.parametrize("level, budget", [(1, 60), (2, 60), (8, 30)])
+@pytest.mark.parametrize("name", sorted(STACK_SIZE_TARGETS))
+def test_probe_reports_are_bitwise_the_same_at_any_stack_size(name, level, budget):
+    make, ball = STACK_SIZE_TARGETS[name]
+
+    def facts(report):
+        rows = [(row.iteration, row.label, row.value.hex(), row.boundary_distance.hex()) for row in report.trajectory]
+        margin_best = {key: value.hex() for key, value in report.margin_best.items()}
+        return rows, report.argmax.entries.tobytes(), report.failures, margin_best, report.settled
+
+    # a stack of one point is the one-point-at-a-time search; 5 splits the multistart and caps the climb
+    want = facts(estimate_sup(make(), ball, level, budget, 7))
+    for size in (1, 5):
+        with mock.patch.object(probe, "_chunk_size", lambda pencil, n: size):
+            assert facts(estimate_sup(make(), ball, level, budget, 7)) == want, size
+
+
 def test_estimate_sup_certifies_the_guard_only_on_the_targets_own_pencil(monkeypatch):
     calls = []
     cond = np.linalg.cond
