@@ -7,10 +7,10 @@ version, complex values are written as (re, im) pairs, each float as the
 shortest digit string that round-trips, and reruns with equal arguments are
 byte-identical.
 
-Exit codes: 0 success, 2 usage or input error, 1 numerical failure.  eval,
-coeff, delta and variety compute their values with floating-point overflow
-raising, so a value that overflows is a numerical failure, never Infinity or
-NaN in the JSON.
+Exit codes: 0 success, 2 usage or input error, 1 numerical failure.  Every
+subcommand runs with floating-point overflow and invalid operations raising,
+so a value that overflows is a numerical failure, never Infinity or NaN in
+the JSON or CSV.
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ def _resolve_function(args, d: int):
 def _cmd_eval(args) -> int:
     x = _load_point(args.point)
     f, _ = _resolve_function(args, d=x.d)
-    with np.errstate(over="raise", invalid="raise"):
-        value = f.eval(x)
+    value = f.eval(x)
     _print_json({"n": x.n, "value": complex_to_json(np.atleast_2d(value))}, args.out)
     return 0
 
@@ -154,8 +153,7 @@ def _cmd_eval(args) -> int:
 def _cmd_coeff(args) -> int:
     f = _resolve_realization(args.realization)
     word = Word.from_string(args.word, f.d)
-    with np.errstate(over="raise", invalid="raise"):
-        value = f.power_series_coefficient(word)
+    value = f.power_series_coefficient(word)
     _print_json({"word": word.to_string(), "re": value.real, "im": value.imag})
     return 0
 
@@ -167,8 +165,7 @@ def _cmd_delta(args) -> int:
     f, _ = _resolve_function(args, d=x.d)
     point = tuple(complex(v) for v in x.entries[:, 0, 0])
     h = _load_direction(args.direction, x.d)
-    with np.errstate(over="raise", invalid="raise"):
-        value = delta_first(f, point, h)
+    value = delta_first(f, point, h)
     _print_json({"re": value.real, "im": value.imag, "modulus": abs(value)})
     return 0
 
@@ -255,10 +252,9 @@ def _cmd_dichotomy(args) -> int:
 def _cmd_variety(args) -> int:
     variety = variety_from_dict(_load_json(args.variety))
     x = _load_point(args.point)
-    with np.errstate(over="raise", invalid="raise"):
-        member = variety_membership(variety, x, args.tol)
-        verdict = membership(variety.ambient, x)
-        defect = generator_defect(variety, x)
+    member = variety_membership(variety, x, args.tol)
+    verdict = membership(variety.ambient, x)
+    defect = generator_defect(variety, x)
     _print_json(
         {
             "member": member,
@@ -383,9 +379,11 @@ def main(argv=None) -> int:
         # a file is written only after the work: refuse one that cannot be opened first
         if out not in (None, "-") and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise ValueError(f"{args.subcommand} --out needs a file in an existing directory, got {out!r}")
-        return args.func(args)
+        # one floating-point rule for every subcommand: a value that overflows is a numerical failure
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
-        # IllConditionedError and BudgetExceededError are RuntimeErrors; ArithmeticError takes in OverflowError
+        # IllConditionedError and BudgetExceededError are RuntimeErrors; OverflowError and FloatingPointError ArithmeticErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError) as exc:

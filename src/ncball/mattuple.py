@@ -219,7 +219,8 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
     """The complex array of the given shape written by complex_to_json.
 
     Every error names its place in the field ``key``: a list of the wrong
-    length, or an entry that is not an [re, im] pair of numbers.
+    length, or an entry that is not an [re, im] pair of JSON numbers (a
+    string or a bool is not one, nor an integer too large for a float).
     """
     values: list[complex] = []  # in C order, the order of the walk below
 
@@ -228,8 +229,10 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
         if len(index) == len(shape):
             try:
                 re, im = node
+                if any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in (re, im)):
+                    raise TypeError
                 values.append(complex(float(re), float(im)))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{place} must be an [re, im] pair of numbers, got {node!r}") from exc
             return
         size = shape[len(index)]
@@ -246,14 +249,16 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
 
 
 def json_size(obj: dict, key: str) -> int:
-    """The size obj[key] of a JSON header, which must be an integer.
+    """The size obj[key] of a JSON header, which must be an integer >= 1.
 
-    A bool, a float such as 2.9 or a string is rejected with an error naming
-    the key, instead of being truncated or failing in int().
+    A bool, a float such as 2.9, a string or a size below 1 is rejected with
+    an error naming the key, instead of being truncated or failing in int().
     """
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
     return value
 
 

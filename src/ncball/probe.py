@@ -39,10 +39,9 @@ BOUNDARY_THRESHOLD = 1.0 - 1e-6
 # corner-approach ladder injected into bidisk level-1 multistarts; the deeper
 # rungs are left to hill climbing so divergence shows up as climb growth
 INJECTION_EPS = (0.1, 0.045, 0.014)
-# the climb evaluates this many candidates ahead, doubling up to the cap
-# after a stack with no improvement and starting over after one
+# the climb evaluates this many candidates ahead, doubling up to one stack
+# (_chunk_size) after a stack with no improvement and starting over after one
 CLIMB_CHUNK = 8
-CLIMB_CHUNK_MAX = 64
 DICHOTOMY_LEVELS = (1, 2, 3)  # the levels that a dichotomy scan's samples cycle through
 # pencil values per sampled stack: 64 points of a 2 x 2 pencil at level 8.  On a
 # 2-core x86-64 machine their 16 x 16 solves with 8 columns took 23 us a point,
@@ -389,7 +388,7 @@ def estimate_sup(
                     ahead = CLIMB_CHUNK
                     break
             else:
-                ahead = min(2 * ahead, CLIMB_CHUNK_MAX)
+                ahead = min(2 * ahead, cap)
 
     # settled heuristic: margin ladder ratio and climb growth
     near = report.margin_best.get(0.001, 0.0)

@@ -202,13 +202,6 @@ class Realization(NCFunction):
         *_, (_, (rows,)) = walk_levels(self.d, len(word), (None, self.row_step), words=[word.letters])
         return rows[0]
 
-    def remainder_of_row(self, rows: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """The column of g_w(X) = (row_w x I_n) R from prefix rows (K, m q) and R = resolvent_term(X).
-
-        R may be a stack (B, m q n, n) of resolvents; so is the result.
-        """
-        return _kron_eye_matmul(rows, res, res.shape[-1])
-
     def power_series_coefficient(self, word: Word) -> complex:
         """c_w with f = sum_w c_w Z^w; c_empty = A."""
         if word.d != self.d:
@@ -266,7 +259,7 @@ class Realization(NCFunction):
         res = self.resolvent_term(x)
         for k, (xws, rows) in levels:
             if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
-                rhs = _added(rhs, xws @ self.remainder_of_row(rows[:, 0], res).reshape(xws.shape))
+                rhs = _added(rhs, xws @ _kron_eye_matmul(rows[:, 0], res, x.n).reshape(xws.shape))
         return rhs
 
     def _remainder_column(self, order: int) -> "RemainderColumn":
@@ -304,7 +297,7 @@ class RemainderColumn(NCFunction):
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         _, res, errors = self.base._resolvent(xs, pencil_norms)
-        return self.base.remainder_of_row(self.rows, res), errors
+        return _kron_eye_matmul(self.rows, res, xs.shape[-1]), errors
 
 
 def bidisk_witness() -> Realization:
@@ -361,8 +354,6 @@ def realization_from_dict(obj: dict) -> Realization:
     try:
         pencil = pencil_from_dict(obj["pencil"])
         m = json_size(obj, "m")
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
         mp, mq = m * pencil.p, m * pencil.q
         shapes = {"A": (), "B": (mp,), "C": (mq,), "D": (mq, mp)}
         a, b, c, d = (complex_from_json(obj[key], shapes[key], key) for key in "ABCD")

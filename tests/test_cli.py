@@ -553,18 +553,23 @@ def test_malformed_realization_exits_2_naming_the_field(capsys, tmp_path):
 
 
 def test_json_header_sizes_must_be_integers(capsys, tmp_path):
-    # a string used to fail inside int() without naming the field, and a float
-    # or a bool used to be truncated to a size silently
+    # a string used to fail inside int() without naming the field, a float
+    # or a bool used to be truncated to a size silently, and a size below 1
+    # used to fail later on a message such as "expected -2 entries"
     point = to_point_dict(MatrixTuple.zeros(2, 2))
     realization = realization_to_dict(bidisk_witness())
     cases = [
-        ("point", "n", "two"),
-        ("point", "n", 2.9),
-        ("point", "d", True),
-        ("realization", "m", 1.7),
-        ("pencil", "q", 2.0),
+        ("point", "n", "two", "must be an integer, got 'two'"),
+        ("point", "n", 2.9, "must be an integer, got 2.9"),
+        ("point", "d", True, "must be an integer, got True"),
+        ("realization", "m", 1.7, "must be an integer, got 1.7"),
+        ("pencil", "q", 2.0, "must be an integer, got 2.0"),
+        ("point", "n", -1, "must be >= 1, got -1"),
+        ("point", "d", -2, "must be >= 1, got -2"),
+        ("realization", "m", 0, "must be >= 1, got 0"),
+        ("pencil", "p", 0, "must be >= 1, got 0"),
     ]
-    for kind, key, value in cases:
+    for kind, key, value, message in cases:
         if kind == "point":
             spec = write_json(tmp_path / "point.json", {**point, key: value})
             argv = ["eval", "--realization", "ex52", "--point", spec]
@@ -576,7 +581,17 @@ def test_json_header_sizes_must_be_integers(capsys, tmp_path):
             argv = ["probe", "--realization", "ex52", "--ball", f"pencil:{spec}", "--budget", "4"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", f"{key}={value!r} gave {code}"
-        assert err.startswith(f"error: {key} must be an integer, got {value!r}"), err
+        assert err.startswith(f"error: {key} {message}"), err
+
+    # an entry is an [re, im] pair of JSON numbers: no string or bool read through float(), and an
+    # integer too large for a float is bad input naming its place, not a numerical failure
+    for entry in ([" 0.25", "1_0"], [True, False], [10**400, 0.0]):
+        entries = [[[[0.0, 0.0]]], [[[0.0, 0.0]]]]
+        entries[0][0][0] = entry
+        spec = write_json(tmp_path / "point.json", {"n": 1, "d": 2, "entries": entries})
+        code, out, err = run(capsys, "eval", "--realization", "ex52", "--point", spec)
+        assert code == 2 and out == "", f"{entry!r} gave {code}"
+        assert err.startswith("error: entries[0][0][0] must be an [re, im] pair of numbers"), err
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -613,15 +628,23 @@ def test_numerical_failures_exit_1(capsys, tmp_path):
     f = bidisk_witness()
     big = Realization(f.pencil, f.m, f.A, [1e200, 1e200], [1e200, 1e200], f.D, mode="contraction")
     parabola = write_json(tmp_path / "parabola.json", {"ball": "polydisk:2", "generators": ["z2 - z1*z1"]})
+    huge = "1.7e308*z1 + 1.7e308*z2"  # finite coefficients, but its value overflows near the corner (1, 1)
     for argv in (
         ["eval", "--poly", "1e300*z1*z1", "--point", "1e10"],
         ["delta", "--poly", "1e300*z1*z1", "--point", "1e10", "--direction", "e1"],
         ["coeff", "--realization", write_json(tmp_path / "big.json", realization_to_dict(big)), "--word", "1"],
         # the generator values overflow: no NaN defect in the JSON
         ["variety", "--variety", parabola, "--point", "1e200,1e200"],
+        # the same rule holds in every subcommand: no NaN best value, no inf row, no SVD failure
+        # and no complaint about points the user never gave
+        ["probe", "--poly", huge, "--budget", "40", "--out", str(tmp_path / "probe.csv")],
+        ["blowup", "--poly", huge, "--eps", "0.1", "--out", str(tmp_path / "blowup.csv")],
+        ["dichotomy", "--map", f"{huge}; z2", "--ball", "polydisk:2", "--samples", "6"],
+        ["tt-check", "--poly", huge, "--point", "0.9,0.9", "-N", "1"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("numerical failure:") and err.count("\n") == 1, argv
+    assert not (tmp_path / "probe.csv").exists() and not (tmp_path / "blowup.csv").exists()
 
     code = main(["tt-check", "--realization", "ex52", "--point", "0.1,0.1", "-N", "40"])
     captured = capsys.readouterr()

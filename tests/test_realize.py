@@ -553,7 +553,12 @@ def test_realization_from_dict_names_the_bad_field():
         ("B", [[0.5, 0.0, 1.0], [0.5, 0.0]], r"^B\[0\] must be an \[re, im\] pair"),
         ("C", [[0.5, 0.0]], "^expected 2 C, got 1"),
         ("D", [[[0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]], r"^D\[0\] must have 2 values"),
-        ("m", 0, "^m must be >= 1"),
+        ("m", 0, "^m must be >= 1, got 0"),
+        ("m", -3, "^m must be >= 1, got -3"),
+        # only JSON numbers: no string or bool through float(), and no integer too large for a float
+        ("A", [" 0.25", "1_0"], r"^A must be an \[re, im\] pair of numbers"),
+        ("A", [True, False], r"^A must be an \[re, im\] pair of numbers"),
+        ("C", [[10**400, 0.0], [0.5, 0.0]], r"^C\[0\] must be an \[re, im\] pair of numbers"),
     ]
     for key, bad, message in cases:
         with pytest.raises(ValueError, match=message):
