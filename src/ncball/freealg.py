@@ -148,7 +148,7 @@ def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
             continue
         if keep is None:
             kids = [np.stack([step(s, j) for j in range(1, d + 1)], axis=1) for s, (_, step) in zip(stacks, columns)]
-            kids = [kid.reshape(-1, *kid.shape[2:]) for kid in kids]
+            kids = [kid.reshape(len(kid) * d, *kid.shape[2:]) for kid in kids]
         else:
             parents = [[i for i, p in enumerate(prefixes) if p + (j,) in keep] for j in range(1, d + 1)]
             born = [prefixes[i] + (j,) for j, sel in enumerate(parents, 1) for i in sel]
@@ -161,7 +161,7 @@ def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
                 kids.append(np.concatenate(parts)[order])
             prefixes = [born[i] for i in order]
         count = len(kids[0])
-        chunk = max(1, BATCH_BYTES * count // sum(kid.nbytes for kid in kids))
+        chunk = max(1, BATCH_BYTES * count // max(1, sum(kid.nbytes for kid in kids)))  # no bytes: one chunk
         for rows in reversed([slice(i, i + chunk) for i in range(0, count, chunk)]):
             todo.append((k + 1, None if prefixes is None else prefixes[rows], tuple(kid[rows] for kid in kids)))
 
@@ -201,9 +201,9 @@ def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
 class NCFunction:
     """An nc function of d variables, evaluated at level-n points (d-tuples of n x n matrices).
 
-    A subclass defines ``d`` and ``_values(xs) -> (values, errors)`` on a
-    validated (B, d, n, n) stack of points: values[i] is the value at point i
-    and ``errors`` maps the index of each failed sample to the error it met.
+    A subclass defines ``d`` and ``_values(xs) -> (values, errors)`` on any
+    validated (B, d, n, n) stack, B = 0 included: values[i] is the value at
+    point i and ``errors`` maps each failed sample's index to the error it met.
     A subclass with a pencil also defines ``pencil`` and takes the validated
     norms of ``eval_batch`` as ``_values(xs, pencil_norms)``.
     ``eval`` and ``eval_batch`` are written here once, and two rules hold:

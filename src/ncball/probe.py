@@ -266,8 +266,9 @@ def estimate_sup(
     points strictly inside the ball (the bidisk, a pencil: ball containing
     them, never row:2), then hill climbs from the best point by perturbing one
     real or imaginary entry at a time with rescale-to-membership projection
-    and step halving from 0.1 down to 1e-6.  Evaluation failures are counted
-    and skipped.  The report is reproducible bit for bit from (seed, budget).
+    and step halving from 0.1 down to 1e-6.  Every attempt, evaluated or
+    failed, is charged to the budget; failures are counted and skipped.
+    The report is reproducible bit for bit from (seed, budget).
     The pencil norm of each point is taken once per stack and gives its
     boundary distance; only a climb candidate rescaled toward the boundary is
     measured again, since |c| ||Q(X)|| need not equal ||Q(cX)|| to the bit.
@@ -314,14 +315,13 @@ def estimate_sup(
             part = slice(len(out), len(out) + part_size)
             values, failed = f.eval_batch(xs[part], pencil_norms=s[part] if certify else None)
             norms = np.zeros(len(values))
-            if not failed.all():
-                norms[~failed] = _spectral_norms(values[~failed])
+            norms[~failed] = _spectral_norms(values[~failed])
             out += [None if bad else float(norm) for bad, norm in zip(failed, norms)]
             part_size = max(1, BATCH_BYTES // values[0].nbytes)
         return out
 
     def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
-        """Charge one evaluation to the report; True when x became the argmax."""
+        """Charge one attempt to the report: a row, or a failure where value is None; True when x became the argmax."""
         if value is None:
             report.failures += 1
             return False
@@ -347,20 +347,18 @@ def estimate_sup(
     for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
         s = ball.norms_at(xs)
         # |s - 1| is the membership distance: fl(s - 1) = -fl(1 - s)
-        distances = np.abs(s - 1.0)
-        bins = _margin_bins(distances)
-        for x, label, distance, bin_key, value in zip(
-            xs, itertools.islice(labels, len(xs)), distances.tolist(), bins, evaluate(xs, s)
-        ):
+        distances = np.abs(s - 1.0).tolist()
+        for x, label, distance, value in zip(xs, itertools.islice(labels, len(xs)), distances, evaluate(xs, s)):
             record(x, label, distance, value)
-            if value is not None:
-                report.margin_best[bin_key] = max(report.margin_best.get(bin_key, 0.0), value)
     multistart_best = report.best_value
+    bins = _margin_bins(np.array([row.boundary_distance for row in report.trajectory]))
+    for row, key in zip(report.trajectory, bins):
+        report.margin_best[key] = max(report.margin_best.get(key, 0.0), row.value)
 
     # hill-climbing phase from the multistart argmax: candidates are evaluated
     # a stack ahead, as if none improved, and recorded in order up to the
     # first improvement; the rest of the stack is dropped unrecorded
-    remaining = budget - report.evaluations
+    remaining = budget - n_samples
     if report.argmax is not None and remaining > 0:
         moves = list(itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)))
         schedule_ahead = _climb_schedule(len(moves), INITIAL_STEP, 0, False)
@@ -541,7 +539,7 @@ class MonomialRow(NCFunction):
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         count, n = xs.shape[0], xs.shape[-1]
         top = np.concatenate([xws for k, (xws,) in walk_levels(self.d, self.size, _monomials(xs)) if k == self.size])
-        return top.transpose(1, 2, 0, 3).reshape(count, n, -1), {}
+        return top.transpose(1, 2, 0, 3).reshape(count, n, len(top) * n), {}
 
 
 @dataclass(frozen=True)

@@ -166,12 +166,11 @@ class Realization(NCFunction):
         c_col = _kron_eye_col(self.C, n)
         res = np.full((len(t), *c_col.shape), np.nan, dtype=complex)
         solved = np.flatnonzero(guarded)
-        if len(solved):
-            sol, singular = seq_solve_batch(t[solved], np.broadcast_to(c_col, (len(solved), *c_col.shape)))
-            res[solved] = sol
-            for i in solved[singular]:
-                errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
-                res[i] = np.nan
+        sol, singular = seq_solve_batch(t[solved], np.broadcast_to(c_col, (len(solved), *c_col.shape)))
+        res[solved] = sol
+        for i in solved[singular]:
+            errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
+            res[i] = np.nan
         return bd_lam[:, :n], res, errors
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:

@@ -441,6 +441,22 @@ def test_eval_at_a_point_of_the_wrong_d_raises_one_error(name):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name", ["poly", "ex52", "quotients", "column", "row"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_kind_evaluates_an_empty_stack(name, n):
+    # FreePolynomial, Realization, QuotientColumn, RemainderColumn and MonomialRow, with and without pencil norms
+    rng = np.random.default_rng(0)
+    f, ball, _ = target(name, rng)
+    shape = f.eval(MatrixTuple(points_inside(rng, ball, 1, n)[0])).shape
+    empty = np.zeros((0, 2, n, n), dtype=complex)
+    runs = [f.eval_batch(empty)]
+    if getattr(f, "pencil", None) is not None:
+        runs.append(f.eval_batch(empty, pencil_norms=np.zeros(0)))
+    for values, failed in runs:
+        assert values.shape == (0, *shape) and values.dtype == complex
+        assert failed.shape == (0,) and failed.dtype == bool
+
+
 def test_eval_batch_rejects_bad_stacks():
     f = bidisk_witness()
     with pytest.raises(ValueError, match="stack of shape"):

@@ -447,6 +447,14 @@ def test_estimate_sup_counts_and_skips_failed_samples():
     assert [row.value for row in multistart] == _spectral_norms(points[kept, 0]).tolist()
     assert [row.boundary_distance for row in multistart] == np.abs(BALL.norms_at(points[kept]) - 1.0).tolist()
     assert not report.trajectory[len(kept)].label.startswith("m")
+    # a failed sample is charged to the budget like an evaluation: the climb gets what the multistart's half leaves
+    assert report.evaluations + report.failures == budget
+    # margin_best is in no pin digest: its keys, their order and its values are the reference fold over the kept rows
+    margin_best = {}
+    for row in multistart:
+        key = nearest_margin(row.boundary_distance)
+        margin_best[key] = max(margin_best.get(key, 0.0), row.value)
+    assert list(report.margin_best.items()) == list(margin_best.items())
 
 
 def test_regularity_refuses_a_function_of_neither_kind_before_any_probe():
