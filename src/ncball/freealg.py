@@ -24,7 +24,8 @@ from .mattuple import MatrixTuple, _seq_matmul, _spectral_norms, point_stack
 
 WORD_BUDGET = 10**6  # the words a dense walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
-# levels, the probe's point pools and its target's values come out in chunks
+# levels and the probe's target values come out in chunks, and the probe's
+# stacks hold as many points as fit it with one n x n complex value each
 BATCH_BYTES = 64 * 1024
 
 

@@ -43,12 +43,6 @@ INJECTION_EPS = (0.1, 0.045, 0.014)
 # (_chunk_size) after a stack with no improvement and starting over after one
 CLIMB_CHUNK = 8
 DICHOTOMY_LEVELS = (1, 2, 3)  # the levels that a dichotomy scan's samples cycle through
-# pencil values per sampled stack: 64 points of a 2 x 2 pencil at level 8.  On a
-# 2-core x86-64 machine their 16 x 16 solves with 8 columns took 23 us a point,
-# against 31 us in 16-point stacks.  256-point stacks took 15 us, but the peak
-# resident memory of a seed-0 probe-l8 pass was 47.0 MB, against 44.5 MB with
-# 64-point stacks and 42.8 MB with 16-point ones
-PROBE_STACK_BYTES = 256 * 1024
 
 
 def corner_path(eps: float) -> tuple[complex, complex]:
@@ -62,9 +56,9 @@ def corner_path(eps: float) -> tuple[complex, complex]:
     return (x1, x1.conjugate())
 
 
-def _chunk_size(pencil: Pencil, n: int) -> int:
-    """How many level-n points one stack holds under PROBE_STACK_BYTES of (p n) x (q n) pencil values."""
-    return max(1, PROBE_STACK_BYTES // (16 * pencil.p * n * pencil.q * n))
+def _chunk_size(n: int) -> int:
+    """How many level-n points one stack holds: as many as fit BATCH_BYTES at one n x n complex value each."""
+    return max(1, BATCH_BYTES // (16 * n * n))
 
 
 # numpy's SeedSequence hash constants (a pool of four uint32 words) and PCG64's multiplier
@@ -146,7 +140,8 @@ def _sample_stack(
     Returns a (B, d, n, n) stack.  Point i is drawn by rng, whose PCG64 is
     first set to states[i] when states are given; one standard_normal fills
     its real and then its imaginary parts, as two draws of (d, n, n) would, so
-    it keeps its bits in any stack.
+    it keeps its bits in any stack.  The pencil's coefficients are independent,
+    so ||Q(X)|| = 0 only at X = 0: a draw of all zeros raises RuntimeError.
     """
     for margin in margins:
         if not 0.0 < margin < 1.0:
@@ -155,29 +150,15 @@ def _sample_stack(
         raise ValueError(f"level must be >= 1, got {n}")
     bit_generator = rng.bit_generator
     buf = np.empty((len(margins), 2, ball.d, n, n))
-
-    def draw(i: int, state: tuple[int, int] | None) -> None:
-        if state is not None:
-            pcg = {"state": state[0], "inc": state[1]}
+    for i in range(len(margins)):
+        if states is not None:
+            pcg = {"state": states[i][0], "inc": states[i][1]}
             bit_generator.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=buf[i])
-
-    for i in range(len(margins)):
-        draw(i, None if states is None else states[i])
     raw = buf[:, 0] + 1j * buf[:, 1]
     s = ball.norms_at(raw)
-    for i in np.flatnonzero(s <= 0.0):
-        if states is not None:
-            # an all-zero draw is redrawn from the same stream: replay the first draw
-            draw(i, states[i])
-        for _ in range(99):
-            draw(i, None)
-            raw[i] = buf[i, 0] + 1j * buf[i, 1]
-            s[i] = ball.norms_at(raw[i : i + 1])[0]
-            if s[i] > 0.0:
-                break
-        else:
-            raise RuntimeError("100 degenerate all-zero draws in a row; rng is broken")
+    if (s <= 0.0).any():
+        raise RuntimeError("a Gaussian draw of all zeros; rng is broken")
     factors = (1.0 - np.asarray(margins, dtype=float)) / s
     return raw * factors.astype(complex)[:, None, None, None]
 
@@ -193,7 +174,7 @@ def _sample_chunks(ball: OperatorBall, n: int, draws) -> Iterator[np.ndarray]:
     _check_seeder()
     rng = np.random.Generator(np.random.PCG64())
     states = _pcg64_states([seed for seed, _ in draws])
-    step = _chunk_size(ball.pencil, n)
+    step = _chunk_size(n)
     for start in range(0, len(draws), step):
         part = slice(start, start + step)
         yield _sample_stack(ball, n, [margin for _, margin in draws[part]], rng, states[part])
@@ -276,11 +257,13 @@ def estimate_sup(
     ``pencil_norms``, so its resolvent guard needs no condition number where
     the norm certifies it; any other f gets ``pencil_norms=None``.
 
-    ``f`` is evaluated through ``f.eval_batch`` on stacks of points, in parts
-    whose values fit BATCH_BYTES; since every sample keeps its bits in any
-    stack, and the climb records only the candidates it would have tried one
-    at a time, the report is the same as that of a search evaluating one
-    point at a time.
+    Points are drawn and climbed in stacks of as many points as fit
+    BATCH_BYTES with one n x n complex value each.  ``f`` is evaluated
+    through ``f.eval_batch`` in parts whose values fit BATCH_BYTES, sized
+    before the search from its value at the empty stack; since every sample
+    keeps its bits in any stack, and the climb records only the candidates it
+    would have tried one at a time, the report is the same as that of a search
+    evaluating one point at a time.
 
     Passing ``margin`` draws every multistart sample at that one margin.
     """
@@ -303,21 +286,21 @@ def estimate_sup(
         seed=seed,
     )
 
-    part_size = 1  # points whose values fit BATCH_BYTES, learned from the first evaluation
+    # the target's values at the empty stack give their shape, and so the points per part under BATCH_BYTES
+    rows, cols = f.eval_batch(np.zeros((0, ball.d, n, n), dtype=complex))[0].shape[1:]
+    part_size = max(1, BATCH_BYTES // (16 * rows * cols))
     # the ball's norms are the target's own pencil norms: its resolvent guard may use them
     certify = getattr(f, "pencil", None) == ball.pencil
 
     def evaluate(xs: np.ndarray, s: np.ndarray) -> list[float | None]:
         """||f(X)|| at each point of a stack of pencil norms s, part by part; None where it failed."""
-        nonlocal part_size
         out = []
-        while len(out) < len(xs):
-            part = slice(len(out), len(out) + part_size)
+        for start in range(0, len(xs), part_size):
+            part = slice(start, start + part_size)
             values, failed = f.eval_batch(xs[part], pencil_norms=s[part] if certify else None)
             norms = np.zeros(len(values))
             norms[~failed] = _spectral_norms(values[~failed])
             out += [None if bad else float(norm) for bad, norm in zip(failed, norms)]
-            part_size = max(1, BATCH_BYTES // values[0].nbytes)
         return out
 
     def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
@@ -363,7 +346,7 @@ def estimate_sup(
         moves = list(itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)))
         schedule_ahead = _climb_schedule(len(moves), INITIAL_STEP, 0, False)
         ahead = CLIMB_CHUNK
-        cap = _chunk_size(ball.pencil, n)
+        cap = _chunk_size(n)
         while remaining > 0:
             plan = list(itertools.islice(schedule_ahead, min(ahead, remaining, cap)))
             if not plan:

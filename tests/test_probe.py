@@ -332,12 +332,13 @@ def test_row_and_column_targets_stack_words_in_length_lex_order():
 
 
 def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
-    nbytes = []
+    nbytes, sizes = [], []
 
     class SpyRow(MonomialRow):
         def eval_batch(self, xs, *, pencil_norms=None):
             values, failed = super().eval_batch(xs, pencil_norms=pencil_norms)
             nbytes.append(values.nbytes)
+            sizes.append(len(xs))
             return values, failed
 
     # a level-1 value of the size-9 row holds 2^9 entries (8 KiB), so the
@@ -345,6 +346,10 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
     report = estimate_sup(SpyRow(2, 9), BALL, 1, 100, 0)
     assert report.evaluations + report.failures == 100
     assert max(nbytes) <= BATCH_BYTES
+    # the empty stack sizes the parts before the search: the 3 corner-path
+    # points, then 8-point parts of the 47 samples, then the climb's stacks
+    assert sizes[:9] == [0, 3, 8, 8, 8, 8, 8, 7, 8]
+    assert 0 not in sizes[1:]
 
 
 STACK_SIZE_TARGETS = {
@@ -369,7 +374,7 @@ def test_probe_reports_are_bitwise_the_same_at_any_stack_size(name, level, budge
     # a stack of one point is the one-point-at-a-time search; 5 splits the multistart and caps the climb
     want = facts(estimate_sup(make(), ball, level, budget, 7))
     for size in (1, 5):
-        with mock.patch.object(probe, "_chunk_size", lambda pencil, n: size):
+        with mock.patch.object(probe, "_chunk_size", lambda n: size):
             assert facts(estimate_sup(make(), ball, level, budget, 7)) == want, size
 
 
