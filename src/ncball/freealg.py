@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .mattuple import MatrixTuple, _seq_matmul, _spectral_norms, point_stack
+from .mattuple import MatrixTuple, _seq_matmul, point_stack
 
 WORD_BUDGET = 10**6  # the words a dense walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
@@ -191,14 +191,6 @@ def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
     return _word_values(x.entries, [word.letters])[word.letters]
 
 
-def is_nilpotent(x: MatrixTuple, k: int, tol: float = 1e-10) -> bool:
-    """Whether every word of size exactly k evaluates below tol in norm; the word budget caps k (k <= 18 at d = 2)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    levels = walk_levels(x.d, k, _monomials(x.entries))
-    return all((_spectral_norms(xw) <= tol).all() for size, (xw,) in levels if size == k)
-
-
 class NCFunction:
     """An nc function of d variables, evaluated at level-n points (d-tuples of n x n matrices).
 
@@ -271,10 +263,6 @@ class NCFunction:
     def _remainder_column(self, order: int) -> "NCFunction":
         """col(g_w) over the words w of size N = order >= 1: the column target of regularity_factors."""
         raise _no_split(self)
-
-    def _taylor_polynomial(self, n: int) -> "FreePolynomial":
-        """A polynomial whose words of size < n carry the Taylor coefficients c_w: the source of cesaro_sum."""
-        raise TypeError(f"cannot read coefficients from {type(self).__name__}")
 
 
 def _no_split(f) -> TypeError:
@@ -421,9 +409,6 @@ class FreePolynomial(NCFunction):
     def _remainder_column(self, order: int) -> "QuotientColumn":
         return QuotientColumn(self, order)
 
-    def _taylor_polynomial(self, n: int) -> "FreePolynomial":
-        return self  # cesaro_sum keeps only the words of size < n
-
     @classmethod
     def zero(cls, d: int) -> "FreePolynomial":
         return cls(d)
@@ -513,22 +498,6 @@ def _charge_words_below(d: int, n: int) -> None:
         raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
     if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
         raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
-
-
-def cesaro_sum(f: NCFunction, n: int) -> FreePolynomial:
-    """Weighted partial sum  sum_{k<n} (1 - k/n) * (degree-k part).
-
-    The coefficients come from the nc function f through its
-    ``_taylor_polynomial``: a FreePolynomial as it is, a Realization through
-    its Taylor polynomial of size < n, whose words taylor_polynomial charges
-    to the word budget.  Any other f raises TypeError.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(f, NCFunction):
-        raise TypeError(f"cannot read coefficients from {type(f).__name__}")
-    source = f._taylor_polynomial(n)
-    return FreePolynomial(source.d, {w: (1.0 - len(w) / n) * c for w, c in source.terms.items() if len(w) < n})
 
 
 def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
@@ -824,7 +793,3 @@ def format_poly(p: FreePolynomial) -> str:
 def to_triples(p: FreePolynomial) -> list[tuple[str, float, float]]:
     """Length-lex sorted (word digit string, re, im) triples."""
     return [(w.to_string(), c.real, c.imag) for w, c in p.sorted_terms()]
-
-
-def from_triples(triples, d: int) -> FreePolynomial:
-    return FreePolynomial(d, {Word.from_string(w, d): complex(re, im) for w, re, im in triples})

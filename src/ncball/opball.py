@@ -181,7 +181,7 @@ def factor_two_check(ball: OperatorBall, samples, r: float) -> bool:
     ``r`` must bound the scalar points among the samples (|x_j| <= r), and
     every sample must lie strictly inside the ball.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     samples = list(samples)
     for x in samples:

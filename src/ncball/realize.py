@@ -264,9 +264,6 @@ class Realization(NCFunction):
     def _remainder_column(self, order: int) -> "RemainderColumn":
         return RemainderColumn(self, order)
 
-    def _taylor_polynomial(self, n: int) -> FreePolynomial:
-        return taylor_polynomial(self, n)
-
     def __repr__(self):
         return f"Realization(d={self.d}, p={self.pencil.p}, q={self.pencil.q}, m={self.m}, mode={self.mode!r})"
 

@@ -85,7 +85,7 @@ def homogeneity_sample(
         if not lambdas:
             raise ValueError("lambdas must hold at least one scale")
         for scale in lambdas:
-            if abs(scale) >= 1.0:
+            if not abs(scale) < 1.0:
                 raise ValueError(f"lambda must lie in the open unit disk, got |{scale}| = {abs(scale):.17g}")
     for x in samples:
         if not variety_membership(variety, x, tol):

@@ -1,20 +1,26 @@
-"""Batched evaluation: stacks of points keep every bit of the one-point path.
+"""Batched evaluation, and the contract suite every nc function kind keeps.
 
 Each batched kernel takes a leading batch axis and the one-point function is
 its batch of one, so these properties check that a sample's bits do not
 depend on the stack it sits in, nor on its neighbours' failures.
+
+``TARGETS`` is the registry of kinds, and the suite runs over all of it: the
+per-sample bits at any stack size, the empty stack, direct sums block by
+block and bit for bit, similarities to a tolerance, the pencil certificate
+keeping every bit, and the one error at a point of the wrong d.  A new kind
+is one ``TARGETS`` entry.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncball import realize
 from ncball.freealg import QuotientColumn, parse
-from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch, similarity
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
 from ncball.probe import (
@@ -38,9 +44,9 @@ def gaussian(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def random_contraction(rng, m=2):
-    """A contraction-mode realization over the row ball row:2 (p = 1, q = 2)."""
-    pencil = row_ball(2).pencil
+def random_contraction(rng, ball, m):
+    """A contraction-mode realization with m copies of the ball's pencil and ||D|| = 0.9."""
+    pencil = ball.pencil
     mp, mq = m * pencil.p, m * pencil.q
     dmat = gaussian(rng, (mq, mp))
     dmat *= 0.9 / np.linalg.norm(dmat, 2)
@@ -53,7 +59,7 @@ def points_inside(rng, ball, count, n, radius=0.9):
     return xs * (radius / ball.norms_at(xs)).astype(complex)[:, None, None, None]
 
 
-TARGETS = ["ex52", "contraction", "poly", "row", "column", "quotients"]
+TARGETS = ["ex52", "contraction", "poly", "row", "column", "quotients", "contraction_row3", "contraction_m3"]
 
 
 def target(name, rng):
@@ -61,13 +67,17 @@ def target(name, rng):
     if name == "ex52":
         return bidisk_witness(), polydisk(2), (1, 1)
     if name == "contraction":
-        return random_contraction(rng), row_ball(2), (1, 1)
+        return random_contraction(rng, row_ball(2), 2), row_ball(2), (1, 1)
+    if name == "contraction_row3":
+        return random_contraction(rng, row_ball(3), 1), row_ball(3), (1, 1)
+    if name == "contraction_m3":
+        return random_contraction(rng, polydisk(2), 3), polydisk(2), (1, 1)
     if name == "poly":
         return parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2), (1, 1)
     if name == "row":
         return MonomialRow(2, 2), polydisk(2), (1, 4)
     if name == "column":
-        return RemainderColumn(random_contraction(rng), 2), row_ball(2), (4, 1)
+        return RemainderColumn(random_contraction(rng, row_ball(2), 2), 2), row_ball(2), (4, 1)
     return QuotientColumn(parse("z1*z2*z1 - 0.5*z2*z2 + (0.3+0.2i)*z2*z1*z2*z2", 2), 2), polydisk(2), (4, 1)
 
 
@@ -264,7 +274,7 @@ def test_pencil_eval_batch_is_bitwise_per_slice(count, p, q, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# eval_batch is the per-sample eval
+# the contract suite: every kind of TARGETS keeps each contract
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,6 +285,8 @@ def test_pencil_eval_batch_is_bitwise_per_slice(count, p, q, n, seed):
 @example(name="row", count=3, n=1, seed=0)
 @example(name="column", count=3, n=1, seed=0)
 @example(name="quotients", count=3, n=1, seed=0)
+@example(name="contraction_row3", count=3, n=1, seed=0)
+@example(name="contraction_m3", count=3, n=1, seed=0)
 def test_eval_batch_is_bitwise_per_sample_eval(name, count, n, seed):
     rng = np.random.default_rng(seed)
     f, ball, (r, c) = target(name, rng)
@@ -285,21 +297,94 @@ def test_eval_batch_is_bitwise_per_sample_eval(name, count, n, seed):
         assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["ex52", "contraction", "poly"]), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-@example(name="ex52", count=2, nx=1, ny=1, seed=0)
-def test_eval_batch_respects_direct_sums_exactly(name, count, nx, ny, seed):
+@pytest.mark.parametrize("name", TARGETS)
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_kind_evaluates_an_empty_stack(name, n):
+    # with and without pencil norms where the kind has a pencil
+    f, _, (r, c) = target(name, np.random.default_rng(0))
+    empty = np.zeros((0, f.d, n, n), dtype=complex)
+    runs = [f.eval_batch(empty)]
+    if getattr(f, "pencil", None) is not None:
+        runs.append(f.eval_batch(empty, pencil_norms=np.zeros(0)))
+    for values, failed in runs:
+        assert values.shape == (0, r * n, c * n) and values.dtype == complex
+        assert failed.shape == (0,) and failed.dtype == bool
+
+
+def blocks(values, r, c):
+    """A (B, r n, c n) stack of values as its (B, r, c, n, n) blocks."""
+    count, n = len(values), values.shape[1] // r
+    return values.reshape(count, r, n, c, n).transpose(0, 1, 3, 2, 4)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(count=2, nx=1, ny=1, seed=0)
+def test_every_kind_respects_direct_sums_exactly(name, count, nx, ny, seed):
+    # each block of f(X + Y) is bit for bit the block diagonal of that block of f(X) and of f(Y)
     rng = np.random.default_rng(seed)
-    f, ball, _ = target(name, rng)
+    f, ball, (r, c) = target(name, rng)
     xs, ys = points_inside(rng, ball, count, nx), points_inside(rng, ball, count, ny)
     sums = np.stack([direct_sum(MatrixTuple(x), MatrixTuple(y)).entries for x, y in zip(xs, ys)])
-    both, _ = f.eval_batch(sums)
-    fx, _ = f.eval_batch(xs)
-    fy, _ = f.eval_batch(ys)
-    assembled = np.zeros_like(both)
-    assembled[:, :nx, :nx] = fx
-    assembled[:, nx:, nx:] = fy
-    assert both.tobytes() == assembled.tobytes()
+    (both, both_failed), (fx, x_failed), (fy, y_failed) = (f.eval_batch(zs) for zs in (sums, xs, ys))
+    assert not (both_failed.any() or x_failed.any() or y_failed.any())
+    assembled = np.zeros((count, r, c, nx + ny, nx + ny), dtype=complex)
+    assembled[..., :nx, :nx] = blocks(fx, r, c)
+    assembled[..., nx:, nx:] = blocks(fy, r, c)
+    assert blocks(both, r, c).tobytes() == assembled.tobytes()
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@example(count=2, n=2, seed=0)
+def test_every_kind_respects_similarities(name, count, n, seed):
+    # each block of f(S^-1 X S) is S^-1 f(X)_ab S, to rounding scaled by cond(S) and the size of f(X)
+    rng = np.random.default_rng(seed)
+    f, ball, (r, c) = target(name, rng)
+    s = np.eye(n) + 0.3 * gaussian(rng, (n, n))
+    xs = points_inside(rng, ball, count, n, radius=0.5)
+    ys = np.stack([similarity(s, MatrixTuple(x)).entries for x in xs])
+    assume(ball.norms_at(ys).max() < 0.95)
+    (fx, x_failed), (fy, y_failed) = f.eval_batch(xs), f.eval_batch(ys)
+    assert not (x_failed.any() or y_failed.any())
+    want = np.linalg.solve(s, blocks(fx, r, c) @ s)
+    error = np.linalg.norm(blocks(fy, r, c) - want, 2, axis=(-2, -1)).max()
+    assert error <= 1e-10 * np.linalg.cond(s) * max(1.0, np.abs(fx).max())
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 0.99, 1 - 1e-9]), max_size=6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(radii=[], n=1, seed=0)
+@example(radii=[0.5, 0.99, 1 - 1e-9], n=2, seed=0)
+def test_every_kind_keeps_every_bit_under_the_pencil_certificate(name, radii, n, seed):
+    # pencil norms skip only guards that cannot trip: the values and the failure mask keep every bit
+    rng = np.random.default_rng(seed)
+    f, ball, _ = target(name, rng)
+    xs = points_inside(rng, ball, len(radii), n, radius=np.array(radii))
+    if getattr(f, "pencil", None) is None:
+        with pytest.raises(TypeError, match="no pencil"):
+            f.eval_batch(xs, pencil_norms=ball.norms_at(xs))
+        return
+    values, failed = f.eval_batch(xs, pencil_norms=ball.norms_at(xs))
+    exact_values, exact_failed = f.eval_batch(xs)
+    assert values.tobytes() == exact_values.tobytes()
+    assert failed.tolist() == exact_failed.tolist()
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_eval_at_a_point_of_the_wrong_d_raises_one_error(name):
+    f, _, _ = target(name, np.random.default_rng(0))
+    message = f"{type(f).__name__} in d={f.d} variables evaluated at a {f.d + 1}-tuple"
+    with pytest.raises(ValueError) as info:
+        f.eval(MatrixTuple.zeros(f.d + 1, 2))
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# per-sample failures
 
 
 def test_a_tripped_guard_masks_only_its_own_sample():
@@ -353,7 +438,7 @@ def resolvent_case(base, kind):
     if base == "ex52":
         f, ball, xs = bidisk_witness(), polydisk(2), stack_at_margins(rng, polydisk(2), 2, margins)
     elif base == "contraction":
-        f, ball = random_contraction(rng), row_ball(2)
+        f, ball = random_contraction(rng, row_ball(2), 2), row_ball(2)
         xs = stack_at_margins(rng, ball, 3, margins)
     else:
         f = x_over_one_minus_x()
@@ -430,31 +515,6 @@ def test_eval_batch_rejects_malformed_pencil_norms():
             f.eval_batch(xs, pencil_norms=[0.5, bad, 0.5])
     with pytest.raises(TypeError, match="no pencil"):
         parse("z1", 2).eval_batch(xs, pencil_norms=np.full(3, 0.5))
-
-
-@pytest.mark.parametrize("name", TARGETS)
-def test_eval_at_a_point_of_the_wrong_d_raises_one_error(name):
-    f, _, _ = target(name, np.random.default_rng(0))
-    message = f"{type(f).__name__} in d=2 variables evaluated at a 3-tuple"
-    with pytest.raises(ValueError) as info:
-        f.eval(MatrixTuple.zeros(3, 2))
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("name", ["poly", "ex52", "quotients", "column", "row"])
-@pytest.mark.parametrize("n", [1, 3])
-def test_every_kind_evaluates_an_empty_stack(name, n):
-    # FreePolynomial, Realization, QuotientColumn, RemainderColumn and MonomialRow, with and without pencil norms
-    rng = np.random.default_rng(0)
-    f, ball, _ = target(name, rng)
-    shape = f.eval(MatrixTuple(points_inside(rng, ball, 1, n)[0])).shape
-    empty = np.zeros((0, 2, n, n), dtype=complex)
-    runs = [f.eval_batch(empty)]
-    if getattr(f, "pencil", None) is not None:
-        runs.append(f.eval_batch(empty, pencil_norms=np.zeros(0)))
-    for values, failed in runs:
-        assert values.shape == (0, *shape) and values.dtype == complex
-        assert failed.shape == (0,) and failed.dtype == bool
 
 
 def test_eval_batch_rejects_bad_stacks():

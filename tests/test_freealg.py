@@ -17,7 +17,6 @@ from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
     PolyParseError,
-    QuotientColumn,
     Word,
     _add_term,
     _left_quotients,
@@ -26,10 +25,8 @@ from ncball.freealg import (
     _product,
     _times_letters,
     _tokenize,
-    cesaro_sum,
     compose,
     format_poly,
-    from_triples,
     homogeneous_component,
     left_divide,
     parse,
@@ -117,7 +114,7 @@ def test_word_string_round_trip():
     assert Word.from_string("1-2", 12) == Word((1, 2), 12)
     assert Word.from_string("", 12) == Word((), 12)
     z12 = FreePolynomial.generator(12, 12)
-    assert from_triples(to_triples(z12), 12) == z12
+    assert to_triples(z12) == [("12", 1.0, 0.0)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -837,79 +834,30 @@ def test_parse_format_round_trip_is_exact(p):
     assert parse(format_poly(p), p.d) == p
 
 
-@given(complex_polys())
-def test_triples_round_trip(p):
-    assert from_triples(to_triples(p), p.d) == p
-
-
 def test_triples_are_sorted_length_lex():
     p = parse("z2*z1 + z1 + 1", 2)
     assert [t[0] for t in to_triples(p)] == ["", "1", "21"]
 
 
 # ---------------------------------------------------------------------------
-# Cesaro sums
+# Taylor polynomials
 
 
-def test_cesaro_weights_on_witness_coefficients():
-    p = parse("0.5*z1 + 0.5*z2 + 0.25*z1^2 - 0.25*z1*z2 - 0.25*z2*z1 + 0.25*z2^2", 2)
-    got = cesaro_sum(p, 3)
-    w1 = (1.0 - 1 / 3) * 0.5
-    w2 = (1.0 - 2 / 3) * 0.25
-    expected = FreePolynomial(
-        2,
-        {
-            Word((1,), 2): w1,
-            Word((2,), 2): w1,
-            Word((1, 1), 2): w2,
-            Word((1, 2), 2): -w2,
-            Word((2, 1), 2): -w2,
-            Word((2, 2), 2): w2,
-        },
-    )
-    assert got == expected
-
-
-@given(complex_polys(), st.integers(1, 6))
-def test_cesaro_scales_each_word_by_its_weight(p, n):
-    out = cesaro_sum(p, n)
-    for word, coeff in p.terms.items():
-        want = (1.0 - len(word) / n) * coeff if len(word) < n else 0j
-        assert out.coefficient(word) == want
-
-
-def test_cesaro_budget_guard():
+def test_taylor_polynomial_budget_guard():
     # a realization's Taylor polynomial is charged its words before its walk; the count is closed-form
     # and never printed, so a huge n fails at once and by name
     f = Realization(polydisk(1).pencil, 1, 0.0, [0.5], [0.5], [[1.0]])
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError):
-            cesaro_sum(bidisk_witness(), 20)
+            taylor_polynomial(bidisk_witness(), 20)
         for g, n in ((bidisk_witness(), 10**5), (f, 10**6 + 1), (bidisk_witness(), 10**9 + 1)):
             with pytest.raises(BudgetExceededError, match=rf"^{g.d}\^0 \+ \.\.\. \+ {g.d}\^{n - 1} words exceed the budget"):
-                cesaro_sum(g, n)
+                taylor_polynomial(g, n)
         # at d = 1 the n words are charged their 0 + 1 + ... + (n - 1) letters: 1415 * 1414 / 2 pass 10^6
         for n in (1415, 3000, 10**6):
-            message = rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"
-            for build in (taylor_polynomial, cesaro_sum):
-                with pytest.raises(BudgetExceededError, match=message):
-                    build(f, n)
+            with pytest.raises(BudgetExceededError, match=rf"^0 \+ 1 \+ \.\.\. \+ {n - 1} letters exceed the budget 1000000$"):
+                taylor_polynomial(f, n)
     assert taylor_polynomial(f, 1414).degree == 1413
-    assert cesaro_sum(f, 1414).degree == 1413
-
-
-def test_cesaro_rejects_bad_source():
-    # coefficients come only from an nc function: a callable is no source, with or without d
-    for source in (object(), lambda w: 1.0):
-        with pytest.raises(TypeError, match=f"^cannot read coefficients from {type(source).__name__}$"):
-            cesaro_sum(source, 2)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'd'"):
-        cesaro_sum(lambda w: 1.0, 2, d=2)
-    # an nc function without Taylor coefficients of its own is no source either
-    with pytest.raises(TypeError, match="^cannot read coefficients from QuotientColumn$"):
-        cesaro_sum(QuotientColumn(parse("z1*z2", 2), 1), 2)
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        cesaro_sum(parse("z1", 2), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,8 @@ def test_factor_two_validates_inputs():
         factor_two_check(ball, [MatrixTuple.scalars((0.9, 0.0))], r=0.5)
     with pytest.raises(ValueError, match="r must be positive"):
         factor_two_check(ball, [], r=0.0)
+    with pytest.raises(ValueError, match="r must be positive, got nan"):
+        factor_two_check(ball, [MatrixTuple.scalars((0.5, 0.0))], r=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ncball.freealg import (
     QuotientColumn,
     Word,
     _monomials,
-    cesaro_sum,
     eval_word,
     left_divide,
     parse,
@@ -28,7 +27,7 @@ from ncball.freealg import (
     walk_levels,
     words_of_size,
 )
-from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, similarity
+from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum
 from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, corner_path, sample_in_ball
@@ -397,22 +396,12 @@ def test_taylor_polynomials_of_size_zero_and_one():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
-def test_cesaro_sum_of_a_realization_is_that_of_its_taylor_polynomial(d, m, n, sparse, seed):
+def test_taylor_polynomial_carries_each_power_series_coefficient(d, m, n, sparse, seed):
     rng = np.random.default_rng(seed)
     f = sparse_realization(rng, d, m, False) if sparse else random_realization(rng, d=d, m=m)
-    got = cesaro_sum(f, n)
-    assert got == cesaro_sum(taylor_polynomial(f, n), n)
-    # the per-word definition: weight (1 - k/n) times c_w for each word of size k < n
-    per_word = {w: (1.0 - k / n) * f.power_series_coefficient(w) for k in range(n) for w in words_of_size(d, k)}
-    assert to_triples(got) == to_triples(FreePolynomial(d, per_word))
-
-
-def test_cesaro_sum_reads_realization_coefficients():
-    f = bidisk_witness()
-    got = cesaro_sum(f, 3)
-    for word in words_of_size(2, 1):
-        assert abs(got.coefficient(word) - (1 - 1 / 3) * 0.5) < 1e-12
-    assert abs(got.coefficient(Word((1, 2), 2)) - (1 - 2 / 3) * (-0.25)) < 1e-12
+    # the per-word definition: c_w for each word of size < n
+    per_word = {w: f.power_series_coefficient(w) for k in range(n) for w in words_of_size(d, k)}
+    assert to_triples(taylor_polynomial(f, n)) == to_triples(FreePolynomial(d, per_word))
 
 
 # ---------------------------------------------------------------------------
@@ -475,38 +464,6 @@ def test_plain_partial_sum_converges_geometrically():
 
 # ---------------------------------------------------------------------------
 # structural identities
-
-
-def test_eval_respects_direct_sums_exactly():
-    rng = np.random.default_rng(10)
-    functions = [bidisk_witness(), random_realization(rng), random_realization(rng, d=3, m=1, row=True)]
-    functions.append(random_realization(np.random.default_rng(13), d=2, m=3))
-    for f in functions:
-        ball = OperatorBall(f.pencil)
-        for _ in range(10):
-            x = sample_in_ball(ball, int(rng.integers(1, 4)), 0.3, rng)
-            y = sample_in_ball(ball, int(rng.integers(1, 4)), 0.3, rng)
-            lhs = f.eval(direct_sum(x, y))
-            assembled = np.zeros((x.n + y.n, x.n + y.n), dtype=complex)
-            assembled[: x.n, : x.n] = f.eval(x)
-            assembled[x.n :, x.n :] = f.eval(y)
-            assert np.array_equal(lhs, assembled)
-
-
-def test_eval_respects_similarities():
-    rng = np.random.default_rng(11)
-    f = random_realization(rng)
-    ball = OperatorBall(f.pencil)
-    for _ in range(10):
-        x = sample_in_ball(ball, 3, 0.5, rng)
-        s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-        cond = float(np.linalg.cond(s))
-        y = similarity(s, x)
-        if OperatorBall(f.pencil).norm_at(y) >= 1.0:
-            continue
-        lhs = f.eval(y)
-        rhs = np.linalg.solve(s, f.eval(x) @ s)
-        assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * cond
 
 
 def test_eval_dimension_mismatch():

@@ -134,6 +134,10 @@ def test_homogeneity_validation():
     x = MatrixTuple.scalars((0.5, 0.25))
     with pytest.raises(ValueError, match="open unit disk"):
         homogeneity_sample(v, [x], lambdas=[1.0])
+    # a NaN scale is refused where it enters: not blamed on a point, nor skipped after a verdict at 0.5
+    for lambdas in ([float("nan")], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="open unit disk"):
+            homogeneity_sample(v, [x], lambdas=lambdas)
     with pytest.raises(ValueError, match="out-of-variety"):
         homogeneity_sample(v, [MatrixTuple.scalars((0.5, 0.3))])
 
