@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -290,6 +291,7 @@ def _cmd_reproduce(args) -> int:
 # parser wiring
 
 
+@functools.cache  # one parser per process: main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncball",

@@ -84,10 +84,7 @@ class Word:
         return (len(self.letters), self.letters)
 
     def to_string(self) -> str:
-        # digit string for d <= 9, dash-separated beyond that
-        if self.d <= 9:
-            return "".join(str(letter) for letter in self.letters)
-        return "-".join(str(letter) for letter in self.letters)
+        return ("" if self.d <= 9 else "-").join(map(str, self.letters))  # digits for d <= 9, dash-separated beyond
 
     @classmethod
     def from_string(cls, text: str, d: int) -> "Word":
@@ -287,6 +284,14 @@ def _add_term(terms: dict, word, coeff: complex) -> dict:
     return terms
 
 
+def _checked_letters(key, d: int) -> tuple[int, ...]:
+    """The letters of a term key, a Word or a sequence of ints, checked against the alphabet 1..d."""
+    word = key if isinstance(key, Word) else Word(tuple(key), d)
+    if word.d != d:
+        raise ValueError(f"word over alphabet 1..{word.d} in a polynomial with d={d}")
+    return word.letters
+
+
 def _product(left: dict, right: dict) -> dict:
     """The product of two term maps keyed by letter tuples.
 
@@ -338,37 +343,29 @@ def _negated(terms: dict) -> dict:
 class FreePolynomial(NCFunction):
     """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables.
 
-    ``terms`` maps each word to its nonzero coefficient, as a read-only view.
+    ``terms`` maps each word's letter tuple to its nonzero coefficient, as a read-only view.
     """
 
     d: int
-    terms: Mapping[Word, complex] | None = None
+    terms: Mapping[tuple[int, ...], complex] | None = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         d = int(self.d)
-        clean: dict[Word, complex] = {}
+        clean: dict[tuple[int, ...], complex] = {}
         for key, value in (self.terms or {}).items():
-            word = key if isinstance(key, Word) else Word(tuple(key), d)
-            if word.d != d:
-                raise ValueError(f"word over alphabet 1..{word.d} in a polynomial with d={d}")
-            _add_term(clean, word, complex(value))
+            _add_term(clean, _checked_letters(key, d), complex(value))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, d: int, terms: Mapping[tuple[int, ...], complex]) -> "FreePolynomial":
-        """FreePolynomial(d, terms) for distinct letter tuples known to lie in 1..d, unchecked: one Word per term."""
+        """FreePolynomial(d, terms) for distinct letter tuples known to lie in 1..d, unchecked."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "d", d)
-        clean = {Word._trusted(w, d): 0j + c for w, c in terms.items() if c != 0}
-        object.__setattr__(poly, "terms", MappingProxyType(clean))
+        object.__setattr__(poly, "terms", MappingProxyType({w: 0j + c for w, c in terms.items() if c != 0}))
         return poly
-
-    def _letters(self) -> dict[tuple[int, ...], complex]:
-        """The terms keyed by letter tuples, the form the term-map helpers take."""
-        return {w.letters: c for w, c in self.terms.items()}
 
     @property
     def degree(self) -> int:
@@ -376,22 +373,20 @@ class FreePolynomial(NCFunction):
         return max((len(w) for w in self.terms), default=-1)
 
     def coefficient(self, word) -> complex:
-        if not isinstance(word, Word):
-            word = Word(tuple(word), self.d)
-        return self.terms.get(word, 0j)
+        return self.terms.get(_checked_letters(word, self.d), 0j)
 
-    def sorted_terms(self) -> list[tuple[Word, complex]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], complex]]:
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))  # Word.sort_key's order
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
-        return self._term_sum(_word_values(xs, [w.letters for w in self.terms]), (len(xs), *xs.shape[-2:])), {}
+        return self._term_sum(_word_values(xs, self.terms), (len(xs), *xs.shape[-2:])), {}
 
     def _term_sum(self, values: Mapping[tuple[int, ...], np.ndarray], shape) -> np.ndarray:
-        """sum_w c_w values[w.letters], added to zeros of the shape in sorted_terms() order."""
+        """sum_w c_w values[w], added to zeros of the shape in sorted_terms() order."""
         out = np.zeros(shape, dtype=complex)
         for word, coeff in self.sorted_terms():
-            out = out + coeff * values[word.letters]
+            out = out + coeff * values[word]
         return out
 
     def _label(self) -> str:
@@ -399,8 +394,8 @@ class FreePolynomial(NCFunction):
 
     def _truncation(self, x, order: int) -> np.ndarray:
         quotients = _left_quotients(self, order)
-        words = [w.letters for w in self.terms if len(w) < order] + [*quotients]
-        values = _word_values(x.entries, words + [v.letters for q in quotients.values() for v in q.terms])
+        words = [w for w in self.terms if len(w) < order] + [*quotients]
+        values = _word_values(x.entries, words + [v for q in quotients.values() for v in q.terms])
         rhs = np.zeros((x.n, x.n), dtype=complex)
         for k in range(min(order, self.degree + 1)):  # a size above the degree would add +0.0: no bit changes
             rhs += homogeneous_component(self, k)._term_sum(values, (x.n, x.n))
@@ -434,9 +429,9 @@ class FreePolynomial(NCFunction):
         if not isinstance(other, FreePolynomial):
             return NotImplemented
         self._require_same_d(other)
-        out = self._letters()
+        out = dict(self.terms)
         for word, coeff in other.terms.items():
-            _add_term(out, word.letters, coeff)
+            _add_term(out, word, coeff)
         return FreePolynomial._trusted(self.d, out)
 
     def __sub__(self, other):
@@ -445,16 +440,16 @@ class FreePolynomial(NCFunction):
         return self + (-other)
 
     def __neg__(self):
-        return FreePolynomial._trusted(self.d, _negated(self._letters()))
+        return FreePolynomial._trusted(self.d, _negated(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, FreePolynomial):
             self._require_same_d(other)
-            return FreePolynomial._trusted(self.d, _product(self._letters(), other._letters()))
+            return FreePolynomial._trusted(self.d, _product(self.terms, other.terms))
         if isinstance(other, (int, float, complex)):
             # complex() makes a numpy scalar's product a Python complex; an inf * s = NaN stays silent, as in Python
             with np.errstate(invalid="ignore", over="ignore"):
-                return FreePolynomial._trusted(self.d, {w.letters: complex(c * other) for w, c in self.terms.items()})
+                return FreePolynomial._trusted(self.d, {w: complex(c * other) for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -465,7 +460,7 @@ class FreePolynomial(NCFunction):
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        return FreePolynomial._trusted(self.d, _power(self._letters(), k))
+        return FreePolynomial._trusted(self.d, _power(self.terms, k))
 
     def __eq__(self, other):
         if not isinstance(other, FreePolynomial):
@@ -486,10 +481,10 @@ class FreePolynomial(NCFunction):
 
 
 def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
-    """The part of p supported on words of size exactly k."""
+    """The part of p supported on words of size exactly k: p's terms, already checked, in p's order."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
+    return FreePolynomial._trusted(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
 
 def _charge_words_below(d: int, n: int) -> None:
@@ -509,9 +504,9 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    for word in p.terms:
-        if len(word) < n:
-            raise ValueError(f"word {word.to_string()!r} of size {len(word)} < {n}: p is not left-divisible")
+    low = next((w for w in p.terms if len(w) < n), None)
+    if low is not None:
+        raise ValueError(f"word {Word(low, p.d).to_string()!r} of size {len(low)} < {n}: p is not left-divisible")
     heads, quotients, zero = words_of_size(p.d, n), _left_quotients(p, n), FreePolynomial.zero(p.d)
     return {head: quotients.get(head.letters, zero) for head in heads}
 
@@ -533,7 +528,7 @@ class QuotientColumn(NCFunction):
         return self.p.d
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        values = _word_values(xs, [v.letters for q in self.quotients for v in q.terms])
+        values = _word_values(xs, [v for q in self.quotients for v in q.terms])
         return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
 
 
@@ -544,7 +539,7 @@ def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePoly
     pieces: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for word, coeff in p.terms.items():
         if len(word) >= n:
-            pieces.setdefault(word.letters[:n], {})[word.letters[n:]] = coeff
+            pieces.setdefault(word[:n], {})[word[n:]] = coeff
     return {head: FreePolynomial._trusted(p.d, pieces[head]) for head in sorted(pieces)}
 
 
@@ -556,10 +551,10 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
     dims = {q.d for q in inner}
     if len(dims) != 1:
         raise ValueError(f"inner polynomials disagree on d: {sorted(dims)}")
-    letters, out = [q._letters() for q in inner], {}
+    out = {}
     for word, coeff in p.terms.items():
         # no partial sum has a -0.0 part, so adding c * coeff adds what coeff * prod stored, 0j + c * coeff
-        for w, c in functools.reduce(_product, (letters[j - 1] for j in word.letters), {(): 1 + 0j}).items():
+        for w, c in functools.reduce(_product, (inner[j - 1].terms for j in word), {(): 1 + 0j}).items():
             _add_term(out, w, c * coeff)
     return FreePolynomial._trusted(dims.pop(), out)
 
@@ -746,7 +741,7 @@ def _parse_finite(text: str, d: int, source: str) -> FreePolynomial:
     p = parse(text, d)
     for word, coeff in p.terms.items():
         if not cmath.isfinite(coeff):
-            monomial = "*".join(f"z{letter}" for letter in word.letters) or "1"
+            monomial = "*".join(f"z{letter}" for letter in word) or "1"
             raise ValueError(f"{source} coefficient of {monomial} must be finite, got {coeff}")
     return p
 
@@ -755,9 +750,9 @@ def _format_real(x: float) -> str:
     return repr(float(x))
 
 
-def _term_text(word: Word, coeff: complex) -> tuple[int, str]:
+def _term_text(word: tuple[int, ...], coeff: complex) -> tuple[int, str]:
     """Return (sign, body) so that joining '[-]body [+-] body ...' reparses."""
-    body = "*".join(f"z{letter}" for letter in word.letters)
+    body = "*".join(f"z{letter}" for letter in word)
     re, im = coeff.real, coeff.imag
     if im == 0:
         sign = -1 if re < 0 else 1
@@ -792,4 +787,4 @@ def format_poly(p: FreePolynomial) -> str:
 
 def to_triples(p: FreePolynomial) -> list[tuple[str, float, float]]:
     """Length-lex sorted (word digit string, re, im) triples."""
-    return [(w.to_string(), c.real, c.imag) for w, c in p.sorted_terms()]
+    return [(Word._trusted(w, p.d).to_string(), c.real, c.imag) for w, c in p.sorted_terms()]

@@ -178,12 +178,14 @@ def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
 def factor_two_check(ball: OperatorBall, samples, r: float) -> bool:
     """Whether every sample satisfies the doubled level-1 bound sup_norm < 2r.
 
-    ``r`` must bound the scalar points among the samples (|x_j| <= r), and
-    every sample must lie strictly inside the ball.
+    ``r``, finite, must bound the scalar points among the samples (|x_j| <= r);
+    there is at least one sample, and each lies strictly inside the ball.
     """
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be positive, got {r}" if r != np.inf else "r must be finite, got inf")
     samples = list(samples)
+    if not samples:
+        raise ValueError("samples must hold at least one point")
     for x in samples:
         verdict = membership(ball, x)
         if not verdict.is_inside:

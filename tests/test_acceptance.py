@@ -21,11 +21,10 @@ import math
 import numpy as np
 
 from ncball.cli import main
-from ncball.freealg import FreePolynomial, Word, eval_word, left_divide, words_of_size
-from ncball.mattuple import MatrixTuple, direct_sum, similarity, sup_norm
+from ncball.freealg import FreePolynomial, Word, left_divide, words_of_size
+from ncball.mattuple import MatrixTuple, direct_sum, similarity
 from ncball.ncdiff import delta_first, gleason_split, scalar_eval, tt_check
 from ncball.opball import (
-    OperatorBall,
     factor_two_check,
     membership,
     polydisk,

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): outputs, exit codes, CSV identity."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -825,3 +826,18 @@ def test_cli_output_keeps_its_bytes(capsys, tmp_path, name):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
     assert (written and hashlib.sha256(written).hexdigest()) == file_digest
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    # a usage error, a refused value or --help in between leaves the shared parser as it was
+    interruptions = (["tt-check", "--poly", "z1", "-N", "2.5"], ["frobnicate"], ["dichotomy", "--case", "x"], ["--help"])
+    for name, argv in zip(sorted(CLI_PINS), itertools.cycle(interruptions)):
+        assert main(argv) == (0 if argv == ["--help"] else 2)
+        capsys.readouterr()
+        pin_argv, stdout_digest, file_digest = CLI_PINS[name]
+        (tmp_path / name).mkdir()
+        code, out, written = pinned_run(capsys, tmp_path / name, pin_argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest, name
+        assert (written and hashlib.sha256(written).hexdigest()) == file_digest, name

@@ -34,6 +34,8 @@ from ncball.freealg import (
     walk_levels,
     words_of_size,
 )
+from ncball.mattuple import MatrixTuple
+from ncball.ncdiff import tt_check
 from ncball.opball import polydisk
 from ncball.realize import Realization, bidisk_witness, taylor_polynomial
 
@@ -194,6 +196,12 @@ def assert_trusted(word: Word):
     assert vars(word) == vars(checked)
 
 
+def assert_letter_key(key, d: int):
+    """A term key built without a Word is a tuple of ints, the letters of the validated Word."""
+    assert type(key) is tuple and all(type(letter) is int for letter in key)
+    assert Word(key, d).letters == key
+
+
 @settings(max_examples=60, deadline=None)
 @given(complex_polys(), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_trusted_words_match_validated_words(p, k, n, seed):
@@ -203,14 +211,14 @@ def test_trusted_words_match_validated_words(p, k, n, seed):
     for head, quotient in left_divide(high, n).items():
         assert_trusted(head)
         for tail in quotient.terms:
-            assert_trusted(tail)
+            assert_letter_key(tail, p.d)
     for word in parse(format_poly(p), p.d).terms:
-        assert_trusted(word)
+        assert_letter_key(word, p.d)
     rng = np.random.default_rng(seed)
     b, c, dmat = rng.normal(size=p.d), rng.normal(size=p.d), rng.normal(size=(p.d, p.d))
     f = Realization(polydisk(p.d).pencil, 1, 0.5, b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
     for word in taylor_polynomial(f, k + 1).terms:
-        assert_trusted(word)
+        assert_letter_key(word, p.d)
 
 
 @given(st.integers(1, 3), st.data())
@@ -331,6 +339,30 @@ def test_homogeneous_components_partition(p):
     assert total == p
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         homogeneous_component(p, -1)
+
+
+def test_coefficient_checks_its_word_as_the_constructor_does():
+    p = parse("z1*z2 + 3", 2)
+    assert p.coefficient(Word((1, 2), 2)) == p.coefficient((1, 2)) == p.coefficient([1, 2]) == 1
+    assert p.coefficient(()) == 3 and p.coefficient(Word((2, 1), 2)) == p.coefficient((2, 1)) == 0
+    # a Word over another alphabet, and a letter tuple outside 1..d: the constructor's errors
+    for key, problem in (
+        (Word((1, 2), 3), "word over alphabet 1..3 in a polynomial with d=2"),
+        ((1, 3), "letter 3 outside alphabet 1..2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            FreePolynomial(2, {key: 1.0})
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            p.coefficient(key)
+
+
+@given(complex_polys())
+def test_terms_are_keyed_by_letter_tuples_and_sorted_in_word_order(p):
+    for word in p.terms:
+        assert_letter_key(word, p.d)
+    want = sorted(p.terms.items(), key=lambda item: Word(item[0], p.d).sort_key())
+    assert p.sorted_terms() == want
+    assert to_triples(p) == [(Word(w, p.d).to_string(), c.real, c.imag) for w, c in want]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +534,7 @@ def bits(c):
 
 def coefficient_bits(p):
     """The terms in dict order, with the exact bits of each coefficient."""
-    return [(w.letters, bits(c)) for w, c in p.terms.items()]
+    return [(w, bits(c)) for w, c in p.terms.items()]
 
 
 def constant(c):
@@ -597,9 +629,9 @@ def test_parse_sums_match_repeated_addition_bitwise():
     # through a zero partial sum, and -c is 0j + -c (not 0j - c, which keeps
     # the sign bit of a NaN)
     p = parse("(z1 + 0.5)*(z1 + -1)*(1 + z1)^2", 2)
-    assert [w.letters for w in p.terms] == [(1, 1), (1, 1, 1), (1, 1, 1, 1), (1,), ()]
+    assert list(p.terms) == [(1, 1), (1, 1, 1), (1, 1, 1, 1), (1,), ()]
     square = parse("(1e400 + z1)^2", 2).terms  # NaN coefficients
-    assert coefficient_bits(parse("-(1e400 + z1)^2", 2)) == [(w.letters, bits(0j + -c)) for w, c in square.items()]
+    assert coefficient_bits(parse("-(1e400 + z1)^2", 2)) == [(w, bits(0j + -c)) for w, c in square.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +944,7 @@ def test_left_divide_keeps_its_contract(p, n):
     assert [w.letters for w in quotients] == [w.letters for w in words_of_size(p.d, n)]
     for head, quotient in quotients.items():
         # the reference: the terms of this head, in the order of p's terms, keyed by validated words
-        want = {Word(w.letters[n:], p.d): c for w, c in high.terms.items() if w.letters[:n] == head.letters}
+        want = {Word(w[n:], p.d): c for w, c in high.terms.items() if w[:n] == head.letters}
         if want:
             assert list(quotient.terms.items()) == list(FreePolynomial(p.d, want).terms.items())
         else:
@@ -951,7 +983,7 @@ def test_compose_with_generators_is_identity(p):
 
 # ---------------------------------------------------------------------------
 # the term-map algebra against the implementation it replaced, kept here as
-# the reference: each operator built Word-keyed maps and re-validated them
+# the reference: each operator built its term map and re-validated it
 # through the public constructor
 
 # signed zeros, subnormals, +-1 (so sums cancel) and an infinity (so products make NaNs)
@@ -980,8 +1012,7 @@ def ref_neg(p):
 
 
 def ref_mul(p, q):
-    left, right = ({w.letters: c for w, c in r.terms.items()} for r in (p, q))
-    return FreePolynomial(p.d, _product(left, right))
+    return FreePolynomial(p.d, _product(dict(p.terms), dict(q.terms)))
 
 
 def ref_scale(p, s):
@@ -1001,18 +1032,18 @@ def ref_compose(p, inner):
     out = FreePolynomial.zero(e)
     for word, coeff in p.terms.items():
         prod = FreePolynomial.constant(e, 1.0)
-        for letter in word.letters:
+        for letter in word:
             prod = ref_mul(prod, inner[letter - 1])
         out = ref_add(out, ref_scale(prod, coeff))
     return out
 
 
 def assert_same_bits(got, want):
-    """Equal d, dict order, Word keys and coefficient bits, each coefficient a Python complex."""
+    """Equal d, dict order, letter-tuple keys and coefficient bits, each coefficient a Python complex."""
     assert got.d == want.d and coefficient_bits(got) == coefficient_bits(want)
     assert all(type(c) is complex for c in got.terms.values())
     for word in got.terms:
-        assert_trusted(word)
+        assert_letter_key(word, got.d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1050,7 +1081,7 @@ def test_compose_readds_a_cancelled_word_at_the_end_bitwise():
     z1 = FreePolynomial.generator(1, 1)
     p = parse("z1 - z2 + 0.5*z1*z2 + z3", 3)  # z1 cancels, then comes back after z1*z1
     got = compose(p, (z1, z1, z1))
-    assert [w.letters for w in got.terms] == [(1, 1), (1,)]
+    assert list(got.terms) == [(1, 1), (1,)]
     assert_same_bits(got, ref_compose(p, (z1, z1, z1)))
 
 
@@ -1112,13 +1143,36 @@ def test_taylor_polynomial_matches_the_public_constructor_bitwise(d, n, seed):
 @given(st.integers(1, 3).flatmap(edge_polys), st.integers(1, 3))
 def test_left_quotients_match_the_public_constructor_bitwise(p, n):
     got = _left_quotients(p, n)
-    heads = sorted({w.letters[:n] for w in p.terms if len(w) >= n})
+    heads = sorted({w[:n] for w in p.terms if len(w) >= n})
     assert list(got) == heads
     for head in heads:
-        tails = {Word(w.letters[n:], p.d): c for w, c in p.terms.items() if w.letters[:n] == head}
+        tails = {Word(w[n:], p.d): c for w, c in p.terms.items() if w[:n] == head}
         assert_same_bits(got[head], FreePolynomial(p.d, tails))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(edge_polys), st.integers(0, 5))
+def test_homogeneous_components_match_the_public_constructor_bitwise(p, k):
+    want = FreePolynomial(p.d, {Word(w, p.d): c for w, c in p.terms.items() if len(w) == k})
+    assert_same_bits(homogeneous_component(p, k), want)
+
+
+def test_parse_operators_and_taylor_polynomial_build_no_word():
+    z1, z2, f, x = z(1), z(2), bidisk_witness(), MatrixTuple.scalars((0.5, 0.4))
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Word was built")
+
+    with mock.patch.object(Word, "__init__", built), mock.patch.object(Word, "_trusted", built):
+        p = parse("(z1 + 2*z2)^3 - z2*z1 + (0.5-1i)", 2)
+        q = compose(p * p - 2 * p + (-p) ** 2 - z1 * 0.5, (z2, z1 + z2))
+        parts = [homogeneous_component(q, k) for k in range(q.degree + 1)]
+        quotients = _left_quotients(q, 3)
+        text, report = format_poly(q), tt_check(q, x, 4)
+        taylor = taylor_polynomial(f, 12)
+    assert functools.reduce(operator.add, parts) == q and parse(text, 2) == q
+    assert list(quotients) == sorted({w[:3] for w in q.terms if len(w) >= 3}) and report.passed
+    assert len(taylor.terms) == 2**12 - 2  # every word of size < 12 but the empty one, as ex52 has A = 0
 def test_expansions_past_the_word_budget_raise_before_they_start():
     with pytest.raises(BudgetExceededError, match="1024 x 1024 term products exceed the budget 1000000"):
         parse("(z1+z2)^10*(z1+z2)^10", 2)

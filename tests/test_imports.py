@@ -1,9 +1,10 @@
-"""Every module-level import in the package is used by its module, every
-private module-level function or class and every UPPER_CASE constant is read
-by some module of the package, and ncball.__all__ lists exactly the names that
-the package's __init__ imports.  Only the modules of the two function kinds,
-freealg and realize, test an object against FreePolynomial or Realization,
-and only opball names a ball kind of the shorthand.
+"""Every module-level import in the package and in its tests is used by its
+module, every private module-level function or class and every UPPER_CASE
+constant is read by some module of the package, and ncball.__all__ lists
+exactly the names that the package's __init__ imports.  Only the modules of
+the two function kinds, freealg and realize, test an object against
+FreePolynomial or Realization, and only opball names a ball kind of the
+shorthand.
 The modules import one another in one acyclic order, only at module level,
 and import nothing beyond the standard library and numpy."""
 
@@ -17,6 +18,7 @@ import ncball
 from ncball.opball import BALL_KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncball"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,8 +43,9 @@ def test_scan_finds_an_unused_import():
 
 def test_no_unused_module_imports():
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-    assert modules, f"no modules found under {PACKAGE}"
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests, f"no modules found under {PACKAGE} or {TESTS}"
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules + tests}
     assert not {name: names for name, names in found.items() if names}
 
 

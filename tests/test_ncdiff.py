@@ -308,7 +308,7 @@ def ref_poly_value(p, xs):
     """sum_w c_w X^w at a stack, each term folded on its own and added to zeros in sorted_terms() order."""
     out = np.zeros((len(xs), *xs.shape[-2:]), dtype=complex)
     for word, coeff in p.sorted_terms():
-        out = out + coeff * ref_word_fold(xs, word.letters)
+        out = out + coeff * ref_word_fold(xs, word)
     return out
 
 
@@ -452,10 +452,10 @@ def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
         report, counts = count_constructions(lambda: tt_check(p, x, 16))
         assert report.rhs.tobytes() == ref_tt_rhs(p, x, 16).tobytes()
         built.append(counts)
-    # each high term adds one quotient and one tail word; the rest is one component per size below 16
+    # each high term adds one quotient; the rest is one component per size below 16, and no term is a Word
     assert [c["polys"] - built[0]["polys"] for c in built] == [0, 1, 2]
-    assert [c["words"] - built[0]["words"] for c in built] == [0, 1, 2]
-    assert built[0]["polys"] == 16 + 2 and built[0]["words"] == 2
+    assert [c["words"] for c in built] == [0, 0, 0]
+    assert built[0]["polys"] == 16 + 2
 
 
 def test_tt_check_charges_the_budget_where_its_words_are_walked():

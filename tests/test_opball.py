@@ -237,6 +237,18 @@ def test_factor_two_validates_inputs():
         factor_two_check(ball, [MatrixTuple.scalars((0.5, 0.0))], r=float("nan"))
 
 
+def test_factor_two_gives_no_verdict_without_samples_or_a_finite_r():
+    ball = polydisk(2)
+    with pytest.raises(ValueError, match="^samples must hold at least one point$"):
+        factor_two_check(ball, [], r=1.0)
+    with pytest.raises(ValueError, match="^samples must hold at least one point$"):
+        factor_two_check(ball, iter(()), r=1.0)
+    with pytest.raises(ValueError, match="^r must be finite, got inf$"):
+        factor_two_check(ball, [MatrixTuple.scalars((0.5, 0.0))], r=float("inf"))
+    with pytest.raises(ValueError, match="^r must be positive, got -inf$"):
+        factor_two_check(ball, [MatrixTuple.scalars((0.5, 0.0))], r=-float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # JSON and shorthand
 

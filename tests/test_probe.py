@@ -20,9 +20,7 @@ from ncball.probe import (
     INJECTION_EPS,
     MULTISTART_MARGINS,
     BlowupReport,
-    DichotomyResult,
     MonomialRow,
-    ProbeReport,
     blowup_scan,
     builtin_dichotomy_case,
     corner_path,
