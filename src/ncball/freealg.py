@@ -61,27 +61,8 @@ class Word:
             if not 1 <= letter <= self.d:
                 raise ValueError(f"letter {letter} outside alphabet 1..{self.d}")
 
-    @classmethod
-    def _trusted(cls, letters: tuple[int, ...], d: int) -> "Word":
-        """The Word of a tuple of ints already known to lie in 1..d, built without re-validation."""
-        word = object.__new__(cls)
-        fields = word.__dict__
-        fields["letters"] = letters
-        fields["d"] = d
-        return word
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if other.d != self.d:
-            raise ValueError(f"cannot concatenate words over different alphabets ({self.d} vs {other.d})")
-        return Word(self.letters + other.letters, self.d)
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.letters), self.letters)
 
     def to_string(self) -> str:
         return ("" if self.d <= 9 else "-").join(map(str, self.letters))  # digits for d <= 9, dash-separated beyond
@@ -117,7 +98,7 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
         raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
     if d == 1 and k > WORD_BUDGET:  # one word, of k letters
         raise BudgetExceededError(f"a word of {k} letters exceeds the budget {WORD_BUDGET}")
-    return (Word._trusted(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
+    return (Word(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
 
 
 def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[object, tuple]]:
@@ -131,6 +112,8 @@ def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[objec
     letter, and the walk yields (prefixes, stacks): the rows' letter tuples for k.
     Without ``words`` it visits d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if words is None and _dense_count(d, size) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^0 + ... + {d}^{size} words exceed the budget {WORD_BUDGET}")
     return _walk(d, size, columns, None if words is None else {w[:i] for w in words for i in range(len(w) + 1)})
@@ -376,7 +359,7 @@ class FreePolynomial(NCFunction):
         return self.terms.get(_checked_letters(word, self.d), 0j)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], complex]]:
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))  # Word.sort_key's order
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))  # length-lex: (length, letters)
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
@@ -787,4 +770,4 @@ def format_poly(p: FreePolynomial) -> str:
 
 def to_triples(p: FreePolynomial) -> list[tuple[str, float, float]]:
     """Length-lex sorted (word digit string, re, im) triples."""
-    return [(Word._trusted(w, p.d).to_string(), c.real, c.imag) for w, c in p.sorted_terms()]
+    return [(Word(w, p.d).to_string(), c.real, c.imag) for w, c in p.sorted_terms()]

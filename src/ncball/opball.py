@@ -146,17 +146,17 @@ class BallMembership:
         return self.kind == "inside"
 
     @classmethod
-    def from_norm(cls, s: float, tol: float = MEMBERSHIP_TOL) -> "BallMembership":
+    def from_norm(cls, s: float) -> "BallMembership":
         """The verdict for a point whose pencil norm ||Q(X)|| is s."""
-        if s < 1.0 - tol:
+        if s < 1.0 - MEMBERSHIP_TOL:
             return cls("inside", s, 1.0 - s)
-        if s > 1.0 + tol:
+        if s > 1.0 + MEMBERSHIP_TOL:
             return cls("outside", s, s - 1.0)
         return cls("boundary", s, abs(s - 1.0))
 
 
-def membership(ball: OperatorBall, x: MatrixTuple, tol: float = MEMBERSHIP_TOL) -> BallMembership:
-    return BallMembership.from_norm(ball.norm_at(x), tol)
+def membership(ball: OperatorBall, x: MatrixTuple) -> BallMembership:
+    return BallMembership.from_norm(ball.norm_at(x))
 
 
 def _isometry_defect(v: np.ndarray) -> float:

@@ -418,13 +418,16 @@ class BlowupReport:
 
 
 def blowup_scan(g, eps_list, ball: OperatorBall) -> BlowupReport:
-    """Evaluate g at corner_path(eps) for each eps, verifying strict membership first.
+    """Evaluate g at corner_path(eps) for each eps (at least one), verifying strict membership first.
 
     ``g`` is called with the level-1 MatrixTuple of each path point, so an nc
     function is passed as ``f.eval``.
     """
     if not callable(g):
         raise TypeError(f"cannot evaluate an object of type {type(g).__name__}")
+    eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("eps_list must hold at least one value")
     rows = []
     for eps in eps_list:
         x = MatrixTuple.scalars(corner_path(eps))

@@ -322,6 +322,8 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its words are budgeted before the walk."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     _charge_words_below(f.d, n)
     levels: list[list[complex]] = [[] for _ in range(n)]
     for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):

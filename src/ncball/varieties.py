@@ -61,13 +61,7 @@ class HomogeneityReport:
         return self.holds
 
 
-def homogeneity_sample(
-    variety: AlgebraicVariety,
-    samples,
-    lambdas=None,
-    seed: int = 0,
-    tol: float = VARIETY_TOL,
-) -> HomogeneityReport:
+def homogeneity_sample(variety: AlgebraicVariety, samples, lambdas=None, seed: int = 0) -> HomogeneityReport:
     """Check that scaled copies of the supplied variety points stay in the variety.
 
     ``samples`` are caller-produced in-variety points (supply a parameterization
@@ -88,12 +82,12 @@ def homogeneity_sample(
             if not abs(scale) < 1.0:
                 raise ValueError(f"lambda must lie in the open unit disk, got |{scale}| = {abs(scale):.17g}")
     for x in samples:
-        if not variety_membership(variety, x, tol):
+        if not variety_membership(variety, x):
             raise ValueError("sampler produced an out-of-variety point")
     for x in samples:
         for scale in lambdas:
             scaled = x.scale(scale)
-            if not variety_membership(variety, scaled, tol):
+            if not variety_membership(variety, scaled):
                 return HomogeneityReport(
                     holds=False,
                     witness_point=x,

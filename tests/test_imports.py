@@ -1,6 +1,7 @@
 """Every module-level import in the package and in its tests is used by its
-module, every private module-level function or class and every UPPER_CASE
-constant is read by some module of the package, and ncball.__all__ lists
+module, every private module-level function or class, private method or
+property of a module-level class, and UPPER_CASE constant is read by some
+module of the package, and ncball.__all__ lists
 exactly the names that the package's __init__ imports.  Only the modules of
 the two function kinds, freealg and realize, test an object against
 FreePolynomial or Realization, and only opball names a ball kind of the
@@ -51,7 +52,9 @@ def test_no_unused_module_imports():
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """'module: name' for each module-level _private function or class, or
-    UPPER_CASE constant, of the given sources that none of them reads."""
+    UPPER_CASE constant, and 'module: Class.name' for each _private method or
+    property of a module-level class, of the given sources that none of them
+    reads by name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -65,6 +68,9 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     found = []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef) and re.fullmatch(r"_[^_].*", f.name)]
+                found += [f"{module}: {node.name}.{name}" for name in methods if name not in read]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_].*", node.name):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -80,8 +86,22 @@ def test_scan_finds_an_unread_definition():
     sources = {
         "a.py": "LIMIT = 1\nUNUSED = 2\ndef _helper():\n    return LIMIT\nclass _Gone:\n    pass\n",
         "b.py": "from .a import _helper\nprint(_helper())\n",
+        "c.py": (
+            "class Box:\n"
+            "    def __len__(self):\n"
+            "        return self._size\n"
+            "    @property\n"
+            "    def _size(self):\n"
+            "        return 0\n"
+            "    def _stale(self):\n"
+            "        return 1\n"
+            "    @classmethod\n"
+            "    def _built(cls):\n"
+            "        return cls()\n"
+        ),
+        "d.py": "from .c import Box\nBox._built()\n",
     }
-    assert unread_definitions(sources) == ["a.py: UNUSED", "a.py: _Gone"]
+    assert unread_definitions(sources) == ["a.py: UNUSED", "a.py: _Gone", "c.py: Box._stale"]
 
 
 def test_no_unread_private_definitions_or_constants():

@@ -134,22 +134,15 @@ def test_membership_three_way():
     assert boundary.distance < 1e-9
 
 
-def test_membership_respects_tol():
-    ball = polydisk(1)
-    x = MatrixTuple.scalars((1.0 - 1e-6,))
-    assert membership(ball, x, tol=1e-9).kind == "inside"
-    assert membership(ball, x, tol=1e-3).kind == "boundary"
-
-
 def test_membership_is_the_verdict_of_the_pencil_norm():
     rng = np.random.default_rng(31)
     ball = row_ball(2)
     for scale in (0.3, 0.7, 1.0, 1.5):
         x = random_tuple(rng, 2, 2, scale)
         assert membership(ball, x) == BallMembership.from_norm(ball.norm_at(x))
-        assert membership(ball, x, tol=0.5) == BallMembership.from_norm(ball.norm_at(x), tol=0.5)
-    assert BallMembership.from_norm(1.0 - 1e-6, tol=1e-9).kind == "inside"
-    assert BallMembership.from_norm(1.0 - 1e-6, tol=1e-3).kind == "boundary"
+    # the boundary band is fixed: 1e-6 from the sphere is inside, 1e-10 is on it
+    assert BallMembership.from_norm(1.0 - 1e-6).kind == "inside"
+    assert BallMembership.from_norm(1.0 - 1e-10).kind == "boundary"
     assert BallMembership.from_norm(1.5) == BallMembership("outside", 1.5, 0.5)
 
 

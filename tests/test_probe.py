@@ -225,6 +225,13 @@ def test_blowup_rejects_a_path_whose_d_is_not_the_balls():
         blowup_scan(g, [0.1], polydisk(3))
 
 
+def test_blowup_needs_at_least_one_eps():
+    g = mock.Mock(side_effect=AssertionError("evaluated"))
+    for eps_list in ([], (), iter([])):
+        with pytest.raises(ValueError, match=r"^eps_list must hold at least one value$"):
+            blowup_scan(g, eps_list, BALL)
+
+
 def test_blowup_rejects_unknown_targets():
     with pytest.raises(TypeError, match="cannot evaluate"):
         blowup_scan("f", [0.1], BALL)

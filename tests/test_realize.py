@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncball import freealg
+from ncball import freealg, realize
 from ncball.freealg import (
     FreePolynomial,
     QuotientColumn,
@@ -392,6 +392,12 @@ def test_taylor_polynomials_of_size_zero_and_one():
     assert f.A != 0
     assert taylor_polynomial(f, 0) == FreePolynomial.zero(2)
     assert taylor_polynomial(f, 1) == FreePolynomial.constant(2, f.A)
+
+
+def test_taylor_polynomial_refuses_a_negative_size_before_the_budget():
+    with mock.patch.object(realize, "_charge_words_below", side_effect=AssertionError("charged")):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
+            taylor_polynomial(bidisk_witness(), -3)
 
 
 @settings(max_examples=30, deadline=None)
