@@ -5,7 +5,8 @@ monomials.  Words over the alphabet {1, ..., d} index the monomials and are
 ordered length-lexicographically (shorter first, then lexicographic with
 1 < 2 < ... < d).  Coefficients are complex doubles; only exact zeros are
 dropped, nothing is epsilon-pruned.  The values X^w of words at matrix points
-come from the one word walk, walk_levels.
+come from the one word walk: walk_levels over all words up to a size, or its
+prefix form over a polynomial's words.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .mattuple import MatrixTuple, _seq_matmul, point_stack
 
-WORD_BUDGET = 10**6  # the words a dense walk_levels or words_of_size visits, the term pairs a _product forms
+WORD_BUDGET = 10**6  # the words a walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
 # levels and the probe's target values come out in chunks, and the probe's
 # stacks hold as many points as fit it with one n x n complex value each
@@ -101,26 +102,30 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
     return (Word(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
 
 
-def walk_levels(d: int, size: int, *columns, words=None) -> Iterator[tuple[object, tuple]]:
+def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
     """(k, stacks) for the words of each size k <= size, one stack per column (root, step).
 
     value(empty) = root, and step(stack, j) stacks the words w j of a stack of
     words w, so the children come in (parent, letter) order: length-lex.  A
     level whose stacks pass BATCH_BYTES comes out as consecutive chunks, each
-    walked on before the next, so memory stays bounded.  Given ``words``
-    (letter tuples), a level keeps only their prefixes, stepped one stack per
-    letter, and the walk yields (prefixes, stacks): the rows' letter tuples for k.
-    Without ``words`` it visits d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
+    walked on before the next, so memory stays bounded.  It visits
+    d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if words is None and _dense_count(d, size) > WORD_BUDGET:
+    if not columns:
+        raise ValueError("walk_levels needs at least one (root, step) column")
+    if _dense_count(d, size) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^0 + ... + {d}^{size} words exceed the budget {WORD_BUDGET}")
-    return _walk(d, size, columns, None if words is None else {w[:i] for w in words for i in range(len(w) + 1)})
+    return _walk(d, size, columns, None)
 
 
 def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
-    """walk_levels over the prefixes in keep, or over all words if keep is None."""
+    """walk_levels if keep is None, else (prefixes, stacks) over the prefixes in keep.
+
+    A prefix level comes out in the order it is stepped, one stack per letter:
+    the children by letter 1, then by letter 2, and so on.
+    """
     todo = [(0, None if keep is None else [()], tuple(root for root, _ in columns))] if size >= 0 else []
     while todo:
         k, prefixes, stacks = todo.pop()
@@ -132,15 +137,13 @@ def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
             kids = [kid.reshape(len(kid) * d, *kid.shape[2:]) for kid in kids]
         else:
             parents = [[i for i, p in enumerate(prefixes) if p + (j,) in keep] for j in range(1, d + 1)]
-            born = [prefixes[i] + (j,) for j, sel in enumerate(parents, 1) for i in sel]
-            if not born:
+            if not any(parents):
                 continue
-            order = sorted(range(len(born)), key=born.__getitem__)  # stepped letter by letter, kept by (parent, letter)
-            kids = []
-            for s, (_, step) in zip(stacks, columns):
-                parts = [step(s if len(sel) == len(prefixes) else s[sel], j) for j, sel in enumerate(parents, 1) if sel]
-                kids.append(np.concatenate(parts)[order])
-            prefixes = [born[i] for i in order]
+            kids = [
+                np.concatenate([step(s if len(sel) == len(prefixes) else s[sel], j) for j, sel in enumerate(parents, 1) if sel])
+                for s, (_, step) in zip(stacks, columns)
+            ]
+            prefixes = [prefixes[i] + (j,) for j, sel in enumerate(parents, 1) for i in sel]
         count = len(kids[0])
         chunk = max(1, BATCH_BYTES * count // max(1, sum(kid.nbytes for kid in kids)))  # no bytes: one chunk
         for rows in reversed([slice(i, i + chunk) for i in range(0, count, chunk)]):
@@ -160,7 +163,8 @@ def _monomials(xs: np.ndarray) -> tuple:
 def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
     """{w: X^w} for letter tuples w at a point or a stack, from one walk over their prefixes."""
     wanted = set(words)
-    levels = walk_levels(xs.shape[-3], max(map(len, wanted), default=-1), _monomials(xs), words=wanted)
+    keep = {w[:i] for w in wanted for i in range(len(w) + 1)}
+    levels = _walk(xs.shape[-3], max(map(len, wanted), default=-1), (_monomials(xs),), keep)
     return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
 
 
@@ -468,14 +472,6 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return FreePolynomial._trusted(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
-
-
-def _charge_words_below(d: int, n: int) -> None:
-    """Charge the words of size < n to WORD_BUDGET: their count, and at d = 1 their letters."""
-    if _dense_count(d, n - 1) > WORD_BUDGET:  # d^0 + ... + d^(n-1), as a dense walk counts
-        raise BudgetExceededError(f"{d}^0 + ... + {d}^{n - 1} words exceed the budget {WORD_BUDGET}")
-    if d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
-        raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
 
 
 def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:

@@ -20,11 +20,6 @@ from .freealg import NCFunction, _no_split
 from .mattuple import MatrixTuple, _spectral_norm
 
 
-def scalar_eval(f, point) -> complex:
-    """Evaluate at a scalar (level-1) point."""
-    return complex(f.eval(MatrixTuple.scalars(point))[0, 0])
-
-
 def pair_point(a, b, h) -> MatrixTuple:
     """The 2x2 upper-triangular tuple with diagonal (a, b) and corner h."""
     a, b, h = list(a), list(b), list(h)

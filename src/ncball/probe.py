@@ -522,6 +522,10 @@ class MonomialRow(NCFunction):
     d: int
     size: int
 
+    def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"monomial rows are indexed by a word size >= 1, got {self.size}")
+
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         count, n = xs.shape[0], xs.shape[-1]
         top = np.concatenate([xws for k, (xws,) in walk_levels(self.d, self.size, _monomials(xs)) if k == self.size])

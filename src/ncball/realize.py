@@ -18,6 +18,7 @@ f is then a complete contraction on the ball; in contraction mode only
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import FreePolynomial, NCFunction, Word, _added, _charge_words_below, _monomials, walk_levels
+from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, Word, _added, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
     _owned_array,
@@ -196,16 +197,12 @@ class Realization(NCFunction):
         head = self.B.reshape(1, 1, -1) if rows is None else rows @ self.D
         return head @ self._letter_pencil.coefficients[j - 1]
 
-    def _prefix_row(self, word: Word) -> np.ndarray:
-        """B L_{w_1} D L_{w_2} D ... D L_{w_k} for a nonempty word, a 1 x (m q) row: the last level of its walk."""
-        *_, (_, (rows,)) = walk_levels(self.d, len(word), (None, self.row_step), words=[word.letters])
-        return rows[0]
-
     def power_series_coefficient(self, word: Word) -> complex:
         """c_w with f = sum_w c_w Z^w; c_empty = A."""
         if word.d != self.d:
             raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
-        return complex((self._prefix_row(word) @ self.C)[0]) if len(word) else self.A
+        # B L_{w_1} D L_{w_2} D ... D L_{w_k} C, the last row of the word's steps
+        return complex((functools.reduce(self.row_step, word.letters, None)[0] @ self.C)[0]) if len(word) else self.A
 
     def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
         """f_0(x), f_1(x), ...: one power iteration, one product per term.
@@ -324,9 +321,11 @@ def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its words are budgeted before the walk."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    _charge_words_below(f.d, n)
+    walk = walk_levels(f.d, n - 1, (None, f.row_step))  # charges the d^0 + ... + d^(n-1) words
+    if f.d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
+        raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")
     levels: list[list[complex]] = [[] for _ in range(n)]
-    for k, (rows,) in walk_levels(f.d, n - 1, (None, f.row_step)):
+    for k, (rows,) in walk:
         levels[k] += [f.A] if rows is None else (rows @ f.C)[:, 0].tolist()
     words = (w for k in range(n) for w in itertools.product(range(1, f.d + 1), repeat=k))
     return FreePolynomial._trusted(f.d, dict(zip(words, itertools.chain(*levels))))

@@ -23,7 +23,7 @@ import numpy as np
 from ncball.cli import main
 from ncball.freealg import FreePolynomial, Word, left_divide, words_of_size
 from ncball.mattuple import MatrixTuple, direct_sum, similarity
-from ncball.ncdiff import delta_first, gleason_split, scalar_eval, tt_check
+from ncball.ncdiff import delta_first, gleason_split, tt_check
 from ncball.opball import (
     factor_two_check,
     membership,
@@ -45,6 +45,7 @@ from ncball.varieties import (
     parabola_cubic_pair,
     variety_membership,
 )
+from test_ncdiff import scalar_eval
 
 BALL = polydisk(2)
 

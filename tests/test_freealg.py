@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncball import freealg
 from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
@@ -25,6 +26,7 @@ from ncball.freealg import (
     _product,
     _times_letters,
     _tokenize,
+    _word_values,
     compose,
     format_poly,
     homogeneous_component,
@@ -175,9 +177,10 @@ def test_a_dense_walk_charges_the_budget_before_its_first_step():
     # 2^19 - 1 and 10^6 words are within the budget; a call walks nothing yet
     walk_levels(2, 18, column), walk_levels(1, 10**6 - 1, column)
     assert steps == []
-    # a sparse walk visits only the prefixes of its words and is not charged
-    levels = list(walk_levels(2, 40, column, words=[(1,) * 40]))
-    assert len(levels) == 41 and steps == [1] * 40
+    # a polynomial's walk visits only the prefixes of its words and is not charged
+    with mock.patch.object(freealg, "_seq_matmul", wraps=freealg._seq_matmul) as matmul:
+        values = _word_values(np.zeros((2, 1, 1), dtype=complex), [(1,) * 40])
+    assert list(values) == [(1,) * 40] and matmul.call_count == 40
     assert list(walk_levels(2, -1, column)) == []
 
 
@@ -185,10 +188,18 @@ def test_walk_levels_names_an_empty_alphabet_at_the_call():
     steps = []
     column = (np.zeros((1, 1)), lambda stack, j: steps.append(j) or stack)
     for d in (0, -1):
-        for words in (None, [(1,)]):  # the dense walk and the walk over given words
-            with pytest.raises(ValueError, match=rf"^d must be >= 1, got {d}$"):
-                walk_levels(d, 2, column, words=words)
+        with pytest.raises(ValueError, match=rf"^d must be >= 1, got {d}$"):
+            walk_levels(d, 2, column)
     assert steps == []
+
+
+def test_walk_levels_names_a_missing_column_at_the_call():
+    # no (root, step) column: refused at the call, after the d check and before the budget
+    for size in (1, 0, -1, 10**9):
+        with pytest.raises(ValueError, match=r"^walk_levels needs at least one \(root, step\) column$"):
+            walk_levels(2, size)
+    with pytest.raises(ValueError, match=r"^d must be >= 1, got 0$"):
+        walk_levels(0, 1)
 
 
 def assert_letter_key(key, d: int):

@@ -1,7 +1,7 @@
 """Every module-level import in the package and in its tests is used by its
-module, every private module-level function or class, private method or
-property of a module-level class, and UPPER_CASE constant is read by some
-module of the package, and ncball.__all__ lists
+module, every module-level function or class, private method or property of
+a module-level class, and UPPER_CASE constant is read by some module of the
+package (a public name is read where __init__ exports it), and ncball.__all__ lists
 exactly the names that the package's __init__ imports.  Only the modules of
 the two function kinds, freealg and realize, test an object against
 FreePolynomial or Realization, and only opball names a ball kind of the
@@ -51,18 +51,42 @@ def test_no_unused_module_imports():
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """'module: name' for each module-level _private function or class, or
-    UPPER_CASE constant, and 'module: Class.name' for each _private method or
-    property of a module-level class, of the given sources that none of them
-    reads by name."""
+    """'module: name' for each module-level function, class or UPPER_CASE
+    constant, and 'module: Class.name' for each _private method or property of
+    a module-level class, of the given sources that none of them reads by name.
+
+    A public function or class counts as read when some source imports it,
+    so a name that the package's __init__ exports is read.  A method is read
+    through a class name, or through self or cls inside a class, only for that
+    class and its bases and subclasses; through any other receiver, for every
+    class that defines it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
+    classes = [node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {node.name: {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases} for node in classes}
+    subclasses = {name: {sub for sub in bases if name in bases[sub]} for name in bases}
+    family = {}  # each class with its bases and subclasses among the module-level classes
+    for name in bases:
+        family[name] = {name}
+        for edges in (bases, subclasses):
+            todo = [name]
+            while todo:
+                new = edges.get(todo.pop(), set()) - family[name]
+                family[name] |= new
+                todo += new
+    owner = {id(inner): node.name for node in classes for inner in ast.walk(node)}
+    read, read_in = set(), set()  # names read anywhere; (class, name) pairs read within a class family
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                receiver = getattr(node.value, "id", None)
+                if receiver in bases:
+                    read_in.update((c, node.attr) for c in family[receiver])
+                elif receiver in ("self", "cls") and id(node) in owner:
+                    read_in.update((c, node.attr) for c in family[owner[id(node)]])
+                else:
+                    read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     found = []
@@ -70,8 +94,8 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef) and re.fullmatch(r"_[^_].*", f.name)]
-                found += [f"{module}: {node.name}.{name}" for name in methods if name not in read]
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and re.fullmatch(r"_[^_].*", node.name):
+                found += [f"{module}: {node.name}.{name}" for name in methods if name not in read and (node.name, name) not in read_in]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not re.fullmatch(r"__.*__", node.name):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -84,7 +108,7 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 
 def test_scan_finds_an_unread_definition():
     sources = {
-        "a.py": "LIMIT = 1\nUNUSED = 2\ndef _helper():\n    return LIMIT\nclass _Gone:\n    pass\n",
+        "a.py": "LIMIT = 1\nUNUSED = 2\ndef _helper():\n    return LIMIT\nclass _Gone:\n    pass\ndef stale():\n    pass\n",
         "b.py": "from .a import _helper\nprint(_helper())\n",
         "c.py": (
             "class Box:\n"
@@ -100,8 +124,28 @@ def test_scan_finds_an_unread_definition():
             "        return cls()\n"
         ),
         "d.py": "from .c import Box\nBox._built()\n",
+        # two unrelated classes define _make: a read through one does not credit the other
+        "e.py": (
+            "class Left:\n"
+            "    @classmethod\n"
+            "    def _make(cls):\n"
+            "        return cls()\n"
+            "class Right:\n"
+            "    @classmethod\n"
+            "    def _make(cls):\n"
+            "        return cls()\n"
+            "    def _run(self):\n"
+            "        return 0\n"
+            "class Base:\n"
+            "    def go(self):\n"
+            "        return self._hook()\n"
+            "class Leaf(Base):\n"
+            "    def _hook(self):\n"
+            "        return 0\n"
+        ),
+        "f.py": "from .e import Leaf, Left, Right\nLeft._make()\nr = Right\nr()._run()\nLeaf().go()\n",
     }
-    assert unread_definitions(sources) == ["a.py: UNUSED", "a.py: _Gone", "c.py: Box._stale"]
+    assert unread_definitions(sources) == ["a.py: UNUSED", "a.py: _Gone", "a.py: stale", "c.py: Box._stale", "e.py: Right._make"]
 
 
 def test_no_unread_private_definitions_or_constants():

@@ -28,12 +28,16 @@ from ncball.ncdiff import (
     gleason_split,
     pair_derivative,
     pair_point,
-    scalar_eval,
     tt_check,
 )
 from ncball.opball import OperatorBall, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
 from ncball.realize import Realization, RemainderColumn, bidisk_witness, bidisk_witness_closed_form
+
+
+def scalar_eval(f, point) -> complex:
+    """f at a scalar (level-1) point."""
+    return complex(f.eval(MatrixTuple.scalars(point))[0, 0])
 
 
 def mobius_one_variable():

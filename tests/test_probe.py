@@ -497,6 +497,8 @@ def test_regularity_validation():
     for size in (0, -2):
         with pytest.raises(ValueError, match=f"remainder columns are indexed by a word size >= 1, got {size}"):
             RemainderColumn(f, size)
+        with pytest.raises(ValueError, match=f"^monomial rows are indexed by a word size >= 1, got {size}$"):
+            MonomialRow(2, size)
     # the targets' dense walks charge 2^0 + ... + 2^20 words before their first step
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):

@@ -395,7 +395,7 @@ def test_taylor_polynomials_of_size_zero_and_one():
 
 
 def test_taylor_polynomial_refuses_a_negative_size_before_the_budget():
-    with mock.patch.object(realize, "_charge_words_below", side_effect=AssertionError("charged")):
+    with mock.patch.object(realize, "walk_levels", side_effect=AssertionError("charged")):
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
             taylor_polynomial(bidisk_witness(), -3)
 
@@ -665,7 +665,6 @@ def check_level_walk(d, size, n, seed):
             assert [rows for _, rows in chunks] == [None]
             continue
         rows = np.concatenate([rows for _, rows in chunks])
-        assert all(bitwise_equal(row, f._prefix_row(w)) for w, row in zip(words, rows))
         assert all(bitwise_equal(row, ref_prefix_row(f, w)) for w, row in zip(words, rows))
     top = [stacks for size_k, stacks in levels if size_k == size]
     taylor = taylor_polynomial(f, size + 1)
@@ -718,7 +717,8 @@ def check_sparse_walk(d, size, n, seed):
     x, y = sample_in_ball(ball, n, 0.3, rng), sample_in_ball(ball, 1 + n % 3, 0.3, rng)
     words = sparse_words(d, size, seed)
     levels: dict[int, list] = {}
-    for walked, (xws, rows) in walk_levels(d, size, _monomials(x.entries), (None, f.row_step), words=words):
+    keep = {w[:i] for w in words for i in range(len(w) + 1)}
+    for walked, (xws, rows) in freealg._walk(d, size, (_monomials(x.entries), (None, f.row_step)), keep):
         levels.setdefault(len(walked[0]), []).append(walked)
         assert len(walked) == len(xws) and {len(w) for w in walked} == {len(walked[0])}
         assert all(bitwise_equal(xw, ref_word_value(x, Word(w, d))) for w, xw in zip(walked, xws))
@@ -726,14 +726,14 @@ def check_sparse_walk(d, size, n, seed):
             assert rows is None
         else:
             assert all(bitwise_equal(row, ref_prefix_row(f, Word(w, d))) for w, row in zip(walked, rows))
-    # every prefix once, each level's chunks in length-lex order
-    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
-    want = {k: sorted(p for p in prefixes if len(p) == k) for k in range(max(map(len, words)) + 1)}
-    assert {k: [w for chunk in chunks for w in chunk] for k, chunks in levels.items()} == want
+    # every prefix exactly once per level
+    want = {k: sorted(p for p in keep if len(p) == k) for k in range(max(map(len, words)) + 1)}
+    assert {k: sorted(w for chunk in chunks for w in chunk) for k, chunks in levels.items()} == want
     for w in words:
         assert bitwise_equal(eval_word(x, Word(w, d)), ref_word_value(x, Word(w, d)))
         if w:
-            assert bitwise_equal(f._prefix_row(Word(w, d)), ref_prefix_row(f, Word(w, d)))
+            want_c = complex((ref_prefix_row(f, Word(w, d)) @ f.C)[0])
+            assert bitwise_equal(f.power_series_coefficient(Word(w, d)), want_c)
     p = FreePolynomial(d, {Word(w, d): complex(*rng.normal(size=2)) for w in sorted(words)})
     stack = np.stack([x.entries, sample_in_ball(ball, n, 0.5, rng).entries])
     assert bitwise_equal(p.eval_batch(stack)[0], ref_poly_value(p, stack))
