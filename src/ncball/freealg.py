@@ -240,8 +240,10 @@ class NCFunction:
         """The target name of a probe report."""
         return type(self).__name__
 
-    def _truncation(self, x, order: int) -> np.ndarray:
-        """sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at a MatrixTuple x, N = order >= 1: the rhs of tt_check."""
+    def _truncation(self, x, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(f(X), sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X)) at a MatrixTuple x, N = order >= 1: tt_check's sides.
+
+        Raises the wrong d first, then the point's own evaluation error, then the word budget."""
         raise _no_split(self)
 
     def _remainder_column(self, order: int) -> "NCFunction":
@@ -254,8 +256,10 @@ def _no_split(f) -> TypeError:
 
 
 def _added(rhs: np.ndarray, products) -> np.ndarray:
-    """rhs + products[0] + products[1] + ..., one add at a time in order: one accumulate, the bits of rhs += product."""
-    return np.add.accumulate([rhs, *products])[-1]
+    """rhs + products[0] + products[1] + ..., one add at a time in order: one accumulate, the bits of rhs += product.
+
+    products, a (K, n, n) stack or a list of K >= 0 arrays, is stacked under rhs as one array."""
+    return np.add.accumulate(np.concatenate([rhs[None], np.reshape(products, (-1, *rhs.shape))]))[-1]
 
 
 def _add_term(terms: dict, word, coeff: complex) -> dict:
@@ -379,14 +383,18 @@ class FreePolynomial(NCFunction):
     def _label(self) -> str:
         return f"poly:{self}"
 
-    def _truncation(self, x, order: int) -> np.ndarray:
-        quotients = _left_quotients(self, order)
-        words = [w for w in self.terms if len(w) < order] + [*quotients]
-        values = _word_values(x.entries, words + [v for q in quotients.values() for v in q.terms])
-        rhs = np.zeros((x.n, x.n), dtype=complex)
-        for k in range(min(order, self.degree + 1)):  # a size above the degree would add +0.0: no bit changes
-            rhs += homogeneous_component(self, k)._term_sum(values, (x.n, x.n))
-        return _added(rhs, [values[w] @ q._term_sum(values, (x.n, x.n)) for w, q in quotients.items()])
+    def _truncation(self, x, order: int) -> tuple[np.ndarray, np.ndarray]:
+        self._check_d(x)
+        quotients, low, shape = _left_quotients(self, order), {}, (x.n, x.n)
+        for word, coeff in self.terms.items():
+            if len(word) < order:
+                low.setdefault(len(word), {})[word] = coeff
+        values = _word_values(x.entries, [*self.terms, *quotients, *(v for q in quotients.values() for v in q.terms)])
+        rhs = np.zeros(shape, dtype=complex)
+        for k in sorted(low):  # an absent size would add +0.0 to a sum that is never -0.0: no bit changes
+            rhs += FreePolynomial._trusted(self.d, low[k])._term_sum(values, shape)
+        tail = _added(rhs, [values[w] @ q._term_sum(values, shape) for w, q in quotients.items()])
+        return self._term_sum(values, shape), tail
 
     def _remainder_column(self, order: int) -> "QuotientColumn":
         return QuotientColumn(self, order)

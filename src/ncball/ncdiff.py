@@ -12,6 +12,7 @@ difference noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,19 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
 
     Works for realizations (g_w are remainder factors) and for polynomials
     (g_w come from exact left division of the high part, for the heads that
-    occur), each through its ``_truncation``; any other f raises TypeError.
-    The tail is added in length-lex order, one product at a time.
-    A polynomial walks only the prefixes of its words; a realization walks
-    all words of size <= N, which the word budget caps (N <= 18 at d = 2).
+    occur), each through its ``_truncation``, which gives both sides, the
+    left with the bits of f.eval(x); any other f raises TypeError.  A
+    realization solves its resolvent once for both sides, and a polynomial
+    walks the prefixes of its words once.  The tail is added in length-lex
+    order, one product at a time.  A realization walks all words of size
+    <= N, which the word budget caps (N <= 18 at d = 2).
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    lhs = f.eval(x)  # also rejects a point with the wrong d
-    rhs = f._truncation(x, order)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    lhs, rhs = f._truncation(x, order)
     defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

@@ -177,7 +177,11 @@ class Realization(NCFunction):
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         """f at each point of a stack, with the errors of the failed samples (NaN values)."""
         head, res, errors = self._resolvent(xs, pencil_norms)
-        return self.A * np.eye(xs.shape[-1], dtype=complex) + _seq_matmul(head, res), errors
+        return self._value(head, res), errors
+
+    def _value(self, head: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """A I_n + head R per sample, from the head and the stack of R that _resolvent returns."""
+        return self.A * np.eye(res.shape[-1], dtype=complex) + _seq_matmul(head, res)
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
@@ -247,16 +251,19 @@ class Realization(NCFunction):
     def _label(self) -> str:
         return f"realization(d={self.d},m={self.m},{self.mode})"
 
-    def _truncation(self, x: MatrixTuple, order: int) -> np.ndarray:
+    def _truncation(self, x: MatrixTuple, order: int) -> tuple[np.ndarray, np.ndarray]:
+        self._check_d(x)
+        head, res, errors = self._resolvent(x.entries[None])  # the one solve: f(x) and every g_w read R
+        if errors:
+            raise errors[0]
         levels = walk_levels(x.d, order, _monomials(x.entries), (None, self.row_step))  # budgeted before any term
         rhs = np.zeros((x.n, x.n), dtype=complex)
         for term in itertools.islice(self._homogeneous_terms(x), order):
             rhs += term
-        res = self.resolvent_term(x)
         for k, (xws, rows) in levels:
             if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
-                rhs = _added(rhs, xws @ _kron_eye_matmul(rows[:, 0], res, x.n).reshape(xws.shape))
-        return rhs
+                rhs = _added(rhs, xws @ _kron_eye_matmul(rows[:, 0], res[0], x.n).reshape(xws.shape))
+        return self._value(head, res)[0], rhs
 
     def _remainder_column(self, order: int) -> "RemainderColumn":
         return RemainderColumn(self, order)

@@ -7,8 +7,9 @@ depend on the stack it sits in, nor on its neighbours' failures.
 ``TARGETS`` is the registry of kinds, and the suite runs over all of it: the
 per-sample bits at any stack size, the empty stack, direct sums block by
 block and bit for bit, similarities to a tolerance, the pencil certificate
-keeping every bit, and the one error at a point of the wrong d.  A new kind
-is one ``TARGETS`` entry.
+keeping every bit, and the one error at a point of the wrong d.  The kinds
+that split (``SPLIT_TARGETS``) also give both sides of ``tt_check`` bit for
+bit.  A new kind is one ``TARGETS`` entry.
 """
 
 from unittest import mock
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from ncball import realize
 from ncball.freealg import QuotientColumn, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch, similarity
+from ncball.ncdiff import tt_check
 from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
 from ncball.probe import (
@@ -38,6 +40,7 @@ from ncball.realize import (
     _kron_eye_matmul,
     bidisk_witness,
 )
+from test_ncdiff import ref_tt_rhs
 
 
 def gaussian(rng, shape):
@@ -60,6 +63,7 @@ def points_inside(rng, ball, count, n, radius=0.9):
 
 
 TARGETS = ["ex52", "contraction", "poly", "row", "column", "quotients", "contraction_row3", "contraction_m3"]
+SPLIT_TARGETS = ["ex52", "contraction", "poly", "contraction_row3", "contraction_m3"]  # the kinds tt_check takes
 
 
 def target(name, rng):
@@ -372,6 +376,20 @@ def test_every_kind_keeps_every_bit_under_the_pencil_certificate(name, radii, n,
     exact_values, exact_failed = f.eval_batch(xs)
     assert values.tobytes() == exact_values.tobytes()
     assert failed.tolist() == exact_failed.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SPLIT_TARGETS), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(name="ex52", n=1, order=6, seed=0)
+@example(name="poly", n=3, order=2, seed=0)
+def test_tt_check_sides_are_bitwise_eval_and_the_word_by_word_sum(name, n, order, seed):
+    # one solve or one walk for both sides: the left side is f.eval's bits and the right the word-by-word sum's
+    rng = np.random.default_rng(seed)
+    f, ball, _ = target(name, rng)
+    x = MatrixTuple(points_inside(rng, ball, 1, n, radius=0.5)[0])
+    report = tt_check(f, x, order)
+    assert report.lhs.tobytes() == f.eval(x).tobytes()
+    assert report.rhs.tobytes() == ref_tt_rhs(f, x, order).tobytes()
 
 
 @pytest.mark.parametrize("name", TARGETS)

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncball import freealg
 from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
+    NCFunction,
     Word,
     _monomials,
     homogeneous_component,
@@ -32,7 +34,7 @@ from ncball.ncdiff import (
 )
 from ncball.opball import OperatorBall, polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
-from ncball.realize import Realization, RemainderColumn, bidisk_witness, bidisk_witness_closed_form
+from ncball.realize import IllConditionedError, Realization, RemainderColumn, bidisk_witness, bidisk_witness_closed_form
 
 
 def scalar_eval(f, point) -> complex:
@@ -453,10 +455,10 @@ def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
         report, counts = count_constructions(lambda: tt_check(p, x, 16))
         assert report.rhs.tobytes() == ref_tt_rhs(p, x, 16).tobytes()
         built.append(counts)
-    # each high term adds one quotient; the rest is one component per size below 16, and no term is a Word
+    # each high term adds one quotient; the rest is one block per size present below 16, and no term is a Word
     assert [c["polys"] - built[0]["polys"] for c in built] == [0, 1, 2]
     assert [c["words"] for c in built] == [0, 0, 0]
-    assert built[0]["polys"] == 16 + 2
+    assert built[0]["polys"] == 1 + 2  # the size-2 block z1*z2, and the quotients under z1^16 and z2*z1^15
 
 
 def test_tt_check_charges_the_budget_where_its_words_are_walked():
@@ -476,6 +478,39 @@ def test_tt_check_charges_the_budget_where_its_words_are_walked():
             tt_check(f, x, 19)
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^1000000000 words exceed the budget"):
             tt_check(f, x, 10**9)
+
+
+def test_tt_check_raises_the_wrong_d_then_the_points_error_then_the_budget():
+    # at an order past the word budget, the wrong d and then the point's own evaluation error come first:
+    # the resolvent is solved before any word is walked
+    f = bidisk_witness()
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        with pytest.raises(IllConditionedError, match="condition number inf"):
+            tt_check(f, MatrixTuple.scalars((1.0, 1.0)), 10**9)
+        with pytest.raises(ValueError, match="d=2 variables evaluated at a 3-tuple"):
+            tt_check(f, MatrixTuple.scalars((1.0, 1.0, 1.0)), 10**9)
+
+
+def test_tt_check_refuses_a_bad_tol_before_evaluating():
+    f = bidisk_witness()
+    x = MatrixTuple.scalars((0.5, 0.5))
+    with mock.patch.object(Realization, "_resolvent", side_effect=AssertionError("evaluated")):
+        for tol in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol}$"):
+                tt_check(f, x, 2, tol=tol)
+    assert tt_check(f, x, 2, tol=0.0).tol == 0.0
+
+
+def test_tt_check_solves_once_walks_once_and_never_calls_eval():
+    x = MatrixTuple.scalars((0.5, 0.4))
+    f, p = bidisk_witness(), parse("z1*z2 - 0.5*z2^3 + z1^4 + 0.25", 2)
+    with mock.patch.object(NCFunction, "eval", side_effect=AssertionError("eval called")):
+        with mock.patch.object(Realization, "_resolvent", autospec=True, side_effect=Realization._resolvent) as solve:
+            report = tt_check(f, x, 6)
+        assert solve.call_count == 1 and report.passed
+        with mock.patch.object(freealg, "_word_values", side_effect=freealg._word_values) as walk:
+            report = tt_check(p, x, 2)
+        assert walk.call_count == 1 and report.passed
 
 
 def test_tt_check_report_fields():
