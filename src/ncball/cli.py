@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .freealg import Word, _parse_finite, parse
+from .freealg import _parse_finite, _parse_word, _word_text, parse
 from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import BALL_FORMS, ball_from_shorthand, membership
@@ -153,9 +153,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_coeff(args) -> int:
     f = _resolve_realization(args.realization)
-    word = Word.from_string(args.word, f.d)
+    word = _parse_word(args.word, f.d)
     value = f.power_series_coefficient(word)
-    _print_json({"word": word.to_string(), "re": value.real, "im": value.imag})
+    _print_json({"word": _word_text(word, f.d), "re": value.real, "im": value.imag})
     return 0
 
 

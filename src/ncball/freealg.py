@@ -1,9 +1,9 @@
 """Free words, sparse free noncommutative polynomials, and NCFunction, the evaluation protocol of every nc function.
 
 The variables z1, ..., zd do not commute: z1*z2 and z2*z1 are distinct
-monomials.  Words over the alphabet {1, ..., d} index the monomials and are
-ordered length-lexicographically (shorter first, then lexicographic with
-1 < 2 < ... < d).  Coefficients are complex doubles; only exact zeros are
+monomials.  Words over the alphabet {1, ..., d}, tuples of letters, index
+the monomials and are ordered length-lexicographically (shorter first, then
+lexicographic with 1 < 2 < ... < d).  Coefficients are complex doubles; only exact zeros are
 dropped, nothing is epsilon-pruned.  The values X^w of words at matrix points
 come from the one word walk: walk_levels over all words up to a size, or its
 prefix form over a polynomial's words.
@@ -46,37 +46,6 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word over {1, ..., d}; the empty word acts as the unit."""
-
-    letters: tuple[int, ...]
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        letters = tuple(int(letter) for letter in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for letter in letters:
-            if not 1 <= letter <= self.d:
-                raise ValueError(f"letter {letter} outside alphabet 1..{self.d}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def to_string(self) -> str:
-        return ("" if self.d <= 9 else "-").join(map(str, self.letters))  # digits for d <= 9, dash-separated beyond
-
-    @classmethod
-    def from_string(cls, text: str, d: int) -> "Word":
-        """The word of a to_string form, ASCII digits or dash-separated numbers; past d = 9 no dash means one letter."""
-        text = text.strip()
-        if not re.fullmatch(r"([0-9]+(-[0-9]+)*)?", text):
-            raise ValueError(f"word {text!r} is not a string of digits 0-9 or of dash-separated numbers")
-        return cls(tuple(int(part) for part in (text.split("-") if "-" in text or (d > 9 and text) else text)), d)
-
-
 def _capped_power(d: int, k: int, budget: int) -> int:
     """d^k if that is at most budget, else a power of d past budget: the exponent is capped, so it costs O(1) in k."""
     return d ** min(k, budget.bit_length() + 1)
@@ -87,8 +56,8 @@ def _dense_count(d: int, size: int) -> int:
     return size + 1 if d == 1 else (_capped_power(d, size + 1, WORD_BUDGET) - 1) // (d - 1)
 
 
-def words_of_size(d: int, k: int) -> Iterator[Word]:
-    """All words of size exactly k, in length-lex order; d, k and d^k <= WORD_BUDGET are checked at the call.
+def words_of_size(d: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All words of size exactly k as letter tuples, length-lex; d, k and d^k <= WORD_BUDGET are checked at the call.
 
     At d = 1 the one word is charged its k letters: k <= WORD_BUDGET."""
     if d < 1:
@@ -99,7 +68,7 @@ def words_of_size(d: int, k: int) -> Iterator[Word]:
         raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
     if d == 1 and k > WORD_BUDGET:  # one word, of k letters
         raise BudgetExceededError(f"a word of {k} letters exceeds the budget {WORD_BUDGET}")
-    return (Word(letters, d) for letters in itertools.product(range(1, d + 1), repeat=k))
+    return itertools.product(range(1, d + 1), repeat=k)
 
 
 def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
@@ -168,11 +137,10 @@ def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
     return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
 
 
-def eval_word(x: MatrixTuple, word: Word) -> np.ndarray:
-    """The product x_{w_1} ... x_{w_k}; the empty word gives the identity."""
-    if word.d != x.d:
-        raise ValueError(f"word over alphabet 1..{word.d} evaluated at a {x.d}-tuple")
-    return _word_values(x.entries, [word.letters])[word.letters]
+def eval_word(x: MatrixTuple, word) -> np.ndarray:
+    """The product x_{w_1} ... x_{w_k} for a word of letters in 1..d of x; the empty word gives the identity."""
+    letters = _checked_letters(word, x.d)
+    return _word_values(x.entries, [letters])[letters]
 
 
 class NCFunction:
@@ -275,12 +243,28 @@ def _add_term(terms: dict, word, coeff: complex) -> dict:
     return terms
 
 
-def _checked_letters(key, d: int) -> tuple[int, ...]:
-    """The letters of a term key, a Word or a sequence of ints, checked against the alphabet 1..d."""
-    word = key if isinstance(key, Word) else Word(tuple(key), d)
-    if word.d != d:
-        raise ValueError(f"word over alphabet 1..{word.d} in a polynomial with d={d}")
-    return word.letters
+def _checked_letters(word, d: int) -> tuple[int, ...]:
+    """The letter tuple of a word, a sequence of Python or numpy integers (no bool), each checked against 1..d."""
+    letters = tuple(word)
+    for letter in letters:
+        if isinstance(letter, bool) or not isinstance(letter, (int, np.integer)):
+            raise TypeError(f"letter {letter!r} is not an integer")
+        if not 1 <= letter <= d:
+            raise ValueError(f"letter {letter} outside alphabet 1..{d}")
+    return tuple(map(int, letters))
+
+
+def _word_text(word: tuple[int, ...], d: int) -> str:
+    """The text of a word: its digits for d <= 9, its dash-separated numbers beyond."""
+    return ("" if d <= 9 else "-").join(map(str, word))
+
+
+def _parse_word(text: str, d: int) -> tuple[int, ...]:
+    """The letters of a _word_text form, ASCII digits or dash-separated numbers; past d = 9 no dash means one letter."""
+    text = text.strip()
+    if not re.fullmatch(r"([0-9]+(-[0-9]+)*)?", text):
+        raise ValueError(f"word {text!r} is not a string of digits 0-9 or of dash-separated numbers")
+    return _checked_letters(map(int, text.split("-") if "-" in text or (d > 9 and text) else text), d)
 
 
 def _product(left: dict, right: dict) -> dict:
@@ -335,6 +319,7 @@ class FreePolynomial(NCFunction):
     """Sparse formal sum  sum_w c_w z^w  in d noncommuting variables.
 
     ``terms`` maps each word's letter tuple to its nonzero coefficient, as a read-only view.
+    The constructor takes any sequences of integer letters in 1..d as keys.
     """
 
     d: int
@@ -364,6 +349,7 @@ class FreePolynomial(NCFunction):
         return max((len(w) for w in self.terms), default=-1)
 
     def coefficient(self, word) -> complex:
+        """c_w for a word of letters in 1..d, checked as the constructor checks a key; 0 for an absent word."""
         return self.terms.get(_checked_letters(word, self.d), 0j)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], complex]]:
@@ -405,16 +391,12 @@ class FreePolynomial(NCFunction):
 
     @classmethod
     def constant(cls, d: int, value: complex) -> "FreePolynomial":
-        return cls(d, {Word((), d): value})
+        return cls(d, {(): value})
 
     @classmethod
     def generator(cls, d: int, j: int) -> "FreePolynomial":
         """The variable zj as a polynomial."""
-        return cls(d, {Word((j,), d): 1.0})
-
-    @classmethod
-    def monomial(cls, word: Word, coeff: complex = 1.0) -> "FreePolynomial":
-        return cls(word.d, {word: coeff})
+        return cls(d, {(j,): 1.0})
 
     def _require_same_d(self, other: "FreePolynomial"):
         if other.d != self.d:
@@ -482,8 +464,8 @@ def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     return FreePolynomial._trusted(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
 
-def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
-    """Quotients f_w of the exact division  p = sum_{|w|=n} z^w f_w.
+def left_divide(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:
+    """Quotients f_w of the exact division  p = sum_{|w|=n} z^w f_w, keyed by the letter tuples w.
 
     Requires every word of p to have size >= n; the returned map covers all
     d^n words of size n in insertion order equal to length-lex order, and
@@ -493,9 +475,9 @@ def left_divide(p: FreePolynomial, n: int) -> dict[Word, FreePolynomial]:
         raise ValueError(f"n must be >= 1, got {n}")
     low = next((w for w in p.terms if len(w) < n), None)
     if low is not None:
-        raise ValueError(f"word {Word(low, p.d).to_string()!r} of size {len(low)} < {n}: p is not left-divisible")
+        raise ValueError(f"word {_word_text(low, p.d)!r} of size {len(low)} < {n}: p is not left-divisible")
     heads, quotients, zero = words_of_size(p.d, n), _left_quotients(p, n), FreePolynomial.zero(p.d)
-    return {head: quotients.get(head.letters, zero) for head in heads}
+    return {head: quotients.get(head, zero) for head in heads}
 
 
 @dataclass(frozen=True)
@@ -774,4 +756,4 @@ def format_poly(p: FreePolynomial) -> str:
 
 def to_triples(p: FreePolynomial) -> list[tuple[str, float, float]]:
     """Length-lex sorted (word digit string, re, im) triples."""
-    return [(Word(w, p.d).to_string(), c.real, c.imag) for w, c in p.sorted_terms()]
+    return [(_word_text(w, p.d), c.real, c.imag) for w, c in p.sorted_terms()]

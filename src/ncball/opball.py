@@ -165,10 +165,10 @@ def _isometry_defect(v: np.ndarray) -> float:
 
 
 def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
-    """The compressed tuple (V* x_j V) for an isometry V, an n x k matrix."""
+    """The compressed tuple (V* x_j V) for an isometry V, an n x k matrix with k >= 1."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != x.n:
-        raise ValueError(f"V must be {x.n} x k, got {v.shape}")
+    if v.ndim != 2 or v.shape[0] != x.n or v.shape[1] < 1:
+        raise ValueError(f"V must be {x.n} x k with k >= 1, got {v.shape}")
     defect = _isometry_defect(v)
     if defect > ISOMETRY_TOL:
         raise ValueError(f"V*V differs from the identity by {defect:.3e}")

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, Word, _added, _monomials, walk_levels
+from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, _added, _checked_letters, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
     _owned_array,
@@ -137,14 +137,14 @@ class Realization(NCFunction):
         return v
 
     def _resolvent(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-        """(B x I_n) L(X), and R solving T R = C x I_n per sample, T = 1 - (D x I_n) L(X), with a conditioning guard.
+        """([B; D] x I_n) L(X), and R solving T R = C x I_n per sample, T = 1 - (D x I_n) L(X), under a condition guard.
 
-        One product by [B; D] x I_n gives both: its rows are, bit for bit, those
-        of the two products apart.  Returns the head, the stack of R and, by
-        sample index, the error each failed sample would raise alone:
-        IllConditionedError where the exact 2-norm condition number of T trips
-        the guard (that sample is not solved), or LinAlgError at a zero pivot.
-        A failed sample's R is NaN.
+        The rows of the one product by [B; D] x I_n are, bit for bit, those of
+        (B x I_n) L(X), its head, and of (D x I_n) L(X) apart.  Returns the
+        product, the stack of R and, by sample index, the error each failed
+        sample would raise alone: IllConditionedError where the exact 2-norm
+        condition number of T trips the guard (that sample is not solved), or
+        LinAlgError at a zero pivot.  A failed sample's R is NaN.
 
         Since ||L(X)|| = ||Q(X)||, T is the identity less an operator of norm
         at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
@@ -172,16 +172,17 @@ class Realization(NCFunction):
         for i in solved[singular]:
             errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
             res[i] = np.nan
-        return bd_lam[:, :n], res, errors
+        return bd_lam, res, errors
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
         """f at each point of a stack, with the errors of the failed samples (NaN values)."""
-        head, res, errors = self._resolvent(xs, pencil_norms)
-        return self._value(head, res), errors
+        bd_lam, res, errors = self._resolvent(xs, pencil_norms)
+        return self._value(bd_lam, res), errors
 
-    def _value(self, head: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """A I_n + head R per sample, from the head and the stack of R that _resolvent returns."""
-        return self.A * np.eye(res.shape[-1], dtype=complex) + _seq_matmul(head, res)
+    def _value(self, bd_lam: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """A I_n + (B x I_n) L(X) R per sample, from the product and the stack of R that _resolvent returns."""
+        n = res.shape[-1]
+        return self.A * np.eye(n, dtype=complex) + _seq_matmul(bd_lam[:, :n], res)
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
@@ -201,25 +202,25 @@ class Realization(NCFunction):
         head = self.B.reshape(1, 1, -1) if rows is None else rows @ self.D
         return head @ self._letter_pencil.coefficients[j - 1]
 
-    def power_series_coefficient(self, word: Word) -> complex:
-        """c_w with f = sum_w c_w Z^w; c_empty = A."""
-        if word.d != self.d:
-            raise ValueError(f"word over alphabet 1..{word.d} for a realization with d={self.d}")
+    def power_series_coefficient(self, word) -> complex:
+        """c_w with f = sum_w c_w Z^w, for a word of letters in 1..d; c_empty = A."""
+        letters = _checked_letters(word, self.d)
         # B L_{w_1} D L_{w_2} D ... D L_{w_k} C, the last row of the word's steps
-        return complex((functools.reduce(self.row_step, word.letters, None)[0] @ self.C)[0]) if len(word) else self.A
+        return complex((functools.reduce(self.row_step, letters, None)[0] @ self.C)[0]) if letters else self.A
 
-    def _homogeneous_terms(self, x: MatrixTuple) -> Iterator[np.ndarray]:
+    def _homogeneous_terms(self, x: MatrixTuple, bd_lam: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """f_0(x), f_1(x), ...: one power iteration, one product per term.
 
         f_k(x) = cur_k (C x I_n) with cur_1 = (B x I_n) L and
-        cur_(k+1) = cur_k (D x I_n) L, both from one product by [B; D] x I_n;
-        L is formed only if f_1 is asked for.  A point with the wrong d is
-        rejected before f_0.
+        cur_(k+1) = cur_k (D x I_n) L, both from bd_lam, the one product
+        ([B; D] x I_n) L at x; without it, L is formed only if f_1 is asked
+        for.  A point with the wrong d is rejected before f_0.
         """
         self._check_d(x)
         n = x.n
         yield self.A * np.eye(n, dtype=complex)
-        bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, x.entries[None])[0], n)
+        if bd_lam is None:
+            bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, x.entries[None])[0], n)
         cur, hop, c_col = bd_lam[:n], bd_lam[n:], _kron_eye_col(self.C, n)
         while True:
             yield _seq_matmul(cur, c_col)
@@ -253,17 +254,17 @@ class Realization(NCFunction):
 
     def _truncation(self, x: MatrixTuple, order: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_d(x)
-        head, res, errors = self._resolvent(x.entries[None])  # the one solve: f(x) and every g_w read R
+        bd_lam, res, errors = self._resolvent(x.entries[None])  # the one lift and solve: f(x), f_k(x) and every g_w
         if errors:
             raise errors[0]
         levels = walk_levels(x.d, order, _monomials(x.entries), (None, self.row_step))  # budgeted before any term
         rhs = np.zeros((x.n, x.n), dtype=complex)
-        for term in itertools.islice(self._homogeneous_terms(x), order):
+        for term in itertools.islice(self._homogeneous_terms(x, bd_lam[0]), order):
             rhs += term
         for k, (xws, rows) in levels:
             if k == order:  # g_w = (row_w x I_n) R for every word of the chunk
                 rhs = _added(rhs, xws @ _kron_eye_matmul(rows[:, 0], res[0], x.n).reshape(xws.shape))
-        return self._value(head, res)[0], rhs
+        return self._value(bd_lam, res)[0], rhs
 
     def _remainder_column(self, order: int) -> "RemainderColumn":
         return RemainderColumn(self, order)

@@ -37,7 +37,9 @@ class AlgebraicVariety:
 
 
 def variety_membership(variety: AlgebraicVariety, x: MatrixTuple, tol: float = VARIETY_TOL) -> bool:
-    """True iff x is strictly inside the ambient ball and kills every generator."""
+    """True iff x is strictly inside the ambient ball and kills every generator, to within a finite tol >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     if x.d != variety.d:
         raise ValueError(f"point with d={x.d} tested against a variety with d={variety.d}")
     if not membership(variety.ambient, x).is_inside:

@@ -13,7 +13,7 @@ import pytest
 
 from ncball import cli, opball
 from ncball.cli import _write_csv, build_parser, main
-from ncball.freealg import Word, parse
+from ncball.freealg import parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
 from ncball.opball import OperatorBall, Pencil, pencil_to_dict, polydisk, row_ball
@@ -107,7 +107,7 @@ def test_coeff_reads_a_dash_free_word_as_one_letter_beyond_nine_variables(capsys
         code, out, _ = run(capsys, "coeff", "--realization", spec, "--word", text)
         payload = json.loads(out)
         assert code == 0 and payload["word"] == text
-        assert complex(payload["re"], payload["im"]) == f.power_series_coefficient(Word(letters, 12))
+        assert complex(payload["re"], payload["im"]) == f.power_series_coefficient(letters)
 
 
 def test_coeff_rejects_a_word_that_is_not_digits(capsys):

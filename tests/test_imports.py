@@ -277,7 +277,7 @@ def outside_imports(source: str) -> list[str]:
 
 
 def test_scan_finds_an_outside_import():
-    source = "import os.path\nimport numpy as np\nfrom scipy import linalg\nimport hypothesis\nfrom .freealg import Word\n"
+    source = "import os.path\nimport numpy as np\nfrom scipy import linalg\nimport hypothesis\nfrom .freealg import parse\n"
     assert outside_imports(source) == ["scipy", "hypothesis"]
 
 

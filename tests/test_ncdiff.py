@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncball import freealg
+from ncball import freealg, realize
 from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
     NCFunction,
-    Word,
     _monomials,
     homogeneous_component,
     left_divide,
@@ -47,11 +46,7 @@ def mobius_one_variable():
     return Realization(row_ball(1).pencil, 1, 0.0, [1.0], [1.0], [[0.5]])
 
 
-words2 = st.builds(
-    Word,
-    st.lists(st.integers(1, 2), max_size=3).map(tuple),
-    st.just(2),
-)
+words2 = st.lists(st.integers(1, 2), max_size=3).map(tuple)
 int_polys2 = st.dictionaries(words2, st.integers(-5, 5), max_size=6).map(
     lambda terms: FreePolynomial(2, terms)
 )
@@ -185,7 +180,7 @@ def exact_quotient(coeffs, x, y) -> complex:
 
 def one_variable(coeffs) -> FreePolynomial:
     """p = sum_k c_k z^k, k = 1, 2, ..."""
-    return FreePolynomial(1, {Word((1,) * k, 1): c for k, c in enumerate(coeffs, 1)})
+    return FreePolynomial(1, {(1,) * k: c for k, c in enumerate(coeffs, 1)})
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,7 +277,7 @@ def test_tt_check_polynomial_random_coefficients():
     rng = np.random.default_rng(24)
     terms = {}
     for k in range(4):
-        for word in [Word(tuple(rng.integers(1, 3, k)), 2) for _ in range(3)]:
+        for word in [tuple(rng.integers(1, 3, k)) for _ in range(3)]:
             terms[word] = complex(*rng.normal(size=2))
     p = FreePolynomial(2, terms)
     x = sample_in_ball(polydisk(2), 3, 0.4, rng)
@@ -343,8 +338,8 @@ def ref_prefix_row(f, word):
     def letter(j):
         return np.kron(np.eye(f.m), f.pencil.coefficients[j - 1])
 
-    row = f.B.reshape(1, -1) @ letter(word.letters[0])
-    for j in word.letters[1:]:
+    row = f.B.reshape(1, -1) @ letter(word[0])
+    for j in word[1:]:
         row = row @ f.D @ letter(j)
     return row
 
@@ -364,12 +359,12 @@ def ref_tt_rhs(f, x, order):
         high = FreePolynomial(f.d, {w: c for w, c in f.terms.items() if len(w) >= order})
         for word, quotient in (left_divide(high, order) if high else {}).items():
             if quotient:
-                rhs += ref_word_fold(x.entries, word.letters) @ ref_poly_value(quotient, x.entries[None])[0]
+                rhs += ref_word_fold(x.entries, word) @ ref_poly_value(quotient, x.entries[None])[0]
         return rhs
     for k in range(order):
         rhs += f.homogeneous_value(x, k)
     for word, g_w in ref_remainder_values(f, x, words_of_size(x.d, order)).items():
-        rhs += ref_word_fold(x.entries, word.letters) @ g_w
+        rhs += ref_word_fold(x.entries, word) @ g_w
     return rhs
 
 
@@ -377,7 +372,7 @@ def test_tt_check_matches_the_word_by_word_sum_bitwise():
     rng = np.random.default_rng(26)
     x = sample_in_ball(polydisk(2), 3, 0.3, rng)
     witness = bidisk_witness()
-    terms = {Word(tuple(rng.integers(1, 3, k)), 2): complex(*rng.normal(size=2)) for k in range(7) for _ in range(5)}
+    terms = {tuple(rng.integers(1, 3, k)): complex(*rng.normal(size=2)) for k in range(7) for _ in range(5)}
     poly = FreePolynomial(2, terms)
     for f in (witness, poly):
         for order in (1, 3, 5):
@@ -398,7 +393,7 @@ def random_contraction(rng, d):
 def random_poly(rng, d, order):
     """Up to 12 random complex terms of size <= order + 2, some below the order and some at or above it."""
     sizes = rng.integers(0, order + 3, rng.integers(1, 13))
-    return FreePolynomial(d, {Word(tuple(rng.integers(1, d + 1, k)), d): complex(*rng.normal(size=2)) for k in sizes})
+    return FreePolynomial(d, {tuple(rng.integers(1, d + 1, k)): complex(*rng.normal(size=2)) for k in sizes})
 
 
 # d^N per-word remainder factors at most: 3^8 of them would take seconds per example
@@ -428,9 +423,9 @@ def test_tt_check_tail_of_a_polynomial_is_the_word_by_word_sum_bitwise(case):
 
 
 def count_constructions(fn):
-    """fn() and the number of FreePolynomial and Word objects it built, trusted polynomial builds included."""
-    counts = {"polys": 0, "words": 0}
-    poly_init, word_init, trusted_poly = FreePolynomial.__post_init__, Word.__post_init__, FreePolynomial._trusted.__func__
+    """fn() and the number of FreePolynomial objects it built, trusted polynomial builds included."""
+    counts = {"polys": 0}
+    poly_init, trusted_poly = FreePolynomial.__post_init__, FreePolynomial._trusted.__func__
 
     def counted(key, original):
         def wrapper(*args):
@@ -441,7 +436,7 @@ def count_constructions(fn):
 
     with mock.patch.object(FreePolynomial, "__post_init__", counted("polys", poly_init)), mock.patch.object(
         FreePolynomial, "_trusted", classmethod(counted("polys", trusted_poly))
-    ), mock.patch.object(Word, "__post_init__", counted("words", word_init)):
+    ):
         result = fn()
     return result, counts
 
@@ -455,9 +450,8 @@ def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
         report, counts = count_constructions(lambda: tt_check(p, x, 16))
         assert report.rhs.tobytes() == ref_tt_rhs(p, x, 16).tobytes()
         built.append(counts)
-    # each high term adds one quotient; the rest is one block per size present below 16, and no term is a Word
+    # each high term adds one quotient; the rest is one block per size present below 16
     assert [c["polys"] - built[0]["polys"] for c in built] == [0, 1, 2]
-    assert [c["words"] for c in built] == [0, 0, 0]
     assert built[0]["polys"] == 1 + 2  # the size-2 block z1*z2, and the quotients under z1^16 and z2*z1^15
 
 
@@ -506,8 +500,10 @@ def test_tt_check_solves_once_walks_once_and_never_calls_eval():
     f, p = bidisk_witness(), parse("z1*z2 - 0.5*z2^3 + z1^4 + 0.25", 2)
     with mock.patch.object(NCFunction, "eval", side_effect=AssertionError("eval called")):
         with mock.patch.object(Realization, "_resolvent", autospec=True, side_effect=Realization._resolvent) as solve:
-            report = tt_check(f, x, 6)
-        assert solve.call_count == 1 and report.passed
+            with mock.patch.object(realize, "_pencil_values", side_effect=realize._pencil_values) as lift:
+                report = tt_check(f, x, 6)
+        # one solve, and one lift of the point: the resolvent's product by [B; D] x I_n also gives the f_k
+        assert solve.call_count == 1 and lift.call_count == 1 and report.passed
         with mock.patch.object(freealg, "_word_values", side_effect=freealg._word_values) as walk:
             report = tt_check(p, x, 2)
         assert walk.call_count == 1 and report.passed

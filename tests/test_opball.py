@@ -177,6 +177,9 @@ def test_ucp_compression_rejects_non_isometry():
         ucp_compression(x, np.ones((3, 2)))
     with pytest.raises(ValueError, match="must be 3 x k"):
         ucp_compression(x, np.eye(2))
+    # no columns: refused by the shape check, not an IndexError from the norm of a 0 x 0 matrix
+    with pytest.raises(ValueError, match=r"^V must be 3 x k with k >= 1, got \(3, 0\)$"):
+        ucp_compression(x, np.zeros((3, 0)))
 
 
 def test_state_compression_matches_manual_form():

@@ -1,5 +1,7 @@
 """Algebraic subvarieties: membership, homogeneity sampling, curve maps."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_membership_validation():
         variety_membership(v, MatrixTuple.scalars((0.1,)))
     with pytest.raises(ValueError, match="generator in d=1"):
         AlgebraicVariety(BALL, (parse("z1", 1),))
+    # a NaN tol made every point a non-member and inf every point inside the ball a member: both are refused,
+    # as a negative tol is, before any generator is evaluated
+    on_curve = MatrixTuple.scalars((0.1, 0.01))
+    assert variety_membership(v, on_curve)
+    for tol in (float("nan"), float("inf"), -1e-12):
+        with mock.patch.object(FreePolynomial, "eval", side_effect=AssertionError("evaluated")):
+            with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol}$"):
+                variety_membership(v, on_curve, tol)
 
 
 def test_variety_points_are_closed_under_direct_sums():
