@@ -54,12 +54,11 @@ def _write_text(out: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _write_csv(out: str | None, columns, rows, seed) -> None:
-    lines = [f"# ncball {__version__} seed={seed}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        # str of a float (numpy's too) is its repr: the shortest digit string that round-trips
-        lines.append(",".join(map(str, row)))
+def _write_csv(out: str | None, header, columns, seed) -> None:
+    """The seed comment, the header line, then row i joining entry i of each column of equal length."""
+    # str of a float (numpy's too) is its repr: the shortest digit string that round-trips
+    fields = [list(map(str, column)) for column in columns]
+    lines = [f"# ncball {__version__} seed={seed}", ",".join(header), *map(",".join, zip(*fields))]
     _write_text(out, "\n".join(lines) + "\n")
 
 
@@ -186,8 +185,10 @@ def _cmd_probe(args) -> int:
     f, label = _resolve_function(args, d=ball.d)
     report = estimate_sup(f, ball, args.level, args.budget, args.seed, target_label=label, margin=args.margin)
     if args.out is not None:
-        rows = [(r.iteration, r.label, r.value, r.boundary_distance, args.seed) for r in report.trajectory]
-        _write_csv(args.out, ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"], rows, args.seed)
+        header = ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"]
+        count = report.evaluations
+        columns = [range(count), report.labels, report.values, report.boundary_distances, [args.seed] * count]
+        _write_csv(args.out, header, columns, args.seed)
     keys = ("target", "ball", "level", "budget", "seed", "best_value", "evaluations", "failures", "settled")
     payload = {key: getattr(report, key) for key in keys}
     payload["argmax"] = to_point_dict(report.argmax) if report.argmax is not None else None
@@ -225,12 +226,14 @@ def _cmd_blowup(args) -> int:
     if not np.isfinite(eps_list).all():
         raise ValueError(f"--eps values must be finite, got {args.eps!r}")
     report = blowup_scan(target, eps_list, ball)
-    rows = []
-    for row in report.rows:
-        re = row.value.real if row.value is not None else ""
-        im = row.value.imag if row.value is not None else ""
-        rows.append((row.eps, re, im, row.norm))
-    _write_csv(args.out, ["eps", "re", "im", "modulus"], rows, seed="-")
+    values = [row.value for row in report.rows]
+    columns = [
+        [row.eps for row in report.rows],
+        ["" if value is None else value.real for value in values],
+        ["" if value is None else value.imag for value in values],
+        [row.norm for row in report.rows],
+    ]
+    _write_csv(args.out, ["eps", "re", "im", "modulus"], columns, seed="-")
     return 0
 
 

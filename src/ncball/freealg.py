@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .mattuple import MatrixTuple, _seq_matmul, point_stack
+from .mattuple import MatrixTuple, _checked_size, _seq_matmul, point_stack
 
 WORD_BUDGET = 10**6  # the words a walk_levels or words_of_size visits, the term pairs a _product forms
 # stacks stepped or evaluated together take at most this many bytes: larger walk
@@ -326,9 +326,7 @@ class FreePolynomial(NCFunction):
     terms: Mapping[tuple[int, ...], complex] | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        d = int(self.d)
+        d = _checked_size(self.d, "d")
         clean: dict[tuple[int, ...], complex] = {}
         for key, value in (self.terms or {}).items():
             _add_term(clean, _checked_letters(key, d), complex(value))
@@ -700,8 +698,7 @@ def parse(text: str, d: int) -> FreePolynomial:
     + - *, integer powers ^k (k-fold product of the base, so (z1*z2)^2 is
     z1*z2*z1*z2), and parentheses.  Errors carry the offending position.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _checked_size(d, "d")
     return _Parser(_tokenize(text), d).parse()
 
 

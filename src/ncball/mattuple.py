@@ -248,18 +248,17 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def json_size(obj: dict, key: str) -> int:
-    """The size obj[key] of a JSON header, which must be an integer >= 1.
+def _checked_size(value, name: str) -> int:
+    """value as an int, which must be a Python or numpy integer >= 1: a size such as a JSON header's n or a polynomial's d.
 
     A bool, a float such as 2.9, a string or a size below 1 is rejected with
-    an error naming the key, instead of being truncated or failing in int().
+    an error naming the size, instead of being truncated or failing in int().
     """
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"{key} must be >= 1, got {value}")
-    return value
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def to_point_dict(x: MatrixTuple) -> dict:
@@ -268,7 +267,7 @@ def to_point_dict(x: MatrixTuple) -> dict:
 
 def point_from_dict(obj: dict) -> MatrixTuple:
     try:
-        n, d = json_size(obj, "n"), json_size(obj, "d")
+        n, d = _checked_size(obj["n"], "n"), _checked_size(obj["d"], "d")
         raw = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"point object needs keys n, d, entries: {exc}") from exc

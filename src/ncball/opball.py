@@ -15,13 +15,13 @@ import numpy as np
 
 from .mattuple import (
     MatrixTuple,
+    _checked_size,
     _owned_array,
     _seq_matmul,
     _spectral_norm,
     _spectral_norms,
     complex_from_json,
     complex_to_json,
-    json_size,
     point_stack,
     sup_norm,
 )
@@ -206,7 +206,7 @@ def pencil_to_dict(pencil: Pencil) -> dict:
 
 def pencil_from_dict(obj: dict) -> Pencil:
     try:
-        d, p, q = (json_size(obj, key) for key in "dpq")
+        d, p, q = (_checked_size(obj[key], key) for key in "dpq")
         raw = obj["coefficients"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"pencil object needs keys d, p, q, coefficients: {exc}") from exc

@@ -28,7 +28,7 @@ from .freealg import (
     _no_split,
     walk_levels,
 )
-from .mattuple import MatrixTuple, _spectral_norm, _spectral_norms
+from .mattuple import MatrixTuple, _checked_size, _spectral_norm, _spectral_norms
 from .opball import OperatorBall, Pencil, ball_shorthand, membership, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
@@ -201,6 +201,10 @@ class ProbeReport:
     samples approached the boundary or while climbing, which is the numerical
     signature of an unbounded target.  ``best_value`` is only ever a lower
     bound for the true supremum.
+
+    The trajectory is kept as three columns, entry i of each belonging to
+    evaluation i: ``labels``, ``values`` and ``boundary_distances``.
+    ``trajectory`` builds their rows on demand.
     """
 
     target: str
@@ -210,15 +214,23 @@ class ProbeReport:
     seed: int
     best_value: float = 0.0
     argmax: MatrixTuple | None = None
-    trajectory: list[TrajectoryRow] = field(default_factory=list)
     failures: int = 0
     settled: bool = True
     margin_best: dict = field(default_factory=dict)
+    labels: list[str] = field(default_factory=list, init=False, repr=False)
+    values: list[float] = field(default_factory=list, init=False, repr=False)
+    boundary_distances: list[float] = field(default_factory=list, init=False, repr=False)
 
     @property
     def evaluations(self) -> int:
         """The successful evaluations: one trajectory row each."""
-        return len(self.trajectory)
+        return len(self.values)
+
+    @property
+    def trajectory(self) -> list[TrajectoryRow]:
+        """The rows of the columns, iteration i being evaluation i."""
+        columns = zip(self.labels, self.values, self.boundary_distances)
+        return [TrajectoryRow(i, *row) for i, row in enumerate(columns)]
 
 
 _MARGIN_LOGS = np.log10(MULTISTART_MARGINS)
@@ -269,10 +281,7 @@ def estimate_sup(
     """
     if not isinstance(f, NCFunction):
         raise TypeError(f"cannot probe an object of type {type(f).__name__}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    budget, n = _checked_size(budget, "budget"), _checked_size(n, "level")
     if margin is not None and not 0.0 < margin < 1.0:  # the sampler's check, before the corner-path pool
         raise ValueError(f"margin must be in (0, 1), got {margin}")
     if operator.index(seed) < 0:  # the seeder's check, as the pool can fill the multistart and leave nothing drawn
@@ -300,15 +309,17 @@ def estimate_sup(
             values, failed = f.eval_batch(xs[part], pencil_norms=s[part] if certify else None)
             norms = np.zeros(len(values))
             norms[~failed] = _spectral_norms(values[~failed])
-            out += [None if bad else float(norm) for bad, norm in zip(failed, norms)]
+            out += [None if bad else norm for bad, norm in zip(failed.tolist(), norms.tolist())]
         return out
 
     def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
-        """Charge one attempt to the report: a row, or a failure where value is None; True when x became the argmax."""
+        """Charge one attempt to the report: a trajectory entry, or a failure where value is None; True when x became the argmax."""
         if value is None:
             report.failures += 1
             return False
-        report.trajectory.append(TrajectoryRow(report.evaluations, label, value, distance))
+        report.labels.append(label)
+        report.values.append(value)
+        report.boundary_distances.append(distance)
         if value > report.best_value or report.argmax is None:
             report.best_value, report.argmax = value, MatrixTuple(x)
             return True
@@ -325,7 +336,8 @@ def estimate_sup(
     injected = injected[:n_samples]
     schedule = MULTISTART_MARGINS if margin is None else (margin,)
     draws = [(seed + i, schedule[i % len(schedule)]) for i in range(n_samples - len(injected))]
-    labels = iter([label for _, label in injected] + [f"m{m:g}" for _, m in draws])
+    names = {m: f"m{m:g}" for m in schedule}
+    labels = iter([label for _, label in injected] + [names[m] for _, m in draws])
     head = [np.stack([x for x, _ in injected])] if injected else []
     for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
         s = ball.norms_at(xs)
@@ -334,9 +346,9 @@ def estimate_sup(
         for x, label, distance, value in zip(xs, itertools.islice(labels, len(xs)), distances, evaluate(xs, s)):
             record(x, label, distance, value)
     multistart_best = report.best_value
-    bins = _margin_bins(np.array([row.boundary_distance for row in report.trajectory]))
-    for row, key in zip(report.trajectory, bins):
-        report.margin_best[key] = max(report.margin_best.get(key, 0.0), row.value)
+    margin_best = report.margin_best
+    for value, key in zip(report.values, _margin_bins(np.array(report.boundary_distances))):
+        margin_best[key] = max(margin_best.get(key, 0.0), value)
 
     # hill-climbing phase from the multistart argmax: candidates are evaluated
     # a stack ahead, as if none improved, and recorded in order up to the
@@ -364,7 +376,7 @@ def estimate_sup(
             distances = np.abs(s - 1.0).tolist()
             for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs, s))):
                 remaining -= 1
-                if record(xs[i], f"climb:{step:g}", distances[i], value):
+                if record(xs[i], _climb_label(step), distances[i], value):
                     schedule_ahead = _climb_schedule(len(moves), step, move + 1, True)
                     ahead = CLIMB_CHUNK
                     break
@@ -384,6 +396,12 @@ def _check_ball_d(f, ball: OperatorBall) -> None:
     """Reject a target whose number of variables is not the ball's, before any point is drawn."""
     if f.d != ball.d:
         raise ValueError(f"target in d={f.d} variables probed on a ball in d={ball.d} variables")
+
+
+@functools.cache
+def _climb_label(step: float) -> str:
+    """The trajectory label of a climb candidate at this step, formatted once per step."""
+    return f"climb:{step:g}"
 
 
 def _climb_schedule(n_moves: int, step: float, move: int, improved: bool) -> Iterator[tuple[float, int]]:

@@ -29,12 +29,12 @@ import numpy as np
 from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, _added, _checked_letters, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
+    _checked_size,
     _owned_array,
     _seq_matmul,
     _spectral_norm,
     complex_from_json,
     complex_to_json,
-    json_size,
     seq_solve_batch,
 )
 from .opball import ISOMETRY_TOL, Pencil, _isometry_defect, _pencil_values, pencil_from_dict, pencil_to_dict, polydisk
@@ -358,7 +358,7 @@ def realization_to_dict(f: Realization) -> dict:
 def realization_from_dict(obj: dict) -> Realization:
     try:
         pencil = pencil_from_dict(obj["pencil"])
-        m = json_size(obj, "m")
+        m = _checked_size(obj["m"], "m")
         mp, mq = m * pencil.p, m * pencil.q
         shapes = {"A": (), "B": (mp,), "C": (mq,), "D": (mq, mp)}
         a, b, c, d = (complex_from_json(obj[key], shapes[key], key) for key in "ABCD")

@@ -1,23 +1,28 @@
 """End-to-end CLI runs through main(argv): outputs, exit codes, CSV identity."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncball import cli, opball
+from ncball import __version__, cli, opball, probe
 from ncball.cli import _write_csv, build_parser, main
 from ncball.freealg import parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
 from ncball.opball import OperatorBall, Pencil, pencil_to_dict, polydisk, row_ball
-from ncball.probe import DICHOTOMY_CASES
+from ncball.probe import DICHOTOMY_CASES, INJECTION_EPS, MULTISTART_MARGINS, estimate_sup
 from ncball.realize import Realization, bidisk_witness, realization_to_dict
 from ncball.varieties import AlgebraicVariety, parabola_cubic_pair, variety_to_dict
 
@@ -194,6 +199,44 @@ def test_probe_csv_reruns_are_byte_identical(capsys, tmp_path):
     assert len(lines) == 2 + 120
 
 
+def test_probe_out_writes_the_trajectory_columns_without_building_rows(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "probe.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(probe, "TrajectoryRow", mock.Mock(side_effect=AssertionError("a row built by probe --out")))
+        code, out, _ = run(capsys, "probe", "--realization", "ex52", "--budget", "60", "--seed", "5", "--out", str(path))
+    assert code == 0
+    rows = estimate_sup(bidisk_witness(), polydisk(2), 1, 60, 5).trajectory
+    assert json.loads(out)["evaluations"] == len(rows) > 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == [f"{row.iteration},{row.label},{row.value!r},{row.boundary_distance!r},5" for row in rows]
+
+
+PROBE_HEADER = ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"]
+# the labels a probe writes: a multistart margin, a corner-path eps or a climb step
+PROBE_LABELS = (
+    st.sampled_from([*(f"m{m:g}" for m in MULTISTART_MARGINS), *(f"path:{eps:g}" for eps in INJECTION_EPS)])
+    | st.builds("m{:g}".format, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    | st.builds("climb:{:g}".format, st.floats(1e-6, 0.1))
+)
+CSV_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, 0.1 + 0.2]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(PROBE_LABELS, CSV_FLOATS, CSV_FLOATS), max_size=40), st.integers(0, 2**130))
+@example([("m0.5", -0.0, 5e-324), ("path:0.1", 1e308, 0.1 + 0.2), ("climb:1.5625e-06", 0.1 + 0.2, -0.0)], 0)
+@example([], 7)
+def test_column_major_csv_is_bitwise_the_row_wise_join(rows, seed):
+    # the column-major writer against the row-wise form it replaced: one join of str of each field per row
+    count = len(rows)
+    labels, values, distances = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    lines = [f"# ncball {__version__} seed={seed}", ",".join(PROBE_HEADER)]
+    lines += [",".join(map(str, (i, *row, seed))) for i, row in enumerate(rows)]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _write_csv(None, PROBE_HEADER, [range(count), labels, values, distances, [seed] * count], seed)
+    assert buffer.getvalue().encode() == ("\n".join(lines) + "\n").encode()
+
+
 def test_probe_margin_override(capsys):
     code, out, _ = run(capsys, "probe", "--poly", "z1", "--budget", "60",
                        "--margin", "0.5", "--level", "2")
@@ -329,7 +372,7 @@ def test_a_variety_with_no_generators(capsys, tmp_path):
 
 def test_csv_fields_are_the_shortest_round_trip_digits(capsys):
     row = (-0.0, 5e-324, 1e16, float("inf"), 7, "eps=1e-3", np.float64(0.5), np.float64(-1e-300))
-    _write_csv(None, [f"c{i}" for i in range(len(row))], [row], seed=3)
+    _write_csv(None, [f"c{i}" for i in range(len(row))], [[value] for value in row], seed=3)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith(" seed=3")
     assert lines[2] == "-0.0,5e-324,1e+16,inf,7,eps=1e-3,0.5,-1e-300"

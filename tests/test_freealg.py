@@ -91,6 +91,21 @@ def test_word_rejects_letters_outside_alphabet():
         FreePolynomial(0)
 
 
+def test_a_polynomials_d_must_be_an_integer():
+    # the rule of a JSON header's sizes: a bool, a float or a string is refused by name, never truncated or compared
+    for d in (2.7, 2.0, True, "2", None):
+        message = rf"^d must be an integer, got {re.escape(repr(d))}$"
+        with pytest.raises(ValueError, match=message):
+            FreePolynomial(d, {(1,): 1.0})
+        with pytest.raises(ValueError, match=message):
+            parse("z1*z3", d)
+    # numpy integers are integers, as they are letters, and d is kept as an int
+    for d in (np.int64(2), np.int32(2), np.uint8(2)):
+        p = FreePolynomial(d, {(1, 2): 1.0})
+        assert type(p.d) is int and type(parse("z1*z2", d).d) is int
+        assert p == parse("z1*z2", d)
+
+
 def test_letters_must_be_integers():
     # Python and numpy integers are letters, each stored as an int; a bool, a float or a string is not one
     for word in ((1, 2), [np.int64(1), np.int32(2)], np.array([1, 2]), (np.uint8(1), 2)):

@@ -161,6 +161,34 @@ def test_search_validation():
         estimate_sup(parse("z1", 2), BALL, 1, 10, 0, margin=1.5)
 
 
+def test_level_and_budget_must_be_integers():
+    # refused by name at entry, before any draw: a bool is no integer, and a float is neither truncated nor passed on
+    bad = [("level", True, 10, "True"), ("level", 1.0, 10, "1.0"), ("budget", 1, 10.5, "10.5"), ("budget", 1, True, "True")]
+    with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
+        for name, level, budget, shown in bad:
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {shown}$"):
+                estimate_sup(bidisk_witness(), BALL, level, budget, 0)
+    # numpy integers are integers, and the report keeps them as ints
+    report = estimate_sup(bidisk_witness(), BALL, np.int64(2), np.int32(10), 0)
+    assert (type(report.level), type(report.budget)) == (int, int)
+    assert report.evaluations + report.failures == 10
+
+
+def test_the_search_keeps_its_trajectory_in_columns_and_builds_rows_on_demand(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(probe, "TrajectoryRow", mock.Mock(side_effect=AssertionError("a row built during the search")))
+        report = estimate_sup(bidisk_witness(), BALL, 1, 60, 0)
+    rows = report.trajectory
+    assert [row.iteration for row in rows] == list(range(report.evaluations))
+    columns = list(zip(report.labels, report.values, report.boundary_distances))
+    assert [(row.label, row.value, row.boundary_distance) for row in rows] == columns
+    # the trajectory is a view of the columns: it is neither assigned nor passed to the constructor
+    with pytest.raises(AttributeError):
+        report.trajectory = rows
+    with pytest.raises(TypeError, match="trajectory"):
+        probe.ProbeReport("f", "polydisk:2", 1, 60, 0, trajectory=rows)
+
+
 def test_a_margin_or_seed_is_checked_before_the_corner_path_pool():
     # at level 1 on the bidisk the three corner points fill a budget of 4's multistart, so nothing is drawn
     with mock.patch.object(NCFunction, "eval_batch", side_effect=AssertionError("evaluated")):
