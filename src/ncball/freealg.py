@@ -21,13 +21,18 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .mattuple import MatrixTuple, _checked_size, _seq_matmul, point_stack
+from .mattuple import MatrixTuple, _checked_int, _checked_size, _seq_matmul, point_stack
 
 WORD_BUDGET = 10**6  # the words a walk_levels or words_of_size visits, the term pairs a _product forms
-# stacks stepped or evaluated together take at most this many bytes: larger walk
-# levels and the probe's target values come out in chunks, and the probe's
-# stacks hold as many points as fit it with one n x n complex value each
+# stacks stepped or evaluated together take at most this many bytes, as _batch_size
+# counts them: larger walk levels come out in chunks, and the probe's stacks hold
+# as many points as fit it with one target value each
 BATCH_BYTES = 64 * 1024
+
+
+def _batch_size(count: int, nbytes: int) -> int:
+    """How many of count items, nbytes in all, go in one batch: as many as fit BATCH_BYTES, at least one; all if no bytes."""
+    return max(1, BATCH_BYTES * count // max(1, nbytes))
 
 
 class BudgetExceededError(RuntimeError):
@@ -62,6 +67,7 @@ def words_of_size(d: int, k: int) -> Iterator[tuple[int, ...]]:
     At d = 1 the one word is charged its k letters: k <= WORD_BUDGET."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    k = _checked_int(k, "word size k")
     if k < 0:
         raise ValueError(f"word size k must be >= 0, got {k}")
     if _capped_power(d, k, WORD_BUDGET) > WORD_BUDGET:
@@ -82,6 +88,7 @@ def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    size = _checked_int(size, "size")
     if not columns:
         raise ValueError("walk_levels needs at least one (root, step) column")
     if _dense_count(d, size) > WORD_BUDGET:
@@ -114,7 +121,7 @@ def _walk(d: int, size: int, columns, keep) -> Iterator[tuple[object, tuple]]:
             ]
             prefixes = [prefixes[i] + (j,) for j, sel in enumerate(parents, 1) for i in sel]
         count = len(kids[0])
-        chunk = max(1, BATCH_BYTES * count // max(1, sum(kid.nbytes for kid in kids)))  # no bytes: one chunk
+        chunk = _batch_size(count, sum(kid.nbytes for kid in kids))
         for rows in reversed([slice(i, i + chunk) for i in range(0, count, chunk)]):
             todo.append((k + 1, None if prefixes is None else prefixes[rows], tuple(kid[rows] for kid in kids)))
 
@@ -488,6 +495,7 @@ class QuotientColumn(NCFunction):
     quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _checked_int(self.size, "size")
         object.__setattr__(self, "quotients", tuple(left_divide(self.p, self.size).values()))
 
     @property

@@ -248,17 +248,20 @@ def complex_from_json(raw, shape: tuple[int, ...], key: str) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def _checked_size(value, name: str) -> int:
-    """value as an int, which must be a Python or numpy integer >= 1: a size such as a JSON header's n or a polynomial's d.
-
-    A bool, a float such as 2.9, a string or a size below 1 is rejected with
-    an error naming the size, instead of being truncated or failing in int().
-    """
+def _checked_int(value, name: str) -> int:
+    """value as an int, which must be a Python or numpy integer: a bool, a float such as 2.9 or a string is
+    rejected with an error naming the value, instead of being truncated or failing in int()."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_size(value, name: str) -> int:
+    """value as an int, which must be a Python or numpy integer >= 1 (see _checked_int): a size such as a JSON header's n."""
+    value = _checked_int(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return value
 
 
 def to_point_dict(x: MatrixTuple) -> dict:

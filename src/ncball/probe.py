@@ -19,16 +19,16 @@ from typing import Iterator
 import numpy as np
 
 from .freealg import (
-    BATCH_BYTES,
     BudgetExceededError,
     FreePolynomial,
     NCFunction,
+    _batch_size,
     _capped_power,
     _monomials,
     _no_split,
     walk_levels,
 )
-from .mattuple import MatrixTuple, _checked_size, _spectral_norm, _spectral_norms
+from .mattuple import MatrixTuple, _checked_int, _checked_size, _spectral_norm, _spectral_norms
 from .opball import OperatorBall, Pencil, ball_shorthand, membership, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
@@ -39,8 +39,8 @@ BOUNDARY_THRESHOLD = 1.0 - 1e-6
 # corner-approach ladder injected into bidisk level-1 multistarts; the deeper
 # rungs are left to hill climbing so divergence shows up as climb growth
 INJECTION_EPS = (0.1, 0.045, 0.014)
-# the climb evaluates this many candidates ahead, doubling up to one stack
-# (_chunk_size) after a stack with no improvement and starting over after one
+# the climb evaluates this many candidates ahead, doubling up to one stack of
+# the search after a stack with no improvement and starting over after one
 CLIMB_CHUNK = 8
 DICHOTOMY_LEVELS = (1, 2, 3)  # the levels that a dichotomy scan's samples cycle through
 
@@ -54,11 +54,6 @@ def corner_path(eps: float) -> tuple[complex, complex]:
     """
     x1 = complex(1.0 - eps * eps, eps)
     return (x1, x1.conjugate())
-
-
-def _chunk_size(n: int) -> int:
-    """How many level-n points one stack holds: as many as fit BATCH_BYTES at one n x n complex value each."""
-    return max(1, BATCH_BYTES // (16 * n * n))
 
 
 # numpy's SeedSequence hash constants (a pool of four uint32 words) and PCG64's multiplier
@@ -163,34 +158,25 @@ def _sample_stack(
     return raw * factors.astype(complex)[:, None, None, None]
 
 
-def _sample_chunks(ball: OperatorBall, n: int, draws) -> Iterator[np.ndarray]:
-    """Stacks of the level-n points of draws, a list of (seed, margin), chunk by chunk.
+def _sample_chunks(ball: OperatorBall, n: int, draws, size: int) -> Iterator[np.ndarray]:
+    """Stacks of at most size level-n points of draws, a list of (seed, margin), in order.
 
     The point of (seed, margin) is sample_in_ball(ball, n, margin,
     default_rng(seed)), bit for bit: one reused generator is set to the
     PCG64 state that default_rng(seed) starts from.  The states of all draws
-    are computed at once and sliced per chunk.
+    are computed at once and sliced per stack.
     """
     _check_seeder()
     rng = np.random.Generator(np.random.PCG64())
     states = _pcg64_states([seed for seed, _ in draws])
-    step = _chunk_size(n)
-    for start in range(0, len(draws), step):
-        part = slice(start, start + step)
+    for start in range(0, len(draws), size):
+        part = slice(start, start + size)
         yield _sample_stack(ball, n, [margin for _, margin in draws[part]], rng, states[part])
 
 
 def sample_in_ball(ball: OperatorBall, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
     """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin: the sampler's batch of one."""
     return MatrixTuple(_sample_stack(ball, n, [margin], rng)[0])
-
-
-@dataclass(frozen=True)
-class TrajectoryRow:
-    iteration: int
-    label: str
-    value: float
-    boundary_distance: float
 
 
 @dataclass
@@ -204,7 +190,6 @@ class ProbeReport:
 
     The trajectory is kept as three columns, entry i of each belonging to
     evaluation i: ``labels``, ``values`` and ``boundary_distances``.
-    ``trajectory`` builds their rows on demand.
     """
 
     target: str
@@ -223,14 +208,8 @@ class ProbeReport:
 
     @property
     def evaluations(self) -> int:
-        """The successful evaluations: one trajectory row each."""
+        """The successful evaluations: the length of each trajectory column."""
         return len(self.values)
-
-    @property
-    def trajectory(self) -> list[TrajectoryRow]:
-        """The rows of the columns, iteration i being evaluation i."""
-        columns = zip(self.labels, self.values, self.boundary_distances)
-        return [TrajectoryRow(i, *row) for i, row in enumerate(columns)]
 
 
 _MARGIN_LOGS = np.log10(MULTISTART_MARGINS)
@@ -270,12 +249,11 @@ def estimate_sup(
     the norm certifies it; any other f gets ``pencil_norms=None``.
 
     Points are drawn and climbed in stacks of as many points as fit
-    BATCH_BYTES with one n x n complex value each.  ``f`` is evaluated
-    through ``f.eval_batch`` in parts whose values fit BATCH_BYTES, sized
-    before the search from its value at the empty stack; since every sample
-    keeps its bits in any stack, and the climb records only the candidates it
-    would have tried one at a time, the report is the same as that of a search
-    evaluating one point at a time.
+    BATCH_BYTES with one value of ``f`` each, sized before the search from
+    its value at the empty stack, and each stack is one ``f.eval_batch``
+    call; since every sample keeps its bits in any stack, and the climb
+    records only the candidates it would have tried one at a time, the report
+    is the same as that of a search evaluating one point at a time.
 
     Passing ``margin`` draws every multistart sample at that one margin.
     """
@@ -284,7 +262,8 @@ def estimate_sup(
     budget, n = _checked_size(budget, "budget"), _checked_size(n, "level")
     if margin is not None and not 0.0 < margin < 1.0:  # the sampler's check, before the corner-path pool
         raise ValueError(f"margin must be in (0, 1), got {margin}")
-    if operator.index(seed) < 0:  # the seeder's check, as the pool can fill the multistart and leave nothing drawn
+    seed = _checked_int(seed, "seed")
+    if seed < 0:  # the seeder's check, as the pool can fill the multistart and leave nothing drawn
         raise ValueError(f"expected non-negative integer seed, got {seed}")
     _check_ball_d(f, ball)
     report = ProbeReport(
@@ -295,22 +274,18 @@ def estimate_sup(
         seed=seed,
     )
 
-    # the target's values at the empty stack give their shape, and so the points per part under BATCH_BYTES
+    # the target's values at the empty stack give their shape, and so the points per stack
     rows, cols = f.eval_batch(np.zeros((0, ball.d, n, n), dtype=complex))[0].shape[1:]
-    part_size = max(1, BATCH_BYTES // (16 * rows * cols))
+    stack = _batch_size(1, 16 * rows * cols)
     # the ball's norms are the target's own pencil norms: its resolvent guard may use them
     certify = getattr(f, "pencil", None) == ball.pencil
 
     def evaluate(xs: np.ndarray, s: np.ndarray) -> list[float | None]:
-        """||f(X)|| at each point of a stack of pencil norms s, part by part; None where it failed."""
-        out = []
-        for start in range(0, len(xs), part_size):
-            part = slice(start, start + part_size)
-            values, failed = f.eval_batch(xs[part], pencil_norms=s[part] if certify else None)
-            norms = np.zeros(len(values))
-            norms[~failed] = _spectral_norms(values[~failed])
-            out += [None if bad else norm for bad, norm in zip(failed.tolist(), norms.tolist())]
-        return out
+        """||f(X)|| at each point of a stack of pencil norms s; None where it failed."""
+        values, failed = f.eval_batch(xs, pencil_norms=s if certify else None)
+        norms = np.zeros(len(values))
+        norms[~failed] = _spectral_norms(values[~failed])
+        return [None if bad else norm for bad, norm in zip(failed.tolist(), norms.tolist())]
 
     def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
         """Charge one attempt to the report: a trajectory entry, or a failure where value is None; True when x became the argmax."""
@@ -338,8 +313,8 @@ def estimate_sup(
     draws = [(seed + i, schedule[i % len(schedule)]) for i in range(n_samples - len(injected))]
     names = {m: f"m{m:g}" for m in schedule}
     labels = iter([label for _, label in injected] + [names[m] for _, m in draws])
-    head = [np.stack([x for x, _ in injected])] if injected else []
-    for xs in itertools.chain(head, _sample_chunks(ball, n, draws)):
+    pool = [np.stack([x for x, _ in injected[i : i + stack]]) for i in range(0, len(injected), stack)]
+    for xs in itertools.chain(pool, _sample_chunks(ball, n, draws, stack)):
         s = ball.norms_at(xs)
         # |s - 1| is the membership distance: fl(s - 1) = -fl(1 - s)
         distances = np.abs(s - 1.0).tolist()
@@ -358,9 +333,8 @@ def estimate_sup(
         moves = list(itertools.product(range(ball.d), range(n), range(n), (1.0, 1j), (1.0, -1.0)))
         schedule_ahead = _climb_schedule(len(moves), INITIAL_STEP, 0, False)
         ahead = CLIMB_CHUNK
-        cap = _chunk_size(n)
         while remaining > 0:
-            plan = list(itertools.islice(schedule_ahead, min(ahead, remaining, cap)))
+            plan = list(itertools.islice(schedule_ahead, min(ahead, remaining, stack)))
             if not plan:
                 break
             xs = np.repeat(report.argmax.entries[None], len(plan), axis=0)
@@ -381,7 +355,7 @@ def estimate_sup(
                     ahead = CLIMB_CHUNK
                     break
             else:
-                ahead = min(2 * ahead, cap)
+                ahead = min(2 * ahead, stack)
 
     # settled heuristic: margin ladder ratio and climb growth
     near = report.margin_best.get(0.001, 0.0)
@@ -487,8 +461,7 @@ def dichotomy_scan(
     maps = list(maps)
     if len(maps) != target_pencil.d:
         raise ValueError(f"map has {len(maps)} components but the target pencil has d={target_pencil.d}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples, seed = _checked_size(samples, "samples"), _checked_int(seed, "seed")
     for i, p in enumerate(maps, 1):
         if not isinstance(p, NCFunction):
             raise TypeError(f"map component {i} is an object of type {type(p).__name__}, not an nc function")
@@ -502,7 +475,8 @@ def dichotomy_scan(
             (seed + i, MULTISTART_MARGINS[(i // len(DICHOTOMY_LEVELS)) % len(MULTISTART_MARGINS)])
             for i in range(first, samples, len(DICHOTOMY_LEVELS))
         ]
-        for xs in _sample_chunks(source_ball, level, draws):
+        # each sample's image holds len(maps) level x level values
+        for xs in _sample_chunks(source_ball, level, draws, _batch_size(1, 16 * len(maps) * level * level)):
             image = np.stack([p.eval_batch(xs)[0] for p in maps], axis=1)
             norms.extend(OperatorBall(target_pencil).norms_at(image).tolist())
     max_norm, min_norm = max(norms), min(norms)
@@ -541,7 +515,7 @@ class MonomialRow(NCFunction):
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
+        if _checked_int(self.size, "size") < 1:
             raise ValueError(f"monomial rows are indexed by a word size >= 1, got {self.size}")
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -573,7 +547,7 @@ def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, s
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)
-    if order < 1:
+    if _checked_int(order, "order") < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     _check_ball_d(f, ball)
     if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:

@@ -29,6 +29,7 @@ import numpy as np
 from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, _added, _checked_letters, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
+    _checked_int,
     _checked_size,
     _owned_array,
     _seq_matmul,
@@ -283,7 +284,7 @@ class RemainderColumn(NCFunction):
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.size < 1:
+        if _checked_int(self.size, "size") < 1:
             raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
         levels = walk_levels(self.d, self.size, (None, self.base.row_step))
         object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])

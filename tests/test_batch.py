@@ -577,7 +577,7 @@ def test_seeder_draws_the_bits_of_default_rng(d, n, count, seed):
     ball = polydisk(d)
     draws = [(seed + i, MARGINS[i % 4]) for i in range(count)]
     states = _pcg64_states([draw_seed for draw_seed, _ in draws])
-    stack = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    stack = np.concatenate(list(_sample_chunks(ball, n, draws, 2)))
     seeded = np.random.Generator(np.random.PCG64())
     for x, (draw_seed, margin), (state, inc) in zip(stack, draws, states):
         want = np.random.default_rng(draw_seed)
@@ -594,16 +594,16 @@ def test_seeder_draws_the_bits_of_default_rng(d, n, count, seed):
 
 def test_seeder_takes_numpy_integers_and_rejects_negative_seeds():
     ball = polydisk(2)
-    want = np.concatenate(list(_sample_chunks(ball, 2, [(5, 0.5), (2**63 + 5, 0.1)])))
-    got = np.concatenate(list(_sample_chunks(ball, 2, [(np.int64(5), 0.5), (np.uint64(2**63 + 5), 0.1)])))
+    want = np.concatenate(list(_sample_chunks(ball, 2, [(5, 0.5), (2**63 + 5, 0.1)], 64)))
+    got = np.concatenate(list(_sample_chunks(ball, 2, [(np.int64(5), 0.5), (np.uint64(2**63 + 5), 0.1)], 1)))
     assert got.tobytes() == want.tobytes()
     for seed in (-1, np.int64(-3)):
         with pytest.raises(ValueError, match="non-negative"):
-            list(_sample_chunks(ball, 2, [(7, 0.5), (seed, 0.1)]))
+            list(_sample_chunks(ball, 2, [(7, 0.5), (seed, 0.1)], 64))
     with pytest.raises(ValueError, match="non-negative"):
         estimate_sup(bidisk_witness(), ball, 2, 10, -2)
     with pytest.raises(TypeError):
-        list(_sample_chunks(ball, 2, [(1.5, 0.5)]))
+        list(_sample_chunks(ball, 2, [(1.5, 0.5)], 64))
 
 
 def test_seeder_self_check_names_numpy(monkeypatch):
@@ -640,7 +640,7 @@ def test_sampler_refuses_an_all_zero_draw(monkeypatch):
     draws = [(seed, MARGINS[seed % 4]) for seed in range(5)]
     calls = zero_norms(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="rng is broken"):
-        list(_sample_chunks(ball, 2, draws))
+        list(_sample_chunks(ball, 2, draws, 64))
     assert calls == [5]
     monkeypatch.undo()
     calls = zero_norms(monkeypatch, None)
@@ -655,11 +655,11 @@ def test_the_sampler_seeds_a_multistart_once(monkeypatch):
     pcg64_states = probe._pcg64_states
     monkeypatch.setattr(probe, "_pcg64_states", lambda seeds: seeded.append(len(seeds)) or pcg64_states(seeds))
     draws = [(seed, MARGINS[seed % 4]) for seed in range(100)]
-    stacks = list(_sample_chunks(polydisk(2), 8, draws))
+    stacks = list(_sample_chunks(polydisk(2), 8, draws, 64))
     assert seeded == [100]
     assert [len(stack) for stack in stacks] == [64, 36]
-    # the stack rule reads the level alone: the 1 x 2 row pencil's stacks are the 2 x 2 pencil's
-    assert [len(stack) for stack in _sample_chunks(row_ball(2), 8, draws)] == [64, 36]
+    # the caller sizes the stacks: the 1 x 2 row pencil's are the 2 x 2 pencil's
+    assert [len(stack) for stack in _sample_chunks(row_ball(2), 8, draws, 64)] == [64, 36]
 
 
 @settings(max_examples=30, deadline=None)
@@ -669,7 +669,7 @@ def test_chunked_sampler_is_sample_in_ball_per_draw(n, count, seed, row):
     ball = row_ball(2) if row else polydisk(2)
     margins = (0.5, 0.1, 0.01, 0.001)
     draws = [(seed + i, margins[i % 4]) for i in range(count)]
-    stack = np.concatenate(list(_sample_chunks(ball, n, draws)))
+    stack = np.concatenate(list(_sample_chunks(ball, n, draws, 8)))
     assert stack.shape == (count, 2, n, n)
     for x, (draw_seed, margin) in zip(stack, draws):
         want = sample_in_ball(ball, n, margin, np.random.default_rng(draw_seed))

@@ -9,14 +9,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncball import __version__, cli, opball, probe
+from ncball import __version__, cli, opball
 from ncball.cli import _write_csv, build_parser, main
 from ncball.freealg import parse
 from ncball.mattuple import MatrixTuple, to_point_dict
@@ -199,16 +198,15 @@ def test_probe_csv_reruns_are_byte_identical(capsys, tmp_path):
     assert len(lines) == 2 + 120
 
 
-def test_probe_out_writes_the_trajectory_columns_without_building_rows(capsys, tmp_path, monkeypatch):
+def test_probe_out_writes_the_trajectory_columns_without_building_rows(capsys, tmp_path):
     path = tmp_path / "probe.csv"
-    with monkeypatch.context() as patch:
-        patch.setattr(probe, "TrajectoryRow", mock.Mock(side_effect=AssertionError("a row built by probe --out")))
-        code, out, _ = run(capsys, "probe", "--realization", "ex52", "--budget", "60", "--seed", "5", "--out", str(path))
+    code, out, _ = run(capsys, "probe", "--realization", "ex52", "--budget", "60", "--seed", "5", "--out", str(path))
     assert code == 0
-    rows = estimate_sup(bidisk_witness(), polydisk(2), 1, 60, 5).trajectory
-    assert json.loads(out)["evaluations"] == len(rows) > 0
+    report = estimate_sup(bidisk_witness(), polydisk(2), 1, 60, 5)
+    assert json.loads(out)["evaluations"] == report.evaluations > 0
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[2:] == [f"{row.iteration},{row.label},{row.value!r},{row.boundary_distance!r},5" for row in rows]
+    columns = enumerate(zip(report.labels, report.values, report.boundary_distances))
+    assert lines[2:] == [f"{i},{label},{value!r},{distance!r},5" for i, (label, value, distance) in columns]
 
 
 PROBE_HEADER = ["iteration", "epsilon_or_sample_id", "value", "boundary_distance", "seed"]

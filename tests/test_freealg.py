@@ -18,9 +18,11 @@ from ncball.freealg import (
     BudgetExceededError,
     FreePolynomial,
     PolyParseError,
+    QuotientColumn,
     _add_term,
     _checked_letters,
     _left_quotients,
+    _monomials,
     _negated,
     _parse_word,
     _power,
@@ -217,6 +219,32 @@ def test_walk_levels_names_an_empty_alphabet_at_the_call():
         with pytest.raises(ValueError, match=rf"^d must be >= 1, got {d}$"):
             walk_levels(d, 2, column)
     assert steps == []
+
+
+def test_a_word_size_must_be_an_integer():
+    # a float size is never reached by a walk, which would run on without end, and a bool would run as 1
+    column = (np.zeros((1, 1)), lambda stack, j: stack)
+    for size, shown in ((2.5, "2.5"), (True, "True"), (2.0, "2.0")):
+        with pytest.raises(ValueError, match=rf"^size must be an integer, got {shown}$"):
+            walk_levels(2, size, column)
+        with pytest.raises(ValueError, match=rf"^word size k must be an integer, got {shown}$"):
+            words_of_size(2, size)
+        with mock.patch.object(freealg, "left_divide", side_effect=AssertionError("divided")):
+            with pytest.raises(ValueError, match=rf"^size must be an integer, got {shown}$"):
+                QuotientColumn(parse("z1*z2", 2), size)
+    # numpy integers are integers, and a size of -1 still walks nothing
+    assert [k for k, _ in walk_levels(2, np.int64(2), column)] == [0, 1, 2]
+    assert list(words_of_size(2, np.int32(1))) == [(1,), (2,)]
+    assert list(walk_levels(2, -1, column)) == []
+
+
+def test_a_walk_level_takes_as_many_words_as_fit_the_byte_bound():
+    # under a 1-byte bound each word of a stack with bytes is a chunk of its own, and a level of no bytes stays whole
+    with mock.patch.object(freealg, "BATCH_BYTES", 1):
+        full = [(k, len(xws)) for k, (xws,) in walk_levels(2, 2, _monomials(np.ones((1, 2, 1, 1), dtype=complex)))]
+        empty = [(k, len(xws)) for k, (xws,) in walk_levels(2, 3, _monomials(np.zeros((0, 2, 1, 1), dtype=complex)))]
+    assert full == [(0, 1), (1, 1), (2, 1), (2, 1), (1, 1), (2, 1), (2, 1)]
+    assert empty == [(0, 1), (1, 2), (2, 4), (3, 8)]
 
 
 def test_walk_levels_names_a_missing_column_at_the_call():

@@ -153,6 +153,37 @@ def test_no_unread_private_definitions_or_constants():
     assert unread_definitions(sources) == []
 
 
+def batch_bytes_readers(source: str) -> list[str]:
+    """The name of each top-level definition, or '<module>' for any other statement, once per read or import of BATCH_BYTES."""
+    found = []
+    for node in ast.parse(source).body:
+        for inner in ast.walk(node):
+            name = getattr(inner, "id", None) if isinstance(getattr(inner, "ctx", None), ast.Load) else None
+            imported = [alias.name for alias in inner.names] if isinstance(inner, ast.ImportFrom) else []
+            if "BATCH_BYTES" in (name, getattr(inner, "attr", None), *imported):
+                found.append(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_scan_finds_a_batch_bytes_reader():
+    source = (
+        "BATCH_BYTES = 1\n"
+        "def _batch_size(n):\n"
+        "    return BATCH_BYTES // n\n"
+        "class Walk:\n"
+        "    def chunk(self):\n"
+        "        return freealg.BATCH_BYTES\n"
+        "from .freealg import BATCH_BYTES\n"
+    )
+    assert batch_bytes_readers(source) == ["_batch_size", "Walk", "<module>"]
+
+
+def test_only_the_batch_size_rule_reads_the_byte_bound():
+    # every stack size comes from _batch_size, so the byte rule cannot fork
+    found = {path.name: batch_bytes_readers(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {"freealg.py": ["_batch_size"]}
+
+
 KINDS = {"FreePolynomial", "Realization"}
 
 

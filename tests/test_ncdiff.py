@@ -535,6 +535,16 @@ def test_tt_check_validation():
         tt_check(parse("z1", 3), x, 1)
 
 
+def test_tt_check_order_must_be_an_integer():
+    # a float order is never reached by a walk, and a bool would run as 1: refused by name before any walk
+    x = MatrixTuple.scalars((0.1, 0.1))
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        for f in (bidisk_witness(), parse("z1*z2", 2)):
+            for order, shown in ((2.5, "2.5"), (True, "True")):
+                with pytest.raises(ValueError, match=rf"^order must be an integer, got {shown}$"):
+                    tt_check(f, x, order)
+
+
 def test_scalar_reconstruction_from_first_differences():
     # f(x) = x1 D1 + x2 D2 with D_j = Df(0, x)[e_j], since f(0) = 0
     f = bidisk_witness()

@@ -13,7 +13,7 @@ from ncball import probe
 from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, eval_word, parse, words_of_size
 from ncball.mattuple import MatrixTuple, _spectral_norms
 from ncball.ncdiff import delta_first
-from ncball.opball import BallMembership, membership, polydisk, row_ball
+from ncball.opball import BallMembership, OperatorBall, membership, polydisk, row_ball
 from ncball.probe import (
     BOUNDARY_THRESHOLD,
     DICHOTOMY_CASES,
@@ -92,7 +92,7 @@ def test_search_approaches_the_witness_supremum():
     assert report.ball == "polydisk:2"
     assert report.target == "realization(d=2,m=1,isometry)"
     # the corner-path pool is injected ahead of the random multistarts
-    assert [row.label for row in report.trajectory[:4]] == [
+    assert report.labels[:4] == [
         "path:0.1",
         "path:0.045",
         "path:0.014",
@@ -116,7 +116,7 @@ def test_search_is_deterministic():
     a = estimate_sup(bidisk_witness(), BALL, 2, 300, 7)
     b = estimate_sup(bidisk_witness(), BALL, 2, 300, 7)
     assert a.best_value == b.best_value
-    assert a.trajectory == b.trajectory
+    assert (a.labels, a.values, a.boundary_distances) == (b.labels, b.values, b.boundary_distances)
     assert np.array_equal(a.argmax.entries, b.argmax.entries)
     assert a.margin_best == b.margin_best
 
@@ -137,17 +137,17 @@ def test_argmax_is_a_sound_witness():
 
 def test_margin_override_pins_the_schedule():
     report = estimate_sup(parse("z1", 2), BALL, 2, 40, 5, margin=0.5)
-    labels = {row.label for row in report.trajectory if row.label.startswith("m")}
+    labels = {label for label in report.labels if label.startswith("m")}
     assert labels == {"m0.5"}
-    assert all(row.value <= 0.5 + 1e-9 or row.label.startswith("climb") for row in report.trajectory)
+    assert all(value <= 0.5 + 1e-9 or label.startswith("climb") for label, value in zip(report.labels, report.values))
 
 
 def test_a_multistart_draw_inside_the_boundary_band_is_not_rescaled():
     # only climb candidates past BOUNDARY_THRESHOLD are pulled back: the 20 draws at margin 1e-7 stay where they fell
     report = estimate_sup(bidisk_witness(), BALL, 2, 40, 3, margin=1e-7)
-    multistart = [row for row in report.trajectory if row.label.startswith("m")]
-    assert [row.label for row in multistart] == ["m1e-07"] * 20
-    assert all(row.boundary_distance < 1.0 - BOUNDARY_THRESHOLD for row in multistart)
+    multistart = [i for i, label in enumerate(report.labels) if label.startswith("m")]
+    assert [report.labels[i] for i in multistart] == ["m1e-07"] * 20
+    assert all(report.boundary_distances[i] < 1.0 - BOUNDARY_THRESHOLD for i in multistart)
 
 
 def test_search_validation():
@@ -174,19 +174,13 @@ def test_level_and_budget_must_be_integers():
     assert report.evaluations + report.failures == 10
 
 
-def test_the_search_keeps_its_trajectory_in_columns_and_builds_rows_on_demand(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(probe, "TrajectoryRow", mock.Mock(side_effect=AssertionError("a row built during the search")))
-        report = estimate_sup(bidisk_witness(), BALL, 1, 60, 0)
-    rows = report.trajectory
-    assert [row.iteration for row in rows] == list(range(report.evaluations))
-    columns = list(zip(report.labels, report.values, report.boundary_distances))
-    assert [(row.label, row.value, row.boundary_distance) for row in rows] == columns
-    # the trajectory is a view of the columns: it is neither assigned nor passed to the constructor
-    with pytest.raises(AttributeError):
-        report.trajectory = rows
-    with pytest.raises(TypeError, match="trajectory"):
-        probe.ProbeReport("f", "polydisk:2", 1, 60, 0, trajectory=rows)
+def test_the_search_keeps_its_trajectory_in_columns():
+    report = estimate_sup(bidisk_witness(), BALL, 1, 60, 0)
+    assert len(report.labels) == len(report.values) == len(report.boundary_distances) == report.evaluations > 0
+    # the columns are filled by the search alone: none is passed to the constructor
+    for column in ("labels", "values", "boundary_distances"):
+        with pytest.raises(TypeError, match=column):
+            probe.ProbeReport("f", "polydisk:2", 1, 60, 0, **{column: []})
 
 
 def test_a_margin_or_seed_is_checked_before_the_corner_path_pool():
@@ -199,6 +193,25 @@ def test_a_margin_or_seed_is_checked_before_the_corner_path_pool():
             estimate_sup(bidisk_witness(), polydisk(2), 1, 4, -5)
         with pytest.raises(ValueError, match=r"^expected non-negative integer seed, got -5$"):
             regularity_factors(bidisk_witness(), 1, polydisk(2), 1, 4, -5)
+
+
+def test_a_seed_or_sample_count_must_be_an_integer():
+    # refused by name at entry, before any draw: a bool is no integer, and a float is neither truncated nor sliced
+    case = builtin_dichotomy_case("half")
+    with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
+        for seed, shown in ((True, "True"), (1.0, "1.0")):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer, got {shown}$"):
+                estimate_sup(bidisk_witness(), polydisk(2), 1, 10, seed)
+            with pytest.raises(ValueError, match=rf"^seed must be an integer, got {shown}$"):
+                dichotomy_scan(*case, 3, seed)
+        for samples, shown in ((True, "True"), (2.5, "2.5")):
+            with pytest.raises(ValueError, match=rf"^samples must be an integer, got {shown}$"):
+                dichotomy_scan(*case, samples, 0)
+        with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+            dichotomy_scan(*case, 0, 0)
+    # numpy integers are integers, and the results keep them as ints
+    assert type(estimate_sup(bidisk_witness(), BALL, 2, 10, np.int64(3)).seed) is int
+    assert type(dichotomy_scan(*case, np.int64(3), np.int32(0)).samples) is int
 
 
 def test_a_target_whose_d_is_not_the_balls_fails_before_any_draw():
@@ -375,14 +388,48 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
             return values, failed
 
     # a level-1 value of the size-9 row holds 2^9 entries (8 KiB), so the
-    # 50-point multistart stack (400 KiB) must be evaluated in parts
+    # 50-point multistart (400 KiB of values) must be drawn in several stacks
     report = estimate_sup(SpyRow(2, 9), BALL, 1, 100, 0)
     assert report.evaluations + report.failures == 100
     assert max(nbytes) <= BATCH_BYTES
-    # the empty stack sizes the parts before the search: the 3 corner-path
-    # points, then 8-point parts of the 47 samples, then the climb's stacks
+    # the empty stack sizes the stacks before the search: the 3 corner-path
+    # points, then 8-point stacks of the 47 samples, then the climb's stacks
     assert sizes[:9] == [0, 3, 8, 8, 8, 8, 8, 7, 8]
     assert 0 not in sizes[1:]
+
+
+def test_a_target_value_that_fills_the_byte_bound_is_probed_one_point_per_stack(monkeypatch):
+    measured, evaluated = [], []
+    norms_at = OperatorBall.norms_at
+    monkeypatch.setattr(OperatorBall, "norms_at", lambda self, xs: measured.append(len(xs)) or norms_at(self, xs))
+
+    class SpyRow(MonomialRow):
+        def eval_batch(self, xs, *, pencil_norms=None):
+            evaluated.append(xs.copy())
+            return super().eval_batch(xs, pencil_norms=pencil_norms)
+
+    # a level-1 value of the size-12 row holds 2^12 entries, 64 KiB: every stack drawn, measured or evaluated is one point
+    report = estimate_sup(SpyRow(2, 12), BALL, 1, 20, 0)
+    assert report.evaluations + report.failures == 20
+    assert set(measured) == {1}
+    assert [len(xs) for xs in evaluated] == [0] + [1] * 20
+    # the corner-path pool goes out as three stacks of one, ahead of the draws
+    corners = [MatrixTuple.scalars(corner_path(eps)).entries.tobytes() for eps in INJECTION_EPS]
+    assert [xs[0].tobytes() for xs in evaluated[1:4]] == corners
+
+
+def test_a_dichotomy_scan_sizes_its_stacks_by_the_image():
+    sizes = []
+    sample_chunks = probe._sample_chunks
+
+    def spy(ball, n, draws, size):
+        sizes.append(size)
+        return sample_chunks(ball, n, draws, size)
+
+    with mock.patch.object(probe, "_sample_chunks", spy):
+        dichotomy_scan(*builtin_dichotomy_case("half"), 6, 0)
+    # each point's image is two level x level values: 32 n^2 bytes
+    assert sizes == [BATCH_BYTES // (32 * n * n) for n in (1, 2, 3)]
 
 
 STACK_SIZE_TARGETS = {
@@ -400,14 +447,14 @@ def test_probe_reports_are_bitwise_the_same_at_any_stack_size(name, level, budge
     make, ball = STACK_SIZE_TARGETS[name]
 
     def facts(report):
-        rows = [(row.iteration, row.label, row.value.hex(), row.boundary_distance.hex()) for row in report.trajectory]
+        rows = list(zip(report.labels, map(float.hex, report.values), map(float.hex, report.boundary_distances)))
         margin_best = {key: value.hex() for key, value in report.margin_best.items()}
         return rows, report.argmax.entries.tobytes(), report.failures, margin_best, report.settled
 
     # a stack of one point is the one-point-at-a-time search; 5 splits the multistart and caps the climb
     want = facts(estimate_sup(make(), ball, level, budget, 7))
     for size in (1, 5):
-        with mock.patch.object(probe, "_chunk_size", lambda n: size):
+        with mock.patch.object(probe, "_batch_size", lambda count, nbytes: size):
             assert facts(estimate_sup(make(), ball, level, budget, 7)) == want, size
 
 
@@ -471,27 +518,25 @@ def test_estimate_sup_counts_and_skips_failed_samples():
     # level 2 has no corner-path pool: multistart sample i is drawn from seed + i
     budget, seed = 100, 4
     draws = [(seed + i, MULTISTART_MARGINS[i % len(MULTISTART_MARGINS)]) for i in range(budget // 2)]
-    points = np.concatenate(list(probe._sample_chunks(BALL, 2, draws)))
+    points = np.concatenate(list(probe._sample_chunks(BALL, 2, draws, 16)))
     failing = [0, 3, 17, 18, 49]
     target = FailsAtChosenPoints(frozenset(points[i].tobytes() for i in failing))
     report = estimate_sup(target, BALL, 2, budget, seed)
     # climb candidates move off the drawn points, so only the chosen samples fail
     assert report.failures == len(failing)
-    assert report.evaluations == len(report.trajectory)
-    assert [row.iteration for row in report.trajectory] == list(range(report.evaluations))
+    assert report.evaluations == len(report.labels) == len(report.boundary_distances)
     kept = [i for i in range(len(points)) if i not in failing]
-    multistart = report.trajectory[: len(kept)]
-    assert [row.label for row in multistart] == [f"m{draws[i][1]:g}" for i in kept]
-    assert [row.value for row in multistart] == _spectral_norms(points[kept, 0]).tolist()
-    assert [row.boundary_distance for row in multistart] == np.abs(BALL.norms_at(points[kept]) - 1.0).tolist()
-    assert not report.trajectory[len(kept)].label.startswith("m")
+    assert report.labels[: len(kept)] == [f"m{draws[i][1]:g}" for i in kept]
+    assert report.values[: len(kept)] == _spectral_norms(points[kept, 0]).tolist()
+    assert report.boundary_distances[: len(kept)] == np.abs(BALL.norms_at(points[kept]) - 1.0).tolist()
+    assert not report.labels[len(kept)].startswith("m")
     # a failed sample is charged to the budget like an evaluation: the climb gets what the multistart's half leaves
     assert report.evaluations + report.failures == budget
-    # margin_best is in no pin digest: its keys, their order and its values are the reference fold over the kept rows
+    # margin_best is in no pin digest: its keys, their order and its values are the reference fold over the kept samples
     margin_best = {}
-    for row in multistart:
-        key = nearest_margin(row.boundary_distance)
-        margin_best[key] = max(margin_best.get(key, 0.0), row.value)
+    for value, distance in zip(report.values[: len(kept)], report.boundary_distances[: len(kept)]):
+        key = nearest_margin(distance)
+        margin_best[key] = max(margin_best.get(key, 0.0), value)
     assert list(report.margin_best.items()) == list(margin_best.items())
 
 
@@ -534,3 +579,22 @@ def test_regularity_validation():
     with mock.patch("ncball.freealg._seq_matmul", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError, match=r"2\^0 \+ \.\.\. \+ 2\^20 words exceed the budget"):
             MonomialRow(2, 20).eval(MatrixTuple.scalars((0.5, 0.4)))
+
+
+def test_a_word_size_or_order_must_be_an_integer():
+    # a float size is never reached by a walk, which would run on without end, and a bool would run as 1:
+    # both are refused by name before any target is walked or probed
+    f = bidisk_witness()
+    with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
+        with mock.patch.object(probe, "estimate_sup", side_effect=AssertionError("probed")):
+            for size, shown in ((2.5, "2.5"), (True, "True")):
+                with pytest.raises(ValueError, match=rf"^size must be an integer, got {shown}$"):
+                    MonomialRow(2, size)
+                with pytest.raises(ValueError, match=rf"^size must be an integer, got {shown}$"):
+                    RemainderColumn(f, size)
+                for g in (f, parse("z1*z2", 2)):
+                    with pytest.raises(ValueError, match=rf"^order must be an integer, got {shown}$"):
+                        regularity_factors(g, size, BALL, 1, 20, 0)
+    # numpy integers are integers
+    x = MatrixTuple.scalars((0.5, 0.4))
+    assert MonomialRow(2, np.int64(2)).eval(x).tobytes() == MonomialRow(2, 2).eval(x).tobytes()

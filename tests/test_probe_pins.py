@@ -1,7 +1,7 @@
 """Pinned probe reports: the exact bits of seeded sup-norm searches.
 
 Each case hashes everything a report says about its search: every trajectory
-row (iteration, label and the hex of its value and boundary distance), the
+entry (iteration, label and the hex of its value and boundary distance), the
 failure count, the hex of the best value, the settled verdict and the bytes
 of the argmax.  The digests were recorded from the one-point-at-a-time probe,
 so any change to how candidates are drawn, evaluated or charged to the budget
@@ -30,8 +30,8 @@ BUDGET = 300
 
 def report_digest(report) -> str:
     h = hashlib.sha256()
-    for row in report.trajectory:
-        h.update(f"{row.iteration},{row.label},{row.value.hex()},{row.boundary_distance.hex()}\n".encode())
+    for i, (label, value, distance) in enumerate(zip(report.labels, report.values, report.boundary_distances)):
+        h.update(f"{i},{label},{value.hex()},{distance.hex()}\n".encode())
     h.update(f"{report.failures},{report.best_value.hex()},{report.settled}\n".encode())
     h.update(report.argmax.entries.tobytes())
     return h.hexdigest()
@@ -89,6 +89,6 @@ def test_probe_report_keeps_its_bits(name):
     report = CASES[name]()
     assert report_digest(report) == PINNED[name]
     # the count of evaluations is read off the trajectory, never kept beside it
-    assert report.evaluations == len(report.trajectory)
+    assert report.evaluations == len(report.labels) == len(report.boundary_distances)
     with pytest.raises(AttributeError):
         report.evaluations = 0
