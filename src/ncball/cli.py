@@ -241,15 +241,14 @@ def _cmd_dichotomy(args) -> int:
     if args.case is not None:
         if (args.map, args.ball, args.target_ball) != (None, None, None):
             raise ValueError("give either --case or --map/--ball/--target-ball, not both")
-        maps, ball, target_pencil = builtin_dichotomy_case(args.case)
+        maps, ball, target = builtin_dichotomy_case(args.case)
     else:
         if args.map is None or args.ball is None:
             raise ValueError("give --case, or --map with --ball (and optionally --target-ball)")
         ball = ball_from_shorthand(args.ball)
         maps = tuple(_parse_finite(part, ball.d, "--map") for part in args.map.split(";"))
         target = ball_from_shorthand(args.target_ball) if args.target_ball is not None else ball
-        target_pencil = target.pencil
-    _print_json(dataclasses.asdict(dichotomy_scan(maps, ball, target_pencil, args.samples, args.seed)))
+    _print_json(dataclasses.asdict(dichotomy_scan(maps, ball, target, args.samples, args.seed)))
     return 0
 
 

@@ -175,7 +175,7 @@ class NCFunction:
 
         ``pencil_norms``, for a function with a pencil Q, is the exact ||Q(X)||
         of each point for the function's own pencil, as the ball of Q measures
-        it (``OperatorBall.norms_at``).  A resolvent guard may take it as a
+        it (``Pencil.norms_at``).  A resolvent guard may take it as a
         certificate in place of a condition number; no value or failure changes.
         """
         stack = point_stack(xs, self.d)
@@ -464,7 +464,7 @@ class FreePolynomial(NCFunction):
 
 def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     """The part of p supported on words of size exactly k: p's terms, already checked, in p's order."""
-    if k < 0:
+    if _checked_int(k, "k") < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return FreePolynomial._trusted(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
@@ -476,8 +476,7 @@ def left_divide(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomi
     d^n words of size n in insertion order equal to length-lex order, and
     the absent heads share one zero quotient.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _checked_size(n, "n")
     low = next((w for w in p.terms if len(w) < n), None)
     if low is not None:
         raise ValueError(f"word {_word_text(low, p.d)!r} of size {len(low)} < {n}: p is not left-divisible")

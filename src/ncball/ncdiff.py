@@ -59,7 +59,10 @@ def gleason_split(f, x) -> tuple[complex, complex]:
         g1 = Df((0, 0), (x1, 0))[e1] = (f(x1, 0) - f(0, 0)) / x1,
         g2 = Df((x1, 0), (x1, x2))[e2] = (f(x1, x2) - f(x1, 0)) / x2.
     """
-    x1, x2 = complex(x[0]), complex(x[1])
+    x = list(x)
+    if len(x) != 2:
+        raise ValueError(f"gleason_split needs a point with 2 coordinates, got {len(x)}")
+    x1, x2 = map(complex, x)
     g1 = pair_derivative(f, (0.0, 0.0), (x1, 0.0), (1.0, 0.0))
     g2 = pair_derivative(f, (x1, 0.0), (x1, x2), (0.0, 1.0))
     return g1, g2

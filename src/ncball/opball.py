@@ -2,7 +2,8 @@
 
 A pencil Q(Z) = sum_j Q_j Z_j with p x q coefficient matrices evaluates at a
 level-n point X as the block matrix sum_j Q_j (x) X_j (Kronecker, coefficient
-on the left).  The ball D_Q collects the X with ||Q(X)|| < 1 at every level.
+on the left).  The ball D_Q collects the X with ||Q(X)|| < 1 at every level;
+Q determines it, so a Pencil is also the ball it cuts out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ ISOMETRY_TOL = 1e-10
 # eq=False keeps the array-aware __eq__ below and leaves the class unhashable
 @dataclass(frozen=True, eq=False, slots=True)
 class Pencil:
-    """d linearly independent p x q coefficient matrices."""
+    """d linearly independent p x q coefficient matrices, and the ball of the X with ||Q(X)|| < 1."""
 
     coefficients: np.ndarray
 
@@ -73,6 +74,13 @@ class Pencil:
     def __repr__(self):
         return f"Pencil(d={self.d}, p={self.p}, q={self.q})"
 
+    def norm_at(self, x: MatrixTuple) -> float:
+        return _spectral_norm(pencil_eval(self, x))
+
+    def norms_at(self, xs: np.ndarray) -> np.ndarray:
+        """||Q(X)|| for each point of a (B, d, n, n) stack, each bit for bit norm_at."""
+        return _spectral_norms(pencil_eval_batch(self, xs))
+
 
 def pencil_eval_batch(pencil: Pencil, xs: np.ndarray) -> np.ndarray:
     """Q(X) for each point of a (B, d, n, n) stack: a (B, p*n, q*n) stack.
@@ -99,38 +107,22 @@ def pencil_eval(pencil: Pencil, x: MatrixTuple) -> np.ndarray:
     return _pencil_values(pencil, x.entries[None])[0]
 
 
-@dataclass(frozen=True)
-class OperatorBall:
-    """The nc set of tuples X with ||Q(X)|| < 1."""
-
-    pencil: Pencil
-
-    @property
-    def d(self) -> int:
-        return self.pencil.d
-
-    def norm_at(self, x: MatrixTuple) -> float:
-        return _spectral_norm(pencil_eval(self.pencil, x))
-
-    def norms_at(self, xs: np.ndarray) -> np.ndarray:
-        """||Q(X)|| for each point of a (B, d, n, n) stack, each bit for bit norm_at."""
-        return _spectral_norms(pencil_eval_batch(self.pencil, xs))
-
-
-def row_ball(d: int) -> OperatorBall:
+def row_ball(d: int) -> Pencil:
     """||[X_1 ... X_d]|| < 1; the pencil rows are the unit coordinate rows."""
+    d = _checked_size(d, "d")
     coeffs = np.zeros((d, 1, d), dtype=complex)
     for j in range(d):
         coeffs[j, 0, j] = 1.0
-    return OperatorBall(Pencil(coeffs))
+    return Pencil(coeffs)
 
 
-def polydisk(d: int) -> OperatorBall:
+def polydisk(d: int) -> Pencil:
     """max_j ||X_j|| < 1; the pencil is diagonal in the coordinates."""
+    d = _checked_size(d, "d")
     coeffs = np.zeros((d, d, d), dtype=complex)
     for j in range(d):
         coeffs[j, j, j] = 1.0
-    return OperatorBall(Pencil(coeffs))
+    return Pencil(coeffs)
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ class BallMembership:
         return cls("boundary", s, abs(s - 1.0))
 
 
-def membership(ball: OperatorBall, x: MatrixTuple) -> BallMembership:
+def membership(ball: Pencil, x: MatrixTuple) -> BallMembership:
     return BallMembership.from_norm(ball.norm_at(x))
 
 
@@ -175,7 +167,7 @@ def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
     return MatrixTuple(np.array([v.conj().T @ x.entries[j] @ v for j in range(x.d)]))
 
 
-def factor_two_check(ball: OperatorBall, samples, r: float) -> bool:
+def factor_two_check(ball: Pencil, samples, r: float) -> bool:
     """Whether every sample satisfies the doubled level-1 bound sup_norm < 2r.
 
     ``r``, finite, must bound the scalar points among the samples (|x_j| <= r);
@@ -218,7 +210,7 @@ BALL_KINDS = {"row": row_ball, "polydisk": polydisk}
 BALL_FORMS = ", ".join(f"{kind}:d" for kind in BALL_KINDS) + ", or pencil:FILE"
 
 
-def ball_from_shorthand(text: str) -> OperatorBall:
+def ball_from_shorthand(text: str) -> Pencil:
     """Resolve "KIND:d" for a kind of BALL_KINDS, or "pencil:FILE", to a ball."""
     kind, _, rest = text.partition(":")
     if kind in BALL_KINDS:
@@ -229,10 +221,10 @@ def ball_from_shorthand(text: str) -> OperatorBall:
         if not os.path.exists(rest):
             raise ValueError(f"pencil file not found: {rest}")
         with open(rest, "r", encoding="utf-8") as handle:
-            return OperatorBall(pencil_from_dict(json.load(handle)))
+            return pencil_from_dict(json.load(handle))
     raise ValueError(f"unrecognized ball shorthand {text!r} (use {BALL_FORMS})")
 
 
-def ball_shorthand(ball: OperatorBall) -> str | None:
-    """The shorthand "KIND:d" of the first kind of BALL_KINDS whose ball has this pencil, or None."""
-    return next((f"{kind}:{ball.d}" for kind, make in BALL_KINDS.items() if make(ball.d).pencil == ball.pencil), None)
+def ball_shorthand(ball: Pencil) -> str | None:
+    """The shorthand "KIND:d" of the first kind of BALL_KINDS whose ball is this one, or None."""
+    return next((f"{kind}:{ball.d}" for kind, make in BALL_KINDS.items() if make(ball.d) == ball), None)

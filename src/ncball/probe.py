@@ -29,7 +29,7 @@ from .freealg import (
     walk_levels,
 )
 from .mattuple import MatrixTuple, _checked_int, _checked_size, _spectral_norm, _spectral_norms
-from .opball import OperatorBall, Pencil, ball_shorthand, membership, polydisk
+from .opball import Pencil, ball_shorthand, membership, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
 INITIAL_STEP = 0.1
@@ -128,7 +128,7 @@ def _check_seeder() -> None:
 
 
 def _sample_stack(
-    ball: OperatorBall, n: int, margins, rng: np.random.Generator, states: list[tuple[int, int]] | None = None
+    ball: Pencil, n: int, margins, rng: np.random.Generator, states: list[tuple[int, int]] | None = None
 ) -> np.ndarray:
     """One Gaussian draw per margin, rescaled so that ||Q(X)|| = 1 - its margin.
 
@@ -141,8 +141,6 @@ def _sample_stack(
     for margin in margins:
         if not 0.0 < margin < 1.0:
             raise ValueError(f"margin must be in (0, 1), got {margin}")
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
     bit_generator = rng.bit_generator
     buf = np.empty((len(margins), 2, ball.d, n, n))
     for i in range(len(margins)):
@@ -158,7 +156,7 @@ def _sample_stack(
     return raw * factors.astype(complex)[:, None, None, None]
 
 
-def _sample_chunks(ball: OperatorBall, n: int, draws, size: int) -> Iterator[np.ndarray]:
+def _sample_chunks(ball: Pencil, n: int, draws, size: int) -> Iterator[np.ndarray]:
     """Stacks of at most size level-n points of draws, a list of (seed, margin), in order.
 
     The point of (seed, margin) is sample_in_ball(ball, n, margin,
@@ -174,9 +172,9 @@ def _sample_chunks(ball: OperatorBall, n: int, draws, size: int) -> Iterator[np.
         yield _sample_stack(ball, n, [margin for _, margin in draws[part]], rng, states[part])
 
 
-def sample_in_ball(ball: OperatorBall, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
+def sample_in_ball(ball: Pencil, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
     """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin: the sampler's batch of one."""
-    return MatrixTuple(_sample_stack(ball, n, [margin], rng)[0])
+    return MatrixTuple(_sample_stack(ball, _checked_size(n, "level"), [margin], rng)[0])
 
 
 @dataclass
@@ -224,7 +222,7 @@ def _margin_bins(distances: np.ndarray) -> list[float]:
 
 def estimate_sup(
     f,
-    ball: OperatorBall,
+    ball: Pencil,
     n: int,
     budget: int,
     seed: int,
@@ -268,7 +266,7 @@ def estimate_sup(
     _check_ball_d(f, ball)
     report = ProbeReport(
         target=target_label if target_label is not None else f._label(),
-        ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.pencil.p},q={ball.pencil.q})",
+        ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.p},q={ball.q})",
         level=n,
         budget=budget,
         seed=seed,
@@ -278,7 +276,7 @@ def estimate_sup(
     rows, cols = f.eval_batch(np.zeros((0, ball.d, n, n), dtype=complex))[0].shape[1:]
     stack = _batch_size(1, 16 * rows * cols)
     # the ball's norms are the target's own pencil norms: its resolvent guard may use them
-    certify = getattr(f, "pencil", None) == ball.pencil
+    certify = getattr(f, "pencil", None) == ball
 
     def evaluate(xs: np.ndarray, s: np.ndarray) -> list[float | None]:
         """||f(X)|| at each point of a stack of pencil norms s; None where it failed."""
@@ -366,7 +364,7 @@ def estimate_sup(
     return report
 
 
-def _check_ball_d(f, ball: OperatorBall) -> None:
+def _check_ball_d(f, ball: Pencil) -> None:
     """Reject a target whose number of variables is not the ball's, before any point is drawn."""
     if f.d != ball.d:
         raise ValueError(f"target in d={f.d} variables probed on a ball in d={ball.d} variables")
@@ -409,7 +407,7 @@ class BlowupReport:
     monotone: bool  # norms strictly increasing in the listed eps order
 
 
-def blowup_scan(g, eps_list, ball: OperatorBall) -> BlowupReport:
+def blowup_scan(g, eps_list, ball: Pencil) -> BlowupReport:
     """Evaluate g at corner_path(eps) for each eps (at least one), verifying strict membership first.
 
     ``g`` is called with the level-1 MatrixTuple of each path point, so an nc
@@ -452,21 +450,21 @@ class DichotomyResult:
 
 def dichotomy_scan(
     maps,
-    source_ball: OperatorBall,
-    target_pencil: Pencil,
+    source: Pencil,
+    target: Pencil,
     samples: int,
     seed: int,
 ) -> DichotomyResult:
     """Classify ||P(F(X))|| over sampled X as all-interior, all-boundary, or mixed."""
     maps = list(maps)
-    if len(maps) != target_pencil.d:
-        raise ValueError(f"map has {len(maps)} components but the target pencil has d={target_pencil.d}")
+    if len(maps) != target.d:
+        raise ValueError(f"map has {len(maps)} components but the target pencil has d={target.d}")
     samples, seed = _checked_size(samples, "samples"), _checked_int(seed, "seed")
     for i, p in enumerate(maps, 1):
         if not isinstance(p, NCFunction):
             raise TypeError(f"map component {i} is an object of type {type(p).__name__}, not an nc function")
-        if p.d != source_ball.d:
-            raise ValueError(f"map component {i} in d={p.d} variables on a source ball in d={source_ball.d} variables")
+        if p.d != source.d:
+            raise ValueError(f"map component {i} in d={p.d} variables on a source ball in d={source.d} variables")
     norms = []
     # sample i is drawn at level DICHOTOMY_LEVELS[i % 3] from seed + i; the
     # norms are taken level by level, which leaves their max and min as they are
@@ -476,9 +474,9 @@ def dichotomy_scan(
             for i in range(first, samples, len(DICHOTOMY_LEVELS))
         ]
         # each sample's image holds len(maps) level x level values
-        for xs in _sample_chunks(source_ball, level, draws, _batch_size(1, 16 * len(maps) * level * level)):
+        for xs in _sample_chunks(source, level, draws, _batch_size(1, 16 * len(maps) * level * level)):
             image = np.stack([p.eval_batch(xs)[0] for p in maps], axis=1)
-            norms.extend(OperatorBall(target_pencil).norms_at(image).tolist())
+            norms.extend(target.norms_at(image).tolist())
     max_norm, min_norm = max(norms), min(norms)
     if max_norm < BOUNDARY_THRESHOLD:
         kind = "AllInterior"
@@ -499,12 +497,12 @@ DICHOTOMY_CASES = {
 
 
 def builtin_dichotomy_case(name: str):
-    """The case of DICHOTOMY_CASES with this name: (maps, source ball, target pencil)."""
+    """The case of DICHOTOMY_CASES with this name: (maps, source ball, target ball)."""
     if name not in DICHOTOMY_CASES:
         *head, last = DICHOTOMY_CASES
         raise ValueError(f"unknown dichotomy case {name!r} (use {', '.join(head)}, or {last})")
     ball = polydisk(2)
-    return DICHOTOMY_CASES[name], ball, ball.pencil
+    return DICHOTOMY_CASES[name], ball, ball
 
 
 @dataclass(frozen=True)
@@ -538,7 +536,7 @@ class RegularityReport:
         return self.col.best_value
 
 
-def regularity_factors(f, order: int, ball: OperatorBall, n: int, budget: int, seed: int) -> RegularityReport:
+def regularity_factors(f, order: int, ball: Pencil, n: int, budget: int, seed: int) -> RegularityReport:
     """Estimate sup||row(X^w)|| and sup||col(g_w(X))|| over words of size N.
 
     Each factor gets the full sample budget.  The column stacks remainder

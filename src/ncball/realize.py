@@ -92,9 +92,7 @@ class Realization(NCFunction):
     _d_norm: float = field(init=False, repr=False)  # ||D||, for the resolvent certificate
 
     def __post_init__(self):
-        m, pencil = self.m, self.pencil
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        m, pencil = _checked_size(self.m, "m"), self.pencil
         if self.mode not in ("contraction", "isometry"):
             raise ValueError(f"mode must be 'contraction' or 'isometry', got {self.mode!r}")
         a = complex(_owned_array(self.A, "realization A"))
@@ -114,7 +112,7 @@ class Realization(NCFunction):
         letters = Pencil(np.array([np.kron(np.eye(m), q_j) for q_j in pencil.coefficients]))
         bd = np.concatenate((b[None], d))
         bd.setflags(write=False)
-        owned = {"m": int(m), "A": a, "B": b, "C": c, "D": d, "_bd": bd}
+        owned = {"m": m, "A": a, "B": b, "C": c, "D": d, "_bd": bd}
         owned |= {"_letter_pencil": letters, "_d_norm": d_norm}
         for name, value in owned.items():
             object.__setattr__(self, name, value)
@@ -229,7 +227,7 @@ class Realization(NCFunction):
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
         """The degree-k term sum_{|w|=k} c_w x^w, without enumerating words."""
-        if k < 0:
+        if _checked_int(k, "k") < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return next(itertools.islice(self._homogeneous_terms(x), k, None))
 
@@ -242,8 +240,7 @@ class Realization(NCFunction):
         converge geometrically.  Where |f_k(x)| <= r^k with r < 1, the rest
         N (f - sigma_N f) - Ef is at most r^(N+1)/(1 - r)^2 in size.
         """
-        if n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+        n_terms = _checked_size(n_terms, "n_terms")
         terms = self._homogeneous_terms(x)
         out = next(terms)
         for k, term in zip(range(1, n_terms), terms):
@@ -311,7 +308,7 @@ def bidisk_witness() -> Realization:
     """
     s = 1.0 / math.sqrt(2.0)
     return Realization(
-        polydisk(2).pencil,
+        polydisk(2),
         1,
         0.0,
         [s, s],
@@ -328,7 +325,7 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its words are budgeted before the walk."""
-    if n < 0:
+    if _checked_int(n, "n") < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     walk = walk_levels(f.d, n - 1, (None, f.row_step))  # charges the d^0 + ... + d^(n-1) words
     if f.d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters

@@ -14,7 +14,7 @@ import numpy as np
 
 from .freealg import FreePolynomial, _parse_finite
 from .mattuple import MatrixTuple, _spectral_norm, _unit_disk_points
-from .opball import OperatorBall, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
+from .opball import Pencil, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
 NUM_LAMBDAS = 20  # the seeded scales homogeneity_sample draws when no lambdas are given
@@ -22,7 +22,7 @@ NUM_LAMBDAS = 20  # the seeded scales homogeneity_sample draws when no lambdas a
 
 @dataclass(frozen=True)
 class AlgebraicVariety:
-    ambient: OperatorBall
+    ambient: Pencil
     generators: tuple[FreePolynomial, ...]
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ def parabola_cubic_pair():
 
 def variety_to_dict(variety: AlgebraicVariety) -> dict:
     shorthand = ball_shorthand(variety.ambient)
-    ball = shorthand if shorthand is not None else {"pencil": pencil_to_dict(variety.ambient.pencil)}
+    ball = shorthand if shorthand is not None else {"pencil": pencil_to_dict(variety.ambient)}
     return {"ball": ball, "generators": [str(g) for g in variety.generators]}
 
 
@@ -142,7 +142,7 @@ def variety_from_dict(obj: dict) -> AlgebraicVariety:
     if isinstance(raw_ball, str):
         ball = ball_from_shorthand(raw_ball)
     elif isinstance(raw_ball, dict) and "pencil" in raw_ball:
-        ball = OperatorBall(pencil_from_dict(raw_ball["pencil"]))
+        ball = pencil_from_dict(raw_ball["pencil"])
     else:
         raise ValueError(f"variety ball must be a shorthand string or an object with key pencil, got {raw_ball!r}")
     if not isinstance(raw_generators, list) or not all(isinstance(text, str) for text in raw_generators):

@@ -23,7 +23,7 @@ from ncball import realize
 from ncball.freealg import QuotientColumn, parse
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum, seq_solve_batch, similarity
 from ncball.ncdiff import tt_check
-from ncball.opball import OperatorBall, Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
+from ncball.opball import Pencil, pencil_eval, pencil_eval_batch, polydisk, row_ball
 from ncball import probe
 from ncball.probe import (
     MonomialRow,
@@ -49,7 +49,7 @@ def gaussian(rng, shape):
 
 def random_contraction(rng, ball, m):
     """A contraction-mode realization with m copies of the ball's pencil and ||D|| = 0.9."""
-    pencil = ball.pencil
+    pencil = ball
     mp, mq = m * pencil.p, m * pencil.q
     dmat = gaussian(rng, (mq, mp))
     dmat *= 0.9 / np.linalg.norm(dmat, 2)
@@ -460,7 +460,7 @@ def resolvent_case(base, kind):
         xs = stack_at_margins(rng, ball, 3, margins)
     else:
         f = x_over_one_minus_x()
-        ball, xs = OperatorBall(f.pencil), np.array([0.5, 1.0, 0.25, 1.0 - 1e-10], dtype=complex).reshape(4, 1, 1, 1)
+        ball, xs = f.pencil, np.array([0.5, 1.0, 0.25, 1.0 - 1e-10], dtype=complex).reshape(4, 1, 1, 1)
     g = {"f": f, "column": RemainderColumn(f, 2)}[kind]
     return g, f, ball, xs
 
@@ -492,7 +492,7 @@ def test_a_singular_operand_takes_the_exact_guard_with_norms():
     # guard runs and trips with cond = inf, as without norms
     f = x_over_one_minus_x()
     xs = np.array([0.5, 1.0, 0.25], dtype=complex).reshape(3, 1, 1, 1)
-    _, _, errors = f._resolvent(xs, OperatorBall(f.pencil).norms_at(xs))
+    _, _, errors = f._resolvent(xs, f.pencil.norms_at(xs))
     assert list(errors) == [1]
     assert isinstance(errors[1], IllConditionedError) and errors[1].cond == np.inf
     assert str(errors[1]) == "resolvent operand 1 - (D x I_n) L(X) has 2-norm condition number inf, above 1e+12"
@@ -619,7 +619,7 @@ def zero_norms(monkeypatch, first_only: int | None):
 
     Returns the list of stack sizes measured.
     """
-    norms_at = OperatorBall.norms_at
+    norms_at = Pencil.norms_at
     calls = []
 
     def patched(self, xs):
@@ -631,7 +631,7 @@ def zero_norms(monkeypatch, first_only: int | None):
         calls.append(len(xs))
         return s
 
-    monkeypatch.setattr(OperatorBall, "norms_at", patched)
+    monkeypatch.setattr(Pencil, "norms_at", patched)
     return calls
 
 

@@ -20,7 +20,7 @@ from ncball.cli import _write_csv, build_parser, main
 from ncball.freealg import parse
 from ncball.mattuple import MatrixTuple, to_point_dict
 from ncball.ncdiff import delta_first
-from ncball.opball import OperatorBall, Pencil, pencil_to_dict, polydisk, row_ball
+from ncball.opball import Pencil, pencil_to_dict, polydisk, row_ball
 from ncball.probe import DICHOTOMY_CASES, INJECTION_EPS, MULTISTART_MARGINS, estimate_sup
 from ncball.realize import Realization, bidisk_witness, realization_to_dict
 from ncball.varieties import AlgebraicVariety, parabola_cubic_pair, variety_to_dict
@@ -102,7 +102,7 @@ def test_coeff_empty_word_is_the_constant_term(capsys):
 
 def test_coeff_reads_a_dash_free_word_as_one_letter_beyond_nine_variables(capsys, tmp_path):
     rng = np.random.default_rng(3)
-    pencil = row_ball(12).pencil
+    pencil = row_ball(12)
     b, c = rng.normal(size=pencil.p), rng.normal(size=pencil.q)
     d = rng.normal(size=(pencil.q, pencil.p))
     f = Realization(pencil, 1, 0.0, b, c, 0.5 * d / np.linalg.norm(d, 2))
@@ -380,7 +380,7 @@ def test_csv_fields_are_the_shortest_round_trip_digits(capsys):
 def test_variety_file_with_a_pencil_ball(capsys, tmp_path):
     # a ball with no shorthand is written as {"pencil": ...}; here
     # ||Q(x)|| = ||[x1, x1/2 + x2]||, so (0.9, 0.81) lies outside
-    ball = OperatorBall(Pencil(np.array([[[1.0, 0.5]], [[0.0, 1.0]]])))
+    ball = Pencil(np.array([[[1.0, 0.5]], [[0.0, 1.0]]]))
     obj = variety_to_dict(AlgebraicVariety(ball, (parse("z2 - z1*z1", 2),)))
     assert set(obj["ball"]) == {"pencil"}
     spec = write_json(tmp_path / "parabola.json", obj)
@@ -542,7 +542,7 @@ def test_dichotomy_case_choices_are_the_table_keys():
 def test_blowup_reads_a_pencil_ball_once(capsys, tmp_path, monkeypatch):
     read, calls = opball.pencil_from_dict, []
     monkeypatch.setattr(opball, "pencil_from_dict", lambda obj: calls.append(obj) or read(obj))
-    pencil = write_json(tmp_path / "pencil.json", pencil_to_dict(polydisk(2).pencil))
+    pencil = write_json(tmp_path / "pencil.json", pencil_to_dict(polydisk(2)))
     code, out, _ = run(capsys, "blowup", "--realization", "ex52", "--ball", f"pencil:{pencil}", "--eps", "0.1")
     assert code == 0 and out != ""
     assert len(calls) == 1

@@ -272,7 +272,7 @@ def test_quotient_parsed_and_taylor_terms_are_keyed_by_letter_tuples(p, k, n, se
         assert_letter_key(word, p.d)
     rng = np.random.default_rng(seed)
     b, c, dmat = rng.normal(size=p.d), rng.normal(size=p.d), rng.normal(size=(p.d, p.d))
-    f = Realization(polydisk(p.d).pencil, 1, 0.5, b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
+    f = Realization(polydisk(p.d), 1, 0.5, b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
     for word in taylor_polynomial(f, k + 1).terms:
         assert_letter_key(word, p.d)
 
@@ -384,6 +384,10 @@ def test_homogeneous_components_partition(p):
     assert total == p
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         homogeneous_component(p, -1)
+    # 2.5 would select no words and True the size-1 words
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {bad}$"):
+            homogeneous_component(p, bad)
 
 
 def test_coefficient_checks_its_word_as_the_constructor_does():
@@ -920,7 +924,7 @@ def test_triples_are_sorted_length_lex():
 def test_taylor_polynomial_budget_guard():
     # a realization's Taylor polynomial is charged its words before its walk; the count is closed-form
     # and never printed, so a huge n fails at once and by name
-    f = Realization(polydisk(1).pencil, 1, 0.0, [0.5], [0.5], [[1.0]])
+    f = Realization(polydisk(1), 1, 0.0, [0.5], [0.5], [[1.0]])
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):
         with pytest.raises(BudgetExceededError):
             taylor_polynomial(bidisk_witness(), 20)
@@ -958,6 +962,10 @@ def test_left_divide_rejects_low_order_terms():
         left_divide(parse("z1 + z1*z2", 2), 2)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         left_divide(parse("z1", 2), 0)
+    # True would divide by the size-1 words; 2.5 is not truncated
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {bad}$"):
+            left_divide(parse("z1 + z1*z2", 2), bad)
 
 
 def test_left_divide_budget_guard():
@@ -1175,7 +1183,7 @@ def test_taylor_polynomial_matches_the_public_constructor_bitwise(d, n, seed):
     # zeroed entries of B and C and a zero A give zero coefficients, which are dropped
     b, c = (rng.normal(size=d) * (rng.random(d) < 0.7) for _ in range(2))
     dmat = rng.normal(size=(d, d))
-    f = Realization(polydisk(d).pencil, 1, rng.choice([0.0, 0.5]), b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
+    f = Realization(polydisk(d), 1, rng.choice([0.0, 0.5]), b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
     assert_same_bits(taylor_polynomial(f, n), ref_taylor_polynomial(f, n))
     if seed % 8 == 0:
         assert_same_bits(taylor_polynomial(bidisk_witness(), 9), ref_taylor_polynomial(bidisk_witness(), 9))

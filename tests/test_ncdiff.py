@@ -31,7 +31,7 @@ from ncball.ncdiff import (
     pair_point,
     tt_check,
 )
-from ncball.opball import OperatorBall, polydisk, row_ball
+from ncball.opball import polydisk, row_ball
 from ncball.probe import corner_path, sample_in_ball
 from ncball.realize import IllConditionedError, Realization, RemainderColumn, bidisk_witness, bidisk_witness_closed_form
 
@@ -43,7 +43,7 @@ def scalar_eval(f, point) -> complex:
 
 def mobius_one_variable():
     # f(x) = x / (1 - x/2) on the disk
-    return Realization(row_ball(1).pencil, 1, 0.0, [1.0], [1.0], [[0.5]])
+    return Realization(row_ball(1), 1, 0.0, [1.0], [1.0], [[0.5]])
 
 
 words2 = st.lists(st.integers(1, 2), max_size=3).map(tuple)
@@ -250,6 +250,13 @@ def test_split_coalescence_paths():
     assert abs(g1 - 0.5) < 1e-12
 
 
+def test_split_needs_exactly_two_coordinates():
+    f = bidisk_witness()
+    for x in ((0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match=rf"^gleason_split needs a point with 2 coordinates, got {len(x)}$"):
+            gleason_split(f, x)
+
+
 def test_split_works_for_polynomials():
     p = parse("1 + 2*z1 + z2*z1 - 3*z2^2", 2)
     rng = np.random.default_rng(23)
@@ -384,7 +391,7 @@ def test_tt_check_matches_the_word_by_word_sum_bitwise():
 
 def random_contraction(rng, d):
     """A contraction-mode realization over the polydisk or the row ball in d variables, m = 2."""
-    pencil = (polydisk(d) if rng.integers(2) else row_ball(d)).pencil
+    pencil = polydisk(d) if rng.integers(2) else row_ball(d)
     mp, mq = 2 * pencil.p, 2 * pencil.q
     b, c, dmat = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in (mp, mq, (mq, mp)))
     return Realization(pencil, 2, complex(*rng.normal(size=2)), b, c, 0.9 * dmat / np.linalg.norm(dmat, 2))
@@ -408,7 +415,7 @@ def test_tt_check_tail_of_a_contraction_is_the_word_by_word_sum_bitwise(case):
     d, level, order, seed = case
     rng = np.random.default_rng(seed)
     f = random_contraction(rng, d)
-    x = sample_in_ball(OperatorBall(f.pencil), level, 0.5, rng)
+    x = sample_in_ball(f.pencil, level, 0.5, rng)
     assert tt_check(f, x, order).rhs.tobytes() == ref_tt_rhs(f, x, order).tobytes()
 
 

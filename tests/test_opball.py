@@ -11,7 +11,6 @@ from ncball.opball import (
     BALL_FORMS,
     BALL_KINDS,
     BallMembership,
-    OperatorBall,
     Pencil,
     ball_from_shorthand,
     ball_shorthand,
@@ -51,18 +50,18 @@ def test_pencil_validation():
 
 def test_pencil_rejects_non_finite_coefficients():
     for bad in (np.nan, -np.inf):
-        coeffs = polydisk(2).pencil.coefficients.copy()
+        coeffs = polydisk(2).coefficients.copy()
         coeffs[1, 0, 1] = bad
         with pytest.raises(ValueError, match="pencil coefficients must be finite"):
             Pencil(coeffs)
 
 
 def test_pencil_is_immutable():
-    pencil = row_ball(2).pencil
+    pencil = row_ball(2)
     with pytest.raises(AttributeError):
         pencil.coefficients = None
     # a pencil owns a read-only copy: mutating the caller's array changes nothing
-    raw = polydisk(2).pencil.coefficients.copy()
+    raw = polydisk(2).coefficients.copy()
     pencil = Pencil(raw)
     w = bidisk_witness()
     f = Realization(pencil, w.m, w.A, w.B, w.C, w.D)
@@ -71,7 +70,7 @@ def test_pencil_is_immutable():
     values = [(f.eval(x), f.eval(y)) for x, y in points]
     raw[0] = 0.5 * raw[1]
     assert not np.shares_memory(pencil.coefficients, raw) and not pencil.coefficients.flags.writeable
-    assert pencil.coefficients.tobytes() == polydisk(2).pencil.coefficients.tobytes()
+    assert pencil.coefficients.tobytes() == polydisk(2).coefficients.tobytes()
     for (x, y), (fx, fy) in zip(points, values):
         n = x.n
         both = f.eval(direct_sum(x, y))
@@ -82,24 +81,24 @@ def test_pencil_is_immutable():
 def test_row_pencil_eval_stacks_horizontally():
     rng = np.random.default_rng(0)
     x = random_tuple(rng, 3, 2)
-    out = pencil_eval(row_ball(3).pencil, x)
+    out = pencil_eval(row_ball(3), x)
     np.testing.assert_array_equal(out, np.hstack([x.entries[j] for j in range(3)]))
 
 
 def test_polydisk_pencil_eval_is_block_diagonal():
     rng = np.random.default_rng(1)
     x = random_tuple(rng, 2, 3)
-    out = pencil_eval(polydisk(2).pencil, x)
+    out = pencil_eval(polydisk(2), x)
     assert out.shape == (6, 6)
     np.testing.assert_array_equal(out[:3, :3], x.entries[0])
     np.testing.assert_array_equal(out[3:, 3:], x.entries[1])
     assert not out[:3, 3:].any() and not out[3:, :3].any()
-    assert abs(OperatorBall(polydisk(2).pencil).norm_at(x) - sup_norm(x)) < 1e-12
+    assert abs(polydisk(2).norm_at(x) - sup_norm(x)) < 1e-12
 
 
 def test_pencil_eval_dimension_mismatch():
     with pytest.raises(ValueError, match="evaluated at"):
-        pencil_eval(row_ball(2).pencil, MatrixTuple.zeros(3, 1))
+        pencil_eval(row_ball(2), MatrixTuple.zeros(3, 1))
 
 
 def test_ball_norm_against_eigvalsh_oracle():
@@ -107,7 +106,7 @@ def test_ball_norm_against_eigvalsh_oracle():
     ball = row_ball(3)
     for _ in range(20):
         x = random_tuple(rng, 3, int(rng.integers(1, 4)))
-        q = pencil_eval(ball.pencil, x)
+        q = pencil_eval(ball, x)
         oracle = float(np.sqrt(max(np.linalg.eigvalsh(q.conj().T @ q))))
         assert abs(ball.norm_at(x) - oracle) < 1e-10
 
@@ -250,8 +249,8 @@ def test_factor_two_gives_no_verdict_without_samples_or_a_finite_r():
 
 
 def test_pencil_repr_names_the_sizes():
-    assert repr(polydisk(2).pencil) == "Pencil(d=2, p=2, q=2)"
-    assert repr(row_ball(3).pencil) == "Pencil(d=3, p=1, q=3)"
+    assert repr(polydisk(2)) == "Pencil(d=2, p=2, q=2)"
+    assert repr(row_ball(3)) == "Pencil(d=3, p=1, q=3)"
 
 
 def test_pencil_dict_round_trip():
@@ -264,7 +263,7 @@ def test_pencil_dict_round_trip():
 def test_pencil_from_dict_errors():
     with pytest.raises(ValueError, match="needs keys"):
         pencil_from_dict({"d": 1})
-    good = pencil_to_dict(row_ball(2).pencil)
+    good = pencil_to_dict(row_ball(2))
     bad = dict(good, coefficients=good["coefficients"][:1])
     with pytest.raises(ValueError, match="expected 2"):
         pencil_from_dict(bad)
@@ -273,16 +272,34 @@ def test_pencil_from_dict_errors():
 def test_ball_shorthand_round_trip(tmp_path):
     assert ball_shorthand(row_ball(3)) == "row:3"
     assert ball_shorthand(polydisk(2)) == "polydisk:2"
-    assert ball_from_shorthand("row:3").pencil == row_ball(3).pencil
-    assert ball_from_shorthand("polydisk:2").pencil == polydisk(2).pencil
+    assert ball_from_shorthand("row:3") == row_ball(3)
+    assert ball_from_shorthand("polydisk:2") == polydisk(2)
 
     rng = np.random.default_rng(8)
     pencil = Pencil(rng.normal(size=(2, 1, 2)))
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps(pencil_to_dict(pencil)))
     ball = ball_from_shorthand(f"pencil:{path}")
-    assert ball.pencil == pencil
+    assert ball == pencil
     assert ball_shorthand(ball) is None
+
+
+def test_every_ball_is_a_pencil(tmp_path):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(pencil_to_dict(row_ball(2))))
+    balls = [polydisk(2), row_ball(3), ball_from_shorthand("polydisk:3"), ball_from_shorthand(f"pencil:{path}")]
+    assert all(type(ball) is Pencil for ball in balls)
+    assert balls[3] == row_ball(2)
+
+
+@pytest.mark.parametrize("make", [polydisk, row_ball])
+def test_ball_dimension_must_be_a_positive_integer(make):
+    for bad in (-1, 0):
+        with pytest.raises(ValueError, match=rf"^d must be >= 1, got {bad}$"):
+            make(bad)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^d must be an integer, got {bad}$"):
+            make(bad)
 
 
 def test_ball_shorthand_errors():
@@ -300,7 +317,7 @@ def test_ball_shorthand_errors():
 @pytest.mark.parametrize("kind", sorted(BALL_KINDS))
 def test_each_ball_kind_names_its_ball_back(kind, d):
     ball = ball_from_shorthand(f"{kind}:{d}")
-    assert ball.pencil == BALL_KINDS[kind](d).pencil
+    assert ball == BALL_KINDS[kind](d)
     # polydisk:1 has row:1's pencil, and row comes first in the table
     assert ball_shorthand(ball) == ("row:1" if d == 1 else f"{kind}:{d}")
 

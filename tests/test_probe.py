@@ -13,7 +13,7 @@ from ncball import probe
 from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, eval_word, parse, words_of_size
 from ncball.mattuple import MatrixTuple, _spectral_norms
 from ncball.ncdiff import delta_first
-from ncball.opball import BallMembership, OperatorBall, membership, polydisk, row_ball
+from ncball.opball import BallMembership, Pencil, membership, polydisk, row_ball
 from ncball.probe import (
     BOUNDARY_THRESHOLD,
     DICHOTOMY_CASES,
@@ -77,6 +77,9 @@ def test_sampling_validation():
         sample_in_ball(BALL, 1, 1.0, rng)
     with pytest.raises(ValueError, match="level must be >= 1"):
         sample_in_ball(BALL, 0, 0.5, rng)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^level must be an integer, got {bad}$"):
+            sample_in_ball(BALL, bad, 0.5, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def test_builtin_dichotomy_cases():
 def test_the_builtin_dichotomy_cases_are_one_table():
     assert list(DICHOTOMY_CASES) == ["half", "identity", "boundary"]
     for name, maps in DICHOTOMY_CASES.items():
-        assert builtin_dichotomy_case(name) == (maps, BALL, BALL.pencil)
+        assert builtin_dichotomy_case(name) == (maps, BALL, BALL)
     with pytest.raises(ValueError, match=r"^unknown dichotomy case 'nope' \(use half, identity, or boundary\)$"):
         builtin_dichotomy_case("nope")
 
@@ -307,10 +310,18 @@ def test_boundary_case_is_pinned_at_norm_one():
     assert result.min_norm == result.max_norm == 1.0
 
 
+def test_dichotomy_takes_one_ball_as_source_and_target():
+    maps, ball, target = builtin_dichotomy_case("half")
+    assert target is ball
+    result = dichotomy_scan(maps, ball, ball, 6, 0)
+    assert result.kind == "AllInterior" and result.max_norm < 0.5
+    assert dichotomy_scan(maps, polydisk(2), polydisk(2), 6, 0) == result
+
+
 def test_an_expanding_map_is_mixed():
     z1 = FreePolynomial.generator(2, 1)
     z2 = FreePolynomial.generator(2, 2)
-    result = dichotomy_scan((1.2 * z1, z2), BALL, BALL.pencil, 60, 0)
+    result = dichotomy_scan((1.2 * z1, z2), BALL, BALL, 60, 0)
     assert result.kind == "Mixed"
     assert result.max_norm > 1.0 > result.min_norm
 
@@ -318,18 +329,18 @@ def test_an_expanding_map_is_mixed():
 def test_dichotomy_validation():
     z1 = FreePolynomial.generator(2, 1)
     with pytest.raises(ValueError, match="components but the target"):
-        dichotomy_scan((z1,), BALL, BALL.pencil, 10, 0)
+        dichotomy_scan((z1,), BALL, BALL, 10, 0)
     with pytest.raises(ValueError, match="samples must be >= 1"):
-        dichotomy_scan((z1, z1 * z1), BALL, BALL.pencil, 0, 0)
+        dichotomy_scan((z1, z1 * z1), BALL, BALL, 0, 0)
     # each map is checked before the first draw
     cube = polydisk(3)
     with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
         with pytest.raises(TypeError, match="^map component 2 is an object of type str, not an nc function$"):
-            dichotomy_scan((z1, "z2"), BALL, BALL.pencil, 10, 0)
+            dichotomy_scan((z1, "z2"), BALL, BALL, 10, 0)
         with pytest.raises(ValueError, match="^map component 1 in d=2 variables on a source ball in d=3 variables$"):
-            dichotomy_scan((z1, z1, z1), cube, cube.pencil, 10, 0)
+            dichotomy_scan((z1, z1, z1), cube, cube, 10, 0)
         with pytest.raises(ValueError, match="^map component 2 in d=3 variables on a source ball in d=2 variables$"):
-            dichotomy_scan((z1, parse("z3", 3)), BALL, BALL.pencil, 10, 0)
+            dichotomy_scan((z1, parse("z3", 3)), BALL, BALL, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +411,8 @@ def test_estimate_sup_evaluates_the_target_within_the_byte_bound():
 
 def test_a_target_value_that_fills_the_byte_bound_is_probed_one_point_per_stack(monkeypatch):
     measured, evaluated = [], []
-    norms_at = OperatorBall.norms_at
-    monkeypatch.setattr(OperatorBall, "norms_at", lambda self, xs: measured.append(len(xs)) or norms_at(self, xs))
+    norms_at = Pencil.norms_at
+    monkeypatch.setattr(Pencil, "norms_at", lambda self, xs: measured.append(len(xs)) or norms_at(self, xs))
 
     class SpyRow(MonomialRow):
         def eval_batch(self, xs, *, pencil_norms=None):

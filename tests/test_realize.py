@@ -29,7 +29,7 @@ from ncball.freealg import (
 )
 from ncball.mattuple import MatrixTuple, _seq_matmul, direct_sum
 from ncball.ncdiff import tt_check
-from ncball.opball import OperatorBall, Pencil, pencil_eval, polydisk, row_ball
+from ncball.opball import Pencil, pencil_eval, polydisk, row_ball
 from ncball.probe import MonomialRow, corner_path, sample_in_ball
 from ncball.realize import (
     BUILTIN_REALIZATIONS,
@@ -56,7 +56,7 @@ S = 1.0 / math.sqrt(2.0)
 
 
 def random_realization(rng, d=2, m=2, row=False):
-    pencil = (row_ball(d) if row else polydisk(d)).pencil
+    pencil = row_ball(d) if row else polydisk(d)
     mp, mq = m * pencil.p, m * pencil.q
     b = rng.normal(size=mp) + 1j * rng.normal(size=mp)
     c = rng.normal(size=mq) + 1j * rng.normal(size=mq)
@@ -131,7 +131,7 @@ def symbolic_series(f: Realization, max_len: int) -> FreePolynomial:
 
 
 def test_shape_validation():
-    pencil = polydisk(2).pencil
+    pencil = polydisk(2)
     with pytest.raises(ValueError, match="m must be >= 1"):
         Realization(pencil, 0, 0.0, [1, 1], [1, 1], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="B must have length"):
@@ -149,16 +149,24 @@ def test_shape_validation():
         f.homogeneous_value(x, -1)
     with pytest.raises(ValueError, match="n_terms must be >= 1, got 0"):
         f.cesaro_value(x, 0)
+    # a float is not truncated and a bool is not taken as 1: each is refused, naming the value passed
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^m must be an integer, got {bad}$"):
+            Realization(pencil, bad, 0.0, [1, 1], [1, 1], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {bad}$"):
+            f.homogeneous_value(x, bad)
+        with pytest.raises(ValueError, match=rf"^n_terms must be an integer, got {bad}$"):
+            f.cesaro_value(x, bad)
 
 
 def test_expansive_d_is_rejected():
-    pencil = polydisk(2).pencil
+    pencil = polydisk(2)
     with pytest.raises(ValueError, match="series would not converge"):
         Realization(pencil, 1, 0.0, [1, 1], [1, 1], 2.0 * np.eye(2))
 
 
 def test_isometry_mode_checks_the_system_matrix():
-    pencil = polydisk(2).pencil
+    pencil = polydisk(2)
     with pytest.raises(ValueError, match="not an isometry"):
         Realization(pencil, 1, 0.0, [0.5, 0.5], [0.5, 0.5], 0.5 * np.eye(2), mode="isometry")
     # the builtin witness is the canonical isometric example
@@ -169,7 +177,7 @@ def test_isometry_mode_checks_the_system_matrix():
 
 
 def test_non_finite_system_data_is_rejected():
-    pencil = polydisk(2).pencil
+    pencil = polydisk(2)
     good = dict(a=0.0, b=[0.5, 0.5], c=[0.5, 0.5], d=0.5 * np.eye(2))
     for field, bad in (("a", np.nan), ("b", [np.nan, 0.5]), ("c", [0.5, np.inf]), ("d", [[np.nan, 0], [0, 0]])):
         data = dict(good, **{field: bad})
@@ -187,7 +195,7 @@ def test_realization_is_immutable():
     b, c, dmat = (np.array(a) for a in (f.B, f.C, f.D))
     g = Realization(f.pencil, f.m, f.A, b, c, dmat, f.mode)
     rng = np.random.default_rng(24)
-    ball = OperatorBall(f.pencil)
+    ball = f.pencil
     points = [(sample_in_ball(ball, n, 0.3, rng), sample_in_ball(ball, n, 0.3, rng)) for n in (1, 2)]
     values = [(g.eval(x), g.eval(y)) for x, y in points]
     for a in (b, c, dmat):
@@ -346,9 +354,9 @@ def test_resolvent_condition_number_obeys_the_neumann_bound(d, p, q, m, n, d_kin
         dmat = rng.normal(size=(mq, mp)) + 1j * rng.normal(size=(mq, mp))
         dmat *= (1.0 if d_kind == "norm-one" else 0.5) / np.linalg.norm(dmat, 2)
     f = Realization(pencil, m, 0.0, rng.normal(size=mp), rng.normal(size=mq), dmat)
-    x = sample_in_ball(OperatorBall(pencil), n, margin, rng)
+    x = sample_in_ball(pencil, n, margin, rng)
     assert d_kind != "unit" or f._d_norm == 1.0
-    delta = f._d_norm * OperatorBall(pencil).norm_at(x)
+    delta = f._d_norm * pencil.norm_at(x)
     assume(delta < 1.0)
     t = np.eye(mq * n) - np.kron(dmat, np.eye(n)) @ np.kron(np.eye(m), pencil_eval(pencil, x))
     assert np.linalg.cond(t) <= (1.0 + delta) / (1.0 - delta) * (1.0 + 1e-6)
@@ -398,6 +406,9 @@ def test_taylor_polynomial_refuses_a_negative_size_before_the_budget():
     with mock.patch.object(realize, "walk_levels", side_effect=AssertionError("charged")):
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -3$"):
             taylor_polynomial(bidisk_witness(), -3)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {bad}$"):
+                taylor_polynomial(bidisk_witness(), bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -417,7 +428,7 @@ def test_taylor_polynomial_carries_each_power_series_coefficient(d, m, n, sparse
 def test_homogeneous_value_sums_the_degree_terms():
     rng = np.random.default_rng(7)
     for f in (bidisk_witness(), random_realization(rng)):
-        ball = OperatorBall(f.pencil)
+        ball = f.pencil
         x = sample_in_ball(ball, 2, 0.5, rng)
         for k in range(4):
             direct = f.homogeneous_value(x, k)
@@ -430,7 +441,7 @@ def test_homogeneous_value_sums_the_degree_terms():
 def test_partial_sums_obey_the_geometric_tail_bound():
     rng = np.random.default_rng(8)
     for f in (bidisk_witness(), random_realization(rng)):
-        ball = OperatorBall(f.pencil)
+        ball = f.pencil
         bc = np.linalg.norm(f.B) * np.linalg.norm(f.C)
         for margin in (0.5, 0.3):
             x = sample_in_ball(ball, 2, margin, rng)
@@ -583,7 +594,7 @@ def sparse_realization(rng, d, m, row):
 def test_block_evaluation_matches_the_kron_reference_bitwise(d, row, m, n, sparse, seed):
     rng = np.random.default_rng(seed)
     f = sparse_realization(rng, d, m, row) if sparse else random_realization(rng, d=d, m=m, row=row)
-    ball = OperatorBall(f.pencil)
+    ball = f.pencil
     x = sample_in_ball(ball, n, 0.3, rng)
     if sparse:
         x = MatrixTuple(with_zeros(rng, x.entries))
@@ -625,7 +636,7 @@ def test_returned_values_do_not_alias_the_cache():
 def test_level_cache_is_transparent_across_levels():
     rng = np.random.default_rng(16)
     f = random_realization(rng, d=2, m=2)
-    ball = OperatorBall(f.pencil)
+    ball = f.pencil
     points = {n: sample_in_ball(ball, n, 0.3, rng) for n in (1, 4, 8)}
     words = list(words_of_size(2, 2))
     for n in (1, 4, 1, 8):
@@ -652,7 +663,7 @@ def check_level_walk(d, size, n, seed):
     """The walk's stacks of X^w and prefix rows, and every consumer, against the per-word folds."""
     rng = np.random.default_rng(seed)
     f = random_realization(rng, d=d, m=2)
-    x = sample_in_ball(OperatorBall(f.pencil), n, 0.3, rng)
+    x = sample_in_ball(f.pencil, n, 0.3, rng)
     levels = list(walk_levels(d, size, _monomials(x.entries), (None, f.row_step)))
     for k in range(size + 1):
         chunks = [stacks for size_k, stacks in levels if size_k == k]
@@ -713,7 +724,7 @@ def check_sparse_walk(d, size, n, seed):
     """
     rng = np.random.default_rng(seed)
     f = random_realization(rng, d=d, m=2)
-    ball = OperatorBall(f.pencil)
+    ball = f.pencil
     x, y = sample_in_ball(ball, n, 0.3, rng), sample_in_ball(ball, 1 + n % 3, 0.3, rng)
     words = sparse_words(d, size, seed)
     levels: dict[int, list] = {}

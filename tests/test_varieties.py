@@ -243,7 +243,7 @@ def test_variety_dict_round_trip():
     obj = variety_to_dict(v1)
     assert obj["ball"] == "polydisk:2"
     again = variety_from_dict(obj)
-    assert again.ambient.pencil == v1.ambient.pencil
+    assert again.ambient == v1.ambient
     assert again.generators == v1.generators
     x = MatrixTuple.scalars((0.4, 0.16))
     assert variety_membership(again, x) == variety_membership(v1, x)
