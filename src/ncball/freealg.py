@@ -65,11 +65,7 @@ def words_of_size(d: int, k: int) -> Iterator[tuple[int, ...]]:
     """All words of size exactly k as letter tuples, length-lex; d, k and d^k <= WORD_BUDGET are checked at the call.
 
     At d = 1 the one word is charged its k letters: k <= WORD_BUDGET."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    k = _checked_int(k, "word size k")
-    if k < 0:
-        raise ValueError(f"word size k must be >= 0, got {k}")
+    d, k = _checked_size(d, "d"), _checked_size(k, "word size k", 0)
     if _capped_power(d, k, WORD_BUDGET) > WORD_BUDGET:
         raise BudgetExceededError(f"{d}^{k} words exceed the budget {WORD_BUDGET}")
     if d == 1 and k > WORD_BUDGET:  # one word, of k letters
@@ -86,9 +82,7 @@ def walk_levels(d: int, size: int, *columns) -> Iterator[tuple[int, tuple]]:
     walked on before the next, so memory stays bounded.  It visits
     d^0 + ... + d^size words; more than WORD_BUDGET raise BudgetExceededError at the call.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    size = _checked_int(size, "size")
+    d, size = _checked_size(d, "d"), _checked_int(size, "size")
     if not columns:
         raise ValueError("walk_levels needs at least one (root, step) column")
     if _dense_count(d, size) > WORD_BUDGET:
@@ -440,9 +434,7 @@ class FreePolynomial(NCFunction):
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        return FreePolynomial._trusted(self.d, _power(self.terms, k))
+        return FreePolynomial._trusted(self.d, _power(self.terms, _checked_size(k, "exponent", 0)))
 
     def __eq__(self, other):
         if not isinstance(other, FreePolynomial):
@@ -464,8 +456,7 @@ class FreePolynomial(NCFunction):
 
 def homogeneous_component(p: FreePolynomial, k: int) -> FreePolynomial:
     """The part of p supported on words of size exactly k: p's terms, already checked, in p's order."""
-    if _checked_int(k, "k") < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _checked_size(k, "k", 0)
     return FreePolynomial._trusted(p.d, {w: c for w, c in p.terms.items() if len(w) == k})
 
 
@@ -494,8 +485,7 @@ class QuotientColumn(NCFunction):
     quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _checked_int(self.size, "size")
-        object.__setattr__(self, "quotients", tuple(left_divide(self.p, self.size).values()))
+        object.__setattr__(self, "quotients", tuple(left_divide(self.p, _checked_size(self.size, "size")).values()))
 
     @property
     def d(self) -> int:

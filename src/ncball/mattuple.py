@@ -52,6 +52,7 @@ class MatrixTuple:
 
     @classmethod
     def zeros(cls, d: int, n: int) -> "MatrixTuple":
+        d, n = _checked_size(d, "d"), _checked_size(n, "n")
         return cls(np.zeros((d, n, n), dtype=complex))
 
     @classmethod
@@ -195,7 +196,7 @@ def direct_sum(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
 
 def similarity(s: np.ndarray, x: MatrixTuple) -> MatrixTuple:
     """The conjugated tuple (s^-1 x_j s); s must be comfortably invertible."""
-    s = np.asarray(s, dtype=complex)
+    s = _owned_array(s, "similarity matrix")
     if s.shape != (x.n, x.n):
         raise ValueError(f"similarity matrix must be {x.n} x {x.n}, got {s.shape}")
     cond = float(np.linalg.cond(s))
@@ -256,11 +257,12 @@ def _checked_int(value, name: str) -> int:
     return int(value)
 
 
-def _checked_size(value, name: str) -> int:
-    """value as an int, which must be a Python or numpy integer >= 1 (see _checked_int): a size such as a JSON header's n."""
+def _checked_size(value, name: str, least: int = 1) -> int:
+    """value as an int, which must be a Python or numpy integer >= least (see _checked_int): least is 1 for a size,
+    level or order such as a JSON header's n, and 0 for a word size, degree, exponent or seed."""
     value = _checked_int(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 

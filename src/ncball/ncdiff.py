@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import NCFunction, _no_split
-from .mattuple import MatrixTuple, _checked_int, _spectral_norm
+from .mattuple import MatrixTuple, _checked_size, _spectral_norm
 
 
 def pair_point(a, b, h) -> MatrixTuple:
@@ -96,8 +96,7 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)
-    if _checked_int(order, "order") < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _checked_size(order, "order")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     lhs, rhs = f._truncation(x, order)

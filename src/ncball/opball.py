@@ -140,11 +140,8 @@ class BallMembership:
     @classmethod
     def from_norm(cls, s: float) -> "BallMembership":
         """The verdict for a point whose pencil norm ||Q(X)|| is s."""
-        if s < 1.0 - MEMBERSHIP_TOL:
-            return cls("inside", s, 1.0 - s)
-        if s > 1.0 + MEMBERSHIP_TOL:
-            return cls("outside", s, s - 1.0)
-        return cls("boundary", s, abs(s - 1.0))
+        kind = "inside" if s < 1.0 - MEMBERSHIP_TOL else "outside" if s > 1.0 + MEMBERSHIP_TOL else "boundary"
+        return cls(kind, s, abs(s - 1.0))  # fl(1 - s) = -fl(s - 1), so one distance serves every kind
 
 
 def membership(ball: Pencil, x: MatrixTuple) -> BallMembership:
@@ -158,7 +155,7 @@ def _isometry_defect(v: np.ndarray) -> float:
 
 def ucp_compression(x: MatrixTuple, v: np.ndarray) -> MatrixTuple:
     """The compressed tuple (V* x_j V) for an isometry V, an n x k matrix with k >= 1."""
-    v = np.asarray(v, dtype=complex)
+    v = _owned_array(v, "V")
     if v.ndim != 2 or v.shape[0] != x.n or v.shape[1] < 1:
         raise ValueError(f"V must be {x.n} x k with k >= 1, got {v.shape}")
     defect = _isometry_defect(v)

@@ -28,7 +28,7 @@ from .freealg import (
     _no_split,
     walk_levels,
 )
-from .mattuple import MatrixTuple, _checked_int, _checked_size, _spectral_norm, _spectral_norms
+from .mattuple import MatrixTuple, _checked_size, _spectral_norm, _spectral_norms
 from .opball import Pencil, ball_shorthand, membership, polydisk
 
 MULTISTART_MARGINS = (0.5, 0.1, 0.01, 0.001)
@@ -260,9 +260,7 @@ def estimate_sup(
     budget, n = _checked_size(budget, "budget"), _checked_size(n, "level")
     if margin is not None and not 0.0 < margin < 1.0:  # the sampler's check, before the corner-path pool
         raise ValueError(f"margin must be in (0, 1), got {margin}")
-    seed = _checked_int(seed, "seed")
-    if seed < 0:  # the seeder's check, as the pool can fill the multistart and leave nothing drawn
-        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    seed = _checked_size(seed, "seed", 0)  # before the pool, which can fill the multistart and leave nothing drawn
     _check_ball_d(f, ball)
     report = ProbeReport(
         target=target_label if target_label is not None else f._label(),
@@ -459,7 +457,7 @@ def dichotomy_scan(
     maps = list(maps)
     if len(maps) != target.d:
         raise ValueError(f"map has {len(maps)} components but the target pencil has d={target.d}")
-    samples, seed = _checked_size(samples, "samples"), _checked_int(seed, "seed")
+    samples, seed = _checked_size(samples, "samples"), _checked_size(seed, "seed", 0)
     for i, p in enumerate(maps, 1):
         if not isinstance(p, NCFunction):
             raise TypeError(f"map component {i} is an object of type {type(p).__name__}, not an nc function")
@@ -513,8 +511,7 @@ class MonomialRow(NCFunction):
     size: int
 
     def __post_init__(self):
-        if _checked_int(self.size, "size") < 1:
-            raise ValueError(f"monomial rows are indexed by a word size >= 1, got {self.size}")
+        _checked_size(self.size, "size")
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         count, n = xs.shape[0], xs.shape[-1]
@@ -545,8 +542,7 @@ def regularity_factors(f, order: int, ball: Pencil, n: int, budget: int, seed: i
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)
-    if _checked_int(order, "order") < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _checked_size(order, "order")
     _check_ball_d(f, ball)
     if _capped_power(ball.d, order, REGULARITY_WORD_BUDGET) > REGULARITY_WORD_BUDGET:
         raise BudgetExceededError(f"{ball.d}^{order} words exceed the budget {REGULARITY_WORD_BUDGET}")

@@ -29,7 +29,6 @@ import numpy as np
 from .freealg import WORD_BUDGET, BudgetExceededError, FreePolynomial, NCFunction, _added, _checked_letters, _monomials, walk_levels
 from .mattuple import (
     MatrixTuple,
-    _checked_int,
     _checked_size,
     _owned_array,
     _seq_matmul,
@@ -227,9 +226,7 @@ class Realization(NCFunction):
 
     def homogeneous_value(self, x: MatrixTuple, k: int) -> np.ndarray:
         """The degree-k term sum_{|w|=k} c_w x^w, without enumerating words."""
-        if _checked_int(k, "k") < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return next(itertools.islice(self._homogeneous_terms(x), k, None))
+        return next(itertools.islice(self._homogeneous_terms(x), _checked_size(k, "k", 0), None))
 
     def cesaro_value(self, x: MatrixTuple, n_terms: int) -> np.ndarray:
         """sum_{k<N} (1 - k/N) f_k(x), evaluated termwise in O(N) products.
@@ -281,10 +278,9 @@ class RemainderColumn(NCFunction):
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _checked_int(self.size, "size") < 1:
-            raise ValueError(f"remainder columns are indexed by a word size >= 1, got {self.size}")
-        levels = walk_levels(self.d, self.size, (None, self.base.row_step))
-        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == self.size])[:, 0])
+        size = _checked_size(self.size, "size")
+        levels = walk_levels(self.d, size, (None, self.base.row_step))
+        object.__setattr__(self, "rows", np.concatenate([rows for k, (rows,) in levels if k == size])[:, 0])
 
     @property
     def d(self) -> int:
@@ -325,8 +321,7 @@ def bidisk_witness_closed_form(x1: complex, x2: complex) -> complex:
 
 def taylor_polynomial(f: Realization, n: int) -> FreePolynomial:
     """sum_{|w|<n} c_w Z^w as an explicit polynomial in length-lex order; its words are budgeted before the walk."""
-    if _checked_int(n, "n") < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _checked_size(n, "n", 0)
     walk = walk_levels(f.d, n - 1, (None, f.row_step))  # charges the d^0 + ... + d^(n-1) words
     if f.d == 1 and n * (n - 1) // 2 > WORD_BUDGET:  # n words, of 0 + 1 + ... + (n - 1) letters
         raise BudgetExceededError(f"0 + 1 + ... + {n - 1} letters exceed the budget {WORD_BUDGET}")

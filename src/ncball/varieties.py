@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import FreePolynomial, _parse_finite
-from .mattuple import MatrixTuple, _spectral_norm, _unit_disk_points
+from .mattuple import MatrixTuple, _checked_size, _spectral_norm, _unit_disk_points
 from .opball import Pencil, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
@@ -75,7 +75,7 @@ def homogeneity_sample(variety: AlgebraicVariety, samples, lambdas=None, seed: i
     if not samples:
         raise ValueError("samples must hold at least one point")
     if lambdas is None:
-        lambdas = _unit_disk_points(np.random.default_rng(seed), NUM_LAMBDAS)
+        lambdas = _unit_disk_points(np.random.default_rng(_checked_size(seed, "seed", 0)), NUM_LAMBDAS)
     else:
         lambdas = [complex(v) for v in lambdas]
         if not lambdas:

@@ -600,7 +600,7 @@ def test_seeder_takes_numpy_integers_and_rejects_negative_seeds():
     for seed in (-1, np.int64(-3)):
         with pytest.raises(ValueError, match="non-negative"):
             list(_sample_chunks(ball, 2, [(7, 0.5), (seed, 0.1)], 64))
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="must be >= 0"):
         estimate_sup(bidisk_witness(), ball, 2, 10, -2)
     with pytest.raises(TypeError):
         list(_sample_chunks(ball, 2, [(1.5, 0.5)], 64))

@@ -221,6 +221,22 @@ def test_walk_levels_names_an_empty_alphabet_at_the_call():
     assert steps == []
 
 
+def test_integer_argument_alphabet_size_of_a_word_walk():
+    # a bool would run as d = 1, and a float or a string would fail inside the walk, naming no argument
+    column = (np.zeros((1, 1)), lambda stack, j: stack)
+    for d, shown in ((True, "True"), (2.5, "2.5"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=rf"^d must be an integer, got {shown}$"):
+            words_of_size(d, 2)
+        with pytest.raises(ValueError, match=rf"^d must be an integer, got {shown}$"):
+            walk_levels(d, 1, column)
+
+
+def test_integer_argument_quotient_column_names_its_size():
+    with mock.patch.object(freealg, "left_divide", side_effect=AssertionError("divided")):
+        with pytest.raises(ValueError, match=r"^size must be >= 1, got 0$"):
+            QuotientColumn(parse("z1*z2", 2), 0)
+
+
 def test_a_word_size_must_be_an_integer():
     # a float size is never reached by a walk, which would run on without end, and a bool would run as 1
     column = (np.zeros((1, 1)), lambda stack, j: stack)
@@ -316,8 +332,18 @@ def test_scalar_multiplication_and_power():
     p = 2 * z(1) * 3
     assert p.coefficient((1,)) == 6
     assert z(1) ** 0 == FreePolynomial.constant(2, 1.0)
-    with pytest.raises(ValueError, match="nonnegative integer"):
+    with pytest.raises(ValueError, match="must be >= 0"):
         z(1) ** -1
+
+
+def test_integer_argument_exponent_is_an_integer_of_any_kind():
+    # a bool is no exponent (it ran as 1), and a numpy integer is one like any other integer argument
+    p = z(1) + (0.5 - 1j) * z(2)
+    for k, shown in ((True, "True"), (2.0, "2.0")):
+        with pytest.raises(ValueError, match=rf"^exponent must be an integer, got {shown}$"):
+            p**k
+    assert p ** np.int64(2) == p**2
+    assert p ** np.uint8(0) == FreePolynomial.constant(2, 1.0)
 
 
 def test_foreign_operands_are_handed_back_to_python():

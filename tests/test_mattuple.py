@@ -26,6 +26,21 @@ def random_tuple(rng, d, n, scale=1.0):
 # construction
 
 
+def test_integer_argument_zeros_refuses_a_bad_shape_by_name():
+    # checked before numpy sees the shape: a bool is no size, and a negative one is not numpy's to refuse
+    for d, n, message in (
+        (True, 1, "d must be an integer, got True"),
+        (-1, 1, "d must be >= 1, got -1"),
+        (2, 0, "n must be >= 1, got 0"),
+        (2, 2.0, "n must be an integer, got 2.0"),
+        (np.bool_(True), 1, f"d must be an integer, got {np.bool_(True)!r}"),
+        (2, np.float64(2.0), f"n must be an integer, got {np.float64(2.0)!r}"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MatrixTuple.zeros(d, n)
+    assert MatrixTuple.zeros(np.int64(2), np.uint8(3)) == MatrixTuple.zeros(2, 3)
+
+
 def test_tuple_shape_validation():
     with pytest.raises(ValueError, match="expected shape"):
         MatrixTuple(np.zeros((2, 2)))
@@ -247,6 +262,15 @@ def test_similarity_rejects_singular():
         similarity(np.zeros((2, 2)), x)
     with pytest.raises(ValueError, match="must be 2 x 2"):
         similarity(np.eye(3), x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_similarity_refuses_a_non_finite_matrix_by_name(bad):
+    # refused before the condition number, whose SVD would not converge
+    s = np.eye(2, dtype=complex)
+    s[0, 1] = bad
+    with pytest.raises(ValueError, match=r"^similarity matrix must be finite \(found NaN or inf\)$"):
+        similarity(s, MatrixTuple.zeros(1, 2))
 
 
 # ---------------------------------------------------------------------------

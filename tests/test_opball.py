@@ -181,6 +181,15 @@ def test_ucp_compression_rejects_non_isometry():
         ucp_compression(x, np.zeros((3, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_ucp_compression_refuses_a_non_finite_isometry_by_name(bad):
+    # refused before any product: not an SVD that fails to converge, nor an overflow warning in V*V
+    v = np.eye(3)[:, :2].astype(complex)
+    v[1, 0] = bad
+    with pytest.raises(ValueError, match=r"^V must be finite \(found NaN or inf\)$"):
+        ucp_compression(MatrixTuple.zeros(2, 3), v)
+
+
 def test_state_compression_matches_manual_form():
     # compressing by a unit vector v gives the vector state: the scalars <x_j v, v>
     rng = np.random.default_rng(3)

@@ -192,10 +192,16 @@ def test_a_margin_or_seed_is_checked_before_the_corner_path_pool():
         for margin in (1.5, 0.0, 1.0, -2.0, math.nan):
             with pytest.raises(ValueError, match=rf"^margin must be in \(0, 1\), got {margin}$"):
                 estimate_sup(bidisk_witness(), polydisk(2), 1, 4, 0, margin=margin)
-        with pytest.raises(ValueError, match=r"^expected non-negative integer seed, got -5$"):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
             estimate_sup(bidisk_witness(), polydisk(2), 1, 4, -5)
-        with pytest.raises(ValueError, match=r"^expected non-negative integer seed, got -5$"):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
             regularity_factors(bidisk_witness(), 1, polydisk(2), 1, 4, -5)
+
+
+def test_integer_argument_dichotomy_refuses_a_negative_seed_before_any_draw():
+    with mock.patch.object(probe, "_sample_chunks", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            dichotomy_scan(*builtin_dichotomy_case("half"), 3, -1)
 
 
 def test_a_seed_or_sample_count_must_be_an_integer():
@@ -579,9 +585,9 @@ def test_regularity_validation():
     with pytest.raises(TypeError, match="polynomials and realizations, got str$"):
         regularity_factors("f", 0, BALL, 1, 100, 0)  # the type is checked before the order
     for size in (0, -2):
-        with pytest.raises(ValueError, match=f"remainder columns are indexed by a word size >= 1, got {size}"):
+        with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
             RemainderColumn(f, size)
-        with pytest.raises(ValueError, match=f"^monomial rows are indexed by a word size >= 1, got {size}$"):
+        with pytest.raises(ValueError, match=f"^size must be >= 1, got {size}$"):
             MonomialRow(2, size)
     # the targets' dense walks charge 2^0 + ... + 2^20 words before their first step
     with mock.patch.object(Realization, "row_step", side_effect=AssertionError("walked")):

@@ -139,6 +139,14 @@ def test_homogeneity_with_seeded_scales_also_finds_a_witness():
     assert report.defect > 0.0
 
 
+def test_integer_argument_homogeneity_seed_is_refused_by_name():
+    # a bool would run as seed 1, and numpy's own refusals of 2.5 and -1 name no argument
+    x = MatrixTuple.scalars((0.5, 0.25))
+    for seed, message in ((True, "must be an integer, got True"), (2.5, "must be an integer, got 2.5"), (-1, "must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^seed {message}$"):
+            homogeneity_sample(parabola(), [x], seed=seed)
+
+
 def test_homogeneity_validation():
     v = parabola()
     x = MatrixTuple.scalars((0.5, 0.25))
