@@ -11,6 +11,7 @@ prefix form over a polynomial's words.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -28,6 +29,12 @@ WORD_BUDGET = 10**6  # the words a walk_levels or words_of_size visits, the term
 # counts them: larger walk levels come out in chunks, and the probe's stacks hold
 # as many points as fit it with one target value each
 BATCH_BYTES = 64 * 1024
+
+
+# a stretch of term sums whose rows hold at most this many numbers is added by one np.add.accumulate, a longer one
+# row by row: accumulate steps number by number down the term axis, while one add per row is vectorized, and the two
+# cost about the same at rows of 64 to 128 numbers (2-core x86-64, numpy 2.4)
+ACCUMULATE_NUMBERS = 128
 
 
 def _batch_size(count: int, nbytes: int) -> int:
@@ -132,8 +139,12 @@ def _monomials(xs: np.ndarray) -> tuple:
 
 def _word_values(xs: np.ndarray, words) -> dict[tuple[int, ...], np.ndarray]:
     """{w: X^w} for letter tuples w at a point or a stack, from one walk over their prefixes."""
-    wanted = set(words)
-    keep = {w[:i] for w in wanted for i in range(len(w) + 1)}
+    wanted, keep = set(words), set()
+    for word in wanted:  # each word's prefixes, longest first, down to the first one kept: the shorter ones are too
+        for i in range(len(word), -1, -1):
+            if word[:i] in keep:
+                break
+            keep.add(word[:i])
     levels = _walk(xs.shape[-3], max(map(len, wanted), default=-1), (_monomials(xs),), keep)
     return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
 
@@ -229,6 +240,51 @@ def _added(rhs: np.ndarray, products) -> np.ndarray:
 
     products, a (K, n, n) stack or a list of K >= 0 arrays, is stacked under rhs as one array."""
     return np.add.accumulate(np.concatenate([rhs[None], np.reshape(products, (-1, *rhs.shape))]))[-1]
+
+
+def _spans(term_lists) -> tuple[list, list]:
+    """The term lists one after another as one list, and the (start, stop) span of each in it."""
+    bounds = list(itertools.accumulate(map(len, term_lists), initial=0))
+    return [term for terms in term_lists for term in terms], list(zip(bounds, bounds[1:]))
+
+
+def _term_sums(values: Mapping, terms: list, spans: list, shape: tuple) -> np.ndarray:
+    """(len(spans), *shape): for each (start, stop) span of terms, (word, coeff) pairs, sum c_w values[w] added from
+    +0.0 one term at a time in order, the bits of out = out + c * values[w] term by term (but for which NaN a
+    NaN + NaN keeps, which numpy's add picks by the element's place in its vector loop).
+
+    The products of a chunk of terms, as many as fit BATCH_BYTES, are one stacked multiply.  The spans then add
+    position by position, longest first, so the spans still adding are a leading run of them, and each stretch of
+    positions with the same run is one accumulate from the sums so far, or one add per row if its rows are long."""
+    out = np.zeros((len(spans), *shape), dtype=complex)
+    chunk = _batch_size(len(terms), len(terms) * out[:1].nbytes)
+    for first in range(0, len(terms), chunk):
+        last = first + chunk
+        words, coeffs = zip(*terms[first:last])
+        # c * X^w into a new array: numpy's multiply with out= takes another loop, which rounds some products otherwise
+        products = np.array(coeffs).reshape((-1,) + (1,) * len(shape)) * np.array([values[w] for w in words], dtype=complex)
+        local = [
+            (max(a, first) - first, min(b, last) - first, i) for i, (a, b) in enumerate(spans) if a < last and b > first
+        ]
+        local.sort(key=lambda span: span[0] - span[1])
+        starts, rows, done = np.array([a for a, _, _ in local], dtype=int), [i for _, _, i in local], 0
+        for active in range(len(local), 0, -1):  # the first active spans are the ones longer than done
+            a, b, i = local[active - 1]
+            if b - a > done:
+                if active == 1:  # the chunk's last stretch: no span reads these products again, so they sum in place
+                    block, sel = products[a + done : b], i
+                else:
+                    block, sel = products[starts[:active] + np.arange(done, b - a)[:, None]], rows[:active]
+                carry = out[sel]
+                if carry.size > ACCUMULATE_NUMBERS:
+                    for row in block:
+                        carry += row
+                else:
+                    block[0] += carry
+                    carry = np.add.accumulate(block, out=block)[-1]
+                out[sel] = carry
+                done = b - a
+    return out
 
 
 def _add_term(terms: dict, word, coeff: complex) -> dict:
@@ -356,30 +412,27 @@ class FreePolynomial(NCFunction):
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
         """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
-        return self._term_sum(_word_values(xs, self.terms), (len(xs), *xs.shape[-2:])), {}
-
-    def _term_sum(self, values: Mapping[tuple[int, ...], np.ndarray], shape) -> np.ndarray:
-        """sum_w c_w values[w], added to zeros of the shape in sorted_terms() order."""
-        out = np.zeros(shape, dtype=complex)
-        for word, coeff in self.sorted_terms():
-            out = out + coeff * values[word]
-        return out
+        shape = (len(xs), *xs.shape[-2:])
+        return _term_sums(_word_values(xs, self.terms), self.sorted_terms(), [(0, len(self.terms))], shape)[0], {}
 
     def _label(self) -> str:
         return f"poly:{self}"
 
     def _truncation(self, x, order: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_d(x)
-        quotients, low, shape = _left_quotients(self, order), {}, (x.n, x.n)
-        for word, coeff in self.terms.items():
-            if len(word) < order:
-                low.setdefault(len(word), {})[word] = coeff
-        values = _word_values(x.entries, [*self.terms, *quotients, *(v for q in quotients.values() for v in q.terms)])
-        rhs = np.zeros(shape, dtype=complex)
-        for k in sorted(low):  # an absent size would add +0.0 to a sum that is never -0.0: no bit changes
-            rhs += FreePolynomial._trusted(self.d, low[k])._term_sum(values, shape)
-        tail = _added(rhs, [values[w] @ q._term_sum(values, shape) for w, q in quotients.items()])
-        return self._term_sum(values, shape), tail
+        # from the length-lex terms, each f_w's terms come out length-lex, and each size k < N is one slice; an absent
+        # size adds +0.0 to a sum that is never -0.0, so no bit changes
+        own = self.sorted_terms()
+        quotients, sizes = _quotient_terms(own, order), [len(w) for w, _ in own]
+        edges = [bisect.bisect_left(sizes, k) for k in range(min(order, self.degree + 1) + 1)]
+        low = list(zip(edges, edges[1:]))
+        terms, spans = _spans([own, *quotients.values()])
+        values = _word_values(x.entries, [*self.terms, *quotients, *(v for v, _ in terms[len(own) :])])
+        sums = _term_sums(values, terms, [spans[0], *low, *spans[1:]], (x.n, x.n))
+        # one stacked product, whose slices have the bits of the 2-D values[w] @ f_w(X): numpy runs that kernel on each
+        heads = np.array([values[w] for w in quotients], dtype=complex).reshape(-1, x.n, x.n)
+        tail = np.concatenate([sums[1 : 1 + len(low)], heads @ sums[1 + len(low) :]])
+        return sums[0], _added(np.zeros((x.n, x.n), dtype=complex), tail)
 
     def _remainder_column(self, order: int) -> "QuotientColumn":
         return QuotientColumn(self, order)
@@ -492,19 +545,25 @@ class QuotientColumn(NCFunction):
         return self.p.d
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        values = _word_values(xs, [v for q in self.quotients for v in q.terms])
-        return np.concatenate([q._term_sum(values, (len(xs), *xs.shape[-2:])) for q in self.quotients], axis=1), {}
+        terms, spans = _spans([q.sorted_terms() for q in self.quotients])
+        sums = _term_sums(_word_values(xs, [v for v, _ in terms]), terms, spans, (len(xs), *xs.shape[-2:]))
+        return sums.transpose(1, 0, 2, 3).reshape(len(xs), len(sums) * xs.shape[-1], xs.shape[-1]), {}
+
+
+def _quotient_terms(terms, n: int) -> dict[tuple[int, ...], list]:
+    """{w: the (v, c) of each (wv, c) of terms with |w| = n, in the order of terms}, the heads w in length-lex order."""
+    pieces: dict[tuple[int, ...], list] = {}
+    for word, coeff in terms:
+        if len(word) >= n:
+            pieces.setdefault(word[:n], []).append((word[n:], coeff))
+    return {head: pieces[head] for head in sorted(pieces)}
 
 
 def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:
     """The nonzero quotients f_w of the part of p of size >= n, keyed by the letters of w in length-lex order.
 
     Each quotient keeps its terms in the order of p's terms."""
-    pieces: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for word, coeff in p.terms.items():
-        if len(word) >= n:
-            pieces.setdefault(word[:n], {})[word[n:]] = coeff
-    return {head: FreePolynomial._trusted(p.d, pieces[head]) for head in sorted(pieces)}
+    return {head: FreePolynomial._trusted(p.d, dict(tails)) for head, tails in _quotient_terms(p.terms.items(), n).items()}
 
 
 def compose(p: FreePolynomial, inner) -> FreePolynomial:
@@ -556,27 +615,24 @@ def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
     """
     tokens = []
     for match in _TOKEN.finditer(text):
-        kind, lexeme, at = match.lastgroup, match.group(), match.start()
-        if kind == "run":
-            re_sign, re_part, im_sign, im_part, literal, letters, bare = match.group(
-                "re_sign", "re", "im_sign", "im", "literal", "letters", "bare"
-            )
+        run, re_sign, re_part, im_sign, im_part, literal, letters, bare, power, exponent, op, bad = match.groups()
+        at = match.start()
+        if run is not None:
             if re_part is not None:
                 parts = ((re_sign, "number", float(re_part)), (im_sign, "imag", float(im_part)))
             else:
                 parts = () if literal is None else (("", *_number(literal)),)
             digits = (letters or bare or "").replace("*", " ").replace("z", " ").split()
-            tokens.append(("run", (parts, tuple(map(int, digits))), at, lexeme))
-        elif kind == "op":
-            tokens.append((lexeme, lexeme, at, lexeme))
-        elif kind == "power":
+            tokens.append(("run", (parts, tuple(map(int, digits))), at, run))
+        elif op is not None:
+            tokens.append((op, op, at, op))
+        elif power is not None:
             tokens.append(("^", "^", at, "^"))
-            exponent = match.group("exponent")
             if exponent is not None:
                 tokens.append((*_number(exponent), match.start("exponent"), exponent))
         else:  # a bare 'z', a lone '.', or any other character
             errors = {"z": "variable name must be z followed by an index", ".": "malformed number"}
-            raise PolyParseError(errors.get(lexeme, f"unexpected character {lexeme!r}"), at)
+            raise PolyParseError(errors.get(bad, f"unexpected character {bad!r}"), at)
     tokens.append(("end", None, len(text), ""))
     return tokens
 
@@ -592,19 +648,17 @@ class _Parser:
         primary := number | number 'i' | 'i' | variable | '(' expr ')'
 
     Sums, products, powers and signs go through _add_term, _product, _power and
-    _negated, and the parse ends in FreePolynomial._trusted, as +, -, * and **
-    do: a parse has their bits and term order by construction.  A run token,
-    the factors 'literal * z_j * ...' or 'z_j * ...', has its letters checked,
-    in order, where it is read; its first primary takes the sign and any power,
-    and the term then multiplies in each further letter.
+    _negated (a run's literal is one scalar sum with their bits), and the parse
+    ends in FreePolynomial._trusted, as +, -, * and ** do: a parse has their
+    bits and term order by construction.  A run token, the factors
+    'literal * z_j * ...' or 'z_j * ...', has its letters checked, in order,
+    where it is read; its first primary takes the sign and any power, and the
+    term then multiplies in each further letter.
     """
 
     def __init__(self, tokens, d: int):
-        self.tokens = tokens[::-1]  # the next token is last, so pop() takes it
+        self.tokens = tokens[::-1]  # the next token is last: tokens[-1] reads it and pop() takes it
         self.d = d
-
-    def peek(self) -> str:
-        return self.tokens[-1][0]
 
     def parse(self) -> FreePolynomial:
         terms = self.expr()
@@ -617,7 +671,7 @@ class _Parser:
 
     def expr(self) -> dict:
         terms = self.term()
-        while self.peek() in ("+", "-"):
+        while self.tokens[-1][0] in ("+", "-"):
             rhs = self.term() if self.tokens.pop()[0] == "+" else _negated(self.term())
             for word, coeff in rhs.items():
                 _add_term(terms, word, coeff)
@@ -626,7 +680,7 @@ class _Parser:
     def term(self) -> dict:
         """Each factor, then each letter its run token has after the first primary, as '*' takes them one by one."""
         terms = _times_letters(*self.factor())
-        while self.peek() == "*":
+        while self.tokens[-1][0] == "*":
             self.tokens.pop()
             factor, letters = self.factor()
             terms = _times_letters(_product(terms, factor), letters)
@@ -634,10 +688,10 @@ class _Parser:
 
     def factor(self) -> tuple[dict, tuple[int, ...]]:
         negate = False
-        while self.peek() in ("+", "-"):
+        while self.tokens[-1][0] in ("+", "-"):
             negate ^= self.tokens.pop()[0] == "-"
         terms, letters = self.primary()
-        while self.peek() == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
+        while self.tokens[-1][0] == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
             self.tokens.pop()
             terms = _power(terms, self.exponent())
         return (_negated(terms) if negate else terms), letters
@@ -662,13 +716,15 @@ class _Parser:
     @staticmethod
     def literal(parts) -> dict:
         """A run's literal: each (sign, kind, value) part a constant term, complex(value) or complex(value * 1j),
-        signed as factor() signs it and added to the parts before it as expr() adds a term."""
-        terms = {}
+        signed as factor() signs it and added to the parts before it as expr() adds a term.
+
+        One scalar sum from 0j has the term maps' bits: a sum from 0j is never -0.0, so their 0j + c, their dropped
+        zero part and their restart from 0j after an exact zero change none."""
+        total = 0j
         for sign, kind, value in parts:
-            part = _add_term({}, (), complex(value if kind == "number" else value * 1j))
-            for word, coeff in (_negated(part) if sign == "-" else part).items():
-                _add_term(terms, word, coeff)
-        return terms
+            part = complex(value if kind == "number" else value * 1j)
+            total += -part if sign == "-" else part
+        return {(): total} if total != 0 else {}
 
     def letter(self, j: int, position: int, lexeme: str, k: int) -> None:
         """Check zj, the k-th letter of a token at position, against 1..d."""

@@ -511,6 +511,7 @@ class MonomialRow(NCFunction):
     size: int
 
     def __post_init__(self):
+        _checked_size(self.d, "d")
         _checked_size(self.size, "size")
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:

@@ -26,9 +26,13 @@ from ncball.freealg import (
     _negated,
     _parse_word,
     _power,
+    _Parser,
     _product,
+    _spans,
+    _term_sums,
     _times_letters,
     _tokenize,
+    _walk,
     _word_text,
     _word_values,
     compose,
@@ -44,6 +48,7 @@ from ncball.mattuple import MatrixTuple
 from ncball.ncdiff import tt_check
 from ncball.opball import polydisk
 from ncball.realize import Realization, bidisk_witness, taylor_polynomial
+from test_ncdiff import ref_poly_value, ref_term_sum
 
 MAX_D = 3
 
@@ -1278,3 +1283,157 @@ def test_a_power_is_charged_before_its_first_product():
     # leading zeros are not digits of the exponent
     assert parse("z1^" + "0" * 5000 + "2", 1) == parse("z1^2", 1)
     assert parse("z1^" + "0" * 5000, 1) == parse("1", 1)
+
+
+# ---------------------------------------------------------------------------
+# the term-sum kernel, the prefix closure and the literal fold against the
+# loops they replaced, kept here as the references
+
+# exact zeros of both signs, subnormals, infinities and NaNs, in coefficients and in values
+SPECIAL_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, float("inf"), -float("inf"), float("nan"))
+special_coeffs = st.builds(complex, *[st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(-1e3, 1e3))] * 2)
+
+
+@st.composite
+def term_sum_cases(draw):
+    """(values, terms, spans, shape): values of one shape for a few words, terms over them, and spans of the terms.
+
+    The shape is a point's (n, n) or a stack's (B, n, n), B = 0 included; the spans are several consecutive
+    term lists of unequal lengths, the zero polynomial among them, and some overlapping spans beside them."""
+    n, count = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    shape = (n, n) if draw(st.booleans()) else (count, n, n)
+    vocab = draw(st.lists(words(2), min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = {}
+    for word in vocab:
+        value = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        value[rng.random(shape) < 0.3] = 0  # exact zeros
+        if draw(st.booleans()):
+            value.real[rng.random(shape) < 0.2] = draw(st.sampled_from(SPECIAL_PARTS))
+        values[word] = value
+    lists = draw(st.lists(st.lists(st.tuples(st.sampled_from(vocab), special_coeffs), max_size=12), min_size=1, max_size=5))
+    terms, spans = _spans([*lists, []])
+    bounds = st.integers(0, len(terms))
+    spans += draw(st.lists(st.tuples(bounds, bounds).map(sorted).map(tuple), max_size=3))
+    return values, terms, spans, shape
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and bits, but for the sign and payload of a NaN: numpy's add takes either NaN of a NaN + NaN,
+    by the element's place in its vector loop (x + y of equal arrays of -NaN and NaN has the sign of x at the first
+    places and of y at the last), so no two layouts of one sum agree on it, and the per-term loop has no rule for it."""
+    a, b = np.asarray(got).view(float), np.asarray(want).view(float)
+    return a.shape == b.shape and (np.isnan(a) == np.isnan(b)).all() and np.where(np.isnan(a), 0, a).tobytes() == np.where(
+        np.isnan(b), 0, b
+    ).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_sum_cases(), st.sampled_from([1, 200, 1000]), st.sampled_from([0, 16, 10**9]))
+def test_term_sums_are_the_per_term_fold_bitwise(case, budget, numbers):
+    # every span is its terms added one at a time from +0.0, however the term axis is chunked and however a stretch
+    # is added: a byte bound of 1 makes each term a chunk of its own, and 200 or 1000 cut the spans at every few
+    # terms; a row bound of 0 adds every stretch row by row, 10^9 by one accumulate, 16 mixes the two
+    values, terms, spans, shape = case
+    with np.errstate(all="ignore"):  # inf * 0 makes the NaNs the loop makes
+        want = np.array([ref_term_sum(values, terms[a:b], shape) for a, b in spans]).reshape(len(spans), *shape)
+        got = _term_sums(values, terms, spans, shape)
+        with mock.patch.object(freealg, "BATCH_BYTES", budget), mock.patch.object(freealg, "ACCUMULATE_NUMBERS", numbers):
+            chunked = _term_sums(values, terms, spans, shape)
+    assert same_bits(got, want) and same_bits(chunked, want)
+    if not np.isnan(want.view(float)).any():
+        assert got.tobytes() == want.tobytes() and chunked.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(words(d), special_coeffs, max_size=10))),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_quotient_column_is_the_per_quotient_fold_bitwise(case, size, count, n, seed):
+    # each block is its quotient's per-term fold, at any stack size and byte bound: the products are
+    # formed (K, 1, 1, 1) x (K, B, n, n) at once, which must keep the bits of the scalar-times-array loop
+    d, terms = case
+    rng = np.random.default_rng(seed)
+    p = FreePolynomial(d, {tuple(rng.integers(1, d + 1, size=size).tolist()) + w: c for w, c in terms.items()})
+    xs = rng.normal(size=(count, d, n, n)) + 1j * rng.normal(size=(count, d, n, n))
+    xs[rng.random(xs.shape) < 0.2] = 0
+    column = QuotientColumn(p, size)
+    with np.errstate(all="ignore"):
+        want = np.concatenate([ref_poly_value(q, xs) for q in left_divide(p, size).values()], axis=1)
+        for budget in (freealg.BATCH_BYTES, 1, 300):
+            with mock.patch.object(freealg, "BATCH_BYTES", budget):
+                values, failed = column.eval_batch(xs)
+            assert same_bits(values, want) and not failed.any()
+
+
+def ref_prefix_values(xs, words):
+    """The walk over every prefix of every word, each prefix sliced from each word: the closure it replaced."""
+    wanted = set(words)
+    keep = {w[:i] for w in wanted for i in range(len(w) + 1)}
+    levels = _walk(xs.shape[-3], max(map(len, wanted), default=-1), (_monomials(xs),), keep)
+    return {w: xw for prefixes, (xws,) in levels for w, xw in zip(prefixes, xws) if w in wanted}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            # stems and their extensions share prefixes; the list repeats words, and may hold the empty word
+            st.lists(st.lists(st.integers(1, d), max_size=4).map(tuple), max_size=4).flatmap(
+                lambda stems: st.lists(
+                    st.tuples(st.sampled_from([(), *stems]), st.lists(st.integers(1, d), max_size=3).map(tuple)).map(
+                        lambda pair: pair[0] + pair[1]
+                    ),
+                    max_size=12,
+                )
+            ),
+        )
+    ),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_prefix_closure_keeps_the_keys_and_bits_of_the_comprehension_bitwise(case, count, n, seed):
+    d, word_list = case
+    rng = np.random.default_rng(seed)
+    # a stack of count points, the empty one included, and one point
+    for xs in (rng.normal(size=(count, d, n, n)) + 1j * rng.normal(size=(count, d, n, n)), rng.normal(size=(d, n, n)) + 0j):
+        got, want = _word_values(xs, word_list), ref_prefix_values(xs, word_list)
+        assert list(got) == list(want)
+        assert all(got[w].shape == want[w].shape and got[w].tobytes() == want[w].tobytes() for w in want)
+
+
+def ref_literal(parts):
+    """A run's literal as the term maps fold it: each part a term map, negated and added to the ones before it."""
+    terms = {}
+    for sign, kind, value in parts:
+        part = _add_term({}, (), complex(value if kind == "number" else value * 1j))
+        for word, coeff in (_negated(part) if sign == "-" else part).items():
+            _add_term(terms, word, coeff)
+    return terms
+
+
+LITERAL_VALUES = st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 2.5, 1e308, float("inf"))), st.floats(0, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.tuples(st.just(""), st.sampled_from(["number", "imag"]), LITERAL_VALUES)),
+        st.tuples(
+            st.tuples(st.sampled_from(["", "+", "-"]), st.just("number"), LITERAL_VALUES),
+            st.tuples(st.sampled_from(["+", "-"]), st.just("imag"), LITERAL_VALUES),
+        ),
+    )
+)
+@example((("-", "number", 0.0), ("+", "imag", 0.0)))
+@example((("", "number", 1.0), ("-", "imag", 0.0)))
+@example((("-", "number", float("inf")), ("+", "imag", float("inf"))))
+def test_literal_fold_is_the_term_map_fold_bitwise(parts):
+    got, want = _Parser.literal(parts), ref_literal(parts)
+    assert [(w, bits(c)) for w, c in got.items()] == [(w, bits(c)) for w, c in want.items()]

@@ -312,12 +312,18 @@ def ref_word_fold(xs, letters):
     return functools.reduce(step, letters, root)[0]
 
 
+def ref_term_sum(values, terms, shape):
+    """sum c values[w] over the (w, c) of terms, added to zeros of the shape one term at a time, in order."""
+    out = np.zeros(shape, dtype=complex)
+    for word, coeff in terms:
+        out = out + coeff * values[word]
+    return out
+
+
 def ref_poly_value(p, xs):
     """sum_w c_w X^w at a stack, each term folded on its own and added to zeros in sorted_terms() order."""
-    out = np.zeros((len(xs), *xs.shape[-2:]), dtype=complex)
-    for word, coeff in p.sorted_terms():
-        out = out + coeff * ref_word_fold(xs, word)
-    return out
+    values = {w: ref_word_fold(xs, w) for w in p.terms}
+    return ref_term_sum(values, p.sorted_terms(), (len(xs), *xs.shape[-2:]))
 
 
 # kron-based references for a realization: every identity Kronecker product is
@@ -429,6 +435,17 @@ def test_tt_check_tail_of_a_polynomial_is_the_word_by_word_sum_bitwise(case):
     assert tt_check(p, x, order).rhs.tobytes() == ref_tt_rhs(p, x, order).tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_stacked_quotient_products_are_the_per_head_products_bitwise(level, order, seed):
+    # the tail's X^w f_w(X) come from one stacked product of all heads; each slice must have the bits of the 2-D
+    # product at every level, including those past the hypothesis cases above
+    rng = np.random.default_rng(seed)
+    p = random_poly(rng, 2, order)
+    x = sample_in_ball(polydisk(2), level, 0.5, rng)
+    assert tt_check(p, x, order).rhs.tobytes() == ref_tt_rhs(p, x, order).tobytes()
+
+
 def count_constructions(fn):
     """fn() and the number of FreePolynomial objects it built, trusted polynomial builds included."""
     counts = {"polys": 0}
@@ -451,15 +468,18 @@ def count_constructions(fn):
 def test_tt_check_builds_quotients_only_for_the_heads_present_bitwise():
     x = MatrixTuple.scalars((0.5, 0.4))
     found = "z1^16 + 0.5*z2*z1^15 + z1*z2"  # two terms of size 16 under 2^16 heads
-    built = []
+    walked = []
     for text in (found, found + " + 0.25*z2^16", found + " + 0.25*z2^16 - z1*z2*z1^14"):
         p = parse(text, 2)
-        report, counts = count_constructions(lambda: tt_check(p, x, 16))
+        with mock.patch.object(freealg, "_word_values", side_effect=freealg._word_values) as walk:
+            report, counts = count_constructions(lambda: tt_check(p, x, 16))
         assert report.rhs.tobytes() == ref_tt_rhs(p, x, 16).tobytes()
-        built.append(counts)
-    # each high term adds one quotient; the rest is one block per size present below 16
-    assert [c["polys"] - built[0]["polys"] for c in built] == [0, 1, 2]
-    assert built[0]["polys"] == 1 + 2  # the size-2 block z1*z2, and the quotients under z1^16 and z2*z1^15
+        # a quotient and a size below 16 are spans of p's own terms: no polynomial is built for either
+        assert counts["polys"] == 0
+        walked.append(set(walk.call_args.args[1]))
+    # p's terms, the heads present (here the high terms themselves) and their one tail, the empty word:
+    # each high term adds one word to the walk, none of the 2^16 absent heads is walked
+    assert [len(words) for words in walked] == [4, 5, 6] and () in walked[0]
 
 
 def test_tt_check_charges_the_budget_where_its_words_are_walked():

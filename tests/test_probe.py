@@ -204,6 +204,17 @@ def test_integer_argument_dichotomy_refuses_a_negative_seed_before_any_draw():
             dichotomy_scan(*builtin_dichotomy_case("half"), 3, -1)
 
 
+def test_integer_argument_monomial_row_checks_its_d():
+    # refused where the row is built, by name, before the size and before any walk
+    for d, problem in ((True, "must be an integer, got True"), (2.5, "must be an integer, got 2.5"), (0, "must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=rf"^d {problem}$"):
+            MonomialRow(d, 1)
+        with pytest.raises(ValueError, match=rf"^d {problem}$"):
+            MonomialRow(d, 0)
+    x = MatrixTuple.scalars((0.5, 0.25))
+    assert MonomialRow(np.int64(2), 1).eval(x).tobytes() == MonomialRow(2, 1).eval(x).tobytes()
+
+
 def test_a_seed_or_sample_count_must_be_an_integer():
     # refused by name at entry, before any draw: a bool is no integer, and a float is neither truncated nor sliced
     case = builtin_dichotomy_case("half")
