@@ -355,12 +355,16 @@ def _times_letters(terms: dict, letters: tuple[int, ...]) -> dict:
     product 0j + c * (1 + 0j); a term is dropped once its coefficient is
     exactly zero, and zero stays zero.  So each term goes through the k
     products on its own, and its word gains the k letters at once (k = 0 copies
-    a term map, which keeps no exact zero).  Each product forms len(terms)
-    pairs, so the caller keeps that within the budget."""
+    a term map, which keeps no exact zero).  For a finite c each product is
+    exactly 0j + c, each part plus +0.0, so one add stands for all k.  Each
+    product forms len(terms) pairs, so the caller keeps that within the budget."""
     out: dict[tuple[int, ...], complex] = {}
     for word, coeff in terms.items():
-        for _ in letters:
-            coeff = 0j + coeff * (1 + 0j)
+        if letters and cmath.isfinite(coeff):
+            coeff = 0j + coeff
+        else:
+            for _ in letters:
+                coeff = 0j + coeff * (1 + 0j)
         if coeff != 0:
             out[word + letters] = coeff
     return out
@@ -534,19 +538,24 @@ class QuotientColumn(NCFunction):
 
     p: FreePolynomial
     size: int
-    # f_w over all words of the size, length-lex, divided out once
-    quotients: tuple[FreePolynomial, ...] = field(init=False, repr=False, compare=False)
+    # the length-lex terms of each f_w, over all words w of the size in length-lex order, one list after another,
+    # and the span of each f_w in it: divided out and flattened once, when the column is built
+    terms: list = field(init=False, repr=False, compare=False)
+    spans: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "quotients", tuple(left_divide(self.p, _checked_size(self.size, "size")).values()))
+        quotients = left_divide(self.p, _checked_size(self.size, "size")).values()
+        terms, spans = _spans([q.sorted_terms() for q in quotients])
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "spans", spans)
 
     @property
     def d(self) -> int:
         return self.p.d
 
     def _values(self, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-        terms, spans = _spans([q.sorted_terms() for q in self.quotients])
-        sums = _term_sums(_word_values(xs, [v for v, _ in terms]), terms, spans, (len(xs), *xs.shape[-2:]))
+        shape = (len(xs), *xs.shape[-2:])
+        sums = _term_sums(_word_values(xs, [v for v, _ in self.terms]), self.terms, self.spans, shape)
         return sums.transpose(1, 0, 2, 3).reshape(len(xs), len(sums) * xs.shape[-1], xs.shape[-1]), {}
 
 
@@ -587,58 +596,50 @@ def compose(p: FreePolynomial, inner) -> FreePolynomial:
 
 
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_LETTERS = r"z[0-9]+(?:\s*\*\s*z[0-9]+)*(?![0-9]|\s*\^)"  # whole letters, the last under no power
+# one token per match, with the whitespace before it; the group that closes last, match.lastindex, names its kind
 _TOKEN = re.compile(
-    # a run: a literal (real, imaginary, 'i' or '(re+im i)') or a first letter, then any '*'-joined letters; a letter
-    # under a power is a run of its own, so only a run of one literal or one letter comes before '^'
-    rf"(?P<run>(?:\(\s*(?P<re_sign>[+-]?)\s*(?P<re>{_NUMBER})\s*(?P<im_sign>[+-])\s*(?P<im>{_NUMBER})i\s*\)"
-    rf"|(?P<literal>{_NUMBER}i?|i))(?:\s*\*\s*(?P<letters>{_LETTERS}))?|(?P<bare>{_LETTERS}|z[0-9]+))"
-    rf"|(?P<power>\^(?:\s*(?P<exponent>{_NUMBER}i?))?)|(?P<op>[-+*()])|(?P<bad>\S)"
+    rf"""\s*(?:
+    (   (?:([-+])\s*)?                                  # 1 a run: 2 its sign, if any, then
+        (?: (?: \(([+-]?)({_NUMBER})([+-])({_NUMBER})i\) # 3-6 the signs and numbers of a '(re+im i)' pair
+              | ({_NUMBER}i?|i) )                        # 7 or a real or imaginary literal or 'i',
+            (?:\*z([0-9]+(?:\*z[0-9]+)*))?              # 8 and the digits of its letters, each after a bare '*z',
+          | z([0-9]+(?:\*z[0-9]+)*) )                    # 9 or those of letters alone
+        (?:(?!\s*[*^])())? )                            # 10 empty if no '*' or '^' follows: the run is a whole term
+    | (\^)\s*({_NUMBER}i?)?                             # 11 '^', 12 its exponent if a number follows
+    | (\+) | (-) | (\*) | (\() | (\)) | (\S) | (\Z)       # 13-17 the operators, 18 any other character, 19 the end
+    )""",
+    re.VERBOSE,
 )
+_RUN, _SIGN, _ALONE = 1, 2, 10
+_POWER, _EXPONENT, _PLUS, _MINUS, _TIMES, _OPEN, _CLOSE, _BAD, _END = range(11, 20)
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+NESTING = 200  # parentheses nest at most this deep
 
 
-def _number(lexeme: str) -> tuple[str, float]:
-    """The kind, "number" or "imag", and the value of a number's lexeme; a lone 'i' is ("imag", 1.0)."""
-    return "imag" if lexeme.endswith("i") else "number", float(lexeme.removesuffix("i") or "1")
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int, str]]:
-    """(kind, value, position, lexeme) tokens, whitespace skipped, then ("end", None, len(text), "").
-
-    Digits are ASCII only.  A number has at most one decimal point, an
-    optional exponent as repr() of a float writes it, and an optional 'i'
-    suffix that makes it imaginary.  Every literal and letter is in a "run"
-    token whose value is (literal, letters): the literal's signed parts
-    (sign, kind, value), real, imaginary or the real and imaginary part of a
-    '(re+im i)' pair, and the letters' indices.  Besides runs there are only
-    signs, '*', parentheses, and '^' with its exponent, a (kind, value) token.
-    """
-    tokens = []
+def _lexical_error(text: str) -> PolyParseError | None:
+    """The error of the first character of text that starts no token: a bare 'z', a lone '.' or any other."""
     for match in _TOKEN.finditer(text):
-        run, re_sign, re_part, im_sign, im_part, literal, letters, bare, power, exponent, op, bad = match.groups()
-        at = match.start()
-        if run is not None:
-            if re_part is not None:
-                parts = ((re_sign, "number", float(re_part)), (im_sign, "imag", float(im_part)))
-            else:
-                parts = () if literal is None else (("", *_number(literal)),)
-            digits = (letters or bare or "").replace("*", " ").replace("z", " ").split()
-            tokens.append(("run", (parts, tuple(map(int, digits))), at, run))
-        elif op is not None:
-            tokens.append((op, op, at, op))
-        elif power is not None:
-            tokens.append(("^", "^", at, "^"))
-            if exponent is not None:
-                tokens.append((*_number(exponent), match.start("exponent"), exponent))
-        else:  # a bare 'z', a lone '.', or any other character
+        if match.lastindex == _BAD:
+            bad = match[_BAD]
             errors = {"z": "variable name must be z followed by an index", ".": "malformed number"}
-            raise PolyParseError(errors.get(bad, f"unexpected character {bad!r}"), at)
-    tokens.append(("end", None, len(text), ""))
-    return tokens
+            return PolyParseError(errors.get(bad, f"unexpected character {bad!r}"), match.start(_BAD))
+    return None
 
 
-class _Parser:
-    """Recursive descent over the token stream, on {letters: coefficient} term maps.
+def _at(match: re.Match) -> int:
+    """The position of a match's token, after the whitespace before it."""
+    return match.end() - len(match[0].lstrip())
+
+
+def _lexeme(match: re.Match) -> str:
+    """A token's text, for a run its first token: its sign, '(' of a pair, its literal or its first letter."""
+    if match.lastindex != _RUN:
+        return match[0].lstrip()[:1]  # every other token is one character, a power's the '^' before its exponent
+    return match[_SIGN] or ("(" if match[4] is not None else match[7] or f"z{match[9].partition('*')[0]}")
+
+
+class _Reader:
+    """Recursive descent over the _TOKEN matches of a text, on {letters: coefficient} term maps.
 
     Grammar (the product sign is mandatory, juxtaposition is an error):
 
@@ -650,94 +651,115 @@ class _Parser:
     Sums, products, powers and signs go through _add_term, _product, _power and
     _negated (a run's literal is one scalar sum with their bits), and the parse
     ends in FreePolynomial._trusted, as +, -, * and ** do: a parse has their
-    bits and term order by construction.  A run token, the factors
+    bits and term order by construction.  A run's sign is a token of its own,
+    the sum's operator or a factor's sign.  The rest of the run, the factors
     'literal * z_j * ...' or 'z_j * ...', has its letters checked, in order,
-    where it is read; its first primary takes the sign and any power, and the
-    term then multiplies in each further letter.
+    where it is read; its first primary takes the factor's sign, the term
+    multiplies it in and then each further letter, and a '^' after the run
+    takes its last primary as the base.  Parentheses nest at most NESTING deep.
     """
 
-    def __init__(self, tokens, d: int):
-        self.tokens = tokens[::-1]  # the next token is last: tokens[-1] reads it and pop() takes it
-        self.d = d
+    def __init__(self, text: str, d: int):
+        self.matches, self.d, self.depth = _TOKEN.finditer(text), d, 0
+        self.ones = "123456789"[:d]  # the letters of one digit
+        self.match, self.kind = None, _RUN
+        self.take()
 
-    def parse(self) -> FreePolynomial:
-        terms = self.expr()
-        kind, _, position, lexeme = self.tokens.pop()
-        if kind != "end":
-            if kind == "run":  # quote the run's first token: '(' or the literal or the first letter
-                lexeme = "(" if lexeme[0] == "(" else re.split(r"[\s*]", lexeme, maxsplit=1)[0]
-            raise PolyParseError(f"unexpected {lexeme!r}; an operator is required between factors", position)
-        return FreePolynomial._trusted(int(self.d), terms)  # primary() has range-checked every letter
+    def take(self) -> re.Match:
+        """The next token's match, moving to the token after it; the end is never passed."""
+        match = self.match
+        if self.kind != _RUN and match.lastindex == _RUN:  # the run after its sign
+            self.kind = _RUN
+        elif self.kind != _END:
+            self.match = after = next(self.matches)
+            sign = after[_SIGN]  # a run's sign comes before the run
+            self.kind = after.lastindex if sign is None else _MINUS if sign == "-" else _PLUS
+        return match
 
     def expr(self) -> dict:
-        terms = self.term()
-        while self.tokens[-1][0] in ("+", "-"):
-            rhs = self.term() if self.tokens.pop()[0] == "+" else _negated(self.term())
-            for word, coeff in rhs.items():
-                _add_term(terms, word, coeff)
-        return terms
+        terms, negate = {}, False
+        while True:
+            # a run with no sign before it and no '*' or '^' after it is a whole term: its letters times its first primary
+            whole = self.kind == _RUN and self.match[_ALONE] is not None
+            for word, coeff in (_times_letters(*self.run(self.take())) if whole else self.term()).items():
+                _add_term(terms, word, 0j + -coeff if negate else coeff)  # 0j + -c is _negated's
+            if self.kind not in (_PLUS, _MINUS):
+                return terms
+            negate = self.kind == _MINUS
+            self.take()
 
     def term(self) -> dict:
-        """Each factor, then each letter its run token has after the first primary, as '*' takes them one by one."""
-        terms = _times_letters(*self.factor())
-        while self.tokens[-1][0] == "*":
-            self.tokens.pop()
-            factor, letters = self.factor()
-            terms = _times_letters(_product(terms, factor), letters)
-        return terms
+        """The product of the factors from the left, each factor then times each later letter of its run."""
+        terms = None
+        while True:
+            negate = False
+            while self.kind in (_PLUS, _MINUS):
+                negate ^= self.kind == _MINUS
+                self.take()
+            kind, match, letters = self.kind, self.take(), ()
+            if kind == _RUN:
+                base, letters = self.run(match)
+                if letters and self.kind in (_POWER, _EXPONENT):  # the power's base is the run's last letter
+                    base = _negated(base) if negate else base
+                    terms = _times_letters(base if terms is None else _product(terms, base), letters[:-1])
+                    base, letters, negate = {letters[-1:]: 1 + 0j}, (), False
+            elif kind == _OPEN:
+                self.depth += 1
+                if self.depth > NESTING:
+                    raise PolyParseError(f"parentheses nested deeper than {NESTING}", _at(match))
+                base = self.expr()
+                kind, closer = self.kind, self.take()
+                if kind != _CLOSE:
+                    raise PolyParseError("expected ')'", _at(closer))
+                self.depth -= 1
+            else:
+                found = "end of input" if kind == _END else _lexeme(match)
+                raise PolyParseError(f"expected a number, variable, or '(' but found {found!r}", _at(match))
+            while self.kind in (_POWER, _EXPONENT):
+                base = _power(base, self.exponent())
+            base = _negated(base) if negate else base
+            terms = _times_letters(base if terms is None else _product(terms, base), letters)
+            if self.kind != _TIMES:
+                return terms
+            self.take()
 
-    def factor(self) -> tuple[dict, tuple[int, ...]]:
-        negate = False
-        while self.tokens[-1][0] in ("+", "-"):
-            negate ^= self.tokens.pop()[0] == "-"
-        terms, letters = self.primary()
-        while self.tokens[-1][0] == "^":  # only after a run of one primary: the lexer ends a run before a letter under a power
-            self.tokens.pop()
-            terms = _power(terms, self.exponent())
-        return (_negated(terms) if negate else terms), letters
+    def run(self, match: re.Match) -> tuple[dict, tuple[int, ...]]:
+        """The term map of a run's first primary, and the letters after it, all checked against 1..d.
 
-    def primary(self) -> tuple[dict, tuple[int, ...]]:
-        """The first primary's term map, and the letters of its run token after it, all checked against 1..d."""
-        kind, value, position, lexeme = self.tokens.pop()
-        if kind == "run":
-            literal, letters = value
+        The literal is one scalar sum from 0j of its parts, complex(value) or complex(value * 1j), each signed as
+        factor() signs it and added as expr() adds a term: a sum from 0j is never -0.0, so the term maps' 0j + c,
+        their dropped zero part and their restart from 0j after an exact zero change no bit."""
+        re_sign, re_part, im_sign, im_part, literal, after, alone = match.groups()[2:9]
+        digits = after or alone or ""
+        joined = digits.replace("*z", "")
+        if len(digits) == 3 * len(joined) - 2 and not joined.strip(self.ones):  # each letter one digit in 1..d
+            letters = tuple(joined.encode().translate(_DIGIT_VALUES))
+        else:
+            letters = tuple(map(int, digits.split("*z"))) if digits else ()
             if letters and not 1 <= min(letters) <= max(letters) <= self.d:
-                for k, j in enumerate(letters):
-                    self.letter(j, position, lexeme, k)  # raises at the first letter out of range
-            return (self.literal(literal), letters) if literal else ({letters[:1]: 1 + 0j}, letters[1:])
-        if kind == "(":
-            terms = self.expr()
-            closer = self.tokens.pop()
-            if closer[0] != ")":
-                raise PolyParseError("expected ')'", closer[2])
-            return terms, ()
-        raise PolyParseError(f"expected a number, variable, or '(' but found {lexeme or 'end of input'!r}", position)
-
-    @staticmethod
-    def literal(parts) -> dict:
-        """A run's literal: each (sign, kind, value) part a constant term, complex(value) or complex(value * 1j),
-        signed as factor() signs it and added to the parts before it as expr() adds a term.
-
-        One scalar sum from 0j has the term maps' bits: a sum from 0j is never -0.0, so their 0j + c, their dropped
-        zero part and their restart from 0j after an exact zero change none."""
-        total = 0j
-        for sign, kind, value in parts:
-            part = complex(value if kind == "number" else value * 1j)
-            total += -part if sign == "-" else part
-        return {(): total} if total != 0 else {}
-
-    def letter(self, j: int, position: int, lexeme: str, k: int) -> None:
-        """Check zj, the k-th letter of a token at position, against 1..d."""
-        if not 1 <= j <= self.d:
-            at = [i for i, char in enumerate(lexeme) if char == "z"][k]
-            raise PolyParseError(f"variable z{j} outside z1..z{self.d}", position + at)
+                at = [i for i, char in enumerate(match[0], match.start()) if char == "z"]
+                k = next(k for k, j in enumerate(letters) if not 1 <= j <= self.d)  # the first letter out of range
+                raise PolyParseError(f"variable z{letters[k]} outside z1..z{self.d}", at[k])
+        if alone is not None:
+            return {letters[:1]: 1 + 0j}, letters[1:]
+        if re_part is None:
+            value = float(literal.removesuffix("i") or "1")
+            total = 0j + complex(value * 1j if literal[-1] == "i" else value)
+        else:
+            real, imag = complex(float(re_part)), complex(float(im_part) * 1j)
+            total = (0j + (-real if re_sign == "-" else real)) + (-imag if im_sign == "-" else imag)
+        return ({(): total} if total != 0 else {}), letters
 
     def exponent(self) -> int:
-        kind, value, position, lexeme = self.tokens.pop()
-        if kind == "-":
-            raise PolyParseError("negative exponent", position)
-        if kind != "number" or not lexeme.isdigit():
-            raise PolyParseError("exponent must be a nonnegative integer", position)
+        """The exponent after '^': the power token's own number, or else the next token, which is no exponent."""
+        power = self.take()
+        if power.lastindex == _POWER:
+            kind, after = self.kind, self.take()
+            message = "negative exponent" if kind == _MINUS else "exponent must be a nonnegative integer"
+            raise PolyParseError(message, _at(after))
+        lexeme = power[_EXPONENT]
+        if not lexeme.isdigit():
+            raise PolyParseError("exponent must be a nonnegative integer", power.start(_EXPONENT))
         digits = lexeme.lstrip("0")  # more digits than WORD_BUDGET has fail _power's charge: fail before int()
         if len(digits) > len(str(WORD_BUDGET)):
             raise BudgetExceededError(f"an exponent of {len(digits)} digits exceeds the budget {WORD_BUDGET}")
@@ -749,10 +771,22 @@ def parse(text: str, d: int) -> FreePolynomial:
 
     Supported syntax: complex literals (2, 1.5, 2i, 1+2i), the operators
     + - *, integer powers ^k (k-fold product of the base, so (z1*z2)^2 is
-    z1*z2*z1*z2), and parentheses.  Errors carry the offending position.
+    z1*z2*z1*z2), and parentheses.  Errors carry the offending position; a
+    character that starts no token is reported before any other error.
     """
     d = _checked_size(d, "d")
-    return _Parser(_tokenize(text), d).parse()
+    reader = _Reader(text, d)
+    try:
+        terms = reader.expr()
+        if reader.kind != _END:
+            at = reader.match
+            raise PolyParseError(f"unexpected {_lexeme(at)!r}; an operator is required between factors", _at(at))
+    except (PolyParseError, BudgetExceededError):
+        error = _lexical_error(text)
+        if error is not None:
+            raise error from None
+        raise
+    return FreePolynomial._trusted(d, terms)  # run() has range-checked every letter
 
 
 def _parse_finite(text: str, d: int, source: str) -> FreePolynomial:

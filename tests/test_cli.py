@@ -636,6 +636,15 @@ def test_json_header_sizes_must_be_integers(capsys, tmp_path):
         assert err.startswith("error: entries[0][0][0] must be an [re, im] pair of numbers"), err
 
 
+def test_malformed_and_deeply_nested_polynomials_exit_2_naming_a_position(capsys):
+    code, out, err = run(capsys, "eval", "--poly", "2*z1 z2", "--point", "0.5,0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected 'z2'; an operator is required between factors (at position 5)\n"
+    code, out, err = run(capsys, "eval", "--poly", "(" * 400 + "z1" + ")" * 400, "--point", "0.5,0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: parentheses nested deeper than 200 (at position 200)\n"
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -26,12 +26,10 @@ from ncball.freealg import (
     _negated,
     _parse_word,
     _power,
-    _Parser,
     _product,
     _spans,
     _term_sums,
     _times_letters,
-    _tokenize,
     _walk,
     _word_text,
     _word_values,
@@ -549,54 +547,56 @@ def test_parse_takes_ascii_digits_only_and_points_at_the_bad_input():
 
 
 def test_tokenize_table():
-    # text -> its tokens before ("end", None, len(text), ""), or (error, position); every literal and letter is in a
-    # ("run", (literal, letters), position, lexeme) token, its literal the signed parts (sign, kind, value)
+    # text -> each token match before the end as (kind, text, position): a run is one match, its sign if any, then a
+    # '(re+im i)' pair, a literal or a letter, then every letter joined on by a bare '*'; any other spacing splits it
+    kinds = dict(zip((freealg._RUN, freealg._POWER, freealg._EXPONENT, freealg._PLUS, freealg._MINUS, freealg._TIMES,
+                      freealg._OPEN, freealg._CLOSE), ("run", "^", "^", "+", "-", "*", "(", ")")))
     table = {
-        "1e-3i": [("run", ((("", "imag", 1e-3),), ()), 0, "1e-3i")],
-        "2.5E+2": [("run", ((("", "number", 250.0),), ()), 0, "2.5E+2")],
-        "3.": [("run", ((("", "number", 3.0),), ()), 0, "3.")],
-        ".25": [("run", ((("", "number", 0.25),), ()), 0, ".25")],
-        "1.2.3": [("run", ((("", "number", 1.2),), ()), 0, "1.2"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
-        "2.5.3": [("run", ((("", "number", 2.5),), ()), 0, "2.5"), ("run", ((("", "number", 0.3),), ()), 3, ".3")],
-        " z12^2 -\ti": [("run", ((), (12,)), 1, "z12"), ("^", "^", 4, "^"), ("number", 2.0, 5, "2"),
-                        ("-", "-", 7, "-"), ("run", ((("", "imag", 1.0),), ()), 9, "i")],
-        "i": [("run", ((("", "imag", 1.0),), ()), 0, "i")],
-        "i2": [("run", ((("", "imag", 1.0),), ()), 0, "i"), ("run", ((("", "number", 2.0),), ()), 1, "2")],
-        "(2i)*z1": [("(", "(", 0, "("), ("run", ((("", "imag", 2.0),), ()), 1, "2i"), (")", ")", 3, ")"),
-                    ("*", "*", 4, "*"), ("run", ((), (1,)), 5, "z1")],
+        "1e-3i": [("run", "1e-3i", 0)],
+        "2.5E+2": [("run", "2.5E+2", 0)],
+        "3.": [("run", "3.", 0)],
+        ".25": [("run", ".25", 0)],
+        "1.2.3": [("run", "1.2", 0), ("run", ".3", 3)],
+        " z12^2 -\ti": [("run", "z12", 1), ("^", "^2", 4), ("run", "-\ti", 7)],
+        "i2": [("run", "i", 0), ("run", "2", 1)],
+        "(2i)*z1": [("(", "(", 0), ("run", "2i", 1), (")", ")", 3), ("*", "*", 4), ("run", "z1", 5)],
         "": [],
-        # a '(re+im i)' pair, real then imaginary, with the signs format_poly writes and any whitespace
-        "( -0.25 +0.5i) * z2*z10": [
-            ("run", ((("-", "number", 0.25), ("+", "imag", 0.5)), (2, 10)), 0, "( -0.25 +0.5i) * z2*z10")],
-        "2*z1 z2*z1": [("run", ((("", "number", 2.0),), (1,)), 0, "2*z1"), ("run", ((), (2, 1)), 5, "z2*z1")],
-        # a run before '^' is one literal or one letter, and an exponent is never the start of one
-        "12^2": [("run", ((("", "number", 12.0),), ()), 0, "12"), ("^", "^", 2, "^"), ("number", 2.0, 3, "2")],
-        "2^3*z1*z2^2": [("run", ((("", "number", 2.0),), ()), 0, "2"), ("^", "^", 1, "^"), ("number", 3.0, 2, "3"),
-                        ("*", "*", 3, "*"), ("run", ((), (1,)), 4, "z1"), ("*", "*", 6, "*"),
-                        ("run", ((), (2,)), 7, "z2"), ("^", "^", 9, "^"), ("number", 2.0, 10, "2")],
-        "(1-2i) ^ 2": [("run", ((("", "number", 1.0), ("-", "imag", 2.0)), ()), 0, "(1-2i)"), ("^", "^", 7, "^"),
-                       ("number", 2.0, 9, "2")],
-        "(1+2i)^2*z1": [("run", ((("", "number", 1.0), ("+", "imag", 2.0)), ()), 0, "(1+2i)"), ("^", "^", 6, "^"),
-                        ("number", 2.0, 7, "2"), ("*", "*", 8, "*"), ("run", ((), (1,)), 9, "z1")],
-        "z1*z2 ^2": [("run", ((), (1,)), 0, "z1"), ("*", "*", 2, "*"), ("run", ((), (2,)), 3, "z2"),
-                     ("^", "^", 6, "^"), ("number", 2.0, 7, "2")],
-        "2*-z1": [("run", ((("", "number", 2.0),), ()), 0, "2"), ("*", "*", 1, "*"), ("-", "-", 2, "-"),
-                  ("run", ((), (1,)), 3, "z1")],
-        ".": ("malformed number", 0),
-        "1e": ("unexpected character 'e'", 1),
-        "z": ("variable name must be z followed by an index", 0),
-        "#": ("unexpected character '#'", 0),
-        "z1 + .e5": ("malformed number", 5),
-        "2*z1*z": ("variable name must be z followed by an index", 5),
-        "(1+2i)*z1 #": ("unexpected character '#'", 10),
+        # a '(re+im i)' pair as format_poly writes it is a run; with spaces it is a parenthesised sum
+        "(-0.25+0.5i)*z2*z10": [("run", "(-0.25+0.5i)*z2*z10", 0)],
+        "( -0.25 +0.5i) * z2*z10": [("(", "(", 0), ("run", "-0.25", 2), ("run", "+0.5i", 8), (")", ")", 13),
+                                    ("*", "*", 15), ("run", "z2*z10", 17)],
+        "2*z1 z2*z1": [("run", "2*z1", 0), ("run", "z2*z1", 5)],
+        "z1 *\x1cz2*z01": [("run", "z1", 0), ("*", "*", 3), ("run", "z2*z01", 5)],
+        # a run takes a letter under a power too, and an exponent is never the start of one
+        "12^2": [("run", "12", 0), ("^", "^2", 2)],
+        "2^3*z1*z2^2": [("run", "2", 0), ("^", "^3", 1), ("*", "*", 3), ("run", "z1*z2", 4), ("^", "^2", 9)],
+        "(1-2i) ^ 2": [("run", "(1-2i)", 0), ("^", "^ 2", 7)],
+        "z1*z2 ^2": [("run", "z1*z2", 0), ("^", "^2", 6)],
+        "z1^-2": [("run", "z1", 0), ("^", "^", 2), ("run", "-2", 3)],
+        # a sign before a run is in its match, a sign before anything else a token of its own
+        "2*-z1": [("run", "2", 0), ("*", "*", 1), ("run", "-z1", 2)],
+        "1 - -z1 + (z2)": [("run", "1", 0), ("-", "-", 2), ("run", "-z1", 4), ("+", "+", 8), ("(", "(", 10),
+                           ("run", "z2", 11), (")", ")", 13)],
     }
     for text, want in table.items():
-        if isinstance(want, list):
-            assert _tokenize(text) == [*want, ("end", None, len(text), "")], text
-            continue
+        matches = list(freealg._TOKEN.finditer(text))
+        assert matches[-1].lastindex == freealg._END and matches[-1].start(freealg._END) == len(text), text
+        got = [(kinds[m.lastindex], m[0].lstrip(), freealg._at(m)) for m in matches[:-1]]
+        assert got == want, text
+    # a character that starts no token is reported before any other error
+    for text, message, position in (
+        (".", "malformed number", 0),
+        ("1e", "unexpected character 'e'", 1),
+        ("z", "variable name must be z followed by an index", 0),
+        ("#", "unexpected character '#'", 0),
+        ("z1 + .e5", "malformed number", 5),
+        ("2*z1*z", "variable name must be z followed by an index", 5),
+        ("(1+2i)*z1 #", "unexpected character '#'", 10),
+        ("z9 z1 (( #", "unexpected character '#'", 9),
+    ):
         with pytest.raises(PolyParseError) as info:
-            _tokenize(text)
-        assert (str(info.value), info.value.position) == (f"{want[0]} (at position {want[1]})", want[1]), text
+            parse(text, 2)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), text
 
 
 def test_parse_rejects_juxtaposed_number_and_variable():
@@ -925,8 +925,60 @@ def parse_outcome(parser, text, d):
 @example("(1-2i) ^ 2*z1", 2)
 @example("i^i", 2)
 @example("2*z1*z2^2*z1", 2)
+@example("2*z1 *\tz2* z1 + z2\t*z1 - (0.5+0.25i)*z1 * z2", 2)  # spaces and tabs between the letters of a run
+@example("2*z1*z2^2 - (1-2i)*z2*z1^3 + z1*z2^0 - 1e400*z1*z2^2", 2)  # a letter under a power ends a run
+@example("2*z1^2*z2 - z1*z2^2*z1 + (0.5-0.5i)*z2^3*z1*z2", 2)  # a letter under a power in the middle of one
+@example("2^3*z1 + (1+2i)^2*z2 - 1e400^2*z1 + i^3 - -2^2", 2)  # a literal under a power
+@example("z01*z2^007 - 3*z02*z001 + z1^00", 2)
+@example("z1*z2^2000 + 1", 2)  # an exponent past the budget
+@example("(z1 + z2)^1000", 2)
+@example("1e400*z1 - (1e400-1e400i)*z2*z1 + 1e400i*z2 -1e400*z1*z1 - -1e400i + (-1e400+1e400i)", 2)
+@example("(0.5-0.25i)*z1*z#2 + 1", 2)  # a foreign character inside a run
+@example("2*z1*z2\u00b2*z1", 2)
+@example("(1+2i)*z1*z\uff12", 2)
+@example("z1 -z2 +-z1 - -2*z2 -(1+2i)*z1 -1e400*z2", 2)  # a sign before a run: the sum's operator or the factor's
+@example("z1^-2", 2)
+@example("z1^+2", 2)
+@example("(z1 -z2)*z1 -(z2)", 2)
 def test_parse_matches_the_character_token_parser_bitwise(text, d):
     assert parse_outcome(parse, text, d) == parse_outcome(ref_parse, text, d), text
+
+
+def test_machine_written_text_parses_as_the_character_token_parser_bitwise():
+    # 600 terms as the benchmark writes them, '(re+im i)*z*...', then format_poly's text of a polynomial on the same
+    # words with pair, real, imaginary and unit coefficients and a negative constant first
+    rng = np.random.default_rng(48)
+    texts = []
+    for _ in range(600):
+        letters = "".join(f"*z{letter}" for letter in rng.integers(1, 3, size=rng.integers(0, 13)))
+        re_part, im_part = rng.uniform(-1.0, 1.0, 2)
+        texts.append(f"({re_part:.3f}{im_part:+.3f}i){letters}")
+    benchmark = " + ".join(texts)
+    p = parse(benchmark, 2)
+    forms = [lambda c: c, lambda c: c.real, lambda c: 1j * c.imag, lambda c: 1.0, lambda c: -1.0, lambda c: -1j]
+    q = FreePolynomial(2, {**{w: forms[i % len(forms)](c) for i, (w, c) in enumerate(p.terms.items())}, (): -2.5})
+    formatted = format_poly(q)
+    assert formatted.startswith("-2.5 + ") and parse(formatted, 2) == q
+    for text in (benchmark, formatted):
+        assert parse_outcome(parse, text, 2) == parse_outcome(ref_parse, text, 2)
+
+
+def test_parentheses_nest_at_most_the_stated_depth():
+    assert freealg.NESTING == 200
+    assert parse("(" * 200 + "z1" + ")" * 200, 2) == z(1)
+    assert parse("z1*(" * 200 + "z2" + ")" * 200, 2) == z(1) ** 200 * z(2)
+    for text, position in (
+        ("(" * 201 + "z1" + ")" * 201, 200),
+        ("(" * 400 + "z1" + ")" * 400, 200),
+        ("z1 + " + "( -z1 * " * 250 + "z2" + ")" * 250, 5 + 200 * 8),
+        ("(" * 400, 200),
+    ):
+        with pytest.raises(PolyParseError) as info:
+            parse(text, 2)
+        assert (str(info.value), info.value.position) == (
+            f"parentheses nested deeper than 200 (at position {position})", position), text[:20]
+    with pytest.raises(PolyParseError, match=r"unexpected character '#' \(at position 402\)"):
+        parse("(" * 400 + "z1#", 2)  # a character that starts no token is still reported first
 
 
 def test_format_examples():
@@ -1345,6 +1397,19 @@ def test_term_sums_are_the_per_term_fold_bitwise(case, budget, numbers):
         assert got.tobytes() == want.tobytes() and chunked.tobytes() == want.tobytes()
 
 
+def test_quotient_column_flattens_its_quotients_once():
+    p = parse("z1*z2*z1 - 0.5*z2*z2 + (0.3+0.2i)*z2*z1*z2*z2", 2)
+    xs = np.random.default_rng(4).normal(size=(3, 2, 2, 2)) + 0j
+    with mock.patch.object(FreePolynomial, "sorted_terms", autospec=True, side_effect=FreePolynomial.sorted_terms) as sort:
+        column = QuotientColumn(p, 2)
+        built = sort.call_count
+        values, failed = column.eval_batch(xs)
+        column.eval(MatrixTuple(xs[0]))
+    assert built > 0 and sort.call_count == built
+    assert column == QuotientColumn(p, 2) and "terms" not in repr(column)
+    assert same_bits(values, np.concatenate([ref_poly_value(q, xs) for q in left_divide(p, 2).values()], axis=1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(words(d), special_coeffs, max_size=10))),
@@ -1435,5 +1500,13 @@ LITERAL_VALUES = st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 2.5, 1e308, float(
 @example((("", "number", 1.0), ("-", "imag", 0.0)))
 @example((("-", "number", float("inf")), ("+", "imag", float("inf"))))
 def test_literal_fold_is_the_term_map_fold_bitwise(parts):
-    got, want = _Parser.literal(parts), ref_literal(parts)
+    def number(value):
+        return "1e400" if value == float("inf") else repr(value)
+
+    if len(parts) == 1:
+        text = number(parts[0][2]) + ("i" if parts[0][1] == "imag" else "")
+    else:
+        (re_sign, _, re_value), (im_sign, _, im_value) = parts
+        text = f"({re_sign}{number(re_value)}{im_sign}{number(im_value)}i)"
+    got, want = parse(text, 1).terms, ref_literal(parts)
     assert [(w, bits(c)) for w, c in got.items()] == [(w, bits(c)) for w, c in want.items()]
