@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .freealg import _parse_finite, _parse_word, _word_text, parse
-from .mattuple import MatrixTuple, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
+from .mattuple import MatrixTuple, _checked_size, _unit_disk_points, complex_to_json, point_from_dict, to_point_dict
 from .ncdiff import delta_first, tt_check
 from .opball import BALL_FORMS, ball_from_shorthand, membership
 from .probe import (
@@ -271,14 +271,13 @@ def _cmd_variety(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    samples = _checked_size(args.samples, "--samples")
     f = BUILTIN_REALIZATIONS["ex52"]()
     rng = np.random.default_rng(args.seed)
     print(f"# ncball {__version__} seed={args.seed}")
     print(f"{'x1':>24} {'x2':>24} {'realization':>24} {'closed form':>24} {'|diff|':>12}")
     worst = 0.0
-    for _ in range(args.samples):
+    for _ in range(samples):
         x1, x2 = _unit_disk_points(rng, 2)
         via_eval = complex(f.eval(MatrixTuple.scalars((x1, x2)))[0, 0])
         closed = bidisk_witness_closed_form(x1, x2)

@@ -493,11 +493,6 @@ class FreePolynomial(NCFunction):
     def __pow__(self, k: int):
         return FreePolynomial._trusted(self.d, _power(self.terms, _checked_size(k, "exponent", 0)))
 
-    def __eq__(self, other):
-        if not isinstance(other, FreePolynomial):
-            return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.d, frozenset(self.terms.items())))
 
@@ -528,8 +523,8 @@ def left_divide(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomi
     low = next((w for w in p.terms if len(w) < n), None)
     if low is not None:
         raise ValueError(f"word {_word_text(low, p.d)!r} of size {len(low)} < {n}: p is not left-divisible")
-    heads, quotients, zero = words_of_size(p.d, n), _left_quotients(p, n), FreePolynomial.zero(p.d)
-    return {head: quotients.get(head, zero) for head in heads}
+    heads, tails, zero = words_of_size(p.d, n), _quotient_terms(p.terms.items(), n), FreePolynomial.zero(p.d)
+    return {head: FreePolynomial._trusted(p.d, dict(tails[head])) if head in tails else zero for head in heads}
 
 
 @dataclass(frozen=True)
@@ -568,13 +563,6 @@ def _quotient_terms(terms, n: int) -> dict[tuple[int, ...], list]:
     return {head: pieces[head] for head in sorted(pieces)}
 
 
-def _left_quotients(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomial]:
-    """The nonzero quotients f_w of the part of p of size >= n, keyed by the letters of w in length-lex order.
-
-    Each quotient keeps its terms in the order of p's terms."""
-    return {head: FreePolynomial._trusted(p.d, dict(tails)) for head, tails in _quotient_terms(p.terms.items(), n).items()}
-
-
 def compose(p: FreePolynomial, inner) -> FreePolynomial:
     """Substitute inner[j-1] for zj in p; the inner polynomials share one d."""
     inner = list(inner)
@@ -603,15 +591,14 @@ _TOKEN = re.compile(
         (?: (?: \(([+-]?)({_NUMBER})([+-])({_NUMBER})i\) # 3-6 the signs and numbers of a '(re+im i)' pair
               | ({_NUMBER}i?|i) )                        # 7 or a real or imaginary literal or 'i',
             (?:\*z([0-9]+(?:\*z[0-9]+)*))?              # 8 and the digits of its letters, each after a bare '*z',
-          | z([0-9]+(?:\*z[0-9]+)*) )                    # 9 or those of letters alone
-        (?:(?!\s*[*^])())? )                            # 10 empty if no '*' or '^' follows: the run is a whole term
-    | (\^)\s*({_NUMBER}i?)?                             # 11 '^', 12 its exponent if a number follows
-    | (\+) | (-) | (\*) | (\() | (\)) | (\S) | (\Z)       # 13-17 the operators, 18 any other character, 19 the end
+          | z([0-9]+(?:\*z[0-9]+)*) ) )                  # 9 or those of letters alone
+    | (\^)\s*({_NUMBER}i?)?                             # 10 '^', 11 its exponent if a number follows
+    | (\+) | (-) | (\*) | (\() | (\)) | (\S) | (\Z)       # 12-16 the operators, 17 any other character, 18 the end
     )""",
     re.VERBOSE,
 )
-_RUN, _SIGN, _ALONE = 1, 2, 10
-_POWER, _EXPONENT, _PLUS, _MINUS, _TIMES, _OPEN, _CLOSE, _BAD, _END = range(11, 20)
+_RUN, _SIGN = 1, 2
+_POWER, _EXPONENT, _PLUS, _MINUS, _TIMES, _OPEN, _CLOSE, _BAD, _END = range(10, 19)
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 NESTING = 200  # parentheses nest at most this deep
 
@@ -632,10 +619,10 @@ def _at(match: re.Match) -> int:
 
 
 def _lexeme(match: re.Match) -> str:
-    """A token's text, for a run its first token: its sign, '(' of a pair, its literal or its first letter."""
+    """A token's text, for a run its first token after its sign: '(' of a pair, its literal or its first letter."""
     if match.lastindex != _RUN:
         return match[0].lstrip()[:1]  # every other token is one character, a power's the '^' before its exponent
-    return match[_SIGN] or ("(" if match[4] is not None else match[7] or f"z{match[9].partition('*')[0]}")
+    return "(" if match[4] is not None else match[7] or f"z{match[9].partition('*')[0]}"
 
 
 class _Reader:
@@ -679,9 +666,7 @@ class _Reader:
     def expr(self) -> dict:
         terms, negate = {}, False
         while True:
-            # a run with no sign before it and no '*' or '^' after it is a whole term: its letters times its first primary
-            whole = self.kind == _RUN and self.match[_ALONE] is not None
-            for word, coeff in (_times_letters(*self.run(self.take())) if whole else self.term()).items():
+            for word, coeff in self.term().items():
                 _add_term(terms, word, 0j + -coeff if negate else coeff)  # 0j + -c is _negated's
             if self.kind not in (_PLUS, _MINUS):
                 return terms

@@ -21,7 +21,6 @@ from ncball.freealg import (
     QuotientColumn,
     _add_term,
     _checked_letters,
-    _left_quotients,
     _monomials,
     _negated,
     _parse_word,
@@ -367,6 +366,16 @@ def test_foreign_operands_are_handed_back_to_python():
 
 def test_polynomial_repr_is_its_text():
     assert repr(parse("z1*z2 - (1+2i)*z2^2 + 0.5", 2)) == "FreePolynomial(d=2, '0.5 + z1*z2 + (-1.0-2.0i)*z2*z2')"
+
+
+def test_polynomials_are_equal_by_d_and_terms_in_any_order():
+    p = FreePolynomial(2, {(1,): 1.0, (2, 1): 2j, (): 0.5})
+    same = FreePolynomial(2, {(): 0.5, (2, 1): 2j, (1,): 1.0})
+    assert p == same and not p != same and list(p.terms) != list(same.terms)
+    assert p != FreePolynomial(3, p.terms) and FreePolynomial.zero(2) != FreePolynomial.zero(3)
+    # a foreign operand is handed back to Python, which falls back to identity
+    assert (p == 0) is False and (p == "z1") is False and (p == None) is False and (p != 0) is True  # noqa: E711
+    assert hash(p) == hash(same) and {p: "p"}[same] == "p" and same in {p}
 
 
 def test_dimension_mismatch_raises():
@@ -1275,12 +1284,12 @@ def test_taylor_polynomial_matches_the_public_constructor_bitwise(d, n, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(edge_polys), st.integers(1, 3))
 def test_left_quotients_match_the_public_constructor_bitwise(p, n):
-    got = _left_quotients(p, n)
-    heads = sorted({w[:n] for w in p.terms if len(w) >= n})
-    assert list(got) == heads
-    for head in heads:
+    got = left_divide(FreePolynomial(p.d, {w: c for w, c in p.terms.items() if len(w) >= n}), n)
+    assert list(got) == list(words_of_size(p.d, n))
+    for head, quotient in got.items():
         tails = {w[n:]: c for w, c in p.terms.items() if w[:n] == head}
-        assert_same_bits(got[head], FreePolynomial(p.d, tails))
+        assert_same_bits(quotient, FreePolynomial(p.d, tails))
+        assert tails or quotient == FreePolynomial.zero(p.d)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1295,11 +1304,11 @@ def test_parse_operators_and_taylor_polynomial_build_no_word():
     p = parse("(z1 + 2*z2)^3 - z2*z1 + (0.5-1i)", 2)
     q = compose(p * p - 2 * p + (-p) ** 2 - z1 * 0.5, (z2, z1 + z2))
     parts = [homogeneous_component(q, k) for k in range(q.degree + 1)]
-    quotients = _left_quotients(q, 3)
+    quotients = left_divide(FreePolynomial(2, {w: c for w, c in q.terms.items() if len(w) >= 3}), 3)
     text, report = format_poly(q), tt_check(q, x, 4)
     taylor = taylor_polynomial(f, 12)
     assert functools.reduce(operator.add, parts) == q and parse(text, 2) == q
-    assert list(quotients) == sorted({w[:3] for w in q.terms if len(w) >= 3}) and report.passed
+    assert [w for w, f in quotients.items() if f] == sorted({w[:3] for w in q.terms if len(w) >= 3}) and report.passed
     assert len(taylor.terms) == 2**12 - 2  # every word of size < 12 but the empty one, as ex52 has A = 0
 def test_expansions_past_the_word_budget_raise_before_they_start():
     with pytest.raises(BudgetExceededError, match="1024 x 1024 term products exceed the budget 1000000"):
