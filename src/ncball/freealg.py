@@ -529,18 +529,18 @@ def left_divide(p: FreePolynomial, n: int) -> dict[tuple[int, ...], FreePolynomi
 
 @dataclass(frozen=True)
 class QuotientColumn(NCFunction):
-    """col(f_w(X)) of left-division quotients of a polynomial with no low words."""
+    """col(g_w(X)) over the words w of size N = size, each g_w cut from p's words of size >= N as tt_check cuts it."""
 
     p: FreePolynomial
     size: int
-    # the length-lex terms of each f_w, over all words w of the size in length-lex order, one list after another,
-    # and the span of each f_w in it: divided out and flattened once, when the column is built
+    # the length-lex terms of each g_w, over all words w of the size in length-lex order, one list after another,
+    # and the span of each g_w in it: cut out and flattened once, when the column is built
     terms: list = field(init=False, repr=False, compare=False)
     spans: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        quotients = left_divide(self.p, _checked_size(self.size, "size")).values()
-        terms, spans = _spans([q.sorted_terms() for q in quotients])
+        pieces = _quotient_terms(self.p.sorted_terms(), _checked_size(self.size, "size"))
+        terms, spans = _spans([pieces.get(head, []) for head in words_of_size(self.p.d, self.size)])
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "spans", spans)
 

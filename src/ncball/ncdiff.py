@@ -86,8 +86,8 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """Verify f(X) = sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X) at X.
 
     Works for realizations (g_w are remainder factors) and for polynomials
-    (g_w come from exact left division of the high part, for the heads that
-    occur), each through its ``_truncation``, which gives both sides, the
+    (g_w are cut from the terms of the high part, of size >= N, for the heads
+    that occur), each through its ``_truncation``, which gives both sides, the
     left with the bits of f.eval(x); any other f raises TypeError.  A
     realization solves its resolvent once for both sides, and a polynomial
     walks the prefixes of its words once.  The tail is added in length-lex

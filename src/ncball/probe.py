@@ -130,7 +130,7 @@ def _check_seeder() -> None:
 def _sample_stack(
     ball: Pencil, n: int, margins, rng: np.random.Generator, states: list[tuple[int, int]] | None = None
 ) -> np.ndarray:
-    """One Gaussian draw per margin, rescaled so that ||Q(X)|| = 1 - its margin.
+    """One Gaussian draw per margin, each in (0, 1) unchecked, rescaled so that ||Q(X)|| = 1 - its margin.
 
     Returns a (B, d, n, n) stack.  Point i is drawn by rng, whose PCG64 is
     first set to states[i] when states are given; one standard_normal fills
@@ -138,9 +138,6 @@ def _sample_stack(
     it keeps its bits in any stack.  The pencil's coefficients are independent,
     so ||Q(X)|| = 0 only at X = 0: a draw of all zeros raises RuntimeError.
     """
-    for margin in margins:
-        if not 0.0 < margin < 1.0:
-            raise ValueError(f"margin must be in (0, 1), got {margin}")
     bit_generator = rng.bit_generator
     buf = np.empty((len(margins), 2, ball.d, n, n))
     for i in range(len(margins)):
@@ -174,6 +171,8 @@ def _sample_chunks(ball: Pencil, n: int, draws, size: int) -> Iterator[np.ndarra
 
 def sample_in_ball(ball: Pencil, n: int, margin: float, rng: np.random.Generator) -> MatrixTuple:
     """A Gaussian draw rescaled so that ||Q(X)|| = 1 - margin: the sampler's batch of one."""
+    if not 0.0 < margin < 1.0:
+        raise ValueError(f"margin must be in (0, 1), got {margin}")
     return MatrixTuple(_sample_stack(ball, _checked_size(n, "level"), [margin], rng)[0])
 
 
@@ -258,7 +257,7 @@ def estimate_sup(
     if not isinstance(f, NCFunction):
         raise TypeError(f"cannot probe an object of type {type(f).__name__}")
     budget, n = _checked_size(budget, "budget"), _checked_size(n, "level")
-    if margin is not None and not 0.0 < margin < 1.0:  # the sampler's check, before the corner-path pool
+    if margin is not None and not 0.0 < margin < 1.0:  # before the corner-path pool
         raise ValueError(f"margin must be in (0, 1), got {margin}")
     seed = _checked_size(seed, "seed", 0)  # before the pool, which can fill the multistart and leave nothing drawn
     _check_ball_d(f, ball)
@@ -538,8 +537,8 @@ def regularity_factors(f, order: int, ball: Pencil, n: int, budget: int, seed: i
     """Estimate sup||row(X^w)|| and sup||col(g_w(X))|| over words of size N.
 
     Each factor gets the full sample budget.  The column stacks remainder
-    factors for a realization, or left-division quotients for a polynomial
-    whose words all have size >= N.
+    factors for a realization, or for a polynomial the quotients g_w cut
+    from its high part, the part of size >= N, as tt_check cuts them.
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)

@@ -234,7 +234,7 @@ def test_integer_argument_alphabet_size_of_a_word_walk():
 
 
 def test_integer_argument_quotient_column_names_its_size():
-    with mock.patch.object(freealg, "left_divide", side_effect=AssertionError("divided")):
+    with mock.patch.object(freealg, "_quotient_terms", side_effect=AssertionError("cut")):
         with pytest.raises(ValueError, match=r"^size must be >= 1, got 0$"):
             QuotientColumn(parse("z1*z2", 2), 0)
 
@@ -247,7 +247,7 @@ def test_a_word_size_must_be_an_integer():
             walk_levels(2, size, column)
         with pytest.raises(ValueError, match=rf"^word size k must be an integer, got {shown}$"):
             words_of_size(2, size)
-        with mock.patch.object(freealg, "left_divide", side_effect=AssertionError("divided")):
+        with mock.patch.object(freealg, "_quotient_terms", side_effect=AssertionError("cut")):
             with pytest.raises(ValueError, match=rf"^size must be an integer, got {shown}$"):
                 QuotientColumn(parse("z1*z2", 2), size)
     # numpy integers are integers, and a size of -1 still walks nothing

@@ -10,9 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncball import probe
-from ncball.freealg import BATCH_BYTES, BudgetExceededError, FreePolynomial, NCFunction, eval_word, parse, words_of_size
+from ncball.freealg import (
+    BATCH_BYTES,
+    BudgetExceededError,
+    FreePolynomial,
+    NCFunction,
+    QuotientColumn,
+    eval_word,
+    homogeneous_component,
+    parse,
+    words_of_size,
+)
 from ncball.mattuple import MatrixTuple, _spectral_norms
-from ncball.ncdiff import delta_first
+from ncball.ncdiff import delta_first, tt_check
 from ncball.opball import BallMembership, Pencil, membership, polydisk, row_ball
 from ncball.probe import (
     BOUNDARY_THRESHOLD,
@@ -31,6 +41,7 @@ from ncball.probe import (
 )
 from ncball.realize import Realization, RemainderColumn, bidisk_witness
 from test_ncdiff import ref_remainder_values
+from test_probe_pins import report_digest
 
 BALL = polydisk(2)
 
@@ -391,6 +402,48 @@ def test_quotient_column_of_a_monomial():
 def test_zero_polynomial_has_zero_column():
     report = regularity_factors(FreePolynomial.zero(2), 1, BALL, 1, 100, 0)
     assert report.col_factor == 0.0
+
+
+def poly_with_low_words(rng, d: int, size: int) -> FreePolynomial:
+    """Up to 8 seeded terms of sizes 0..size + 2, with a constant term and a linear one, so some word is below size."""
+    words = [tuple(rng.integers(1, d + 1, rng.integers(0, size + 3)).tolist()) for _ in range(rng.integers(0, 7))]
+    terms = {w: complex(*rng.normal(size=2)) for w in [(), (d,), *words]}
+    return FreePolynomial(d, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_regularity_split_is_the_tt_check_split(d, size, level, seed):
+    # p = sum_{k<N} p_k + row(X^w) col(g_w) for any p, low words and all: the column holds the g_w tt_check adds
+    rng = np.random.default_rng(seed)
+    p = poly_with_low_words(rng, d, size)
+    x = MatrixTuple(0.5 * (rng.normal(size=(d, level, level)) + 1j * rng.normal(size=(d, level, level))))
+    low = sum(homogeneous_component(p, k).eval(x) for k in range(size))
+    split = low + MonomialRow(d, size).eval(x) @ QuotientColumn(p, size).eval(x)
+    radius = max(1.0, *(np.linalg.norm(entry, 2) for entry in x.entries))
+    scale = sum(abs(c) * radius ** len(w) for w, c in p.terms.items())
+    assert np.abs(p.eval(x) - split).max() <= 1e-13 * scale
+    assert np.abs(tt_check(p, x, size).rhs - split).max() <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_column_of_a_polynomial_is_the_column_of_its_high_part_bitwise(d, size, count, level, seed):
+    rng = np.random.default_rng(seed)
+    p = poly_with_low_words(rng, d, size)
+    high = FreePolynomial(d, {w: c for w, c in p.terms.items() if len(w) >= size})
+    xs = rng.normal(size=(count, d, level, level)) + 1j * rng.normal(size=(count, d, level, level))
+    got, want = QuotientColumn(p, size).eval_batch(xs), QuotientColumn(high, size).eval_batch(xs)
+    assert got[0].tobytes() == want[0].tobytes() and not got[1].any() and not want[1].any()
+
+
+def test_regularity_factors_take_a_polynomial_with_low_words_bitwise():
+    # the column of 1 + z1 z2 + 0.5 z2 z1 z1 is that of its high part, so its probe report is too
+    texts = ("1 + z1*z2 + 0.5*z2*z1*z1", "z1*z2 + 0.5*z2*z1*z1")
+    low, high = (regularity_factors(parse(text, 2), 2, BALL, 1, 200, 0) for text in texts)
+    assert report_digest(low.col) == report_digest(high.col)
+    assert report_digest(low.row) == report_digest(high.row)
+    assert low.col_factor == high.col_factor > 1.0
 
 
 def test_row_and_column_targets_stack_words_in_length_lex_order():
