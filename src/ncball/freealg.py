@@ -216,10 +216,6 @@ class NCFunction:
         if x.d != self.d:
             raise ValueError(f"{type(self).__name__} in d={self.d} variables evaluated at a {x.d}-tuple")
 
-    def _label(self) -> str:
-        """The target name of a probe report."""
-        return type(self).__name__
-
     def _truncation(self, x, order: int) -> tuple[np.ndarray, np.ndarray]:
         """(f(X), sum_{|v|<N} c_v X^v + sum_{|w|=N} X^w g_w(X)) at a MatrixTuple x, N = order >= 1: tt_check's sides.
 
@@ -418,9 +414,6 @@ class FreePolynomial(NCFunction):
         """sum_w c_w x^w at each point of a stack, every x^w from one walk over the terms' prefixes; never fails."""
         shape = (len(xs), *xs.shape[-2:])
         return _term_sums(_word_values(xs, self.terms), self.sorted_terms(), [(0, len(self.terms))], shape)[0], {}
-
-    def _label(self) -> str:
-        return f"poly:{self}"
 
     def _truncation(self, x, order: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_d(x)

@@ -266,6 +266,14 @@ def _checked_size(value, name: str, least: int = 1) -> int:
     return value
 
 
+def _checked_tol(tol) -> float:
+    """tol as a float, a finite real number >= 0: like _checked_int, it takes no bool, nor a numpy bool."""
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, (bool, np.bool_))
+    if not (real and 0.0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    return float(tol)
+
+
 def to_point_dict(x: MatrixTuple) -> dict:
     return {"n": x.n, "d": x.d, "entries": complex_to_json(x.entries)}
 

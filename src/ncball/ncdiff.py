@@ -12,13 +12,12 @@ difference noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .freealg import NCFunction, _no_split
-from .mattuple import MatrixTuple, _checked_size, _spectral_norm
+from .mattuple import MatrixTuple, _checked_size, _checked_tol, _spectral_norm
 
 
 def pair_point(a, b, h) -> MatrixTuple:
@@ -96,9 +95,7 @@ def tt_check(f, x: MatrixTuple, order: int, tol: float = 1e-9) -> TTReport:
     """
     if not isinstance(f, NCFunction):
         raise _no_split(f)
-    order = _checked_size(order, "order")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    order, tol = _checked_size(order, "order"), _checked_tol(tol)
     lhs, rhs = f._truncation(x, order)
     defect = _spectral_norm(lhs - rhs)
     return TTReport(lhs=lhs, rhs=rhs, defect=defect, tol=tol)

@@ -252,7 +252,8 @@ def estimate_sup(
     records only the candidates it would have tried one at a time, the report
     is the same as that of a search evaluating one point at a time.
 
-    Passing ``margin`` draws every multistart sample at that one margin.
+    Passing ``margin`` draws every multistart sample at that one margin.  The report names f by
+    ``target_label``, or by ``repr(f)`` without one.
     """
     if not isinstance(f, NCFunction):
         raise TypeError(f"cannot probe an object of type {type(f).__name__}")
@@ -262,7 +263,7 @@ def estimate_sup(
     seed = _checked_size(seed, "seed", 0)  # before the pool, which can fill the multistart and leave nothing drawn
     _check_ball_d(f, ball)
     report = ProbeReport(
-        target=target_label if target_label is not None else f._label(),
+        target=target_label if target_label is not None else repr(f),
         ball=ball_shorthand(ball) or f"pencil(d={ball.d},p={ball.p},q={ball.q})",
         level=n,
         budget=budget,

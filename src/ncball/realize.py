@@ -244,9 +244,6 @@ class Realization(NCFunction):
             out = out + (1.0 - k / n_terms) * term
         return out
 
-    def _label(self) -> str:
-        return f"realization(d={self.d},m={self.m},{self.mode})"
-
     def _truncation(self, x: MatrixTuple, order: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_d(x)
         bd_lam, res, errors = self._resolvent(x.entries[None])  # the one lift and solve: f(x), f_k(x) and every g_w

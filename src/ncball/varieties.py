@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freealg import FreePolynomial, _parse_finite
-from .mattuple import MatrixTuple, _checked_size, _spectral_norm, _unit_disk_points
+from .mattuple import MatrixTuple, _checked_size, _checked_tol, _spectral_norm, _unit_disk_points
 from .opball import Pencil, ball_from_shorthand, ball_shorthand, membership, pencil_from_dict, pencil_to_dict, polydisk
 
 VARIETY_TOL = 1e-10
@@ -37,19 +37,18 @@ class AlgebraicVariety:
 
 
 def variety_membership(variety: AlgebraicVariety, x: MatrixTuple, tol: float = VARIETY_TOL) -> bool:
-    """True iff x is strictly inside the ambient ball and kills every generator, to within a finite tol >= 0."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    """True iff x is strictly inside the ambient ball and generator_defect(variety, x) <= tol, a finite tol >= 0."""
+    tol = _checked_tol(tol)
     if x.d != variety.d:
         raise ValueError(f"point with d={x.d} tested against a variety with d={variety.d}")
     if not membership(variety.ambient, x).is_inside:
         return False
-    return all(_spectral_norm(g.eval(x)) <= tol for g in variety.generators)
+    return generator_defect(variety, x) <= tol
 
 
 def generator_defect(variety: AlgebraicVariety, x: MatrixTuple) -> float:
-    """max over generators of ||g(x)||, the quantity membership thresholds; 0.0 with no generators."""
-    return max((_spectral_norm(g.eval(x)) for g in variety.generators), default=0.0)
+    """max over generators of ||g(x)||, the number membership thresholds: NaN if any is, 0.0 with no generators."""
+    return float(np.max([_spectral_norm(g.eval(x)) for g in variety.generators], initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ depend on the stack it sits in, nor on its neighbours' failures.
 ``TARGETS`` is the registry of kinds, and the suite runs over all of it: the
 per-sample bits at any stack size, the empty stack, direct sums block by
 block and bit for bit, similarities to a tolerance, the pencil certificate
-keeping every bit, and the one error at a point of the wrong d.  The kinds
-that split (``SPLIT_TARGETS``) also give both sides of ``tt_check`` bit for
-bit.  A new kind is one ``TARGETS`` entry.
+keeping every bit, the one error at a point of the wrong d, and the repr
+that names an unlabeled probe report.  The kinds that split
+(``SPLIT_TARGETS``) also give both sides of ``tt_check`` bit for bit.  A new
+kind is one ``TARGETS`` entry.
 """
 
 from unittest import mock
@@ -399,6 +400,14 @@ def test_eval_at_a_point_of_the_wrong_d_raises_one_error(name):
     with pytest.raises(ValueError) as info:
         f.eval(MatrixTuple.zeros(f.d + 1, 2))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_an_unlabeled_probe_report_names_its_target_by_repr(name):
+    # every kind has one name, its repr, and a caller's label wins over it
+    f, ball, _ = target(name, np.random.default_rng(0))
+    assert estimate_sup(f, ball, 1, 4, 0).target == repr(f)
+    assert estimate_sup(f, ball, 1, 4, 0, target_label="mine").target == "mine"
 
 
 # ---------------------------------------------------------------------------

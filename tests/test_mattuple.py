@@ -1,9 +1,12 @@
 """Matrix tuples, the fixed-order kernels, and the structural operations."""
 
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncball.freealg import eval_word, parse
 from ncball.mattuple import (
@@ -16,6 +19,9 @@ from ncball.mattuple import (
     sup_norm,
     to_point_dict,
 )
+from ncball.ncdiff import tt_check
+from ncball.realize import bidisk_witness
+from ncball.varieties import parabola_cubic_pair, variety_membership
 
 
 def random_tuple(rng, d, n, scale=1.0):
@@ -39,6 +45,22 @@ def test_integer_argument_zeros_refuses_a_bad_shape_by_name():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MatrixTuple.zeros(d, n)
     assert MatrixTuple.zeros(np.int64(2), np.uint8(3)) == MatrixTuple.zeros(2, 3)
+
+
+def test_real_argument_tol_is_one_rule_for_tt_check_and_membership():
+    # a bool is no tolerance, as it is no size, whether Python's or numpy's; a finite real number >= 0 of Python
+    # or numpy is one, and is kept as a float
+    f, variety, x = bidisk_witness(), parabola_cubic_pair()[0], MatrixTuple.scalars((0.5, 0.25))
+    for bad in (True, np.True_, np.False_, 1j, "1e-9", None, np.float32("nan"), np.float64("inf"), np.int8(-1)):
+        message = f"^{re.escape(f'tol must be a finite number >= 0, got {bad}')}$"
+        with pytest.raises(ValueError, match=message):
+            tt_check(f, x, 2, bad)
+        with pytest.raises(ValueError, match=message):
+            variety_membership(variety, x, bad)
+    for good in (0, np.int64(1), np.uint8(2), np.float16(0.5), np.float32(1e-9), 1e-9):
+        tol = tt_check(f, x, 2, good).tol
+        assert type(tol) is float and tol == good
+        assert variety_membership(variety, x, good) is True
 
 
 def test_tuple_shape_validation():
@@ -277,11 +299,38 @@ def test_similarity_refuses_a_non_finite_matrix_by_name(bad):
 # JSON form
 
 
-def test_point_dict_round_trip_is_exact():
-    rng = np.random.default_rng(17)
-    x = random_tuple(rng, 3, 2)
-    again = point_from_dict(to_point_dict(x))
-    assert again == x
+# both zeros and subnormals, which a JSON round trip must keep bit for bit; == cannot tell -0.0 from 0.0
+TINY_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310])
+PARTS = TINY_PARTS | st.floats(-1e3, 1e3)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def overwrites(parts=PARTS):
+    """(index, value) pairs that with_parts writes into the float parts of an array."""
+    return st.lists(st.tuples(st.integers(0, 2**16), parts), max_size=8)
+
+
+def with_parts(a, pairs) -> np.ndarray:
+    """A complex copy of a with value written at float part index % size for each (index, value) pair."""
+    out = np.array(a, dtype=complex)
+    parts = out.reshape(-1).view(float)
+    for index, value in pairs:
+        parts[index % parts.size] = value
+    return out
+
+
+def json_round_trip(obj):
+    """obj through JSON text and back, as a file written by the CLI is read."""
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1), overwrites(TINY_PARTS | FINITE_FLOATS))
+def test_point_dict_round_trip_is_exact(d, n, seed, pairs):
+    # a point takes any finite part, the largest included
+    x = MatrixTuple(with_parts(random_tuple(np.random.default_rng(seed), d, n).entries, pairs))
+    again = point_from_dict(json_round_trip(to_point_dict(x)))
+    assert again.entries.shape == x.entries.shape and again.entries.tobytes() == x.entries.tobytes()
 
 
 def test_point_from_dict_errors():

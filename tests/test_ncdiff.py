@@ -516,7 +516,7 @@ def test_tt_check_refuses_a_bad_tol_before_evaluating():
     f = bidisk_witness()
     x = MatrixTuple.scalars((0.5, 0.5))
     with mock.patch.object(Realization, "_resolvent", side_effect=AssertionError("evaluated")):
-        for tol in (float("nan"), float("inf"), -1e-9):
+        for tol in (float("nan"), float("inf"), -1e-9, True, np.True_):
             with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol}$"):
                 tt_check(f, x, 2, tol=tol)
     assert tt_check(f, x, 2, tol=0.0).tol == 0.0

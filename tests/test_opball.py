@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncball.mattuple import MatrixTuple, direct_sum, sup_norm
 from ncball.opball import (
@@ -25,6 +27,7 @@ from ncball.opball import (
 )
 from ncball.probe import sample_in_ball
 from ncball.realize import Realization, bidisk_witness
+from test_mattuple import json_round_trip, overwrites, with_parts
 
 
 def random_tuple(rng, d, n, scale=1.0):
@@ -262,11 +265,25 @@ def test_pencil_repr_names_the_sizes():
     assert repr(row_ball(3)) == "Pencil(d=3, p=1, q=3)"
 
 
-def test_pencil_dict_round_trip():
-    rng = np.random.default_rng(7)
-    pencil = Pencil(rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3)))
-    again = pencil_from_dict(pencil_to_dict(pencil))
-    assert again == pencil
+@st.composite
+def pencils(draw, d):
+    """A d-variable pencil of a drawn shape: gaussian coefficients with some parts overwritten (see overwrites)."""
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(-(-d // p), 3))  # p q >= d, so that d coefficients can be independent
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coefficients = with_parts(rng.normal(size=(d, p, q)) + 1j * rng.normal(size=(d, p, q)), draw(overwrites()))
+    try:
+        return Pencil(coefficients)
+    except ValueError:  # the overwritten parts made the coefficients linearly dependent
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(pencils))
+def test_pencil_dict_round_trip(pencil):
+    again = pencil_from_dict(json_round_trip(pencil_to_dict(pencil)))
+    assert again.coefficients.shape == pencil.coefficients.shape
+    assert again.coefficients.tobytes() == pencil.coefficients.tobytes()
 
 
 def test_pencil_from_dict_errors():

@@ -42,6 +42,7 @@ from ncball.realize import (
     realization_to_dict,
     taylor_polynomial,
 )
+from test_mattuple import PARTS, TINY_PARTS, json_round_trip, overwrites, with_parts
 from test_ncdiff import (
     ref_lam,
     ref_pencil_eval,
@@ -501,18 +502,30 @@ def test_repr_names_the_sizes_and_mode():
     assert repr(bidisk_witness()) == "Realization(d=2, p=2, q=2, m=1, mode='isometry')"
 
 
-def test_realization_dict_round_trip():
-    rng = np.random.default_rng(12)
-    for f in (bidisk_witness(), random_realization(rng)):
-        again = realization_from_dict(realization_to_dict(f))
+@st.composite
+def contractions(draw):
+    """A contraction-mode realization of drawn d, m and ball, with some parts of A, B, C and D overwritten.
+
+    D is scaled to Frobenius norm 0.5 and takes only zeros and subnormals, so ||D|| stays below 1."""
+    d, m, row = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.booleans())
+    f = random_realization(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, m, row)
+    b, c = (with_parts(v, draw(overwrites())) for v in (f.B, f.C))
+    dmat = with_parts(0.5 * f.D / np.linalg.norm(f.D), draw(overwrites(TINY_PARTS)))
+    return Realization(f.pencil, m, complex(draw(PARTS), draw(PARTS)), b, c, dmat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contractions())
+def test_realization_dict_round_trip(drawn):
+    for f in (bidisk_witness(), drawn):
+        again = realization_from_dict(json_round_trip(realization_to_dict(f)))
         assert again.mode == f.mode and again.m == f.m
-        assert again.pencil == f.pencil
-        assert again.A == f.A
-        assert np.array_equal(again.B, f.B)
-        assert np.array_equal(again.C, f.C)
-        assert np.array_equal(again.D, f.D)
+        assert again.pencil.coefficients.tobytes() == f.pencil.coefficients.tobytes()
+        assert np.complex128(again.A).tobytes() == np.complex128(f.A).tobytes()
+        for part in "BCD":
+            assert getattr(again, part).tobytes() == getattr(f, part).tobytes()
         x = MatrixTuple.scalars(tuple(0.1 * (j + 1) for j in range(f.d)))
-        assert np.array_equal(again.eval(x), f.eval(x))
+        assert again.eval(x).tobytes() == f.eval(x).tobytes()
 
 
 def test_realization_from_dict_errors():

@@ -4,10 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncball.freealg import FreePolynomial, parse
 from ncball.mattuple import MatrixTuple, _unit_disk_points, direct_sum, similarity
-from ncball.opball import polydisk
+from ncball.opball import BALL_KINDS, ball_shorthand, polydisk
 from ncball.varieties import (
     AlgebraicVariety,
     HomogeneityReport,
@@ -19,6 +21,8 @@ from ncball.varieties import (
     variety_membership,
     variety_to_dict,
 )
+from test_mattuple import PARTS, json_round_trip
+from test_opball import pencils
 
 BALL = polydisk(2)
 
@@ -65,6 +69,18 @@ def test_membership_tolerance_thresholds_the_defect():
     assert variety_membership(v, x, tol=1e-6)
 
 
+def test_the_verdict_thresholds_the_defect_even_when_it_is_nan():
+    # 1.7e308*z1 + 1.7e308*z2 overflows to inf at (0.9, 0.9), whose SVD norm is NaN; Python's max drops a NaN that
+    # comes after a finite value, so the defect is checked in both generator orders
+    overflowing, zero = parse("1.7e308*z1 + 1.7e308*z2", 2), parse("z1 - z1 + z2 - z2", 2)
+    x = MatrixTuple.scalars((0.9, 0.9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for generators in ((zero, overflowing), (overflowing, zero)):
+            v = AlgebraicVariety(BALL, generators)
+            assert not np.isfinite(generator_defect(v, x))
+            assert variety_membership(v, x) is False
+
+
 def test_membership_validation():
     v = parabola()
     with pytest.raises(ValueError, match="tested against"):
@@ -72,10 +88,10 @@ def test_membership_validation():
     with pytest.raises(ValueError, match="generator in d=1"):
         AlgebraicVariety(BALL, (parse("z1", 1),))
     # a NaN tol made every point a non-member and inf every point inside the ball a member: both are refused,
-    # as a negative tol is, before any generator is evaluated
+    # as a negative tol and a bool (no tolerance, as it is no size) are, before any generator is evaluated
     on_curve = MatrixTuple.scalars((0.1, 0.01))
     assert variety_membership(v, on_curve)
-    for tol in (float("nan"), float("inf"), -1e-12):
+    for tol in (float("nan"), float("inf"), -1e-12, True, np.True_):
         with mock.patch.object(FreePolynomial, "eval", side_effect=AssertionError("evaluated")):
             with pytest.raises(ValueError, match=rf"^tol must be a finite number >= 0, got {tol}$"):
                 variety_membership(v, on_curve, tol)
@@ -246,15 +262,32 @@ def test_both_curves_fail_homogeneity_at_one_half():
 # JSON form
 
 
-def test_variety_dict_round_trip():
-    v1 = parabola()
-    obj = variety_to_dict(v1)
-    assert obj["ball"] == "polydisk:2"
+@st.composite
+def varieties(draw):
+    """A variety of drawn d in a shorthand ball or a drawn pencil, with up to 3 generators of up to 4 terms."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([*BALL_KINDS, "pencil"]))
+    ball = draw(pencils(d)) if kind == "pencil" else BALL_KINDS[kind](d)
+    words = st.lists(st.integers(1, d), max_size=3).map(tuple)
+    terms = st.dictionaries(words, st.builds(complex, PARTS, PARTS), max_size=4)
+    return AlgebraicVariety(ball, [FreePolynomial(d, g) for g in draw(st.lists(terms, max_size=3))])
+
+
+def term_bits(p):
+    return p.d, [(word, np.complex128(c).tobytes()) for word, c in p.sorted_terms()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(varieties())
+@example(parabola())
+def test_variety_dict_round_trip(v):
+    # every generator keeps the bits of its coefficients through its text, and a pencil ball through its JSON
+    obj = json_round_trip(variety_to_dict(v))
+    shorthand = ball_shorthand(v.ambient)
+    assert (obj["ball"] == shorthand) if shorthand else ("pencil" in obj["ball"])
     again = variety_from_dict(obj)
-    assert again.ambient == v1.ambient
-    assert again.generators == v1.generators
-    x = MatrixTuple.scalars((0.4, 0.16))
-    assert variety_membership(again, x) == variety_membership(v1, x)
+    assert again.ambient.coefficients.tobytes() == v.ambient.coefficients.tobytes()
+    assert [term_bits(g) for g in again.generators] == [term_bits(g) for g in v.generators]
 
 
 def test_variety_from_dict_errors():
