@@ -145,7 +145,8 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     inert.  Each sample has its own pivot choice, row swaps, rank-1 updates and
     column sweep, so slice i of x is bit for bit the solve of a[i] alone.  A sample
     that meets a zero pivot is marked in the boolean mask ``singular`` and its
-    slice of x is meaningless; the other samples are untouched by it.
+    slice of x is meaningless; the other samples are untouched by it.  b holds
+    one right side per sample, or a single one that every sample solves.
     It eliminates batch-last on one augmented array [a | b] of shape
     (n, n + r, B), samples on the contiguous axis, so each numpy call of a
     pivot step runs over every sample at once: one row swap and one rank-1
@@ -156,7 +157,7 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.ndim != 3 or b.shape[0] not in (1, a.shape[0]) or b.shape[1] != a.shape[1]:
         raise ValueError(f"cannot solve stacks of shapes {a.shape} and {b.shape}")
     count, n = a.shape[:2]
     ab = np.empty((n, n + b.shape[2], count), dtype=complex)
@@ -269,9 +270,13 @@ def _checked_size(value, name: str, least: int = 1) -> int:
 def _checked_tol(tol) -> float:
     """tol as a float, a finite real number >= 0: like _checked_int, it takes no bool, nor a numpy bool."""
     real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, (bool, np.bool_))
-    if not (real and 0.0 <= tol < np.inf):
+    try:
+        value = float(tol) if real else np.nan
+    except OverflowError:  # an integer past the float range is not finite
+        value = np.inf
+    if not 0.0 <= value < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    return float(tol)
+    return value
 
 
 def to_point_dict(x: MatrixTuple) -> dict:

@@ -19,6 +19,7 @@ f is then a complete contraction on the ball; in contraction mode only
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -141,8 +142,9 @@ class Realization(NCFunction):
         (B x I_n) L(X), its head, and of (D x I_n) L(X) apart.  Returns the
         product, the stack of R and, by sample index, the error each failed
         sample would raise alone: IllConditionedError where the exact 2-norm
-        condition number of T trips the guard (that sample is not solved), or
-        LinAlgError at a zero pivot.  A failed sample's R is NaN.
+        condition number of T trips the guard (that sample is solved against
+        the identity instead), or LinAlgError at a zero pivot.  The whole stack
+        is one solve, and a failed sample's R is NaN.
 
         Since ||L(X)|| = ||Q(X)||, T is the identity less an operator of norm
         at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
@@ -162,14 +164,10 @@ class Realization(NCFunction):
             cond[~certified] = np.linalg.cond(t[~certified])
         guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
         errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
-        c_col = _kron_eye_col(self.C, n)
-        res = np.full((len(t), *c_col.shape), np.nan, dtype=complex)
-        solved = np.flatnonzero(guarded)
-        sol, singular = seq_solve_batch(t[solved], np.broadcast_to(c_col, (len(solved), *c_col.shape)))
-        res[solved] = sol
-        for i in solved[singular]:
-            errors[int(i)] = np.linalg.LinAlgError("matrix is singular")
-            res[i] = np.nan
+        t[~guarded] = np.eye(t.shape[-1])  # a tripped sample is solved against the identity, and masked below
+        res, singular = seq_solve_batch(t, _kron_eye_col(self.C, n)[None])
+        errors |= {int(i): np.linalg.LinAlgError("matrix is singular") for i in np.flatnonzero(singular)}
+        res[~guarded | singular] = np.nan
         return bd_lam, res, errors
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -262,7 +260,9 @@ class Realization(NCFunction):
         return RemainderColumn(self, order)
 
     def __repr__(self):
-        return f"Realization(d={self.d}, p={self.pencil.p}, q={self.pencil.q}, m={self.m}, mode={self.mode!r})"
+        # the sizes, the mode and a digest of the pencil and V: different data, different names
+        data = hashlib.sha256(self.pencil.coefficients.tobytes() + self.system_matrix().tobytes()).hexdigest()[:12]
+        return f"Realization(d={self.d}, p={self.pencil.p}, q={self.pencil.q}, m={self.m}, mode={self.mode!r}, data={data})"
 
 
 @dataclass(frozen=True)

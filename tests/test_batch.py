@@ -137,7 +137,7 @@ def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, strided, seed):
     rng = np.random.default_rng(seed)
     a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
     if strided:
-        # a strided view of a, and one right-hand side broadcast over the stack, as the resolvent passes it
+        # a strided view of a, and one right-hand side broadcast over the stack
         wide = np.zeros((count, n, 2 * n), dtype=complex)
         wide[..., ::2] = a
         a, b = wide[..., ::2], np.broadcast_to(b[0], b.shape)
@@ -155,6 +155,23 @@ def test_a_zero_pivot_masks_only_its_own_sample():
     assert singular.tolist() == [False, True, False]
     for i in (0, 2):
         assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 19), st.integers(1, 16), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+@example(count=0, n=3, cols=2, zero_pivots=False, seed=0)
+@example(count=64, n=16, cols=8, zero_pivots=True, seed=0)
+def test_one_right_side_for_the_stack_is_bitwise_its_broadcast(count, n, cols, zero_pivots, seed):
+    # the resolvent passes C x I_n once for the whole stack: every sample solves it, singular ones included
+    rng = np.random.default_rng(seed)
+    a, b = gaussian(rng, (count, n, n)), gaussian(rng, (1, n, cols))
+    if zero_pivots:
+        a[rng.random(count) < 0.5, :, rng.integers(0, n)] = 0.0
+    x, singular = seq_solve_batch(a, b)
+    want, want_singular = seq_solve_batch(a, np.broadcast_to(b, (count, n, cols)))
+    assert x.shape == (count, n, cols)
+    assert singular.tolist() == want_singular.tolist()
+    assert x.tobytes() == want.tobytes()
 
 
 def two_array_seq_solve_batch(a, b):
@@ -520,6 +537,25 @@ def test_a_singular_operand_past_the_guard_fails_at_its_zero_pivot(monkeypatch):
         assert values[i].tobytes() == f.eval(MatrixTuple(xs[i])).tobytes()
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         f.eval(MatrixTuple(xs[1]))
+
+
+def test_one_stack_masks_a_tripped_guard_and_a_zero_pivot_apart(monkeypatch):
+    # x / (1 - x) at 0.5, 1, 1 and 0.25 under a guard that waves the third operand, 1 - 1 = 0, through:
+    # the second sample trips the guard, the third meets its zero pivot, and the others keep their one-point bits
+    cond = np.linalg.cond
+    monkeypatch.setattr(realize.np.linalg, "cond", lambda t: np.where(np.arange(len(t)) == 2, 1.0, cond(t)))
+    f = x_over_one_minus_x()
+    xs = np.array([0.5, 1.0, 1.0, 0.25], dtype=complex).reshape(4, 1, 1, 1)
+    _, res, errors = f._resolvent(xs)
+    assert [(i, type(error)) for i, error in errors.items()] == [(1, IllConditionedError), (2, np.linalg.LinAlgError)]
+    assert errors[1].cond == np.inf and str(errors[2]) == "matrix is singular"
+    assert np.isnan(res[[1, 2]]).all() and not np.isnan(res[[0, 3]]).any()
+    for g in (f, RemainderColumn(f, 1), RemainderColumn(f, 2)):
+        values, failed = g.eval_batch(xs)
+        assert failed.tolist() == [False, True, True, False]
+        assert np.isnan(values[[1, 2]]).all()
+        for i in (0, 3):
+            assert values[i].tobytes() == g.eval(MatrixTuple(xs[i])).tobytes()
 
 
 def test_ex52_needs_no_condition_number_at_margins_down_to_1e_6(cond_calls):

@@ -49,9 +49,10 @@ def test_integer_argument_zeros_refuses_a_bad_shape_by_name():
 
 def test_real_argument_tol_is_one_rule_for_tt_check_and_membership():
     # a bool is no tolerance, as it is no size, whether Python's or numpy's; a finite real number >= 0 of Python
-    # or numpy is one, and is kept as a float
+    # or numpy is one, and is kept as a float; an integer past the float range is not finite
     f, variety, x = bidisk_witness(), parabola_cubic_pair()[0], MatrixTuple.scalars((0.5, 0.25))
-    for bad in (True, np.True_, np.False_, 1j, "1e-9", None, np.float32("nan"), np.float64("inf"), np.int8(-1)):
+    huge = (10**400, -(10**400))
+    for bad in (True, np.True_, np.False_, 1j, "1e-9", None, np.float32("nan"), np.float64("inf"), np.int8(-1), *huge):
         message = f"^{re.escape(f'tol must be a finite number >= 0, got {bad}')}$"
         with pytest.raises(ValueError, match=message):
             tt_check(f, x, 2, bad)
@@ -176,7 +177,8 @@ def test_seq_solve_matches_numpy():
 
 
 def test_seq_solve_batch_rejects_bad_shapes():
-    for a, b in ((np.eye(2), np.ones((2, 1))), (np.ones((1, 2, 3)), np.ones((1, 2, 1))), (np.eye(2)[None], np.ones((1, 3)))):
+    shapes = [((2, 2), (2, 1)), ((1, 2, 3), (1, 2, 1)), ((1, 2, 2), (1, 3)), ((3, 2, 2), (2, 2, 1)), ((1, 2, 2), (1, 3, 1))]
+    for a, b in ((np.ones(a), np.ones(b)) for a, b in shapes):
         with pytest.raises(ValueError, match=re.escape(f"cannot solve stacks of shapes {a.shape} and {b.shape}")):
             seq_solve_batch(a, b)
 

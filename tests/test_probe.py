@@ -104,7 +104,7 @@ def test_search_approaches_the_witness_supremum():
     assert report.evaluations <= 2000
     assert report.settled
     assert report.ball == "polydisk:2"
-    assert report.target == "Realization(d=2, p=2, q=2, m=1, mode='isometry')"
+    assert report.target == "Realization(d=2, p=2, q=2, m=1, mode='isometry', data=53ae46c5f0a8)"
     # the corner-path pool is injected ahead of the random multistarts
     assert report.labels[:4] == [
         "path:0.1",

@@ -42,6 +42,7 @@ from ncball.realize import (
     realization_to_dict,
     taylor_polynomial,
 )
+from test_batch import random_contraction
 from test_mattuple import PARTS, TINY_PARTS, json_round_trip, overwrites, with_parts
 from test_ncdiff import (
     ref_lam,
@@ -499,7 +500,16 @@ def test_eval_dimension_mismatch():
 
 
 def test_repr_names_the_sizes_and_mode():
-    assert repr(bidisk_witness()) == "Realization(d=2, p=2, q=2, m=1, mode='isometry')"
+    assert repr(bidisk_witness()) == "Realization(d=2, p=2, q=2, m=1, mode='isometry', data=53ae46c5f0a8)"
+
+
+def test_repr_tells_different_data_apart_and_keeps_equal_data_alike():
+    # two draws of the same sizes and mode differ in their digest alone; a rebuilt realization reads the same
+    first, second = (random_contraction(np.random.default_rng(seed), row_ball(2), 2) for seed in (1, 2))
+    assert repr(first).split(", data=")[0] == repr(second).split(", data=")[0]
+    assert repr(first) != repr(second)
+    for f in (first, bidisk_witness()):
+        assert repr(realization_from_dict(json_round_trip(realization_to_dict(f)))) == repr(f)
 
 
 @st.composite
