@@ -196,7 +196,8 @@ class NCFunction:
                 raise ValueError("pencil_norms must be finite and >= 0")
             values, errors = self._values(stack, norms)
         failed = np.zeros(len(values), dtype=bool)
-        failed[list(errors)] = True
+        if errors:
+            failed[list(errors)] = True
         return values, failed
 
     def eval(self, x) -> np.ndarray:

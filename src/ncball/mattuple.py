@@ -150,10 +150,12 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     It eliminates batch-last on one augmented array [a | b] of shape
     (n, n + r, B), samples on the contiguous axis, so each numpy call of a
     pivot step runs over every sample at once: one row swap and one rank-1
-    update per pivot, then substitution on views of the array.  Every
-    elementwise operand keeps the rank of the other.  x is returned as a
-    (B, n, r) view.  Meant for the small systems this library produces, not
-    as a general solver.
+    update per pivot, then substitution on views of the array.  Rows are
+    swapped only in a step where some sample's pivot is off the diagonal, the
+    last step neither searches for a pivot nor eliminates, and a zero mask is
+    formed only in a step where some pivot is zero.  Every elementwise operand
+    keeps the rank of the other.  x is returned as a (B, n, r) view.  Meant for
+    the small systems this library produces, not as a general solver.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -165,19 +167,23 @@ def seq_solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ab[:, n:] = b.transpose(1, 2, 0)
     singular = np.zeros(count, dtype=bool)
     for k in range(n):
-        piv = k + np.abs(ab[k:, k]).argmax(axis=0)
-        moved = (piv != k).nonzero()[0]
-        if len(moved):
-            row = ab[piv[moved], :, moved]
-            ab[piv[moved], :, moved] = ab[k, :, moved]
-            ab[k, :, moved] = row
-        zero = ab[k, k] == 0
-        if np.count_nonzero(zero):
+        below = k + 1 < n  # the last row is its own pivot, with nothing below it to eliminate
+        if below:
+            offset = np.abs(ab[k:, k]).argmax(axis=0)
+            if offset.any():
+                moved = offset.nonzero()[0]
+                piv = k + offset[moved]
+                row = ab[piv, :, moved]
+                ab[piv, :, moved] = ab[k, :, moved]
+                ab[k, :, moved] = row
+        if not ab[k, k].all():
+            zero = ab[k, k] == 0
             # a unit pivot keeps the arithmetic of a singular sample finite
             singular |= zero
             ab[k, k, zero] = 1.0
-        mult = ab[k + 1 :, k] / ab[k, None, k]
-        ab[k + 1 :, k + 1 :] -= mult[:, None] * ab[k, None, k + 1 :]
+        if below:
+            mult = ab[k + 1 :, k] / ab[k, None, k]
+            ab[k + 1 :, k + 1 :] -= mult[:, None] * ab[k, None, k + 1 :]
     a, x = ab[:, :n], ab[:, n:]
     for i in range(n - 1, -1, -1):
         x[i] /= a[i, None, i]

@@ -247,10 +247,13 @@ def estimate_sup(
 
     Points are drawn and climbed in stacks of as many points as fit
     BATCH_BYTES with one value of ``f`` each, sized before the search from
-    its value at the empty stack, and each stack is one ``f.eval_batch``
-    call; since every sample keeps its bits in any stack, and the climb
-    records only the candidates it would have tried one at a time, the report
-    is the same as that of a search evaluating one point at a time.
+    its value at the empty stack.  Each stack is one ``f.eval_batch`` call
+    and one charge to the report (``record``): its attempts are recorded in
+    order, a climb stack's up to and including its first improvement, and the
+    argmax point is built once per stack.  Since every sample keeps its bits
+    in any stack, and the climb records only the candidates it would have
+    tried one at a time, the report is still that of a search evaluating and
+    charging one point at a time.
 
     Passing ``margin`` draws every multistart sample at that one margin.  The report names f by
     ``target_label``, or by ``repr(f)`` without one.
@@ -276,25 +279,33 @@ def estimate_sup(
     # the ball's norms are the target's own pencil norms: its resolvent guard may use them
     certify = getattr(f, "pencil", None) == ball
 
-    def evaluate(xs: np.ndarray, s: np.ndarray) -> list[float | None]:
-        """||f(X)|| at each point of a stack of pencil norms s; None where it failed."""
+    def evaluate(xs: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """||f(X)|| at each point of a stack of pencil norms s, 0 where it failed, and the mask of failed points."""
         values, failed = f.eval_batch(xs, pencil_norms=s if certify else None)
+        if not failed.any():
+            return _spectral_norms(values), failed
         norms = np.zeros(len(values))
         norms[~failed] = _spectral_norms(values[~failed])
-        return [None if bad else norm for bad, norm in zip(failed.tolist(), norms.tolist())]
+        return norms, failed
 
-    def record(x: np.ndarray, label: str, distance: float, value: float | None) -> bool:
-        """Charge one attempt to the report: a trajectory entry, or a failure where value is None; True when x became the argmax."""
-        if value is None:
-            report.failures += 1
-            return False
-        report.labels.append(label)
-        report.values.append(value)
-        report.boundary_distances.append(distance)
-        if value > report.best_value or report.argmax is None:
-            report.best_value, report.argmax = value, MatrixTuple(x)
-            return True
-        return False
+    def record(xs: np.ndarray, labels, distances: np.ndarray, norms: np.ndarray, failed: np.ndarray) -> None:
+        """Charge a stack of attempts to the report in order: trajectory entries, and failures where failed.
+
+        The argmax moves to the stack's first best point when that beats the
+        running best, as it would charging one attempt at a time.
+        """
+        if failed.any():
+            kept = ~failed
+            report.failures += int(np.count_nonzero(failed))
+            xs, distances, norms = xs[kept], distances[kept], norms[kept]
+            labels = itertools.compress(labels, kept.tolist())
+        values = norms.tolist()
+        report.labels.extend(labels)
+        report.values.extend(values)
+        report.boundary_distances.extend(distances.tolist())
+        if values and (report.argmax is None or max(values) > report.best_value):
+            report.best_value = max(values)
+            report.argmax = MatrixTuple(xs[values.index(report.best_value)])
 
     # multistart phase: the corner-path pool, then sample i drawn from seed + i
     n_samples = max(budget // 2, 1)
@@ -313,13 +324,13 @@ def estimate_sup(
     for xs in itertools.chain(pool, _sample_chunks(ball, n, draws, stack)):
         s = ball.norms_at(xs)
         # |s - 1| is the membership distance: fl(s - 1) = -fl(1 - s)
-        distances = np.abs(s - 1.0).tolist()
-        for x, label, distance, value in zip(xs, itertools.islice(labels, len(xs)), distances, evaluate(xs, s)):
-            record(x, label, distance, value)
+        record(xs, itertools.islice(labels, len(xs)), np.abs(s - 1.0), *evaluate(xs, s))
     multistart_best = report.best_value
-    margin_best = report.margin_best
-    for value, key in zip(report.values, _margin_bins(np.array(report.boundary_distances))):
-        margin_best[key] = max(margin_best.get(key, 0.0), value)
+    # each bin's best, keyed in order of first appearance: the running max(best, value) from 0.0, one bin at a time
+    bins = _margin_bins(np.array(report.boundary_distances))
+    values, keys = np.array(report.values), np.array(bins)
+    for key in dict.fromkeys(bins):
+        report.margin_best[key] = max(0.0, float(values[keys == key].max()))
 
     # hill-climbing phase from the multistart argmax: candidates are evaluated
     # a stack ahead, as if none improved, and recorded in order up to the
@@ -343,13 +354,15 @@ def estimate_sup(
                 # |c| s is not bitwise ||Q(cX)||: measure rescaled points afresh
                 xs[out] *= (BOUNDARY_THRESHOLD / s[out]).astype(complex)[:, None, None, None]
                 s[out] = ball.norms_at(xs[out])
-            distances = np.abs(s - 1.0).tolist()
-            for i, ((step, move), value) in enumerate(zip(plan, evaluate(xs, s))):
-                remaining -= 1
-                if record(xs[i], _climb_label(step), distances[i], value):
-                    schedule_ahead = _climb_schedule(len(moves), step, move + 1, True)
-                    ahead = CLIMB_CHUNK
-                    break
+            norms, failed = evaluate(xs, s)
+            better = np.flatnonzero(norms > report.best_value)  # a failed point's norm of 0 is never above it
+            cut = int(better[0]) + 1 if len(better) else len(plan)
+            record(xs[:cut], [_climb_label(step) for step, _ in plan[:cut]], np.abs(s[:cut] - 1.0), norms[:cut], failed[:cut])
+            remaining -= cut
+            if len(better):
+                step, move = plan[cut - 1]
+                schedule_ahead = _climb_schedule(len(moves), step, move + 1, True)
+                ahead = CLIMB_CHUNK
             else:
                 ahead = min(2 * ahead, stack)
 

@@ -70,9 +70,17 @@ def _kron_eye_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(*lead, a.shape[0] * n, cols)
 
 
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """The complex identity of this size, read-only: one per size for every realization."""
+    eye = np.eye(size, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
 def _kron_eye_col(c: np.ndarray, n: int) -> np.ndarray:
     """c x I_n for a vector c, of shape (len(c) n) x n: the products c[i] I_n[r, s] that np.kron forms."""
-    return (c[:, None, None] * np.eye(n)).reshape(-1, n)
+    return (c[:, None, None] * _identity(n)).reshape(-1, n)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -149,25 +157,28 @@ class Realization(NCFunction):
         Since ||L(X)|| = ||Q(X)||, T is the identity less an operator of norm
         at most delta = ||D|| ||Q(X)||, so cond(T) <= (1 + delta)/(1 - delta)
         where delta < 1.  Given the exact pencil_norms, a sample with this
-        bound at most 1e9 cannot trip the guard and is not measured; every
-        other sample is.  Without norms no sample is certified.
+        bound at most 1e9 cannot trip the guard and is not measured; the
+        condition numbers of the other samples are taken as one stack.  Without
+        norms no sample is certified.  The identity fill, the NaN rows and the
+        error dict are only formed once some sample has failed.
         """
         n = xs.shape[-1]
         bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, xs), n)
-        t = np.eye(bd_lam.shape[-1], dtype=complex) - bd_lam[:, n:]
-        certified = np.zeros(len(t), dtype=bool)
-        if pencil_norms is not None:
-            certified = self._d_norm * pencil_norms <= _CERTIFIED_DELTA
-        # a certified sample cannot trip the guard: 1 stands in for its condition number
-        cond = np.ones(len(t))
-        if not certified.all():
-            cond[~certified] = np.linalg.cond(t[~certified])
-        guarded = np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT)
-        errors: dict[int, Exception] = {int(i): IllConditionedError(float(cond[i])) for i in np.flatnonzero(~guarded)}
-        t[~guarded] = np.eye(t.shape[-1])  # a tripped sample is solved against the identity, and masked below
+        eye = _identity(bd_lam.shape[-1])
+        t = eye - bd_lam[:, n:]
+        # a certified sample cannot trip the guard: its condition number is not taken
+        certified = np.zeros(len(t), dtype=bool) if pencil_norms is None else self._d_norm * pencil_norms <= _CERTIFIED_DELTA
+        unsure = np.flatnonzero(~certified)
+        cond = np.linalg.cond(t[unsure]) if len(unsure) else np.empty(0)
+        tripped = ~(np.isfinite(cond) & (cond <= RESOLVENT_COND_LIMIT))
+        if tripped.any():
+            t[unsure[tripped]] = eye  # a tripped sample is solved against the identity, and masked below
         res, singular = seq_solve_batch(t, _kron_eye_col(self.C, n)[None])
+        if not (tripped.any() or singular.any()):
+            return bd_lam, res, {}
+        errors: dict[int, Exception] = {int(i): IllConditionedError(float(c)) for i, c in zip(unsure[tripped], cond[tripped])}
         errors |= {int(i): np.linalg.LinAlgError("matrix is singular") for i in np.flatnonzero(singular)}
-        res[~guarded | singular] = np.nan
+        res[list(errors)] = np.nan
         return bd_lam, res, errors
 
     def _values(self, xs: np.ndarray, pencil_norms=None) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -178,7 +189,7 @@ class Realization(NCFunction):
     def _value(self, bd_lam: np.ndarray, res: np.ndarray) -> np.ndarray:
         """A I_n + (B x I_n) L(X) R per sample, from the product and the stack of R that _resolvent returns."""
         n = res.shape[-1]
-        return self.A * np.eye(n, dtype=complex) + _seq_matmul(bd_lam[:, :n], res)
+        return self.A * _identity(n) + _seq_matmul(bd_lam[:, :n], res)
 
     def resolvent_term(self, x: MatrixTuple) -> np.ndarray:
         """[1 - (D x I_n) L(X)]^{-1} (C x I_n), of shape (m q n) x n.
@@ -214,7 +225,7 @@ class Realization(NCFunction):
         """
         self._check_d(x)
         n = x.n
-        yield self.A * np.eye(n, dtype=complex)
+        yield self.A * _identity(n)
         if bd_lam is None:
             bd_lam = _kron_eye_matmul(self._bd, _pencil_values(self._letter_pencil, x.entries[None])[0], n)
         cur, hop, c_col = bd_lam[:n], bd_lam[n:], _kron_eye_col(self.C, n)

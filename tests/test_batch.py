@@ -127,33 +127,71 @@ def reference_seq_solve(a, b):
     return b
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 16), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
-@example(count=2, n=1, cols=1, strided=False, seed=0)
-# the stacks of a level-8 probe: 64 points of 16 x 16 with 8 columns
-@example(count=64, n=16, cols=8, strided=False, seed=0)
-@example(count=64, n=16, cols=8, strided=True, seed=1)
-def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, strided, seed):
-    rng = np.random.default_rng(seed)
+def pivot_stack(rng, count, n, cols, swaps, zero_step):
+    """count n x n systems with cols right sides, and which samples meet a zero pivot.
+
+    Without swaps every diagonal entry outweighs the rest of its column, which
+    elimination keeps, so no sample ever swaps rows.  With a zero_step, each
+    odd sample is upper triangular with a zero at diagonal entry zero_step
+    mod n: it swaps no rows, and its first zero pivot is met at that step.
+    """
     a, b = gaussian(rng, (count, n, n)), gaussian(rng, (count, n, cols))
+    if not swaps:
+        a[:, range(n), range(n)] = np.abs(a).sum(axis=1) + 1.0
+    singular = [zero_step is not None and i % 2 == 1 for i in range(count)]
+    for i in np.flatnonzero(singular):
+        a[i] = np.triu(a[i])
+        a[i, zero_step % n, zero_step % n] = 0.0
+    return a, b, singular
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 16),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.none() | st.integers(0, 15),
+    st.integers(0, 2**32 - 1),
+)
+@example(count=2, n=1, cols=1, strided=False, swaps=True, zero_step=None, seed=0)
+# the stacks of a level-8 probe: 64 points of 16 x 16 with 8 columns
+@example(count=64, n=16, cols=8, strided=False, swaps=True, zero_step=None, seed=0)
+@example(count=64, n=16, cols=8, strided=True, swaps=True, zero_step=None, seed=1)
+# the solve's early exits: n = 1 with a zero pivot, one met only at the last step, no swaps in the stack, B = 0
+@example(count=3, n=1, cols=1, strided=False, swaps=True, zero_step=0, seed=0)
+@example(count=4, n=5, cols=2, strided=False, swaps=True, zero_step=4, seed=0)
+@example(count=4, n=5, cols=2, strided=True, swaps=False, zero_step=None, seed=0)
+@example(count=0, n=3, cols=2, strided=False, swaps=True, zero_step=None, seed=0)
+def test_seq_solve_batch_is_bitwise_per_slice(count, n, cols, strided, swaps, zero_step, seed):
+    rng = np.random.default_rng(seed)
+    a, b, want_singular = pivot_stack(rng, count, n, cols, swaps, zero_step)
     if strided:
         # a strided view of a, and one right-hand side broadcast over the stack
         wide = np.zeros((count, n, 2 * n), dtype=complex)
         wide[..., ::2] = a
         a, b = wide[..., ::2], np.broadcast_to(b[0], b.shape)
     x, singular = seq_solve_batch(a, b)
-    assert not singular.any()
-    for i in range(count):
+    assert x.shape == (count, n, cols)
+    assert singular.tolist() == want_singular
+    for i in np.flatnonzero(~singular):
         assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
 
 
-def test_a_zero_pivot_masks_only_its_own_sample():
-    rng = np.random.default_rng(4)
-    a, b = gaussian(rng, (3, 3, 3)), gaussian(rng, (3, 3, 1))
-    a[1, :, 0] = 0.0
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 8), st.integers(0, 7), st.booleans(), st.integers(0, 2**32 - 1))
+@example(count=3, n=3, zero_step=0, swaps=True, seed=4)
+@example(count=3, n=1, zero_step=0, swaps=True, seed=0)  # n = 1: the one step is the last
+@example(count=5, n=4, zero_step=3, swaps=True, seed=0)  # a zero pivot met only at the last step
+@example(count=5, n=4, zero_step=1, swaps=False, seed=0)  # no sample swaps rows
+@example(count=0, n=3, zero_step=0, swaps=True, seed=0)  # B = 0
+def test_a_zero_pivot_masks_only_its_own_sample(count, n, zero_step, swaps, seed):
+    rng = np.random.default_rng(seed)
+    a, b, want_singular = pivot_stack(rng, count, n, 1, swaps, zero_step)
     x, singular = seq_solve_batch(a, b)
-    assert singular.tolist() == [False, True, False]
-    for i in (0, 2):
+    assert singular.tolist() == want_singular
+    for i in np.flatnonzero(~singular):
         assert x[i].tobytes() == reference_seq_solve(a[i], b[i]).tobytes()
 
 

@@ -1,6 +1,7 @@
 """Seeded probes: sup-norm search, blowup scans, dichotomy, regularity."""
 
 import math
+import zlib
 from dataclasses import dataclass
 from unittest import mock
 
@@ -513,12 +514,28 @@ def test_a_dichotomy_scan_sizes_its_stacks_by_the_image():
     assert sizes == [BATCH_BYTES // (32 * n * n) for n in (1, 2, 3)]
 
 
+@dataclass(frozen=True)
+class FailsWhereCrcIsEven(NCFunction):
+    """X -> X_1, failing at the points whose bytes have an even CRC-32: about half of them, drawn or climbed."""
+
+    d: int = 2
+
+    def _values(self, xs):
+        errors = {i: np.linalg.LinAlgError("even") for i, x in enumerate(xs) if zlib.crc32(x.tobytes()) % 2 == 0}
+        values = xs[:, 0].copy()
+        values[list(errors)] = np.nan
+        return values, errors
+
+
 STACK_SIZE_TARGETS = {
     # the target's own pencil: the certificate settles the resolvent guard
     "ex52-polydisk": (bidisk_witness, polydisk(2)),
     # another pencil: every sample takes the exact guard
     "ex52-row": (bidisk_witness, row_ball(2)),
     "poly-polydisk": (lambda: parse("z1*z2 - 0.5*z2*z1 + (0.3+0.2i)*z1 + z2^3 - 1.5i", 2), polydisk(2)),
+    # failures in the multistart and the climb; at seed 7 they fall ahead of a climb stack's first
+    # improvement and in its dropped tail, and at level 1 in stacks of 5 a whole multistart and climb stack fails
+    "fails-polydisk": (FailsWhereCrcIsEven, polydisk(2)),
 }
 
 
@@ -528,12 +545,18 @@ def test_probe_reports_are_bitwise_the_same_at_any_stack_size(name, level, budge
     make, ball = STACK_SIZE_TARGETS[name]
 
     def facts(report):
+        # every attempt is charged once: the climb's dropped candidates are not, its failures are
+        assert report.evaluations + report.failures == budget
         rows = list(zip(report.labels, map(float.hex, report.values), map(float.hex, report.boundary_distances)))
         margin_best = {key: value.hex() for key, value in report.margin_best.items()}
         return rows, report.argmax.entries.tobytes(), report.failures, margin_best, report.settled
 
     # a stack of one point is the one-point-at-a-time search; 5 splits the multistart and caps the climb
-    want = facts(estimate_sup(make(), ball, level, budget, 7))
+    report = estimate_sup(make(), ball, level, budget, 7)
+    if name == "fails-polydisk":
+        drawn = sum(not label.startswith("climb:") for label in report.labels)
+        assert 0 < budget // 2 - drawn < report.failures  # some drawn samples and some climb candidates failed
+    want = facts(report)
     for size in (1, 5):
         with mock.patch.object(probe, "_batch_size", lambda count, nbytes: size):
             assert facts(estimate_sup(make(), ball, level, budget, 7)) == want, size
